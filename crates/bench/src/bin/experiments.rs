@@ -945,9 +945,24 @@ fn connectivity(cfg: &Config) {
         ]);
     }
     t.print(&format!(
-        "Connectivity serving: index vs recompute vs snapshot (scale {scale}, m = {}, {repairs} targeted repairs)",
+        "Connectivity serving: index vs recompute vs snapshot (scale {scale}, m = {}, {repairs} relabels)",
         edges.len()
     ));
+    // Where the deletes went, from the same instruments `/metrics`
+    // serves (empty without `--features obs`).
+    let conn: Vec<String> = snap_obs::MetricsRegistry::global()
+        .snapshot()
+        .into_iter()
+        .filter_map(|m| match m.value {
+            snap_obs::MetricValue::Counter(v) if m.name.starts_with("snap_conn_") => {
+                Some(format!("{} {v}", &m.name["snap_conn_".len()..]))
+            }
+            _ => None,
+        })
+        .collect();
+    if !conn.is_empty() {
+        println!("  certificate: {}", conn.join(", "));
+    }
     write_connectivity_json(scale, &rows);
 }
 
@@ -1147,6 +1162,7 @@ struct ServeRow {
     write_pct: u64,
     ops: usize,
     updates: u64,
+    changed: u64,
     update_mups: f64,
     query_p50_ns: u64,
     query_p99_ns: u64,
@@ -1187,7 +1203,11 @@ fn serve_bench(cfg: &Config) {
         .unwrap_or(20);
     let n = cfg.vertices();
     let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed);
-    let base = construction_stream(&edges, cfg.seed);
+    // The engine starts from the first three quarters of the edge list;
+    // the clients' generators insert the rest (and delete from all of
+    // it), so most submitted updates change the graph.
+    let base_len = edges.len() * 3 / 4;
+    let base = construction_stream(&edges[..base_len], cfg.seed);
     let mut rows: Vec<ServeRow> = Vec::new();
     for &clients in &cfg.threads {
         let hints = CapacityHints::new(edges.len() * 3);
@@ -1206,10 +1226,14 @@ fn serve_bench(cfg: &Config) {
                             let mut rng =
                                 XorShift64::new(cfg.seed ^ (c as u64).wrapping_mul(0x9E37));
                             let mut lat = Vec::with_capacity(ops_per_client);
-                            for i in 0..ops_per_client {
+                            // One generator per client: its insert
+                            // cursor carries across batches, each
+                            // client on its own stretch of the tail.
+                            let mut stream = StreamBuilder::new(edges, cfg.seed + c as u64)
+                                .inserting_from(base_len + c * (edges.len() - base_len) / clients);
+                            for _ in 0..ops_per_client {
                                 if rng.next_bounded(100) < write_pct {
-                                    let seed = cfg.seed + (c * ops_per_client + i) as u64;
-                                    engine.submit(StreamBuilder::new(edges, seed).mixed(64, 0.7));
+                                    engine.submit(stream.mixed(64, 0.7));
                                 } else {
                                     let u = rng.next_bounded(n as u64) as u32;
                                     let v = rng.next_bounded(n as u64) as u32;
@@ -1244,6 +1268,7 @@ fn serve_bench(cfg: &Config) {
             write_pct,
             ops: ops_per_client * clients,
             updates,
+            changed: engine.updates_changed(),
             update_mups: updates as f64 / secs / 1e6,
             query_p50_ns: pct(0.50),
             query_p99_ns: pct(0.99),
@@ -1255,6 +1280,7 @@ fn serve_bench(cfg: &Config) {
         "write%",
         "ops",
         "updates",
+        "changed",
         "update MUPS",
         "query p50 (ns)",
         "query p99 (ns)",
@@ -1266,6 +1292,7 @@ fn serve_bench(cfg: &Config) {
             r.write_pct.to_string(),
             r.ops.to_string(),
             r.updates.to_string(),
+            r.changed.to_string(),
             f3(r.update_mups),
             r.query_p50_ns.to_string(),
             r.query_p99_ns.to_string(),
@@ -1284,12 +1311,13 @@ fn write_serving_json(scale: u32, rows: &[ServeRow]) {
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "  {{\"scale\": {}, \"clients\": {}, \"write_pct\": {}, \"ops\": {}, \"updates\": {}, \"update_mups\": {:.3}, \"query_p50_ns\": {}, \"query_p99_ns\": {}, \"epochs\": {}, \"full_rebuilds\": 0}}{}\n",
+            "  {{\"scale\": {}, \"clients\": {}, \"write_pct\": {}, \"ops\": {}, \"updates\": {}, \"changed\": {}, \"update_mups\": {:.3}, \"query_p50_ns\": {}, \"query_p99_ns\": {}, \"epochs\": {}, \"full_rebuilds\": 0}}{}\n",
             scale,
             r.clients,
             r.write_pct,
             r.ops,
             r.updates,
+            r.changed,
             r.update_mups,
             r.query_p50_ns,
             r.query_p99_ns,

@@ -1,5 +1,5 @@
 //! Incremental connectivity serving: a concurrent union-find index over
-//! the dynamic graph.
+//! the dynamic graph, certified by the paper's link-cut forest.
 //!
 //! The paper's motivating workload is *serving connectivity queries on a
 //! massive graph under a stream of updates*. The kernels answer those
@@ -12,37 +12,64 @@
 //!   splitting). An edge insertion is one [`ConnectivityIndex::union`];
 //!   `component(u)` / `same_component(u, v)` are then near-O(α) pointer
 //!   chases with **zero traversals and zero CSR rebuilds**.
-//! - **Deletions dirty one component, not the index.** Union-find cannot
-//!   un-union, but a deletion can only split the single component that
-//!   contained the edge. [`ConnectivityIndex::note_delete`] therefore
-//!   marks that component *dirty*; every other component keeps serving
-//!   lock-free. The next query touching a dirty component triggers a
-//!   targeted repair: its member vertices are relabeled by a restricted
-//!   connected-components pass over the **live**
-//!   [`GraphView`] (serial here; `snap-par`
-//!   plugs its parallel kernel in through
-//!   [`ConnectivityIndex::repair_with`]).
-//! - **Self-loops never dirty anything**: deleting `(u, u)` cannot
-//!   disconnect, so it is ignored outright.
+//! - **Every merge leaves a certificate edge.** Beside the union-find
+//!   the index keeps the paper's spanning forest (§3.1; one parent
+//!   pointer per vertex, [`crate::forest::Forest`]): the edge whose
+//!   insertion merged two components becomes a tree edge, so at
+//!   quiescence the forest spans exactly the components the labels
+//!   name.
+//! - **A deletion costs the smaller side of the cut, or nothing.**
+//!   Union-find cannot un-union, but an edge that is *not* in the forest
+//!   cannot disconnect anything: its deletion is an O(1) no-op — no
+//!   traversal, no relabel. Deleting a certificate edge cuts it and
+//!   searches the **live** [`GraphView`] for a replacement by growing
+//!   both sides of the cut in lock-step
+//!   ([`crate::forest::Forest::reconnect`]); the work is bounded by the
+//!   smaller side. Only a true split relabels, and only the members of
+//!   the side the search exhausted.
+//! - **Notes are cheap, the forest is serialized.**
+//!   [`ConnectivityIndex::note_insert`] / [`ConnectivityIndex::note_delete`]
+//!   never touch the forest: a merging insert and every delete append to
+//!   a pending log, and the next query (or
+//!   [`ConnectivityIndex::labels`]) drains it under the repair lock —
+//!   links first, then cuts, then one replacement search per cut, all
+//!   against the view as it is *then*. Log entries are hints checked
+//!   against the view, so the order racing notes land in does not
+//!   matter.
+//! - **The whole-component relabel is the fallback.** A restricted
+//!   connected-components pass over a component's members (serial here;
+//!   `snap-par` plugs its parallel kernel in through
+//!   [`ConnectivityIndex::repair_with`]) still runs — and re-derives that
+//!   component's certificate — in exactly these cases: the exhausted
+//!   side of a split holds the component's minimum id (the other side
+//!   then needs a new minimum, hence an enumeration); a caller marked
+//!   the component with [`ConnectivityIndex::mark_component_dirty`]; a
+//!   note raced the drain (the generation guard, invariant 6); the view
+//!   is directed (its out-adjacency cannot be searched from both
+//!   sides). Out-of-band resync rebuilds labels and certificate
+//!   together.
+//! - **Self-loops never matter**: deleting `(u, u)` cannot disconnect,
+//!   so it is ignored outright.
 //!
 //! Canonical labels: unions always hook the higher-id root under the
-//! lower one and repairs relabel by minimum member id, so every stable
-//! label is the component's minimum vertex id — bit-comparable with
-//! `connected_components`, `par_cc`, and the union-find test oracle.
+//! lower one and every relabel assigns the minimum member id, so every
+//! stable label is the component's minimum vertex id — bit-comparable
+//! with `connected_components`, `par_cc`, and the union-find test oracle.
 //!
 //! # Concurrency contract
 //!
 //! Mutations (`union` / `note_insert` / `note_delete`) take `&self` and
 //! are thread-safe, like the rest of the workspace. Queries are safe to
 //! run concurrently with each other, including the repairs they trigger:
-//! repairs serialize on an internal lock, members of a component under
-//! repair are shielded by their dirty bits, and
+//! repairs serialize on an internal lock (which also owns the forest),
+//! members being relabeled are shielded by their dirty bits, and
 //! [`ConnectivityIndex::clean_root`] re-checks root stability before
 //! answering. Queries racing *mutations* follow the workspace's
 //! bulk-synchronous discipline (apply the batch, then query); see
 //! [`crate::engine::SnapshotManager`] for the epoch bookkeeping that
 //! detects out-of-band mutation and falls back to a full rebuild.
 
+use crate::forest::{Forest, Reconnect, Search, ROOT};
 use crate::view::GraphView;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -57,6 +84,13 @@ struct ConnMetrics {
     repairs: snap_obs::Counter,
     full_rebuilds: snap_obs::Counter,
     shield_events: snap_obs::Counter,
+    cert_deletes: snap_obs::Counter,
+    noncert_deletes: snap_obs::Counter,
+    replacements: snap_obs::Counter,
+    splits: snap_obs::Counter,
+    fallbacks: snap_obs::Counter,
+    search_scanned: snap_obs::Histogram,
+    relabel_members: snap_obs::Histogram,
 }
 
 fn conn_metrics() -> &'static ConnMetrics {
@@ -66,11 +100,11 @@ fn conn_metrics() -> &'static ConnMetrics {
         ConnMetrics {
             dirty_marks: r.counter(
                 "snap_conn_dirty_marks_total",
-                "Components marked dirty by deletions",
+                "Components marked for a whole-component relabel",
             ),
             repairs: r.counter(
                 "snap_conn_repairs_total",
-                "Targeted component repairs (one dirty component each)",
+                "Relabels published (one split side or one whole component each)",
             ),
             full_rebuilds: r.counter(
                 "snap_conn_full_rebuilds_total",
@@ -80,13 +114,63 @@ fn conn_metrics() -> &'static ConnMetrics {
                 "snap_conn_shield_events_total",
                 "Vertices shielded during repairs and rebuilds",
             ),
+            cert_deletes: r.counter(
+                "snap_conn_certificate_deletes_total",
+                "Deletions that cut a certificate (spanning-forest) edge",
+            ),
+            noncert_deletes: r.counter(
+                "snap_conn_noncertificate_deletes_total",
+                "Deletions that missed the certificate: O(1), no traversal",
+            ),
+            replacements: r.counter(
+                "snap_conn_replacements_total",
+                "Replacement edges found by the lock-step search",
+            ),
+            splits: r.counter(
+                "snap_conn_splits_total",
+                "Searches that exhausted one side: true component splits",
+            ),
+            fallbacks: r.counter(
+                "snap_conn_fallback_relabels_total",
+                "Whole-component relabels (the fallback of the certificate path)",
+            ),
+            search_scanned: r.histogram(
+                "snap_conn_search_scanned_entries",
+                "Adjacency entries scanned per replacement search (both sides)",
+            ),
+            relabel_members: r.histogram(
+                "snap_conn_relabel_members",
+                "Members relabelled per repair (split side or whole component)",
+            ),
         }
     })
 }
 
+/// One pending notification, recorded by the note path and applied to
+/// the certificate by the next drain.
+#[derive(Clone, Copy, Debug)]
+enum Note {
+    /// Inserting `(u, v)` merged two components: a certificate edge.
+    Link(u32, u32),
+    /// `(u, v)` was deleted.
+    Cut(u32, u32),
+}
+
+/// Everything only a repair touches; the repair lock owns it.
+struct Certificate {
+    /// Spanning forest of the indexed graph: at quiescence its trees are
+    /// exactly the components the union-find labels name.
+    forest: Forest,
+    search: Search,
+    /// Drain scratch, zero between uses: 1-based id of the split set
+    /// that claimed the vertex (sized on first use).
+    split_of: Vec<u32>,
+}
+
 /// Incrementally maintained connectivity over a dynamic graph: concurrent
-/// union-find with per-component dirty tracking and targeted repair. See
-/// the [module docs](self) for the design and the concurrency contract.
+/// union-find certified by a spanning forest, so deletions cost the
+/// smaller side of the cut. See the [module docs](self) for the design
+/// and the concurrency contract.
 ///
 /// # Examples
 ///
@@ -96,7 +180,7 @@ fn conn_metrics() -> &'static ConnMetrics {
 /// use snap_rmat::TimedEdge;
 ///
 /// let g: DynGraph<HybridAdj> = DynGraph::undirected(5, &CapacityHints::new(16));
-/// for (u, v) in [(0, 1), (1, 2), (3, 4)] {
+/// for (u, v) in [(0, 1), (1, 2), (0, 2), (3, 4)] {
 ///     g.insert_edge(TimedEdge::new(u, v, 1));
 /// }
 /// let idx = ConnectivityIndex::from_view(&g);
@@ -104,11 +188,19 @@ fn conn_metrics() -> &'static ConnMetrics {
 /// assert!(!idx.same_component(&g, 0, 3));
 /// assert_eq!(idx.component_count(&g), 2);
 ///
-/// // A deletion dirties one component; the next query touching it
-/// // triggers a targeted repair over the live view.
-/// g.delete_edge(1, 2);
-/// idx.note_delete(1, 2);
-/// assert!(!idx.same_component(&g, 0, 2));
+/// // Whichever edge of the triangle goes first, 0-1-2 stays connected:
+/// // either the edge was no certificate edge (nothing to do) or the
+/// // search finds the way round. Nothing is relabelled.
+/// g.delete_edge(0, 2);
+/// idx.note_delete(0, 2);
+/// assert!(idx.same_component(&g, 0, 2));
+/// assert_eq!(idx.repair_count(), 0);
+///
+/// // A bridge splits its component; only the side the search
+/// // exhausted is relabelled.
+/// g.delete_edge(3, 4);
+/// idx.note_delete(3, 4);
+/// assert!(!idx.same_component(&g, 3, 4));
 /// assert_eq!(idx.repair_count(), 1);
 /// ```
 pub struct ConnectivityIndex {
@@ -116,14 +208,22 @@ pub struct ConnectivityIndex {
     /// points a higher id at a lower one, so a component's root is its
     /// minimum vertex id.
     parent: Vec<AtomicU32>,
-    /// One bit per vertex. A set bit on a *root* marks its component
-    /// dirty; during a repair the bits of every member shield concurrent
-    /// readers (they re-route into the repair path until the new labels
-    /// are fully published).
+    /// One bit per vertex. A set bit on a *root* marks its component for
+    /// a whole-component relabel; during any relabel the bits of every
+    /// vertex whose label changes shield concurrent readers (they
+    /// re-route into the repair path until the new labels are fully
+    /// published).
     dirty: Vec<AtomicU64>,
     /// Fast path for [`ConnectivityIndex::has_dirty`]: avoids scanning
-    /// the bitmap when no deletion has run since the last full repair.
+    /// the bitmap when no component has been marked since the last full
+    /// repair.
     any_dirty: AtomicBool,
+    /// Notes not yet applied to the certificate, in arrival order. The
+    /// lock is held for one push or one swap, never across a traversal.
+    log: Mutex<Vec<Note>>,
+    /// Hint that notes are logged or being drained, so clean queries
+    /// skip the lock. Raised and lowered under the `log` lock.
+    pending: AtomicBool,
     /// Live component count (successful unions decrement, repairs add
     /// back the splits they discover).
     components: AtomicUsize,
@@ -131,18 +231,19 @@ pub struct ConnectivityIndex {
     /// this index has absorbed; `0` until the manager syncs it.
     synced_epoch: AtomicU64,
     /// Bumped at the *start* of every routed notification
-    /// (`note_insert` / `note_delete`), before the forest op. A full
-    /// rebuild samples it before its view scan and again after its
-    /// shield-clear: movement means a routed change raced the rebuild —
-    /// its graph mutation may have been missed by the scan or its
-    /// union/mark wiped by the clear — so the rebuild must not publish
-    /// (invariant 6: the epoch gap stays sticky instead).
+    /// (`note_insert` / `note_delete`), before the forest op. A repair
+    /// or full rebuild samples it before its view scan and again after
+    /// publishing: movement means a routed change raced it — its graph
+    /// mutation may have been missed by the scan or its union/mark wiped
+    /// by a shield-clear — so the result must not be trusted
+    /// (invariant 6: the components involved are re-marked, and a
+    /// rebuild leaves the epoch gap sticky).
     note_gen: AtomicU64,
     repairs: AtomicUsize,
     full_rebuilds: AtomicUsize,
-    /// Serializes repairs and full rebuilds; clean-component queries
-    /// never take it.
-    repair_lock: Mutex<()>,
+    /// Serializes repairs and full rebuilds and owns the certificate;
+    /// clean-component queries never take it.
+    repair_lock: Mutex<Certificate>,
 }
 
 impl ConnectivityIndex {
@@ -152,29 +253,60 @@ impl ConnectivityIndex {
             parent: (0..n as u32).map(AtomicU32::new).collect(),
             dirty: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             any_dirty: AtomicBool::new(false),
+            log: Mutex::new(Vec::new()),
+            pending: AtomicBool::new(false),
             components: AtomicUsize::new(n),
             synced_epoch: AtomicU64::new(0),
             note_gen: AtomicU64::new(0),
             repairs: AtomicUsize::new(0),
             full_rebuilds: AtomicUsize::new(0),
-            repair_lock: Mutex::new(()),
+            repair_lock: Mutex::new(Certificate {
+                forest: Forest::new(n),
+                search: Search::new(),
+                split_of: Vec::new(),
+            }),
         }
     }
 
-    /// Builds the index from the live edges of a view (one union per
-    /// stored entry; the initial build is not counted as a rebuild).
+    /// Builds labels and certificate from the live edges of a view in
+    /// one breadth-first pass (the initial build is not counted as a
+    /// rebuild).
     pub fn from_view<V: GraphView>(view: &V) -> Self {
         let idx = Self::new(view.num_vertices());
-        idx.absorb(view);
+        idx.absorb(view, &mut idx.repair_lock.lock());
         idx
     }
 
-    fn absorb<V: GraphView>(&self, view: &V) {
-        for u in 0..self.parent.len() as u32 {
-            view.for_each_edge(u, |w, _| {
-                self.union(u, w);
-            });
+    /// Labels and spans every component of `view`. Expects identity
+    /// labels and a forest of singletons. Sweeping start vertices in
+    /// ascending order makes each start the minimum of its component, so
+    /// the labels come out canonical and flat, and the BFS tree is the
+    /// certificate (shallow, so `reroot` and the search's walks stay
+    /// short).
+    fn absorb<V: GraphView>(&self, view: &V, cert: &mut Certificate) {
+        if view.is_directed() {
+            // Components are weak: a BFS over out-edges would miss
+            // in-neighbours, so union per stored entry. (No certificate
+            // is kept for directed views; see `settle_locked`.)
+            for u in 0..self.parent.len() as u32 {
+                view.for_each_edge(u, |w, _| {
+                    self.union(u, w);
+                });
+            }
+            return;
         }
+        let n = self.parent.len();
+        let mut merged = 0usize;
+        grow_trees(view, 0..n as u32, &mut vec![true; n], |s, y, x| {
+            // ordering: Release — same publication rule as the union
+            // hook (invariant 5); `s < y`, so labels only ever decrease.
+            self.parent[y as usize].store(s, Ordering::Release);
+            cert.forest.link(y, x);
+            merged += 1;
+        });
+        // ordering: AcqRel — pairs with the Acquire load in
+        // `component_count`, like the per-union decrement.
+        self.components.fetch_sub(merged, Ordering::AcqRel);
     }
 
     /// Number of indexed vertices.
@@ -199,8 +331,8 @@ impl ConnectivityIndex {
     /// splitting CAS whose expected value coincides with the freshly
     /// published one (ABA on vertex ids) would overwrite the repair
     /// with a stale ancestor. Mutations compress through
-    /// `ConnectivityIndex::find_compress` and repairs flatten their
-    /// whole component, which keeps typical walks short; if an
+    /// `ConnectivityIndex::find_compress` and repairs flatten what they
+    /// relabel, which keeps typical walks short; if an
     /// adversarial insertion order still builds a deep chain (union by
     /// min-id has no rank), the walk flattens it opportunistically —
     /// but only under the repair lock, which excludes the repair
@@ -262,9 +394,10 @@ impl ConnectivityIndex {
     }
 
     /// Merges the components of `u` and `v`; returns `true` if they were
-    /// distinct. Always hooks the higher root under the lower, so labels
-    /// only ever decrease and settle on the component minimum. If either
-    /// side was dirty, the merged component is dirty.
+    /// distinct, in which case `(u, v)` is recorded as the merge's
+    /// certificate edge. Always hooks the higher root under the lower,
+    /// so labels only ever decrease and settle on the component minimum.
+    /// If either side was marked dirty, the merged component is.
     pub fn union(&self, u: u32, v: u32) -> bool {
         loop {
             let ru = self.find_compress(u);
@@ -291,6 +424,9 @@ impl ConnectivityIndex {
                     // merged one inherits that debt.
                     self.mark_component_dirty(lo);
                 }
+                // An edge that merged two components but is missing
+                // from the forest would make its later delete look free.
+                self.log_note(Note::Link(u, v));
                 return true;
             }
             // Lost the hook race; re-resolve both roots and retry.
@@ -298,6 +434,22 @@ impl ConnectivityIndex {
     }
 
     // ---- update notifications ------------------------------------------
+
+    /// Appends to the pending log. The forest is a multi-word structure
+    /// owned by the repair lock; notes run concurrently (the manager's
+    /// parallel batch path, racing writers), so they only record what
+    /// happened and the next drain applies it.
+    fn log_note(&self, note: Note) {
+        let mut log = self.log.lock();
+        log.push(note);
+        // Set under the log lock, like the drain's clear, so the hint
+        // can never read "empty" while an entry sits in the log.
+        //
+        // ordering: Release — pairs with the Acquire loads in
+        // `has_dirty` / `clean_root`: a query that follows the note
+        // (bulk-synchronous discipline) sees the hint and drains.
+        self.pending.store(true, Ordering::Release);
+    }
 
     /// Records an edge insertion. Returns `true` if it merged two
     /// components. Self-loops are connectivity no-ops.
@@ -318,29 +470,32 @@ impl ConnectivityIndex {
         self.union(u, v)
     }
 
-    /// Records an edge deletion by marking the affected component dirty.
-    /// Deleting a self-loop cannot disconnect anything and is ignored.
-    /// (The caller guarantees the edge existed, so `u` and `v` share a
-    /// component and one mark covers both.)
+    /// Records an edge deletion: O(1), whatever the edge. Whether it was
+    /// a certificate edge — and, if so, whether the graph still connects
+    /// its endpoints — is settled by the next query against the view as
+    /// it is then. Deleting a self-loop cannot disconnect anything and
+    /// is ignored. (The caller guarantees the edge existed.)
     pub fn note_delete(&self, u: u32, v: u32) {
         if u == v {
             return;
         }
-        // Bump-before-mark: same contract as in `note_insert` — a
-        // rebuild either saw this deletion in the view or detects the
-        // generation movement after its shield-clear and re-shields
-        // instead of swallowing the mark below (invariant 6).
+        // Bump-before-log: same contract as in `note_insert` — a
+        // repair or rebuild either saw this deletion in the view or
+        // detects the generation movement afterwards and re-marks
+        // instead of trusting what it published (invariant 6).
         //
-        // ordering: Release — pairs with the rebuild's Acquire reads.
+        // ordering: Release — pairs with the repair-side Acquire reads.
         self.note_gen.fetch_add(1, Ordering::Release);
-        self.mark_component_dirty(u);
+        self.log_note(Note::Cut(u, v));
     }
 
-    /// Marks `x`'s component dirty, chasing concurrent unions: after
+    /// Marks `x`'s component for a whole-component relabel (which also
+    /// re-derives its certificate), chasing concurrent unions: after
     /// setting a root's bit the root is re-resolved, so a hook racing
     /// with the mark cannot strand the bit on a non-root (the union path
     /// propagates bits it sees; this loop covers the set-after-hook
-    /// interleaving).
+    /// interleaving). For callers that changed the graph in ways the
+    /// notes did not describe.
     pub fn mark_component_dirty(&self, x: u32) {
         conn_metrics().dirty_marks.inc();
         // ordering: Release (downgraded from SeqCst by the PR 9 audit) —
@@ -360,34 +515,37 @@ impl ConnectivityIndex {
         }
     }
 
-    /// True if `x`'s component has a pending deletion to repair.
+    /// True if `x`'s component is marked for a whole-component relabel.
+    /// (Pending notes are not marks: see [`ConnectivityIndex::has_dirty`].)
     pub fn is_component_dirty(&self, x: u32) -> bool {
         self.bit_get(self.find(x))
     }
 
-    /// True if any component is awaiting repair (may stay `true` until
-    /// the next [`ConnectivityIndex::repair_all`]).
+    /// True if the next query may have work to do: notes are pending or
+    /// a component is marked (the mark hint may stay `true` until the
+    /// next [`ConnectivityIndex::repair_all`]).
     pub fn has_dirty(&self) -> bool {
-        // ordering: Acquire — pairs with the Release stores of the hint
-        // flag; the authoritative state is the dirty bitmap.
-        self.any_dirty.load(Ordering::Acquire)
+        // ordering: Acquire (both) — pair with the Release stores of
+        // the hint flags; the authoritative state is the log and the
+        // dirty bitmap.
+        self.pending.load(Ordering::Acquire) || self.any_dirty.load(Ordering::Acquire)
     }
 
     // ---- queries (self-repairing) --------------------------------------
 
-    /// Canonical component label (minimum member id) of `u`, repairing
-    /// `u`'s component first if a deletion left it dirty.
+    /// Canonical component label (minimum member id) of `u`, settling
+    /// pending notes and repairing `u`'s component first if needed.
     pub fn component<V: GraphView>(&self, view: &V, u: u32) -> u32 {
         self.clean_root(view, u)
     }
 
-    /// True if `u` and `v` are connected in `view`, repairing any dirty
-    /// component the query touches.
+    /// True if `u` and `v` are connected in `view`, settling pending
+    /// notes and repairing any marked component the query touches.
     pub fn same_component<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
         self.clean_root(view, u) == self.clean_root(view, v)
     }
 
-    /// Number of components, after repairing every dirty one.
+    /// Number of components, after settling and repairing everything.
     pub fn component_count<V: GraphView>(&self, view: &V) -> usize {
         self.repair_all(view);
         // ordering: Acquire (downgraded from SeqCst by the PR 9 audit)
@@ -396,8 +554,8 @@ impl ConnectivityIndex {
         self.components.load(Ordering::Acquire)
     }
 
-    /// Canonical labels for every vertex, after repairing every dirty
-    /// component — directly comparable with `connected_components` /
+    /// Canonical labels for every vertex, after settling and repairing
+    /// everything — directly comparable with `connected_components` /
     /// `par_cc` output on the same view.
     pub fn labels<V: GraphView>(&self, view: &V) -> Vec<u32> {
         self.repair_all(view);
@@ -406,12 +564,26 @@ impl ConnectivityIndex {
             .collect()
     }
 
-    /// Root of `u` guaranteed clean *and stable*: if the root is dirty
-    /// the component is repaired first, and a clean answer is re-checked
-    /// against a second `find` so a reader overlapping a repair's
-    /// publication window re-routes instead of mixing old and new labels.
+    /// True if `(u, v)` is a certificate edge once everything pending is
+    /// settled against `view` — i.e. whether deleting it next would
+    /// trigger a replacement search (diagnostics and tests).
+    pub fn is_certificate_edge<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
+        self.repair_all(view);
+        self.repair_lock.lock().forest.is_tree_edge(u, v)
+    }
+
+    /// Root of `u` guaranteed clean *and stable*: pending notes are
+    /// settled and a marked component is repaired first, and a clean
+    /// answer is re-checked against a second `find` so a reader
+    /// overlapping a repair's publication window re-routes instead of
+    /// mixing old and new labels.
     pub fn clean_root<V: GraphView>(&self, view: &V, u: u32) -> u32 {
         loop {
+            // ordering: Acquire — pairs with the note path's Release
+            // store; see `log_note`.
+            if self.pending.load(Ordering::Acquire) {
+                self.settle_locked(&mut self.repair_lock.lock(), view);
+            }
             let r = self.find(u);
             if self.bit_get(r) {
                 self.repair(view, u);
@@ -423,7 +595,293 @@ impl ConnectivityIndex {
         }
     }
 
-    // ---- repair --------------------------------------------------------
+    // ---- the certificate path ------------------------------------------
+
+    /// Drains the pending log into the certificate and publishes the
+    /// splits it finds. Caller holds the repair lock.
+    fn settle_locked<V: GraphView>(&self, cert: &mut Certificate, view: &V) {
+        // The hint stays up for the whole drain: a query arriving while
+        // splits are still being worked out must find its way to the
+        // repair lock (and wait there), not read labels the drain is
+        // about to change.
+        //
+        // ordering: Acquire — pairs with the Release store in `log_note`.
+        if !self.pending.load(Ordering::Acquire) {
+            return;
+        }
+        // A note counted by this read pushed (or is about to push) its
+        // log entry, and applied its graph mutation before the view
+        // reads below; one that bumps later is caught at the bottom.
+        //
+        // ordering: Acquire — pairs with the note-path Release bumps;
+        // see the note_gen field docs (invariant 6).
+        let gen_at_scan = self.note_gen.load(Ordering::Acquire);
+        let notes = std::mem::take(&mut *self.log.lock());
+        self.apply_notes(cert, view, &notes);
+        // A note that raced this drain may have changed the view under
+        // the searches, or had its union overwritten by the relabel.
+        // Its generation bump precedes both, so it is visible here:
+        // hand every component this drain touched to the
+        // whole-component path, which reads the truth off the view —
+        // sticky, like a rebuild that refuses to publish (invariant 6).
+        //
+        // ordering: Acquire — closes the window opened at gen_at_scan.
+        if self.note_gen.load(Ordering::Acquire) != gen_at_scan {
+            for note in &notes {
+                let (Note::Link(u, v) | Note::Cut(u, v)) = *note;
+                self.mark_component_dirty(u);
+                self.mark_component_dirty(v);
+            }
+        }
+        // Everything drained is published (or marked): lower the hint,
+        // unless a racing note has logged more in the meantime — checked
+        // and cleared under the log lock, where `log_note` raises it.
+        let log = self.log.lock();
+        if log.is_empty() {
+            // ordering: Release — pairs with the Acquire loads of the
+            // hint; a query that sees it down also sees the labels
+            // published above.
+            self.pending.store(false, Ordering::Release);
+        }
+    }
+
+    /// Applies drained notes to the certificate and publishes the splits
+    /// they cause.
+    ///
+    /// Links are applied first, then every cut, and only then does the
+    /// search run: the view already lacks *all* the deleted edges, so a
+    /// tree that still held one of them would make "this side has no
+    /// edge left to scan" mean less than "this side is a whole tree".
+    /// With every stale edge cut first, each tree is connected in the
+    /// view and an exhausted side is exactly one tree and one component.
+    fn apply_notes<V: GraphView>(&self, cert: &mut Certificate, view: &V, notes: &[Note]) {
+        let m = conn_metrics();
+        if view.is_directed() {
+            // Out-adjacency cannot be searched from both sides of a cut:
+            // every deletion takes the whole-component path, as before
+            // the certificate existed.
+            for note in notes {
+                if let Note::Cut(u, _) = *note {
+                    self.mark_component_dirty(u);
+                }
+            }
+            return;
+        }
+        let Certificate {
+            forest,
+            search,
+            split_of,
+        } = cert;
+        split_of.resize(self.parent.len(), 0);
+        // Vertices whose trees are not yet known to be whole components.
+        let mut open: Vec<u32> = Vec::new();
+        for note in notes {
+            if let Note::Link(u, v) = *note {
+                if forest.connected(u, v) {
+                    continue;
+                }
+                if has_edge(view, u, v) {
+                    forest.reroot(u);
+                    forest.link(u, v);
+                } else {
+                    // Merged by an edge that is already gone again (its
+                    // delete may have been settled before this note
+                    // arrived): whether anything else joins the two
+                    // trees is the same question a cut asks.
+                    open.extend([u, v]);
+                }
+            }
+        }
+        for note in notes {
+            if let Note::Cut(u, v) = *note {
+                if forest.cut_edge(u, v) {
+                    m.cert_deletes.inc();
+                    open.extend([u, v]);
+                } else {
+                    m.noncert_deletes.inc();
+                }
+            }
+        }
+        let splits = self.resolve(forest, search, split_of, view, open);
+        self.publish_splits(forest, split_of, &splits);
+    }
+
+    /// Runs replacement searches until, in every component, at most one
+    /// tree is not known to be a whole component of the view — and that
+    /// one then is too, since no live edge can lead into the others.
+    /// Returns the exhausted sides (each marked in `split_of` with its
+    /// 1-based position).
+    fn resolve<V: GraphView>(
+        &self,
+        forest: &mut Forest,
+        search: &mut Search,
+        split_of: &mut [u32],
+        view: &V,
+        mut open: Vec<u32>,
+    ) -> Vec<Vec<u32>> {
+        let m = conn_metrics();
+        let mut splits: Vec<Vec<u32>> = Vec::new();
+        // The union-find has not been touched yet, so `find` still names
+        // the components as they were before the cuts; sorted by it, the
+        // open vertices of one component sit together on the stack.
+        open.sort_by_cached_key(|&v| self.find(v));
+        while let Some(a) = open.pop() {
+            if split_of[a as usize] != 0 {
+                continue;
+            }
+            let label = self.find(a);
+            let tree = forest.findroot(a);
+            // `a` stands for its whole tree from here on (trees only
+            // merge): drop what it already covers, so the next vertex of
+            // this component, if any, is in another open tree.
+            while open.last().is_some_and(|&b| {
+                self.find(b) == label && (split_of[b as usize] != 0 || forest.findroot(b) == tree)
+            }) {
+                open.pop();
+            }
+            let Some(b) = open.last().copied().filter(|&b| self.find(b) == label) else {
+                // The last open tree of its component keeps the label,
+                // so it must hold the label's vertex (unless a split
+                // side does; `publish_splits` handles that). Anything
+                // else means the forest and the labels disagree — a
+                // note raced an earlier drain — and only the view can
+                // say who is right.
+                if split_of[label as usize] == 0 && forest.findroot(label) != tree {
+                    self.mark_component_dirty(label);
+                }
+                continue;
+            };
+            let outcome = forest.reconnect(view, a, b, search);
+            m.search_scanned.record(search.scanned() as u64);
+            match outcome {
+                Reconnect::Linked => m.replacements.inc(),
+                Reconnect::Split => {
+                    m.splits.inc();
+                    let id = splits.len() as u32 + 1;
+                    let side = search.exhausted().to_vec();
+                    for &v in &side {
+                        split_of[v as usize] = id;
+                    }
+                    splits.push(side);
+                }
+            }
+            open.push(a);
+        }
+        splits
+    }
+
+    /// Publishes the splits a drain found: each exhausted side `S` is
+    /// relabelled to `min(S)` under its members' shields (invariant 4),
+    /// unless `S` holds its component's label — then the *other* side
+    /// needs a new minimum, which takes an enumeration, and the
+    /// component goes to the whole-component path instead. Clears
+    /// `split_of`.
+    fn publish_splits(&self, forest: &Forest, split_of: &mut [u32], splits: &[Vec<u32>]) {
+        let m = conn_metrics();
+        // Per split: (label before, label after), or None for the
+        // whole-component path.
+        let plan: Vec<Option<(u32, u32)>> = splits
+            .iter()
+            .zip(1u32..)
+            .map(|(side, id)| {
+                if split_of[side[0] as usize] != id {
+                    // Swallowed by a later side: a search found an edge
+                    // into this one after it had been exhausted, which
+                    // only a view changing under the drain can produce
+                    // (the generation guard then hands the components
+                    // to the whole-component path). The later side
+                    // carries these members now.
+                    return None;
+                }
+                let old = self.find(side[0]);
+                if split_of[old as usize] == id {
+                    self.mark_component_dirty(old);
+                    return None;
+                }
+                side.iter().min().map(|&new| (old, new))
+            })
+            .collect();
+        let relabelled = plan.iter().flatten().count();
+        if relabelled > 0 {
+            // (side, its new label) of every split relabelled here.
+            let planned = || {
+                splits
+                    .iter()
+                    .zip(&plan)
+                    .filter_map(|(side, p)| p.map(|(_, new)| (side, new)))
+            };
+            // Shield phase, as in `relabel_members_locked`: a reader
+            // resolving into a side mid-publication sees a set bit and
+            // waits on the lock.
+            for (side, _) in planned() {
+                for &v in side {
+                    self.bit_set(v);
+                }
+            }
+            // The plan of the split a `split_of` id names (0 = none).
+            let plan_of = |id: u32| id.checked_sub(1).and_then(|i| plan[i as usize]);
+            let mut stale: Vec<u32> = Vec::new();
+            for v in 0..self.parent.len() {
+                let id = split_of[v];
+                // A vertex staying behind whose union-find parent sits
+                // in a departing side (path splitting and root-to-root
+                // hooks make this common) must not follow the side to
+                // its new label: point it at the label it keeps.
+                //
+                // ordering: Acquire / Release — label reads and stores
+                // of a repair, as in `relabel_members_locked`.
+                let p = self.parent[v].load(Ordering::Acquire);
+                let pid = split_of[p as usize];
+                if pid != id && plan_of(id).is_none() {
+                    if let Some((old, _)) = plan_of(pid) {
+                        self.parent[v].store(old, Ordering::Release); // ordering: see above
+                    }
+                }
+                // A tree pointer crossing a side's boundary is an edge
+                // the view no longer has (the side is closed under the
+                // view's adjacency) whose delete has not been logged
+                // yet: a note is racing. Let the view decide.
+                let t = forest.parent(v as u32);
+                if t != ROOT && split_of[t as usize] != id {
+                    stale.push(v as u32);
+                }
+            }
+            for (side, new) in planned() {
+                for &v in side {
+                    // ordering: Release — label publication under the
+                    // shield (invariant 4), as in
+                    // `relabel_members_locked`.
+                    self.parent[v as usize].store(new, Ordering::Release);
+                }
+                m.relabel_members.record(side.len() as u64);
+                m.shield_events.add(side.len() as u64);
+            }
+            // Publish: shields drop only after every label store.
+            for (side, _) in planned() {
+                for &v in side {
+                    self.bit_unset(v);
+                }
+            }
+            // ordering: AcqRel — split accounting published together
+            // with the labels; pairs with the Acquire in
+            // `component_count`.
+            self.components.fetch_add(relabelled, Ordering::AcqRel);
+            // ordering: Relaxed — statistics counter, no ordering consumed.
+            self.repairs.fetch_add(relabelled, Ordering::Relaxed);
+            m.repairs.add(relabelled as u64);
+            for v in stale {
+                self.mark_component_dirty(v);
+                self.mark_component_dirty(forest.parent(v));
+            }
+        }
+        for side in splits {
+            for &v in side {
+                split_of[v as usize] = 0;
+            }
+        }
+    }
+
+    // ---- the whole-component path --------------------------------------
 
     /// Targeted repair of `u`'s component with the built-in serial
     /// restricted relabeling ([`restricted_component_labels`]). Returns
@@ -433,8 +891,9 @@ impl ConnectivityIndex {
         self.repair_with(view, u, restricted_component_labels)
     }
 
-    /// Targeted repair of `u`'s component using `relabel` to compute the
-    /// new canonical labels: `relabel(view, verts)` receives the
+    /// Settles pending notes through the certificate, then — only if
+    /// `u`'s component is (still) marked for the whole-component path —
+    /// relabels it using `relabel`: `relabel(view, verts)` receives the
     /// component's member vertices (ascending) and must return, for each
     /// position, the minimum vertex id of that member's post-deletion
     /// component within `verts`. Repairs serialize on the internal lock
@@ -445,21 +904,29 @@ impl ConnectivityIndex {
         V: GraphView,
         F: FnOnce(&V, &[u32]) -> Vec<u32>,
     {
-        let _guard = self.repair_lock.lock();
+        let mut cert = self.repair_lock.lock();
+        self.settle_locked(&mut cert, view);
         let root = self.find(u);
         if !self.bit_get(root) {
-            // A racing query already repaired this component.
+            // Settled by the certificate, or a racing query already
+            // repaired this component.
             return root;
         }
         let verts = self.members_of(root);
-        self.relabel_members_locked(view, &verts, relabel);
+        self.relabel_members_locked(&mut cert, view, &verts, relabel);
         self.find(u)
     }
 
-    /// Shield, relabel, and publish one component's members. Caller
-    /// holds `repair_lock` and has confirmed the component is dirty.
-    fn relabel_members_locked<V, F>(&self, view: &V, verts: &[u32], relabel: F)
-    where
+    /// Shield, relabel, and publish one component's members, and
+    /// re-derive their certificate. Caller holds `repair_lock` and has
+    /// confirmed the component is dirty.
+    fn relabel_members_locked<V, F>(
+        &self,
+        cert: &mut Certificate,
+        view: &V,
+        verts: &[u32],
+        relabel: F,
+    ) where
         V: GraphView,
         F: FnOnce(&V, &[u32]) -> Vec<u32>,
     {
@@ -478,6 +945,9 @@ impl ConnectivityIndex {
         }
         let labels = relabel(view, verts);
         debug_assert_eq!(labels.len(), verts.len(), "relabel must cover all members");
+        if !view.is_directed() {
+            respan(&mut cert.forest, view, verts);
+        }
         let mut new_roots = 0usize;
         for (&v, &l) in verts.iter().zip(&labels) {
             // ordering: Release (downgraded from SeqCst by the PR 9
@@ -496,12 +966,12 @@ impl ConnectivityIndex {
         for &v in verts {
             self.bit_unset(v);
         }
-        // The clears above may have wiped the mark of a `note_delete`
-        // that raced this repair (its deletion applied after the view
-        // read, its mark landing before the sweep). A note's generation
-        // bump precedes its mark, so the wipe is visible here: re-dirty
-        // the repaired component(s) and let the next query repair again
-        // — sticky, like a rebuild that refuses to publish (invariant 6).
+        // The clears above may have wiped the mark of a note that raced
+        // this repair, and the view reads may have missed its mutation.
+        // A note's generation bump precedes everything else it does, so
+        // the race is visible here: re-dirty the repaired component(s)
+        // and let the next query repair again — sticky, like a rebuild
+        // that refuses to publish (invariant 6).
         //
         // ordering: Acquire — closes the window opened at gen_at_scan.
         if self.note_gen.load(Ordering::Acquire) != gen_at_scan {
@@ -519,24 +989,30 @@ impl ConnectivityIndex {
         self.repairs.fetch_add(1, Ordering::Relaxed);
         let m = conn_metrics();
         m.repairs.inc();
+        m.fallbacks.inc();
+        m.relabel_members.record(verts.len() as u64);
         m.shield_events.add(verts.len() as u64);
     }
 
-    /// Repairs every dirty component (serial relabeling). Cheap when
-    /// nothing is dirty; otherwise one O(n·α) grouping pass collects
-    /// every dirty component's members at once, so the scan cost is paid
-    /// once rather than once per dirty component.
+    /// Settles pending notes, then repairs every component marked for
+    /// the whole-component path (serial relabeling). Cheap when nothing
+    /// is pending; with marks, one O(n·α) grouping pass collects every
+    /// dirty component's members at once, so the scan cost is paid once
+    /// rather than once per dirty component.
     pub fn repair_all<V: GraphView>(&self, view: &V) {
         if !self.has_dirty() {
             return;
         }
-        let _guard = self.repair_lock.lock();
+        let mut cert = self.repair_lock.lock();
+        self.settle_locked(&mut cert, view);
         // Clear the flag before scanning: a mark racing this scan re-sets
         // it and the next repair_all picks the component up.
-        // ordering: Release (downgraded from SeqCst by the PR 9 audit) —
-        // hint only; point queries route through the authoritative dirty
-        // bits (invariant 4) and never consult this flag.
-        self.any_dirty.store(false, Ordering::Release);
+        // ordering: AcqRel (Release half downgraded from SeqCst by the
+        // PR 9 audit) — hint only; point queries route through the
+        // authoritative dirty bits (invariant 4) and never consult it.
+        if !self.any_dirty.swap(false, Ordering::AcqRel) {
+            return;
+        }
         let mut groups: std::collections::BTreeMap<u32, Vec<u32>> =
             std::collections::BTreeMap::new();
         for v in 0..self.parent.len() as u32 {
@@ -546,14 +1022,14 @@ impl ConnectivityIndex {
             }
         }
         for verts in groups.values() {
-            self.relabel_members_locked(view, verts, restricted_component_labels);
+            self.relabel_members_locked(&mut cert, view, verts, restricted_component_labels);
         }
     }
 
     /// Member vertices (ascending) of the component rooted at `root`.
-    /// One `find` per vertex — a targeted repair's collection cost is
-    /// O(n·α) regardless of the component's size (the relabel itself
-    /// then scales with the component); batch callers use
+    /// One `find` per vertex — a whole-component repair's collection
+    /// cost is O(n·α) regardless of the component's size (the relabel
+    /// itself then scales with the component); batch callers use
     /// [`ConnectivityIndex::repair_all`], which groups every dirty
     /// component in a single pass.
     pub fn members_of(&self, root: u32) -> Vec<u32> {
@@ -562,15 +1038,14 @@ impl ConnectivityIndex {
             .collect()
     }
 
-    /// Discards the forest and re-absorbs the view — the fallback when
-    /// the owning manager detects out-of-band mutation (see
-    /// [`ConnectivityIndex::synced_epoch`]). Returns `true` when the
-    /// rebuild converged (no routed notification raced the scan); on
+    /// Discards labels and certificate and re-absorbs the view — the
+    /// fallback when the owning manager detects out-of-band mutation
+    /// (see [`ConnectivityIndex::synced_epoch`]). Returns `true` when
+    /// the rebuild converged (no routed notification raced the scan); on
     /// `false` every vertex is left shielded, so queries keep repairing
     /// from the live view until a later rebuild converges.
     pub fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
-        let _guard = self.repair_lock.lock();
-        self.rebuild_locked(view)
+        self.rebuild_locked(&mut self.repair_lock.lock(), view)
     }
 
     /// Rebuilds from `view` only if the synced epoch is still behind
@@ -581,8 +1056,8 @@ impl ConnectivityIndex {
     /// gap stays sticky (invariant 6) and the next query resyncs again,
     /// which settles as soon as the writers quiesce.
     pub fn resync<V: GraphView>(&self, view: &V, epoch: u64) {
-        let _guard = self.repair_lock.lock();
-        if self.synced_epoch() < epoch && self.rebuild_locked(view) {
+        let mut cert = self.repair_lock.lock();
+        if self.synced_epoch() < epoch && self.rebuild_locked(&mut cert, view) {
             self.sync_to(epoch);
         }
     }
@@ -591,7 +1066,7 @@ impl ConnectivityIndex {
     /// scan and leaving the forest shielded instead.
     const REBUILD_RETRIES: usize = 4;
 
-    fn rebuild_locked<V: GraphView>(&self, view: &V) -> bool {
+    fn rebuild_locked<V: GraphView>(&self, cert: &mut Certificate, view: &V) -> bool {
         assert_eq!(view.num_vertices(), self.parent.len(), "vertex count moved");
         let m = conn_metrics();
         let mut converged = false;
@@ -627,7 +1102,19 @@ impl ConnectivityIndex {
             }
             // ordering: Release — rebuild publication, see the note above.
             self.components.store(self.parent.len(), Ordering::Release);
-            self.absorb(view);
+            // The scan absorbs everything the pending notes describe
+            // (their mutations precede their generation bumps). An entry
+            // that slips in after this clear is a hint like any other:
+            // the next drain checks it against the view.
+            {
+                let mut log = self.log.lock();
+                log.clear();
+                // ordering: Release — hint store under the log lock,
+                // as in `log_note` and `settle_locked`.
+                self.pending.store(false, Ordering::Release);
+            }
+            cert.forest = Forest::new(self.parent.len());
+            self.absorb(view, cert);
             m.shield_events.add(self.parent.len() as u64);
             // ordering: Acquire — closes the generation window opened
             // above; movement means a routed note raced the scan and
@@ -664,8 +1151,10 @@ impl ConnectivityIndex {
 
     // ---- counters & epoch coupling -------------------------------------
 
-    /// Number of targeted repairs performed (each covers one dirty
-    /// component). A clean query burst leaves this flat.
+    /// Number of relabels published: one per split side relabelled
+    /// through the certificate, one per whole-component repair. A clean
+    /// query burst leaves this flat, and so does any deletion that did
+    /// not disconnect anything.
     pub fn repair_count(&self) -> usize {
         // ordering: Relaxed — statistics counter, no ordering consumed.
         self.repairs.load(Ordering::Relaxed)
@@ -747,6 +1236,62 @@ impl ConnectivityIndex {
     }
 }
 
+/// True if `view` holds a live edge `(u, v)`; scans the shorter of the
+/// two adjacencies.
+fn has_edge<V: GraphView>(view: &V, u: u32, v: u32) -> bool {
+    let (a, b) = if view.degree(u) <= view.degree(v) {
+        (u, v)
+    } else {
+        (v, u)
+    };
+    view.find_edge(a, |w, _| w == b).is_some()
+}
+
+/// Breadth-first trees over the live edges of `view` among the vertices
+/// still marked in `fresh`, one tree per start vertex that is still
+/// fresh when its turn comes. `tree_edge(root, child, parent)` is called
+/// once per vertex a tree reaches (not for the roots).
+fn grow_trees<V: GraphView>(
+    view: &V,
+    starts: impl IntoIterator<Item = u32>,
+    fresh: &mut [bool],
+    mut tree_edge: impl FnMut(u32, u32, u32),
+) {
+    let mut queue: Vec<u32> = Vec::new();
+    for s in starts {
+        if !std::mem::take(&mut fresh[s as usize]) {
+            continue;
+        }
+        queue.clear();
+        queue.push(s);
+        let mut head = 0;
+        while head < queue.len() {
+            let x = queue[head];
+            head += 1;
+            view.for_each_edge(x, |y, _| {
+                if std::mem::take(&mut fresh[y as usize]) {
+                    tree_edge(s, y, x);
+                    queue.push(y);
+                }
+            });
+        }
+    }
+}
+
+/// Re-derives the certificate of `verts` (a whole component's members)
+/// from the view: every member is detached, then breadth-first trees are
+/// grown over the live edges between members.
+fn respan<V: GraphView>(forest: &mut Forest, view: &V, verts: &[u32]) {
+    let mut member = vec![false; forest.len()];
+    for &v in verts {
+        member[v as usize] = true;
+        forest.cut(v);
+    }
+    grow_trees(view, verts.iter().copied(), &mut member, |_, y, x| {
+        forest.link(y, x)
+    });
+}
+
 /// Serial restricted connected components: canonical (minimum-id) labels
 /// for `verts` — a component's member list, ascending — over the live
 /// edges of `view`. Edges leaving `verts` are ignored (a repair's member
@@ -801,6 +1346,34 @@ mod tests {
         g
     }
 
+    /// Deletes `(u, v)` from graph and index, as the engine routes it.
+    fn delete<A: crate::adjacency::DynamicAdjacency>(
+        g: &DynGraph<A>,
+        idx: &ConnectivityIndex,
+        u: u32,
+        v: u32,
+    ) {
+        assert!(g.delete_edge(u, v), "({u}, {v}) must be live");
+        idx.note_delete(u, v);
+    }
+
+    /// Inserts `(u, v)` into graph and index, as the engine routes it.
+    fn insert<A: crate::adjacency::DynamicAdjacency>(
+        g: &DynGraph<A>,
+        idx: &ConnectivityIndex,
+        u: u32,
+        v: u32,
+    ) -> bool {
+        assert!(g.insert_edge(TimedEdge::new(u, v, 1)), "({u}, {v}) is new");
+        idx.note_insert(u, v)
+    }
+
+    /// Min-id labels of `g` by a plain serial union-find (the oracle).
+    fn oracle<A: crate::adjacency::DynamicAdjacency>(g: &DynGraph<A>) -> Vec<u32> {
+        let all: Vec<u32> = (0..g.num_vertices() as u32).collect();
+        restricted_component_labels(g, &all)
+    }
+
     #[test]
     fn unions_settle_on_min_id_labels() {
         let idx = ConnectivityIndex::new(8);
@@ -811,8 +1384,9 @@ mod tests {
         assert_eq!(idx.find(7), 3);
         assert_eq!(idx.find(3), 3);
         assert_eq!(idx.find(0), 0);
-        let g: DynGraph<DynArr> = graph(8, &[(5, 3), (3, 7)]);
+        let g: DynGraph<DynArr> = graph(8, &[(5, 3), (3, 7), (7, 5)]);
         assert_eq!(idx.component_count(&g), 6);
+        assert_eq!(idx.repair_count(), 0, "insertions never relabel");
     }
 
     #[test]
@@ -820,7 +1394,7 @@ mod tests {
         let idx = ConnectivityIndex::new(4);
         assert!(!idx.note_insert(2, 2));
         idx.note_delete(2, 2);
-        assert!(!idx.has_dirty(), "self-loop delete must not dirty anything");
+        assert!(!idx.has_dirty(), "self-loop delete must not log anything");
         assert!(!idx.is_component_dirty(2));
     }
 
@@ -840,21 +1414,29 @@ mod tests {
             0,
             "initial build is not a rebuild"
         );
+        // Both ways of building leave every merge's edge in the forest.
+        for idx in [&built, &inc] {
+            for &(u, v) in &edges {
+                assert!(idx.is_certificate_edge(&g, u, v), "({u}, {v})");
+            }
+        }
     }
 
     #[test]
-    fn deletion_dirties_only_its_component() {
+    fn bridge_delete_relabels_only_the_exhausted_side() {
         let g: DynGraph<TreapAdj> = graph(8, &[(0, 1), (1, 2), (4, 5)]);
         let idx = ConnectivityIndex::from_view(&g);
-        g.delete_edge(1, 2);
-        idx.note_delete(1, 2);
-        assert!(idx.is_component_dirty(0));
-        assert!(idx.is_component_dirty(2));
+        delete(&g, &idx, 1, 2);
+        assert!(idx.has_dirty(), "the note is pending until a query");
         assert!(
-            !idx.is_component_dirty(4),
-            "untouched component stays clean"
+            !idx.is_component_dirty(0) && !idx.is_component_dirty(4),
+            "a note marks nothing for the whole-component path"
         );
-        assert!(!idx.is_component_dirty(7));
+        assert!(!idx.same_component(&g, 1, 2));
+        assert!(idx.same_component(&g, 0, 1));
+        assert_eq!(idx.labels(&g), vec![0, 0, 2, 3, 4, 4, 6, 7]);
+        assert_eq!(idx.repair_count(), 1, "one side, one relabel");
+        assert!(!idx.has_dirty());
     }
 
     #[test]
@@ -862,27 +1444,47 @@ mod tests {
         let g: DynGraph<DynArr> = graph(6, &[(0, 1), (1, 2), (2, 3)]);
         let idx = ConnectivityIndex::from_view(&g);
         assert_eq!(idx.component_count(&g), 3); // {0..3}, {4}, {5}
-        g.delete_edge(1, 2);
-        idx.note_delete(1, 2);
+        delete(&g, &idx, 1, 2);
         assert!(idx.same_component(&g, 0, 1));
         assert!(idx.same_component(&g, 2, 3));
         assert!(!idx.same_component(&g, 1, 2), "split must be observed");
         assert_eq!(idx.component(&g, 3), 2);
         assert_eq!(idx.component_count(&g), 4);
-        assert!(idx.repair_count() >= 1);
-        assert!(!idx.has_dirty() || !idx.is_component_dirty(0));
+        assert_eq!(idx.repair_count(), 1);
+        assert!(!idx.has_dirty());
     }
 
     #[test]
-    fn deletion_that_keeps_connectivity_repairs_to_one_component() {
-        // Triangle: deleting one edge leaves it connected.
-        let g: DynGraph<HybridAdj> = graph(4, &[(0, 1), (1, 2), (0, 2)]);
+    fn cycle_edge_deletes_never_relabel() {
+        // Square 0-1-2-3-0: exactly one edge is outside the forest.
+        let square = [(0, 1), (1, 2), (2, 3), (3, 0)];
+        let g: DynGraph<HybridAdj> = graph(5, &square);
         let idx = ConnectivityIndex::from_view(&g);
-        g.delete_edge(0, 2);
-        idx.note_delete(0, 2);
-        assert!(idx.same_component(&g, 0, 2), "still connected through 1");
-        assert_eq!(idx.repair_count(), 1);
-        assert_eq!(idx.component_count(&g), 2); // {0,1,2}, {3}
+        let spare: Vec<(u32, u32)> = square
+            .iter()
+            .copied()
+            .filter(|&(u, v)| !idx.is_certificate_edge(&g, u, v))
+            .collect();
+        assert_eq!(spare.len(), 1, "a 4-cycle spans with 3 edges");
+        // The non-certificate edge: settled without relabelling.
+        let (u, v) = spare[0];
+        delete(&g, &idx, u, v);
+        assert!(idx.same_component(&g, u, v));
+        assert!(!idx.has_dirty());
+        assert_eq!(idx.repair_count(), 0);
+        // Put it back (no merge, so no certificate edge), then delete a
+        // certificate edge: the search finds the way round the cycle.
+        assert!(!insert(&g, &idx, u, v));
+        let (a, b) = square
+            .iter()
+            .copied()
+            .find(|&(a, b)| idx.is_certificate_edge(&g, a, b))
+            .expect("three of them");
+        delete(&g, &idx, a, b);
+        assert!(idx.same_component(&g, a, b), "still connected the long way");
+        assert!(idx.is_certificate_edge(&g, u, v), "the replacement");
+        assert_eq!(idx.repair_count(), 0);
+        assert_eq!(idx.component_count(&g), 2); // the square, {4}
     }
 
     #[test]
@@ -898,18 +1500,181 @@ mod tests {
     }
 
     #[test]
-    fn insert_into_dirty_component_keeps_the_debt() {
+    fn split_whose_small_side_holds_the_minimum_relabels_the_rest() {
+        // 0 hangs off a 5-clique on 1..=5 by one bridge: the exhausted
+        // side {0} holds the label, so {1..5} needs a new minimum.
+        let mut edges = vec![(0, 1)];
+        for u in 1..=5u32 {
+            for v in u + 1..=5 {
+                edges.push((u, v));
+            }
+        }
+        let g: DynGraph<HybridAdj> = graph(6, &edges);
+        let idx = ConnectivityIndex::from_view(&g);
+        delete(&g, &idx, 0, 1);
+        assert_eq!(idx.labels(&g), vec![0, 1, 1, 1, 1, 1]);
+        assert_eq!(idx.repair_count(), 1, "the whole-component path, once");
+        assert_eq!(idx.component_count(&g), 2);
+        // The fallback re-derived the certificate: a later clique edge
+        // delete is still handled through it.
+        let (a, b) = (1..=5u32)
+            .flat_map(|u| (u + 1..=5).map(move |v| (u, v)))
+            .find(|&(a, b)| idx.is_certificate_edge(&g, a, b))
+            .expect("the clique is spanned");
+        delete(&g, &idx, a, b);
+        assert!(idx.same_component(&g, a, b));
+        assert_eq!(idx.repair_count(), 1);
+    }
+
+    #[test]
+    fn large_side_vertex_parented_into_the_small_side_keeps_its_label() {
+        // Insertion order makes 7's union-find parent 3 (then 2, by path
+        // splitting): both sit in what will be the small side {2, 3}.
+        let g: DynGraph<DynArr> = graph(9, &[]);
+        let idx = ConnectivityIndex::new(9);
+        for (u, v) in [(3, 7), (2, 3), (0, 2), (0, 7), (0, 5), (5, 6), (0, 8)] {
+            insert(&g, &idx, u, v);
+        }
+        // ordering: Relaxed — single-threaded test peeking at one cell.
+        let parent_of_7 = idx.parent[7].load(Ordering::Relaxed);
+        assert!(
+            [2, 3].contains(&parent_of_7),
+            "the setup this test is about"
+        );
+        assert_eq!(idx.labels(&g), vec![0, 1, 0, 0, 4, 0, 0, 0, 0]);
+        // Both merge edges go: {2, 3} leaves, 7 stays with 0 via (0, 7).
+        delete(&g, &idx, 3, 7);
+        delete(&g, &idx, 0, 2);
+        assert_eq!(idx.labels(&g), vec![0, 1, 2, 2, 4, 0, 0, 0, 0]);
+        assert_eq!(idx.labels(&g), oracle(&g));
+        assert_eq!(idx.repair_count(), 1, "only {{2, 3}} is relabelled");
+    }
+
+    #[test]
+    fn edge_merged_through_bare_union_is_a_certificate_edge() {
+        let g: DynGraph<DynArr> = graph(4, &[(0, 1), (2, 3)]);
+        let idx = ConnectivityIndex::from_view(&g);
+        g.insert_edge(TimedEdge::new(1, 2, 1));
+        assert!(idx.union(1, 2), "`union` is public: it must certify too");
+        assert!(idx.is_certificate_edge(&g, 1, 2));
+        delete(&g, &idx, 1, 2);
+        assert!(!idx.same_component(&g, 0, 3), "its delete is not free");
+        assert_eq!(idx.labels(&g), vec![0, 0, 2, 2]);
+    }
+
+    #[test]
+    fn certificate_edge_deleted_then_reinserted_in_consecutive_batches() {
+        let g: DynGraph<HybridAdj> = graph(6, &[(0, 1), (1, 2), (2, 3), (4, 5)]);
+        let idx = ConnectivityIndex::from_view(&g);
+        for round in 0..3 {
+            delete(&g, &idx, 1, 2);
+            assert_eq!(idx.labels(&g), vec![0, 0, 2, 2, 4, 4], "round {round}");
+            assert!(insert(&g, &idx, 1, 2), "re-insert merges again");
+            assert_eq!(idx.labels(&g), vec![0, 0, 0, 0, 4, 4], "round {round}");
+            assert!(idx.is_certificate_edge(&g, 1, 2));
+        }
+        // Same pair inside one batch (no query in between): the drain
+        // sees link-then-cut as cut-then-search and finds the edge.
+        delete(&g, &idx, 1, 2);
+        insert(&g, &idx, 1, 2);
+        assert_eq!(idx.labels(&g), vec![0, 0, 0, 0, 4, 4]);
+        assert_eq!(idx.repair_count(), 3, "one relabel per real split");
+        assert_eq!(idx.full_rebuild_count(), 0);
+    }
+
+    #[test]
+    fn path_cut_in_the_middle_and_star_centre_removal() {
+        // Path: the worst case for the lock-step search (both sides as
+        // long as each other).
+        let n = 257u32;
+        let path: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let g: DynGraph<DynArr> = graph(n as usize, &path);
+        let idx = ConnectivityIndex::from_view(&g);
+        delete(&g, &idx, 128, 129);
+        let labels = idx.labels(&g);
+        assert!(labels[..=128].iter().all(|&l| l == 0));
+        assert!(labels[129..].iter().all(|&l| l == 129));
+        assert_eq!(idx.repair_count(), 1);
+        // Star: every spoke is a certificate edge and every delete a
+        // split, each leaving one leaf behind.
+        let star: Vec<(u32, u32)> = (0..64u32).filter(|&i| i != 9).map(|i| (9, i)).collect();
+        let g: DynGraph<HybridAdj> = graph(64, &star);
+        let idx = ConnectivityIndex::from_view(&g);
+        for &(c, leaf) in &star {
+            delete(&g, &idx, c, leaf);
+        }
+        assert_eq!(idx.labels(&g), (0..64).collect::<Vec<u32>>());
+        assert_eq!(idx.component_count(&g), 64);
+        assert_eq!(idx.full_rebuild_count(), 0);
+    }
+
+    #[test]
+    fn several_cuts_in_one_component_settle_together() {
+        // x - z - y in the forest, plus the non-tree edge (x, y): cutting
+        // both tree edges in one batch isolates z and must leave x and y
+        // joined by a *new* certificate edge, though no cut edge runs
+        // between their two trees.
+        let (x, z, y) = (1u32, 0u32, 2u32);
+        let g: DynGraph<DynArr> = graph(4, &[]);
+        let idx = ConnectivityIndex::new(4);
+        insert(&g, &idx, x, z);
+        insert(&g, &idx, z, y);
+        assert!(!insert(&g, &idx, x, y));
+        delete(&g, &idx, x, z);
+        delete(&g, &idx, z, y);
+        assert_eq!(idx.labels(&g), vec![0, 1, 1, 3]);
+        assert!(idx.is_certificate_edge(&g, x, y));
+        // ...so its delete is not mistaken for a free one.
+        delete(&g, &idx, x, y);
+        assert_eq!(idx.labels(&g), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn merge_whose_edge_is_already_gone_does_not_certify() {
+        // What racing notes can produce: the delete of an edge is
+        // settled (as a non-certificate no-op) before the note of the
+        // insert that merged through it arrives. The view has the last
+        // word: no edge, no merge.
+        let g: DynGraph<DynArr> = graph(4, &[(0, 1), (2, 3)]);
+        let idx = ConnectivityIndex::from_view(&g);
+        idx.note_delete(1, 2);
+        assert!(!idx.same_component(&g, 1, 2));
+        assert!(idx.note_insert(1, 2), "the late note still merges labels");
+        assert!(!idx.same_component(&g, 0, 3), "but the view has no (1, 2)");
+        assert_eq!(idx.labels(&g), vec![0, 0, 2, 2]);
+        assert_eq!(idx.component_count(&g), 2);
+    }
+
+    #[test]
+    fn insert_into_a_component_with_a_pending_cut() {
         let g: DynGraph<DynArr> = graph(6, &[(0, 1), (1, 2), (4, 5)]);
         let idx = ConnectivityIndex::from_view(&g);
+        delete(&g, &idx, 0, 1);
+        // Merge {0,1,2} (cut pending) with {4,5} before any query: the
+        // drain must still find the split at (0, 1).
+        insert(&g, &idx, 2, 4);
+        assert!(!idx.same_component(&g, 0, 1));
+        assert!(idx.same_component(&g, 1, 4));
+        assert_eq!(idx.labels(&g), vec![0, 1, 1, 3, 1, 1]);
+    }
+
+    #[test]
+    fn marked_component_keeps_its_debt_across_a_merge() {
+        let g: DynGraph<DynArr> = graph(6, &[(0, 1), (1, 2), (4, 5)]);
+        let idx = ConnectivityIndex::from_view(&g);
+        // A change the notes do not describe, flagged the blunt way.
         g.delete_edge(0, 1);
-        idx.note_delete(0, 1);
-        // Merge the dirty {0,1,2} component with clean {4,5}: the merged
-        // component must remain dirty so the split at (0,1) is found.
-        g.insert_edge(TimedEdge::new(2, 4, 9));
-        idx.note_insert(2, 4);
+        idx.mark_component_dirty(1);
+        assert!(idx.is_component_dirty(2));
+        assert!(!idx.is_component_dirty(4), "other components stay clean");
+        insert(&g, &idx, 2, 4);
         assert!(idx.is_component_dirty(4), "merged component inherits dirt");
         assert!(!idx.same_component(&g, 0, 1));
         assert!(idx.same_component(&g, 1, 4));
+        assert_eq!(idx.repair_count(), 1, "one whole-component relabel");
+        // ...which re-derived the certificate of what it relabelled.
+        assert!(idx.is_certificate_edge(&g, 1, 2));
+        assert!(!idx.is_certificate_edge(&g, 0, 1));
     }
 
     #[test]
@@ -917,7 +1682,7 @@ mod tests {
         let g: DynGraph<DynArr> = graph(5, &[(0, 1), (1, 2)]);
         let idx = ConnectivityIndex::from_view(&g);
         g.delete_edge(0, 1);
-        idx.note_delete(0, 1);
+        idx.mark_component_dirty(0);
         // A stand-in for the parallel relabeler: same contract, and it
         // must see exactly the component's members.
         let root = idx.repair_with(&g, 0, |view, verts| {
@@ -927,6 +1692,11 @@ mod tests {
         assert_eq!(root, 0);
         assert_eq!(idx.component(&g, 2), 1);
         assert_eq!(idx.component_count(&g), 4);
+        // A noted delete is settled by the certificate before the
+        // relabeler is even considered.
+        delete(&g, &idx, 1, 2);
+        let root = idx.repair_with(&g, 2, |_, _| unreachable!("nothing is marked"));
+        assert_eq!(root, 2);
     }
 
     #[test]
@@ -939,6 +1709,21 @@ mod tests {
         assert!(idx.same_component(&g, 2, 3));
         assert_eq!(idx.full_rebuild_count(), 1);
         assert_eq!(idx.component_count(&g), 2);
+        assert!(idx.is_certificate_edge(&g, 2, 3), "certificate rebuilt too");
+    }
+
+    #[test]
+    fn directed_views_take_the_whole_component_path() {
+        let g: DynGraph<DynArr> = DynGraph::directed(4, &CapacityHints::new(8));
+        for (u, v) in [(0, 1), (2, 1), (2, 3)] {
+            g.insert_edge(TimedEdge::new(u, v, 1));
+        }
+        let idx = ConnectivityIndex::from_view(&g);
+        assert_eq!(idx.labels(&g), vec![0, 0, 0, 0], "weak components");
+        assert!(g.delete_edge(2, 1));
+        idx.note_delete(2, 1);
+        assert_eq!(idx.labels(&g), vec![0, 0, 2, 2]);
+        assert_eq!(idx.repair_count(), 1);
     }
 
     #[test]
@@ -955,6 +1740,8 @@ mod tests {
     fn concurrent_unions_converge() {
         use rayon::prelude::*;
         let n = 2048usize;
+        let path: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+        let g: DynGraph<DynArr> = graph(n, &path);
         let idx = ConnectivityIndex::new(n);
         // A path built from racing threads: whatever the interleaving,
         // the fixed point is one component labeled 0.
@@ -964,8 +1751,9 @@ mod tests {
         for v in 0..n as u32 {
             assert_eq!(idx.find(v), 0);
         }
-        let g: DynGraph<DynArr> = graph(n, &[]);
         assert_eq!(idx.component_count(&g), 1);
+        // Every one of the racing merges left its certificate edge.
+        assert!(path.iter().all(|&(u, v)| idx.is_certificate_edge(&g, u, v)));
     }
 
     #[test]
@@ -981,8 +1769,7 @@ mod tests {
         let g: DynGraph<DynArr> = graph(n, &edges);
         let idx = ConnectivityIndex::from_view(&g);
         assert!(idx.same_component(&g, 0, 255));
-        g.delete_edge(10, 200);
-        idx.note_delete(10, 200);
+        delete(&g, &idx, 10, 200);
         (0..64u32).into_par_iter().for_each(|q| {
             let lo = q % 128;
             let hi = 128 + (q % 128);
@@ -1008,7 +1795,8 @@ mod tests {
         assert_eq!(idx.find(n - 1), 0);
         assert_eq!(idx.find(n - 1), 0);
         assert_eq!(idx.find(n / 2), 0);
-        let g: DynGraph<DynArr> = graph(n as usize, &[]);
+        let path: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let g: DynGraph<DynArr> = graph(n as usize, &path);
         assert_eq!(idx.component_count(&g), 1);
     }
 

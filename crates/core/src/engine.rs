@@ -161,7 +161,8 @@ pub fn apply_vpart<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update], wor
 /// halves' outcomes (matching [`DynGraph::insert_edge`] /
 /// [`DynGraph::delete_edge`] semantics); after the parallel phase,
 /// confirmed changes are routed into `conn` in stream order (insertions
-/// union, deletions dirty a component), so no-op updates — deduplicated
+/// union, deletions are logged for its certificate), so no-op updates —
+/// deduplicated
 /// re-inserts, deletes of absent edges — never touch the index. Returns
 /// whether any update changed the graph.
 pub fn apply_vpart_routed<A: DynamicAdjacency>(
@@ -178,7 +179,7 @@ pub fn apply_vpart_routed<A: DynamicAdjacency>(
             conn,
             ..IndexRoutes::default()
         },
-    )
+    ) > 0
 }
 
 /// Borrowed bundle of every incremental index attached to a graph — the
@@ -188,7 +189,8 @@ pub fn apply_vpart_routed<A: DynamicAdjacency>(
 /// slots are optional; an empty bundle routes nothing.
 #[derive(Clone, Copy, Default)]
 pub struct IndexRoutes<'a> {
-    /// Incremental connectivity (union on insert, dirty on delete).
+    /// Incremental connectivity (union on insert, certificate check on
+    /// delete).
     pub conn: Option<&'a ConnectivityIndex>,
     /// Incremental hop distances (wavefront on insert, seed-mark on
     /// delete).
@@ -268,13 +270,14 @@ impl<'a> IndexRoutes<'a> {
 /// certificate through an edge the final view no longer has; the
 /// later-routed delete note sees that certificate and dirty-marks it,
 /// so stream-order routing keeps the indexes exact at quiescence.
-/// Returns whether any update changed the graph.
+/// Returns how many updates changed the graph (the per-update change
+/// flags, summed).
 pub fn apply_vpart_indexed<A: DynamicAdjacency>(
     g: &DynGraph<A>,
     updates: &[Update],
     workers: usize,
     routes: IndexRoutes<'_>,
-) -> bool {
+) -> usize {
     let n = g.num_vertices();
     let halves = expand_half_updates_indexed(updates, g.is_directed());
     let ranges = partition_ranges(n, resolve_workers(workers));
@@ -297,16 +300,16 @@ pub fn apply_vpart_indexed<A: DynamicAdjacency>(
             });
         }
     });
-    let mut any = false;
+    let mut count = 0;
     for (u, c) in updates.iter().zip(&changed) {
         // ordering: Relaxed — read after the scope barrier above; the
         // barrier already ordered the stores.
         if c.load(Ordering::Relaxed) {
-            any = true;
+            count += 1;
             routes.route(g, u);
         }
     }
-    any
+    count
 }
 
 /// [`expand_half_updates`] tagging each half with its update's stream
@@ -477,12 +480,13 @@ pub fn semi_sort_bound(updates: &[Update], n: usize, directed: bool) -> Duration
 /// [`SnapshotManager::enable_connectivity`] attaches a
 /// [`ConnectivityIndex`]: from then on every update routed through the
 /// manager also maintains the index incrementally (insertions union,
-/// deletions dirty one component), and
+/// deletions go through its spanning-forest certificate), and
 /// [`SnapshotManager::same_component`] /
 /// [`SnapshotManager::component`] / [`SnapshotManager::component_count`]
 /// answer connectivity queries with **no CSR rebuild and no full
-/// recompute** — a dirty component triggers a targeted repair over the
-/// live view. Validity is epoch-coupled: mutations applied behind the
+/// recompute** — a deletion that hit the certificate triggers a
+/// replacement search of the smaller side of the cut over the live
+/// view. Validity is epoch-coupled: mutations applied behind the
 /// manager's back (via [`SnapshotManager::live`] +
 /// [`SnapshotManager::mark_dirty`]) leave the index's synced epoch
 /// behind, and the next connectivity query detects the gap and falls
@@ -784,8 +788,9 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
     }
 
     /// Canonical component label (minimum member id) of `u` — near-O(α),
-    /// no traversal, no snapshot, unless `u`'s component is dirty from a
-    /// deletion (targeted repair) or the index is stale (full rebuild).
+    /// no traversal, no snapshot, unless a deletion is pending that cut a
+    /// certificate edge (replacement search, smaller side of the cut) or
+    /// the index is stale (full rebuild).
     pub fn component(&self, u: u32) -> u32 {
         self.conn_fresh().component(&self.graph, u)
     }
@@ -796,7 +801,7 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
         self.conn_fresh().same_component(&self.graph, u, v)
     }
 
-    /// Number of connected components, repairing any dirty ones first.
+    /// Number of connected components, settling pending deletions first.
     pub fn component_count(&self) -> usize {
         self.conn_fresh().component_count(&self.graph)
     }
@@ -1285,7 +1290,8 @@ mod tests {
         mgr.insert_edge(snap_rmat::TimedEdge::new(31, 40, 2));
         assert!(mgr.same_component(0, 40));
         assert_eq!(idx.repair_count(), 0, "insertions never need repair");
-        // A deletion dirties one component; the next query repairs it.
+        // A bridge deletion splits its component; the next query finds
+        // out and relabels one side.
         mgr.delete_edge(15, 16);
         assert!(!mgr.same_component(0, 31));
         assert!(mgr.same_component(16, 40));
@@ -1457,12 +1463,12 @@ mod tests {
         assert!(apply_vpart_routed(&g, &path, 4, Some(&conn)));
         assert!(conn.same_component(&g, 0, 31));
         assert_eq!(conn.repair_count(), 0, "insertions never need repair");
-        // A real deletion dirties one component; the next query repairs.
+        // A real bridge deletion: the next query relabels one side.
         let del = vec![Update::delete(TimedEdge::new(15, 16, 0))];
         assert!(apply_vpart_routed(&g, &del, 4, Some(&conn)));
         assert!(!conn.same_component(&g, 0, 31));
         assert_eq!(conn.repair_count(), 1);
-        // A no-op delete batch must not dirty anything further.
+        // A no-op delete batch must not reach the index at all.
         let noop = vec![Update::delete(TimedEdge::new(40, 41, 0))];
         assert!(!apply_vpart_routed(&g, &noop, 4, Some(&conn)));
         assert_eq!(conn.full_rebuild_count(), 0);
@@ -1608,19 +1614,19 @@ mod tests {
             .map(|i| Update::insert(TimedEdge::new(i, i + 1, 1)))
             .collect();
         batch.push(Update::insert(TimedEdge::new(0, 2, 1))); // triangle 0-1-2
-        assert!(apply_vpart_indexed(&g, &batch, 4, routes));
+        assert_eq!(apply_vpart_indexed(&g, &batch, 4, routes), batch.len());
         assert!(conn.same_component(&g, 0, 31));
         assert_eq!(dist.distance(&g, 0, 31), Some(30), "0-2 shortcut");
         assert_eq!(tri.triangle_count(), 1);
         // Delete the shortcut: distance must repair back, triangle dies.
         let del = vec![Update::delete(TimedEdge::new(0, 2, 0))];
-        assert!(apply_vpart_indexed(&g, &del, 4, routes));
+        assert_eq!(apply_vpart_indexed(&g, &del, 4, routes), del.len());
         assert_eq!(dist.distance(&g, 0, 31), Some(31));
         assert_eq!(tri.triangle_count(), 0);
         assert!(conn.same_component(&g, 0, 2), "still connected via 1");
         // A no-op batch routes nothing.
         let noop = vec![Update::delete(TimedEdge::new(40, 41, 0))];
-        assert!(!apply_vpart_indexed(&g, &noop, 4, routes));
+        assert_eq!(apply_vpart_indexed(&g, &noop, 4, routes), 0);
         assert_eq!(dist.full_rebuild_count(), 0);
         assert_eq!(tri.full_rebuild_count(), 0);
         assert_eq!(conn.full_rebuild_count(), 0);
@@ -1663,9 +1669,9 @@ mod tests {
         mgr.apply_batch(&StreamBuilder::new(&edges, 3).construction_shuffled());
         std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
-                for i in 0..60u64 {
-                    let batch = StreamBuilder::new(&edges, 1000 + i).mixed(64, 0.5);
-                    mgr.apply_batch(&batch);
+                let mut stream = StreamBuilder::new(&edges, 1000);
+                for _ in 0..60 {
+                    mgr.apply_batch(&stream.mixed(64, 0.5));
                 }
             });
             let reader = scope.spawn(|| {

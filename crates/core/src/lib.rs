@@ -32,10 +32,12 @@
 //!
 //! Connectivity queries get a third, cheaper path:
 //! [`connectivity::ConnectivityIndex`] is a concurrent union-find
-//! maintained incrementally on every insert, with deletion-dirtied
-//! components repaired on demand — `same_component(u, v)` between
+//! maintained incrementally on every insert and certified by the
+//! paper's link-cut forest ([`forest::Forest`]): a deletion that misses
+//! the forest is free, one that hits it searches the smaller side of
+//! the cut for a replacement edge — `same_component(u, v)` between
 //! batches costs neither a traversal nor a snapshot. The same
-//! dirty-mark + lazy-targeted-repair pattern generalizes into an index
+//! certificate + lazy-targeted-repair pattern generalizes into an index
 //! family: [`distindex::DistanceIndex`] (exact hop distances from
 //! pinned sources) and [`triindex::TriangleIndex`] (per-vertex triangle
 //! counts and clustering, delta-maintained).
@@ -69,6 +71,7 @@ pub mod csr;
 pub mod distindex;
 pub mod dynarr;
 pub mod engine;
+pub mod forest;
 pub mod graph;
 pub mod hybrid;
 pub mod reorder;

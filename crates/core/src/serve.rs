@@ -35,7 +35,9 @@
 //! labels extracted *after* the index repair for the same state,
 //! [`ServeEngine::same_component`] stays incremental under concurrent
 //! ingest: queries are two array reads on the pinned version
-//! (wait-free), repairs happen only on the writer thread (targeted, no
+//! (wait-free), repairs happen only on the writer thread (a deletion
+//! costs a replacement search of the smaller side of the cut if it hit
+//! the index's spanning-forest certificate and nothing otherwise; no
 //! full rebuilds), and the labels are bit-identical to
 //! `connected_components` on the same snapshot.
 //!
@@ -315,6 +317,7 @@ struct ServeMetrics {
     publish_lag_ns: Histogram,
     epochs: Counter,
     updates_applied: Counter,
+    updates_changed: Counter,
     retained: Gauge,
     pins: Counter,
     queries: Counter,
@@ -367,6 +370,10 @@ impl ServeMetrics {
                 "snap_serve_updates_applied_total",
                 "Updates applied by the writer, including no-ops",
             ),
+            updates_changed: r.counter(
+                "snap_serve_updates_changed_total",
+                "Updates that changed the graph (applied minus no-ops)",
+            ),
             retained: r.gauge(
                 "snap_serve_versions_retained",
                 "Versions currently held in retention rings",
@@ -401,6 +408,7 @@ struct Shared<A: DynamicAdjacency> {
     history: Mutex<Vec<Vec<Update>>>,
     pending: AtomicUsize,
     updates_applied: AtomicU64,
+    updates_changed: AtomicU64,
     retired: AtomicU64,
     retain: usize,
     shards: usize,
@@ -448,6 +456,7 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
             history: Mutex::new(Vec::new()),
             pending: AtomicUsize::new(0),
             updates_applied: AtomicU64::new(0),
+            updates_changed: AtomicU64::new(0),
             retired: AtomicU64::new(0),
             retain: cfg.retain.max(1),
             shards,
@@ -566,10 +575,19 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         self.shared.pending.load(Ordering::Acquire)
     }
 
-    /// Updates applied by the writer so far (including no-ops).
+    /// Updates applied by the writer so far (including no-ops): counts
+    /// submissions, whatever they did.
     pub fn updates_applied(&self) -> u64 {
         // ordering: Relaxed — statistics counter (invariant 9).
         self.shared.updates_applied.load(Ordering::Relaxed)
+    }
+
+    /// Updates that changed the graph so far — [`ServeEngine::updates_applied`]
+    /// minus the no-ops (re-inserts of live edges, deletes of absent
+    /// ones), summed from the applier's per-update change flags.
+    pub fn updates_changed(&self) -> u64 {
+        // ordering: Relaxed — statistics counter (invariant 9).
+        self.shared.updates_changed.load(Ordering::Relaxed)
     }
 
     /// Versions currently held in the retention ring.
@@ -586,13 +604,14 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
 
     /// Full connectivity rebuilds performed, or `None` without the
     /// index. The serving path keeps this at **zero**: insertions union
-    /// incrementally and deletions trigger targeted repairs only.
+    /// incrementally and deletions go through the certificate.
     pub fn full_rebuild_count(&self) -> Option<usize> {
         self.shared.conn.as_ref().map(|c| c.full_rebuild_count())
     }
 
-    /// Targeted connectivity repairs performed by the writer, or `None`
-    /// without the index.
+    /// Connectivity relabels published by the writer (one per split
+    /// side, or per whole-component fallback), or `None` without the
+    /// index. Deletions that disconnect nothing leave it flat.
     pub fn repair_count(&self) -> Option<usize> {
         self.shared.conn.as_ref().map(|c| c.repair_count())
     }
@@ -762,7 +781,7 @@ fn apply_and_publish<A: DynamicAdjacency>(
 ) {
     let m = &shared.metrics;
     m.coalesced.record(batches.len() as u64);
-    let mut changed = false;
+    let mut changed = 0u64;
     let mut applied = 0u64;
     {
         let _t = Timer::scope(&m.apply_ns);
@@ -773,7 +792,7 @@ fn apply_and_publish<A: DynamicAdjacency>(
         };
         for batch in &batches {
             applied += batch.len() as u64;
-            changed |= apply_vpart_indexed(&shared.graph, batch, shared.shards, routes);
+            changed += apply_vpart_indexed(&shared.graph, batch, shared.shards, routes) as u64;
         }
     }
     let cycle_batches = batches.len() as u64;
@@ -783,13 +802,18 @@ fn apply_and_publish<A: DynamicAdjacency>(
     // ordering: Relaxed — statistics counter (invariant 9); readers
     // never infer visibility from it.
     shared.updates_applied.fetch_add(applied, Ordering::Relaxed);
+    // ordering: Relaxed — statistics counter, as above.
+    shared.updates_changed.fetch_add(changed, Ordering::Relaxed);
     m.updates_applied.add(applied);
+    m.updates_changed.add(changed);
 
     let prev = Arc::clone(&shared.current.read());
-    let (csr, labels) = if changed {
+    let (csr, labels) = if changed > 0 {
         // Repair order matters: labels are extracted *after* the index
         // absorbed this cycle's routed updates, over the live graph the
-        // writer exclusively owns — targeted repairs only, never a full
+        // writer exclusively owns. `labels` settles the cycle's logged
+        // deletes through the certificate (a search of the smaller side
+        // per cut tree edge; nothing for the rest) — never a full
         // rebuild. The CSR is built from the same quiescent state, so
         // csr/labels/epoch agree exactly.
         let labels = {
@@ -889,6 +913,7 @@ mod tests {
         assert!(!e.same_component(0, 2));
         assert_eq!(e.pending_batches(), 0);
         assert_eq!(e.updates_applied(), 3);
+        assert_eq!(e.updates_changed(), 3);
         assert_eq!(e.full_rebuild_count(), Some(0));
     }
 
@@ -925,6 +950,7 @@ mod tests {
         let v2 = e.pin();
         assert!(v2.epoch() > v1.epoch());
         assert!(Arc::ptr_eq(v1.csr(), v2.csr()));
+        assert_eq!((e.updates_applied(), e.updates_changed()), (2, 1));
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! networks, so a connectivity query (two findroots) is just a couple of
 //! pointer chases.
 //!
+//! The structure itself — parent pointers, `reroot` / `link` / `cut` and
+//! the lock-step replacement search — lives once, in
+//! [`snap_core::forest`], where the serving path's `ConnectivityIndex`
+//! uses it as the certificate of its labels. This module adds what the
+//! paper's figures 7–8 measure on top of it: construction by parallel
+//! BFS and batched parallel queries.
+//!
 //! Construction follows the paper exactly: a lock-free level-synchronous
 //! parallel BFS yields the tree of the largest component, and connected
 //! components seed BFS trees for the rest, producing a spanning forest.
@@ -18,22 +25,29 @@
 
 use crate::bfs::{self, UNREACHED};
 use rayon::prelude::*;
+use snap_core::forest::{Forest, Reconnect, Search};
 use snap_core::GraphView;
 
-/// "No parent" marker: the vertex is a tree root.
-pub const ROOT: u32 = u32::MAX;
+pub use snap_core::forest::ROOT;
 
-/// A forest of rooted trees encoded as parent pointers.
+/// A spanning forest of rooted trees over a graph's vertices: the core
+/// [`Forest`] plus the scratch its replacement search reuses.
 #[derive(Clone, Debug)]
 pub struct LinkCutForest {
-    parent: Vec<u32>,
+    forest: Forest,
+    search: Search,
 }
 
 impl LinkCutForest {
     /// An n-vertex forest of singletons.
     pub fn new(n: usize) -> Self {
+        Self::from_parents(vec![ROOT; n])
+    }
+
+    fn from_parents(parent: Vec<u32>) -> Self {
         Self {
-            parent: vec![ROOT; n],
+            forest: Forest::from_parents(parent),
+            search: Search::new(),
         }
     }
 
@@ -45,7 +59,7 @@ impl LinkCutForest {
         let mut parent = vec![ROOT; n];
         let mut visited = vec![false; n];
         if n == 0 {
-            return Self { parent };
+            return Self::from_parents(parent);
         }
         // Giant component first: parallel BFS from the max-degree vertex
         // (on R-MAT graphs that vertex sits in the giant component).
@@ -79,7 +93,7 @@ impl LinkCutForest {
                 });
             }
         }
-        Self { parent }
+        Self::from_parents(parent)
     }
 
     /// [`LinkCutForest::from_view`] under its historical name (every
@@ -90,44 +104,31 @@ impl LinkCutForest {
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.parent.len()
+        self.forest.len()
     }
 
     /// The parent of `v`, or [`ROOT`].
     #[inline]
     pub fn parent(&self, v: u32) -> u32 {
-        self.parent[v as usize]
+        self.forest.parent(v)
     }
 
     /// Walks parent pointers to the root of `v`'s tree — O(tree height).
     #[inline]
     pub fn findroot(&self, v: u32) -> u32 {
-        let mut cur = v;
-        loop {
-            let p = self.parent[cur as usize];
-            if p == ROOT {
-                return cur;
-            }
-            cur = p;
-        }
+        self.forest.findroot(v)
     }
 
     /// Hop count from `v` to its root (diagnostics: the paper's query cost
     /// is proportional to this).
     pub fn depth(&self, v: u32) -> u32 {
-        let mut cur = v;
-        let mut d = 0;
-        while self.parent[cur as usize] != ROOT {
-            cur = self.parent[cur as usize];
-            d += 1;
-        }
-        d
+        self.forest.depth(v)
     }
 
     /// Connectivity query: are `u` and `v` in the same tree?
     #[inline]
     pub fn connected(&self, u: u32, v: u32) -> bool {
-        self.findroot(u) == self.findroot(v)
+        self.forest.connected(u, v)
     }
 
     /// Processes a batch of connectivity queries in parallel (queries only
@@ -144,30 +145,19 @@ impl LinkCutForest {
     /// # Panics
     /// If `v` is not a root (the Sleator–Tarjan precondition).
     pub fn link(&mut self, v: u32, w: u32) {
-        assert_eq!(
-            self.parent[v as usize], ROOT,
-            "link requires v to be a root"
-        );
-        self.parent[v as usize] = w;
+        self.forest.link(v, w);
     }
 
     /// Structural `cut(v)`: deletes the arc from `v` to its parent,
     /// splitting the tree. No-op if `v` is a root.
     pub fn cut(&mut self, v: u32) {
-        self.parent[v as usize] = ROOT;
+        self.forest.cut(v);
     }
 
     /// Reroots `v`'s tree at `v` by reversing the path to the old root —
     /// O(depth), needed before linking two arbitrary vertices.
     pub fn reroot(&mut self, v: u32) {
-        let mut prev = ROOT;
-        let mut cur = v;
-        while cur != ROOT {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = prev;
-            prev = cur;
-            cur = next;
-        }
+        self.forest.reroot(v);
     }
 
     /// Maintains the forest across an edge insertion: if `(u, v)` connects
@@ -175,67 +165,33 @@ impl LinkCutForest {
     /// returned; otherwise it is a non-tree edge and the forest is
     /// untouched.
     pub fn link_edge(&mut self, u: u32, v: u32) -> bool {
-        if self.connected(u, v) {
-            return false;
-        }
-        self.reroot(u);
-        self.link(u, v);
-        true
+        self.forest.link_edge(u, v)
     }
 
     /// Maintains the forest across the deletion of edge `(u, v)`
-    /// *(extension beyond the paper)*: if `(u, v)` is a tree edge, cut it
-    /// and search the remaining graph (`view`, which must already exclude
-    /// the deleted edge — a live [`snap_core::DynGraph`] right after the
-    /// delete works directly) for a replacement edge reconnecting the
-    /// halves. Returns `true` if the components stayed connected.
+    /// *(extension beyond the paper)*: a non-tree edge costs two pointer
+    /// reads; a tree edge is cut and the remaining graph (`view`, which
+    /// must already exclude the deleted edge — a live
+    /// [`snap_core::DynGraph`] right after the delete works directly) is
+    /// searched for a replacement by growing both sides of the cut in
+    /// lock-step ([`Forest::reconnect`]), so the work is bounded by the
+    /// smaller side. Returns `true` if the components stayed connected.
+    ///
+    /// The forest must span `view`'s components (as
+    /// [`LinkCutForest::from_view`] builds it and `link_edge` /
+    /// `cut_with_replacement` keep it), so the two sides of the cut are
+    /// the only trees a replacement can join.
     pub fn cut_with_replacement<V: GraphView>(&mut self, view: &V, u: u32, v: u32) -> bool {
-        let child = if self.parent[u as usize] == v {
-            u
-        } else if self.parent[v as usize] == u {
-            v
-        } else {
+        if !self.forest.cut_edge(u, v) {
             // Not a tree edge: connectivity is unaffected.
             return true;
-        };
-        self.cut(child);
-        // BFS the child's side of the split in the updated graph; the first
-        // edge leaving the side is a replacement.
-        let side_root = self.findroot(child);
-        let res = bfs::bfs(view, child);
-        let n = view.num_vertices();
-        let mut replacement = None;
-        'outer: for x in 0..n as u32 {
-            if res.dist[x as usize] == UNREACHED {
-                continue;
-            }
-            if self.findroot(x) != side_root {
-                // x is reachable from child in the graph but sits in the
-                // other tree — BFS crossed the split via some path. Walk
-                // x's BFS parents to find the crossing edge.
-                let mut cur = x;
-                while res.parent[cur as usize] != UNREACHED {
-                    let p = res.parent[cur as usize];
-                    if self.findroot(p) == side_root {
-                        replacement = Some((cur, p));
-                        break 'outer;
-                    }
-                    cur = p;
-                }
-            }
         }
-        if let Some((a, b)) = replacement {
-            self.reroot(b);
-            self.link(b, a);
-            true
-        } else {
-            false
-        }
+        self.forest.reconnect(view, u, v, &mut self.search) == Reconnect::Linked
     }
 
     /// Mean and max depth over all vertices (query-cost diagnostics).
     pub fn depth_stats(&self) -> (f64, u32) {
-        let n = self.parent.len();
+        let n = self.num_vertices();
         let depths: Vec<u32> = (0..n as u32)
             .into_par_iter()
             .map(|v| self.depth(v))

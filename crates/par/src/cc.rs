@@ -140,9 +140,8 @@ pub fn par_cc_stats<V: GraphView>(view: &V, cfg: &ParConfig) -> (Vec<u32>, ParSt
 /// grafting-and-pointer-jumping scheme as [`par_cc_with`], but label
 /// state is
 /// position-indexed over `verts`, so the cost scales with the subset —
-/// this is the relabeler the dynamic-connectivity serving path uses to
-/// repair one deletion-dirtied component without touching the rest of
-/// the graph (see [`par_repair`]). Falls back to the serial restricted
+/// this is the relabeler of the dynamic-connectivity index's
+/// whole-component fallback (see [`par_repair`]). Falls back to the serial restricted
 /// kernel below the size threshold.
 pub fn par_cc_restricted<V: GraphView>(view: &V, verts: &[u32], cfg: &ParConfig) -> Vec<u32> {
     debug_assert!(verts.windows(2).all(|w| w[0] < w[1]), "verts must ascend");
@@ -209,18 +208,22 @@ pub fn par_cc_restricted<V: GraphView>(view: &V, verts: &[u32], cfg: &ParConfig)
         .collect()
 }
 
-/// Repairs the deletion-dirtied component of `u` in a
-/// [`ConnectivityIndex`] using [`par_cc_restricted`] as the relabeler —
-/// the parallel counterpart of [`ConnectivityIndex::repair`]. Returns
-/// the post-repair root of `u`. A no-op (beyond two finds) when `u`'s
-/// component is clean.
+/// Settles `u`'s component in a [`ConnectivityIndex`] with
+/// [`par_cc_restricted`] as the relabeler of the whole-component
+/// fallback — the parallel counterpart of
+/// [`ConnectivityIndex::repair`]. Pending deletions go through the
+/// index's certificate first (a replacement search bounded by the
+/// smaller side of the cut); the parallel kernel runs only if the
+/// component is still marked for a whole relabel after that. Returns
+/// the post-repair root of `u`. A no-op (beyond one find) when nothing
+/// is pending.
 pub fn par_repair<V: GraphView>(
     index: &ConnectivityIndex,
     view: &V,
     u: u32,
     cfg: &ParConfig,
 ) -> u32 {
-    if !index.is_component_dirty(u) {
+    if !index.has_dirty() {
         return index.find(u);
     }
     index.repair_with(view, u, |v, verts| par_cc_restricted(v, verts, cfg))

@@ -46,15 +46,35 @@ impl Update {
     }
 }
 
-/// Builds update streams from a base edge list.
+/// Builds update streams from a base edge list. The construction and
+/// deletion streams are pure functions of `(edges, seed)`; the mixed
+/// stream is a *generator* — its insert cursor and random state carry
+/// across [`StreamBuilder::mixed`] calls, so consecutive batches keep
+/// moving through the edge list instead of replaying its head.
 pub struct StreamBuilder<'a> {
     edges: &'a [TimedEdge],
     seed: u64,
+    /// Position in `edges` of the next edge `mixed` inserts (cyclic).
+    next_insert: usize,
+    mixed_rng: XorShift64,
 }
 
 impl<'a> StreamBuilder<'a> {
     pub fn new(edges: &'a [TimedEdge], seed: u64) -> Self {
-        Self { edges, seed }
+        Self {
+            edges,
+            seed,
+            next_insert: 0,
+            mixed_rng: XorShift64::new(seed ^ 0x313D),
+        }
+    }
+
+    /// Starts the mixed stream's insert cursor at `cursor` — for a graph
+    /// that already holds `edges[..cursor]`, so that the stream's
+    /// inserts are edges the graph does not have yet.
+    pub fn inserting_from(mut self, cursor: usize) -> Self {
+        self.next_insert = cursor;
+        self
     }
 
     /// The whole edge list as insertions, in generation order.
@@ -86,24 +106,23 @@ impl<'a> StreamBuilder<'a> {
             .collect()
     }
 
-    /// A mixed stream of `count` updates with the given insert fraction.
-    /// Inserts draw fresh edges from the tail of the base list cyclically;
-    /// deletes target random earlier edges. Figure 6 uses
-    /// `insert_fraction = 0.75`.
-    pub fn mixed(&self, count: usize, insert_fraction: f64) -> Vec<Update> {
+    /// The next `count` updates of the mixed stream with the given
+    /// insert fraction. Inserts take the edge under the insert cursor and
+    /// advance it (cyclically), so successive calls insert successive
+    /// edges; deletes target uniformly random edges of the list. Figure 6
+    /// uses `insert_fraction = 0.75`.
+    pub fn mixed(&mut self, count: usize, insert_fraction: f64) -> Vec<Update> {
         assert!((0.0..=1.0).contains(&insert_fraction));
         assert!(!self.edges.is_empty());
-        let mut rng = XorShift64::new(self.seed ^ 0x313D);
         let m = self.edges.len();
-        let mut next_insert = 0usize;
         (0..count)
             .map(|_| {
-                if rng.next_bool(insert_fraction) {
-                    let e = self.edges[next_insert % m];
-                    next_insert += 1;
+                if self.mixed_rng.next_bool(insert_fraction) {
+                    let e = self.edges[self.next_insert % m];
+                    self.next_insert += 1;
                     Update::insert(e)
                 } else {
-                    let i = rng.next_bounded(m as u64) as usize;
+                    let i = self.mixed_rng.next_bounded(m as u64) as usize;
                     Update::delete(self.edges[i])
                 }
             })
@@ -164,8 +183,7 @@ mod tests {
     #[test]
     fn mixed_fraction_is_respected() {
         let edges = base();
-        let b = StreamBuilder::new(&edges, 3);
-        let s = b.mixed(20_000, 0.75);
+        let s = StreamBuilder::new(&edges, 3).mixed(20_000, 0.75);
         let ins = s.iter().filter(|u| u.kind == UpdateKind::Insert).count();
         let frac = ins as f64 / s.len() as f64;
         assert!(
@@ -175,9 +193,43 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_mixed_batches_share_no_inserted_edge() {
+        // A duplicate-free list, so "the same edge" is unambiguous.
+        let edges: Vec<TimedEdge> = (0..4096u32).map(|i| TimedEdge::new(i, i + 1, 1)).collect();
+        let mut b = StreamBuilder::new(&edges, 3).inserting_from(1024);
+        let mut inserted = std::collections::HashSet::new();
+        let mut deleted_patterns = std::collections::HashSet::new();
+        for batch in 0..16 {
+            let s = b.mixed(64, 0.7);
+            for u in s.iter().filter(|u| u.kind == UpdateKind::Insert) {
+                assert!(u.edge.u >= 1024, "inserts start at the cursor");
+                assert!(
+                    inserted.insert(u.edge),
+                    "batch {batch} re-inserts {:?}",
+                    u.edge
+                );
+            }
+            let dels: Vec<u32> = s
+                .iter()
+                .filter(|u| u.kind == UpdateKind::Delete)
+                .map(|u| u.edge.u)
+                .collect();
+            assert!(
+                deleted_patterns.insert(dels),
+                "batch {batch} repeats a batch"
+            );
+        }
+        // One long call and many short ones are the same stream.
+        let mut whole = StreamBuilder::new(&edges, 3).inserting_from(1024);
+        let mut parts = StreamBuilder::new(&edges, 3).inserting_from(1024);
+        let chunks: Vec<Update> = (0..4).flat_map(|_| parts.mixed(50, 0.7)).collect();
+        assert_eq!(whole.mixed(200, 0.7), chunks);
+    }
+
+    #[test]
     fn mixed_extremes() {
         let edges = base();
-        let b = StreamBuilder::new(&edges, 4);
+        let mut b = StreamBuilder::new(&edges, 4);
         assert!(b
             .mixed(100, 1.0)
             .iter()

@@ -4,10 +4,13 @@
 //! now?") — two ways:
 //!
 //! 1. the incremental [`ConnectivityIndex`] behind [`SnapshotManager`]:
-//!    unions on insert, targeted repair on the first query after a
-//!    deletion, zero traversals and zero snapshots on the clean path;
+//!    unions on insert, deletions settled through its spanning-forest
+//!    certificate on the first query after them (free unless a forest
+//!    edge was hit), zero traversals and zero snapshots on the clean
+//!    path;
 //! 2. the link-cut forest with replacement-edge search (the structure
-//!    the paper proposes), for comparison.
+//!    the paper proposes, and the same `snap::core::forest` the index
+//!    stands on), driven by hand for comparison.
 //!
 //! ```text
 //! cargo run --release --example connectivity_queries
@@ -153,9 +156,10 @@ fn serve_with_index(n: usize, edges: &[TimedEdge]) {
     );
     assert_eq!(mgr.rebuild_count(), 0, "serving must not build snapshots");
 
-    // Deletions dirty one component each; the first query after pays a
-    // targeted repair (here via the parallel relabeler), the rest are
-    // cheap again.
+    // Deletions are logged; the first query after settles them through
+    // the certificate (a replacement search per forest edge hit, the
+    // parallel relabeler only for the whole-component fallback), the
+    // rest are cheap again.
     let mut removed = 0usize;
     for e in edges.iter().step_by(edges.len() / 64) {
         removed += usize::from(mgr.delete_edge(e.u, e.v));
@@ -164,7 +168,7 @@ fn serve_with_index(n: usize, edges: &[TimedEdge]) {
     snap::par::par_repair(idx, mgr.live(), 0, &ParConfig::default());
     let agree = mgr.component_count();
     println!(
-        "after {removed} deletions: {} targeted repairs, {:.3} s to a clean {agree}-component index",
+        "after {removed} deletions: {} relabels, {:.3} s to a clean {agree}-component index",
         idx.repair_count(),
         t.elapsed().as_secs_f64(),
     );

@@ -47,8 +47,9 @@ fn main() {
 
     // Ten arriving batches, each 75% insertions / 25% deletions — the
     // Figure 6 mix, delivered incrementally as a stream would be.
+    let mut stream = StreamBuilder::new(&edges, 100);
     let batches: Vec<Vec<Update>> = (0..10)
-        .map(|i| StreamBuilder::new(&edges, 100 + i).mixed(edges.len() / 50, 0.75))
+        .map(|_| stream.mixed(edges.len() / 50, 0.75))
         .collect();
 
     println!(

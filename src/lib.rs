@@ -45,14 +45,17 @@
 //! component right now?* — even one traversal per batch is too much.
 //! [`ConnectivityIndex`] (attach it with
 //! [`SnapshotManager::enable_connectivity`]) maintains a concurrent
-//! union-find incrementally: insertions union in near-O(α), deletions
-//! mark only the affected component dirty, and the next query touching a
-//! dirty component triggers a targeted repair over the live view —
-//! serial by default, or `snap::par::par_repair` to relabel the one
-//! component with the parallel kernel. Between batches,
-//! `same_component(u, v)` costs zero traversals and zero CSR rebuilds.
+//! union-find incrementally, certified by the paper's link-cut forest:
+//! insertions union in near-O(α) (a merging one becomes a forest edge),
+//! a deletion that misses the forest is an O(1) no-op, and one that
+//! hits it searches the live view for a replacement edge from both
+//! sides of the cut in lock-step — work bounded by the smaller side,
+//! with only a true split relabelled. The whole-component relabel
+//! (serial, or `snap::par::par_repair` with the parallel kernel) is the
+//! fallback. Between batches, `same_component(u, v)` costs zero
+//! traversals and zero CSR rebuilds.
 //!
-//! The same dirty-mark + lazy-targeted-repair discipline extends to an
+//! The same certificate + lazy-targeted-repair discipline extends to an
 //! index family: [`DistanceIndex`]
 //! ([`SnapshotManager::enable_distances`]) serves exact hop distances
 //! from pinned sources — insertions relax a bounded wavefront,

@@ -154,7 +154,11 @@ fn serve_publish_matches_oracle_across_seeds() {
     const BATCHES: usize = 6;
     let n = 1usize << SCALE;
     let edges = Rmat::new(RmatParams::paper(SCALE, 8), 321).edges();
-    let base = StreamBuilder::new(&edges, 7).construction_shuffled();
+    // The engine starts from the first three quarters of the list; the
+    // producer's generator inserts the rest, its cursor carried across
+    // batches, and deletes from the whole list.
+    let base_len = edges.len() * 3 / 4;
+    let base = StreamBuilder::new(&edges[..base_len], 7).construction_shuffled();
     for seed in 0..SEEDS {
         set_chaos_seed(seed);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(base.len() * 3));
@@ -174,10 +178,10 @@ fn serve_publish_matches_oracle_across_seeds() {
         // (handle, probes) samples pinned while the producer publishes.
         let samples = std::thread::scope(|scope| {
             let producer = scope.spawn(move || {
-                for i in 0..BATCHES {
-                    let batch =
-                        StreamBuilder::new(edges, 1000 + seed * 100 + i as u64).mixed(64, 0.7);
-                    engine.submit(batch);
+                let mut stream =
+                    StreamBuilder::new(edges, 1000 + seed * 100).inserting_from(base_len);
+                for _ in 0..BATCHES {
+                    engine.submit(stream.mixed(64, 0.7));
                 }
             });
             let readers: Vec<_> = (0..2u64)

@@ -31,6 +31,9 @@ pub struct Workload {
     pub batches: Vec<Vec<Update>>,
     /// Undirected keys live after the whole stream, ascending.
     pub surviving: Vec<(u32, u32)>,
+    /// The differential check runs after every `check_every`-th batch
+    /// (and always after the last).
+    pub check_every: usize,
 }
 
 impl Workload {
@@ -127,6 +130,43 @@ pub fn rmat_workload(
         n,
         batches,
         surviving: live,
+        // Differential checks are the expensive part: probe a few
+        // quiescent points mid-stream.
+        check_every: 5,
+    }
+}
+
+/// A hand-written workload: `batches` of `(u, v, is_insert)` over `n`
+/// vertices, checked after every batch. Each batch must be a set of
+/// independent updates, like [`rmat_workload`]'s (batches are applied
+/// in parallel): no edge key twice in one batch.
+pub fn scripted_workload(n: u32, batches: &[&[(u32, u32, bool)]]) -> Workload {
+    let mut live = std::collections::BTreeSet::new();
+    let batches = batches
+        .iter()
+        .map(|batch| {
+            let mut touched = std::collections::HashSet::new();
+            batch
+                .iter()
+                .map(|&(u, v, is_insert)| {
+                    let key = (u.min(v), u.max(v));
+                    assert!(touched.insert(key), "{key:?} twice in one batch");
+                    if is_insert {
+                        assert!(live.insert(key), "{key:?} inserted while live");
+                        Update::insert(TimedEdge::new(u, v, 1 + (u + v) % 90))
+                    } else {
+                        assert!(live.remove(&key), "{key:?} deleted while absent");
+                        Update::delete(TimedEdge::new(u, v, 0))
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Workload {
+        n,
+        batches,
+        surviving: live.into_iter().collect(),
+        check_every: 1,
     }
 }
 
@@ -199,9 +239,7 @@ where
                 }
             }
         }
-        // Differential checks are the expensive part: probe a few
-        // quiescent points mid-stream, always including the end.
-        if bi == last || bi % 5 == 4 {
+        if bi == last || (bi + 1) % w.check_every == 0 {
             assert_eq!(
                 pair.state(&g),
                 pair.oracle(&g),
@@ -219,6 +257,10 @@ where
 /// [`ConnectivityIndex`] vs the union-find oracle on the live view.
 pub struct ConnPair {
     idx: ConnectivityIndex,
+    /// Route insertions through bare [`ConnectivityIndex::union`]
+    /// instead of `note_insert` (it is public, so it must leave the
+    /// same certificate edges).
+    bare_union: bool,
 }
 
 impl ConnPair {
@@ -226,6 +268,15 @@ impl ConnPair {
     pub fn new<V: GraphView>(view: &V) -> Self {
         Self {
             idx: ConnectivityIndex::from_view(view),
+            bare_union: false,
+        }
+    }
+
+    /// [`ConnPair::new`], with insertions routed through bare `union`.
+    pub fn with_bare_union<V: GraphView>(view: &V) -> Self {
+        Self {
+            bare_union: true,
+            ..Self::new(view)
         }
     }
 }
@@ -235,6 +286,9 @@ impl DifferentialPair for ConnPair {
 
     fn route<V: GraphView>(&self, _view: &V, upd: &Update) {
         match upd.kind {
+            UpdateKind::Insert if self.bare_union => {
+                self.idx.union(upd.edge.u, upd.edge.v);
+            }
             UpdateKind::Insert => {
                 self.idx.note_insert(upd.edge.u, upd.edge.v);
             }

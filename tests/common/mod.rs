@@ -11,8 +11,9 @@
 
 pub mod differential;
 
-use snap::prelude::TimedEdge;
+use snap::prelude::{GraphView, TimedEdge};
 use snap::util::rng::XorShift64;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Deterministic per-(suite, test, case) generator: `base` names the
 /// suite, `salt` the test, `case` the iteration. Failures reproduce by
@@ -35,4 +36,48 @@ pub fn edge_list(rng: &mut XorShift64, n: u32, max_len: u64, max_ts: u64) -> Vec
             )
         })
         .collect()
+}
+
+/// A view that counts the adjacency entries read through it — the unit
+/// the certificate path's cost bounds are stated in.
+pub struct CountingView<'a, V> {
+    inner: &'a V,
+    scanned: AtomicUsize,
+}
+
+impl<'a, V: GraphView> CountingView<'a, V> {
+    pub fn new(inner: &'a V) -> Self {
+        Self {
+            inner,
+            scanned: AtomicUsize::new(0),
+        }
+    }
+
+    /// Entries handed to `for_each_edge` / `find_edge` callbacks so far.
+    pub fn scanned(&self) -> usize {
+        // ordering: Relaxed — test-side statistics counter.
+        self.scanned.load(Ordering::Relaxed)
+    }
+}
+
+impl<V: GraphView> GraphView for CountingView<'_, V> {
+    fn num_vertices(&self) -> usize {
+        self.inner.num_vertices()
+    }
+
+    fn is_directed(&self) -> bool {
+        self.inner.is_directed()
+    }
+
+    fn degree(&self, u: u32) -> usize {
+        self.inner.degree(u)
+    }
+
+    fn for_each_edge<F: FnMut(u32, u32)>(&self, u: u32, mut f: F) {
+        self.inner.for_each_edge(u, |v, ts| {
+            // ordering: Relaxed — test-side statistics counter.
+            self.scanned.fetch_add(1, Ordering::Relaxed);
+            f(v, ts);
+        });
+    }
 }

@@ -10,12 +10,18 @@
 //! second test cross-checks every read path (serial kernel, forced
 //! parallel kernel, view oracle, from-scratch index, and the
 //! [`SnapshotManager`]-maintained index with serial and parallel
-//! targeted repairs) on the surviving edge set.
+//! targeted repairs) on the surviving edge set. The certificate's edge
+//! cases run through the same harness as scripted streams, and a
+//! counting view pins the cost contract: a non-certificate delete reads
+//! no adjacency at all, a certificate delete at most twice the smaller
+//! side of the cut.
 
 mod common;
 
-use common::differential::{rmat_workload, run_differential, ConnPair, Strategy};
-use common::rng_for;
+use common::differential::{
+    rmat_workload, run_differential, scripted_workload, ConnPair, Strategy, Workload, STRATEGIES,
+};
+use common::{rng_for, CountingView};
 use snap::prelude::*;
 use snap::util::thread_pool;
 use snap_kernels::cc::union_find_components;
@@ -40,6 +46,273 @@ fn index_tracks_the_oracle_across_strategies_and_threads() {
             run_differential::<TreapAdj, _, _>(&w, Strategy::Epart, threads, ConnPair::new);
         }
     }
+}
+
+/// The certificate's edge cases as scripted streams: `(u, v, true)`
+/// inserts, `(u, v, false)` deletes, checked against the oracle after
+/// every batch. Routing is in batch order, so the first edge to join
+/// two components is the certificate edge.
+fn certificate_edge_cases() -> Vec<(&'static str, Workload)> {
+    type Batch = Vec<(u32, u32, bool)>;
+    let ins =
+        |edges: &[(u32, u32)]| -> Batch { edges.iter().map(|&(u, v)| (u, v, true)).collect() };
+    let del =
+        |edges: &[(u32, u32)]| -> Batch { edges.iter().map(|&(u, v)| (u, v, false)).collect() };
+    let path = |lo: u32, hi: u32| -> Vec<(u32, u32)> { (lo..hi).map(|i| (i, i + 1)).collect() };
+    let script = |n: u32, batches: &[Batch]| {
+        let refs: Vec<&[(u32, u32, bool)]> = batches.iter().map(Vec::as_slice).collect();
+        scripted_workload(n, &refs)
+    };
+    let clique: Vec<(u32, u32)> = (10..20u32)
+        .flat_map(|u| (u + 1..20).map(move |v| (u, v)))
+        .collect();
+    let spokes: Vec<(u32, u32)> = (0..64u32).filter(|&i| i != 9).map(|i| (9, i)).collect();
+    vec![
+        (
+            "bridge",
+            script(
+                16,
+                &[
+                    ins(&[path(0, 3), path(4, 6), vec![(3, 4)]].concat()),
+                    del(&[(3, 4)]),
+                ],
+            ),
+        ),
+        (
+            // (7, 0) closes the cycle, so it is the one non-tree edge;
+            // with it gone, (3, 4) has no replacement left.
+            "cycle: non-tree edge, then a tree edge",
+            script(
+                16,
+                &[
+                    ins(&[path(0, 7), vec![(7, 0)]].concat()),
+                    del(&[(7, 0)]),
+                    del(&[(3, 4)]),
+                ],
+            ),
+        ),
+        (
+            "cycle: tree edge with a replacement",
+            script(
+                16,
+                &[
+                    ins(&[path(0, 7), vec![(7, 0)]].concat()),
+                    del(&[(3, 4)]),
+                    del(&[(7, 0)]),
+                ],
+            ),
+        ),
+        (
+            "small side holds the component minimum",
+            script(
+                32,
+                &[
+                    ins(&[vec![(0, 10)], clique.clone()].concat()),
+                    del(&[(0, 10)]),
+                ],
+            ),
+        ),
+        (
+            // 7 hooks under 3, 3 under 2, 2 under 0: when {2, 3} leaves,
+            // 7 (kept by (0, 7)) still points into it.
+            "large-side vertex parented into the small side",
+            script(
+                16,
+                &[
+                    ins(&[(3, 7), (2, 3), (0, 2), (0, 7), (0, 5), (5, 6), (0, 8)]),
+                    del(&[(3, 7), (0, 2)]),
+                ],
+            ),
+        ),
+        (
+            "certificate edge deleted and re-inserted in consecutive batches",
+            script(
+                16,
+                &[
+                    ins(&path(0, 5)),
+                    del(&[(2, 3)]),
+                    ins(&[(2, 3)]),
+                    del(&[(2, 3)]),
+                    ins(&[(2, 3)]),
+                    del(&[(1, 2), (3, 4)]),
+                ],
+            ),
+        ),
+        (
+            "path cut in the middle, then at the quarters",
+            script(
+                1024,
+                &[
+                    ins(&path(0, 1000)),
+                    del(&[(500, 501)]),
+                    del(&[(250, 251), (750, 751)]),
+                ],
+            ),
+        ),
+        (
+            "star centre removal",
+            script(64, &[ins(&spokes), del(&spokes)]),
+        ),
+        (
+            // Two tree edges of one component cut in one batch, with a
+            // non-tree edge joining the two outer pieces.
+            "several cuts settle together",
+            script(
+                8,
+                &[
+                    ins(&[(1, 0), (0, 2), (1, 2), (2, 3)]),
+                    del(&[(1, 0), (0, 2)]),
+                    del(&[(1, 2)]),
+                ],
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn certificate_edge_cases_track_the_oracle_across_strategies_and_threads() {
+    for (what, w) in certificate_edge_cases() {
+        for strategy in STRATEGIES {
+            for threads in [1usize, 2, 8] {
+                eprintln!("{what}: {strategy:?} @ {threads}");
+                run_differential::<HybridAdj, _, _>(&w, strategy, threads, ConnPair::new);
+                // `union` is public: merges routed through it must
+                // leave the same certificate edges as `note_insert`.
+                run_differential::<DynArr, _, _>(&w, strategy, threads, ConnPair::with_bare_union);
+            }
+        }
+    }
+    // And the randomized stream through bare `union`, once.
+    let w = rmat_workload(SUITE, 7, 9, 3, 40, 256);
+    run_differential::<TreapAdj, _, _>(&w, Strategy::Vpart, 2, ConnPair::with_bare_union);
+}
+
+/// Vertices reachable from `from` over `adj`.
+fn reach(adj: &[Vec<u32>], from: u32) -> Vec<u32> {
+    let mut seen = vec![false; adj.len()];
+    seen[from as usize] = true;
+    let mut out = vec![from];
+    let mut head = 0;
+    while head < out.len() {
+        for &y in &adj[out[head] as usize] {
+            if !seen[y as usize] {
+                seen[y as usize] = true;
+                out.push(y);
+            }
+        }
+        head += 1;
+    }
+    out
+}
+
+/// The cost contract on a 2^14 R-MAT graph, in adjacency entries read
+/// through the view: a non-certificate delete reads none; a certificate
+/// delete reads at most 2 × (entries of the smaller side of the cut)
+/// plus one vertex's adjacency on the larger side — whatever the size of
+/// the larger side, hubs included.
+#[test]
+fn deletes_scan_nothing_or_at_most_twice_the_smaller_side() {
+    const SCALE: u32 = 14;
+    let n = 1usize << SCALE;
+    let mut seen = std::collections::HashSet::new();
+    let mut edges: Vec<(u32, u32)> = Rmat::new(RmatParams::paper(SCALE, 8), 0xCE27)
+        .edges()
+        .iter()
+        .map(|e| (e.u.min(e.v), e.u.max(e.v)))
+        .filter(|&(u, v)| u != v && seen.insert((u, v)))
+        .collect();
+    rng_for(SUITE, 77, 0).shuffle(&mut edges);
+    let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(edges.len() * 2));
+    for &(u, v) in &edges {
+        g.insert_edge(TimedEdge::new(u, v, 1));
+    }
+    let idx = ConnectivityIndex::from_view(&g);
+    let entries = |side: &[u32]| side.iter().map(|&x| g.degree(x)).sum::<usize>();
+
+    // Non-certificate deletes: settled by two pointer reads each.
+    let spare: Vec<(u32, u32)> = edges
+        .iter()
+        .copied()
+        .filter(|&(u, v)| !idx.is_certificate_edge(&g, u, v))
+        .take(64)
+        .collect();
+    assert_eq!(spare.len(), 64, "m is about 7n: most edges are non-tree");
+    for &(u, v) in &spare {
+        assert!(g.delete_edge(u, v));
+        idx.note_delete(u, v);
+        assert!(idx.has_dirty());
+        let view = CountingView::new(&g);
+        assert!(idx.same_component(&view, u, v));
+        assert_eq!(view.scanned(), 0, "non-certificate delete ({u}, {v})");
+        assert!(!idx.has_dirty(), "cleared without a traversal");
+    }
+    assert_eq!(idx.repair_count(), 0);
+
+    // Certificate deletes, the sides read off the certificate itself.
+    let live = |g: &DynGraph<HybridAdj>| -> Vec<(u32, u32)> {
+        edges
+            .iter()
+            .copied()
+            .filter(|&(u, v)| g.has_edge(u, v))
+            .collect()
+    };
+    let (mut splits, mut replaced) = (0, 0);
+    for trial in 0..24usize {
+        let live = live(&g);
+        let tree: Vec<(u32, u32)> = live
+            .iter()
+            .copied()
+            .filter(|&(u, v)| idx.is_certificate_edge(&g, u, v))
+            .collect();
+        // Alternate leaf-ish and random tree edges: pendant vertices
+        // exercise true splits next to hubs, the rest mostly
+        // replacements deep inside the giant component.
+        let (u, v) = if trial % 2 == 0 {
+            tree.iter()
+                .copied()
+                .find(|&(u, v)| g.degree(u).min(g.degree(v)) == 1 + trial / 2 % 3)
+                .unwrap_or(tree[trial])
+        } else {
+            tree[(trial * 7919) % tree.len()]
+        };
+        let mut forest_adj = vec![Vec::new(); n];
+        for &(a, b) in tree.iter().filter(|&&e| e != (u, v)) {
+            forest_adj[a as usize].push(b);
+            forest_adj[b as usize].push(a);
+        }
+        let (side_u, side_v) = (reach(&forest_adj, u), reach(&forest_adj, v));
+        assert!(g.delete_edge(u, v));
+        idx.note_delete(u, v);
+        let (small, large_end) = if entries(&side_u) <= entries(&side_v) {
+            (entries(&side_u), v)
+        } else {
+            (entries(&side_v), u)
+        };
+        let repairs_before = idx.repair_count();
+        let view = CountingView::new(&g);
+        let still = idx.same_component(&view, u, v);
+        assert!(
+            view.scanned() <= 2 * small + g.degree(large_end),
+            "certificate delete ({u}, {v}): scanned {} with a smaller side of {small} entries",
+            view.scanned()
+        );
+        if still {
+            replaced += 1;
+            assert_eq!(
+                idx.repair_count(),
+                repairs_before,
+                "a replacement relabels nothing"
+            );
+        } else {
+            splits += 1;
+        }
+    }
+    assert!(
+        splits > 0 && replaced > 0,
+        "{splits} splits, {replaced} replacements"
+    );
+    assert_eq!(idx.labels(&g), union_find_from_view(&g));
+    assert_eq!(idx.full_rebuild_count(), 0);
 }
 
 /// Asserts every read path over the final live graph against the oracle.

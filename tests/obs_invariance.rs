@@ -94,7 +94,20 @@ fn instrumented_serving_results_are_unchanged() {
             i + 1,
         ))]);
     }
-    engine.submit(vec![Update::delete(TimedEdge::new(3, 4, 0))]);
+    // One delete of each kind the certificate distinguishes, one cycle
+    // each: a chord that never was a certificate edge; (3, 4), a
+    // certificate edge of the 8-cycle with (7, 0) as its replacement;
+    // then (7, 0) itself, which now splits the cycle. And one no-op.
+    let tail = [
+        Update::delete(TimedEdge::new(20, 21, 0)),
+        Update::insert(TimedEdge::new(1, 5, 20)),
+        Update::delete(TimedEdge::new(1, 5, 0)),
+        Update::delete(TimedEdge::new(3, 4, 0)),
+        Update::delete(TimedEdge::new(7, 0, 0)),
+    ];
+    for u in tail {
+        engine.submit(vec![u]);
+    }
     engine.flush();
 
     // Results: identical to a bulk-synchronous oracle of the stream.
@@ -103,7 +116,9 @@ fn instrumented_serving_results_are_unchanged() {
     for i in 0..16u32 {
         oracle.apply(&Update::insert(TimedEdge::new(i % 8, (i + 1) % 8, i + 1)));
     }
-    oracle.apply(&Update::delete(TimedEdge::new(3, 4, 0)));
+    for u in &tail {
+        oracle.apply(u);
+    }
     let oracle_csr = oracle.to_csr();
     assert_eq!(v.num_entries(), oracle_csr.num_entries());
     let labels = v.component_labels().expect("connectivity on");
@@ -113,16 +128,29 @@ fn instrumented_serving_results_are_unchanged() {
         assert_eq!(engine.same_component(0, 1), labels[0] == labels[1]);
     }
     assert_eq!(engine.full_rebuild_count(), Some(0));
+    assert_eq!(engine.repair_count(), Some(1), "only the split relabels");
+    assert_eq!(
+        (engine.updates_applied(), engine.updates_changed()),
+        (21, 20)
+    );
 
     if snap::obs::ENABLED {
-        assert!(counter_value("snap_serve_epochs_published_total") >= 17);
+        assert!(counter_value("snap_serve_epochs_published_total") >= 21);
         assert!(counter_value("snap_serve_queries_total") >= 200);
-        assert!(counter_value("snap_conn_dirty_marks_total") >= 1);
+        assert!(counter_value("snap_serve_updates_applied_total") >= 21);
+        assert!(counter_value("snap_serve_updates_changed_total") >= 20);
+        assert!(counter_value("snap_conn_noncertificate_deletes_total") >= 1);
+        assert!(counter_value("snap_conn_certificate_deletes_total") >= 2);
+        assert!(counter_value("snap_conn_replacements_total") >= 1);
+        assert!(counter_value("snap_conn_splits_total") >= 1);
         assert!(counter_value("snap_conn_repairs_total") >= 1);
         assert_eq!(counter_value("snap_conn_full_rebuilds_total"), 0);
         let text = MetricsRegistry::global().render_text();
         assert!(text.contains("# TYPE snap_serve_queue_depth gauge"));
         assert!(text.contains("snap_serve_publish_lag_ns_count"));
+        assert!(text.contains("snap_conn_search_scanned_entries_count"));
+        assert!(text.contains("snap_conn_relabel_members_count"));
+        assert!(text.contains("snap_conn_fallback_relabels_total"));
         let json = MetricsRegistry::global().render_json();
         assert!(json.contains("snap_serve_apply_ns"));
     } else {

@@ -30,6 +30,26 @@ fn base_edges(seed: u64) -> Vec<TimedEdge> {
     Rmat::new(RmatParams::paper(SCALE, EDGE_FACTOR), seed).edges()
 }
 
+/// How much of the edge list the engine's starting graph holds. The
+/// rest is what the mixed streams insert: their cursors start here and
+/// carry across batches, so inserts are edges the graph does not have
+/// yet, while deletes draw from the whole list (mostly live edges).
+fn base_len(edges: &[TimedEdge]) -> usize {
+    edges.len() * 3 / 4
+}
+
+/// The starting graph's construction stream.
+fn base_stream(edges: &[TimedEdge], seed: u64) -> Vec<Update> {
+    StreamBuilder::new(&edges[..base_len(edges)], seed).construction_shuffled()
+}
+
+/// How many of `history`'s updates change the graph when replayed in
+/// order on top of `base` — the oracle for `updates_changed`.
+fn oracle_changed(base: &[Update], history: &[Vec<Update>]) -> u64 {
+    let g = seeded_graph(base);
+    history.iter().flatten().filter(|u| g.apply(u)).count() as u64
+}
+
 /// Builds the engine's starting graph: base construction stream applied
 /// bulk-synchronously (sequentially, so the oracle can reproduce the
 /// exact same per-vertex state).
@@ -68,7 +88,7 @@ struct Sample {
 fn stress(shards: usize) {
     let n = 1usize << SCALE;
     let edges = base_edges(11 + shards as u64);
-    let base = StreamBuilder::new(&edges, 7).construction_shuffled();
+    let base = base_stream(&edges, 7);
     let engine = ServeEngine::new(
         seeded_graph(&base),
         ServeConfig::default()
@@ -88,10 +108,12 @@ fn stress(shards: usize) {
             .map(|p| {
                 let edges = &edges;
                 scope.spawn(move || {
-                    for i in 0..BATCHES_PER_PRODUCER {
-                        let seed = 1000 + (p * BATCHES_PER_PRODUCER + i) as u64;
-                        let batch = StreamBuilder::new(edges, seed).mixed(BATCH, 0.7);
-                        engine.submit(batch);
+                    // One generator per producer, each inserting its
+                    // own stretch of the edge list's tail.
+                    let mut stream = StreamBuilder::new(edges, 1000 + p as u64)
+                        .inserting_from(base_len(edges) + p * BATCHES_PER_PRODUCER * BATCH);
+                    for _ in 0..BATCHES_PER_PRODUCER {
+                        engine.submit(stream.mixed(BATCH, 0.7));
                     }
                 })
             })
@@ -156,6 +178,19 @@ fn stress(shards: usize) {
 
     let history = engine.history();
     assert_eq!(history.len(), PRODUCERS * BATCHES_PER_PRODUCER);
+    // Submissions vs changes: `updates_applied` counts the former,
+    // `updates_changed` exactly what an in-order replay changes.
+    assert_eq!(
+        engine.updates_applied(),
+        (PRODUCERS * BATCHES_PER_PRODUCER * BATCH) as u64
+    );
+    let changed = oracle_changed(&base, &history);
+    assert_eq!(engine.updates_changed(), changed);
+    assert!(changed <= engine.updates_applied());
+    assert!(
+        changed * 2 > engine.updates_applied(),
+        "the stream must mostly do real work, not re-insert live edges ({changed} changes)"
+    );
 
     for (k, s) in samples.iter().enumerate() {
         let batches = s.handle.batches() as usize;
@@ -207,7 +242,7 @@ fn pinned_handles_outlive_heavy_churn() {
     // epochs than the retention ring holds; the pinned version must stay
     // identical (epoch-based reclamation frees only unpinned versions).
     let edges = base_edges(42);
-    let base = StreamBuilder::new(&edges, 9).construction_shuffled();
+    let base = base_stream(&edges, 9);
     let engine = ServeEngine::new(
         seeded_graph(&base),
         ServeConfig::default()
@@ -218,10 +253,15 @@ fn pinned_handles_outlive_heavy_churn() {
     let pinned = engine.pin();
     let before_entries = pinned.num_entries();
     let before_dist = bfs(&*pinned, edges[0].u).dist;
-    for i in 0..12u64 {
-        engine.submit(StreamBuilder::new(&edges, 500 + i).mixed(64, 0.5));
+    let mut stream = StreamBuilder::new(&edges, 500).inserting_from(base_len(&edges));
+    for _ in 0..12 {
+        engine.submit(stream.mixed(64, 0.5));
     }
     engine.flush();
+    assert_eq!(
+        engine.updates_changed(),
+        oracle_changed(&base, &engine.history())
+    );
     assert!(engine.retired() >= 10, "churn must evict ring entries");
     assert!(engine.retained() <= 2);
     assert_eq!(pinned.epoch(), 0, "the pin still names its epoch");
@@ -238,7 +278,7 @@ fn same_component_stays_incremental_under_concurrent_ingest() {
     // while writers stream; afterwards, zero full rebuilds and the final
     // answers match the serial kernel.
     let edges = base_edges(77);
-    let base = StreamBuilder::new(&edges, 3).construction_shuffled();
+    let base = base_stream(&edges, 3);
     let engine = ServeEngine::new(
         seeded_graph(&base),
         ServeConfig::default().with_shards(2).with_coalesce(4),
@@ -247,8 +287,9 @@ fn same_component_stays_incremental_under_concurrent_ingest() {
     let n = 1usize << SCALE;
     std::thread::scope(|scope| {
         let writer = scope.spawn(move || {
-            for i in 0..20u64 {
-                engine.submit(StreamBuilder::new(&edges, 2000 + i).mixed(96, 0.6));
+            let mut stream = StreamBuilder::new(&edges, 2000).inserting_from(base_len(&edges));
+            for _ in 0..20 {
+                engine.submit(stream.mixed(96, 0.6));
             }
         });
         let q: Vec<_> = (0..2)
@@ -273,6 +314,7 @@ fn same_component_stays_incremental_under_concurrent_ingest() {
     });
     engine.flush();
     assert_eq!(engine.full_rebuild_count(), Some(0));
+    assert!(engine.updates_changed() <= engine.updates_applied());
     let handle = engine.pin();
     let labels = connected_components(&*handle);
     for u in (0..n as u32).step_by(37) {
