@@ -1172,8 +1172,9 @@ struct ServeRow {
 /// Concurrent serving benchmark: N client threads drive mixed
 /// update+query traffic against a [`ServeEngine`]. Writes submit
 /// 64-update mixed batches into the ingest queue; reads are
-/// `same_component` probes served from the current version's published
-/// labels. Reported per client count: update throughput (MUPS, measured
+/// `same_component` probes served from the newest cycle's published
+/// labels (no client pins, so the writer freezes a CSR only when its
+/// queue runs dry). Reported per client count: update throughput (MUPS, measured
 /// over the full run including the final flush) and query latency
 /// p50/p99 — the acceptance check asserts the incremental connectivity
 /// path never fell back to a full rebuild.

@@ -8,10 +8,11 @@
 //!   inside the representation resolves conflicts). This is what the
 //!   `Dyn-arr` / `Treaps` / `Hybrid` MUPS figures measure.
 //! - [`apply_vpart`] — `Vpart`: the vertex space is range-partitioned over
-//!   workers; **every worker scans the whole stream** and applies only the
-//!   orientations whose source vertex it owns. Zero cross-thread conflicts,
-//!   at the price of `threads x stream` reads — the trade-off Figure 3
-//!   quantifies.
+//!   workers and each applies only the orientations whose source vertex
+//!   it owns. Zero cross-thread conflicts. The paper's version has every
+//!   worker scan the whole stream (`threads x stream` reads, the
+//!   trade-off Figure 3 quantifies); here one pass buckets the
+//!   half-updates by owner first, so each worker reads only its share.
 //! - [`apply_epart`] — `Epart`: updates touching discovered-hot vertices
 //!   are diverted to per-worker private buffers and merged in a second
 //!   phase, avoiding the hot-vertex contention of the direct path at the
@@ -80,30 +81,29 @@ struct HalfUpdate {
     kind: UpdateKind,
 }
 
-/// Expands a stream into directed half-updates (two per update for
-/// undirected graphs), so that partitioned strategies can assign each half
-/// to the worker owning its source vertex.
-fn expand_half_updates(updates: &[Update], directed: bool) -> Vec<HalfUpdate> {
-    let mut out = Vec::with_capacity(if directed {
-        updates.len()
-    } else {
-        updates.len() * 2
-    });
-    for u in updates {
-        let e = u.edge;
-        out.push(HalfUpdate {
-            src: e.u,
-            entry: AdjEntry::new(e.v, e.timestamp),
-            kind: u.kind,
-        });
+/// Feeds `f` the directed half-updates of a stream in stream order (two
+/// per update for undirected graphs), each with its update's stream
+/// index, so that partitioned strategies can assign each half to the
+/// worker owning its source vertex and report per-update outcomes.
+fn for_each_half(updates: &[Update], directed: bool, mut f: impl FnMut(usize, HalfUpdate)) {
+    for (idx, u) in updates.iter().enumerate() {
+        let (e, kind) = (u.edge, u.kind);
+        let half = |src, nbr| HalfUpdate {
+            src,
+            entry: AdjEntry::new(nbr, e.timestamp),
+            kind,
+        };
+        f(idx, half(e.u, e.v));
         if !directed && e.u != e.v {
-            out.push(HalfUpdate {
-                src: e.v,
-                entry: AdjEntry::new(e.u, e.timestamp),
-                kind: u.kind,
-            });
+            f(idx, half(e.v, e.u));
         }
     }
+}
+
+/// The stream's half-updates as one vector, in stream order.
+fn expand_half_updates(updates: &[Update], directed: bool) -> Vec<HalfUpdate> {
+    let mut out = Vec::with_capacity(updates.len() * if directed { 1 } else { 2 });
+    for_each_half(updates, directed, |_, h| out.push(h));
     out
 }
 
@@ -130,61 +130,31 @@ pub fn resolve_workers(workers: usize) -> usize {
 
 /// `Vpart`: vertices are range-partitioned over
 /// [`resolve_workers`]`(workers)` shards (0 = adopt the installed pool);
-/// every worker reads the entire stream and applies the half-updates it
-/// owns. Because each vertex's half-updates are applied by exactly one
-/// worker *in stream order*, the final adjacency state is identical to
-/// sequential application, for any stream.
+/// the stream's half-updates are bucketed by owning shard once, and every
+/// worker applies its own bucket. Because each vertex's half-updates are
+/// applied by exactly one worker *in stream order*, the final adjacency
+/// state is identical to sequential application, for any stream.
+/// ([`apply_vpart_indexed`] with nothing to route into.)
 pub fn apply_vpart<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update], workers: usize) {
-    let n = g.num_vertices();
-    let halves = expand_half_updates(updates, g.is_directed());
-    let ranges = partition_ranges(n, resolve_workers(workers));
-    let adj = g.adjacency();
-    rayon::scope(|s| {
-        for r in ranges {
-            let halves = &halves;
-            s.spawn(move |_| {
-                for h in halves {
-                    if r.contains(&(h.src as usize)) {
-                        apply_half(adj, h);
-                    }
-                }
-            });
-        }
-    });
+    apply_vpart_indexed(g, updates, workers, IndexRoutes::default());
 }
 
-/// [`apply_vpart`] with per-update change tracking and connectivity
-/// routing — the sharded writer of the serving engine
-/// ([`crate::serve::ServeEngine`]).
-///
-/// Each update's "did it change the graph" verdict is the OR of its
-/// halves' outcomes (matching [`DynGraph::insert_edge`] /
-/// [`DynGraph::delete_edge`] semantics); after the parallel phase,
-/// confirmed changes are routed into `conn` in stream order (insertions
-/// union, deletions are logged for its certificate), so no-op updates —
-/// deduplicated
-/// re-inserts, deletes of absent edges — never touch the index. Returns
-/// whether any update changed the graph.
+/// [`apply_vpart_indexed`] routing into a connectivity index only.
+/// Returns whether any update changed the graph.
 pub fn apply_vpart_routed<A: DynamicAdjacency>(
     g: &DynGraph<A>,
     updates: &[Update],
     workers: usize,
     conn: Option<&ConnectivityIndex>,
 ) -> bool {
-    apply_vpart_indexed(
-        g,
-        updates,
-        workers,
-        IndexRoutes {
-            conn,
-            ..IndexRoutes::default()
-        },
-    ) > 0
+    let routes = IndexRoutes {
+        conn,
+        ..IndexRoutes::default()
+    };
+    apply_vpart_indexed(g, updates, workers, routes) > 0
 }
 
-/// Borrowed bundle of every incremental index attached to a graph — the
-/// generalization of the single `conn` argument of
-/// [`apply_vpart_routed`] to the whole index family
+/// Borrowed bundle of every incremental index attached to a graph
 /// ([`ConnectivityIndex`], [`DistanceIndex`], [`TriangleIndex`]). All
 /// slots are optional; an empty bundle routes nothing.
 #[derive(Clone, Copy, Default)]
@@ -260,46 +230,75 @@ impl<'a> IndexRoutes<'a> {
     }
 }
 
-/// [`apply_vpart`] with per-update change tracking and routing into the
-/// full index family: after the parallel phase's barrier, confirmed
-/// changes are fed to every index in [`IndexRoutes`] **in stream
-/// order** against the settled graph — so no-op updates never touch an
-/// index, and view-consuming notes (distance wavefronts, triangle
-/// delete checks) observe exactly the state their deltas describe.
-/// An update deleted later in the same batch may relax a distance
-/// certificate through an edge the final view no longer has; the
-/// later-routed delete note sees that certificate and dirty-marks it,
-/// so stream-order routing keeps the indexes exact at quiescence.
+/// The `Vpart` applier with per-update change tracking and routing into
+/// the index family — the sharded writer of the serving engine
+/// ([`crate::serve::ServeEngine`]), which hands it a whole ingest cycle
+/// as one stream.
+///
+/// Half-updates are expanded once and bucketed by owning shard in
+/// stream order; each shard walks only its bucket (a single shard runs
+/// on the calling thread, no spawn). An update's "did it change the
+/// graph" verdict is the OR of its halves' outcomes (matching
+/// [`DynGraph::insert_edge`] / [`DynGraph::delete_edge`]). After the
+/// parallel phase's barrier, confirmed changes are fed to every index
+/// in [`IndexRoutes`] **in stream order** against the settled graph —
+/// so no-op updates (deduplicated re-inserts, deletes of absent edges)
+/// never touch an index, and view-consuming notes (distance wavefronts,
+/// triangle delete checks) observe exactly the state their deltas
+/// describe. An update deleted later in the same stream may relax a
+/// distance certificate through an edge the final view no longer has;
+/// the later-routed delete note sees that certificate and dirty-marks
+/// it, so stream-order routing keeps the indexes exact at quiescence.
 /// Returns how many updates changed the graph (the per-update change
 /// flags, summed).
+///
+/// # Panics
+///
+/// Panics if an update names a source vertex outside the graph (no
+/// shard owns it), like [`DynGraph::apply`] does.
 pub fn apply_vpart_indexed<A: DynamicAdjacency>(
     g: &DynGraph<A>,
     updates: &[Update],
     workers: usize,
     routes: IndexRoutes<'_>,
 ) -> usize {
-    let n = g.num_vertices();
-    let halves = expand_half_updates_indexed(updates, g.is_directed());
-    let ranges = partition_ranges(n, resolve_workers(workers));
+    assert!(
+        updates.len() <= u32::MAX as usize,
+        "stream too large for u32 stream indices"
+    );
+    let ranges = partition_ranges(g.num_vertices(), resolve_workers(workers));
+    let shard_of = |src: u32| ranges.partition_point(|r| r.end <= src as usize);
+    // Counting pass, then a stable scatter: every bucket keeps stream
+    // order, which is all the bit-identity argument needs.
+    let mut sizes = vec![0usize; ranges.len()];
+    for_each_half(updates, g.is_directed(), |_, h| sizes[shard_of(h.src)] += 1);
+    let mut buckets: Vec<Vec<(u32, HalfUpdate)>> =
+        sizes.into_iter().map(Vec::with_capacity).collect();
+    for_each_half(updates, g.is_directed(), |idx, h| {
+        buckets[shard_of(h.src)].push((idx as u32, h));
+    });
     let adj = g.adjacency();
     let changed: Vec<AtomicBool> = updates.iter().map(|_| AtomicBool::new(false)).collect();
-    rayon::scope(|s| {
-        for r in ranges {
-            let halves = &halves;
-            let changed = &changed;
-            s.spawn(move |_| {
-                for (idx, h) in halves {
-                    if r.contains(&(h.src as usize)) && apply_half(adj, h) {
-                        // ordering: Relaxed — per-update outcome flags
-                        // joined at the scope barrier; the scope's own
-                        // synchronization publishes them (invariant 8:
-                        // scheduling never leaks into results).
-                        changed[*idx as usize].store(true, Ordering::Relaxed);
-                    }
-                }
-            });
+    let walk = |bucket: &[(u32, HalfUpdate)]| {
+        for (idx, h) in bucket {
+            if apply_half(adj, h) {
+                // ordering: Relaxed — per-update outcome flags joined at
+                // the scope barrier; the scope's own synchronization
+                // publishes them (invariant 8: scheduling never leaks
+                // into results).
+                changed[*idx as usize].store(true, Ordering::Relaxed);
+            }
         }
-    });
+    };
+    match buckets.as_slice() {
+        [only] => walk(only),
+        many => rayon::scope(|s| {
+            for bucket in many {
+                let walk = &walk;
+                s.spawn(move |_| walk(bucket));
+            }
+        }),
+    }
     let mut count = 0;
     for (u, c) in updates.iter().zip(&changed) {
         // ordering: Relaxed — read after the scope barrier above; the
@@ -310,42 +309,6 @@ pub fn apply_vpart_indexed<A: DynamicAdjacency>(
         }
     }
     count
-}
-
-/// [`expand_half_updates`] tagging each half with its update's stream
-/// index, so partitioned appliers can report per-update outcomes.
-fn expand_half_updates_indexed(updates: &[Update], directed: bool) -> Vec<(u32, HalfUpdate)> {
-    assert!(
-        updates.len() <= u32::MAX as usize,
-        "batch too large for u32 stream indices"
-    );
-    let mut out = Vec::with_capacity(if directed {
-        updates.len()
-    } else {
-        updates.len() * 2
-    });
-    for (idx, u) in updates.iter().enumerate() {
-        let e = u.edge;
-        out.push((
-            idx as u32,
-            HalfUpdate {
-                src: e.u,
-                entry: AdjEntry::new(e.v, e.timestamp),
-                kind: u.kind,
-            },
-        ));
-        if !directed && e.u != e.v {
-            out.push((
-                idx as u32,
-                HalfUpdate {
-                    src: e.v,
-                    entry: AdjEntry::new(e.u, e.timestamp),
-                    kind: u.kind,
-                },
-            ));
-        }
-    }
-    out
 }
 
 /// Routes a confirmed change into the connectivity index (no-op when

@@ -9,37 +9,48 @@
 //!
 //! 1. **Single writer, single queue.** All mutations enter through
 //!    [`ServeEngine::submit`] as batches on one FIFO ingest queue. A
-//!    dedicated writer thread drains it, coalescing adjacent batches
-//!    (bounded by [`ServeConfig::coalesce`]) and applying each via the
-//!    sharded vertex-partitioned applier
-//!    ([`crate::engine::apply_vpart_routed`]): the vertex space is
+//!    dedicated writer thread drains it in *cycles*: it coalesces the
+//!    batches already queued (bounded by [`ServeConfig::coalesce`]) into
+//!    one stream and applies it with **one** call of the sharded
+//!    vertex-partitioned applier
+//!    ([`crate::engine::apply_vpart_indexed`]): the vertex space is
 //!    range-partitioned over [`ServeConfig::shards`] workers, each
 //!    applying the half-updates it owns in stream order — zero
 //!    cross-shard conflicts, final state identical to sequential
 //!    application.
-//! 2. **Publish by pointer swap.** After an ingest cycle the writer
-//!    repairs the connectivity index, rebuilds the CSR, extracts
-//!    component labels, and publishes a new immutable [`EpochSnapshot`]
-//!    with **one** pointer swap. Readers never observe intermediate
-//!    state and never block on a build: [`ServeEngine::pin`] is a lock
-//!    acquisition measured in nanoseconds, and the returned handle is
-//!    valid forever.
+//! 2. **Labels every cycle, the CSR on demand.** After applying, the
+//!    writer settles the connectivity index and publishes the cycle's
+//!    component labels with one pointer swap, so
+//!    [`ServeEngine::same_component`], [`ServeEngine::component`] and
+//!    [`ServeEngine::epoch`] are fresh after every cycle at a cost
+//!    proportional to the batch. The O(graph) part of a version — the
+//!    CSR that traversals read — is *frozen* at the end of a cycle only
+//!    when somebody can use it: a [`ServeEngine::pin`] asked for a newer
+//!    version than the newest frozen one, or no further batch is waiting
+//!    (so an idle engine is always frozen and pins see everything). A
+//!    frozen cycle publishes an immutable [`EpochSnapshot`] with **one**
+//!    pointer swap. Readers never observe intermediate state and never
+//!    block on a build: `pin` returns the newest frozen version in
+//!    nanoseconds, with its true epoch, batch count and labels, and the
+//!    handle is valid forever. Under a sustained backlog that version
+//!    may trail the newest cycle; the pin that notices raises the
+//!    writer's wanted-flag, and the cycle that ends next freezes.
 //! 3. **Epoch-based reclamation.** The engine retains the last
-//!    [`ServeConfig::retain`] versions in a ring; older versions are
-//!    dropped from the ring but stay alive as long as any pinned handle
-//!    references them (`Arc` reference counting is the reclamation
-//!    mechanism — a `par_bc` run that pins a version for hundreds of
-//!    milliseconds keeps exactly that version alive, nothing else).
+//!    [`ServeConfig::retain`] frozen versions in a ring; older versions
+//!    are dropped from the ring but stay alive as long as any pinned
+//!    handle references them (`Arc` reference counting is the
+//!    reclamation mechanism — a `par_bc` run that pins a version for
+//!    hundreds of milliseconds keeps exactly that version alive, nothing
+//!    else).
 //!
-//! Because every published version carries the canonical component
-//! labels extracted *after* the index repair for the same state,
-//! [`ServeEngine::same_component`] stays incremental under concurrent
-//! ingest: queries are two array reads on the pinned version
-//! (wait-free), repairs happen only on the writer thread (a deletion
-//! costs a replacement search of the smaller side of the cut if it hit
-//! the index's spanning-forest certificate and nothing otherwise; no
-//! full rebuilds), and the labels are bit-identical to
-//! `connected_components` on the same snapshot.
+//! Because every cycle's labels are extracted *after* the index settled
+//! that cycle's updates, [`ServeEngine::same_component`] stays
+//! incremental under concurrent ingest: queries are two array reads on
+//! the published labels (wait-free), repairs happen only on the writer
+//! thread (a deletion costs a replacement search of the smaller side of
+//! the cut if it hit the index's spanning-forest certificate and nothing
+//! otherwise; no full rebuilds), and a frozen version's labels are
+//! bit-identical to `connected_components` on its CSR.
 //!
 //! # Consistency contract
 //!
@@ -49,6 +60,11 @@
 //! results computed on a pinned version are therefore bit-identical to a
 //! bulk-synchronous replay of that prefix (the stress suite in
 //! `tests/serving_concurrency.rs` proves this across thread counts).
+//! Epochs count writer cycles, so the epochs of successive pins may skip
+//! numbers (the cycles that froze nothing). The engine-level label
+//! queries are never older than a pin taken before them.
+//! [`ServeEngine::flush`] returning, or [`ServeEngine::pending_batches`]
+//! reading 0, means the next pin includes every batch submitted before.
 //!
 //! # Example
 //!
@@ -87,7 +103,7 @@ use snap_obs::{Counter, Gauge, Histogram, MetricsRegistry, Sampler, Stamp};
 use snap_rmat::Update;
 use snap_util::timer::Timer;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -95,10 +111,10 @@ use std::thread::JoinHandle;
 /// Tuning knobs for [`ServeEngine`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Number of versions kept in the retention ring (>= 1). Versions
-    /// evicted from the ring survive while pinned handles reference
-    /// them; `retain` only bounds how many *unpinned* old versions stay
-    /// warm for late readers.
+    /// Number of frozen versions kept in the retention ring (>= 1).
+    /// Versions evicted from the ring survive while pinned handles
+    /// reference them; `retain` only bounds how many *unpinned* old
+    /// versions stay warm for late readers.
     pub retain: usize,
     /// Writer shard count for the vertex-partitioned applier; follows
     /// the [`crate::engine::resolve_workers`] convention (0 = adopt the
@@ -109,9 +125,11 @@ pub struct ServeConfig {
     /// component labels, making [`ServeEngine::same_component`]
     /// wait-free array reads.
     pub connectivity: bool,
-    /// Max batches drained per ingest cycle (>= 1). Coalescing amortizes
-    /// one CSR rebuild over a burst of queued batches; 1 publishes a
-    /// version per batch.
+    /// Max batches drained per ingest cycle (>= 1). A cycle applies its
+    /// batches with one applier call and settles the index once, so
+    /// coalescing amortizes the per-cycle overheads (thread hand-off,
+    /// label extraction) over a burst of queued batches; 1 runs a cycle
+    /// per batch.
     pub coalesce: usize,
     /// Record every applied batch in submission order, exposed via
     /// [`ServeEngine::history`] so tests can replay any published
@@ -190,7 +208,8 @@ impl ServeConfig {
     }
 }
 
-/// One published, immutable version of the graph.
+/// One frozen, immutable version of the graph: what
+/// [`ServeEngine::pin`] hands out.
 ///
 /// Implements [`GraphView`], so every kernel runs directly on a pinned
 /// handle (`par_bfs(&*handle, src)`), with the CSR fast path available
@@ -203,8 +222,9 @@ pub struct EpochSnapshot {
 }
 
 impl EpochSnapshot {
-    /// Publication sequence number (0 = the construction snapshot; +1
-    /// per writer publication).
+    /// The writer cycle this version froze (0 = the construction
+    /// snapshot; +1 per cycle, frozen or not — so consecutive versions'
+    /// epochs may differ by more than one).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -316,6 +336,9 @@ struct ServeMetrics {
     publish_ns: Histogram,
     publish_lag_ns: Histogram,
     epochs: Counter,
+    freezes: Counter,
+    freezes_skipped: Counter,
+    pin_staleness: Histogram,
     updates_applied: Counter,
     updates_changed: Counter,
     retained: Gauge,
@@ -336,7 +359,7 @@ impl ServeMetrics {
         Self {
             queue_depth: r.gauge(
                 "snap_serve_queue_depth",
-                "Update batches submitted but not yet applied by the writer",
+                "Update batches submitted but not yet taken into a writer cycle",
             ),
             coalesced: r.histogram(
                 "snap_serve_coalesced_batches",
@@ -352,11 +375,11 @@ impl ServeMetrics {
             ),
             freeze_ns: r.histogram(
                 "snap_serve_freeze_ns",
-                "Per-cycle CSR freeze (to_csr) time (ns)",
+                "CSR freeze (to_csr) time of the cycles that froze (ns)",
             ),
             publish_ns: r.histogram(
                 "snap_serve_publish_ns",
-                "Per-cycle publication time: pointer swap + ring maintenance (ns)",
+                "Per-freeze publication time: pointer swap + ring maintenance (ns)",
             ),
             publish_lag_ns: r.histogram(
                 "snap_serve_publish_lag_ns",
@@ -364,7 +387,19 @@ impl ServeMetrics {
             ),
             epochs: r.counter(
                 "snap_serve_epochs_published_total",
-                "Versions published by the writer (excluding version 0)",
+                "Writer cycles completed (label publications, excluding version 0)",
+            ),
+            freezes: r.counter(
+                "snap_serve_freezes_total",
+                "Frozen versions published to pins (excluding version 0)",
+            ),
+            freezes_skipped: r.counter(
+                "snap_serve_freezes_skipped_total",
+                "Writer cycles that froze nothing: no pin asked, more batches waiting",
+            ),
+            pin_staleness: r.histogram(
+                "snap_serve_pin_staleness_epochs",
+                "Newest cycle epoch minus the epoch of the version a pin returned",
             ),
             updates_applied: r.counter(
                 "snap_serve_updates_applied_total",
@@ -400,13 +435,27 @@ struct Shared<A: DynamicAdjacency> {
     conn: Option<ConnectivityIndex>,
     dist: Option<DistanceIndex>,
     tri: Option<TriangleIndex>,
-    /// The publication pointer. The write lock is held only for the
-    /// pointer swap (never during a build), so readers pin in O(1).
+    /// The newest *frozen* version — what pins get. The write lock is
+    /// held only for the pointer swap (never during a build), so
+    /// readers pin in O(1).
     current: RwLock<Arc<EpochSnapshot>>,
-    /// Last `retain` published versions, newest at the back.
+    /// The newest *cycle's* component labels, swapped in every cycle
+    /// that changed the graph — what the engine-level label queries
+    /// read. Never older than `current`'s labels.
+    labels: RwLock<Option<Arc<Vec<u32>>>>,
+    /// The newest cycle's epoch; runs ahead of `current.epoch` while
+    /// cycles skip their freeze.
+    cycle_epoch: AtomicU64,
+    /// Raised by a pin that got a version behind `cycle_epoch`, lowered
+    /// by the freeze that catches up: the writer's "somebody wants a
+    /// newer CSR" signal.
+    wanted: AtomicBool,
+    /// Last `retain` frozen versions, newest at the back.
     ring: Mutex<VecDeque<Arc<EpochSnapshot>>>,
     history: Mutex<Vec<Vec<Update>>>,
+    /// Batches submitted but not yet covered by a frozen version.
     pending: AtomicUsize,
+    freezes: AtomicU64,
     updates_applied: AtomicU64,
     updates_changed: AtomicU64,
     retired: AtomicU64,
@@ -444,7 +493,7 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
             epoch: 0,
             batches: 0,
             csr,
-            labels,
+            labels: labels.clone(),
         });
         let shared = Arc::new(Shared {
             graph,
@@ -452,9 +501,13 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
             dist,
             tri,
             current: RwLock::new(Arc::clone(&v0)),
+            labels: RwLock::new(labels),
+            cycle_epoch: AtomicU64::new(0),
+            wanted: AtomicBool::new(false),
             ring: Mutex::new(VecDeque::from([v0])),
             history: Mutex::new(Vec::new()),
             pending: AtomicUsize::new(0),
+            freezes: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
             updates_changed: AtomicU64::new(0),
             retired: AtomicU64::new(0),
@@ -474,7 +527,7 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
             // return an error from yet, and the message names the cause.
             std::thread::Builder::new()
                 .name("snap-serve-writer".into())
-                .spawn(move || writer_loop(&shared, &rx))
+                .spawn(move || Writer::new(&shared).run(&rx))
                 .expect("spawn serve writer thread")
         };
         Self {
@@ -484,24 +537,50 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         }
     }
 
-    /// Pins the newest published version. Never blocks on the writer
-    /// (the publication lock is held only for a pointer swap) and never
+    /// Pins the newest *frozen* version. Never blocks on the writer (the
+    /// publication lock is held only for a pointer swap) and never
     /// fails; the handle stays valid and immutable until dropped, even
     /// if the version is later evicted from the retention ring.
+    ///
+    /// On an idle engine that version includes every submitted batch.
+    /// While the writer works through a backlog it may trail the newest
+    /// cycle (its [`EpochSnapshot::epoch`] / [`EpochSnapshot::batches`]
+    /// say by how much: the version is always internally consistent);
+    /// this call then raises the writer's wanted-flag, and the cycle
+    /// that ends next freezes — a polling reader is at most one cycle
+    /// behind what it asked for.
     pub fn pin(&self) -> SnapshotHandle {
-        self.shared.metrics.pins.inc();
-        Arc::clone(&self.shared.current.read())
+        let s = &*self.shared;
+        s.metrics.pins.inc();
+        let snap = Arc::clone(&s.current.read());
+        // ordering: SeqCst (this load, the flag accesses below, and the
+        // writer's `cycle_epoch` store / `wanted` load) — the
+        // store-buffering shape: a pin that raises the flag and then
+        // reads cycle epoch e is ordered before the writer's store of
+        // e + 1, so the freeze decision of cycle e + 1 at the latest
+        // sees the flag (invariant 1's staleness bound).
+        let newest = s.cycle_epoch.load(Ordering::SeqCst);
+        // ordering: SeqCst — see above; the load keeps pins from
+        // contending on the flag's cache line once it is up.
+        if newest > snap.epoch && !s.wanted.load(Ordering::SeqCst) {
+            // ordering: SeqCst — see above.
+            s.wanted.store(true, Ordering::SeqCst);
+        }
+        s.metrics.pin_staleness.record(newest - snap.epoch);
+        snap
     }
 
-    /// Enqueues a batch for the writer. Returns immediately; the batch
-    /// becomes visible to readers when the writer publishes the version
-    /// including it (all earlier submissions included first — the queue
-    /// is FIFO). Call [`ServeEngine::flush`] for a publication barrier.
+    /// Enqueues a batch for the writer. Returns immediately; the label
+    /// queries reflect the batch once the cycle applying it ends, pins
+    /// once a version including it freezes (all earlier submissions
+    /// included first — the queue is FIFO). Call [`ServeEngine::flush`]
+    /// for a publication barrier.
     pub fn submit(&self, batch: Vec<Update>) {
         // ordering: AcqRel — increments before the channel send, pairs
-        // with the writer's post-publication AcqRel fetch_sub so
-        // `pending_batches() == 0` implies full visibility
-        // (invariant 1's publication discipline).
+        // with the writer's post-freeze AcqRel fetch_sub so
+        // `pending_batches() == 0` implies full visibility, and with
+        // its end-of-cycle load so a batch on its way keeps the freeze
+        // skippable (invariant 1's publication discipline).
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
         self.shared.metrics.queue_depth.inc();
         // panics: the writer thread owns `rx` for the whole engine
@@ -514,7 +593,8 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     }
 
     /// Publication barrier: blocks until every batch submitted before
-    /// this call has been applied *and published*.
+    /// this call has been applied *and frozen* into the version the next
+    /// [`ServeEngine::pin`] returns.
     pub fn flush(&self) {
         let (ack_tx, ack_rx) = mpsc::sync_channel(1);
         // panics: as in `submit` — the writer outlives every `&self`
@@ -528,14 +608,18 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         ack_rx.recv().expect("serve writer dropped flush ack");
     }
 
-    /// Epoch of the newest published version.
+    /// Epoch of the newest writer cycle — the state the label queries
+    /// answer from. At least the epoch of any version pinned earlier.
     pub fn epoch(&self) -> u64 {
-        self.shared.current.read().epoch
+        // ordering: Acquire — pairs with the writer's end-of-cycle
+        // store, which follows the cycle's label swap (invariant 1).
+        self.shared.cycle_epoch.load(Ordering::Acquire)
     }
 
-    /// True if `u` and `v` are connected in the newest published
-    /// version: one pin plus two array reads, wait-free with respect to
-    /// the writer.
+    /// True if `u` and `v` are connected as of the newest writer cycle:
+    /// two array reads under the label pointer's read lock, wait-free
+    /// with respect to the writer, and never older than a version
+    /// pinned before the call.
     ///
     /// # Panics
     ///
@@ -545,31 +629,38 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         let m = &self.shared.metrics;
         m.queries.inc();
         let sampled = m.query_sampler.tick().then(Stamp::now);
-        // panics: documented contract (see `# Panics` above) — the
-        // engine was built with connectivity disabled.
-        let res = Arc::clone(&self.shared.current.read())
-            .same_component(u, v)
-            .expect("ServeConfig::connectivity is disabled");
+        let res = {
+            let labels = self.shared.labels.read();
+            // panics: documented contract (see `# Panics` above) — the
+            // engine was built with connectivity disabled.
+            let l = labels
+                .as_ref()
+                .expect("ServeConfig::connectivity is disabled");
+            l[u as usize] == l[v as usize]
+        };
         if let Some(t) = sampled {
             m.query_ns.record(t.elapsed_ns());
         }
         res
     }
 
-    /// Component label of `u` in the newest published version (see
+    /// Component label of `u` as of the newest writer cycle (see
     /// [`ServeEngine::same_component`] for the cost and panic contract).
     pub fn component(&self, u: u32) -> u32 {
         self.shared.metrics.queries.inc();
         // panics: documented contract (see `same_component`) — the
         // engine was built with connectivity disabled.
-        Arc::clone(&self.shared.current.read())
-            .component(u)
-            .expect("ServeConfig::connectivity is disabled")
+        self.shared
+            .labels
+            .read()
+            .as_ref()
+            .expect("ServeConfig::connectivity is disabled")[u as usize]
     }
 
-    /// Batches submitted but not yet applied by the writer.
+    /// Batches submitted but not yet visible to pins (queued, or applied
+    /// in a cycle that has not been frozen yet).
     pub fn pending_batches(&self) -> usize {
-        // ordering: Acquire — pairs with the writer's post-publication
+        // ordering: Acquire — pairs with the writer's post-freeze
         // AcqRel fetch_sub: observing 0 here means every submitted
         // batch is visible to a subsequent pin (invariant 1).
         self.shared.pending.load(Ordering::Acquire)
@@ -588,6 +679,14 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     pub fn updates_changed(&self) -> u64 {
         // ordering: Relaxed — statistics counter (invariant 9).
         self.shared.updates_changed.load(Ordering::Relaxed)
+    }
+
+    /// Frozen versions published so far, version 0 excluded — at most
+    /// [`ServeEngine::epoch`], and fewer whenever a cycle found nobody
+    /// asking and more batches waiting.
+    pub fn freezes(&self) -> u64 {
+        // ordering: Relaxed — statistics counter (invariant 9).
+        self.shared.freezes.load(Ordering::Relaxed)
     }
 
     /// Versions currently held in the retention ring.
@@ -709,8 +808,9 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         self.shared.history.lock().clone()
     }
 
-    /// Stops the writer (applying nothing further) and waits for it to
-    /// exit. Equivalent to dropping the engine, but explicit.
+    /// Stops the writer and waits for it to exit. The queue is FIFO, so
+    /// every batch submitted before this call is still applied first.
+    /// Equivalent to dropping the engine, but explicit.
     pub fn shutdown(self) {}
 }
 
@@ -729,94 +829,129 @@ impl<A: DynamicAdjacency + 'static> Drop for ServeEngine<A> {
     }
 }
 
-fn writer_loop<A: DynamicAdjacency>(shared: &Shared<A>, rx: &Receiver<Ingest>) {
-    // A non-batch message pulled while coalescing is stashed and handled
-    // on the next iteration, *after* the preceding batches publish — so
-    // a Flush acks only once everything submitted before it is visible,
-    // and a Stop never drops batches that were coalesced ahead of it.
-    let mut stash: Option<Ingest> = None;
-    loop {
-        let msg = match stash.take() {
-            Some(m) => m,
-            None => match rx.recv() {
-                Ok(m) => m,
-                Err(_) => return, // engine dropped
-            },
-        };
-        match msg {
-            Ingest::Stop => return,
-            Ingest::Flush(ack) => {
-                // Receiver may have timed out / gone away; ignore.
-                let _ = ack.send(());
-            }
-            Ingest::Batch(first, stamp) => {
-                let mut batches = vec![first];
-                let mut stamps = vec![stamp];
-                while batches.len() < shared.coalesce {
-                    match rx.try_recv() {
-                        Ok(Ingest::Batch(b, s)) => {
-                            batches.push(b);
-                            stamps.push(s);
-                        }
-                        Ok(other) => {
-                            stash = Some(other);
-                            break;
-                        }
-                        Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-                    }
-                }
-                apply_and_publish(shared, batches, &stamps);
-            }
-        }
-    }
+/// The writer thread's own state: what it has applied that the newest
+/// frozen version does not cover yet.
+struct Writer<'a, A: DynamicAdjacency> {
+    shared: &'a Shared<A>,
+    /// The cycle's coalesced batches as one stream (reused every cycle).
+    stream: Vec<Update>,
+    /// Submission stamps of the batches applied since the last freeze —
+    /// as many entries as `pending` still counts on their behalf. (The
+    /// stamps are ZSTs without the `obs` feature; the length is real.)
+    uncovered: Vec<Stamp>,
+    /// Whether the graph changed since the last freeze.
+    dirty: bool,
+    /// Cycles run so far (what `Shared::cycle_epoch` publishes).
+    epoch: u64,
 }
 
-/// One ingest cycle: apply the coalesced batches through the sharded
-/// applier, repair the index, build the CSR + labels, publish with a
-/// single pointer swap, and retire ring overflow.
-fn apply_and_publish<A: DynamicAdjacency>(
-    shared: &Shared<A>,
-    batches: Vec<Vec<Update>>,
-    stamps: &[Stamp],
-) {
-    let m = &shared.metrics;
-    m.coalesced.record(batches.len() as u64);
-    let mut changed = 0u64;
-    let mut applied = 0u64;
-    {
-        let _t = Timer::scope(&m.apply_ns);
-        let routes = IndexRoutes {
-            conn: shared.conn.as_ref(),
-            dist: shared.dist.as_ref(),
-            tri: shared.tri.as_ref(),
-        };
-        for batch in &batches {
-            applied += batch.len() as u64;
-            changed += apply_vpart_indexed(&shared.graph, batch, shared.shards, routes) as u64;
+impl<'a, A: DynamicAdjacency> Writer<'a, A> {
+    fn new(shared: &'a Shared<A>) -> Self {
+        Self {
+            shared,
+            stream: Vec::new(),
+            uncovered: Vec::new(),
+            dirty: false,
+            epoch: 0,
         }
     }
-    let cycle_batches = batches.len() as u64;
-    if shared.record_history {
-        shared.history.lock().extend(batches);
-    }
-    // ordering: Relaxed — statistics counter (invariant 9); readers
-    // never infer visibility from it.
-    shared.updates_applied.fetch_add(applied, Ordering::Relaxed);
-    // ordering: Relaxed — statistics counter, as above.
-    shared.updates_changed.fetch_add(changed, Ordering::Relaxed);
-    m.updates_applied.add(applied);
-    m.updates_changed.add(changed);
 
-    let prev = Arc::clone(&shared.current.read());
-    let (csr, labels) = if changed > 0 {
-        // Repair order matters: labels are extracted *after* the index
-        // absorbed this cycle's routed updates, over the live graph the
-        // writer exclusively owns. `labels` settles the cycle's logged
-        // deletes through the certificate (a search of the smaller side
-        // per cut tree edge; nothing for the rest) — never a full
-        // rebuild. The CSR is built from the same quiescent state, so
-        // csr/labels/epoch agree exactly.
-        let labels = {
+    fn run(mut self, rx: &Receiver<Ingest>) {
+        // A non-batch message pulled while coalescing is stashed and
+        // handled on the next iteration, *after* the preceding batches'
+        // cycle — so a Flush acks only once everything submitted before
+        // it is visible, and a Stop never drops batches that were
+        // coalesced ahead of it.
+        let mut stash: Option<Ingest> = None;
+        loop {
+            let msg = match stash.take() {
+                Some(m) => m,
+                None => match rx.recv() {
+                    Ok(m) => m,
+                    Err(_) => return, // engine dropped
+                },
+            };
+            match msg {
+                Ingest::Stop => return,
+                Ingest::Flush(ack) => {
+                    // A cycle skips its freeze only while another
+                    // client's batch is on its way, so this barrier
+                    // finds unfrozen cycles only when it overtook that
+                    // batch in the queue.
+                    if !self.uncovered.is_empty() {
+                        self.freeze();
+                    }
+                    // Receiver may have timed out / gone away; ignore.
+                    let _ = ack.send(());
+                }
+                Ingest::Batch(first, stamp) => stash = self.cycle(first, stamp, rx),
+            }
+        }
+    }
+
+    /// One ingest cycle: coalesce the queued batches into one stream,
+    /// apply it with one sharded applier call, settle the indexes,
+    /// publish the cycle's labels with a single pointer swap — and
+    /// freeze only if a pin asked or the queue ran dry. Returns the
+    /// non-batch message that ended the coalescing, if any.
+    fn cycle(&mut self, first: Vec<Update>, stamp: Stamp, rx: &Receiver<Ingest>) -> Option<Ingest> {
+        let shared = self.shared;
+        let m = &shared.metrics;
+        let mut stash = None;
+        let mut batches = vec![first];
+        self.uncovered.push(stamp);
+        while batches.len() < shared.coalesce {
+            match rx.try_recv() {
+                Ok(Ingest::Batch(b, s)) => {
+                    batches.push(b);
+                    self.uncovered.push(s);
+                }
+                Ok(other) => {
+                    stash = Some(other);
+                    break;
+                }
+                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
+            }
+        }
+        m.coalesced.record(batches.len() as u64);
+        m.queue_depth.sub(batches.len() as i64);
+        self.stream.clear();
+        for b in &batches {
+            self.stream.extend_from_slice(b);
+        }
+        let applied = self.stream.len() as u64;
+        let changed = {
+            let _t = Timer::scope(&m.apply_ns);
+            let routes = IndexRoutes {
+                conn: shared.conn.as_ref(),
+                dist: shared.dist.as_ref(),
+                tri: shared.tri.as_ref(),
+            };
+            apply_vpart_indexed(&shared.graph, &self.stream, shared.shards, routes) as u64
+        };
+        self.epoch += 1;
+        if shared.record_history {
+            shared.history.lock().extend(batches);
+        }
+        // ordering: Relaxed — statistics counter (invariant 9); readers
+        // never infer visibility from it.
+        shared.updates_applied.fetch_add(applied, Ordering::Relaxed);
+        // ordering: Relaxed — statistics counter, as above.
+        shared.updates_changed.fetch_add(changed, Ordering::Relaxed);
+        m.updates_applied.add(applied);
+        m.updates_changed.add(changed);
+
+        // A no-op cycle (deletes of absent edges, deduplicated
+        // re-inserts) keeps the previous labels and leaves the graph
+        // clean, so a freeze after it shares the previous CSR.
+        if changed > 0 {
+            self.dirty = true;
+            // Repair order matters: labels are extracted *after* the
+            // index absorbed this cycle's routed updates, over the live
+            // graph the writer exclusively owns. `labels` settles the
+            // cycle's logged deletes through the certificate (a search
+            // of the smaller side per cut tree edge; nothing for the
+            // rest) — never a full rebuild.
             let _t = Timer::scope(&m.repair_ns);
             // Distance repairs ride the same writer-side repair phase:
             // queries between cycles then read clean rows lock-free
@@ -824,56 +959,93 @@ fn apply_and_publish<A: DynamicAdjacency>(
             if let Some(d) = shared.dist.as_ref() {
                 d.repair_all(&shared.graph);
             }
-            shared
-                .conn
-                .as_ref()
-                .map(|c| Arc::new(c.labels(&shared.graph)))
-        };
-        let csr = {
+            if let Some(c) = shared.conn.as_ref() {
+                let labels = Arc::new(c.labels(&shared.graph));
+                *shared.labels.write() = Some(labels);
+            }
+        }
+        // ordering: SeqCst — after the label swap, so an epoch read
+        // implies labels at least that new; SeqCst (with the flag load
+        // below) for the store-buffering argument spelled out in `pin`.
+        shared.cycle_epoch.store(self.epoch, Ordering::SeqCst);
+        m.epochs.inc();
+
+        // Freeze on demand: skip only when nobody asked *and* a batch
+        // beyond the ones applied so far is already submitted — the
+        // cycle that takes it decides again, so the last cycle of a
+        // burst always freezes and an idle engine is always frozen.
+        // ordering: SeqCst — pairs with `pin`'s flag store (see there).
+        let asked = shared.wanted.load(Ordering::SeqCst);
+        // ordering: Acquire — pairs with `submit`'s AcqRel increment,
+        // which precedes its channel send.
+        let waiting = shared.pending.load(Ordering::Acquire) > self.uncovered.len();
+        if asked || !waiting {
+            self.freeze();
+        } else {
+            m.freezes_skipped.inc();
+        }
+        stash
+    }
+
+    /// Builds the CSR of the current state (the writer is the only
+    /// thread that ever mutates the live graph, so it is quiescent
+    /// here), publishes it with the newest cycle's epoch, batch count
+    /// and labels by a single pointer swap, hands the covered batches'
+    /// `pending` counts and lag stamps over, and retires ring overflow.
+    fn freeze(&mut self) {
+        let shared = self.shared;
+        let m = &shared.metrics;
+        let prev = Arc::clone(&shared.current.read());
+        let csr = if self.dirty {
             let _t = Timer::scope(&m.freeze_ns);
             Arc::new(shared.graph.to_csr())
+        } else {
+            Arc::clone(&prev.csr)
         };
-        (csr, labels)
-    } else {
-        // A no-op cycle (deletes of absent edges, deduplicated
-        // re-inserts) publishes a new epoch sharing the previous
-        // version's CSR and labels — O(1), no rebuild.
-        (Arc::clone(&prev.csr), prev.labels.clone())
-    };
-    let snap = Arc::new(EpochSnapshot {
-        epoch: prev.epoch + 1,
-        batches: prev.batches + cycle_batches,
-        csr,
-        labels,
-    });
-    // Publication: everything above is complete before the swap, so a
-    // reader pinning after it sees graph, index, CSR and labels in
-    // agreement. The write lock guards only this swap.
-    let _t = Timer::scope(&m.publish_ns);
-    *shared.current.write() = Arc::clone(&snap);
-    // Every batch in this cycle is now visible to pins.
-    for s in stamps {
-        m.publish_lag_ns.record(s.elapsed_ns());
-    }
-    m.epochs.inc();
-    m.queue_depth.sub(cycle_batches as i64);
-    // Decrement pending only after publication so `pending_batches() ==
-    // 0` implies every submitted batch is visible to new pins.
-    // ordering: AcqRel — the release half pairs with pending_batches'
-    // Acquire load; the decrement is the post-publication signal
-    // (invariant 1).
-    shared
-        .pending
-        .fetch_sub(cycle_batches as usize, Ordering::AcqRel);
-    let mut ring = shared.ring.lock();
-    ring.push_back(snap);
-    m.retained.inc();
-    while ring.len() > shared.retain {
-        ring.pop_front();
-        // ordering: Relaxed — statistics counter (invariant 9); the
-        // ring itself is guarded by its mutex.
-        shared.retired.fetch_add(1, Ordering::Relaxed);
-        m.retained.dec();
+        self.dirty = false;
+        // Every batch applied since the last freeze is now visible to
+        // pins.
+        let covered = self.uncovered.len();
+        let snap = Arc::new(EpochSnapshot {
+            epoch: self.epoch,
+            batches: prev.batches + covered as u64,
+            csr,
+            // Only this thread swaps the label pointer, so this is the
+            // newest cycle's.
+            labels: shared.labels.read().clone(),
+        });
+        // Publication: everything above is complete before the swap, so
+        // a reader pinning after it sees CSR, labels, epoch and batch
+        // count of one state. The write lock guards only this swap.
+        let _t = Timer::scope(&m.publish_ns);
+        *shared.current.write() = Arc::clone(&snap);
+        // Every pin that raised the flag saw a cycle no newer than this
+        // one (there is none yet), so this version is what it asked for.
+        // ordering: Relaxed — a hint; a raise racing this store costs
+        // one early freeze, never a missed one.
+        shared.wanted.store(false, Ordering::Relaxed);
+        for s in self.uncovered.drain(..) {
+            m.publish_lag_ns.record(s.elapsed_ns());
+        }
+        // Decrement pending only after publication so `pending_batches()
+        // == 0` implies every submitted batch is visible to new pins.
+        // ordering: AcqRel — the release half pairs with pending_batches'
+        // Acquire load; the decrement is the post-publication signal
+        // (invariant 1).
+        shared.pending.fetch_sub(covered, Ordering::AcqRel);
+        // ordering: Relaxed — statistics counter (invariant 9).
+        shared.freezes.fetch_add(1, Ordering::Relaxed);
+        m.freezes.inc();
+        let mut ring = shared.ring.lock();
+        ring.push_back(snap);
+        m.retained.inc();
+        while ring.len() > shared.retain {
+            ring.pop_front();
+            // ordering: Relaxed — statistics counter (invariant 9); the
+            // ring itself is guarded by its mutex.
+            shared.retired.fetch_add(1, Ordering::Relaxed);
+            m.retained.dec();
+        }
     }
 }
 
@@ -924,10 +1096,12 @@ mod tests {
         e.flush();
         let old = e.pin();
         let (old_epoch, old_entries) = (old.epoch(), old.num_entries());
+        // A flush per batch demands a frozen version per batch (a
+        // back-to-back burst may freeze as little as once).
         for i in 0..10u32 {
             e.submit(vec![ins(i % 7, (i + 1) % 7, 10 + i)]);
+            e.flush();
         }
-        e.flush();
         assert!(e.retained() <= 2);
         assert!(e.retired() > 0);
         assert!(e.epoch() > old_epoch);

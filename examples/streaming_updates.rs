@@ -67,10 +67,13 @@ fn main() {
 
 /// The serving path: ingest never stops, queries never wait. The engine's
 /// writer thread drains the submitted batches in the background, applies
-/// them sharded across the update engine's workers, repairs the
-/// connectivity index incrementally, and publishes each new version by a
-/// single pointer swap — so every foreground read below runs against one
-/// consistent epoch, pinned in O(1), while newer epochs keep landing.
+/// each cycle's batches with one sharded applier call, repairs the
+/// connectivity index incrementally and publishes fresh labels every
+/// cycle; the CSR is frozen only when a reader asks — each `pin()` below
+/// that comes back behind the writer makes the next cycle freeze — and a
+/// frozen version is published by a single pointer swap, so every
+/// foreground read runs against one consistent epoch, pinned in O(1),
+/// while newer epochs keep landing.
 fn serve_concurrently(n: usize, edges: &[TimedEdge], base: &[Update], batches: &[Vec<Update>]) {
     let hints = CapacityHints::new(base.len() * 3);
     let graph: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints);

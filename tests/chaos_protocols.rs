@@ -8,7 +8,7 @@
 //! schedule the quiesced state must be **bit-identical** to a
 //! bulk-synchronous oracle, with zero panics or deadlocks along the way.
 //!
-//! Five protocols are swept, one per test:
+//! Six protocols are swept, one per test:
 //!
 //! 1. **Shield-bit repair** (invariant 4): deletion-heavy batches race
 //!    `same_component` queries whose targeted repairs must never expose
@@ -24,6 +24,10 @@
 //! 5. **Triangle deltas** (invariant 3, packed CAS counters): racing
 //!    writers apply O(min-degree) deltas while readers sample counts;
 //!    the quiesced counts must match the kernels recount to the bit.
+//! 6. **Demand-driven freeze** (invariant 1): a back-to-back drain
+//!    skips freezes unless a racing pin raises the wanted-flag; every
+//!    version pinned on the way is one prefix — CSR *and* labels — and
+//!    `pending_batches() == 0` means the next pin has everything.
 //!
 //! The suite also runs (and must pass) without the feature: the chaos
 //! entry points compile to no-ops, so this doubles as a plain stress
@@ -419,6 +423,83 @@ fn triangle_deltas_match_oracle_across_seeds() {
             0,
             "seed {seed}: deltas must do all the work"
         );
+    }
+}
+
+/// Protocol 6 — demand-driven freeze (invariant 1). A producer submits
+/// single-batch cycles back to back, so the writer freezes only when the
+/// racing reader's pin raised the wanted-flag or the queue ran dry. The
+/// yields land on the label swap, the publication swap and the flag
+/// hand-off; under every schedule a pinned version's CSR and labels
+/// both equal the replay of its own `batches()` (never one prefix's CSR
+/// with another's labels), a drained queue means a complete pin, and
+/// the label queries are never behind a pin.
+#[test]
+fn demand_freeze_matches_oracle_across_seeds() {
+    const SCALE: u32 = 8;
+    const BATCHES: u64 = 24;
+    let n = 1usize << SCALE;
+    let edges = Rmat::new(RmatParams::paper(SCALE, 8), 654).edges();
+    let base_len = edges.len() * 3 / 4;
+    let base = StreamBuilder::new(&edges[..base_len], 7).construction_shuffled();
+    // The base graph with `history` replayed on top, bulk-synchronously.
+    let replay = |history: &[Vec<Update>]| {
+        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(base.len() * 3));
+        for u in base.iter().chain(history.iter().flatten()) {
+            g.apply(u);
+        }
+        g
+    };
+    for seed in 0..SEEDS {
+        set_chaos_seed(seed);
+        let engine = ServeEngine::new(
+            replay(&[]),
+            ServeConfig::default()
+                .with_shards(2)
+                .with_coalesce(1)
+                .with_history(true),
+        );
+        let engine = &engine;
+        let edges = &edges;
+        let pins = std::thread::scope(|scope| {
+            let producer = scope.spawn(move || {
+                let mut stream =
+                    StreamBuilder::new(edges, 2000 + seed * 100).inserting_from(base_len);
+                for _ in 0..BATCHES {
+                    engine.submit(stream.mixed(48, 0.7));
+                }
+            });
+            let mut pins = Vec::new();
+            while !producer.is_finished() || engine.pending_batches() > 0 {
+                let handle = engine.pin();
+                assert!(engine.epoch() >= handle.epoch(), "seed {seed}");
+                pins.push(handle);
+                std::thread::yield_now();
+            }
+            producer.join().expect("producer must not panic");
+            pins.push(engine.pin());
+            pins
+        });
+        let last = pins.last().expect("pinned at least once");
+        assert_eq!(
+            last.batches(),
+            BATCHES,
+            "seed {seed}: a drained queue means the next pin has everything"
+        );
+        assert_eq!(engine.epoch(), BATCHES, "seed {seed}: a cycle per batch");
+        assert!(engine.freezes() <= BATCHES, "seed {seed}");
+        let history = engine.history();
+        let mut seen = std::collections::HashSet::new();
+        for handle in pins.iter().filter(|h| seen.insert(h.epoch())) {
+            let oracle = replay(&history[..handle.batches() as usize]).to_csr();
+            let (mut got, mut want) = (handle.collect_entries(), oracle.collect_entries());
+            got.sort_unstable();
+            want.sort_unstable();
+            let at = format!("seed {seed} epoch {}", handle.epoch());
+            assert_eq!(got, want, "{at}: CSR");
+            let published = handle.component_labels().expect("conn on");
+            assert_eq!(***published, connected_components(&oracle), "{at}: labels");
+        }
     }
 }
 

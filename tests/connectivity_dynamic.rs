@@ -378,3 +378,104 @@ fn incremental_index_tracks_mixed_batches_without_rebuilds() {
         }
     }
 }
+
+/// The serving writer hands `apply_vpart_indexed` a whole cycle — its
+/// coalesced batches concatenated — in one call. That must be the same
+/// thing as one call per batch: the same final adjacency, the same
+/// number of changed updates, and the same notes in the same order into
+/// all three indexes. The note order shows in the connectivity
+/// certificate (the first edge to join two components becomes the tree
+/// edge); the distance and triangle notes read the settled view, which
+/// now is the end of the cycle rather than of the batch, so their rows
+/// and counts are checked against from-scratch oracles as well.
+#[test]
+fn one_applier_call_per_cycle_equals_one_per_batch() {
+    use snap::core::distindex::DistanceIndex;
+    use snap::core::engine::{apply_vpart_indexed, IndexRoutes};
+    use snap::core::triindex::TriangleIndex;
+    const N: u32 = 256;
+    const SOURCES: [u32; 2] = [0, 7];
+    let ins = |u, v| Update::insert(TimedEdge::new(u, v, 1 + (u + v) % 50));
+    let del = |u, v| Update::delete(TimedEdge::new(u, v, 0));
+    // Six seeded batches over a small pair pool, so re-inserts of live
+    // edges, deletes of absent ones and delete-then-re-insert all occur.
+    let mut rng = rng_for(SUITE, 9, 0);
+    let mut batches: Vec<Vec<Update>> = (0..6)
+        .map(|_| {
+            (0..300)
+                .map(|_| {
+                    let u = rng.next_bounded(N as u64 / 2) as u32;
+                    let v = rng.next_bounded(N as u64) as u32;
+                    if rng.next_bounded(10) < 7 {
+                        ins(u, v)
+                    } else {
+                        del(u, v)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    // And, pinned: a duplicate insert and a delete-then-re-insert of one
+    // edge, each straddling a batch boundary.
+    batches[0].push(ins(200, 201));
+    batches[1].insert(0, ins(200, 201));
+    batches[2].extend([ins(210, 211), ins(211, 212), ins(210, 212)]);
+    batches[3].push(del(210, 211));
+    batches[4].insert(0, ins(210, 211));
+    let cycle: Vec<Update> = batches.concat();
+
+    struct Side {
+        g: DynGraph<HybridAdj>,
+        conn: ConnectivityIndex,
+        dist: DistanceIndex,
+        tri: TriangleIndex,
+    }
+    impl Side {
+        fn new(hints: &CapacityHints) -> Self {
+            let g = DynGraph::undirected(N as usize, hints);
+            let conn = ConnectivityIndex::from_view(&g);
+            let dist = DistanceIndex::from_view(&g, &SOURCES);
+            let tri = TriangleIndex::from_view(&g);
+            Side { g, conn, dist, tri }
+        }
+        fn apply(&self, updates: &[Update], shards: usize) -> usize {
+            let routes = IndexRoutes {
+                conn: Some(&self.conn),
+                dist: Some(&self.dist),
+                tri: Some(&self.tri),
+            };
+            apply_vpart_indexed(&self.g, updates, shards, routes)
+        }
+    }
+    let hints = CapacityHints::new(cycle.len() * 2);
+    for shards in [1usize, 2, 8] {
+        let (per_batch, per_cycle) = (Side::new(&hints), Side::new(&hints));
+        let changed: usize = batches.iter().map(|b| per_batch.apply(b, shards)).sum();
+        assert_eq!(per_cycle.apply(&cycle, shards), changed, "changed count");
+        assert!(changed < cycle.len(), "the stream must hold no-ops");
+        // Bit-identical adjacency, per-vertex order included.
+        assert_eq!(
+            per_cycle.g.collect_entries(),
+            per_batch.g.collect_entries(),
+            "{shards} shards: adjacency"
+        );
+        let csr = per_cycle.g.to_csr();
+        for s in [&per_batch, &per_cycle] {
+            assert_eq!(s.conn.labels(&s.g), connected_components(&csr));
+            for src in SOURCES {
+                assert_eq!(s.dist.distances(&s.g, src), bfs(&csr, src).dist);
+            }
+            assert_eq!(s.tri.per_vertex(), snap_kernels::triangles_per_vertex(&csr));
+            assert_eq!(s.conn.full_rebuild_count(), 0);
+            assert_eq!(s.dist.full_rebuild_count(), 0);
+            assert_eq!(s.tri.full_rebuild_count(), 0);
+        }
+        for (u, v, _) in csr.collect_entries() {
+            assert_eq!(
+                per_cycle.conn.is_certificate_edge(&per_cycle.g, u, v),
+                per_batch.conn.is_certificate_edge(&per_batch.g, u, v),
+                "{shards} shards: certificate edge ({u}, {v})"
+            );
+        }
+    }
+}

@@ -133,9 +133,18 @@ fn instrumented_serving_results_are_unchanged() {
         (engine.updates_applied(), engine.updates_changed()),
         (21, 20)
     );
+    // Demand-driven freeze, counted the same in both feature states:
+    // a cycle per batch, each either frozen or skipped, the last frozen.
+    assert_eq!(engine.epoch(), 21);
+    assert_eq!(v.epoch(), 21);
+    let freezes = engine.freezes();
+    assert!((1..=21).contains(&freezes));
 
     if snap::obs::ENABLED {
         assert!(counter_value("snap_serve_epochs_published_total") >= 21);
+        let frozen = counter_value("snap_serve_freezes_total");
+        assert!(frozen >= freezes);
+        assert!(frozen + counter_value("snap_serve_freezes_skipped_total") >= 21);
         assert!(counter_value("snap_serve_queries_total") >= 200);
         assert!(counter_value("snap_serve_updates_applied_total") >= 21);
         assert!(counter_value("snap_serve_updates_changed_total") >= 20);
@@ -148,6 +157,7 @@ fn instrumented_serving_results_are_unchanged() {
         let text = MetricsRegistry::global().render_text();
         assert!(text.contains("# TYPE snap_serve_queue_depth gauge"));
         assert!(text.contains("snap_serve_publish_lag_ns_count"));
+        assert!(text.contains("snap_serve_pin_staleness_epochs_count"));
         assert!(text.contains("snap_conn_search_scanned_entries_count"));
         assert!(text.contains("snap_conn_relabel_members_count"));
         assert!(text.contains("snap_conn_fallback_relabels_total"));

@@ -14,6 +14,10 @@
 //! CSR, its published component labels, and the kernel outputs computed
 //! on it all correspond to one prefix of the submission order — never a
 //! torn mix of batches.
+//!
+//! The second half of the file pins the demand-driven freeze: the
+//! writer builds a CSR only when a pin asked for one or its queue ran
+//! dry, and none of the contracts above may notice.
 
 use snap::par::{par_bfs_with, par_cc_with};
 use snap::prelude::*;
@@ -254,10 +258,14 @@ fn pinned_handles_outlive_heavy_churn() {
     let before_entries = pinned.num_entries();
     let before_dist = bfs(&*pinned, edges[0].u).dist;
     let mut stream = StreamBuilder::new(&edges, 500).inserting_from(base_len(&edges));
+    // A pin per batch keeps every cycle demanded: the version it gets
+    // may trail, so the next cycle to end freezes (a back-to-back burst
+    // nobody pins may freeze as little as once).
     for _ in 0..12 {
         engine.submit(stream.mixed(64, 0.5));
+        engine.flush();
+        let _ = engine.pin();
     }
-    engine.flush();
     assert_eq!(
         engine.updates_changed(),
         oracle_changed(&base, &engine.history())
@@ -325,4 +333,196 @@ fn same_component_stays_incremental_under_concurrent_ingest() {
             );
         }
     }
+}
+
+/// Sorted `(u, v, timestamp)` entries: two views are the same graph iff
+/// these are equal.
+fn entries<V: GraphView>(view: &V) -> Vec<(u32, u32, u32)> {
+    let mut all = view.collect_entries();
+    all.sort_unstable();
+    all
+}
+
+/// A pinned version is one prefix of the submission order: its CSR and
+/// its labels both equal the oracle replay of its own `batches()`.
+fn assert_is_its_own_prefix(base: &[Update], history: &[Vec<Update>], v: &EpochSnapshot) {
+    let oracle = oracle_csr(base, history, v.batches() as usize);
+    assert_eq!(
+        entries(v),
+        entries(&oracle),
+        "epoch {} ({} batches): CSR",
+        v.epoch(),
+        v.batches()
+    );
+    assert_eq!(
+        **v.component_labels().expect("conn on"),
+        connected_components(&oracle),
+        "epoch {} ({} batches): labels",
+        v.epoch(),
+        v.batches()
+    );
+}
+
+#[test]
+fn unpinned_drain_skips_freezes_and_flush_still_publishes_everything() {
+    // Nobody pins while bursts drain, so only the cycle that finds the
+    // queue dry has to freeze. How many cycles that leaves unfrozen
+    // depends on how far the writer falls behind each burst; that some
+    // do over 8 bursts of 32 single-batch cycles is what is asserted.
+    let edges = base_edges(5);
+    let base = base_stream(&edges, 13);
+    let engine = ServeEngine::new(
+        seeded_graph(&base),
+        ServeConfig::default().with_coalesce(1).with_history(true),
+    );
+    let mut stream = StreamBuilder::new(&edges, 900).inserting_from(base_len(&edges));
+    let mut submitted = 0u64;
+    for _ in 0..8 {
+        let burst: Vec<Vec<Update>> = (0..32).map(|_| stream.mixed(BATCH, 0.7)).collect();
+        for batch in burst {
+            engine.submit(batch);
+            submitted += 1;
+        }
+        engine.flush();
+        assert_eq!(engine.pending_batches(), 0);
+        let v = engine.pin();
+        assert_eq!(v.batches(), submitted, "flush is a publication barrier");
+        assert_eq!(v.epoch(), engine.epoch(), "an idle engine is frozen");
+        assert_is_its_own_prefix(&base, &engine.history(), &v);
+    }
+    assert_eq!(engine.epoch(), submitted, "coalesce(1): a cycle per batch");
+    assert!(
+        engine.freezes() < engine.epoch(),
+        "{} freezes in {} cycles: an unpinned drain must skip some",
+        engine.freezes(),
+        engine.epoch()
+    );
+    assert_eq!(engine.full_rebuild_count(), Some(0));
+}
+
+#[test]
+fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const BURST: usize = 160;
+    let edges = base_edges(23);
+    let base = base_stream(&edges, 31);
+    let engine = ServeEngine::new(
+        seeded_graph(&base),
+        ServeConfig::default()
+            .with_shards(2)
+            .with_coalesce(2)
+            .with_history(true),
+    );
+    let engine = &engine;
+    let done = AtomicBool::new(false);
+    let submitted = AtomicU64::new(0);
+    let (done, submitted) = (&done, &submitted);
+    let pins: Vec<SnapshotHandle> = std::thread::scope(|scope| {
+        let producer = scope.spawn(|| {
+            let mut stream = StreamBuilder::new(&edges, 77).inserting_from(base_len(&edges));
+            for _ in 0..BURST {
+                engine.submit(stream.mixed(64, 0.7));
+                // ordering: SeqCst — test-side bookkeeping: counts a
+                // batch only once its submit() has returned.
+                submitted.fetch_add(1, Ordering::SeqCst);
+            }
+            engine.flush();
+            // ordering: SeqCst — test-side stop flag.
+            done.store(true, Ordering::SeqCst);
+        });
+        // The pinning reader. A pin that comes back behind the cycle
+        // epoch read before it has asked for a newer version: two
+        // cycles later (the one that was running may have decided
+        // already; the next cannot have) a pin is at least that new.
+        let reader = scope.spawn(|| {
+            let mut pins = Vec::new();
+            // ordering: SeqCst — test-side stop flag.
+            while !done.load(Ordering::SeqCst) {
+                let asked_at = engine.epoch();
+                let v = engine.pin();
+                let after = engine.epoch();
+                assert!(v.epoch() <= after, "a version is never from the future");
+                if v.epoch() < asked_at {
+                    while engine.epoch() < after + 2 && engine.pending_batches() > 0 {
+                        std::thread::yield_now();
+                    }
+                    let next = engine.pin();
+                    assert!(
+                        next.epoch() >= asked_at,
+                        "pinned epoch {} at cycle {asked_at}; two cycles on, still epoch {}",
+                        v.epoch(),
+                        next.epoch()
+                    );
+                    pins.push(next);
+                }
+                pins.push(v);
+                std::thread::yield_now();
+            }
+            pins
+        });
+        // `pending_batches() == 0` seen by a third thread: every batch
+        // whose submit() had returned by then is in the next pin.
+        let watcher = scope.spawn(|| {
+            // ordering: SeqCst — test-side stop flag.
+            while !done.load(Ordering::SeqCst) {
+                // ordering: SeqCst — read before `pending_batches`, so
+                // the count is a lower bound on what was submitted by
+                // the time 0 was seen.
+                let before = submitted.load(Ordering::SeqCst);
+                if engine.pending_batches() == 0 {
+                    assert!(engine.pin().batches() >= before);
+                }
+                std::thread::yield_now();
+            }
+        });
+        producer.join().unwrap();
+        watcher.join().unwrap();
+        reader.join().unwrap()
+    });
+    assert_eq!(engine.pin().batches(), BURST as u64);
+    assert!(engine.freezes() <= engine.epoch());
+    assert_eq!(engine.full_rebuild_count(), Some(0));
+    // Never a CSR from one prefix with labels or a batch count from
+    // another — including the versions frozen on this reader's demand.
+    let history = engine.history();
+    let mut checked = std::collections::HashSet::new();
+    for v in pins.iter().filter(|v| checked.insert(v.epoch())) {
+        assert_is_its_own_prefix(&base, &history, v);
+    }
+}
+
+#[test]
+fn engine_label_queries_are_never_older_than_a_pin() {
+    // Insert-only stream: connectivity only grows, so a pair connected
+    // in a pinned version must be connected (and a label no larger) for
+    // every engine-level query made after that pin — unless the engine
+    // answered from an older state than the pin's.
+    let edges = base_edges(61);
+    let base = base_stream(&edges, 17);
+    let engine = ServeEngine::new(seeded_graph(&base), ServeConfig::default().with_coalesce(2));
+    let engine = &engine;
+    let n = 1u64 << SCALE;
+    std::thread::scope(|scope| {
+        let producer = scope.spawn(|| {
+            let mut stream = StreamBuilder::new(&edges, 5).inserting_from(base_len(&edges));
+            for _ in 0..120 {
+                engine.submit(stream.mixed(16, 1.0));
+            }
+        });
+        let mut k = 0u64;
+        while !producer.is_finished() {
+            let v = engine.pin();
+            assert!(engine.epoch() >= v.epoch());
+            for _ in 0..64 {
+                k += 1;
+                let (a, b) = (((k * 37) % n) as u32, ((k * 101 + 7) % n) as u32);
+                if v.same_component(a, b) == Some(true) {
+                    assert!(engine.same_component(a, b), "({a}, {b}) went backwards");
+                }
+                // Likewise a component's minimum id only ever drops.
+                assert!(Some(engine.component(a)) <= v.component(a));
+            }
+        }
+        producer.join().unwrap();
+    });
 }
