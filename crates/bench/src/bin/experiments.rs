@@ -773,8 +773,9 @@ fn connectivity(cfg: &Config) {
     let n = 1usize << scale;
     let hints = CapacityHints::new(edges.len() * 2);
     let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
-    mgr.enable_connectivity();
+    let idx = mgr.enable_connectivity();
     mgr.apply_batch(&construction_stream(&edges, cfg.seed));
+    let index = mgr.indexes();
 
     let mut rng = XorShift64::new(cfg.seed ^ 0x51);
     fn rand_pair(rng: &mut XorShift64, n: usize) -> (u32, u32) {
@@ -791,7 +792,7 @@ fn connectivity(cfg: &Config) {
     let total = median_ns(5, || {
         burst
             .iter()
-            .filter(|&&(u, v)| mgr.same_component(u, v))
+            .filter(|&&(u, v)| index.same_component(u, v))
             .count()
     });
     rows.push(ConnRow {
@@ -801,7 +802,6 @@ fn connectivity(cfg: &Config) {
         unit: "per_query",
         median_ns: total / burst.len() as u128,
     });
-    let idx = mgr.connectivity().expect("enabled above");
     assert_eq!(mgr.rebuild_count(), 0, "index burst must not build CSR");
     assert_eq!(idx.full_rebuild_count(), 0);
     assert_eq!(idx.repair_count(), 0, "clean burst must not repair");
@@ -847,7 +847,7 @@ fn connectivity(cfg: &Config) {
     });
     // mark_dirty left the index's epoch behind on purpose; resync once so
     // the serving phase below starts incremental again.
-    let _ = mgr.component(0);
+    let _ = index.component(0);
 
     // --- Mixed insert/delete/query serving loop ----------------------
     // Each round: one 256-update batch (70% insert / 30% delete of live
@@ -890,7 +890,7 @@ fn connectivity(cfg: &Config) {
         mgr.apply_batch(&batch);
         let hits = queries
             .iter()
-            .filter(|&&(u, v)| mgr.same_component(u, v))
+            .filter(|&&(u, v)| index.same_component(u, v))
             .count();
         std::hint::black_box(hits);
         samples.push(start.elapsed().as_nanos());
@@ -1013,8 +1013,9 @@ fn indexes_bench(cfg: &Config) {
     let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
     mgr.apply_batch(&construction_stream(&edges, cfg.seed));
     let sources: Vec<u32> = (0..4).map(|i| (i * n / 4) as u32).collect();
-    mgr.enable_distances(&sources);
-    mgr.enable_triangles();
+    let dist_idx = mgr.enable_distances(&sources);
+    let tri_idx = mgr.enable_triangles();
+    let index = mgr.indexes();
 
     // Mixed serving stream: the indexes must absorb it incrementally
     // (insert wavefronts / dirty-marks / deltas), never by recompute.
@@ -1038,8 +1039,8 @@ fn indexes_bench(cfg: &Config) {
         mgr.apply_batch(&batch);
         // Interleaved probes repair dirtied rows lazily, as a server
         // would between batches.
-        std::hint::black_box(mgr.hop_distance(sources[0], (n - 1) as u32));
-        std::hint::black_box(mgr.triangle_count());
+        std::hint::black_box(index.hop_distance(sources[0], (n - 1) as u32));
+        std::hint::black_box(index.triangle_count());
     }
 
     let mut rows = Vec::new();
@@ -1056,7 +1057,7 @@ fn indexes_bench(cfg: &Config) {
     let total = median_ns(5, || {
         burst
             .iter()
-            .filter(|&&(s, v)| mgr.hop_distance(s, v).is_some())
+            .filter(|&&(s, v)| index.hop_distance(s, v).is_some())
             .count()
     });
     rows.push(IndexRow {
@@ -1081,7 +1082,9 @@ fn indexes_bench(cfg: &Config) {
 
     // --- Triangles: indexed global count vs a full count per query ---
     let total = median_ns(5, || {
-        (0..burst.len()).map(|_| mgr.triangle_count()).sum::<u64>()
+        (0..burst.len())
+            .map(|_| index.triangle_count())
+            .sum::<u64>()
     });
     rows.push(IndexRow {
         index: "triangle",
@@ -1099,8 +1102,6 @@ fn indexes_bench(cfg: &Config) {
         median_ns: total / 3,
     });
 
-    let dist_idx = mgr.distance_index().expect("enabled above");
-    let tri_idx = mgr.triangle_index().expect("enabled above");
     assert_eq!(
         dist_idx.full_rebuild_count(),
         0,

@@ -63,22 +63,24 @@
 //! run concurrently with each other, including the repairs they trigger:
 //! repairs serialize on an internal lock (which also owns the forest),
 //! members being relabeled are shielded by their dirty bits, and
-//! [`ConnectivityIndex::clean_root`] re-checks root stability before
+//! [`ConnectivityIndex::component`] re-checks root stability before
 //! answering. Queries racing *mutations* follow the workspace's
 //! bulk-synchronous discipline (apply the batch, then query); see
-//! [`crate::engine::SnapshotManager`] for the epoch bookkeeping that
-//! detects out-of-band mutation and falls back to a full rebuild.
+//! [`crate::indexes`] for the epoch bookkeeping that detects
+//! out-of-band mutation and falls back to a full rebuild.
 
 use crate::forest::{Forest, Reconnect, Search, ROOT};
+use crate::indexes::{IncrementalIndex, IndexCore};
 use crate::view::GraphView;
 use parking_lot::Mutex;
+use snap_rmat::{Update, UpdateKind};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Connectivity-index instrumentation, shared by every index in the
-/// process (ZST no-ops without the `obs` feature). The existing
-/// per-index `repairs`/`full_rebuilds` counters stay authoritative for
-/// the public API; these aggregate across indexes for scraping.
+/// process (ZST no-ops without the `obs` feature). The per-index
+/// counters in [`IndexCore`] stay authoritative for the public API;
+/// these aggregate across indexes for scraping.
 struct ConnMetrics {
     dirty_marks: snap_obs::Counter,
     repairs: snap_obs::Counter,
@@ -227,20 +229,11 @@ pub struct ConnectivityIndex {
     /// Live component count (successful unions decrement, repairs add
     /// back the splits they discover).
     components: AtomicUsize,
-    /// Epoch of the owning [`SnapshotManager`](crate::engine::SnapshotManager)
-    /// this index has absorbed; `0` until the manager syncs it.
-    synced_epoch: AtomicU64,
-    /// Bumped at the *start* of every routed notification
-    /// (`note_insert` / `note_delete`), before the forest op. A repair
-    /// or full rebuild samples it before its view scan and again after
-    /// publishing: movement means a routed change raced it — its graph
-    /// mutation may have been missed by the scan or its union/mark wiped
-    /// by a shield-clear — so the result must not be trusted
-    /// (invariant 6: the components involved are re-marked, and a
-    /// rebuild leaves the epoch gap sticky).
-    note_gen: AtomicU64,
-    repairs: AtomicUsize,
-    full_rebuilds: AtomicUsize,
+    /// Epoch coupling, note generation and the `repair_count` /
+    /// `full_rebuild_count` counters (invariant 6; the index derefs to
+    /// it). A repair that sees the generation move across its view reads
+    /// re-marks the components involved instead of trusting its result.
+    core: IndexCore,
     /// Serializes repairs and full rebuilds and owns the certificate;
     /// clean-component queries never take it.
     repair_lock: Mutex<Certificate>,
@@ -256,10 +249,7 @@ impl ConnectivityIndex {
             log: Mutex::new(Vec::new()),
             pending: AtomicBool::new(false),
             components: AtomicUsize::new(n),
-            synced_epoch: AtomicU64::new(0),
-            note_gen: AtomicU64::new(0),
-            repairs: AtomicUsize::new(0),
-            full_rebuilds: AtomicUsize::new(0),
+            core: IndexCore::default(),
             repair_lock: Mutex::new(Certificate {
                 forest: Forest::new(n),
                 search: Search::new(),
@@ -307,16 +297,6 @@ impl ConnectivityIndex {
         // ordering: AcqRel — pairs with the Acquire load in
         // `component_count`, like the per-union decrement.
         self.components.fetch_sub(merged, Ordering::AcqRel);
-    }
-
-    /// Number of indexed vertices.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True when the index covers zero vertices.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 
     // ---- the concurrent union-find core --------------------------------
@@ -446,7 +426,7 @@ impl ConnectivityIndex {
         // can never read "empty" while an entry sits in the log.
         //
         // ordering: Release — pairs with the Acquire loads in
-        // `has_dirty` / `clean_root`: a query that follows the note
+        // `has_dirty` / `component`: a query that follows the note
         // (bulk-synchronous discipline) sees the hint and drains.
         self.pending.store(true, Ordering::Release);
     }
@@ -457,16 +437,7 @@ impl ConnectivityIndex {
         if u == v {
             return false;
         }
-        // The bump precedes the forest op: a rebuild whose scan-start
-        // read includes it also sees the caller's graph mutation (which
-        // precedes this call), so the scan absorbs the edge; a rebuild
-        // that misses it here observes the moved generation after its
-        // shield-clear — before which any wiped union/mark must have
-        // landed — and refuses to publish (invariant 6).
-        //
-        // ordering: Release — pairs with the rebuild's Acquire
-        // generation reads; see the note_gen field docs.
-        self.note_gen.fetch_add(1, Ordering::Release);
+        self.core.begin_note();
         self.union(u, v)
     }
 
@@ -479,13 +450,7 @@ impl ConnectivityIndex {
         if u == v {
             return;
         }
-        // Bump-before-log: same contract as in `note_insert` — a
-        // repair or rebuild either saw this deletion in the view or
-        // detects the generation movement afterwards and re-marks
-        // instead of trusting what it published (invariant 6).
-        //
-        // ordering: Release — pairs with the repair-side Acquire reads.
-        self.note_gen.fetch_add(1, Ordering::Release);
+        self.core.begin_note();
         self.log_note(Note::Cut(u, v));
     }
 
@@ -523,7 +488,7 @@ impl ConnectivityIndex {
 
     /// True if the next query may have work to do: notes are pending or
     /// a component is marked (the mark hint may stay `true` until the
-    /// next [`ConnectivityIndex::repair_all`]).
+    /// next [`IncrementalIndex::repair_all`]).
     pub fn has_dirty(&self) -> bool {
         // ordering: Acquire (both) — pair with the Release stores of
         // the hint flags; the authoritative state is the log and the
@@ -533,16 +498,10 @@ impl ConnectivityIndex {
 
     // ---- queries (self-repairing) --------------------------------------
 
-    /// Canonical component label (minimum member id) of `u`, settling
-    /// pending notes and repairing `u`'s component first if needed.
-    pub fn component<V: GraphView>(&self, view: &V, u: u32) -> u32 {
-        self.clean_root(view, u)
-    }
-
     /// True if `u` and `v` are connected in `view`, settling pending
     /// notes and repairing any marked component the query touches.
     pub fn same_component<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
-        self.clean_root(view, u) == self.clean_root(view, v)
+        self.component(view, u) == self.component(view, v)
     }
 
     /// Number of components, after settling and repairing everything.
@@ -572,12 +531,12 @@ impl ConnectivityIndex {
         self.repair_lock.lock().forest.is_tree_edge(u, v)
     }
 
-    /// Root of `u` guaranteed clean *and stable*: pending notes are
-    /// settled and a marked component is repaired first, and a clean
-    /// answer is re-checked against a second `find` so a reader
-    /// overlapping a repair's publication window re-routes instead of
-    /// mixing old and new labels.
-    pub fn clean_root<V: GraphView>(&self, view: &V, u: u32) -> u32 {
+    /// Canonical component label (minimum member id) of `u`, clean
+    /// *and stable*: pending notes are settled and a marked component is
+    /// repaired first, and a clean answer is re-checked against a second
+    /// `find` so a reader overlapping a repair's publication window
+    /// re-routes instead of mixing old and new labels.
+    pub fn component<V: GraphView>(&self, view: &V, u: u32) -> u32 {
         loop {
             // ordering: Acquire — pairs with the note path's Release
             // store; see `log_note`.
@@ -586,7 +545,7 @@ impl ConnectivityIndex {
             }
             let r = self.find(u);
             if self.bit_get(r) {
-                self.repair(view, u);
+                self.repair_with(view, u, restricted_component_labels);
                 continue;
             }
             if self.find(u) == r {
@@ -609,24 +568,15 @@ impl ConnectivityIndex {
         if !self.pending.load(Ordering::Acquire) {
             return;
         }
-        // A note counted by this read pushed (or is about to push) its
-        // log entry, and applied its graph mutation before the view
-        // reads below; one that bumps later is caught at the bottom.
-        //
-        // ordering: Acquire — pairs with the note-path Release bumps;
-        // see the note_gen field docs (invariant 6).
-        let gen_at_scan = self.note_gen.load(Ordering::Acquire);
+        let gen_at_scan = self.core.generation();
         let notes = std::mem::take(&mut *self.log.lock());
         self.apply_notes(cert, view, &notes);
         // A note that raced this drain may have changed the view under
-        // the searches, or had its union overwritten by the relabel.
-        // Its generation bump precedes both, so it is visible here:
-        // hand every component this drain touched to the
-        // whole-component path, which reads the truth off the view —
-        // sticky, like a rebuild that refuses to publish (invariant 6).
-        //
-        // ordering: Acquire — closes the window opened at gen_at_scan.
-        if self.note_gen.load(Ordering::Acquire) != gen_at_scan {
+        // the searches, or had its union overwritten by the relabel
+        // (generation guard, invariant 6): hand every component this
+        // drain touched to the whole-component path, which reads the
+        // truth off the view.
+        if self.core.generation() != gen_at_scan {
             for note in &notes {
                 let (Note::Link(u, v) | Note::Cut(u, v)) = *note;
                 self.mark_component_dirty(u);
@@ -866,8 +816,7 @@ impl ConnectivityIndex {
             // with the labels; pairs with the Acquire in
             // `component_count`.
             self.components.fetch_add(relabelled, Ordering::AcqRel);
-            // ordering: Relaxed — statistics counter, no ordering consumed.
-            self.repairs.fetch_add(relabelled, Ordering::Relaxed);
+            self.core.count_repairs(relabelled);
             m.repairs.add(relabelled as u64);
             for v in stale {
                 self.mark_component_dirty(v);
@@ -882,14 +831,6 @@ impl ConnectivityIndex {
     }
 
     // ---- the whole-component path --------------------------------------
-
-    /// Targeted repair of `u`'s component with the built-in serial
-    /// restricted relabeling ([`restricted_component_labels`]). Returns
-    /// the post-repair root of `u`. `snap-par` callers use
-    /// [`ConnectivityIndex::repair_with`] with the parallel kernel.
-    pub fn repair<V: GraphView>(&self, view: &V, u: u32) -> u32 {
-        self.repair_with(view, u, restricted_component_labels)
-    }
 
     /// Settles pending notes through the certificate, then — only if
     /// `u`'s component is (still) marked for the whole-component path —
@@ -912,7 +853,12 @@ impl ConnectivityIndex {
             // repaired this component.
             return root;
         }
-        let verts = self.members_of(root);
+        // One `find` per vertex: collecting the members is O(n·α)
+        // whatever the component's size (`repair_all` groups every
+        // dirty component in a single pass instead).
+        let verts: Vec<u32> = (0..self.parent.len() as u32)
+            .filter(|&v| self.find(v) == root)
+            .collect();
         self.relabel_members_locked(&mut cert, view, &verts, relabel);
         self.find(u)
     }
@@ -930,13 +876,7 @@ impl ConnectivityIndex {
         V: GraphView,
         F: FnOnce(&V, &[u32]) -> Vec<u32>,
     {
-        // A note racing this repair is detected through the generation:
-        // one counted by this read applied its graph mutation before the
-        // relabel's view read below, so the new labels absorb it.
-        //
-        // ordering: Acquire — pairs with the note-path Release bumps;
-        // see the note_gen field docs (invariant 6).
-        let gen_at_scan = self.note_gen.load(Ordering::Acquire);
+        let gen_at_scan = self.core.generation();
         // Shield phase: with every member bit set, any concurrent reader
         // resolving into this component sees "dirty" and waits on the
         // lock instead of consuming half-published labels.
@@ -945,8 +885,28 @@ impl ConnectivityIndex {
         }
         let labels = relabel(view, verts);
         debug_assert_eq!(labels.len(), verts.len(), "relabel must cover all members");
+        // Labels and certificate come from two passes over the view. A
+        // change routed after its batch's barrier mutates the graph long
+        // before its note bumps the generation, so the check below
+        // cannot see it land between the passes; the two results
+        // disagreeing can. `respan` roots every tree at its minimum, so
+        // they agree exactly when every tree root is its own label and
+        // every tree edge stays within one label.
+        let mut view_moved = false;
         if !view.is_directed() {
             respan(&mut cert.forest, view, verts);
+            view_moved = verts.iter().zip(&labels).any(|(&v, &l)| {
+                let p = cert.forest.parent(v);
+                let want = if p == ROOT {
+                    v
+                } else {
+                    // panics: `respan` links members to members only.
+                    labels[verts
+                        .binary_search(&p)
+                        .expect("tree edges stay among the members")]
+                };
+                l != want
+            });
         }
         let mut new_roots = 0usize;
         for (&v, &l) in verts.iter().zip(&labels) {
@@ -967,14 +927,10 @@ impl ConnectivityIndex {
             self.bit_unset(v);
         }
         // The clears above may have wiped the mark of a note that raced
-        // this repair, and the view reads may have missed its mutation.
-        // A note's generation bump precedes everything else it does, so
-        // the race is visible here: re-dirty the repaired component(s)
-        // and let the next query repair again — sticky, like a rebuild
-        // that refuses to publish (invariant 6).
-        //
-        // ordering: Acquire — closes the window opened at gen_at_scan.
-        if self.note_gen.load(Ordering::Acquire) != gen_at_scan {
+        // this repair, and the view reads may have missed its mutation
+        // (generation guard, invariant 6): re-dirty the repaired
+        // component(s) and let the next query repair again.
+        if view_moved || self.core.generation() != gen_at_scan {
             for (&v, &l) in verts.iter().zip(&labels) {
                 if l == v {
                     self.mark_component_dirty(v);
@@ -985,8 +941,7 @@ impl ConnectivityIndex {
         // the labels; pairs with the Acquire in `component_count`.
         self.components
             .fetch_add(new_roots.saturating_sub(1), Ordering::AcqRel);
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.repairs.fetch_add(1, Ordering::Relaxed);
+        self.core.count_repairs(1);
         let m = conn_metrics();
         m.repairs.inc();
         m.fallbacks.inc();
@@ -994,12 +949,58 @@ impl ConnectivityIndex {
         m.shield_events.add(verts.len() as u64);
     }
 
-    /// Settles pending notes, then repairs every component marked for
-    /// the whole-component path (serial relabeling). Cheap when nothing
-    /// is pending; with marks, one O(n·α) grouping pass collects every
-    /// dirty component's members at once, so the scan cost is paid once
-    /// rather than once per dirty component.
-    pub fn repair_all<V: GraphView>(&self, view: &V) {
+    // ---- dirty bitmap ---------------------------------------------------
+    //
+    // The shield-bit publication protocol (invariant 4). The RMWs are
+    // AcqRel and the load Acquire (downgraded from SeqCst by the PR 9
+    // audit): bit_unset is a repair's publication point — its release
+    // makes every preceding label store visible to a reader that
+    // acquires the cleared word — and bit_set's release orders the
+    // shield before the relabel that follows it. No site needs a total
+    // order across *different* words: cross-word interleavings are
+    // resolved by `component`'s stability re-check and the repair lock.
+
+    #[inline]
+    fn bit_set(&self, i: u32) {
+        // ordering: AcqRel — see the shield publication note above.
+        self.dirty[i as usize >> 6].fetch_or(1 << (i & 63), Ordering::AcqRel);
+    }
+
+    #[inline]
+    fn bit_unset(&self, i: u32) {
+        // ordering: AcqRel — see the shield publication note above.
+        self.dirty[i as usize >> 6].fetch_and(!(1u64 << (i & 63)), Ordering::AcqRel);
+    }
+
+    #[inline]
+    fn bit_get(&self, i: u32) -> bool {
+        // ordering: Acquire — see the shield publication note above.
+        self.dirty[i as usize >> 6].load(Ordering::Acquire) & (1 << (i & 63)) != 0
+    }
+}
+
+impl std::ops::Deref for ConnectivityIndex {
+    type Target = IndexCore;
+
+    fn deref(&self) -> &IndexCore {
+        &self.core
+    }
+}
+
+impl IncrementalIndex for ConnectivityIndex {
+    fn note<V: GraphView>(&self, _view: &V, upd: &Update) {
+        match upd.kind {
+            UpdateKind::Insert => {
+                self.note_insert(upd.edge.u, upd.edge.v);
+            }
+            UpdateKind::Delete => self.note_delete(upd.edge.u, upd.edge.v),
+        }
+    }
+
+    // Settles pending notes, then repairs every marked component
+    // (serial relabeling). One O(n·α) grouping pass collects every
+    // dirty component's members at once.
+    fn repair_all<V: GraphView>(&self, view: &V) {
         if !self.has_dirty() {
             return;
         }
@@ -1026,213 +1027,69 @@ impl ConnectivityIndex {
         }
     }
 
-    /// Member vertices (ascending) of the component rooted at `root`.
-    /// One `find` per vertex — a whole-component repair's collection
-    /// cost is O(n·α) regardless of the component's size (the relabel
-    /// itself then scales with the component); batch callers use
-    /// [`ConnectivityIndex::repair_all`], which groups every dirty
-    /// component in a single pass.
-    pub fn members_of(&self, root: u32) -> Vec<u32> {
-        (0..self.parent.len() as u32)
-            .filter(|&v| self.find(v) == root)
-            .collect()
-    }
-
-    /// Discards labels and certificate and re-absorbs the view — the
-    /// fallback when the owning manager detects out-of-band mutation
-    /// (see [`ConnectivityIndex::synced_epoch`]). Returns `true` when
-    /// the rebuild converged (no routed notification raced the scan); on
-    /// `false` every vertex is left shielded, so queries keep repairing
-    /// from the live view until a later rebuild converges.
-    pub fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
-        self.rebuild_locked(&mut self.repair_lock.lock(), view)
-    }
-
-    /// Rebuilds from `view` only if the synced epoch is still behind
-    /// `epoch` — double-checked under the repair lock, so concurrent
-    /// stale queries coalesce into one rebuild — then records the epoch
-    /// as absorbed. If routed updates race the rebuild faster than it
-    /// can converge, the epoch is deliberately **not** recorded: the
-    /// gap stays sticky (invariant 6) and the next query resyncs again,
-    /// which settles as soon as the writers quiesce.
-    pub fn resync<V: GraphView>(&self, view: &V, epoch: u64) {
-        let mut cert = self.repair_lock.lock();
-        if self.synced_epoch() < epoch && self.rebuild_locked(&mut cert, view) {
-            self.sync_to(epoch);
-        }
-    }
-
-    /// Rebuild passes attempted before giving up on a generation-stable
-    /// scan and leaving the forest shielded instead.
-    const REBUILD_RETRIES: usize = 4;
-
-    fn rebuild_locked<V: GraphView>(&self, cert: &mut Certificate, view: &V) -> bool {
+    // Discards labels and certificate and re-absorbs the view. On
+    // `false` every vertex is left shielded, so queries keep repairing
+    // from the live view until a later rebuild converges.
+    fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
         assert_eq!(view.num_vertices(), self.parent.len(), "vertex count moved");
+        let cert = &mut *self.repair_lock.lock();
         let m = conn_metrics();
-        let mut converged = false;
-        for _attempt in 0..Self::REBUILD_RETRIES {
-            // A routed `note_insert`/`note_delete` whose generation bump
-            // lands before this read also applied its graph mutation
-            // before it (the bump is the note's last act), so the scan
-            // below observes it. One that bumps later is detected at the
-            // bottom of the pass.
-            //
-            // ordering: Acquire — pairs with the Release bumps in the
-            // note paths; see the note_gen field docs (invariant 6).
-            let gen_at_scan = self.note_gen.load(Ordering::Acquire);
-            // Shield *every* vertex first: a lock-free reader racing
-            // this rebuild re-routes into the (locked) repair path
-            // instead of observing the half-reset forest.
-            //
-            // ordering: Release on every store in this rebuild
-            // (downgraded from SeqCst by the PR 9 audit). The protocol
-            // needs no total order: a reader whose walk acquires ANY
-            // value written below synchronizes with that store and
-            // therefore also sees the shield words stored before it
-            // (invariant 4), so its bit_get re-routes into the locked
-            // repair path; a reader that saw only pre-rebuild values
-            // linearizes before the rebuild; and a mixed walk is caught
-            // by clean_root's stability re-check.
+        m.full_rebuilds.inc();
+        // ordering: Release on every store in this rebuild (downgraded
+        // from SeqCst by the PR 9 audit). The protocol needs no total
+        // order: a reader whose walk acquires ANY value written below
+        // synchronizes with that store and therefore also sees the
+        // shield words stored before it (invariant 4), so its bit_get
+        // re-routes into the locked repair path; a reader that saw only
+        // pre-rebuild values linearizes before the rebuild; and a mixed
+        // walk is caught by `component`'s stability re-check.
+        let shield_all = || {
             for w in &self.dirty {
                 w.store(u64::MAX, Ordering::Release); // ordering: see above
             }
             self.any_dirty.store(true, Ordering::Release); // ordering: see above
-            for v in 0..self.parent.len() {
-                self.parent[v].store(v as u32, Ordering::Release); // ordering: see above
-            }
-            // ordering: Release — rebuild publication, see the note above.
-            self.components.store(self.parent.len(), Ordering::Release);
-            // The scan absorbs everything the pending notes describe
-            // (their mutations precede their generation bumps). An entry
-            // that slips in after this clear is a hint like any other:
-            // the next drain checks it against the view.
-            {
-                let mut log = self.log.lock();
-                log.clear();
-                // ordering: Release — hint store under the log lock,
-                // as in `log_note` and `settle_locked`.
-                self.pending.store(false, Ordering::Release);
-            }
-            cert.forest = Forest::new(self.parent.len());
-            self.absorb(view, cert);
-            m.shield_events.add(self.parent.len() as u64);
-            // ordering: Acquire — closes the generation window opened
-            // above; movement means a routed note raced the scan and
-            // its graph mutation may have been missed.
-            if self.note_gen.load(Ordering::Acquire) != gen_at_scan {
-                continue;
-            }
-            // Tentatively publish: the view fully absorbed, all debts
-            // (including any pre-rebuild dirt) are settled.
-            for w in &self.dirty {
-                w.store(0, Ordering::Release); // ordering: see rebuild note
-            }
-            self.any_dirty.store(false, Ordering::Release); // ordering: see rebuild note
-
-            // Confirm nothing raced the clear itself: a note's bump
-            // precedes its forest op, so any union or dirty mark the
-            // lines above could have wiped is visible in the generation
-            // by now — if it moved, re-shield with another pass.
-            //
-            // ordering: Acquire — same pairing as the scan-start read.
-            if self.note_gen.load(Ordering::Acquire) == gen_at_scan {
-                converged = true;
-                break;
-            }
-        }
-        // Not converged: the last pass left every shield up. Queries
-        // repair their component from the live view on demand, and the
-        // caller must not mark the target epoch absorbed.
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-        m.full_rebuilds.inc();
-        converged
-    }
-
-    // ---- counters & epoch coupling -------------------------------------
-
-    /// Number of relabels published: one per split side relabelled
-    /// through the certificate, one per whole-component repair. A clean
-    /// query burst leaves this flat, and so does any deletion that did
-    /// not disconnect anything.
-    pub fn repair_count(&self) -> usize {
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.repairs.load(Ordering::Relaxed)
-    }
-
-    /// Number of full rebuilds ([`ConnectivityIndex::rebuild_from`]) —
-    /// the quantity incremental maintenance exists to keep at zero.
-    pub fn full_rebuild_count(&self) -> usize {
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.full_rebuilds.load(Ordering::Relaxed)
-    }
-
-    /// Manager epoch this index has absorbed (monotone; see
-    /// [`crate::engine::SnapshotManager`]).
-    pub fn synced_epoch(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel epoch bumps so an
-        // observed epoch implies the updates it covers (invariant 6).
-        self.synced_epoch.load(Ordering::Acquire)
-    }
-
-    /// Advances the absorbed epoch (monotone max, so racing update
-    /// threads cannot move it backwards). Use only when the index
-    /// provably reflects everything up to `epoch` — at build time and
-    /// after a rebuild; routed per-update bumps go through
-    /// [`ConnectivityIndex::sync_change`].
-    pub fn sync_to(&self, epoch: u64) {
-        // ordering: AcqRel — monotone epoch publication (invariant 6:
-        // racing bumps cannot move the absorbed epoch backwards).
-        self.synced_epoch.fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// Absorbs exactly one routed epoch bump: steps the synced epoch
-    /// from `new_epoch - 1` to `new_epoch`, and *only* that step. A
-    /// failed step means an unabsorbed epoch sits below ours — an
-    /// out-of-band `mark_dirty`, or a racing routed bump that has not
-    /// stepped yet — and the gap must stay sticky so the next query
-    /// resyncs instead of being fast-forwarded over it. (A transient
-    /// gap from racing routed bumps costs at most one conservative
-    /// rebuild; absorbing a real gap would serve stale answers.)
-    pub fn sync_change(&self, new_epoch: u64) {
-        // ordering: AcqRel on the exact step (invariant 6: an unabsorbed
-        // gap below stays sticky); Relaxed on failure — the gap itself
-        // is the signal, no data is read through the failed exchange.
-        let _ = self.synced_epoch.compare_exchange(
-            new_epoch.wrapping_sub(1),
-            new_epoch,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
+        };
+        let converged = self.core.rebuild_until_stable(
+            || {
+                // Shield *every* vertex first: a lock-free reader racing
+                // this rebuild re-routes into the (locked) repair path
+                // instead of observing the half-reset forest.
+                shield_all();
+                for v in 0..self.parent.len() {
+                    self.parent[v].store(v as u32, Ordering::Release); // ordering: see above
+                }
+                // ordering: Release — rebuild publication, see above.
+                self.components.store(self.parent.len(), Ordering::Release);
+                // The scan absorbs everything the pending notes describe
+                // (their mutations precede their generation bumps). An
+                // entry that slips in after this clear is a hint like
+                // any other: the next drain checks it against the view.
+                {
+                    let mut log = self.log.lock();
+                    log.clear();
+                    // ordering: Release — hint store under the log lock,
+                    // as in `log_note` and `settle_locked`.
+                    self.pending.store(false, Ordering::Release);
+                }
+                cert.forest = Forest::new(self.parent.len());
+                self.absorb(view, cert);
+                m.shield_events.add(self.parent.len() as u64);
+            },
+            || {
+                // The view fully absorbed: all debts (including any
+                // pre-rebuild dirt) are settled.
+                for w in &self.dirty {
+                    w.store(0, Ordering::Release); // ordering: see above
+                }
+                self.any_dirty.store(false, Ordering::Release); // ordering: see above
+            },
         );
-    }
-
-    // ---- dirty bitmap ---------------------------------------------------
-    //
-    // The shield-bit publication protocol (invariant 4). The RMWs are
-    // AcqRel and the load Acquire (downgraded from SeqCst by the PR 9
-    // audit): bit_unset is a repair's publication point — its release
-    // makes every preceding label store visible to a reader that
-    // acquires the cleared word — and bit_set's release orders the
-    // shield before the relabel that follows it. No site needs a total
-    // order across *different* words: cross-word interleavings are
-    // resolved by clean_root's stability re-check and the repair lock.
-
-    #[inline]
-    fn bit_set(&self, i: u32) {
-        // ordering: AcqRel — see the shield publication note above.
-        self.dirty[i as usize >> 6].fetch_or(1 << (i & 63), Ordering::AcqRel);
-    }
-
-    #[inline]
-    fn bit_unset(&self, i: u32) {
-        // ordering: AcqRel — see the shield publication note above.
-        self.dirty[i as usize >> 6].fetch_and(!(1u64 << (i & 63)), Ordering::AcqRel);
-    }
-
-    #[inline]
-    fn bit_get(&self, i: u32) -> bool {
-        // ordering: Acquire — see the shield publication note above.
-        self.dirty[i as usize >> 6].load(Ordering::Acquire) & (1 << (i & 63)) != 0
+        if !converged {
+            // The last pass may have dropped the shields before a note
+            // raced its publication.
+            shield_all();
+        }
+        converged
     }
 }
 
@@ -1296,7 +1153,7 @@ fn respan<V: GraphView>(forest: &mut Forest, view: &V, verts: &[u32]) {
 /// for `verts` — a component's member list, ascending — over the live
 /// edges of `view`. Edges leaving `verts` are ignored (a repair's member
 /// set is closed, since cross-component insertions union eagerly). This
-/// is the built-in relabeler for [`ConnectivityIndex::repair`]; `snap-par`
+/// is the built-in relabeler for [`ConnectivityIndex::repair_with`]; `snap-par`
 /// supplies a parallel drop-in with the same contract.
 pub fn restricted_component_labels<V: GraphView>(view: &V, verts: &[u32]) -> Vec<u32> {
     // Position-indexed union-find; positions are id-ordered because
@@ -1700,6 +1557,26 @@ mod tests {
     }
 
     #[test]
+    fn edge_deleted_between_the_relabel_and_the_respan_is_not_lost() {
+        // What a batch whose notes are routed after its barrier can do
+        // to a racing query: the bridge goes while the whole-component
+        // repair is between its two passes over the view, and the note
+        // (with its generation bump) only arrives afterwards.
+        let g: DynGraph<DynArr> = graph(4, &[(0, 1), (1, 2), (2, 3)]);
+        let idx = ConnectivityIndex::from_view(&g);
+        idx.mark_component_dirty(0);
+        idx.repair_with(&g, 0, |view, verts| {
+            let labels = restricted_component_labels(view, verts);
+            assert!(g.delete_edge(1, 2));
+            labels
+        });
+        assert!(idx.is_component_dirty(0), "the two passes disagree");
+        idx.note_delete(1, 2);
+        assert_eq!(idx.labels(&g), vec![0, 0, 2, 2]);
+        assert_eq!(idx.component_count(&g), 2);
+    }
+
+    #[test]
     fn rebuild_from_resets_and_counts() {
         let g: DynGraph<DynArr> = graph(4, &[(0, 1)]);
         let idx = ConnectivityIndex::from_view(&g);
@@ -1803,7 +1680,6 @@ mod tests {
     #[test]
     fn empty_index() {
         let idx = ConnectivityIndex::new(0);
-        assert!(idx.is_empty());
         let g: DynGraph<DynArr> = graph(0, &[]);
         assert_eq!(idx.component_count(&g), 0);
         assert_eq!(idx.labels(&g), Vec::<u32>::new());

@@ -47,12 +47,14 @@
 //! distances are fully published, and clean answers are double-read for
 //! stability. Queries racing *mutations* follow the workspace's
 //! bulk-synchronous discipline (apply the batch, then query); see
-//! [`crate::engine::SnapshotManager`] for the epoch bookkeeping that
-//! detects out-of-band mutation and falls back to a full rebuild.
+//! [`crate::indexes`] for the epoch bookkeeping that detects
+//! out-of-band mutation and falls back to a full rebuild.
 
+use crate::indexes::{IncrementalIndex, IndexCore};
 use crate::view::GraphView;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use snap_rmat::{Update, UpdateKind};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Distance value for unreached vertices (mirrors the kernels' BFS
@@ -60,9 +62,9 @@ use std::sync::OnceLock;
 pub const UNREACHED: u32 = u32::MAX;
 
 /// Distance-index instrumentation, shared by every index in the process
-/// (ZST no-ops without the `obs` feature). The per-index
-/// `repairs`/`full_rebuilds` counters stay authoritative for the public
-/// API; these aggregate across indexes for scraping.
+/// (ZST no-ops without the `obs` feature). The per-index counters in
+/// [`IndexCore`] stay authoritative for the public API; these aggregate
+/// across indexes for scraping.
 struct DistMetrics {
     dirty_marks: snap_obs::Counter,
     repairs: snap_obs::Counter,
@@ -164,16 +166,11 @@ pub struct DistanceIndex {
     /// Fast path for [`DistanceIndex::has_dirty`]; the per-source flags
     /// are authoritative.
     any_dirty: AtomicBool,
-    /// Epoch of the owning [`SnapshotManager`](crate::engine::SnapshotManager)
-    /// this index has absorbed; `0` until the manager syncs it.
-    synced_epoch: AtomicU64,
-    /// Bumped at the *start* of every routed notification, before any
-    /// state op — same contract as the connectivity index's generation:
-    /// a repair or rebuild that observes movement across its scan must
-    /// not publish as clean (invariant 6: the debt stays sticky).
-    note_gen: AtomicU64,
-    repairs: AtomicUsize,
-    full_rebuilds: AtomicUsize,
+    /// Epoch coupling, note generation and the `repair_count` /
+    /// `full_rebuild_count` counters (invariant 6; the index derefs to
+    /// it). A repair that sees the generation move across its scan must not
+    /// publish as clean: the debt stays sticky.
+    core: IndexCore,
     /// Serializes repairs and full rebuilds; clean-source queries never
     /// take it.
     repair_lock: Mutex<()>,
@@ -206,10 +203,7 @@ impl DistanceIndex {
             seeds: (0..k * n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             src_dirty: (0..k).map(|_| AtomicBool::new(false)).collect(),
             any_dirty: AtomicBool::new(false),
-            synced_epoch: AtomicU64::new(0),
-            note_gen: AtomicU64::new(0),
-            repairs: AtomicUsize::new(0),
-            full_rebuilds: AtomicUsize::new(0),
+            core: IndexCore::default(),
             repair_lock: Mutex::new(()),
         }
     }
@@ -227,16 +221,6 @@ impl DistanceIndex {
     /// The pinned sources, in construction order.
     pub fn sources(&self) -> &[u32] {
         &self.sources
-    }
-
-    /// Number of indexed vertices.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the index covers zero vertices.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Row slot of a pinned source.
@@ -273,13 +257,7 @@ impl DistanceIndex {
         if u == v || self.sources.is_empty() {
             return;
         }
-        // Bump-before-relax: a repair or rebuild that misses this
-        // relaxation in its scan observes the moved generation and
-        // refuses to publish as clean (invariant 6).
-        //
-        // ordering: Release — pairs with the repair/rebuild Acquire
-        // generation reads; see the note_gen field docs.
-        self.note_gen.fetch_add(1, Ordering::Release);
+        self.core.begin_note();
         for si in 0..self.sources.len() {
             self.relax_from_edge(view, si, u, v);
         }
@@ -296,11 +274,7 @@ impl DistanceIndex {
         if u == v || self.sources.is_empty() {
             return;
         }
-        // Bump-before-mark: same stickiness contract as `note_insert`.
-        //
-        // ordering: Release — pairs with the repair/rebuild Acquire
-        // generation reads (invariant 6).
-        self.note_gen.fetch_add(1, Ordering::Release);
+        self.core.begin_note();
         for si in 0..self.sources.len() {
             let (_, pu) = self.load(si, u);
             let (_, pv) = self.load(si, v);
@@ -389,25 +363,8 @@ impl DistanceIndex {
     /// left it dirty. Panics if `source` was not pinned (see
     /// [`DistanceIndex::sources`]).
     pub fn distance<V: GraphView>(&self, view: &V, source: u32, v: u32) -> Option<u32> {
-        let si = self.slot(source);
-        loop {
-            if self.slot_dirty(si) {
-                self.repair_slot_with(view, si, restricted_hop_distances);
-                continue;
-            }
-            let (a, _) = self.load(si, v);
-            if self.slot_dirty(si) {
-                continue; // a repair raced the read; retry
-            }
-            // Double-read stability (invariant 5): observing the shield
-            // clear synchronizes with the repair's publication, so the
-            // re-read below sees final certificates; returning only a
-            // value the re-read confirms excludes a half-published mix.
-            let (b, _) = self.load(si, v);
-            if a == b {
-                return (a != UNREACHED).then_some(a);
-            }
-        }
+        let d = self.stable_read(view, source, |si| self.load(si, v).0);
+        (d != UNREACHED).then_some(d)
     }
 
     /// The full distance row for pinned `source` ([`UNREACHED`] for
@@ -415,19 +372,34 @@ impl DistanceIndex {
     /// bit-comparable with `serial_bfs(view, source).dist` at
     /// quiescence.
     pub fn distances<V: GraphView>(&self, view: &V, source: u32) -> Vec<u32> {
+        self.stable_read(view, source, |si| {
+            (0..self.n as u32).map(|v| self.load(si, v).0).collect()
+        })
+    }
+
+    /// Reads from `source`'s row once it is clean (repairing it first if
+    /// dirty), returning only a value a second read confirms.
+    fn stable_read<V: GraphView, T: PartialEq>(
+        &self,
+        view: &V,
+        source: u32,
+        read: impl Fn(usize) -> T,
+    ) -> T {
         let si = self.slot(source);
         loop {
             if self.slot_dirty(si) {
                 self.repair_slot_with(view, si, restricted_hop_distances);
                 continue;
             }
-            let a: Vec<u32> = (0..self.n as u32).map(|v| self.load(si, v).0).collect();
+            let a = read(si);
             if self.slot_dirty(si) {
-                continue;
+                continue; // a repair raced the read; retry
             }
-            // Same double-read stability as `distance`, row-wide.
-            let b: Vec<u32> = (0..self.n as u32).map(|v| self.load(si, v).0).collect();
-            if a == b {
+            // Double-read stability (invariant 5): observing the shield
+            // clear synchronizes with the repair's publication, so the
+            // re-read below sees final certificates; returning only a
+            // value the re-read confirms excludes a half-published mix.
+            if a == read(si) {
                 return a;
             }
         }
@@ -455,15 +427,6 @@ impl DistanceIndex {
     }
 
     // ---- repair --------------------------------------------------------
-
-    /// Targeted repair of `source`'s row with the built-in serial
-    /// restricted BFS. Returns `true` if a repair actually ran (`false`
-    /// when the row was already clean). `snap-par` callers use
-    /// [`DistanceIndex::repair_source_with`] with the parallel
-    /// frontier kernel.
-    pub fn repair_source<V: GraphView>(&self, view: &V, source: u32) -> bool {
-        self.repair_source_with(view, source, restricted_hop_distances)
-    }
 
     /// Targeted repair of `source`'s row using `relabel` to recompute
     /// distances over the affected set: `relabel(view, verts, ext)`
@@ -497,10 +460,7 @@ impl DistanceIndex {
         // one counted by this read applied its state ops before our
         // scan could miss them consistently — movement after the scan
         // means the published row may be stale, so the shield stays up.
-        //
-        // ordering: Acquire — pairs with the note-path Release bumps
-        // (invariant 6).
-        let gen_at_scan = self.note_gen.load(Ordering::Acquire);
+        let gen_at_scan = self.core.generation();
         let n = self.n;
         let source = self.sources[si];
         let words = n.div_ceil(64);
@@ -630,6 +590,22 @@ impl DistanceIndex {
         true
     }
 
+    /// Leaves source `si` shielded with every vertex a seed, so the next
+    /// repair recomputes its whole row from the view (invariant 6:
+    /// sticky, never stale).
+    fn owe_full_row(&self, si: usize) {
+        let words = self.n.div_ceil(64);
+        for w in &self.seeds[si * words..(si + 1) * words] {
+            // ordering: Release — seeds before the shield, as in
+            // `mark_seed` (invariant 4).
+            w.store(u64::MAX, Ordering::Release);
+        }
+        // ordering: Release — the query shield, see `mark_seed`.
+        self.src_dirty[si].store(true, Ordering::Release);
+        // ordering: Release — hint flag, see `mark_seed`.
+        self.any_dirty.store(true, Ordering::Release);
+    }
+
     /// Clears the seed row and, if no note raced the repair, drops the
     /// source shield; otherwise re-shields the whole row so the next
     /// query recomputes it from scratch (sticky, invariant 6). Caller
@@ -644,143 +620,20 @@ impl DistanceIndex {
             // never misses a bit that is still owed (invariant 4).
             self.seeds[si * words + w].store(0, Ordering::Release);
         }
-        // ordering: Acquire — closes the window opened at gen_at_scan;
-        // movement means a note raced the scan or the publication
-        // (invariant 6).
-        if gen_at_scan != Some(self.note_gen.load(Ordering::Acquire)) {
-            for w in 0..words {
-                // ordering: Release — conservative re-shield: every
-                // vertex becomes a seed, so the next repair recomputes
-                // the full row (invariant 6: sticky, never stale).
-                self.seeds[si * words + w].store(u64::MAX, Ordering::Release);
-            }
-            // ordering: Release — hint flag, see `mark_seed`.
-            self.any_dirty.store(true, Ordering::Release);
-            // src_dirty stays raised: the row is still owed.
+        // Movement since gen_at_scan means a note raced the scan or the
+        // publication (invariant 6).
+        if gen_at_scan != Some(self.core.generation()) {
+            self.owe_full_row(si);
         } else {
             // ordering: Release — the repair's publication point: a
             // reader that acquires the cleared flag also sees every
             // certificate stored above (invariant 4).
             self.src_dirty[si].store(false, Ordering::Release);
         }
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.repairs.fetch_add(1, Ordering::Relaxed);
+        self.core.count_repairs(1);
         let m = dist_metrics();
         m.repairs.inc();
         m.shield_events.add(relabeled as u64);
-    }
-
-    /// Repairs every dirty source (serial restricted BFS per source).
-    /// Cheap when nothing is dirty.
-    pub fn repair_all<V: GraphView>(&self, view: &V) {
-        if !self.has_dirty() {
-            return;
-        }
-        // ordering: Release — hint reset; a mark racing this loop
-        // re-raises it, and the per-source flags below are
-        // authoritative either way.
-        self.any_dirty.store(false, Ordering::Release);
-        for si in 0..self.sources.len() {
-            if self.slot_dirty(si) {
-                self.repair_slot_with(view, si, restricted_hop_distances);
-            }
-        }
-    }
-
-    // ---- full rebuild & epoch coupling ---------------------------------
-
-    /// Discards every row and recomputes all sources from the view —
-    /// the fallback when the owning manager detects out-of-band
-    /// mutation. Returns `true` when the rebuild converged (no routed
-    /// notification raced the scan); on `false` every source is left
-    /// shielded with a full seed row, so queries recompute from the
-    /// live view on demand until a later pass converges.
-    pub fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
-        let _guard = self.repair_lock.lock();
-        self.rebuild_locked(view)
-    }
-
-    /// Rebuilds from `view` only if the synced epoch is still behind
-    /// `epoch` — double-checked under the repair lock, so concurrent
-    /// stale queries coalesce into one rebuild — then records the epoch
-    /// as absorbed. A rebuild raced by routed updates deliberately does
-    /// **not** record the epoch: the gap stays sticky (invariant 6) and
-    /// the next query resyncs again, settling once writers quiesce.
-    pub fn resync<V: GraphView>(&self, view: &V, epoch: u64) {
-        let _guard = self.repair_lock.lock();
-        if self.synced_epoch() < epoch && self.rebuild_locked(view) {
-            self.sync_to(epoch);
-        }
-    }
-
-    /// Rebuild passes attempted before giving up on a generation-stable
-    /// scan and leaving every source shielded instead.
-    const REBUILD_RETRIES: usize = 4;
-
-    fn rebuild_locked<V: GraphView>(&self, view: &V) -> bool {
-        assert_eq!(view.num_vertices(), self.n, "vertex count moved");
-        let m = dist_metrics();
-        let words = self.n.div_ceil(64);
-        let mut converged = false;
-        for _attempt in 0..Self::REBUILD_RETRIES {
-            // ordering: Acquire — a note counted by this read applied
-            // its mutation before it; one that bumps later is detected
-            // at the bottom of the pass (invariant 6).
-            let gen_at_scan = self.note_gen.load(Ordering::Acquire);
-            for si in 0..self.sources.len() {
-                // ordering: Release — raise every shield before
-                // touching the rows, so lock-free readers re-route into
-                // the (locked) repair path instead of observing the
-                // half-reset state (invariant 4).
-                self.src_dirty[si].store(true, Ordering::Release);
-            }
-            // ordering: Release — hint flag, see `mark_seed`.
-            self.any_dirty.store(true, Ordering::Release);
-            for si in 0..self.sources.len() {
-                self.bfs_row(view, si);
-            }
-            m.shield_events.add((self.sources.len() * self.n) as u64);
-            // ordering: Acquire — closes the generation window; a moved
-            // generation means the scan may have missed a racing note's
-            // mutation (invariant 6).
-            if self.note_gen.load(Ordering::Acquire) != gen_at_scan {
-                continue;
-            }
-            for w in 0..self.sources.len() * words {
-                // ordering: Release — the view fully absorbed; all seed
-                // debt is settled (invariant 4 publication order: bits
-                // before flags).
-                self.seeds[w].store(0, Ordering::Release);
-            }
-            for si in 0..self.sources.len() {
-                // ordering: Release — per-source publication point,
-                // paired with the query loop's Acquire (invariant 4).
-                self.src_dirty[si].store(false, Ordering::Release);
-            }
-            // ordering: Release — hint flag, see `mark_seed`.
-            self.any_dirty.store(false, Ordering::Release);
-            // Confirm nothing raced the clears themselves.
-            //
-            // ordering: Acquire — same pairing as the scan-start read.
-            if self.note_gen.load(Ordering::Acquire) == gen_at_scan {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            // The last pass left every shield up; give queries full
-            // seed rows so their repairs recompute whole rows from the
-            // live view on demand.
-            for w in 0..self.sources.len() * words {
-                // ordering: Release — conservative re-seed under the
-                // still-raised shields (invariant 6: sticky).
-                self.seeds[w].store(u64::MAX, Ordering::Release);
-            }
-        }
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-        m.full_rebuilds.inc();
-        converged
     }
 
     /// Serial BFS recompute of one source row (stores are
@@ -813,57 +666,81 @@ impl DistanceIndex {
             });
         }
     }
+}
 
-    // ---- counters & epoch coupling -------------------------------------
+impl std::ops::Deref for DistanceIndex {
+    type Target = IndexCore;
 
-    /// Number of targeted repairs performed (each covers one dirty
-    /// source). A clean query burst leaves this flat.
-    pub fn repair_count(&self) -> usize {
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.repairs.load(Ordering::Relaxed)
+    fn deref(&self) -> &IndexCore {
+        &self.core
+    }
+}
+
+impl IncrementalIndex for DistanceIndex {
+    fn note<V: GraphView>(&self, view: &V, upd: &Update) {
+        match upd.kind {
+            UpdateKind::Insert => self.note_insert(view, upd.edge.u, upd.edge.v),
+            UpdateKind::Delete => self.note_delete(upd.edge.u, upd.edge.v),
+        }
     }
 
-    /// Number of full rebuilds ([`DistanceIndex::rebuild_from`]) — the
-    /// quantity incremental maintenance exists to keep at zero.
-    pub fn full_rebuild_count(&self) -> usize {
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.full_rebuilds.load(Ordering::Relaxed)
+    // Repairs every dirty source (serial restricted BFS per source).
+    fn repair_all<V: GraphView>(&self, view: &V) {
+        if !self.has_dirty() {
+            return;
+        }
+        // ordering: Release — hint reset; a mark racing this loop
+        // re-raises it, and the per-source flags below are
+        // authoritative either way.
+        self.any_dirty.store(false, Ordering::Release);
+        for si in 0..self.sources.len() {
+            if self.slot_dirty(si) {
+                self.repair_slot_with(view, si, restricted_hop_distances);
+            }
+        }
     }
 
-    /// Manager epoch this index has absorbed (monotone; see
-    /// [`crate::engine::SnapshotManager`]).
-    pub fn synced_epoch(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel epoch bumps so an
-        // observed epoch implies the updates it covers (invariant 6).
-        self.synced_epoch.load(Ordering::Acquire)
-    }
-
-    /// Advances the absorbed epoch (monotone max). Use only when the
-    /// index provably reflects everything up to `epoch` — at build time
-    /// and after a rebuild; routed per-update bumps go through
-    /// [`DistanceIndex::sync_change`].
-    pub fn sync_to(&self, epoch: u64) {
-        // ordering: AcqRel — monotone epoch publication (invariant 6:
-        // racing bumps cannot move the absorbed epoch backwards).
-        self.synced_epoch.fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// Absorbs exactly one routed epoch bump: steps the synced epoch
-    /// from `new_epoch - 1` to `new_epoch`, and *only* that step, so an
-    /// out-of-band gap below stays sticky (see
-    /// [`crate::connectivity::ConnectivityIndex::sync_change`] — same
-    /// contract).
-    pub fn sync_change(&self, new_epoch: u64) {
-        // ordering: AcqRel on the exact step (invariant 6: an
-        // unabsorbed gap below stays sticky); Relaxed on failure — the
-        // gap itself is the signal, no data is read through the failed
-        // exchange.
-        let _ = self.synced_epoch.compare_exchange(
-            new_epoch.wrapping_sub(1),
-            new_epoch,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
+    // Discards every row and recomputes all sources from the view. On
+    // `false` every source is left shielded with a full seed row, so
+    // queries recompute from the live view on demand.
+    fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
+        assert_eq!(view.num_vertices(), self.n, "vertex count moved");
+        let _guard = self.repair_lock.lock();
+        let m = dist_metrics();
+        m.full_rebuilds.inc();
+        let converged = self.core.rebuild_until_stable(
+            || {
+                // Raise every shield before touching the rows, so
+                // lock-free readers re-route into the (locked) repair
+                // path instead of observing the half-reset state.
+                (0..self.sources.len()).for_each(|si| self.owe_full_row(si));
+                for si in 0..self.sources.len() {
+                    self.bfs_row(view, si);
+                }
+                m.shield_events.add((self.sources.len() * self.n) as u64);
+            },
+            || {
+                for w in &self.seeds {
+                    // ordering: Release — the view fully absorbed; all
+                    // seed debt is settled (invariant 4 publication
+                    // order: bits before flags).
+                    w.store(0, Ordering::Release);
+                }
+                for flag in &self.src_dirty {
+                    // ordering: Release — per-source publication point,
+                    // paired with the query loop's Acquire (invariant 4).
+                    flag.store(false, Ordering::Release);
+                }
+                // ordering: Release — hint flag, see `mark_seed`.
+                self.any_dirty.store(false, Ordering::Release);
+            },
         );
+        if !converged {
+            // The last pass may have dropped the shields before a note
+            // raced its publication.
+            (0..self.sources.len()).for_each(|si| self.owe_full_row(si));
+        }
+        converged
     }
 }
 
@@ -875,7 +752,7 @@ impl DistanceIndex {
 /// ([`UNREACHED`] = no claim from outside the set). Edges leaving
 /// `verts` are ignored — the caller folds the intact frontier into
 /// `ext`. This is the built-in relabeler for
-/// [`DistanceIndex::repair_source`]; `snap-par` supplies a parallel
+/// [`DistanceIndex::repair_source_with`]; `snap-par` supplies a parallel
 /// drop-in with the same contract, and `snap-kernels` an independent
 /// heap-based oracle for the differential suites.
 pub fn restricted_hop_distances<V: GraphView>(view: &V, verts: &[u32], ext: &[u32]) -> Vec<u32> {
@@ -1124,7 +1001,10 @@ mod tests {
         assert!(ran);
         assert!(!idx.is_source_dirty(0));
         assert_eq!(idx.distance(&g, 0, 3), None);
-        assert!(!idx.repair_source(&g, 0), "already clean");
+        assert!(
+            !idx.repair_source_with(&g, 0, restricted_hop_distances),
+            "already clean"
+        );
     }
 
     #[test]
@@ -1200,7 +1080,6 @@ mod tests {
     fn empty_and_sourceless_indexes() {
         let g: DynGraph<DynArr> = graph(0, &[]);
         let idx = DistanceIndex::from_view(&g, &[]);
-        assert!(idx.is_empty());
         assert!(!idx.has_dirty());
         let g: DynGraph<DynArr> = graph(4, &[(0, 1)]);
         let idx = DistanceIndex::from_view(&g, &[]);

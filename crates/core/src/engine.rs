@@ -35,8 +35,9 @@ use crate::connectivity::ConnectivityIndex;
 use crate::csr::{CsrGraph, SnapshotRace};
 use crate::distindex::DistanceIndex;
 use crate::graph::DynGraph;
+pub use crate::indexes::IndexRoutes;
+use crate::indexes::{IndexFamily, IndexQuery};
 use crate::triindex::TriangleIndex;
-use crate::view::GraphView;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use snap_rmat::{TimedEdge, Update, UpdateKind};
@@ -139,97 +140,6 @@ pub fn apply_vpart<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update], wor
     apply_vpart_indexed(g, updates, workers, IndexRoutes::default());
 }
 
-/// [`apply_vpart_indexed`] routing into a connectivity index only.
-/// Returns whether any update changed the graph.
-pub fn apply_vpart_routed<A: DynamicAdjacency>(
-    g: &DynGraph<A>,
-    updates: &[Update],
-    workers: usize,
-    conn: Option<&ConnectivityIndex>,
-) -> bool {
-    let routes = IndexRoutes {
-        conn,
-        ..IndexRoutes::default()
-    };
-    apply_vpart_indexed(g, updates, workers, routes) > 0
-}
-
-/// Borrowed bundle of every incremental index attached to a graph
-/// ([`ConnectivityIndex`], [`DistanceIndex`], [`TriangleIndex`]). All
-/// slots are optional; an empty bundle routes nothing.
-#[derive(Clone, Copy, Default)]
-pub struct IndexRoutes<'a> {
-    /// Incremental connectivity (union on insert, certificate check on
-    /// delete).
-    pub conn: Option<&'a ConnectivityIndex>,
-    /// Incremental hop distances (wavefront on insert, seed-mark on
-    /// delete).
-    pub dist: Option<&'a DistanceIndex>,
-    /// Incremental triangle counts (delta per effective update).
-    pub tri: Option<&'a TriangleIndex>,
-}
-
-impl<'a> IndexRoutes<'a> {
-    /// True when no index is attached.
-    pub fn is_empty(&self) -> bool {
-        self.conn.is_none() && self.dist.is_none() && self.tri.is_none()
-    }
-
-    /// True when some attached index consumes the *view* while routing
-    /// (distance wavefronts, triangle delete checks) — those notes must
-    /// run after the batch's barrier, in stream order, against settled
-    /// graph state; connectivity-only routing tolerates the in-parallel
-    /// fast path.
-    pub fn needs_settled_view(&self) -> bool {
-        self.dist.is_some() || self.tri.is_some()
-    }
-
-    /// Routes one confirmed change into every attached index. `view`
-    /// must already reflect the update (mutate first, then route — the
-    /// same contract as each index's `note_*` methods).
-    pub fn route<V: GraphView>(&self, view: &V, upd: &Update) {
-        let (u, v) = (upd.edge.u, upd.edge.v);
-        match upd.kind {
-            UpdateKind::Insert => {
-                if let Some(c) = self.conn {
-                    c.note_insert(u, v);
-                }
-                if let Some(d) = self.dist {
-                    d.note_insert(view, u, v);
-                }
-                if let Some(t) = self.tri {
-                    t.note_insert(u, v);
-                }
-            }
-            UpdateKind::Delete => {
-                if let Some(c) = self.conn {
-                    c.note_delete(u, v);
-                }
-                if let Some(d) = self.dist {
-                    d.note_delete(u, v);
-                }
-                if let Some(t) = self.tri {
-                    t.note_delete(view, u, v);
-                }
-            }
-        }
-    }
-
-    /// Steps every attached index's synced epoch by exactly one (the
-    /// sticky-gap contract of `sync_change` on each index).
-    pub fn sync_change(&self, new_epoch: u64) {
-        if let Some(c) = self.conn {
-            c.sync_change(new_epoch);
-        }
-        if let Some(d) = self.dist {
-            d.sync_change(new_epoch);
-        }
-        if let Some(t) = self.tri {
-            t.sync_change(new_epoch);
-        }
-    }
-}
-
 /// The `Vpart` applier with per-update change tracking and routing into
 /// the index family — the sharded writer of the serving engine
 /// ([`crate::serve::ServeEngine`]), which hands it a whole ingest cycle
@@ -309,19 +219,6 @@ pub fn apply_vpart_indexed<A: DynamicAdjacency>(
         }
     }
     count
-}
-
-/// Routes a confirmed change into the connectivity index (no-op when
-/// none is attached).
-fn route_update_for_conn(conn: Option<&ConnectivityIndex>, upd: &Update) {
-    if let Some(c) = conn {
-        match upd.kind {
-            UpdateKind::Insert => {
-                c.note_insert(upd.edge.u, upd.edge.v);
-            }
-            UpdateKind::Delete => c.note_delete(upd.edge.u, upd.edge.v),
-        }
-    }
 }
 
 /// `Epart` configuration: a vertex is "hot" if the current batch contains
@@ -438,33 +335,20 @@ pub fn semi_sort_bound(updates: &[Update], n: usize, directed: bool) -> Duration
 /// writers never quiesce should serve reads from the multi-version
 /// publication path in [`crate::serve`] instead of retrying here.
 ///
-/// # Connectivity serving
+/// # Index serving
 ///
-/// [`SnapshotManager::enable_connectivity`] attaches a
-/// [`ConnectivityIndex`]: from then on every update routed through the
-/// manager also maintains the index incrementally (insertions union,
-/// deletions go through its spanning-forest certificate), and
-/// [`SnapshotManager::same_component`] /
-/// [`SnapshotManager::component`] / [`SnapshotManager::component_count`]
-/// answer connectivity queries with **no CSR rebuild and no full
-/// recompute** — a deletion that hit the certificate triggers a
-/// replacement search of the smaller side of the cut over the live
-/// view. Validity is epoch-coupled: mutations applied behind the
-/// manager's back (via [`SnapshotManager::live`] +
-/// [`SnapshotManager::mark_dirty`]) leave the index's synced epoch
-/// behind, and the next connectivity query detects the gap and falls
-/// back to one full rebuild (counted on
-/// [`ConnectivityIndex::full_rebuild_count`]).
-///
-/// The same contract extends to the rest of the incremental index
-/// family: [`SnapshotManager::enable_distances`] attaches a
-/// [`DistanceIndex`] (exact hop distances from pinned sources, served
-/// by [`SnapshotManager::hop_distance`]) and
-/// [`SnapshotManager::enable_triangles`] a [`TriangleIndex`]
-/// (per-vertex triangle counts and clustering, served by
-/// [`SnapshotManager::triangle_count`] and friends) — every routed
-/// update maintains all attached indexes, epochs stay in lockstep, and
-/// out-of-band gaps trigger the same sticky resync per index.
+/// [`SnapshotManager::enable_connectivity`],
+/// [`SnapshotManager::enable_distances`] and
+/// [`SnapshotManager::enable_triangles`] attach members of the
+/// incremental index family ([`crate::indexes`]): from then on every
+/// update routed through the manager also maintains them, and
+/// [`SnapshotManager::indexes`] answers `same_component`,
+/// `hop_distance`, `triangle_count` and friends with **no CSR rebuild
+/// and no full recompute**. Validity is epoch-coupled: mutations applied
+/// behind the manager's back (via [`SnapshotManager::live`] +
+/// [`SnapshotManager::mark_dirty`]) leave an index's absorbed epoch
+/// behind, and its next query detects the gap and pays one counted full
+/// rebuild.
 ///
 /// # Examples
 ///
@@ -487,23 +371,24 @@ pub fn semi_sort_bound(updates: &[Update], n: usize, directed: bool) -> Duration
 /// assert_eq!(csr.num_entries(), 4);
 /// let again = mgr.snapshot();
 /// assert_eq!(mgr.rebuild_count(), 1);
+///
+/// // Index queries need neither.
+/// mgr.enable_connectivity();
+/// assert!(mgr.indexes().same_component(0, 2));
+/// assert_eq!(mgr.rebuild_count(), 1);
 /// ```
 pub struct SnapshotManager<A: DynamicAdjacency> {
     graph: DynGraph<A>,
     /// Monotone mutation counter; `snapshot` compares it to the cached
-    /// build's epoch to decide whether a rebuild is due.
+    /// build's epoch to decide whether a rebuild is due, and every index
+    /// query compares it to the index's absorbed epoch.
     epoch: AtomicU64,
+    /// Held across "step every attached index, then publish the epoch",
+    /// so racing routed changes step in epoch order (invariant 6).
+    epoch_lock: Mutex<()>,
     cache: Mutex<SnapshotCache>,
     rebuilds: AtomicUsize,
-    /// Lazily attached connectivity index (see
-    /// [`SnapshotManager::enable_connectivity`]).
-    conn: OnceLock<ConnectivityIndex>,
-    /// Lazily attached hop-distance index (see
-    /// [`SnapshotManager::enable_distances`]).
-    dist: OnceLock<DistanceIndex>,
-    /// Lazily attached triangle index (see
-    /// [`SnapshotManager::enable_triangles`]).
-    tri: OnceLock<TriangleIndex>,
+    indexes: IndexFamily,
 }
 
 struct SnapshotCache {
@@ -518,27 +403,13 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
         Self {
             graph,
             epoch: AtomicU64::new(0),
+            epoch_lock: Mutex::new(()),
             cache: Mutex::new(SnapshotCache {
                 epoch: 0,
                 csr: None,
             }),
             rebuilds: AtomicUsize::new(0),
-            conn: OnceLock::new(),
-            dist: OnceLock::new(),
-            tri: OnceLock::new(),
-        }
-    }
-
-    /// The index bundle as attached *right now* — captured once at the
-    /// start of every mutation, so an index attached mid-mutation is
-    /// deliberately not routed into (its stamped epoch stays behind and
-    /// the first query resyncs conservatively; see
-    /// [`SnapshotManager::note_change`]).
-    fn routes(&self) -> IndexRoutes<'_> {
-        IndexRoutes {
-            conn: self.conn.get(),
-            dist: self.dist.get(),
-            tri: self.tri.get(),
+            indexes: IndexFamily::default(),
         }
     }
 
@@ -555,9 +426,9 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
 
     /// Current mutation epoch.
     pub fn epoch(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel epoch bumps so a
-        // reader that observes epoch e also observes the mutations the
-        // bump published (invariant 1: epoch-coupled validity).
+        // ordering: Acquire — pairs with the Release epoch publications
+        // so a reader that observes epoch e also observes the mutations
+        // it covers (invariant 1: epoch-coupled validity).
         self.epoch.load(Ordering::Acquire)
     }
 
@@ -577,131 +448,73 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
 
     /// Marks the graph dirty without going through the manager's update
     /// methods (escape hatch for callers mutating `live()` directly).
-    /// The attached connectivity index (if any) is *not* synced, so its
-    /// next query pays one full rebuild — that is the detection
-    /// mechanism, not a leak.
+    /// The attached indexes are *not* stepped, so the next query on each
+    /// pays one full rebuild: that is the detection mechanism.
     pub fn mark_dirty(&self) {
-        // ordering: AcqRel — the bump publishes the caller's direct
-        // mutations to the next Acquire `epoch()` reader (invariants 1
-        // and 2: bumps only on change, validity coupled to the epoch).
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+        self.publish_epoch(IndexRoutes::default());
     }
 
-    /// Bumps the epoch for a change routed through the manager, keeping
-    /// every attached index's synced epoch in lockstep. Each index
-    /// steps by exactly one epoch (the `sync_change` contract), so an
-    /// out-of-band `mark_dirty` gap below this bump stays sticky and
-    /// still triggers the next query's resync instead of being
-    /// fast-forwarded over. `routes` must be the bundle captured at the
-    /// *start* of the mutation: if an index was attached mid-mutation,
-    /// the change was not routed into it, and stepping its epoch anyway
-    /// would hide exactly that gap (the first query is supposed to pay a
-    /// conservative resync instead).
-    fn note_change(&self, routes: IndexRoutes<'_>) {
-        // ordering: AcqRel — same publication as `mark_dirty`; the new
-        // epoch value carries the mutation to Acquire readers
-        // (invariant 1).
-        let e = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+    /// Publishes the next epoch as one ordered action: under the epoch
+    /// lock, step every index in `routes` to it, then store it. Racing
+    /// routed changes therefore step in epoch order — without the lock
+    /// the later epoch's exact step could run first, fail, and leave
+    /// every index one epoch behind for good. `mark_dirty` passes no
+    /// routes, so its gap stays open under every later step. `routes`
+    /// must be the bundle captured at the *start* of the mutation: a
+    /// change was not routed into an index attached after that, and
+    /// stepping its epoch anyway would hide exactly that gap.
+    fn publish_epoch(&self, routes: IndexRoutes<'_>) {
+        let _order = self.epoch_lock.lock();
+        let e = self.epoch() + 1;
         routes.sync_change(e);
+        // ordering: Release — publishes the mutation (and the index
+        // steps above) to Acquire `epoch()` readers (invariants 1, 2, 6).
+        self.epoch.store(e, Ordering::Release);
     }
 
     /// Inserts a timestamped edge, bumping the epoch only if an entry
     /// was actually stored (a deduplicated re-insert leaves the cached
     /// snapshot valid). Thread-safe.
     pub fn insert_edge(&self, e: TimedEdge) -> bool {
-        let routes = self.routes();
-        let r = self.graph.insert_edge(e);
-        if r {
-            routes.route(&self.graph, &Update::insert(e));
-            self.note_change(routes);
-        }
-        r
+        self.apply(&Update::insert(e))
     }
 
     /// Deletes one occurrence of `(u, v)`, bumping the epoch only if an
     /// entry was actually removed (deleting an absent edge leaves the
     /// cached snapshot valid). Thread-safe.
     pub fn delete_edge(&self, u: u32, v: u32) -> bool {
-        let routes = self.routes();
-        let r = self.graph.delete_edge(u, v);
-        if r {
-            routes.route(&self.graph, &Update::delete(TimedEdge::new(u, v, 0)));
-            self.note_change(routes);
-        }
-        r
+        self.apply(&Update::delete(TimedEdge::new(u, v, 0)))
     }
 
     /// Applies a single structural update, bumping the epoch only if it
     /// changed the graph. Thread-safe.
     pub fn apply(&self, upd: &Update) -> bool {
-        let routes = self.routes();
-        let r = self.graph.apply(upd);
-        if r {
+        let routes = self.indexes.routes();
+        let changed = self.graph.apply(upd);
+        if changed {
             routes.route(&self.graph, upd);
-            self.note_change(routes);
+            self.publish_epoch(routes);
         }
-        r
+        changed
     }
 
     /// Applies a whole batch in parallel, bumping the epoch **at most
     /// once** and only if some update actually changed the graph — the
     /// paper's bulk-synchronous pattern. A burst of no-op batches
     /// (deletes of absent edges, deduplicated re-inserts) leaves the
-    /// cached snapshot and the connectivity index untouched. Returns
-    /// whether the batch changed anything.
+    /// cached snapshot and the indexes untouched. With an index
+    /// attached the batch goes through [`apply_vpart_indexed`], which
+    /// routes the confirmed changes after the barrier, in stream order.
+    /// Returns whether the batch changed anything.
     pub fn apply_batch(&self, updates: &[Update]) -> bool {
-        if updates.is_empty() {
-            return false;
-        }
-        let routes = self.routes();
-        let changed = if routes.needs_settled_view() {
-            // View-consuming indexes (distances, triangles) need their
-            // notes to run against settled graph state, in stream
-            // order: record per-update outcomes in the parallel phase,
-            // then route confirmed changes after the barrier — the same
-            // two-phase shape as [`apply_vpart_indexed`].
-            let flags: Vec<AtomicBool> = updates.iter().map(|_| AtomicBool::new(false)).collect();
-            updates.par_iter().zip(&flags).for_each(|(u, f)| {
-                if self.graph.apply(u) {
-                    // ordering: Relaxed — per-update outcome flags
-                    // joined at the par_iter barrier; the barrier's own
-                    // synchronization publishes them (invariant 8).
-                    f.store(true, Ordering::Relaxed);
-                }
-            });
-            let mut any = false;
-            for (u, f) in updates.iter().zip(&flags) {
-                // ordering: Relaxed — read after the barrier above; the
-                // barrier already ordered the stores.
-                if f.load(Ordering::Relaxed) {
-                    any = true;
-                    routes.route(&self.graph, u);
-                }
-            }
-            any
+        let routes = self.indexes.routes();
+        let changed = if routes.is_empty() {
+            apply_stream(&self.graph, updates)
         } else {
-            // Connectivity-only fast path: the same parallel loop as
-            // [`apply_stream`], with each confirmed change routed
-            // in-place (union-find notes tolerate in-flight batch
-            // state; `route_update_for_conn` is a no-op when no index
-            // is attached).
-            let conn = routes.conn;
-            let any = AtomicBool::new(false);
-            updates.par_iter().for_each(|u| {
-                if self.graph.apply(u) {
-                    route_update_for_conn(conn, u);
-                    // ordering: Relaxed — monotonic flag joined at the
-                    // par_iter barrier (`into_inner`), as in apply_stream.
-                    if !any.load(Ordering::Relaxed) {
-                        // ordering: Relaxed — covered by the note above.
-                        any.store(true, Ordering::Relaxed);
-                    }
-                }
-            });
-            any.into_inner()
+            apply_vpart_indexed(&self.graph, updates, 0, routes) > 0
         };
         if changed {
-            self.note_change(routes);
+            self.publish_epoch(routes);
         }
         changed
     }
@@ -709,178 +522,28 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
     /// Attaches (or returns) the incremental [`ConnectivityIndex`],
     /// building it from the current live graph on first call. From then
     /// on, updates routed through the manager maintain it; query through
-    /// [`SnapshotManager::same_component`] and friends.
+    /// [`SnapshotManager::indexes`].
     pub fn enable_connectivity(&self) -> &ConnectivityIndex {
-        self.conn.get_or_init(|| {
-            // Read the epoch *before* scanning the graph: an update
-            // racing this init is not routed into the index (it is not
-            // attached yet) but does bump the epoch, so stamping the
-            // pre-scan epoch leaves synced < epoch and the first query
-            // resyncs conservatively instead of serving a stale miss.
-            let epoch_before = self.epoch();
-            let idx = ConnectivityIndex::from_view(&self.graph);
-            idx.sync_to(epoch_before);
-            idx
-        })
-    }
-
-    /// The attached connectivity index, if
-    /// [`SnapshotManager::enable_connectivity`] has run — exposed so
-    /// callers can repair with a custom relabeler (e.g. the parallel
-    /// kernel in `snap-par`) or read its counters.
-    pub fn connectivity(&self) -> Option<&ConnectivityIndex> {
-        self.conn.get()
-    }
-
-    /// The connectivity index, resynchronized if out-of-band mutation
-    /// (`mark_dirty`) left it behind the manager's epoch. The epoch gap
-    /// is re-checked under the index's repair lock, so concurrent stale
-    /// queries coalesce into a single rebuild.
-    fn conn_fresh(&self) -> &ConnectivityIndex {
-        // panics: documented API contract — connectivity queries
-        // require enable_connectivity() first; the message says so.
-        let c = self
-            .conn
-            .get()
-            .expect("connectivity queries need enable_connectivity() first");
-        let e = self.epoch();
-        if c.synced_epoch() < e {
-            c.resync(&self.graph, e);
-        }
-        c
-    }
-
-    /// Canonical component label (minimum member id) of `u` — near-O(α),
-    /// no traversal, no snapshot, unless a deletion is pending that cut a
-    /// certificate edge (replacement search, smaller side of the cut) or
-    /// the index is stale (full rebuild).
-    pub fn component(&self, u: u32) -> u32 {
-        self.conn_fresh().component(&self.graph, u)
-    }
-
-    /// True if `u` and `v` are currently connected; same cost profile as
-    /// [`SnapshotManager::component`].
-    pub fn same_component(&self, u: u32, v: u32) -> bool {
-        self.conn_fresh().same_component(&self.graph, u, v)
-    }
-
-    /// Number of connected components, settling pending deletions first.
-    pub fn component_count(&self) -> usize {
-        self.conn_fresh().component_count(&self.graph)
+        self.indexes.attach_connectivity(&self.graph, self.epoch())
     }
 
     /// Attaches (or returns) the incremental [`DistanceIndex`] over the
-    /// given pinned sources, building it from the current live graph on
-    /// first call. From then on, updates routed through the manager
-    /// maintain it; query through [`SnapshotManager::hop_distance`].
-    /// `sources` is honored only by the attaching call — later calls
-    /// return the existing index whatever they pass.
+    /// given pinned sources (honored only by the attaching call).
     pub fn enable_distances(&self, sources: &[u32]) -> &DistanceIndex {
-        self.dist.get_or_init(|| {
-            // Same pre-scan epoch stamp as `enable_connectivity`: an
-            // update racing this init bumps the epoch but is not routed
-            // (the index is not attached yet), so the first query
-            // resyncs conservatively instead of serving a stale row.
-            let epoch_before = self.epoch();
-            let idx = DistanceIndex::from_view(&self.graph, sources);
-            idx.sync_to(epoch_before);
-            idx
-        })
+        self.indexes
+            .attach_distances(&self.graph, sources, self.epoch())
     }
 
-    /// Attaches (or returns) the incremental [`TriangleIndex`],
-    /// building it from the current live graph on first call. From then
-    /// on, updates routed through the manager maintain it; query
-    /// through [`SnapshotManager::triangle_count`] and friends.
+    /// Attaches (or returns) the incremental [`TriangleIndex`].
     pub fn enable_triangles(&self) -> &TriangleIndex {
-        self.tri.get_or_init(|| {
-            // Pre-scan epoch stamp; see `enable_distances`.
-            let epoch_before = self.epoch();
-            let idx = TriangleIndex::from_view(&self.graph);
-            idx.sync_to(epoch_before);
-            idx
-        })
+        self.indexes.attach_triangles(&self.graph, self.epoch())
     }
 
-    /// The attached distance index, if
-    /// [`SnapshotManager::enable_distances`] has run — exposed so
-    /// callers can repair with a custom relabeler (e.g. the parallel
-    /// restricted BFS in `snap-par`) or read its counters.
-    pub fn distance_index(&self) -> Option<&DistanceIndex> {
-        self.dist.get()
-    }
-
-    /// The attached triangle index, if
-    /// [`SnapshotManager::enable_triangles`] has run.
-    pub fn triangle_index(&self) -> Option<&TriangleIndex> {
-        self.tri.get()
-    }
-
-    /// The distance index, resynchronized if out-of-band mutation left
-    /// it behind the manager's epoch (same coalescing as `conn_fresh`).
-    fn dist_fresh(&self) -> &DistanceIndex {
-        // panics: documented API contract — distance queries require
-        // enable_distances() first; the message says so.
-        let d = self
-            .dist
-            .get()
-            .expect("distance queries need enable_distances() first");
-        let e = self.epoch();
-        if d.synced_epoch() < e {
-            d.resync(&self.graph, e);
-        }
-        d
-    }
-
-    /// The triangle index, resynchronized if out-of-band mutation left
-    /// it behind the manager's epoch (same coalescing as `conn_fresh`).
-    fn tri_fresh(&self) -> &TriangleIndex {
-        // panics: documented API contract — triangle queries require
-        // enable_triangles() first; the message says so.
-        let t = self
-            .tri
-            .get()
-            .expect("triangle queries need enable_triangles() first");
-        let e = self.epoch();
-        if t.synced_epoch() < e {
-            t.resync(&self.graph, e);
-        }
-        t
-    }
-
-    /// Exact hop distance from pinned `source` to `v` (`None` when
-    /// unreachable) — no traversal, no snapshot, unless a deletion left
-    /// the source's row dirty (targeted repair) or the index is stale
-    /// (full rebuild). Panics if `source` was not pinned by
-    /// [`SnapshotManager::enable_distances`].
-    pub fn hop_distance(&self, source: u32, v: u32) -> Option<u32> {
-        self.dist_fresh().distance(&self.graph, source, v)
-    }
-
-    /// The full distance row from pinned `source`
-    /// ([`crate::distindex::UNREACHED`] for unreachable vertices); same
-    /// cost profile as [`SnapshotManager::hop_distance`].
-    pub fn hop_distances(&self, source: u32) -> Vec<u32> {
-        self.dist_fresh().distances(&self.graph, source)
-    }
-
-    /// Triangles incident to `u`, from the delta-maintained index — no
-    /// recount unless the index is stale (full rebuild).
-    pub fn triangles_of(&self, u: u32) -> u64 {
-        self.tri_fresh().triangles_of(u)
-    }
-
-    /// Total distinct triangles; same cost profile as
-    /// [`SnapshotManager::triangles_of`].
-    pub fn triangle_count(&self) -> u64 {
-        self.tri_fresh().triangle_count()
-    }
-
-    /// Average clustering coefficient, from the maintained counters —
-    /// bit-identical to `snap_kernels::average_clustering` on the live
-    /// view at quiescence.
-    pub fn average_clustering(&self) -> f64 {
-        self.tri_fresh().average_clustering()
+    /// The query surface of the attached indexes over the live graph
+    /// ([`IndexQuery`]); every query checks the index against the
+    /// manager's epoch first.
+    pub fn indexes(&self) -> IndexQuery<'_, DynGraph<A>> {
+        self.indexes.query(&self.graph, &self.epoch)
     }
 
     /// The CSR snapshot of the current state. Returns the cached build
@@ -894,9 +557,7 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
     /// spin for a long time — serving workloads that never quiesce
     /// should read published versions from
     /// [`crate::serve::ServeEngine`] instead, where a race is impossible
-    /// by construction. (Before the serving engine existed, this method
-    /// panicked on a detected race; [`SnapshotManager::snapshot_racy`]
-    /// preserves that behavior for callers using it as an assertion.)
+    /// by construction.
     pub fn snapshot(&self) -> Arc<CsrGraph> {
         loop {
             match self.try_snapshot() {
@@ -939,33 +600,6 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
         cache.epoch = target;
         cache.csr = Some(Arc::clone(&csr));
         Ok(csr)
-    }
-
-    /// The pre-serving-engine contract of [`SnapshotManager::snapshot`]:
-    /// one build attempt that **panics** if a writer races it. Kept only
-    /// for callers that relied on the panic as a bulk-synchronous
-    /// discipline assertion.
-    #[deprecated(
-        since = "0.2.0",
-        note = "snapshot() no longer panics on a racing writer; use snapshot(), \
-                try_snapshot(), or the serve::ServeEngine publication path"
-    )]
-    pub fn snapshot_racy(&self) -> Arc<CsrGraph> {
-        let mut cache = self.cache.lock();
-        let target = self.epoch();
-        if let Some(csr) = &cache.csr {
-            if cache.epoch == target {
-                snapshot_metrics().cache_hits.inc();
-                return Arc::clone(csr);
-            }
-        }
-        let csr = Arc::new(self.graph.to_csr());
-        // ordering: Relaxed — statistics counter (invariant 9).
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        snapshot_metrics().rebuilds.inc();
-        cache.epoch = target;
-        cache.csr = Some(Arc::clone(&csr));
-        csr
     }
 }
 
@@ -1241,44 +875,42 @@ mod tests {
         // Clean query burst: zero CSR rebuilds, zero repairs, zero full
         // recomputes — the acceptance criterion of the serving path.
         for _ in 0..128 {
-            assert!(mgr.same_component(0, 31));
-            assert!(!mgr.same_component(0, 40));
-            assert_eq!(mgr.component(17), 0);
+            assert!(mgr.indexes().same_component(0, 31));
+            assert!(!mgr.indexes().same_component(0, 40));
+            assert_eq!(mgr.indexes().component(17), 0);
         }
         assert_eq!(mgr.rebuild_count(), 0, "no CSR was ever built");
-        let idx = mgr.connectivity().unwrap();
         assert_eq!(idx.repair_count(), 0);
         assert_eq!(idx.full_rebuild_count(), 0);
         // Incremental inserts through the manager keep serving cheaply.
         mgr.insert_edge(snap_rmat::TimedEdge::new(31, 40, 2));
-        assert!(mgr.same_component(0, 40));
+        assert!(mgr.indexes().same_component(0, 40));
         assert_eq!(idx.repair_count(), 0, "insertions never need repair");
         // A bridge deletion splits its component; the next query finds
         // out and relabels one side.
         mgr.delete_edge(15, 16);
-        assert!(!mgr.same_component(0, 31));
-        assert!(mgr.same_component(16, 40));
+        assert!(!mgr.indexes().same_component(0, 31));
+        assert!(mgr.indexes().same_component(16, 40));
         assert_eq!(idx.repair_count(), 1);
         assert_eq!(mgr.rebuild_count(), 0, "still no CSR");
         // 33 vertices were in the path+40 component, now split in two;
         // the other 31 vertices are isolates.
-        assert_eq!(mgr.component_count(), 31 + 2);
+        assert_eq!(mgr.indexes().component_count(), 31 + 2);
     }
 
     #[test]
     fn out_of_band_mutation_costs_one_full_resync() {
         let g: DynGraph<DynArr> = DynGraph::undirected(8, &CapacityHints::new(16));
         let mgr = SnapshotManager::new(g);
-        mgr.enable_connectivity();
-        assert!(!mgr.same_component(2, 3));
+        let idx = mgr.enable_connectivity();
+        assert!(!mgr.indexes().same_component(2, 3));
         // Mutate behind the manager's back, then mark dirty: the next
         // connectivity query must notice and resync exactly once.
         mgr.live().insert_edge(snap_rmat::TimedEdge::new(2, 3, 1));
         mgr.mark_dirty();
-        assert!(mgr.same_component(2, 3));
-        let idx = mgr.connectivity().unwrap();
+        assert!(mgr.indexes().same_component(2, 3));
         assert_eq!(idx.full_rebuild_count(), 1);
-        assert!(mgr.same_component(2, 3));
+        assert!(mgr.indexes().same_component(2, 3));
         assert_eq!(
             idx.full_rebuild_count(),
             1,
@@ -1293,49 +925,97 @@ mod tests {
         // the index past the gap and the stale-detection never fired.
         let g: DynGraph<DynArr> = DynGraph::undirected(8, &CapacityHints::new(16));
         let mgr = SnapshotManager::new(g);
-        mgr.enable_connectivity();
+        let idx = mgr.enable_connectivity();
         mgr.live().insert_edge(snap_rmat::TimedEdge::new(2, 3, 1));
         mgr.mark_dirty(); // gap: epoch moved, index did not absorb it
                           // A routed update lands before any query. It must not paper
                           // over the gap...
         assert!(mgr.insert_edge(snap_rmat::TimedEdge::new(5, 6, 1)));
-        let idx = mgr.connectivity().unwrap();
         assert!(
             idx.synced_epoch() < mgr.epoch(),
             "the out-of-band gap must stay sticky"
         );
         // ...so the next query still detects staleness and resyncs.
-        assert!(mgr.same_component(2, 3), "out-of-band edge must be seen");
-        assert!(mgr.same_component(5, 6));
+        assert!(
+            mgr.indexes().same_component(2, 3),
+            "out-of-band edge must be seen"
+        );
+        assert!(mgr.indexes().same_component(5, 6));
         assert_eq!(idx.full_rebuild_count(), 1);
         assert_eq!(idx.synced_epoch(), mgr.epoch());
         // Lockstep resumes after the resync: further routed updates
         // keep the index fresh with no more rebuilds.
         assert!(mgr.insert_edge(snap_rmat::TimedEdge::new(3, 5, 2)));
-        assert!(mgr.same_component(2, 6));
+        assert!(mgr.indexes().same_component(2, 6));
         assert_eq!(idx.full_rebuild_count(), 1);
+    }
+
+    #[test]
+    fn racing_routed_changes_leave_no_epoch_gap() {
+        // Regression (the 1-in-25 chaos flake): two threads in the
+        // epoch bump took epochs e and e + 1; when the exact step to
+        // e + 1 ran before the step to e it failed, the step to e then
+        // succeeded, and the index sat one epoch behind for good — the
+        // next query paid a full rebuild although every change had been
+        // routed. Each round releases every thread into the bump at
+        // once (far more threads than cores, so wake-ups preempt inside
+        // the window); one inversion in any round fails the test.
+        const THREADS: u32 = 32;
+        const ROUNDS: u32 = 2000;
+        let n = (THREADS * ROUNDS + 1) as usize;
+        let g: DynGraph<DynArr> = DynGraph::undirected(n, &CapacityHints::new(n * 2));
+        let mgr = SnapshotManager::new(g);
+        let cores: [&crate::indexes::IndexCore; 3] = [
+            mgr.enable_connectivity(),
+            mgr.enable_distances(&[0]),
+            mgr.enable_triangles(),
+        ];
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (mgr, start) = (&mgr, &start);
+                s.spawn(move || {
+                    for r in 0..ROUNDS {
+                        start.wait();
+                        assert!(mgr.insert_edge(TimedEdge::new(0, 1 + r * THREADS + t, 1)));
+                    }
+                });
+            }
+        });
+        assert_eq!(mgr.epoch(), u64::from(THREADS * ROUNDS));
+        let q = mgr.indexes();
+        assert_eq!(q.component_count(), 1);
+        assert_eq!(q.hop_distance(0, n as u32 - 1), Some(1));
+        assert_eq!(q.triangle_count(), 0);
+        for core in cores {
+            assert_eq!(core.synced_epoch(), mgr.epoch(), "stepped in lockstep");
+            assert_eq!(core.full_rebuild_count(), 0, "so nothing to resync");
+        }
     }
 
     #[test]
     fn batched_deletes_route_into_the_index() {
         let g: DynGraph<DynArr> = DynGraph::undirected(8, &CapacityHints::new(32));
         let mgr = SnapshotManager::new(g);
-        mgr.enable_connectivity();
+        let idx = mgr.enable_connectivity();
         let ins: Vec<Update> = [(0, 1), (1, 2), (2, 3), (1, 3)]
             .iter()
             .map(|&(u, v)| Update::insert(snap_rmat::TimedEdge::new(u, v, 1)))
             .collect();
         assert!(mgr.apply_batch(&ins));
-        assert!(mgr.same_component(0, 3));
+        assert!(mgr.indexes().same_component(0, 3));
         // Delete the only bridge to 0 in one batch with a redundant edge.
         let dels = vec![
             Update::delete(snap_rmat::TimedEdge::new(0, 1, 0)),
             Update::delete(snap_rmat::TimedEdge::new(1, 3, 0)),
         ];
         assert!(mgr.apply_batch(&dels));
-        assert!(!mgr.same_component(0, 3), "0 split off");
-        assert!(mgr.same_component(1, 3), "1-2-3 still connected via 2");
-        assert_eq!(mgr.connectivity().unwrap().full_rebuild_count(), 0);
+        assert!(!mgr.indexes().same_component(0, 3), "0 split off");
+        assert!(
+            mgr.indexes().same_component(1, 3),
+            "1-2-3 still connected via 2"
+        );
+        assert_eq!(idx.full_rebuild_count(), 0);
     }
 
     #[test]
@@ -1399,10 +1079,11 @@ mod tests {
     }
 
     #[test]
-    fn vpart_routed_matches_vpart_and_reports_changes() {
+    fn vpart_indexed_matches_vpart_and_counts_changes() {
+        let none = IndexRoutes::default();
         let (n, s) = workload();
         let g1: DynGraph<DynArr> = DynGraph::undirected(n, &CapacityHints::new(s.len() * 2));
-        assert!(apply_vpart_routed(&g1, &s, 4, None), "inserts change");
+        assert_eq!(apply_vpart_indexed(&g1, &s, 4, none), s.len());
         let g2: DynGraph<DynArr> = DynGraph::undirected(n, &CapacityHints::new(s.len() * 2));
         apply_vpart(&g2, &s, 4);
         assert_eq!(live_set(&g1), live_set(&g2));
@@ -1412,28 +1093,32 @@ mod tests {
         let absent: Vec<Update> = (0..8u32)
             .map(|i| Update::delete(TimedEdge::new(i, i + 1, 0)))
             .collect();
-        assert!(!apply_vpart_routed(&empty, &absent, 4, None));
+        assert_eq!(apply_vpart_indexed(&empty, &absent, 4, none), 0);
     }
 
     #[test]
-    fn vpart_routed_keeps_connectivity_index_incremental() {
+    fn vpart_indexed_keeps_connectivity_index_incremental() {
         let n = 64usize;
         let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(256));
         let conn = ConnectivityIndex::from_view(&g);
+        let routes = IndexRoutes {
+            conn: Some(&conn),
+            ..IndexRoutes::default()
+        };
         let path: Vec<Update> = (0..31u32)
             .map(|i| Update::insert(TimedEdge::new(i, i + 1, 1)))
             .collect();
-        assert!(apply_vpart_routed(&g, &path, 4, Some(&conn)));
+        assert_eq!(apply_vpart_indexed(&g, &path, 4, routes), path.len());
         assert!(conn.same_component(&g, 0, 31));
         assert_eq!(conn.repair_count(), 0, "insertions never need repair");
         // A real bridge deletion: the next query relabels one side.
         let del = vec![Update::delete(TimedEdge::new(15, 16, 0))];
-        assert!(apply_vpart_routed(&g, &del, 4, Some(&conn)));
+        assert_eq!(apply_vpart_indexed(&g, &del, 4, routes), 1);
         assert!(!conn.same_component(&g, 0, 31));
         assert_eq!(conn.repair_count(), 1);
         // A no-op delete batch must not reach the index at all.
         let noop = vec![Update::delete(TimedEdge::new(40, 41, 0))];
-        assert!(!apply_vpart_routed(&g, &noop, 4, Some(&conn)));
+        assert_eq!(apply_vpart_indexed(&g, &noop, 4, routes), 0);
         assert_eq!(conn.full_rebuild_count(), 0);
         // Labels agree with the serial kernel on the same state.
         let mut expect: Vec<u32> = (0..n as u32).collect();
@@ -1458,19 +1143,18 @@ mod tests {
         let idx = mgr.enable_distances(&[0]);
         assert_eq!(idx.full_rebuild_count(), 0);
         for _ in 0..64 {
-            assert_eq!(mgr.hop_distance(0, 31), Some(31));
-            assert_eq!(mgr.hop_distance(0, 40), None);
+            assert_eq!(mgr.indexes().hop_distance(0, 31), Some(31));
+            assert_eq!(mgr.indexes().hop_distance(0, 40), None);
         }
         assert_eq!(mgr.rebuild_count(), 0, "no CSR was ever built");
-        let idx = mgr.distance_index().unwrap();
         assert_eq!(idx.repair_count(), 0);
         // A routed insert shortens the path with no repair ...
         mgr.insert_edge(TimedEdge::new(0, 30, 2));
-        assert_eq!(mgr.hop_distance(0, 31), Some(2));
+        assert_eq!(mgr.indexes().hop_distance(0, 31), Some(2));
         assert_eq!(idx.repair_count(), 0, "insertions never need repair");
         // ... and a routed delete dirties + repairs on the next query.
         mgr.delete_edge(0, 30);
-        assert_eq!(mgr.hop_distance(0, 31), Some(31));
+        assert_eq!(mgr.indexes().hop_distance(0, 31), Some(31));
         assert_eq!(idx.repair_count(), 1);
         assert_eq!(idx.full_rebuild_count(), 0);
         assert_eq!(mgr.rebuild_count(), 0, "still no CSR");
@@ -1485,15 +1169,14 @@ mod tests {
             .map(|&(u, v)| Update::insert(TimedEdge::new(u, v, 1)))
             .collect();
         mgr.apply_batch(&tri);
-        mgr.enable_triangles();
-        assert_eq!(mgr.triangle_count(), 1);
-        assert_eq!(mgr.triangles_of(0), 1);
+        let idx = mgr.enable_triangles();
+        assert_eq!(mgr.indexes().triangle_count(), 1);
+        assert_eq!(mgr.indexes().triangles_of(0), 1);
         // Routed single updates apply deltas, never recounts.
         mgr.insert_edge(TimedEdge::new(1, 3, 2));
-        assert_eq!(mgr.triangle_count(), 2);
+        assert_eq!(mgr.indexes().triangle_count(), 2);
         mgr.delete_edge(0, 1);
-        assert_eq!(mgr.triangle_count(), 0);
-        let idx = mgr.triangle_index().unwrap();
+        assert_eq!(mgr.indexes().triangle_count(), 0);
         assert_eq!(idx.full_rebuild_count(), 0);
         assert!(idx.delta_count() >= 2);
         assert_eq!(mgr.rebuild_count(), 0, "no CSR was ever built");
@@ -1507,27 +1190,27 @@ mod tests {
             Update::insert(TimedEdge::new(0, 1, 1)),
             Update::insert(TimedEdge::new(1, 2, 1)),
         ]);
-        mgr.enable_distances(&[0]);
-        mgr.enable_triangles();
-        assert_eq!(mgr.hop_distance(0, 2), Some(2));
-        assert_eq!(mgr.triangle_count(), 0);
+        let dist = mgr.enable_distances(&[0]);
+        let tri = mgr.enable_triangles();
+        assert_eq!(mgr.indexes().hop_distance(0, 2), Some(2));
+        assert_eq!(mgr.indexes().triangle_count(), 0);
         // Mutate behind the manager's back: both indexes must detect
         // the gap on their next query and pay exactly one rebuild.
         mgr.live().insert_edge(TimedEdge::new(2, 0, 5));
         mgr.mark_dirty();
-        assert_eq!(mgr.hop_distance(0, 2), Some(1));
-        assert_eq!(mgr.triangle_count(), 1);
-        assert_eq!(mgr.distance_index().unwrap().full_rebuild_count(), 1);
-        assert_eq!(mgr.triangle_index().unwrap().full_rebuild_count(), 1);
+        assert_eq!(mgr.indexes().hop_distance(0, 2), Some(1));
+        assert_eq!(mgr.indexes().triangle_count(), 1);
+        assert_eq!(dist.full_rebuild_count(), 1);
+        assert_eq!(tri.full_rebuild_count(), 1);
         // Paid once, not per query.
-        assert_eq!(mgr.hop_distance(0, 2), Some(1));
-        assert_eq!(mgr.triangle_count(), 1);
-        assert_eq!(mgr.distance_index().unwrap().full_rebuild_count(), 1);
-        assert_eq!(mgr.triangle_index().unwrap().full_rebuild_count(), 1);
+        assert_eq!(mgr.indexes().hop_distance(0, 2), Some(1));
+        assert_eq!(mgr.indexes().triangle_count(), 1);
+        assert_eq!(dist.full_rebuild_count(), 1);
+        assert_eq!(tri.full_rebuild_count(), 1);
         // Routed updates resume incremental maintenance afterwards.
         mgr.insert_edge(TimedEdge::new(2, 3, 6));
-        assert_eq!(mgr.hop_distance(0, 3), Some(2));
-        assert_eq!(mgr.distance_index().unwrap().full_rebuild_count(), 1);
+        assert_eq!(mgr.indexes().hop_distance(0, 3), Some(2));
+        assert_eq!(dist.full_rebuild_count(), 1);
     }
 
     #[test]
@@ -1543,8 +1226,8 @@ mod tests {
             Update::insert(TimedEdge::new(1, 2, 1)),
             Update::insert(TimedEdge::new(2, 3, 1)),
         ]);
-        mgr.enable_distances(&[0]);
-        mgr.enable_triangles();
+        let dist = mgr.enable_distances(&[0]);
+        let tri = mgr.enable_triangles();
         mgr.enable_connectivity();
         let churn = vec![
             Update::insert(TimedEdge::new(0, 3, 2)), // shortcut ...
@@ -1552,11 +1235,11 @@ mod tests {
             Update::delete(TimedEdge::new(0, 3, 0)), // shortcut gone again
         ];
         assert!(mgr.apply_batch(&churn));
-        assert_eq!(mgr.hop_distance(0, 3), Some(2), "via 1-3 now");
-        assert_eq!(mgr.triangle_count(), 1, "triangle 1-2-3 stands");
-        assert!(mgr.same_component(0, 3));
-        assert_eq!(mgr.distance_index().unwrap().full_rebuild_count(), 0);
-        assert_eq!(mgr.triangle_index().unwrap().full_rebuild_count(), 0);
+        assert_eq!(mgr.indexes().hop_distance(0, 3), Some(2), "via 1-3 now");
+        assert_eq!(mgr.indexes().triangle_count(), 1, "triangle 1-2-3 stands");
+        assert!(mgr.indexes().same_component(0, 3));
+        assert_eq!(dist.full_rebuild_count(), 0);
+        assert_eq!(tri.full_rebuild_count(), 0);
     }
 
     #[test]
@@ -1572,7 +1255,6 @@ mod tests {
             tri: Some(&tri),
         };
         assert!(!routes.is_empty());
-        assert!(routes.needs_settled_view());
         let mut batch: Vec<Update> = (0..31u32)
             .map(|i| Update::insert(TimedEdge::new(i, i + 1, 1)))
             .collect();
@@ -1604,17 +1286,6 @@ mod tests {
         let s1 = mgr.try_snapshot().expect("no writer, no race");
         let s2 = mgr.try_snapshot().expect("cached");
         assert!(Arc::ptr_eq(&s1, &s2));
-        assert_eq!(mgr.rebuild_count(), 1);
-    }
-
-    #[test]
-    fn deprecated_snapshot_racy_still_works_when_quiescent() {
-        let g: DynGraph<DynArr> = DynGraph::undirected(4, &CapacityHints::new(8));
-        let mgr = SnapshotManager::new(g);
-        mgr.insert_edge(TimedEdge::new(0, 1, 1));
-        #[allow(deprecated)]
-        let s = mgr.snapshot_racy();
-        assert_eq!(s.num_entries(), 2);
         assert_eq!(mgr.rebuild_count(), 1);
     }
 

@@ -40,7 +40,10 @@
 //! certificate + lazy-targeted-repair pattern generalizes into an index
 //! family: [`distindex::DistanceIndex`] (exact hop distances from
 //! pinned sources) and [`triindex::TriangleIndex`] (per-vertex triangle
-//! counts and clustering, delta-maintained).
+//! counts and clustering, delta-maintained). [`indexes`] holds what the
+//! three share: the epoch / generation protocol ([`IndexCore`]) and the
+//! one query surface ([`IndexQuery`]) that [`SnapshotManager::indexes`]
+//! and [`ServeEngine::indexes`] both hand out.
 //!
 //! Under *concurrent* ingest — writers that never quiesce — the
 //! [`serve::ServeEngine`] generalizes all three: a sharded single-queue
@@ -74,9 +77,9 @@ pub mod engine;
 pub mod forest;
 pub mod graph;
 pub mod hybrid;
+pub mod indexes;
 pub mod reorder;
 pub mod serve;
-pub mod slices;
 pub mod treapadj;
 pub mod triindex;
 pub mod view;
@@ -90,6 +93,7 @@ pub use dynarr::{DynArr, FixedDynArr};
 pub use engine::SnapshotManager;
 pub use graph::DynGraph;
 pub use hybrid::HybridAdj;
+pub use indexes::{IncrementalIndex, IndexCore, IndexFamily, IndexQuery, IndexRoutes};
 pub use serve::{EpochSnapshot, ServeConfig, ServeEngine, SnapshotHandle};
 pub use treapadj::TreapAdj;
 pub use triindex::TriangleIndex;

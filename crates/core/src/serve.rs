@@ -4,8 +4,8 @@
 //! in while analysts query. The rest of this crate follows the paper's
 //! bulk-synchronous discipline (apply a batch, then read); this module
 //! removes that restriction for serving workloads by generalizing the
-//! [`ConnectivityIndex`] shield-bit publication pattern into a whole-graph
-//! protocol:
+//! [`ConnectivityIndex`](crate::connectivity::ConnectivityIndex)
+//! shield-bit publication pattern into a whole-graph protocol:
 //!
 //! 1. **Single writer, single queue.** All mutations enter through
 //!    [`ServeEngine::submit`] as batches on one FIFO ingest queue. A
@@ -91,12 +91,10 @@
 //! ```
 
 use crate::adjacency::{AdjEntry, DynamicAdjacency};
-use crate::connectivity::ConnectivityIndex;
 use crate::csr::CsrGraph;
-use crate::distindex::DistanceIndex;
-use crate::engine::{apply_vpart_indexed, resolve_workers, IndexRoutes};
+use crate::engine::{apply_vpart_indexed, resolve_workers};
 use crate::graph::DynGraph;
-use crate::triindex::TriangleIndex;
+use crate::indexes::{IndexFamily, IndexQuery, NO_CONNECTIVITY};
 use crate::view::GraphView;
 use parking_lot::{Mutex, RwLock};
 use snap_obs::{Counter, Gauge, Histogram, MetricsRegistry, Sampler, Stamp};
@@ -121,9 +119,9 @@ pub struct ServeConfig {
     /// installed rayon pool / `SNAP_THREADS`), resolved once at engine
     /// construction.
     pub shards: usize,
-    /// Maintain a [`ConnectivityIndex`] and publish per-version
-    /// component labels, making [`ServeEngine::same_component`]
-    /// wait-free array reads.
+    /// Maintain a connectivity index and publish per-version component
+    /// labels, making [`ServeEngine::same_component`] wait-free array
+    /// reads.
     pub connectivity: bool,
     /// Max batches drained per ingest cycle (>= 1). A cycle applies its
     /// batches with one applier call and settles the index once, so
@@ -136,16 +134,14 @@ pub struct ServeConfig {
     /// version's prefix against a bulk-synchronous oracle. Off by
     /// default (unbounded memory under sustained ingest).
     pub history: bool,
-    /// Pinned sources for an incremental [`DistanceIndex`] maintained
-    /// by the writer (empty = no distance index). Queries go through
-    /// [`ServeEngine::hop_distance`] against the live graph: exact
-    /// after a [`ServeEngine::flush`], transient while racing the
-    /// writer.
+    /// Pinned sources for an incremental distance index maintained by
+    /// the writer (empty = no distance index). Queries go through
+    /// [`ServeEngine::indexes`] against the live graph: exact after a
+    /// [`ServeEngine::flush`], transient while racing the writer.
     pub distance_sources: Vec<u32>,
-    /// Maintain an incremental [`TriangleIndex`] (per-vertex triangle
-    /// counts + clustering), queried through
-    /// [`ServeEngine::triangle_count`] and friends with the same
-    /// exact-at-quiescence contract as distances.
+    /// Maintain an incremental triangle index (per-vertex triangle
+    /// counts + clustering), queried through [`ServeEngine::indexes`]
+    /// with the same exact-at-quiescence contract as distances.
     pub triangles: bool,
 }
 
@@ -432,9 +428,9 @@ struct Shared<A: DynamicAdjacency> {
     /// construction — that exclusivity is what makes index repairs and
     /// CSR builds race-free without a graph-wide lock.
     graph: DynGraph<A>,
-    conn: Option<ConnectivityIndex>,
-    dist: Option<DistanceIndex>,
-    tri: Option<TriangleIndex>,
+    /// The incremental indexes [`ServeConfig`] asked for: noted into,
+    /// settled and epoch-stepped by the writer only.
+    indexes: IndexFamily,
     /// The newest *frozen* version — what pins get. The write lock is
     /// held only for the pointer swap (never during a build), so
     /// readers pin in O(1).
@@ -481,14 +477,18 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     /// thread.
     pub fn new(graph: DynGraph<A>, cfg: ServeConfig) -> Self {
         let shards = resolve_workers(cfg.shards);
+        let indexes = IndexFamily::default();
         let conn = cfg
             .connectivity
-            .then(|| ConnectivityIndex::from_view(&graph));
-        let dist = (!cfg.distance_sources.is_empty())
-            .then(|| DistanceIndex::from_view(&graph, &cfg.distance_sources));
-        let tri = cfg.triangles.then(|| TriangleIndex::from_view(&graph));
+            .then(|| indexes.attach_connectivity(&graph, 0));
+        if !cfg.distance_sources.is_empty() {
+            indexes.attach_distances(&graph, &cfg.distance_sources, 0);
+        }
+        if cfg.triangles {
+            indexes.attach_triangles(&graph, 0);
+        }
         let csr = Arc::new(graph.to_csr());
-        let labels = conn.as_ref().map(|c| Arc::new(c.labels(&graph)));
+        let labels = conn.map(|c| Arc::new(c.labels(&graph)));
         let v0 = Arc::new(EpochSnapshot {
             epoch: 0,
             batches: 0,
@@ -497,9 +497,7 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         });
         let shared = Arc::new(Shared {
             graph,
-            conn,
-            dist,
-            tri,
+            indexes,
             current: RwLock::new(Arc::clone(&v0)),
             labels: RwLock::new(labels),
             cycle_epoch: AtomicU64::new(0),
@@ -629,15 +627,7 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         let m = &self.shared.metrics;
         m.queries.inc();
         let sampled = m.query_sampler.tick().then(Stamp::now);
-        let res = {
-            let labels = self.shared.labels.read();
-            // panics: documented contract (see `# Panics` above) — the
-            // engine was built with connectivity disabled.
-            let l = labels
-                .as_ref()
-                .expect("ServeConfig::connectivity is disabled");
-            l[u as usize] == l[v as usize]
-        };
+        let res = self.with_labels(|l| l[u as usize] == l[v as usize]);
         if let Some(t) = sampled {
             m.query_ns.record(t.elapsed_ns());
         }
@@ -648,13 +638,15 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     /// [`ServeEngine::same_component`] for the cost and panic contract).
     pub fn component(&self, u: u32) -> u32 {
         self.shared.metrics.queries.inc();
+        self.with_labels(|l| l[u as usize])
+    }
+
+    /// Reads the newest cycle's labels under the pointer's read lock.
+    fn with_labels<R>(&self, read: impl FnOnce(&[u32]) -> R) -> R {
+        let labels = self.shared.labels.read();
         // panics: documented contract (see `same_component`) — the
         // engine was built with connectivity disabled.
-        self.shared
-            .labels
-            .read()
-            .as_ref()
-            .expect("ServeConfig::connectivity is disabled")[u as usize]
+        read(labels.as_ref().expect(NO_CONNECTIVITY))
     }
 
     /// Batches submitted but not yet visible to pins (queued, or applied
@@ -705,100 +697,22 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     /// index. The serving path keeps this at **zero**: insertions union
     /// incrementally and deletions go through the certificate.
     pub fn full_rebuild_count(&self) -> Option<usize> {
-        self.shared.conn.as_ref().map(|c| c.full_rebuild_count())
+        let conn = self.shared.indexes.routes().conn;
+        conn.map(|c| c.full_rebuild_count())
     }
 
-    /// Connectivity relabels published by the writer (one per split
-    /// side, or per whole-component fallback), or `None` without the
-    /// index. Deletions that disconnect nothing leave it flat.
-    pub fn repair_count(&self) -> Option<usize> {
-        self.shared.conn.as_ref().map(|c| c.repair_count())
-    }
-
-    /// Hop distance from a pinned `source` to `v` in the live graph
-    /// (`None` = unreachable), answered by the incremental
-    /// [`DistanceIndex`] — no traversal, no snapshot. Exact after a
-    /// [`ServeEngine::flush`]; while racing the writer the value is
-    /// transient (it reflects some recently applied prefix).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`ServeConfig::distance_sources`] is empty or `source`
-    /// is not one of the pinned sources.
-    pub fn hop_distance(&self, source: u32, v: u32) -> Option<u32> {
-        self.shared.metrics.queries.inc();
-        self.shared
-            .dist
-            .as_ref()
-            // panics: documented contract — the engine was built
-            // without distance sources.
-            .expect("ServeConfig::distance_sources is empty")
-            .distance(&self.shared.graph, source, v)
-    }
-
-    /// Triangles incident to `u` in the live graph, delta-maintained by
-    /// the incremental [`TriangleIndex`] (same exact-after-flush,
-    /// transient-while-racing contract as [`ServeEngine::hop_distance`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`ServeConfig::triangles`] is disabled.
-    pub fn triangles_of(&self, u: u32) -> u64 {
-        self.shared.metrics.queries.inc();
-        // panics: documented contract — the engine was built without
-        // the triangle index.
-        self.tri_index().triangles_of(u)
-    }
-
-    /// Global triangle count in the live graph (see
-    /// [`ServeEngine::triangles_of`] for the freshness and panic
-    /// contract).
-    pub fn triangle_count(&self) -> u64 {
-        self.shared.metrics.queries.inc();
-        self.tri_index().triangle_count()
-    }
-
-    /// Average local clustering coefficient of the live graph (see
-    /// [`ServeEngine::triangles_of`] for the freshness and panic
-    /// contract).
-    pub fn average_clustering(&self) -> f64 {
-        self.shared.metrics.queries.inc();
-        self.tri_index().average_clustering()
-    }
-
-    fn tri_index(&self) -> &TriangleIndex {
-        self.shared
-            .tri
-            .as_ref()
-            // panics: documented contract — the engine was built with
-            // triangles disabled.
-            .expect("ServeConfig::triangles is disabled")
-    }
-
-    /// Targeted distance repairs performed (writer-side or
-    /// query-triggered), or `None` without the index.
-    pub fn dist_repair_count(&self) -> Option<usize> {
-        self.shared.dist.as_ref().map(|d| d.repair_count())
-    }
-
-    /// Full distance rebuilds performed, or `None` without the index.
-    /// Zero on the serving path: deletions dirty-mark and repairs stay
-    /// targeted.
-    pub fn dist_full_rebuild_count(&self) -> Option<usize> {
-        self.shared.dist.as_ref().map(|d| d.full_rebuild_count())
-    }
-
-    /// Triangle deltas absorbed incrementally, or `None` without the
-    /// index.
-    pub fn tri_delta_count(&self) -> Option<usize> {
-        self.shared.tri.as_ref().map(|t| t.delta_count())
-    }
-
-    /// Full triangle recounts performed, or `None` without the index.
-    /// Zero on the serving path: every update is an O(min-degree)
-    /// delta.
-    pub fn tri_full_rebuild_count(&self) -> Option<usize> {
-        self.shared.tri.as_ref().map(|t| t.full_rebuild_count())
+    /// The query surface of the indexes this engine maintains
+    /// ([`IndexQuery`]: `hop_distance`, `triangles_of`, `triangle_count`,
+    /// `average_clustering`, ..., and the indexes' own counters through
+    /// [`IndexQuery::routes`]). Queries read the writer's live indexes:
+    /// exact after a [`ServeEngine::flush`], transient while racing the
+    /// writer (some recently applied prefix) — for connectivity prefer
+    /// the wait-free [`ServeEngine::same_component`]. The writer steps
+    /// every index before it publishes a cycle's epoch, so no query here
+    /// ever pays a rebuild. Do not note into the indexes.
+    pub fn indexes(&self) -> IndexQuery<'_, DynGraph<A>> {
+        let s = &*self.shared;
+        s.indexes.query(&s.graph, &s.cycle_epoch)
     }
 
     /// Applied batches in application (= submission) order. Empty unless
@@ -920,13 +834,9 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
             self.stream.extend_from_slice(b);
         }
         let applied = self.stream.len() as u64;
+        let routes = shared.indexes.routes();
         let changed = {
             let _t = Timer::scope(&m.apply_ns);
-            let routes = IndexRoutes {
-                conn: shared.conn.as_ref(),
-                dist: shared.dist.as_ref(),
-                tri: shared.tri.as_ref(),
-            };
             apply_vpart_indexed(&shared.graph, &self.stream, shared.shards, routes) as u64
         };
         self.epoch += 1;
@@ -956,14 +866,15 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
             // Distance repairs ride the same writer-side repair phase:
             // queries between cycles then read clean rows lock-free
             // instead of paying the targeted repair themselves.
-            if let Some(d) = shared.dist.as_ref() {
-                d.repair_all(&shared.graph);
-            }
-            if let Some(c) = shared.conn.as_ref() {
+            routes.repair_all(&shared.graph);
+            if let Some(c) = routes.conn {
                 let labels = Arc::new(c.labels(&shared.graph));
                 *shared.labels.write() = Some(labels);
             }
         }
+        // Step, then publish (invariant 6): an index query that reads
+        // this cycle's epoch finds every index already at it.
+        routes.sync_change(self.epoch);
         // ordering: SeqCst — after the label swap, so an epoch read
         // implies labels at least that new; SeqCst (with the flag load
         // below) for the store-buffering argument spelled out in `pin`.
@@ -1070,6 +981,10 @@ mod tests {
         Update::delete(TimedEdge::new(u, v, 0))
     }
 
+    fn conn(e: &ServeEngine<HybridAdj>) -> &crate::ConnectivityIndex {
+        e.indexes().routes().conn.expect("connectivity on")
+    }
+
     #[test]
     fn publishes_versions_in_submission_order() {
         let e = engine(8, ServeConfig::default().with_shards(2).with_coalesce(1));
@@ -1147,7 +1062,7 @@ mod tests {
         }
         assert_eq!(v.same_component(0, 3), Some(true));
         assert_eq!(v.same_component(3, 4), Some(false));
-        assert_eq!(e.repair_count(), Some(1), "one targeted repair");
+        assert_eq!(conn(&e).repair_count(), 1, "one targeted repair");
         assert_eq!(e.full_rebuild_count(), Some(0));
     }
 
@@ -1160,8 +1075,7 @@ mod tests {
         assert!(v.component_labels().is_none());
         assert_eq!(v.same_component(0, 1), None);
         assert_eq!(e.full_rebuild_count(), None);
-        assert_eq!(e.dist_repair_count(), None);
-        assert_eq!(e.tri_delta_count(), None);
+        assert!(e.indexes().routes().is_empty());
     }
 
     #[test]
@@ -1174,19 +1088,24 @@ mod tests {
         );
         e.submit((0..7u32).map(|i| ins(i, i + 1, 1)).collect());
         e.flush();
-        assert_eq!(e.hop_distance(0, 7), Some(7));
+        assert_eq!(e.indexes().hop_distance(0, 7), Some(7));
         // A shortcut relaxes incrementally...
         e.submit(vec![ins(0, 6, 2)]);
         e.flush();
-        assert_eq!(e.hop_distance(0, 7), Some(2));
+        assert_eq!(e.indexes().hop_distance(0, 7), Some(2));
         // ...and deleting it dirty-marks; the writer's repair phase
         // cleans the row before this query reads it.
         e.submit(vec![del(0, 6)]);
         e.flush();
-        assert_eq!(e.hop_distance(0, 7), Some(7));
-        assert_eq!(e.hop_distance(0, 15), None, "isolate is unreachable");
-        assert_eq!(e.dist_full_rebuild_count(), Some(0));
-        assert!(e.dist_repair_count().unwrap_or(0) >= 1);
+        assert_eq!(e.indexes().hop_distance(0, 7), Some(7));
+        assert_eq!(
+            e.indexes().hop_distance(0, 15),
+            None,
+            "isolate is unreachable"
+        );
+        let dist = e.indexes().routes().dist.expect("sources pinned");
+        assert_eq!(dist.full_rebuild_count(), 0);
+        assert!(dist.repair_count() >= 1);
     }
 
     #[test]
@@ -1197,20 +1116,21 @@ mod tests {
         );
         e.submit(vec![ins(0, 1, 1), ins(1, 2, 2), ins(0, 2, 3)]);
         e.flush();
-        assert_eq!(e.triangle_count(), 1);
-        assert_eq!(e.triangles_of(0), 1);
+        assert_eq!(e.indexes().triangle_count(), 1);
+        assert_eq!(e.indexes().triangles_of(0), 1);
         e.submit(vec![ins(1, 3, 4), ins(2, 3, 5)]);
         e.flush();
-        assert_eq!(e.triangle_count(), 2);
+        assert_eq!(e.indexes().triangle_count(), 2);
         // A triangle vertex: C(1) = 2·2/(3·2), C(0) = 1, C(3) = 1,
         // isolates contribute 0 — matches the kernels-side summation.
         let expected = (1.0 + (2.0 * 2.0) / (3.0 * 2.0) * 2.0 + 1.0) / 8.0;
-        assert!((e.average_clustering() - expected).abs() < 1e-12);
+        assert!((e.indexes().average_clustering() - expected).abs() < 1e-12);
         e.submit(vec![del(1, 2)]);
         e.flush();
-        assert_eq!(e.triangle_count(), 0);
-        assert_eq!(e.tri_full_rebuild_count(), Some(0));
-        assert!(e.tri_delta_count().unwrap_or(0) >= 6);
+        assert_eq!(e.indexes().triangle_count(), 0);
+        let tri = e.indexes().routes().tri.expect("triangles on");
+        assert_eq!(tri.full_rebuild_count(), 0);
+        assert!(tri.delta_count() >= 6);
     }
 
     #[test]
@@ -1243,14 +1163,15 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         for u in 0..32u32 {
-            let got = e.hop_distance(0, u);
+            let got = e.indexes().hop_distance(0, u);
             let want = (oracle[u as usize] != u32::MAX).then_some(oracle[u as usize]);
             assert_eq!(got, want, "hop_distance(0, {u})");
         }
-        let tri_oracle = TriangleIndex::from_view(&*v);
-        assert_eq!(e.triangle_count(), tri_oracle.triangle_count());
-        assert_eq!(e.dist_full_rebuild_count(), Some(0));
-        assert_eq!(e.tri_full_rebuild_count(), Some(0));
+        let tri_oracle = crate::TriangleIndex::from_view(&*v);
+        assert_eq!(e.indexes().triangle_count(), tri_oracle.triangle_count());
+        let routes = e.indexes().routes();
+        assert_eq!(routes.dist.expect("sources pinned").full_rebuild_count(), 0);
+        assert_eq!(routes.tri.expect("triangles on").full_rebuild_count(), 0);
     }
 
     #[test]

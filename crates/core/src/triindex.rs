@@ -16,8 +16,8 @@
 //!
 //! Following the [`crate::connectivity::ConnectivityIndex`] template:
 //! deltas are the incremental fast path; a full rebuild
-//! ([`TriangleIndex::rebuild_from`]) exists only as the sticky fallback
-//! for out-of-band mutation, guarded by a generation counter and a
+//! ([`IncrementalIndex::rebuild_from`]) exists only as the sticky
+//! fallback for out-of-band mutation ([`crate::indexes`]), behind a
 //! shield flag so racing readers never observe the half-reset state.
 //!
 //! # Concurrency contract
@@ -30,8 +30,10 @@
 //! gives exact answers, and the serving layer documents racing reads
 //! as transient for every index.
 
+use crate::indexes::{IncrementalIndex, IndexCore};
 use crate::view::GraphView;
 use parking_lot::Mutex;
+use snap_rmat::{Update, UpdateKind};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -133,15 +135,12 @@ pub struct TriangleIndex {
     /// recomputed wholesale, so lock-free readers re-route around the
     /// half-reset state.
     rebuilding: AtomicBool,
-    /// Epoch of the owning [`SnapshotManager`](crate::engine::SnapshotManager)
-    /// this index has absorbed; `0` until the manager syncs it.
-    synced_epoch: AtomicU64,
-    /// Bumped at the *start* of every routed notification, before the
-    /// lock is taken — a rebuild whose view scan races a note's graph
-    /// mutation observes the moved generation and retries (invariant 6).
-    note_gen: AtomicU64,
+    /// Epoch coupling, note generation and the `full_rebuild_count`
+    /// counter (invariant 6; the index derefs to it). Notes bump the generation before they take the
+    /// lock, so a rebuild whose view scan races a note's graph mutation
+    /// retries.
+    core: IndexCore,
     deltas: AtomicUsize,
-    full_rebuilds: AtomicUsize,
 }
 
 impl TriangleIndex {
@@ -159,10 +158,8 @@ impl TriangleIndex {
             total: AtomicU64::new(0),
             adj: Mutex::new(vec![Vec::new(); n]),
             rebuilding: AtomicBool::new(false),
-            synced_epoch: AtomicU64::new(0),
-            note_gen: AtomicU64::new(0),
+            core: IndexCore::default(),
             deltas: AtomicUsize::new(0),
-            full_rebuilds: AtomicUsize::new(0),
         }
     }
 
@@ -176,16 +173,6 @@ impl TriangleIndex {
             idx.recount_locked(&mut guard, view);
         }
         idx
-    }
-
-    /// Number of indexed vertices.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the index covers zero vertices.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     // ---- update notifications ------------------------------------------
@@ -204,10 +191,7 @@ impl TriangleIndex {
         // with the caller's graph mutation sees the moved generation
         // and retries; this note then applies idempotently against the
         // rebuilt adjacency once the lock frees (invariant 6).
-        //
-        // ordering: Release — pairs with the rebuild's Acquire
-        // generation reads.
-        self.note_gen.fetch_add(1, Ordering::Release);
+        self.core.begin_note();
         let mut adj = self.adj.lock();
         let i = match adj[u as usize].binary_search(&v) {
             Ok(_) => return false, // already present in the simple graph
@@ -234,10 +218,7 @@ impl TriangleIndex {
             return false;
         }
         // Bump-before-lock: see `note_insert` (invariant 6).
-        //
-        // ordering: Release — pairs with the rebuild's Acquire
-        // generation reads.
-        self.note_gen.fetch_add(1, Ordering::Release);
+        self.core.begin_note();
         let mut adj = self.adj.lock();
         let i = match adj[u as usize].binary_search(&v) {
             Ok(i) => i,
@@ -269,6 +250,8 @@ impl TriangleIndex {
     /// Publishes one edge's triangle delta. Caller holds the adjacency
     /// lock with the lists already updated.
     fn apply_delta(&self, adj: &[Vec<u32>], u: u32, v: u32, common: &[u32], add: bool) {
+        // Subtraction is the wrapping add of the negation.
+        let signed = |c: u64| if add { c } else { c.wrapping_neg() };
         let c = common.len() as u64;
         // ordering: Release (all stores/RMWs below) — counter
         // publication; paired with the Acquire loads in the read path
@@ -278,29 +261,16 @@ impl TriangleIndex {
         self.deg[u as usize].store(adj[u as usize].len() as u32, Ordering::Release);
         // ordering: Release — see the group note above.
         self.deg[v as usize].store(adj[v as usize].len() as u32, Ordering::Release);
-        if add {
+        // ordering: Release — see the group note above.
+        self.tri[u as usize].fetch_add(signed(c), Ordering::Release);
+        // ordering: Release — see the group note above.
+        self.tri[v as usize].fetch_add(signed(c), Ordering::Release);
+        for &w in common {
             // ordering: Release — see the group note above.
-            self.tri[u as usize].fetch_add(c, Ordering::Release);
-            // ordering: Release — see the group note above.
-            self.tri[v as usize].fetch_add(c, Ordering::Release);
-            for &w in common {
-                // ordering: Release — see the group note above.
-                self.tri[w as usize].fetch_add(1, Ordering::Release);
-            }
-            // ordering: Release — see the group note above.
-            self.total.fetch_add(c, Ordering::Release);
-        } else {
-            // ordering: Release — see the group note above.
-            self.tri[u as usize].fetch_sub(c, Ordering::Release);
-            // ordering: Release — see the group note above.
-            self.tri[v as usize].fetch_sub(c, Ordering::Release);
-            for &w in common {
-                // ordering: Release — see the group note above.
-                self.tri[w as usize].fetch_sub(1, Ordering::Release);
-            }
-            // ordering: Release — see the group note above.
-            self.total.fetch_sub(c, Ordering::Release);
+            self.tri[w as usize].fetch_add(signed(1), Ordering::Release);
         }
+        // ordering: Release — see the group note above.
+        self.total.fetch_add(signed(c), Ordering::Release);
         // ordering: Relaxed — statistics counter, no ordering consumed.
         self.deltas.fetch_add(1, Ordering::Relaxed);
         tri_metrics().deltas.inc();
@@ -419,75 +389,7 @@ impl TriangleIndex {
         self.stable_read(|idx| idx.deg[u as usize].load(Ordering::Acquire))
     }
 
-    // ---- full rebuild & epoch coupling ---------------------------------
-
-    /// Rebuild passes attempted before accepting a possibly-raced count
-    /// (the epoch then stays unrecorded, so the owning manager retries
-    /// on the next stale query — invariant 6).
-    const REBUILD_RETRIES: usize = 4;
-
-    /// Discards all counters and recounts from the view — the fallback
-    /// when the owning manager detects out-of-band mutation. Returns
-    /// `true` when the recount converged (no routed note raced the view
-    /// scan).
-    pub fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
-        let mut guard = self.adj.lock();
-        self.rebuild_locked(&mut guard, view)
-    }
-
-    /// Recounts from `view` only if the synced epoch is still behind
-    /// `epoch` — double-checked under the lock, so concurrent stale
-    /// queries coalesce into one recount — then records the epoch as
-    /// absorbed. A raced recount deliberately does **not** record the
-    /// epoch: the gap stays sticky and the next query resyncs again
-    /// (invariant 6).
-    pub fn resync<V: GraphView>(&self, view: &V, epoch: u64) {
-        let mut guard = self.adj.lock();
-        if self.synced_epoch() < epoch && self.rebuild_locked(&mut guard, view) {
-            self.sync_to(epoch);
-        }
-    }
-
-    fn rebuild_locked<V: GraphView>(&self, adj: &mut [Vec<u32>], view: &V) -> bool {
-        assert_eq!(view.num_vertices(), self.n, "vertex count moved");
-        let m = tri_metrics();
-        let mut converged = false;
-        for _attempt in 0..Self::REBUILD_RETRIES {
-            // ordering: Acquire — a note counted by this read applied
-            // its graph mutation before it; a later bump is caught at
-            // the bottom of the pass (invariant 6).
-            let gen_at_scan = self.note_gen.load(Ordering::Acquire);
-            // ordering: Release — raise the shield before touching the
-            // counters, so lock-free readers re-route around the reset
-            // (invariant 4). Pairs with the Acquire loads in
-            // `stable_read`.
-            self.rebuilding.store(true, Ordering::Release);
-            self.recount_locked(adj, view);
-            m.shield_events.add(self.n as u64);
-            // ordering: Acquire — closes the generation window; a moved
-            // generation means the view scan may have missed a racing
-            // note's graph mutation (invariant 6).
-            if self.note_gen.load(Ordering::Acquire) == gen_at_scan {
-                converged = true;
-                // ordering: Release — the recount's publication point,
-                // paired with `stable_read`'s Acquire (invariant 4).
-                self.rebuilding.store(false, Ordering::Release);
-                break;
-            }
-        }
-        if !converged {
-            // Best-effort transient: the blocked notes behind this lock
-            // re-apply idempotently against the rebuilt adjacency, and
-            // the unrecorded epoch keeps the debt sticky.
-            //
-            // ordering: Release — see the converged clear above.
-            self.rebuilding.store(false, Ordering::Release);
-        }
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-        m.full_rebuilds.inc();
-        converged
-    }
+    // ---- full rebuild --------------------------------------------------
 
     /// Rebuilds the internal simple adjacency from the view and
     /// recounts every triangle counter. Caller holds the lock (and the
@@ -544,48 +446,55 @@ impl TriangleIndex {
         self.total.store(total / 3, Ordering::Release);
     }
 
-    // ---- counters & epoch coupling -------------------------------------
+    // ---- counters ------------------------------------------------------
 
     /// Number of delta applications (one per effective edge update).
     pub fn delta_count(&self) -> usize {
         // ordering: Relaxed — statistics counter, no ordering consumed.
         self.deltas.load(Ordering::Relaxed)
     }
+}
 
-    /// Number of full recounts ([`TriangleIndex::rebuild_from`]) — the
-    /// quantity delta maintenance exists to keep at zero.
-    pub fn full_rebuild_count(&self) -> usize {
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.full_rebuilds.load(Ordering::Relaxed)
+impl std::ops::Deref for TriangleIndex {
+    type Target = IndexCore;
+
+    fn deref(&self) -> &IndexCore {
+        &self.core
+    }
+}
+
+impl IncrementalIndex for TriangleIndex {
+    fn note<V: GraphView>(&self, view: &V, upd: &Update) {
+        match upd.kind {
+            UpdateKind::Insert => self.note_insert(upd.edge.u, upd.edge.v),
+            UpdateKind::Delete => self.note_delete(view, upd.edge.u, upd.edge.v),
+        };
     }
 
-    /// Manager epoch this index has absorbed (monotone; see
-    /// [`crate::engine::SnapshotManager`]).
-    pub fn synced_epoch(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel epoch bumps so an
-        // observed epoch implies the updates it covers (invariant 6).
-        self.synced_epoch.load(Ordering::Acquire)
-    }
-
-    /// Advances the absorbed epoch (monotone max). Use only when the
-    /// index provably reflects everything up to `epoch`.
-    pub fn sync_to(&self, epoch: u64) {
-        // ordering: AcqRel — monotone epoch publication (invariant 6).
-        self.synced_epoch.fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// Absorbs exactly one routed epoch bump — same exact-step contract
-    /// as [`crate::connectivity::ConnectivityIndex::sync_change`]: an
-    /// out-of-band gap below stays sticky.
-    pub fn sync_change(&self, new_epoch: u64) {
-        // ordering: AcqRel on the exact step (invariant 6); Relaxed on
-        // failure — the gap itself is the signal.
-        let _ = self.synced_epoch.compare_exchange(
-            new_epoch.wrapping_sub(1),
-            new_epoch,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
+    // Discards all counters and recounts from the view. On `false` the
+    // count is a best-effort transient: the notes blocked behind the
+    // lock re-apply idempotently against the rebuilt adjacency, and the
+    // unrecorded epoch keeps the debt sticky.
+    fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
+        assert_eq!(view.num_vertices(), self.n, "vertex count moved");
+        let adj = &mut *self.adj.lock();
+        let m = tri_metrics();
+        m.full_rebuilds.inc();
+        // ordering: Release (every store of the flag below) — raised
+        // before the counters are touched, so lock-free readers re-route
+        // around the reset, and lowered as the recount's publication
+        // point (invariant 4). Pairs with the Acquire loads in
+        // `stable_read`.
+        let converged = self.core.rebuild_until_stable(
+            || {
+                self.rebuilding.store(true, Ordering::Release); // ordering: see above
+                self.recount_locked(adj, view);
+                m.shield_events.add(self.n as u64);
+            },
+            || self.rebuilding.store(false, Ordering::Release), // ordering: see above
         );
+        self.rebuilding.store(false, Ordering::Release); // ordering: see above
+        converged
     }
 }
 
@@ -724,7 +633,6 @@ mod tests {
         // Empty graph edge case.
         let idx = TriangleIndex::new(0);
         assert_eq!(idx.average_clustering(), 0.0);
-        assert!(idx.is_empty());
     }
 
     #[test]
@@ -848,23 +756,5 @@ mod tests {
             }
         });
         assert_eq!(idx.per_vertex(), vec![3, 3, 3, 3]);
-    }
-
-    #[test]
-    fn epoch_coupling_follows_the_connectivity_contract() {
-        let g: DynGraph<DynArr> = graph(3, &[(0, 1)]);
-        let idx = TriangleIndex::from_view(&g);
-        idx.sync_to(5);
-        assert_eq!(idx.synced_epoch(), 5);
-        idx.sync_change(6); // exact step absorbs
-        assert_eq!(idx.synced_epoch(), 6);
-        idx.sync_change(9); // gap stays sticky
-        assert_eq!(idx.synced_epoch(), 6);
-        idx.resync(&g, 9);
-        assert_eq!(idx.synced_epoch(), 9);
-        assert_eq!(idx.full_rebuild_count(), 1);
-        // Already-synced resyncs are free.
-        idx.resync(&g, 9);
-        assert_eq!(idx.full_rebuild_count(), 1);
     }
 }

@@ -210,8 +210,8 @@ pub fn par_cc_restricted<V: GraphView>(view: &V, verts: &[u32], cfg: &ParConfig)
 
 /// Settles `u`'s component in a [`ConnectivityIndex`] with
 /// [`par_cc_restricted`] as the relabeler of the whole-component
-/// fallback — the parallel counterpart of
-/// [`ConnectivityIndex::repair`]. Pending deletions go through the
+/// fallback — the parallel counterpart of the index's own lazy,
+/// serial repair. Pending deletions go through the
 /// index's certificate first (a replacement search bounded by the
 /// smaller side of the cut); the parallel kernel runs only if the
 /// component is still marked for a whole relabel after that. Returns

@@ -98,7 +98,7 @@ pub fn par_restricted_bfs<V: GraphView>(
 
 /// Repairs one deletion-dirtied source row of a [`DistanceIndex`] using
 /// [`par_restricted_bfs`] as the relabeler — the parallel counterpart
-/// of [`DistanceIndex::repair_source`]. Returns whether a repair ran
+/// of the index's own lazy, serial repair. Returns whether a repair ran
 /// (false = the row was already clean).
 pub fn par_dist_repair<V: GraphView>(
     index: &DistanceIndex,

@@ -4,19 +4,13 @@
 //! The paper (Section 2.1.4) stores the adjacency lists of high-degree
 //! vertices as treaps: a binary search tree on the neighbor id with
 //! heap-ordered random priorities, giving expected `O(log d)` insertion,
-//! deletion, and search, plus efficient set operations (union,
-//! intersection, difference) useful for batch updates and induced-subgraph
-//! style kernels.
+//! deletion, and search.
 //!
 //! Nodes live in a flat `Vec` addressed by `u32` indices (cache-friendly,
 //! borrow-checker-friendly, no per-node allocation); deletions recycle
-//! slots through a free list. Set operations come in two flavors:
-//! treap-native split/merge recursion, and parallel merge-on-sorted-extract
-//! (`par_union` & co.) that bulk-builds the result in `O(n)`.
+//! slots through a free list.
 
 use snap_util::rng::XorShift64;
-
-pub mod setops;
 
 /// Sentinel for "no child".
 const NIL: u32 = u32::MAX;

@@ -41,7 +41,6 @@ pub const RULE_IDS: &[&str] = &[
     "unsafe-needs-safety",
     "ordering-needs-note",
     "unwrap-needs-note",
-    "no-snapshot-racy",
     "no-static-mut",
     "no-thread-sleep",
 ];
@@ -94,15 +93,6 @@ pub fn check_file(
                 push(&mut out, reg, path, idx, "unwrap-needs-note",
                     "`.unwrap()`/`.expect(` in non-test code without a `// panics:` note stating why the panic is unreachable or intended".to_string());
             }
-        }
-
-        // --- no-snapshot-racy (non-test code only) -------------------
-        if !line.in_test
-            && code.contains(".snapshot_racy(")
-            && !inline_allow(lines, idx, "no-snapshot-racy")
-        {
-            push(&mut out, reg, path, idx, "no-snapshot-racy",
-                "`snapshot_racy()` outside tests: it panics on a racing writer; use `snapshot()` / `try_snapshot()` (invariant 1)".to_string());
         }
 
         // --- no-static-mut -------------------------------------------
@@ -301,15 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_racy_banned_outside_tests() {
-        let f = run("fn f(m: &M) { let s = m.snapshot_racy(); }\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "no-snapshot-racy");
-        let src = "#[test]\nfn t() { let s = m.snapshot_racy(); }\n";
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
     fn static_mut_banned_everywhere() {
         let f = run("static mut COUNTER: u32 = 0;\n");
         assert_eq!(f.len(), 1);
@@ -333,7 +314,7 @@ mod tests {
 
     #[test]
     fn banned_token_in_string_or_comment_never_fires() {
-        let src = "fn f() {\n    let s = \"static mut thread::sleep .unwrap()\";\n    // mentions snapshot_racy() and unsafe in prose\n}\n";
+        let src = "fn f() {\n    let s = \"static mut thread::sleep .unwrap()\";\n    // mentions thread::sleep and unsafe in prose\n}\n";
         assert!(run(src).is_empty());
     }
 

@@ -106,20 +106,6 @@ fn unwrap_is_exempt_in_test_context() {
     assert_eq!(rules_for(in_mod), Vec::<&str>::new());
 }
 
-// --- no-snapshot-racy ----------------------------------------------------
-
-#[test]
-fn snapshot_racy_outside_tests_is_flagged() {
-    let src = "fn f(d: &DynArr) -> Vec<u32> {\n    d.snapshot_racy(3)\n}\n";
-    assert_eq!(rules_for(src), vec!["no-snapshot-racy"]);
-}
-
-#[test]
-fn snapshot_racy_is_allowed_in_tests() {
-    let src = "fn f(d: &DynArr) -> Vec<u32> {\n    d.snapshot_racy(3)\n}\n";
-    assert_eq!(rules_for_test_file(src), Vec::<&str>::new());
-}
-
 // --- no-static-mut -------------------------------------------------------
 
 #[test]

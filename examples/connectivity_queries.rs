@@ -124,9 +124,10 @@ fn main() {
 fn serve_with_index(n: usize, edges: &[TimedEdge]) {
     let hints = CapacityHints::new(edges.len() * 2);
     let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
-    mgr.enable_connectivity();
+    let idx = mgr.enable_connectivity();
     let stream = StreamBuilder::new(edges, 1).construction_shuffled();
     mgr.apply_batch(&stream);
+    let index = mgr.indexes();
 
     // A clean query burst: every answer is a couple of pointer chases.
     let mut rng = XorShift64::new(5);
@@ -141,10 +142,9 @@ fn serve_with_index(n: usize, edges: &[TimedEdge]) {
     let t = Instant::now();
     let connected = queries
         .iter()
-        .filter(|&&(u, v)| mgr.same_component(u, v))
+        .filter(|&&(u, v)| index.same_component(u, v))
         .count();
     let secs = t.elapsed().as_secs_f64();
-    let idx = mgr.connectivity().expect("enabled above");
     println!(
         "index: {} queries in {:.3} s = {:.2} M queries/s ({:.1}% connected, {} CSR rebuilds, {} repairs)",
         queries.len(),
@@ -166,7 +166,7 @@ fn serve_with_index(n: usize, edges: &[TimedEdge]) {
     }
     let t = Instant::now();
     snap::par::par_repair(idx, mgr.live(), 0, &ParConfig::default());
-    let agree = mgr.component_count();
+    let agree = index.component_count();
     println!(
         "after {removed} deletions: {} relabels, {:.3} s to a clean {agree}-component index",
         idx.repair_count(),

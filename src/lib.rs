@@ -11,7 +11,7 @@
 //!
 //! - [`rmat`] — R-MAT workload generation and update streams,
 //! - [`arena`] — the chunked slab allocator,
-//! - [`treap`] — the randomized treap and its set operations,
+//! - [`treap`] — the randomized treap,
 //! - [`core`] — the dynamic graph representations, the [`GraphView`]
 //!   read abstraction, and the update engines,
 //! - [`kernels`] — BFS, connected components, link-cut forest, induced
@@ -52,8 +52,8 @@
 //! sides of the cut in lock-step — work bounded by the smaller side,
 //! with only a true split relabelled. The whole-component relabel
 //! (serial, or `snap::par::par_repair` with the parallel kernel) is the
-//! fallback. Between batches, `same_component(u, v)` costs zero
-//! traversals and zero CSR rebuilds.
+//! fallback. Between batches, `mgr.indexes().same_component(u, v)`
+//! costs zero traversals and zero CSR rebuilds.
 //!
 //! The same certificate + lazy-targeted-repair discipline extends to an
 //! index family: [`DistanceIndex`]
@@ -66,7 +66,13 @@
 //! counts and the clustering coefficient current by O(min-degree)
 //! deltas, never recounting. Both also attach to the concurrent
 //! [`ServeEngine`] via [`ServeConfig::with_distance_sources`] and
-//! [`ServeConfig::with_triangles`].
+//! [`ServeConfig::with_triangles`]. Either engine answers through the
+//! same query surface — [`SnapshotManager::indexes`] /
+//! [`ServeEngine::indexes`] hand out an
+//! [`IndexQuery`](snap_core::IndexQuery) (`same_component`,
+//! `hop_distance`, `triangle_count`, ...) that first checks the index
+//! against the engine's epoch, so a mutation behind the engine's back
+//! costs one full rebuild instead of a stale answer.
 //!
 //! ## Observability
 //!
@@ -166,8 +172,8 @@
 //! // the kernel labels bit-for-bit.
 //! mgr.enable_connectivity();
 //! let nb = csr.neighbors(hub)[0];
-//! assert!(mgr.same_component(hub, nb));
-//! assert_eq!(mgr.component(hub), labels[hub as usize]);
+//! assert!(mgr.indexes().same_component(hub, nb));
+//! assert_eq!(mgr.indexes().component(hub), labels[hub as usize]);
 //! assert_eq!(mgr.rebuild_count(), 1, "the index never built a snapshot");
 //! ```
 

@@ -8,7 +8,7 @@
 //! schedule the quiesced state must be **bit-identical** to a
 //! bulk-synchronous oracle, with zero panics or deadlocks along the way.
 //!
-//! Six protocols are swept, one per test:
+//! Seven protocols are swept, one per test:
 //!
 //! 1. **Shield-bit repair** (invariant 4): deletion-heavy batches race
 //!    `same_component` queries whose targeted repairs must never expose
@@ -28,6 +28,11 @@
 //!    skips freezes unless a racing pin raises the wanted-flag; every
 //!    version pinned on the way is one prefix — CSR *and* labels — and
 //!    `pending_batches() == 0` means the next pin has everything.
+//! 7. **The whole index family under serving** (invariants 1, 4, 6): a
+//!    `ServeEngine` maintaining connectivity, distances and triangles
+//!    at once while readers pin versions and call every index query;
+//!    after `flush` all three equal from-scratch oracles on the
+//!    bulk-synchronous replay, with zero full rebuilds.
 //!
 //! The suite also runs (and must pass) without the feature: the chaos
 //! entry points compile to no-ops, so this doubles as a plain stress
@@ -112,7 +117,7 @@ fn shield_repair_matches_oracle_across_seeds() {
         let hints = CapacityHints::new(inserts.len() * 2);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
         let mgr = SnapshotManager::new(g);
-        mgr.enable_connectivity();
+        let idx = mgr.enable_connectivity();
         assert!(mgr.apply_batch(&inserts));
         let mid = deletes.len() / 2;
         let mgr = &mgr;
@@ -130,19 +135,18 @@ fn shield_repair_matches_oracle_across_seeds() {
                     for _ in 0..300 {
                         let u = rng.next_bounded(N as u64) as u32;
                         let v = rng.next_bounded(N as u64) as u32;
-                        let _ = mgr.same_component(u, v);
+                        let _ = mgr.indexes().same_component(u, v);
                     }
                 });
             }
         });
         // Query through the manager first: racing writers can leave a
-        // sticky epoch gap (invariant 6) that `conn_fresh` absorbs here.
+        // sticky epoch gap (invariant 6) that the query surface absorbs.
         assert_eq!(
-            mgr.component_count(),
+            mgr.indexes().component_count(),
             snap::kernels::component_count(&want),
             "seed {seed}: component count"
         );
-        let idx = mgr.connectivity().expect("enabled above");
         assert_eq!(idx.labels(mgr.live()), want, "seed {seed}: final labels");
     }
 }
@@ -263,7 +267,7 @@ fn epoch_resync_matches_oracle_across_seeds() {
         let hints = CapacityHints::new(inserts.len() * 2);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
         let mgr = SnapshotManager::new(g);
-        mgr.enable_connectivity();
+        let idx = mgr.enable_connectivity();
         assert!(mgr.apply_batch(&inserts));
         let mgr = &mgr;
         let deletes = &deletes;
@@ -282,18 +286,17 @@ fn epoch_resync_matches_oracle_across_seeds() {
                     for _ in 0..150 {
                         let u = rng.next_bounded(N as u64) as u32;
                         let v = rng.next_bounded(N as u64) as u32;
-                        let _ = mgr.same_component(u, v);
+                        let _ = mgr.indexes().same_component(u, v);
                     }
                 });
             }
         });
         // The first post-quiescence query absorbs the final epoch gap.
         assert_eq!(
-            mgr.component_count(),
+            mgr.indexes().component_count(),
             snap::kernels::component_count(&want),
             "seed {seed}: component count after resync"
         );
-        let idx = mgr.connectivity().expect("enabled above");
         assert_eq!(idx.labels(mgr.live()), want, "seed {seed}: final labels");
         assert!(
             idx.full_rebuild_count() >= 1,
@@ -318,7 +321,7 @@ fn distance_repair_matches_oracle_across_seeds() {
         let hints = CapacityHints::new(inserts.len() * 2);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
         let mgr = SnapshotManager::new(g);
-        mgr.enable_distances(&SOURCES);
+        let idx = mgr.enable_distances(&SOURCES);
         assert!(mgr.apply_batch(&inserts));
         let mid = deletes.len() / 2;
         let mgr = &mgr;
@@ -336,7 +339,7 @@ fn distance_repair_matches_oracle_across_seeds() {
                     for _ in 0..300 {
                         let src = SOURCES[rng.next_bounded(SOURCES.len() as u64) as usize];
                         let v = rng.next_bounded(N as u64) as u32;
-                        let _ = mgr.hop_distance(src, v);
+                        let _ = mgr.indexes().hop_distance(src, v);
                     }
                 });
             }
@@ -344,12 +347,11 @@ fn distance_repair_matches_oracle_across_seeds() {
         let oracle_view = surviving_view(&surviving);
         for &src in &SOURCES {
             assert_eq!(
-                mgr.hop_distances(src),
+                mgr.indexes().hop_distances(src),
                 serial_bfs(&oracle_view, src).dist,
                 "seed {seed}: source {src} row after quiescence"
             );
         }
-        let idx = mgr.distance_index().expect("enabled above");
         assert_eq!(
             idx.full_rebuild_count(),
             0,
@@ -373,7 +375,7 @@ fn triangle_deltas_match_oracle_across_seeds() {
         let hints = CapacityHints::new(inserts.len() * 2);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
         let mgr = SnapshotManager::new(g);
-        mgr.enable_triangles();
+        let idx = mgr.enable_triangles();
         assert!(mgr.apply_batch(&inserts));
         let mid = deletes.len() / 2;
         let mgr = &mgr;
@@ -390,9 +392,9 @@ fn triangle_deltas_match_oracle_across_seeds() {
                     let mut rng = rng_for(SUITE, 40 + r, seed);
                     for _ in 0..300 {
                         let v = rng.next_bounded(N as u64) as u32;
-                        let _ = mgr.triangles_of(v);
+                        let _ = mgr.indexes().triangles_of(v);
                         if v.is_multiple_of(16) {
-                            let _ = mgr.triangle_count();
+                            let _ = mgr.indexes().triangle_count();
                         }
                     }
                 });
@@ -402,22 +404,21 @@ fn triangle_deltas_match_oracle_across_seeds() {
         let per = snap_kernels::triangles_per_vertex(&oracle_view);
         for (u, &want) in per.iter().enumerate() {
             assert_eq!(
-                mgr.triangles_of(u as u32),
+                mgr.indexes().triangles_of(u as u32),
                 want,
                 "seed {seed}: vertex {u} after quiescence"
             );
         }
         assert_eq!(
-            mgr.triangle_count(),
+            mgr.indexes().triangle_count(),
             per.iter().sum::<u64>() / 3,
             "seed {seed}: global count"
         );
         assert_eq!(
-            mgr.average_clustering().to_bits(),
+            mgr.indexes().average_clustering().to_bits(),
             average_clustering(&oracle_view).to_bits(),
             "seed {seed}: clustering to the bit"
         );
-        let idx = mgr.triangle_index().expect("enabled above");
         assert_eq!(
             idx.full_rebuild_count(),
             0,
@@ -500,6 +501,119 @@ fn demand_freeze_matches_oracle_across_seeds() {
             let published = handle.component_labels().expect("conn on");
             assert_eq!(***published, connected_components(&oracle), "{at}: labels");
         }
+    }
+}
+
+/// Protocol 7 — the whole index family under serving (invariants 1, 4
+/// and 6). One engine maintains connectivity, pinned distance sources
+/// and triangles; a producer streams mixed batches while readers pin
+/// versions and call every index query against the live indexes, racing
+/// the writer's notes, repairs and epoch steps. Racing answers merely
+/// must not panic. After `flush`, labels, distance rows, per-vertex
+/// triangle counts and the clustering coefficient must equal
+/// from-scratch oracles on the bulk-synchronous replay of the history —
+/// and no index may have paid a full rebuild (the writer steps every
+/// index before it publishes a cycle's epoch, so a reader never finds
+/// one behind).
+#[test]
+fn index_family_under_serving_matches_oracles_across_seeds() {
+    const SCALE: u32 = 8;
+    const BATCHES: usize = 12;
+    const SOURCES: [u32; 3] = [0, 17, 255];
+    let n = 1usize << SCALE;
+    let edges = Rmat::new(RmatParams::paper(SCALE, 8), 987).edges();
+    let base_len = edges.len() * 3 / 4;
+    let base = StreamBuilder::new(&edges[..base_len], 7).construction_shuffled();
+    let replay = |history: &[Vec<Update>]| {
+        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(base.len() * 3));
+        for u in base.iter().chain(history.iter().flatten()) {
+            g.apply(u);
+        }
+        g
+    };
+    for seed in 0..SEEDS {
+        set_chaos_seed(seed);
+        let engine = ServeEngine::new(
+            replay(&[]),
+            ServeConfig::default()
+                .with_shards(2)
+                .with_coalesce(2)
+                .with_history(true)
+                .with_distance_sources(&SOURCES)
+                .with_triangles(true),
+        );
+        let engine = &engine;
+        let edges = &edges;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut stream =
+                    StreamBuilder::new(edges, 3000 + seed * 100).inserting_from(base_len);
+                for _ in 0..BATCHES {
+                    engine.submit(stream.mixed(48, 0.7));
+                }
+            });
+            for r in 0..2u64 {
+                scope.spawn(move || {
+                    let mut rng = rng_for(SUITE, 50 + r, seed);
+                    for round in 0..40 {
+                        let handle = engine.pin();
+                        let u = rng.next_bounded(n as u64) as u32;
+                        let v = rng.next_bounded(n as u64) as u32;
+                        let src = SOURCES[rng.next_bounded(SOURCES.len() as u64) as usize];
+                        assert!(handle.same_component(u, v).is_some());
+                        let _ = engine.same_component(u, v);
+                        let _ = engine.component(u);
+                        let index = engine.indexes();
+                        let _ = index.same_component(u, v);
+                        let _ = index.component(v);
+                        let _ = index.hop_distance(src, v);
+                        let _ = index.triangles_of(u);
+                        let _ = index.triangle_count();
+                        if round % 8 == 0 {
+                            let _ = index.component_count();
+                            let _ = index.hop_distances(src);
+                            let _ = index.average_clustering();
+                        }
+                    }
+                });
+            }
+        });
+        engine.flush();
+        let oracle = replay(&engine.history());
+        let at = format!("seed {seed}");
+        let handle = engine.pin();
+        assert_eq!(handle.batches(), BATCHES as u64, "{at}: flush is a barrier");
+        let labels = connected_components(&oracle);
+        let published = handle.component_labels().expect("conn on");
+        assert_eq!(***published, labels, "{at}: published labels");
+        let index = engine.indexes();
+        for v in 0..n as u32 {
+            assert_eq!(index.component(v), labels[v as usize], "{at}: vertex {v}");
+        }
+        for src in SOURCES {
+            assert_eq!(
+                index.hop_distances(src),
+                serial_bfs(&oracle, src).dist,
+                "{at}: source {src} row"
+            );
+        }
+        let per = snap_kernels::triangles_per_vertex(&oracle);
+        for (u, &want) in per.iter().enumerate() {
+            assert_eq!(index.triangles_of(u as u32), want, "{at}: vertex {u}");
+        }
+        assert_eq!(index.triangle_count(), per.iter().sum::<u64>() / 3, "{at}");
+        assert_eq!(
+            index.average_clustering().to_bits(),
+            average_clustering(&oracle).to_bits(),
+            "{at}: clustering to the bit"
+        );
+        let routes = index.routes();
+        let rebuilds = [
+            routes.conn.expect("conn on").full_rebuild_count(),
+            routes.dist.expect("sources pinned").full_rebuild_count(),
+            routes.tri.expect("triangles on").full_rebuild_count(),
+        ];
+        assert_eq!(rebuilds, [0; 3], "{at}: everything stayed incremental");
     }
 }
 

@@ -16,6 +16,7 @@
 //! ([`ConnPair`], [`DistPair`], [`TriPair`]) and calling
 //! [`run_differential`] over [`STRATEGIES`] × thread counts.
 
+use snap::core::IncrementalIndex;
 use snap::prelude::*;
 use snap::util::thread_pool;
 use snap_kernels::serial_bfs;
@@ -193,14 +194,23 @@ pub const STRATEGIES: [Strategy; 3] = [Strategy::Stream, Strategy::Vpart, Strate
 pub trait DifferentialPair {
     /// Bit-comparable extracted state.
     type State: PartialEq + std::fmt::Debug;
-    /// Routes one settled update into the maintained index.
-    fn route<V: GraphView>(&self, view: &V, upd: &Update);
+    /// The maintained index.
+    type Index: IncrementalIndex;
+    /// The index under test.
+    fn index(&self) -> &Self::Index;
+    /// Routes one settled update into the maintained index, through the
+    /// family's single note entry point.
+    fn route<V: GraphView>(&self, view: &V, upd: &Update) {
+        self.index().note(view, upd);
+    }
     /// Extracts the maintained state (lazy repairs allowed).
     fn state<V: GraphView>(&self, view: &V) -> Self::State;
     /// Recomputes the same state from scratch off the view.
     fn oracle<V: GraphView>(&self, view: &V) -> Self::State;
     /// Full-rebuild counter; the harness asserts it stays zero.
-    fn full_rebuilds(&self) -> usize;
+    fn full_rebuilds(&self) -> usize {
+        self.index().full_rebuild_count()
+    }
 }
 
 /// Drives `w` through `strategy` at `threads` workers, differentially
@@ -283,16 +293,17 @@ impl ConnPair {
 
 impl DifferentialPair for ConnPair {
     type State = Vec<u32>;
+    type Index = ConnectivityIndex;
 
-    fn route<V: GraphView>(&self, _view: &V, upd: &Update) {
-        match upd.kind {
-            UpdateKind::Insert if self.bare_union => {
-                self.idx.union(upd.edge.u, upd.edge.v);
-            }
-            UpdateKind::Insert => {
-                self.idx.note_insert(upd.edge.u, upd.edge.v);
-            }
-            UpdateKind::Delete => self.idx.note_delete(upd.edge.u, upd.edge.v),
+    fn index(&self) -> &ConnectivityIndex {
+        &self.idx
+    }
+
+    fn route<V: GraphView>(&self, view: &V, upd: &Update) {
+        if self.bare_union && upd.kind == UpdateKind::Insert {
+            self.idx.union(upd.edge.u, upd.edge.v);
+        } else {
+            self.idx.note(view, upd);
         }
     }
 
@@ -302,10 +313,6 @@ impl DifferentialPair for ConnPair {
 
     fn oracle<V: GraphView>(&self, view: &V) -> Vec<u32> {
         union_find_from_view(view)
-    }
-
-    fn full_rebuilds(&self) -> usize {
-        self.idx.full_rebuild_count()
     }
 }
 
@@ -327,12 +334,10 @@ impl DistPair {
 
 impl DifferentialPair for DistPair {
     type State = Vec<Vec<u32>>;
+    type Index = DistanceIndex;
 
-    fn route<V: GraphView>(&self, view: &V, upd: &Update) {
-        match upd.kind {
-            UpdateKind::Insert => self.idx.note_insert(view, upd.edge.u, upd.edge.v),
-            UpdateKind::Delete => self.idx.note_delete(upd.edge.u, upd.edge.v),
-        }
+    fn index(&self) -> &DistanceIndex {
+        &self.idx
     }
 
     fn state<V: GraphView>(&self, view: &V) -> Vec<Vec<u32>> {
@@ -347,10 +352,6 @@ impl DifferentialPair for DistPair {
             .iter()
             .map(|&s| serial_bfs(view, s).dist)
             .collect()
-    }
-
-    fn full_rebuilds(&self) -> usize {
-        self.idx.full_rebuild_count()
     }
 }
 
@@ -371,16 +372,10 @@ impl TriPair {
 
 impl DifferentialPair for TriPair {
     type State = (Vec<u64>, u64, u64);
+    type Index = TriangleIndex;
 
-    fn route<V: GraphView>(&self, view: &V, upd: &Update) {
-        match upd.kind {
-            UpdateKind::Insert => {
-                self.idx.note_insert(upd.edge.u, upd.edge.v);
-            }
-            UpdateKind::Delete => {
-                self.idx.note_delete(view, upd.edge.u, upd.edge.v);
-            }
-        }
+    fn index(&self) -> &TriangleIndex {
+        &self.idx
     }
 
     fn state<V: GraphView>(&self, _view: &V) -> (Vec<u64>, u64, u64) {
@@ -395,9 +390,5 @@ impl DifferentialPair for TriPair {
         let per = snap_kernels::triangles_per_vertex(view);
         let total = per.iter().sum::<u64>() / 3;
         (per, total, average_clustering(view).to_bits())
-    }
-
-    fn full_rebuilds(&self) -> usize {
-        self.idx.full_rebuild_count()
     }
 }

@@ -345,14 +345,13 @@ fn incremental_index_tracks_mixed_batches_without_rebuilds() {
             let hints = CapacityHints::new(w.len() * 2);
             let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints);
             let mgr = SnapshotManager::new(g);
-            mgr.enable_connectivity();
+            let idx = mgr.enable_connectivity();
             thread_pool(threads).install(|| {
                 for batch in &w.batches {
                     mgr.apply_batch(batch);
                 }
             });
             check_all_paths(mgr.live(), &want, "final view");
-            let idx = mgr.connectivity().unwrap();
             // The deletion-heavy phase left dirty components; queries
             // repair them on demand — spot-check pairs first, through
             // both the serial and the parallel repair path.
@@ -362,14 +361,17 @@ fn incremental_index_tracks_mixed_batches_without_rebuilds() {
                 let u = rng.next_bounded(n as u64) as u32;
                 let v = rng.next_bounded(n as u64) as u32;
                 assert_eq!(
-                    mgr.same_component(u, v),
+                    mgr.indexes().same_component(u, v),
                     want[u as usize] == want[v as usize],
                     "pair ({u}, {v}) @ {threads} threads"
                 );
             }
             // Then the full label array, bit-for-bit.
             assert_eq!(idx.labels(mgr.live()), want);
-            assert_eq!(mgr.component_count(), snap::kernels::component_count(&want));
+            assert_eq!(
+                mgr.indexes().component_count(),
+                snap::kernels::component_count(&want)
+            );
             // The whole run was served incrementally: no CSR snapshot,
             // no full index rebuild — only targeted repairs.
             assert_eq!(mgr.rebuild_count(), 0, "no CSR rebuild");

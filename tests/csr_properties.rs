@@ -92,21 +92,3 @@ fn compressed_round_trip() {
         }
     }
 }
-
-/// Time slices partition the edge multiset.
-#[test]
-fn slices_partition_edges() {
-    use snap::core::slices::{disjoint_slices, SliceSpec};
-    for case in 0..CASES {
-        let edges = edge_list(case);
-        let count = (case as usize % 7) + 1;
-        let spec = SliceSpec::new(0, 64, count.min(8));
-        let slices = disjoint_slices(N, &edges, spec);
-        let total: usize = slices.iter().map(|g| g.num_entries()).sum();
-        let expect = CsrGraph::from_edges_undirected(N, &edges).num_entries();
-        assert_eq!(
-            total, expect,
-            "case {case}: slices must cover every edge exactly once"
-        );
-    }
-}

@@ -65,13 +65,12 @@ fn manager_and_parallel_repair_agree_with_the_oracle() {
         for &threads in &[1usize, 2, 8] {
             let hints = CapacityHints::new(w.len() * 2);
             let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
-            mgr.enable_distances(&SOURCES);
+            let idx = mgr.enable_distances(&SOURCES);
             thread_pool(threads).install(|| {
                 for batch in &w.batches {
                     mgr.apply_batch(batch);
                 }
             });
-            let idx = mgr.distance_index().unwrap();
             // Repair the dirtied rows through the parallel kernel first
             // (forced parallel, so the restricted sweep path runs even
             // for small affected sets), then compare bit-for-bit.
@@ -80,7 +79,7 @@ fn manager_and_parallel_repair_agree_with_the_oracle() {
             }
             for &s in &SOURCES {
                 assert_eq!(
-                    mgr.hop_distances(s),
+                    mgr.indexes().hop_distances(s),
                     serial_bfs(mgr.live(), s).dist,
                     "source {s} @ {threads} threads"
                 );
@@ -91,7 +90,11 @@ fn manager_and_parallel_repair_agree_with_the_oracle() {
             for _ in 0..200 {
                 let v = rng.next_bounded(n as u64) as u32;
                 let want = (oracle[v as usize] != u32::MAX).then_some(oracle[v as usize]);
-                assert_eq!(mgr.hop_distance(SOURCES[0], v), want, "vertex {v}");
+                assert_eq!(
+                    mgr.indexes().hop_distance(SOURCES[0], v),
+                    want,
+                    "vertex {v}"
+                );
             }
             assert_eq!(mgr.rebuild_count(), 0, "no CSR rebuild");
             assert_eq!(idx.full_rebuild_count(), 0, "no full recompute");

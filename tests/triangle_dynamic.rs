@@ -46,7 +46,7 @@ fn manager_queries_agree_with_the_kernels_oracle() {
         for &threads in &[1usize, 2, 8] {
             let hints = CapacityHints::new(w.len() * 2);
             let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
-            mgr.enable_triangles();
+            let idx = mgr.enable_triangles();
             thread_pool(threads).install(|| {
                 for batch in &w.batches {
                     mgr.apply_batch(batch);
@@ -54,15 +54,14 @@ fn manager_queries_agree_with_the_kernels_oracle() {
             });
             let per = snap_kernels::triangles_per_vertex(mgr.live());
             for (u, &want) in per.iter().enumerate() {
-                assert_eq!(mgr.triangles_of(u as u32), want, "vertex {u}");
+                assert_eq!(mgr.indexes().triangles_of(u as u32), want, "vertex {u}");
             }
-            assert_eq!(mgr.triangle_count(), per.iter().sum::<u64>() / 3);
+            assert_eq!(mgr.indexes().triangle_count(), per.iter().sum::<u64>() / 3);
             assert_eq!(
-                mgr.average_clustering().to_bits(),
+                mgr.indexes().average_clustering().to_bits(),
                 average_clustering(mgr.live()).to_bits(),
                 "clustering must match the kernel bit-for-bit"
             );
-            let idx = mgr.triangle_index().unwrap();
             assert_eq!(mgr.rebuild_count(), 0, "no CSR rebuild");
             assert_eq!(idx.full_rebuild_count(), 0, "no recount");
             assert!(idx.delta_count() >= w.len() / 2, "deltas did the work");
