@@ -34,6 +34,90 @@ impl AdjEntry {
     }
 }
 
+/// One directed half-update of a batch: `src`'s adjacency gains or loses
+/// the neighbor `nbr`. An undirected update is two of them. The one
+/// currency between the batch appliers ([`crate::engine`]) and
+/// [`DynamicAdjacency::apply_group`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HalfUpdate {
+    /// The vertex whose adjacency changes.
+    pub src: u32,
+    /// The neighbor inserted or deleted.
+    pub nbr: u32,
+    /// Time label an insert stores (unused by a delete).
+    pub ts: u32,
+    /// `index << 1 | is_delete`: ascending in batch order.
+    tag: u32,
+}
+
+impl HalfUpdate {
+    /// Batch positions a half-update can carry (the tag's other bit is
+    /// the kind).
+    pub const MAX_INDEX: usize = 1 << 31;
+
+    /// `src` gains `e`; `index` is the update's position in its batch.
+    ///
+    /// # Panics
+    ///
+    /// If `index >= `[`Self::MAX_INDEX`].
+    pub fn insert(src: u32, e: AdjEntry, index: usize) -> Self {
+        Self::new(src, e.nbr, e.ts, index, false)
+    }
+
+    /// `src` loses every entry for `nbr`; `index` as in [`Self::insert`].
+    ///
+    /// # Panics
+    ///
+    /// If `index >= `[`Self::MAX_INDEX`].
+    pub fn delete(src: u32, nbr: u32, index: usize) -> Self {
+        Self::new(src, nbr, 0, index, true)
+    }
+
+    pub(crate) fn new(src: u32, nbr: u32, ts: u32, index: usize, is_delete: bool) -> Self {
+        assert!(index < Self::MAX_INDEX, "batch position {index} over 2^31");
+        Self {
+            src,
+            nbr,
+            ts,
+            tag: (index as u32) << 1 | u32::from(is_delete),
+        }
+    }
+
+    /// True for a delete, false for an insert.
+    pub fn is_delete(&self) -> bool {
+        self.tag & 1 == 1
+    }
+
+    /// The update's position in its batch.
+    pub fn index(&self) -> usize {
+        (self.tag >> 1) as usize
+    }
+
+    /// Applies this half-update alone; true if it changed the adjacency.
+    pub fn apply_to<A: DynamicAdjacency + ?Sized>(&self, adj: &A) -> bool {
+        if self.is_delete() {
+            adj.delete(self.src, self.nbr)
+        } else {
+            adj.insert(self.src, AdjEntry::new(self.nbr, self.ts))
+        }
+    }
+}
+
+impl snap_treap::GroupOp for HalfUpdate {
+    fn key(&self) -> u32 {
+        self.nbr
+    }
+    fn val(&self) -> u32 {
+        self.ts
+    }
+    fn is_delete(&self) -> bool {
+        HalfUpdate::is_delete(self)
+    }
+    fn seq(&self) -> u32 {
+        self.tag
+    }
+}
+
 /// Sizing knobs shared by the representations.
 #[derive(Clone, Copy, Debug)]
 pub struct CapacityHints {
@@ -138,6 +222,24 @@ pub trait DynamicAdjacency: Send + Sync {
     /// different timestamps (needed by the in-place induced-subgraph
     /// kernel).
     fn retain(&self, u: u32, keep: &mut dyn FnMut(AdjEntry) -> bool) -> usize;
+
+    /// Applies `ops` — half-updates of the one source `u`, in batch
+    /// order — with the outcome of [`Self::insert`] / [`Self::delete`]
+    /// one by one, calling `on_changed` with the [`HalfUpdate::index`] of
+    /// each one that changed the adjacency. The slice may be reordered.
+    ///
+    /// This default *is* the one-by-one loop. Representations whose
+    /// per-op cost is a lock plus a tree descent override it to take the
+    /// vertex's lock once and, for a group that is large against the
+    /// vertex's degree, merge instead of descending.
+    fn apply_group(&self, u: u32, ops: &mut [HalfUpdate], on_changed: &mut dyn FnMut(usize)) {
+        for h in ops.iter() {
+            debug_assert_eq!(h.src, u);
+            if h.apply_to(self) {
+                on_changed(h.index());
+            }
+        }
+    }
 
     /// Collects `u`'s live entries (convenience over [`Self::for_each`]).
     fn neighbors(&self, u: u32) -> Vec<AdjEntry> {

@@ -1,25 +1,46 @@
 //! Parallel update-application strategies (Sections 2.1.1–2.1.3).
 //!
 //! The representation decides *where* an update lands; the engine decides
-//! *how* a batch of updates is driven across threads:
+//! *how* a batch of updates is driven across threads. There is one batch
+//! applier, [`apply_vpart_indexed`], and it is the paper's `Vpart` and
+//! its batched scheme at once:
 //!
-//! - [`apply_stream`] — the default: a parallel iterator over the stream,
-//!   every thread applying updates directly (per-vertex synchronization
+//! 1. a coarse histogram over source vertices cuts the vertex space into
+//!    ranges of about a fixed number of half-updates each (one range for
+//!    a serving cycle, a dozen or so for a million-update batch);
+//! 2. workers claim ranges from a shared counter; for its range a worker
+//!    scans the stream once, keeps the half-updates whose source falls in
+//!    the range (the paper's "every worker scans the stream" — scratch
+//!    stays bounded by the range, whatever the batch size), and
+//!    counting-sorts them by source, stably, in buffers it reuses;
+//! 3. each vertex's group goes to
+//!    [`DynamicAdjacency::apply_group`] as a unit: one lock acquisition,
+//!    and for treap-backed vertices a merge and one rebuild when the
+//!    group is large against the degree, per-key descents when it is not.
+//!
+//! A vertex belongs to exactly one range and its group keeps stream
+//! order, so the final adjacency state and every update's "did it change
+//! the graph" verdict equal those of a sequential [`DynGraph::apply`]
+//! loop, for any stream and any worker count. Cutting the *vertex space*
+//! keeps each hub's whole group together; cutting the stream would
+//! re-touch every hub cold once per piece.
+//!
+//! [`SnapshotManager::apply_batch`] and the serving writer
+//! ([`crate::serve::ServeEngine`]) call it directly; [`apply_vpart`] and
+//! [`apply_batched`] are its two Figure 3 names. The other rows of that
+//! figure stay what they were:
+//!
+//! - [`apply_stream`] — a parallel iterator over the stream, every
+//!   thread applying updates one by one (per-vertex synchronization
 //!   inside the representation resolves conflicts). This is what the
-//!   `Dyn-arr` / `Treaps` / `Hybrid` MUPS figures measure.
-//! - [`apply_vpart`] — `Vpart`: the vertex space is range-partitioned over
-//!   workers and each applies only the orientations whose source vertex
-//!   it owns. Zero cross-thread conflicts. The paper's version has every
-//!   worker scan the whole stream (`threads x stream` reads, the
-//!   trade-off Figure 3 quantifies); here one pass buckets the
-//!   half-updates by owner first, so each worker reads only its share.
+//!   per-representation `Dyn-arr` / `Treaps` / `Hybrid` MUPS figures
+//!   measure, and it is only order-preserving for commuting streams.
 //! - [`apply_epart`] — `Epart`: updates touching discovered-hot vertices
 //!   are diverted to per-worker private buffers and merged in a second
 //!   phase, avoiding the hot-vertex contention of the direct path at the
 //!   cost of buffer space and a merge step.
-//! - [`apply_batched`] — semi-sort the stream by source vertex and apply
-//!   each group as a unit. [`semi_sort_bound`] measures just the sort,
-//!   the paper's upper bound on any batched scheme's MUPS.
+//! - [`semi_sort_bound`] measures just a whole-stream semi-sort, the
+//!   paper's upper bound on any batched scheme's MUPS.
 //!
 //! # Worker-count convention
 //!
@@ -30,7 +51,7 @@
 //! sweeps), while any non-zero value pins the count explicitly.
 //! [`resolve_workers`] implements the rule once for all of them.
 
-use crate::adjacency::{AdjEntry, DynamicAdjacency};
+use crate::adjacency::{DynamicAdjacency, HalfUpdate};
 use crate::connectivity::ConnectivityIndex;
 use crate::csr::{CsrGraph, SnapshotRace};
 use crate::distindex::DistanceIndex;
@@ -41,19 +62,17 @@ use crate::triindex::TriangleIndex;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use snap_rmat::{TimedEdge, Update, UpdateKind};
-use snap_util::partition_ranges;
 use snap_util::sort::semi_sort_by_key;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Applies every update via a parallel iterator (the streaming default).
 /// Returns `true` if any update actually changed the graph — a batch of
-/// deduplicated re-inserts or deletes of absent edges reports `false`,
-/// which is what lets [`SnapshotManager::apply_batch`] keep a clean
-/// cached snapshot valid across no-op batches. (The tracking is one
-/// relaxed load per update and a rare store, so the MUPS hot path is
-/// unaffected.)
+/// deduplicated re-inserts or deletes of absent edges reports `false`.
+/// (The tracking is one relaxed load per update and a rare store, so the
+/// MUPS hot path is unaffected.)
 pub fn apply_stream<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update]) -> bool {
     let changed = AtomicBool::new(false);
     updates.par_iter().for_each(|u| {
@@ -74,46 +93,54 @@ pub fn apply_stream_timed<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Updat
     d
 }
 
-/// One directed half-update: `src`'s adjacency gains/loses `entry`.
-#[derive(Clone, Copy)]
-struct HalfUpdate {
-    src: u32,
-    entry: AdjEntry,
-    kind: UpdateKind,
+/// The directed half-updates of the stream's `idx`-th update: one per
+/// adjacency list it touches (two for an undirected non-loop edge), so
+/// that each can go to whoever owns its source vertex.
+fn halves(idx: usize, u: &Update, directed: bool) -> (HalfUpdate, Option<HalfUpdate>) {
+    let (e, is_delete) = (u.edge, u.kind == UpdateKind::Delete);
+    let half = |src, nbr| HalfUpdate::new(src, nbr, e.timestamp, idx, is_delete);
+    let back = (!directed && e.u != e.v).then(|| half(e.v, e.u));
+    (half(e.u, e.v), back)
 }
 
-/// Feeds `f` the directed half-updates of a stream in stream order (two
-/// per update for undirected graphs), each with its update's stream
-/// index, so that partitioned strategies can assign each half to the
-/// worker owning its source vertex and report per-update outcomes.
-fn for_each_half(updates: &[Update], directed: bool, mut f: impl FnMut(usize, HalfUpdate)) {
-    for (idx, u) in updates.iter().enumerate() {
-        let (e, kind) = (u.edge, u.kind);
-        let half = |src, nbr| HalfUpdate {
-            src,
-            entry: AdjEntry::new(nbr, e.timestamp),
-            kind,
-        };
-        f(idx, half(e.u, e.v));
-        if !directed && e.u != e.v {
-            f(idx, half(e.v, e.u));
-        }
-    }
-}
-
-/// The stream's half-updates as one vector, in stream order.
-fn expand_half_updates(updates: &[Update], directed: bool) -> Vec<HalfUpdate> {
+/// The stream's [`checked_halves`] as one vector, in stream order.
+fn expand_half_updates(updates: &[Update], n: usize, directed: bool) -> Vec<HalfUpdate> {
     let mut out = Vec::with_capacity(updates.len() * if directed { 1 } else { 2 });
-    for_each_half(updates, directed, |_, h| out.push(h));
+    checked_halves(updates, n, directed, |there, back| {
+        out.push(there);
+        out.extend(back);
+    });
     out
 }
 
-/// Applies one half-update, reporting whether it changed the adjacency
-/// (new entry stored / live entry removed).
-fn apply_half<A: DynamicAdjacency>(adj: &A, h: &HalfUpdate) -> bool {
-    match h.kind {
-        UpdateKind::Insert => adj.insert(h.src, h.entry),
-        UpdateKind::Delete => adj.delete(h.src, h.entry.nbr),
+/// Feeds `f` the [`halves`] of every update, in stream order, after
+/// checking the contract the batch appliers hold a stream to before they
+/// touch the graph: it fits the half-update tag and names only vertices
+/// below `n`.
+///
+/// # Panics
+///
+/// Otherwise, naming the offending update.
+fn checked_halves(
+    updates: &[Update],
+    n: usize,
+    directed: bool,
+    mut f: impl FnMut(HalfUpdate, Option<HalfUpdate>),
+) {
+    assert!(
+        updates.len() <= HalfUpdate::MAX_INDEX,
+        "a batch holds at most 2^31 updates, not {}",
+        updates.len()
+    );
+    for (idx, u) in updates.iter().enumerate() {
+        for vertex in [u.edge.u, u.edge.v] {
+            assert!(
+                (vertex as usize) < n,
+                "update {idx} names vertex {vertex}, but the graph has {n} vertices"
+            );
+        }
+        let (there, back) = halves(idx, u, directed);
+        f(there, back);
     }
 }
 
@@ -129,96 +156,227 @@ pub fn resolve_workers(workers: usize) -> usize {
     }
 }
 
-/// `Vpart`: vertices are range-partitioned over
-/// [`resolve_workers`]`(workers)` shards (0 = adopt the installed pool);
-/// the stream's half-updates are bucketed by owning shard once, and every
-/// worker applies its own bucket. Because each vertex's half-updates are
-/// applied by exactly one worker *in stream order*, the final adjacency
-/// state is identical to sequential application, for any stream.
-/// ([`apply_vpart_indexed`] with nothing to route into.)
+/// `Vpart`: [`apply_vpart_indexed`] with nothing to route into.
 pub fn apply_vpart<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update], workers: usize) {
     apply_vpart_indexed(g, updates, workers, IndexRoutes::default());
 }
 
-/// The `Vpart` applier with per-update change tracking and routing into
-/// the index family — the sharded writer of the serving engine
-/// ([`crate::serve::ServeEngine`]), which hands it a whole ingest cycle
-/// as one stream.
+/// Batched processing (semi-sort the stream by source vertex, apply each
+/// vertex's group as a unit): [`apply_vpart`] on the installed pool.
+pub fn apply_batched<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update]) {
+    apply_vpart(g, updates, 0);
+}
+
+/// Half-updates one vertex range holds, about: what a worker gathers,
+/// sorts and applies at a time. Large enough that a hub's whole group
+/// and a serving cycle's whole stream each fit one range; small enough
+/// that the two scratch buffers (16 B per half-update each) stay at a
+/// few MB per worker and a million-update batch still splits into more
+/// ranges than workers.
+const RANGE_BUDGET: usize = 1 << 17;
+
+/// Log2 of the buckets in the coarse source-vertex histogram the ranges
+/// are cut along.
+const HISTOGRAM_BITS: u32 = 12;
+
+/// The one batch applier (see the [module docs](self)): vertex-ranged,
+/// sort-then-grouped, with per-update change tracking and routing into
+/// the index family. `workers` follows the [`resolve_workers`]
+/// convention; a batch that fits one range runs on the calling thread,
+/// no spawn.
 ///
-/// Half-updates are expanded once and bucketed by owning shard in
-/// stream order; each shard walks only its bucket (a single shard runs
-/// on the calling thread, no spawn). An update's "did it change the
-/// graph" verdict is the OR of its halves' outcomes (matching
-/// [`DynGraph::insert_edge`] / [`DynGraph::delete_edge`]). After the
-/// parallel phase's barrier, confirmed changes are fed to every index
-/// in [`IndexRoutes`] **in stream order** against the settled graph —
-/// so no-op updates (deduplicated re-inserts, deletes of absent edges)
-/// never touch an index, and view-consuming notes (distance wavefronts,
-/// triangle delete checks) observe exactly the state their deltas
-/// describe. An update deleted later in the same stream may relax a
-/// distance certificate through an edge the final view no longer has;
-/// the later-routed delete note sees that certificate and dirty-marks
-/// it, so stream-order routing keeps the indexes exact at quiescence.
-/// Returns how many updates changed the graph (the per-update change
-/// flags, summed).
+/// An update's "did it change the graph" verdict is the OR of its
+/// halves' outcomes (matching [`DynGraph::insert_edge`] /
+/// [`DynGraph::delete_edge`]). After the parallel phase's barrier,
+/// confirmed changes are fed to every index in [`IndexRoutes`] **in
+/// stream order** against the settled graph — so no-op updates
+/// (deduplicated re-inserts, deletes of absent edges) never touch an
+/// index, and view-consuming notes (distance wavefronts, triangle delete
+/// checks) observe exactly the state their deltas describe. An update
+/// deleted later in the same stream may relax a distance certificate
+/// through an edge the final view no longer has; the later-routed delete
+/// note sees that certificate and dirty-marks it, so stream-order
+/// routing keeps the indexes exact at quiescence. Returns how many
+/// updates changed the graph.
 ///
 /// # Panics
 ///
-/// Panics if an update names a source vertex outside the graph (no
-/// shard owns it), like [`DynGraph::apply`] does.
+/// Before the first half-update is applied, if the stream holds more
+/// than 2^31 updates or one names a vertex outside the graph (the
+/// message says which).
 pub fn apply_vpart_indexed<A: DynamicAdjacency>(
     g: &DynGraph<A>,
     updates: &[Update],
     workers: usize,
     routes: IndexRoutes<'_>,
 ) -> usize {
-    assert!(
-        updates.len() <= u32::MAX as usize,
-        "stream too large for u32 stream indices"
-    );
-    let ranges = partition_ranges(g.num_vertices(), resolve_workers(workers));
-    let shard_of = |src: u32| ranges.partition_point(|r| r.end <= src as usize);
-    // Counting pass, then a stable scatter: every bucket keeps stream
-    // order, which is all the bit-identity argument needs.
-    let mut sizes = vec![0usize; ranges.len()];
-    for_each_half(updates, g.is_directed(), |_, h| sizes[shard_of(h.src)] += 1);
-    let mut buckets: Vec<Vec<(u32, HalfUpdate)>> =
-        sizes.into_iter().map(Vec::with_capacity).collect();
-    for_each_half(updates, g.is_directed(), |idx, h| {
-        buckets[shard_of(h.src)].push((idx as u32, h));
-    });
-    let adj = g.adjacency();
-    let changed: Vec<AtomicBool> = updates.iter().map(|_| AtomicBool::new(false)).collect();
-    let walk = |bucket: &[(u32, HalfUpdate)]| {
-        for (idx, h) in bucket {
-            if apply_half(adj, h) {
-                // ordering: Relaxed — per-update outcome flags joined at
-                // the scope barrier; the scope's own synchronization
-                // publishes them (invariant 8: scheduling never leaks
-                // into results).
-                changed[*idx as usize].store(true, Ordering::Relaxed);
-            }
+    apply_ranged(g, updates, workers, routes, RANGE_BUDGET)
+}
+
+/// [`apply_vpart_indexed`] with the range budget as a parameter, so
+/// tests can make small inputs span many ranges.
+pub(crate) fn apply_ranged<A: DynamicAdjacency>(
+    g: &DynGraph<A>,
+    updates: &[Update],
+    workers: usize,
+    routes: IndexRoutes<'_>,
+    budget: usize,
+) -> usize {
+    let ranges = cut_ranges(g, updates, budget);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut worker = RangeWorker::new(updates.len());
+        // ordering: Relaxed — a claim counter: the RMW alone hands each
+        // range to exactly one worker (invariant 8), and what a worker
+        // writes is published by the scope barrier, not through it.
+        while let Some(range) = ranges.get(next.fetch_add(1, Ordering::Relaxed)) {
+            worker.walk(g, updates, range);
+        }
+        worker.changed
+    };
+    let changed = match resolve_workers(workers).min(ranges.len()) {
+        0 | 1 => work(),
+        workers => {
+            let others = Mutex::new(Vec::new());
+            let mine = rayon::scope(|s| {
+                for _ in 1..workers {
+                    s.spawn(|_| {
+                        let bits = work();
+                        others.lock().push(bits);
+                    });
+                }
+                work()
+            });
+            others.into_inner().into_iter().fold(mine, |mut all, bits| {
+                all.iter_mut().zip(bits).for_each(|(a, b)| *a |= b);
+                all
+            })
         }
     };
-    match buckets.as_slice() {
-        [only] => walk(only),
-        many => rayon::scope(|s| {
-            for bucket in many {
-                let walk = &walk;
-                s.spawn(move |_| walk(bucket));
+    if !routes.is_empty() {
+        for (word, mut bits) in changed.iter().copied().enumerate() {
+            while bits != 0 {
+                routes.route(g, &updates[word * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
             }
-        }),
-    }
-    let mut count = 0;
-    for (u, c) in updates.iter().zip(&changed) {
-        // ordering: Relaxed — read after the scope barrier above; the
-        // barrier already ordered the stores.
-        if c.load(Ordering::Relaxed) {
-            count += 1;
-            routes.route(g, u);
         }
     }
-    count
+    changed.iter().map(|bits| bits.count_ones() as usize).sum()
+}
+
+/// Checks the stream ([`checked_halves`]) and cuts the vertex space into
+/// consecutive ranges holding about `budget` half-updates each, along a
+/// coarse histogram of their sources. Vertices past the last update's
+/// bucket are in no range.
+fn cut_ranges<A: DynamicAdjacency>(
+    g: &DynGraph<A>,
+    updates: &[Update],
+    budget: usize,
+) -> Vec<Range<usize>> {
+    let n = g.num_vertices();
+    let shift = source_bits(n).saturating_sub(HISTOGRAM_BITS);
+    let mut histogram = vec![0usize; (n >> shift) + 1];
+    checked_halves(updates, n, g.is_directed(), |there, back| {
+        for h in [Some(there), back].into_iter().flatten() {
+            histogram[h.src as usize >> shift] += 1;
+        }
+    });
+    let mut ranges = Vec::new();
+    let (mut start, mut load) = (0, 0);
+    for (bucket, count) in histogram.into_iter().enumerate() {
+        load += count;
+        if load >= budget {
+            let end = ((bucket + 1) << shift).min(n);
+            ranges.push(start..end);
+            (start, load) = (end, 0);
+        }
+    }
+    if load > 0 {
+        ranges.push(start..n);
+    }
+    ranges
+}
+
+/// One worker of [`apply_ranged`]: the buffers it reuses from range to
+/// range, and the updates it saw change the graph.
+struct RangeWorker {
+    /// The range's half-updates in stream order, then sorted by source.
+    kept: Vec<HalfUpdate>,
+    sorted: Vec<HalfUpdate>,
+    /// Per vertex of the range: where its group starts in `sorted`
+    /// (after the scatter: where it ends).
+    cursors: Vec<usize>,
+    /// One bit per update of the stream. Worker-local, so no atomics; an
+    /// update's verdict is the OR over workers, taken after the barrier.
+    changed: Vec<u64>,
+}
+
+impl RangeWorker {
+    fn new(updates: usize) -> Self {
+        Self {
+            kept: Vec::new(),
+            sorted: Vec::new(),
+            cursors: Vec::new(),
+            changed: vec![0; updates.div_ceil(64)],
+        }
+    }
+
+    /// Applies every half-update whose source lies in `range`: gather
+    /// from one scan of the stream, counting-sort by source (stable, so
+    /// a vertex's group keeps stream order), one
+    /// [`DynamicAdjacency::apply_group`] per vertex.
+    fn walk<A: DynamicAdjacency>(
+        &mut self,
+        g: &DynGraph<A>,
+        updates: &[Update],
+        range: &Range<usize>,
+    ) {
+        let Self {
+            kept,
+            sorted,
+            cursors,
+            changed,
+        } = self;
+        kept.clear();
+        cursors.clear();
+        cursors.resize(range.len(), 0);
+        let inside = |vertex: u32| range.contains(&(vertex as usize));
+        for (idx, u) in updates.iter().enumerate() {
+            // Most of the stream lies outside the range: one test per
+            // update rejects it before its halves are formed.
+            if !(inside(u.edge.u) | inside(u.edge.v)) {
+                continue;
+            }
+            let (there, back) = halves(idx, u, g.is_directed());
+            for h in [Some(there), back].into_iter().flatten() {
+                if inside(h.src) {
+                    cursors[h.src as usize - range.start] += 1;
+                    kept.push(h);
+                }
+            }
+        }
+        let mut start = 0;
+        for cursor in cursors.iter_mut() {
+            start += std::mem::replace(cursor, start);
+        }
+        sorted.clear();
+        sorted.extend_from_slice(kept);
+        for h in kept.iter() {
+            let cursor = &mut cursors[h.src as usize - range.start];
+            sorted[*cursor] = *h;
+            *cursor += 1;
+        }
+        let mut start = 0;
+        for (vertex, &end) in range.clone().zip(cursors.iter()) {
+            if end > start {
+                g.adjacency()
+                    .apply_group(vertex as u32, &mut sorted[start..end], &mut |idx| {
+                        changed[idx / 64] |= 1 << (idx % 64);
+                    });
+                start = end;
+            }
+        }
+    }
 }
 
 /// `Epart` configuration: a vertex is "hot" if the current batch contains
@@ -229,9 +387,13 @@ pub const EPART_HOT_THRESHOLD: usize = 256;
 /// buffered per worker chunk and merged per hot vertex in a second phase.
 /// `workers` follows the [`resolve_workers`] convention (0 = adopt the
 /// installed pool).
+///
+/// # Panics
+///
+/// Like [`apply_vpart_indexed`], before anything is applied.
 pub fn apply_epart<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update], workers: usize) {
     let n = g.num_vertices();
-    let halves = expand_half_updates(updates, g.is_directed());
+    let halves = expand_half_updates(updates, n, g.is_directed());
     // Discover hot vertices from the batch itself.
     let mut counts = vec![0u32; n];
     for h in &halves {
@@ -252,57 +414,37 @@ pub fn apply_epart<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update], wor
                 if hot[h.src as usize] {
                     buf.push(*h);
                 } else {
-                    apply_half(adj, h);
+                    h.apply_to(adj);
                 }
             }
             buf
         })
         .collect();
-    // Phase 2: merge — flatten, group by vertex, apply groups in parallel.
+    // Phase 2: merge — flatten, group by vertex (stable, so each group
+    // keeps stream order), one `apply_group` per hot vertex, in parallel.
     let mut hot_halves: Vec<HalfUpdate> = buffers.into_iter().flatten().collect();
-    let key_bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1);
-    semi_sort_by_key(&mut hot_halves, key_bits, |h| h.src);
-    apply_grouped(adj, &hot_halves);
+    semi_sort_by_key(&mut hot_halves, source_bits(n), |h| h.src);
+    let groups: Vec<&mut [HalfUpdate]> = hot_halves.chunk_by_mut(|a, b| a.src == b.src).collect();
+    groups
+        .into_par_iter()
+        .for_each(|group| adj.apply_group(group[0].src, group, &mut |_| {}));
 }
 
-/// Applies semi-sorted half-updates group-by-group in parallel.
-fn apply_grouped<A: DynamicAdjacency>(adj: &A, sorted: &[HalfUpdate]) {
-    // Find group boundaries, then parallelize over groups: each vertex's
-    // updates apply on one worker, in stream order.
-    let mut starts = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        starts.push(i);
-        let src = sorted[i].src;
-        while i < sorted.len() && sorted[i].src == src {
-            i += 1;
-        }
-    }
-    starts.push(sorted.len());
-    starts.par_windows(2).for_each(|w| {
-        for h in &sorted[w[0]..w[1]] {
-            apply_half(adj, h);
-        }
-    });
-}
-
-/// Batched processing: semi-sort the stream by source vertex, then apply
-/// each vertex's group as a unit.
-pub fn apply_batched<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update]) {
-    let mut halves = expand_half_updates(updates, g.is_directed());
-    let n = g.num_vertices();
-    let key_bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1);
-    semi_sort_by_key(&mut halves, key_bits, |h| h.src);
-    apply_grouped(g.adjacency(), &halves);
+/// Bits of a source-vertex key on `n` vertices (at least one).
+fn source_bits(n: usize) -> u32 {
+    (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1)
 }
 
 /// Measures only the semi-sort of the expanded stream — the lower bound on
 /// batched processing time (Figure 3's "upper bound on batched MUPS").
+///
+/// # Panics
+///
+/// If an update names a vertex that is not below `n`.
 pub fn semi_sort_bound(updates: &[Update], n: usize, directed: bool) -> Duration {
-    let mut halves = expand_half_updates(updates, directed);
-    let key_bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1);
+    let mut halves = expand_half_updates(updates, n, directed);
     let (_, d) = snap_util::timer::time(|| {
-        semi_sort_by_key(&mut halves, key_bits, |h| h.src);
+        semi_sort_by_key(&mut halves, source_bits(n), |h| h.src);
         std::hint::black_box(&halves);
     });
     d
@@ -498,21 +640,22 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
         changed
     }
 
-    /// Applies a whole batch in parallel, bumping the epoch **at most
-    /// once** and only if some update actually changed the graph — the
-    /// paper's bulk-synchronous pattern. A burst of no-op batches
-    /// (deletes of absent edges, deduplicated re-inserts) leaves the
-    /// cached snapshot and the indexes untouched. With an index
-    /// attached the batch goes through [`apply_vpart_indexed`], which
-    /// routes the confirmed changes after the barrier, in stream order.
-    /// Returns whether the batch changed anything.
+    /// Applies a whole batch in parallel ([`apply_vpart_indexed`] on
+    /// the installed pool), bumping the epoch **at most once** and only
+    /// if some update actually changed the graph — the paper's
+    /// bulk-synchronous pattern. A burst of no-op batches (deletes of
+    /// absent edges, deduplicated re-inserts) leaves the cached snapshot
+    /// and the indexes untouched; confirmed changes are routed to the
+    /// attached indexes after the barrier, in stream order. Returns
+    /// whether the batch changed anything.
+    ///
+    /// # Panics
+    ///
+    /// Before anything is applied, if an update names a vertex outside
+    /// the graph.
     pub fn apply_batch(&self, updates: &[Update]) -> bool {
         let routes = self.indexes.routes();
-        let changed = if routes.is_empty() {
-            apply_stream(&self.graph, updates)
-        } else {
-            apply_vpart_indexed(&self.graph, updates, 0, routes) > 0
-        };
+        let changed = apply_vpart_indexed(&self.graph, updates, 0, routes) > 0;
         if changed {
             self.publish_epoch(routes);
         }
@@ -1048,19 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn vpart_single_worker_equals_sequential() {
-        let (n, s) = workload();
-        let g1: DynGraph<DynArr> = DynGraph::directed(n, &CapacityHints::new(s.len()));
-        apply_vpart(&g1, &s, 1);
-        let g2: DynGraph<DynArr> = DynGraph::directed(n, &CapacityHints::new(s.len()));
-        for u in &s {
-            g2.apply(u);
-        }
-        assert_eq!(live_set(&g1), live_set(&g2));
-        assert_eq!(g1.total_entries(), g2.total_entries());
-    }
-
-    #[test]
     fn resolve_workers_adopts_installed_pool() {
         // 0 = adopt, same convention as ParConfig::threads.
         let inside = snap_util::thread_pool(3).install(|| resolve_workers(0));
@@ -1078,16 +1208,186 @@ mod tests {
         assert_eq!(live_set(&g), reference_set(n, &s, false));
     }
 
+    /// A stream that does not commute: few vertices, so one edge is
+    /// inserted, deleted and re-inserted, inserted twice, and looped on
+    /// itself within one batch.
+    fn non_commuting_stream(n: u32, len: usize, seed: u64) -> Vec<Update> {
+        let mut rng = snap_util::rng::XorShift64::new(seed);
+        (0..len)
+            .map(|i| {
+                let u = rng.next_bounded(n as u64) as u32;
+                // One endpoint in eight repeats the other: self-loops.
+                let v = match rng.next_bounded(8) {
+                    0 => u,
+                    _ => rng.next_bounded(n as u64) as u32,
+                };
+                let e = TimedEdge::new(u, v, i as u32 + 1);
+                if rng.next_bool(0.6) {
+                    Update::insert(e)
+                } else {
+                    Update::delete(e)
+                }
+            })
+            .collect()
+    }
+
+    /// The applier at 1 / 2 / 8 workers, at the real range budget and at
+    /// tiny ones (many ranges, claimed in any order), against a
+    /// sequential `DynGraph::apply` loop: same per-vertex entry
+    /// sequences (and whatever else `state` reads off a vertex), same
+    /// count of updates that changed the graph.
+    fn check_applier_equals_sequential_loop<A: DynamicAdjacency, S: PartialEq + std::fmt::Debug>(
+        directed: bool,
+        thresh: u32,
+        state: impl Fn(&A, u32) -> S,
+    ) {
+        let n = 48u32;
+        let hints = CapacityHints::new(64).with_degree_thresh(thresh);
+        let graph = || DynGraph::<A>::from_adjacency(A::new(n as usize, &hints), directed);
+        for seed in 0..4 {
+            // Two batches, so the second meets treaps, tombstones and
+            // duplicates the first left behind.
+            let stream = non_commuting_stream(n, 3000, seed);
+            let batches = [&stream[..2000], &stream[2000..]];
+            let want = graph();
+            let want_changed = batches.map(|b| b.iter().filter(|u| want.apply(u)).count());
+            for workers in [1, 2, 8] {
+                for budget in [RANGE_BUDGET, 64, 1] {
+                    let got = graph();
+                    let changed = batches
+                        .map(|b| apply_ranged(&got, b, workers, IndexRoutes::default(), budget));
+                    assert_eq!(changed, want_changed, "{workers} workers, budget {budget}");
+                    for u in 0..n {
+                        let (got, want) = (got.adjacency(), want.adjacency());
+                        assert_eq!(
+                            (got.neighbors(u), state(got, u)),
+                            (want.neighbors(u), state(want, u)),
+                            "vertex {u}: {workers} workers, budget {budget}, seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
-    fn vpart_indexed_matches_vpart_and_counts_changes() {
+    fn applier_equals_sequential_loop_dynarr() {
+        check_applier_equals_sequential_loop(false, 32, |_: &DynArr, _| ());
+        check_applier_equals_sequential_loop(true, 32, |_: &DynArr, _| ());
+    }
+
+    #[test]
+    fn applier_equals_sequential_loop_treap() {
+        check_applier_equals_sequential_loop(false, 32, |_: &TreapAdj, _| ());
+        check_applier_equals_sequential_loop(true, 32, |_: &TreapAdj, _| ());
+    }
+
+    #[test]
+    fn applier_equals_sequential_loop_hybrid() {
+        // Thresholds low enough that vertices promote, demote and
+        // promote again inside one batch; which form each ends in is
+        // part of the state.
+        for thresh in [1, 2, 4, 32] {
+            check_applier_equals_sequential_loop(false, thresh, HybridAdj::is_treap);
+            check_applier_equals_sequential_loop(true, thresh, HybridAdj::is_treap);
+        }
+    }
+
+    #[test]
+    fn applier_cuts_ranges_by_budget_and_covers_every_update() {
+        let (n, s) = workload();
+        let g: DynGraph<DynArr> = DynGraph::undirected(n, &CapacityHints::new(s.len() * 2));
+        let halves = count_expected_halves(&s);
+        assert_eq!(cut_ranges(&g, &s, halves).len(), 1, "a batch within budget");
+        let ranges = cut_ranges(&g, &s, halves / 8);
+        assert!((4..=8).contains(&ranges.len()), "{} ranges", ranges.len());
+        assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!((ranges[0].start, ranges[ranges.len() - 1].end), (0, n));
+        assert!(cut_ranges(&g, &[], 1).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "update 2 names vertex 8, but the graph has 8 vertices")]
+    fn applier_rejects_an_out_of_range_endpoint() {
+        let g: DynGraph<DynArr> = DynGraph::undirected(8, &CapacityHints::new(16));
+        let batch = [(0, 1), (1, 2), (3, 8)].map(|(u, v)| Update::insert(TimedEdge::new(u, v, 1)));
+        apply_vpart(&g, &batch, 2);
+    }
+
+    #[test]
+    fn applier_panics_before_the_first_half_update_is_applied() {
+        // The bad update comes last, as source and as neighbor, directed
+        // and not: whatever the appliers did before it must be nothing.
+        for (directed, bad) in [
+            (false, (0, 9)),
+            (false, (9, 0)),
+            (true, (0, 9)),
+            (true, (9, 0)),
+        ] {
+            let g = DynGraph::<HybridAdj>::from_adjacency(
+                HybridAdj::new(8, &CapacityHints::new(16)),
+                directed,
+            );
+            let mut batch: Vec<Update> = (0..7u32)
+                .map(|i| Update::insert(TimedEdge::new(i, i + 1, 1)))
+                .collect();
+            batch.push(Update::insert(TimedEdge::new(bad.0, bad.1, 1)));
+            let appliers: [&(dyn Fn() + Sync); 4] = [
+                &|| apply_vpart(&g, &batch, 2),
+                &|| apply_batched(&g, &batch),
+                &|| apply_epart(&g, &batch, 2),
+                &|| {
+                    apply_ranged(&g, &batch, 2, IndexRoutes::default(), 1);
+                },
+            ];
+            for applier in appliers {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(applier));
+                assert!(outcome.is_err(), "vertex 9 of 8 must be refused");
+                assert_eq!(g.total_entries(), 0, "graph untouched after the panic");
+            }
+        }
+    }
+
+    #[test]
+    fn apply_batch_is_one_applier_call_with_or_without_an_index() {
+        let n = 48u32;
+        let hints = CapacityHints::new(64).with_degree_thresh(4);
+        let stream = non_commuting_stream(n, 3000, 21);
+        let plain = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n as usize, &hints));
+        let indexed = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n as usize, &hints));
+        let conn = indexed.enable_connectivity();
+        indexed.enable_triangles();
+        let noop = [Update::delete(TimedEdge::new(0, 1, 0))];
+        for batch in [&noop[..], &stream[..2000], &stream[2000..], &[]] {
+            let epochs = (plain.epoch(), indexed.epoch());
+            let changed = plain.apply_batch(batch);
+            assert_eq!(indexed.apply_batch(batch), changed, "same return value");
+            let step = u64::from(changed);
+            assert_eq!(plain.epoch(), epochs.0 + step, "one epoch step");
+            assert_eq!(indexed.epoch(), epochs.1 + step, "one epoch step");
+        }
+        for u in 0..n {
+            assert_eq!(
+                plain.live().adjacency().neighbors(u),
+                indexed.live().adjacency().neighbors(u)
+            );
+        }
+        let labels = crate::connectivity::ConnectivityIndex::from_view(plain.live());
+        for u in 0..n {
+            assert_eq!(
+                indexed.indexes().component(u),
+                labels.component(plain.live(), u)
+            );
+        }
+        assert_eq!(conn.full_rebuild_count(), 0, "routed, never rebuilt");
+    }
+
+    #[test]
+    fn vpart_indexed_counts_changes() {
         let none = IndexRoutes::default();
         let (n, s) = workload();
         let g1: DynGraph<DynArr> = DynGraph::undirected(n, &CapacityHints::new(s.len() * 2));
         assert_eq!(apply_vpart_indexed(&g1, &s, 4, none), s.len());
-        let g2: DynGraph<DynArr> = DynGraph::undirected(n, &CapacityHints::new(s.len() * 2));
-        apply_vpart(&g2, &s, 4);
-        assert_eq!(live_set(&g1), live_set(&g2));
-        assert_eq!(g1.total_entries(), g2.total_entries());
         // Deleting from an empty graph is a no-op batch.
         let empty: DynGraph<DynArr> = DynGraph::undirected(n, &CapacityHints::new(8));
         let absent: Vec<Update> = (0..8u32)

@@ -12,7 +12,7 @@
 //! converts back to an array, so a vertex oscillating around the threshold
 //! does not thrash representations.
 
-use crate::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency};
+use crate::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, HalfUpdate};
 use parking_lot::Mutex;
 use snap_treap::Treap;
 
@@ -50,6 +50,20 @@ impl HybridAdj {
             .count()
     }
 
+    /// Verifies `u`'s representation invariants (test support): an array
+    /// is shorter than the promotion threshold, a treap is a valid one.
+    pub fn check_invariants(&self, u: u32) -> Result<(), String> {
+        match &*self.adj[u as usize].lock() {
+            Repr::Arr(arr) if arr.len() as u32 >= self.degree_thresh => Err(format!(
+                "vertex {u}: array of {} at threshold {}",
+                arr.len(),
+                self.degree_thresh
+            )),
+            Repr::Arr(_) => Ok(()),
+            Repr::Treap(t) => t.check_invariants(),
+        }
+    }
+
     fn treap_seed(u: u32) -> u64 {
         0x42b1d ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
@@ -59,27 +73,58 @@ impl HybridAdj {
     /// semantics). Sort + dedup + O(n) bulk build beats n log n
     /// re-insertion on the promotion path, which power-law hubs hit often.
     fn promote(u: u32, arr: &[AdjEntry]) -> Treap {
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(arr.len());
-        // Later occurrences overwrite earlier ones: stable sort on the key
-        // keeps stream order within a key, so the last of each run wins.
-        pairs.extend(arr.iter().map(|e| (e.nbr, e.ts)));
-        pairs.sort_by_key(|p| p.0);
-        let mut dedup: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
-        for p in pairs {
-            match dedup.last_mut() {
-                Some(last) if last.0 == p.0 => *last = p,
-                _ => dedup.push(p),
-            }
-        }
-        Treap::from_sorted(&dedup, Self::treap_seed(u))
+        Treap::from_unsorted(arr.iter().map(|e| (e.nbr, e.ts)), Self::treap_seed(u))
     }
 
     /// Converts a treap back to an array.
     fn demote(t: &Treap) -> Vec<AdjEntry> {
-        t.to_sorted_vec()
-            .into_iter()
-            .map(|(nbr, ts)| AdjEntry { nbr, ts })
-            .collect()
+        let mut arr = Vec::with_capacity(t.len());
+        t.for_each(|nbr, ts| arr.push(AdjEntry { nbr, ts }));
+        arr
+    }
+
+    /// [`DynamicAdjacency::insert`] on a locked cell.
+    fn insert_locked(&self, u: u32, cell: &mut Repr, e: AdjEntry) -> bool {
+        match cell {
+            Repr::Arr(arr) => {
+                arr.push(e);
+                if arr.len() as u32 >= self.degree_thresh {
+                    *cell = Repr::Treap(Self::promote(u, arr));
+                }
+                true
+            }
+            Repr::Treap(t) => t.insert(e.nbr, e.ts),
+        }
+    }
+
+    /// One half-update on a locked cell.
+    fn apply_locked(&self, u: u32, cell: &mut Repr, h: &HalfUpdate) -> bool {
+        if h.is_delete() {
+            self.delete_locked(cell, h.nbr)
+        } else {
+            self.insert_locked(u, cell, AdjEntry::new(h.nbr, h.ts))
+        }
+    }
+
+    /// [`DynamicAdjacency::delete`] on a locked cell.
+    fn delete_locked(&self, cell: &mut Repr, v: u32) -> bool {
+        match cell {
+            Repr::Arr(arr) => {
+                // Low degree: a scan is cheap; retain keeps it compact (no
+                // tombstones below the threshold) and key-granular — blind
+                // insertion may have appended duplicates that must all go.
+                let before = arr.len();
+                arr.retain(|e| e.nbr != v);
+                arr.len() != before
+            }
+            Repr::Treap(t) => {
+                let removed = t.delete(v).is_some();
+                if removed && (t.len() as u32) < self.shrink_thresh {
+                    *cell = Repr::Arr(Self::demote(t));
+                }
+                removed
+            }
+        }
     }
 }
 
@@ -98,36 +143,47 @@ impl DynamicAdjacency for HybridAdj {
     }
 
     fn insert(&self, u: u32, e: AdjEntry) -> bool {
-        let mut cell = self.adj[u as usize].lock();
-        match &mut *cell {
-            Repr::Arr(arr) => {
-                arr.push(e);
-                if arr.len() as u32 >= self.degree_thresh {
-                    *cell = Repr::Treap(Self::promote(u, arr));
-                }
-                true
-            }
-            Repr::Treap(t) => t.insert(e.nbr, e.ts),
-        }
+        self.insert_locked(u, &mut self.adj[u as usize].lock(), e)
     }
 
     fn delete(&self, u: u32, v: u32) -> bool {
-        let mut cell = self.adj[u as usize].lock();
-        match &mut *cell {
-            Repr::Arr(arr) => {
-                // Low degree: a scan is cheap; retain keeps it compact (no
-                // tombstones below the threshold) and key-granular — blind
-                // insertion may have appended duplicates that must all go.
-                let before = arr.len();
-                arr.retain(|e| e.nbr != v);
-                arr.len() != before
+        self.delete_locked(&mut self.adj[u as usize].lock(), v)
+    }
+
+    /// One lock acquisition for the group. While `u` is an array its ops
+    /// run one by one (it promotes within `degree_thresh` pushes); what
+    /// is left once it is a treap goes to [`Treap::apply_group`] whole —
+    /// a merge and one rebuild when the group is large against the
+    /// degree — unless a delete in it could demote `u` mid-group, which
+    /// only the one-by-one loop replays faithfully.
+    fn apply_group(&self, u: u32, ops: &mut [HalfUpdate], on_changed: &mut dyn FnMut(usize)) {
+        let cell = &mut *self.adj[u as usize].lock();
+        let mut done = 0;
+        if let Repr::Arr(arr) = cell {
+            // Room for what the group appends before a promotion; a
+            // group that dominates the array leaves it at exact capacity.
+            let room = (self.degree_thresh as usize).saturating_sub(arr.len());
+            let inserts = ops.iter().filter(|h| !h.is_delete()).count().min(room);
+            if inserts > arr.capacity() - arr.len() {
+                arr.reserve_exact(inserts.max(arr.len()));
             }
-            Repr::Treap(t) => {
-                let removed = t.delete(v).is_some();
-                if removed && (t.len() as u32) < self.shrink_thresh {
-                    *cell = Repr::Arr(Self::demote(t));
-                }
-                removed
+        }
+        while let (Repr::Arr(_), Some(h)) = (&*cell, ops.get(done)) {
+            done += 1;
+            if self.apply_locked(u, cell, h) {
+                on_changed(h.index());
+            }
+        }
+        let rest = &mut ops[done..];
+        if let Repr::Treap(t) = cell {
+            let deletes = rest.iter().filter(|h| h.is_delete()).count();
+            if deletes == 0 || t.len() >= deletes + self.shrink_thresh as usize {
+                return t.apply_group(rest, |h| on_changed(h.index()));
+            }
+        }
+        for h in rest.iter() {
+            if self.apply_locked(u, cell, h) {
+                on_changed(h.index());
             }
         }
     }

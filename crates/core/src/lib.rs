@@ -54,9 +54,11 @@
 //!
 //! # Execution strategies (Section 2.1.2–2.1.3)
 //!
-//! [`engine`] implements the streaming applier plus the `Vpart`
-//! (vertex-partitioned), `Epart` (edge-partitioned) and batched
-//! (semi-sorted) strategies the paper compares in Figure 3.
+//! [`engine`] implements the strategies the paper compares in Figure 3:
+//! one batch applier that is `Vpart` (vertex-partitioned) and the
+//! batched (semi-sorted, grouped per vertex) scheme at once — what
+//! [`SnapshotManager::apply_batch`] and the serving writer run — beside
+//! the one-by-one streaming applier and `Epart` (edge-partitioned).
 //!
 //! # Phase discipline
 //!
@@ -85,7 +87,7 @@ pub mod triindex;
 pub mod view;
 pub mod vlabels;
 
-pub use adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, TOMBSTONE};
+pub use adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, HalfUpdate, TOMBSTONE};
 pub use connectivity::ConnectivityIndex;
 pub use csr::{CsrGraph, SnapshotRace};
 pub use distindex::{restricted_hop_distances, DistanceIndex};

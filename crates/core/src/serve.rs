@@ -11,13 +11,15 @@
 //!    [`ServeEngine::submit`] as batches on one FIFO ingest queue. A
 //!    dedicated writer thread drains it in *cycles*: it coalesces the
 //!    batches already queued (bounded by [`ServeConfig::coalesce`]) into
-//!    one stream and applies it with **one** call of the sharded
-//!    vertex-partitioned applier
-//!    ([`crate::engine::apply_vpart_indexed`]): the vertex space is
-//!    range-partitioned over [`ServeConfig::shards`] workers, each
-//!    applying the half-updates it owns in stream order — zero
-//!    cross-shard conflicts, final state identical to sequential
-//!    application.
+//!    one stream and applies it with **one** call of the vertex-ranged,
+//!    sort-then-grouped applier
+//!    ([`crate::engine::apply_vpart_indexed`]): the vertex space is cut
+//!    into ranges of a fixed half-update budget that up to
+//!    [`ServeConfig::shards`] workers claim, each vertex's half-updates
+//!    applied as one group in stream order — zero cross-worker
+//!    conflicts, final state identical to sequential application. (A
+//!    cycle whose stream fits one range runs on the writer thread
+//!    itself, no spawn.)
 //! 2. **Labels every cycle, the CSR on demand.** After applying, the
 //!    writer settles the connectivity index and publishes the cycle's
 //!    component labels with one pointer swap, so
@@ -114,7 +116,7 @@ pub struct ServeConfig {
     /// reference them; `retain` only bounds how many *unpinned* old
     /// versions stay warm for late readers.
     pub retain: usize,
-    /// Writer shard count for the vertex-partitioned applier; follows
+    /// Most workers the writer's applier lets claim vertex ranges; follows
     /// the [`crate::engine::resolve_workers`] convention (0 = adopt the
     /// installed rayon pool / `SNAP_THREADS`), resolved once at engine
     /// construction.

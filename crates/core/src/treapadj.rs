@@ -9,7 +9,7 @@
 //! higher"), which is why construction is slower than `Dyn-arr`
 //! (Figure 4), and a 2–4x memory footprint.
 
-use crate::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency};
+use crate::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, HalfUpdate};
 use parking_lot::Mutex;
 use snap_treap::Treap;
 
@@ -52,6 +52,14 @@ impl DynamicAdjacency for TreapAdj {
 
     fn delete(&self, u: u32, v: u32) -> bool {
         self.adj[u as usize].lock().delete(v).is_some()
+    }
+
+    /// One lock acquisition, then [`Treap::apply_group`]: a merge and
+    /// one rebuild when the group is large against the degree.
+    fn apply_group(&self, u: u32, ops: &mut [HalfUpdate], on_changed: &mut dyn FnMut(usize)) {
+        self.adj[u as usize]
+            .lock()
+            .apply_group(ops, |h| on_changed(h.index()));
     }
 
     fn contains(&self, u: u32, v: u32) -> bool {

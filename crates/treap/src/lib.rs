@@ -9,8 +9,14 @@
 //! Nodes live in a flat `Vec` addressed by `u32` indices (cache-friendly,
 //! borrow-checker-friendly, no per-node allocation); deletions recycle
 //! slots through a free list.
+//!
+//! Batched updates ([`Treap::apply_group`]) that are large against the
+//! treap do not descend per key: the group is sorted by key, merged
+//! against the in-order contents, and the treap is rebuilt in place with
+//! the `O(n)` rightmost-spine construction [`Treap::from_sorted`] uses.
 
 use snap_util::rng::XorShift64;
+use std::cell::RefCell;
 
 /// Sentinel for "no child".
 const NIL: u32 = u32::MAX;
@@ -35,6 +41,95 @@ pub struct Treap {
     free: Vec<u32>,
     len: usize,
     rng: XorShift64,
+}
+
+/// One operation of a [`Treap::apply_group`] group.
+pub trait GroupOp {
+    /// The key inserted or deleted.
+    fn key(&self) -> u32;
+    /// The value an insert stores (unused by a delete).
+    fn val(&self) -> u32;
+    /// True for a delete, false for an insert.
+    fn is_delete(&self) -> bool;
+    /// Position in application order; unique within a group.
+    fn seq(&self) -> u32;
+}
+
+/// A group of at least `len / BULK_RATIO` operations is merged and the
+/// treap rebuilt; a smaller one descends per key. The rebuild streams
+/// `len + k` entries through sequential memory, a descent pays a cache
+/// miss per level on a cold hub — about this ratio apart.
+const BULK_RATIO: usize = 8;
+
+/// Node indices a [`NodeStack`] holds inline. A treap's depth and its
+/// rightmost spine are `O(log n)` in expectation — about 40 at a million
+/// keys — so traversals of adjacency treaps stay off the heap.
+const INLINE_DEPTH: usize = 64;
+
+/// The explicit stack of the in-order traversal and the spine build:
+/// inline slots first, a heap `Vec` past them, so neither allocates at
+/// expected depths and neither overflows at any.
+struct NodeStack {
+    inline: [u32; INLINE_DEPTH],
+    len: usize,
+    spill: Vec<u32>,
+}
+
+impl NodeStack {
+    fn new() -> Self {
+        Self {
+            inline: [NIL; INLINE_DEPTH],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, t: u32) {
+        if self.len < INLINE_DEPTH {
+            self.inline[self.len] = t;
+        } else {
+            self.spill.push(t);
+        }
+        self.len += 1;
+    }
+
+    fn last(&self) -> Option<u32> {
+        match self.len {
+            0 => None,
+            len if len <= INLINE_DEPTH => Some(self.inline[len - 1]),
+            _ => self.spill.last().copied(),
+        }
+    }
+
+    fn pop(&mut self) -> Option<u32> {
+        let top = self.last()?;
+        self.len -= 1;
+        if self.len >= INLINE_DEPTH {
+            self.spill.pop();
+        }
+        Some(top)
+    }
+}
+
+/// Buffers of the bulk paths, one set per thread and reused across
+/// calls: the contents going in and the contents coming out.
+#[derive(Default)]
+struct Scratch {
+    old: Vec<(u32, u32)>,
+    merged: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `f` on the thread's [`Scratch`] — or on a throw-away one when a
+/// caller's callback re-entered a bulk path while it is borrowed.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut Scratch::default()),
+    })
 }
 
 impl Treap {
@@ -258,38 +353,23 @@ impl Treap {
     /// In-order (ascending key) traversal into a vector of `(key, val)`.
     pub fn to_sorted_vec(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.len);
-        // Explicit stack: adjacency treaps are usually shallow, but the
-        // public traversal should never be the thing that overflows.
-        let mut stack = Vec::new();
-        let mut cur = self.root;
-        while cur != NIL || !stack.is_empty() {
-            while cur != NIL {
-                stack.push(cur);
-                cur = self.nodes[cur as usize].left;
-            }
-            // panics: unreachable — the outer loop condition admits
-            // entry only with cur != NIL (which pushes) or a non-empty
-            // stack.
-            let t = stack.pop().expect("stack non-empty by loop condition");
-            let n = &self.nodes[t as usize];
-            out.push((n.key, n.val));
-            cur = n.right;
-        }
+        self.for_each(|key, val| out.push((key, val)));
         out
     }
 
-    /// Calls `f` for every `(key, val)` in ascending key order.
+    /// Calls `f` for every `(key, val)` in ascending key order. The stack
+    /// is explicit and inline up to a depth no adjacency treap is expected
+    /// to reach: the traversal does not allocate there and cannot overflow
+    /// past it.
     pub fn for_each(&self, mut f: impl FnMut(u32, u32)) {
-        let mut stack = Vec::new();
+        let mut stack = NodeStack::new();
         let mut cur = self.root;
-        while cur != NIL || !stack.is_empty() {
+        loop {
             while cur != NIL {
                 stack.push(cur);
                 cur = self.nodes[cur as usize].left;
             }
-            // panics: unreachable — same loop-condition argument as in
-            // `entries` above.
-            let t = stack.pop().expect("stack non-empty by loop condition");
+            let Some(t) = stack.pop() else { break };
             let n = &self.nodes[t as usize];
             f(n.key, n.val);
             cur = n.right;
@@ -302,54 +382,142 @@ impl Treap {
     /// # Panics
     /// If keys are not strictly ascending.
     pub fn from_sorted(pairs: &[(u32, u32)], seed: u64) -> Self {
-        let mut t = Treap::new(seed);
-        if pairs.is_empty() {
-            return t;
-        }
         for w in pairs.windows(2) {
             assert!(
                 w[0].0 < w[1].0,
                 "from_sorted requires strictly ascending keys"
             );
         }
-        t.nodes.reserve(pairs.len());
-        // Rightmost spine as a stack; priorities random, heap-fixed on push.
-        let mut spine: Vec<u32> = Vec::new();
-        for &(key, val) in pairs {
-            let prio = t.rng.next_u64() as u32;
-            let node = t.alloc_node(key, val, prio);
-            let mut last_popped = NIL;
-            while let Some(&top) = spine.last() {
-                if t.nodes[top as usize].prio < prio {
-                    last_popped = top;
-                    spine.pop();
-                } else {
-                    break;
-                }
-            }
-            t.nodes[node as usize].left = last_popped;
-            if let Some(&top) = spine.last() {
-                t.nodes[top as usize].right = node;
-            }
-            spine.push(node);
-        }
-        t.root = spine[0];
-        t.len = pairs.len();
-        let root = t.root;
-        t.fix_sizes(root);
+        let mut t = Treap::new(seed);
+        t.rebuild_sorted(pairs);
         t
     }
 
-    /// Post-order size recomputation (used by bulk construction).
-    fn fix_sizes(&mut self, t: u32) -> u32 {
-        if t == NIL {
-            return 0;
+    /// Builds a treap from pairs in any order; of several pairs with one
+    /// key the last wins (insert-overwrite semantics). Sort + dedup +
+    /// `O(n)` bulk build, in the thread's scratch buffers.
+    pub fn from_unsorted(pairs: impl IntoIterator<Item = (u32, u32)>, seed: u64) -> Self {
+        with_scratch(|Scratch { old, merged }| {
+            old.clear();
+            old.extend(pairs);
+            // Stable, so the last pair of a key's run is the latest.
+            old.sort_by_key(|p| p.0);
+            merged.clear();
+            for &p in old.iter() {
+                match merged.last_mut() {
+                    Some(last) if last.0 == p.0 => *last = p,
+                    _ => merged.push(p),
+                }
+            }
+            let mut t = Treap::new(seed);
+            t.rebuild_sorted(merged);
+            t
+        })
+    }
+
+    /// Replaces the contents with the strictly ascending `pairs`, in
+    /// place and at exact capacity: the rightmost spine is a stack,
+    /// priorities are random and heap-fixed on push.
+    fn rebuild_sorted(&mut self, pairs: &[(u32, u32)]) {
+        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+        self.nodes.clear();
+        self.free.clear();
+        self.nodes.reserve_exact(pairs.len());
+        let mut spine = NodeStack::new();
+        for (i, &(key, val)) in pairs.iter().enumerate() {
+            let i = i as u32;
+            // Node `i` holds the `i`-th key, so a subtree is an index
+            // range. `size` parks the range's start while the node sits
+            // on the spine; when it leaves, its subtree is complete and
+            // ends just before the node that pushed it out.
+            let mut node = Node {
+                key,
+                val,
+                prio: self.rng.next_u64() as u32,
+                left: NIL,
+                right: NIL,
+                size: i,
+            };
+            while let Some(top) = spine.last() {
+                let done = &mut self.nodes[top as usize];
+                if done.prio >= node.prio {
+                    break;
+                }
+                spine.pop();
+                node.left = top;
+                node.size = done.size;
+                done.size = i - done.size;
+            }
+            if let Some(top) = spine.last() {
+                self.nodes[top as usize].right = i;
+            }
+            self.nodes.push(node);
+            spine.push(i);
         }
-        let l = self.nodes[t as usize].left;
-        let r = self.nodes[t as usize].right;
-        let size = 1 + self.fix_sizes(l) + self.fix_sizes(r);
-        self.nodes[t as usize].size = size;
-        size
+        self.root = NIL;
+        while let Some(top) = spine.pop() {
+            let done = &mut self.nodes[top as usize];
+            done.size = pairs.len() as u32 - done.size;
+            self.root = top;
+        }
+        self.len = pairs.len();
+    }
+
+    /// Applies a group of operations on this treap with the outcome of
+    /// applying them one by one in [`GroupOp::seq`] order, calling
+    /// `on_changed` for every operation that changed the key set (an
+    /// insert of an absent key, a delete of a present one; of several
+    /// inserts of one key the last value stays).
+    ///
+    /// A group that is small against the treap descends per key. A large
+    /// one is sorted by key (the slice is reordered), merged against the
+    /// in-order contents while each key's operations replay in order, and
+    /// the treap is rebuilt in place — `O(len + k log k)` over sequential
+    /// memory instead of `k` cold descents with rotations. The choice is
+    /// made from the two sizes alone.
+    pub fn apply_group<O: GroupOp>(&mut self, ops: &mut [O], mut on_changed: impl FnMut(&O)) {
+        if ops.len() * BULK_RATIO < self.len {
+            for op in ops.iter() {
+                let changed = if op.is_delete() {
+                    self.delete(op.key()).is_some()
+                } else {
+                    self.insert(op.key(), op.val())
+                };
+                if changed {
+                    on_changed(op);
+                }
+            }
+            return;
+        }
+        // `seq` is unique in a group, so this is the stable order by key.
+        ops.sort_unstable_by_key(|op| (op.key(), op.seq()));
+        with_scratch(|Scratch { old, merged }| {
+            old.clear();
+            self.for_each(|key, val| old.push((key, val)));
+            merged.clear();
+            let mut kept = old.iter().copied().peekable();
+            let mut ops = ops.iter().peekable();
+            while let Some(first) = ops.peek() {
+                let key = first.key();
+                while let Some(below) = kept.next_if(|p| p.0 < key) {
+                    merged.push(below);
+                }
+                let mut val = kept.next_if(|p| p.0 == key).map(|p| p.1);
+                while let Some(op) = ops.next_if(|op| op.key() == key) {
+                    let changed = if op.is_delete() {
+                        val.take().is_some()
+                    } else {
+                        val.replace(op.val()).is_none()
+                    };
+                    if changed {
+                        on_changed(op);
+                    }
+                }
+                merged.extend(val.map(|val| (key, val)));
+            }
+            merged.extend(kept);
+            self.rebuild_sorted(merged);
+        });
     }
 
     /// Number of keys strictly smaller than `key` (the rank a present key
@@ -589,6 +757,149 @@ mod tests {
         let mut collected = Vec::new();
         t.for_each(|k, v| collected.push((k, v)));
         assert_eq!(collected, t.to_sorted_vec());
+    }
+}
+
+#[cfg(test)]
+mod bulk_tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Op {
+        key: u32,
+        val: u32,
+        delete: bool,
+        seq: u32,
+    }
+
+    impl GroupOp for Op {
+        fn key(&self) -> u32 {
+            self.key
+        }
+        fn val(&self) -> u32 {
+            self.val
+        }
+        fn is_delete(&self) -> bool {
+            self.delete
+        }
+        fn seq(&self) -> u32 {
+            self.seq
+        }
+    }
+
+    fn random_group(rng: &mut XorShift64, len: usize, keys: u64) -> Vec<Op> {
+        (0..len as u32)
+            .map(|seq| Op {
+                key: rng.next_bounded(keys) as u32,
+                val: rng.next_u64() as u32,
+                delete: rng.next_bool(0.4),
+                seq,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn node_stack_spills_past_its_inline_slots_and_back() {
+        let mut s = NodeStack::new();
+        assert_eq!((s.last(), s.pop()), (None, None));
+        let count = 3 * INLINE_DEPTH as u32;
+        for i in 0..count {
+            s.push(i);
+            assert_eq!(s.last(), Some(i));
+        }
+        for i in (0..count).rev() {
+            assert_eq!(s.pop(), Some(i));
+        }
+        assert_eq!(s.pop(), None);
+        assert!(s.spill.is_empty());
+    }
+
+    #[test]
+    fn apply_group_matches_one_by_one_on_either_side_of_the_ratio() {
+        let mut rng = XorShift64::new(77);
+        // Few keys: repeats, re-inserts after deletes, deletes of absent
+        // keys inside one group. Group sizes on both sides of BULK_RATIO.
+        for (prefill, group) in [(0, 1), (0, 40), (200, 3), (200, 30), (200, 400), (30, 64)] {
+            for round in 0..8 {
+                let mut bulk = Treap::new(round);
+                let mut model = BTreeMap::new();
+                for op in random_group(&mut rng, prefill, 256) {
+                    bulk.insert(op.key, op.val);
+                    model.insert(op.key, op.val);
+                }
+                let mut one_by_one = bulk.clone();
+                let ops = random_group(&mut rng, group, 256);
+                let mut want = Vec::new();
+                for op in &ops {
+                    let changed = if op.delete {
+                        model.remove(&op.key).is_some()
+                    } else {
+                        model.insert(op.key, op.val).is_none()
+                    };
+                    let same = if op.delete {
+                        one_by_one.delete(op.key).is_some()
+                    } else {
+                        one_by_one.insert(op.key, op.val)
+                    };
+                    assert_eq!(changed, same);
+                    if changed {
+                        want.push(op.seq);
+                    }
+                }
+                let mut got = Vec::new();
+                bulk.apply_group(&mut ops.clone(), |op| got.push(op.seq));
+                got.sort_unstable();
+                assert_eq!(got, want, "prefill {prefill} group {group}");
+                bulk.check_invariants().unwrap();
+                let contents: Vec<(u32, u32)> = model.into_iter().collect();
+                assert_eq!(bulk.to_sorted_vec(), contents);
+                assert_eq!(one_by_one.to_sorted_vec(), contents);
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_rebuild_is_in_place_at_exact_capacity() {
+        let mut t = Treap::new(3);
+        for k in 0..10u32 {
+            t.insert(k, 0);
+        }
+        t.delete(4);
+        let mut ops: Vec<Op> = (100..1100u32)
+            .map(|k| Op {
+                key: k,
+                val: k,
+                delete: false,
+                seq: k,
+            })
+            .collect();
+        t.apply_group(&mut ops, |_| {});
+        t.check_invariants().unwrap();
+        assert_eq!(t.len(), 1009);
+        assert_eq!(t.nodes.capacity(), 1009);
+        assert!(t.free.is_empty(), "recycled slots do not survive a rebuild");
+        assert_eq!(t.select(9), Some((100, 100)));
+    }
+
+    #[test]
+    fn from_unsorted_keeps_the_last_pair_of_a_key() {
+        let t = Treap::from_unsorted([(5, 1), (2, 7), (5, 2), (9, 0), (2, 8), (5, 3)], 11);
+        t.check_invariants().unwrap();
+        assert_eq!(t.to_sorted_vec(), vec![(2, 8), (5, 3), (9, 0)]);
+        assert!(Treap::from_unsorted([], 11).is_empty());
+    }
+
+    #[test]
+    fn a_callback_may_reenter_the_bulk_path() {
+        let mut outer = Treap::new(1);
+        let mut ops = random_group(&mut XorShift64::new(5), 32, 1 << 20);
+        let mut inner_len = 0;
+        outer.apply_group(&mut ops, |_| {
+            inner_len = Treap::from_unsorted([(1, 1), (1, 2)], 2).len();
+        });
+        assert_eq!(inner_len, 1);
+        outer.check_invariants().unwrap();
     }
 }
 

@@ -195,7 +195,7 @@ pub use snap_core::{
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use snap_core::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency};
+    pub use snap_core::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, HalfUpdate};
     pub use snap_core::engine;
     pub use snap_core::{
         ConnectivityIndex, CsrGraph, DistanceIndex, DynArr, DynGraph, EpochSnapshot, FixedDynArr,

@@ -1,6 +1,8 @@
 //! Concurrency validation: parallel application of commuting update
 //! streams must produce exactly the state sequential application does,
-//! for every representation and every engine strategy.
+//! for every representation and every engine strategy — and the batch
+//! appliers (vertex-ranged, so each vertex's updates keep stream order)
+//! must do so for streams that do not commute, too.
 
 use snap::prelude::*;
 use std::collections::HashSet;
@@ -142,6 +144,87 @@ fn engine_strategies_agree() {
     assert_eq!(g1.total_entries(), g2.total_entries());
     assert_eq!(g1.total_entries(), g3.total_entries());
     assert_eq!(g1.total_entries(), g4.total_entries());
+}
+
+/// A stream that does not commute: every vertex draws its neighbours
+/// from the six ids at and after its own, so within one batch an edge is
+/// inserted, deleted and re-inserted, inserted twice, and looped on
+/// itself, and any reordering inside a vertex's updates shows.
+fn non_commuting_stream(len: usize, seed: u64) -> Vec<Update> {
+    let mut rng = snap::util::XorShift64::new(seed);
+    (0..len)
+        .map(|i| {
+            let u = rng.next_bounded(N as u64) as u32;
+            let v = (u + rng.next_bounded(6) as u32) % N as u32;
+            let e = TimedEdge::new(u, v, i as u32 + 1);
+            if rng.next_bool(0.6) {
+                Update::insert(e)
+            } else {
+                Update::delete(e)
+            }
+        })
+        .collect()
+}
+
+/// Every batch applier, at 1 / 2 / 8 workers, leaves each vertex with the
+/// entry sequence a sequential `DynGraph::apply` loop leaves.
+fn check_batch_appliers_on_non_commuting_streams<A: DynamicAdjacency>(directed: bool) {
+    // Threshold 4: hybrid vertices promote and demote inside a batch.
+    let hints = CapacityHints::new(64).with_degree_thresh(4);
+    let graph = || DynGraph::<A>::from_adjacency(A::new(N, &hints), directed);
+    // The first batch is long enough that the appliers cut the vertex
+    // space into several ranges for their workers to claim; the second
+    // is one range over what the first left behind.
+    let stream = non_commuting_stream(160_000, if directed { 3 } else { 4 });
+    let batches = [&stream[..150_000], &stream[150_000..]];
+    let want = graph();
+    for u in &stream {
+        want.apply(u);
+    }
+    let check = |name: &str, workers: usize, got: DynGraph<A>| {
+        for u in 0..N as u32 {
+            assert_eq!(
+                got.adjacency().neighbors(u),
+                want.adjacency().neighbors(u),
+                "{name} at {workers} workers: vertex {u}"
+            );
+        }
+    };
+    for workers in [1usize, 2, 8] {
+        let g = graph();
+        for b in batches {
+            engine::apply_vpart(&g, b, workers);
+        }
+        check("apply_vpart", workers, g);
+
+        let pool = snap::util::thread_pool(workers);
+        let g = graph();
+        pool.install(|| batches.map(|b| engine::apply_batched(&g, b)));
+        check("apply_batched", workers, g);
+
+        let mgr = SnapshotManager::new(graph());
+        pool.install(|| batches.map(|b| mgr.apply_batch(b)));
+        assert_eq!(mgr.epoch(), 2, "one epoch step per batch");
+        check("SnapshotManager::apply_batch", workers, mgr.into_inner());
+    }
+}
+
+#[test]
+fn batch_appliers_keep_stream_order_dynarr() {
+    check_batch_appliers_on_non_commuting_streams::<DynArr>(false);
+    check_batch_appliers_on_non_commuting_streams::<DynArr>(true);
+}
+
+#[test]
+fn batch_appliers_keep_stream_order_treap() {
+    check_batch_appliers_on_non_commuting_streams::<TreapAdj>(false);
+    check_batch_appliers_on_non_commuting_streams::<TreapAdj>(true);
+}
+
+#[test]
+fn batch_appliers_keep_stream_order_hybrid() {
+    check_batch_appliers_on_non_commuting_streams::<HybridAdj>(false);
+    check_batch_appliers_on_non_commuting_streams::<HybridAdj>(true);
 }
 
 /// Concurrent connectivity queries during no mutation are safe and
