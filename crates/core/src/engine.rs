@@ -6,7 +6,7 @@
 //! its batched scheme at once:
 //!
 //! 1. a coarse histogram over source vertices cuts the vertex space into
-//!    ranges of about a fixed number of half-updates each (one range for
+//!    ranges of about a fixed number of half-updates each (one or two for
 //!    a serving cycle, a dozen or so for a million-update batch);
 //! 2. workers claim ranges from a shared counter; for its range a worker
 //!    scans the stream once, keeps the half-updates whose source falls in
@@ -133,14 +133,22 @@ fn checked_halves(
         updates.len()
     );
     for (idx, u) in updates.iter().enumerate() {
-        for vertex in [u.edge.u, u.edge.v] {
-            assert!(
-                (vertex as usize) < n,
-                "update {idx} names vertex {vertex}, but the graph has {n} vertices"
-            );
-        }
+        check_endpoints(idx, u, n);
         let (there, back) = halves(idx, u, directed);
         f(there, back);
+    }
+}
+
+/// Panics unless both endpoints of `u`, the `idx`-th update of its batch,
+/// are vertices of a graph with `n` of them. One wording for every door a
+/// batch comes through: the appliers and `ServeEngine::submit`.
+#[inline]
+pub(crate) fn check_endpoints(idx: usize, u: &Update, n: usize) {
+    for vertex in [u.edge.u, u.edge.v] {
+        assert!(
+            (vertex as usize) < n,
+            "update {idx} names vertex {vertex}, but the graph has {n} vertices"
+        );
     }
 }
 
@@ -169,11 +177,12 @@ pub fn apply_batched<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update]) {
 
 /// Half-updates one vertex range holds, about: what a worker gathers,
 /// sorts and applies at a time. Large enough that a hub's whole group
-/// and a serving cycle's whole stream each fit one range; small enough
-/// that the two scratch buffers (16 B per half-update each) stay at a
-/// few MB per worker and a million-update batch still splits into more
-/// ranges than workers.
-const RANGE_BUDGET: usize = 1 << 17;
+/// fits one range; small enough that the two scratch buffers (16 B per
+/// half-update each) stay at a few MB per worker and a million-update
+/// batch still splits into more ranges than workers. The serving writer
+/// sizes its cycles by it too: under a backlog it takes queued batches
+/// until the cycle's stream fills one range.
+pub(crate) const RANGE_BUDGET: usize = 1 << 17;
 
 /// Log2 of the buckets in the coarse source-vertex histogram the ranges
 /// are cut along.

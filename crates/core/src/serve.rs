@@ -7,29 +7,40 @@
 //! [`ConnectivityIndex`](crate::connectivity::ConnectivityIndex)
 //! shield-bit publication pattern into a whole-graph protocol:
 //!
-//! 1. **Single writer, single queue.** All mutations enter through
-//!    [`ServeEngine::submit`] as batches on one FIFO ingest queue. A
-//!    dedicated writer thread drains it in *cycles*: it coalesces the
-//!    batches already queued (bounded by [`ServeConfig::coalesce`]) into
-//!    one stream and applies it with **one** call of the vertex-ranged,
+//! 1. **Single writer, single queue, backlog-sized cycles.** All
+//!    mutations enter through [`ServeEngine::submit`] as batches on one
+//!    FIFO ingest queue. A dedicated writer thread drains it in
+//!    *cycles*: it takes the first queued batch, then keeps taking queued
+//!    batches while the cycle's stream holds fewer half-updates than one
+//!    range of the applier (2^17, about 65,536 undirected updates), and
+//!    applies the stream with **one** call of the vertex-ranged,
 //!    sort-then-grouped applier
 //!    ([`crate::engine::apply_vpart_indexed`]): the vertex space is cut
-//!    into ranges of a fixed half-update budget that up to
+//!    into ranges of that half-update budget that up to
 //!    [`ServeConfig::shards`] workers claim, each vertex's half-updates
 //!    applied as one group in stream order — zero cross-worker
-//!    conflicts, final state identical to sequential application. (A
-//!    cycle whose stream fits one range runs on the writer thread
-//!    itself, no spawn.)
+//!    conflicts, final state identical to sequential application. A
+//!    batch is never split, so one larger than the budget is a cycle by
+//!    itself. When the writer keeps up, a cycle holds what was queued —
+//!    usually one batch; when it falls behind, cycles grow to one range,
+//!    so hubs get their updates as groups large enough to merge rather
+//!    than descend per key, and the per-cycle costs below are paid once
+//!    per range instead of once per batch. The lag a backlog adds is
+//!    bounded by the budget, not by a setting. (A cycle whose stream fits
+//!    one range runs on the writer thread itself, no spawn.)
 //! 2. **Labels every cycle, the CSR on demand.** After applying, the
 //!    writer settles the connectivity index and publishes the cycle's
 //!    component labels with one pointer swap, so
 //!    [`ServeEngine::same_component`], [`ServeEngine::component`] and
-//!    [`ServeEngine::epoch`] are fresh after every cycle at a cost
-//!    proportional to the batch. The O(graph) part of a version — the
-//!    CSR that traversals read — is *frozen* at the end of a cycle only
-//!    when somebody can use it: a [`ServeEngine::pin`] asked for a newer
-//!    version than the newest frozen one, or no further batch is waiting
-//!    (so an idle engine is always frozen and pins see everything). A
+//!    [`ServeEngine::epoch`] are fresh after every cycle. That costs the
+//!    index's repair work plus one O(n) label extraction per cycle that
+//!    changed the graph (a `find` per vertex into a fresh n × 4 B
+//!    array), amortized by the cycle's size. The O(graph) part of a
+//!    version — the CSR that traversals read — is *frozen* at the end of
+//!    a cycle only when somebody can use it: a [`ServeEngine::pin`] asked
+//!    for a newer version than the newest frozen one, or no further batch
+//!    is waiting (so an idle engine is always frozen and pins see
+//!    everything). A
 //!    frozen cycle publishes an immutable [`EpochSnapshot`] with **one**
 //!    pointer swap. Readers never observe intermediate state and never
 //!    block on a build: `pin` returns the newest frozen version in
@@ -94,7 +105,7 @@
 
 use crate::adjacency::{AdjEntry, DynamicAdjacency};
 use crate::csr::CsrGraph;
-use crate::engine::{apply_vpart_indexed, resolve_workers};
+use crate::engine::{apply_vpart_indexed, check_endpoints, resolve_workers, RANGE_BUDGET};
 use crate::graph::DynGraph;
 use crate::indexes::{IndexFamily, IndexQuery, NO_CONNECTIVITY};
 use crate::view::GraphView;
@@ -125,12 +136,6 @@ pub struct ServeConfig {
     /// labels, making [`ServeEngine::same_component`] wait-free array
     /// reads.
     pub connectivity: bool,
-    /// Max batches drained per ingest cycle (>= 1). A cycle applies its
-    /// batches with one applier call and settles the index once, so
-    /// coalescing amortizes the per-cycle overheads (thread hand-off,
-    /// label extraction) over a burst of queued batches; 1 runs a cycle
-    /// per batch.
-    pub coalesce: usize,
     /// Record every applied batch in submission order, exposed via
     /// [`ServeEngine::history`] so tests can replay any published
     /// version's prefix against a bulk-synchronous oracle. Off by
@@ -153,7 +158,6 @@ impl Default for ServeConfig {
             retain: 4,
             shards: 0,
             connectivity: true,
-            coalesce: 16,
             history: false,
             distance_sources: Vec::new(),
             triangles: false,
@@ -180,9 +184,14 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-cycle batch coalescing bound (clamped to >= 1).
-    pub fn with_coalesce(mut self, coalesce: usize) -> Self {
-        self.coalesce = coalesce.max(1);
+    /// Does nothing. A writer cycle used to be capped at a number of
+    /// batches; it is now sized by the queue and the applier's range
+    /// budget (see the [module docs](crate::serve)), so there is no cap
+    /// to set. Kept so that callers written against the cap still build.
+    #[deprecated(
+        note = "writer cycles are sized by the queued backlog and the applier's range budget; this is a no-op"
+    )]
+    pub fn with_coalesce(self, _coalesce: usize) -> Self {
         self
     }
 
@@ -328,6 +337,7 @@ enum Ingest {
 struct ServeMetrics {
     queue_depth: Gauge,
     coalesced: Histogram,
+    cycle_updates: Histogram,
     apply_ns: Histogram,
     repair_ns: Histogram,
     freeze_ns: Histogram,
@@ -362,6 +372,10 @@ impl ServeMetrics {
             coalesced: r.histogram(
                 "snap_serve_coalesced_batches",
                 "Batches drained per ingest cycle (coalescing width)",
+            ),
+            cycle_updates: r.histogram(
+                "snap_serve_cycle_updates",
+                "Updates applied per ingest cycle (up to one applier range under a backlog)",
             ),
             apply_ns: r.histogram(
                 "snap_serve_apply_ns",
@@ -459,7 +473,6 @@ struct Shared<A: DynamicAdjacency> {
     retired: AtomicU64,
     retain: usize,
     shards: usize,
-    coalesce: usize,
     record_history: bool,
     metrics: ServeMetrics,
 }
@@ -513,7 +526,6 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
             retired: AtomicU64::new(0),
             retain: cfg.retain.max(1),
             shards,
-            coalesce: cfg.coalesce.max(1),
             record_history: cfg.history,
             metrics: ServeMetrics::new(),
         });
@@ -575,7 +587,19 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     /// once a version including it freezes (all earlier submissions
     /// included first — the queue is FIFO). Call [`ServeEngine::flush`]
     /// for a publication barrier.
+    ///
+    /// # Panics
+    ///
+    /// If an update names a vertex outside the graph (`update {i} names
+    /// vertex {v}, but the graph has {n} vertices`, the applier's own
+    /// wording). The check runs on the caller's thread before anything
+    /// is counted or queued, so a rejected batch leaves the engine, its
+    /// queue and every other client's batches untouched.
     pub fn submit(&self, batch: Vec<Update>) {
+        let n = self.shared.graph.num_vertices();
+        for (idx, u) in batch.iter().enumerate() {
+            check_endpoints(idx, u, n);
+        }
         // ordering: AcqRel — increments before the channel send, pairs
         // with the writer's post-freeze AcqRel fetch_sub so
         // `pending_batches() == 0` implies full visibility, and with
@@ -805,20 +829,29 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         }
     }
 
-    /// One ingest cycle: coalesce the queued batches into one stream,
-    /// apply it with one sharded applier call, settle the indexes,
-    /// publish the cycle's labels with a single pointer swap — and
-    /// freeze only if a pin asked or the queue ran dry. Returns the
-    /// non-batch message that ended the coalescing, if any.
+    /// One ingest cycle: coalesce the queued batches, up to one applier
+    /// range of half-updates, into one stream, apply it with one sharded
+    /// applier call, settle the indexes, publish the cycle's labels with
+    /// a single pointer swap — and freeze only if a pin asked or the
+    /// queue ran dry. Returns the non-batch message that ended the
+    /// coalescing, if any.
     fn cycle(&mut self, first: Vec<Update>, stamp: Stamp, rx: &Receiver<Ingest>) -> Option<Ingest> {
         let shared = self.shared;
         let m = &shared.metrics;
         let mut stash = None;
+        // Half-updates per update, as the applier counts its budget: one
+        // per adjacency list the update touches.
+        let per_update = if shared.graph.is_directed() { 1 } else { 2 };
+        let mut halves = first.len() * per_update;
         let mut batches = vec![first];
         self.uncovered.push(stamp);
-        while batches.len() < shared.coalesce {
+        // Backlog buys group size: whatever is queued joins the cycle
+        // until the stream fills one applier range. Batches stay whole,
+        // so a cycle holds less than the budget plus its last batch.
+        while halves < RANGE_BUDGET {
             match rx.try_recv() {
                 Ok(Ingest::Batch(b, s)) => {
+                    halves += b.len() * per_update;
                     batches.push(b);
                     self.uncovered.push(s);
                 }
@@ -836,6 +869,7 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
             self.stream.extend_from_slice(b);
         }
         let applied = self.stream.len() as u64;
+        m.cycle_updates.record(applied);
         let routes = shared.indexes.routes();
         let changed = {
             let _t = Timer::scope(&m.apply_ns);
@@ -989,7 +1023,7 @@ mod tests {
 
     #[test]
     fn publishes_versions_in_submission_order() {
-        let e = engine(8, ServeConfig::default().with_shards(2).with_coalesce(1));
+        let e = engine(8, ServeConfig::default().with_shards(2));
         assert_eq!(e.epoch(), 0);
         e.submit(vec![ins(0, 1, 1)]);
         e.submit(vec![ins(1, 2, 2)]);
@@ -1008,7 +1042,7 @@ mod tests {
 
     #[test]
     fn pinned_versions_survive_ring_eviction() {
-        let e = engine(8, ServeConfig::default().with_retain(2).with_coalesce(1));
+        let e = engine(8, ServeConfig::default().with_retain(2));
         e.submit(vec![ins(0, 1, 1)]);
         e.flush();
         let old = e.pin();
@@ -1030,7 +1064,7 @@ mod tests {
 
     #[test]
     fn noop_cycles_share_the_previous_csr() {
-        let e = engine(8, ServeConfig::default().with_coalesce(1));
+        let e = engine(8, ServeConfig::default());
         e.submit(vec![ins(0, 1, 1)]);
         e.flush();
         let v1 = e.pin();
@@ -1046,7 +1080,7 @@ mod tests {
 
     #[test]
     fn labels_match_serial_kernel_per_version() {
-        let e = engine(16, ServeConfig::default().with_shards(3).with_coalesce(1));
+        let e = engine(16, ServeConfig::default().with_shards(3));
         e.submit((0..7u32).map(|i| ins(i, i + 1, 1)).collect());
         e.submit(vec![del(3, 4)]);
         e.flush();
@@ -1082,12 +1116,7 @@ mod tests {
 
     #[test]
     fn flushed_distances_are_exact_and_never_rebuild() {
-        let e = engine(
-            16,
-            ServeConfig::default()
-                .with_distance_sources(&[0])
-                .with_coalesce(1),
-        );
+        let e = engine(16, ServeConfig::default().with_distance_sources(&[0]));
         e.submit((0..7u32).map(|i| ins(i, i + 1, 1)).collect());
         e.flush();
         assert_eq!(e.indexes().hop_distance(0, 7), Some(7));
@@ -1112,10 +1141,7 @@ mod tests {
 
     #[test]
     fn flushed_triangles_are_exact_and_never_recount() {
-        let e = engine(
-            8,
-            ServeConfig::default().with_triangles(true).with_coalesce(1),
-        );
+        let e = engine(8, ServeConfig::default().with_triangles(true));
         e.submit(vec![ins(0, 1, 1), ins(1, 2, 2), ins(0, 2, 3)]);
         e.flush();
         assert_eq!(e.indexes().triangle_count(), 1);
@@ -1178,10 +1204,7 @@ mod tests {
 
     #[test]
     fn history_replays_any_version_prefix() {
-        let e = engine(
-            8,
-            ServeConfig::default().with_history(true).with_coalesce(1),
-        );
+        let e = engine(8, ServeConfig::default().with_history(true));
         let b0 = vec![ins(0, 1, 1), ins(1, 2, 2)];
         let b1 = vec![del(0, 1)];
         e.submit(b0.clone());
@@ -1227,11 +1250,10 @@ mod tests {
 
     #[test]
     fn coalescing_bounds_publications() {
-        // With a large coalesce bound and the writer briefly stalled by
-        // queue buildup, many batches may share one publication — but
-        // correctness never depends on how they group: the final state
-        // and batch count are exact.
-        let e = engine(8, ServeConfig::default().with_coalesce(64));
+        // Batches queued while the writer is busy share a cycle, so many
+        // may share one publication — but correctness never depends on
+        // how they group: the final state and batch count are exact.
+        let e = engine(8, ServeConfig::default());
         for i in 0..40u32 {
             e.submit(vec![ins(i % 7, (i + 1) % 7, i + 1)]);
         }
@@ -1240,6 +1262,118 @@ mod tests {
         assert_eq!(v.batches(), 40);
         assert!(v.epoch() >= 1 && v.epoch() <= 40);
         assert_eq!(e.pending_batches(), 0);
+    }
+
+    /// `batches` batches of `len` updates over `n` vertices from one
+    /// seeded stream, a third of them deletes (mostly of present edges,
+    /// at this density).
+    fn churn(n: usize, batches: usize, len: usize, seed: u64) -> Vec<Vec<Update>> {
+        let mut rng = snap_util::rng::XorShift64::new(seed);
+        let mut ts = 0;
+        (0..batches)
+            .map(|_| {
+                (0..len)
+                    .map(|_| {
+                        let u = rng.next_bounded(n as u64) as u32;
+                        let v = rng.next_bounded(n as u64) as u32;
+                        ts += 1;
+                        if rng.next_bool(2.0 / 3.0) {
+                            ins(u, v, ts)
+                        } else {
+                            del(u, v)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Sorted entries of `batches` replayed one update at a time on the
+    /// engine's representation.
+    fn oracle_entries(n: usize, batches: &[Vec<Update>]) -> Vec<(u32, u32, u32)> {
+        let g = DynGraph::<HybridAdj>::undirected(n, &CapacityHints::new(n * 4));
+        for u in batches.iter().flatten() {
+            g.apply(u);
+        }
+        sorted_entries(&g.to_csr())
+    }
+
+    fn sorted_entries<V: GraphView>(view: &V) -> Vec<(u32, u32, u32)> {
+        let mut all = view.collect_entries();
+        all.sort_unstable();
+        all
+    }
+
+    #[test]
+    fn a_backlog_drains_in_cycles_of_one_applier_range() {
+        // More than three ranges' worth of half-updates, queued back to
+        // back with nobody pinning.
+        let (n, len) = (64, 4096);
+        let batches = churn(n, 3 * RANGE_BUDGET / (2 * len) + 2, len, 7);
+        let halves: usize = batches.iter().map(|b| 2 * b.len()).sum();
+        assert!(halves > 3 * RANGE_BUDGET);
+        let e = engine(n, ServeConfig::default().with_shards(2));
+        for b in &batches {
+            e.submit(b.clone());
+        }
+        e.flush();
+        let v = e.pin();
+        assert_eq!(v.batches(), batches.len() as u64, "flush is a barrier");
+        // A cycle takes batches only while it holds less than the
+        // budget, and whole: it ends below the budget plus one batch.
+        let fewest = halves.div_ceil(RANGE_BUDGET + 2 * len) as u64;
+        assert!(
+            (fewest..=batches.len() as u64).contains(&e.epoch()),
+            "{} cycles for {} batches ({halves} half-updates)",
+            e.epoch(),
+            batches.len()
+        );
+        assert_eq!(e.updates_applied(), (halves / 2) as u64);
+        assert_eq!(sorted_entries(&*v), oracle_entries(n, &batches));
+        assert_eq!(e.full_rebuild_count(), Some(0));
+    }
+
+    #[test]
+    fn an_over_budget_batch_is_a_cycle_by_itself() {
+        let n = 64;
+        let big = churn(n, 1, RANGE_BUDGET / 2 + 1, 11).remove(0);
+        let small = churn(n, 1, 8, 12).remove(0);
+        let e = engine(n, ServeConfig::default().with_shards(2));
+        // The big batch fills its cycle alone, however fast the small
+        // one is queued behind it; the small one is the next cycle.
+        e.submit(big.clone());
+        e.submit(small.clone());
+        e.flush();
+        assert_eq!(e.epoch(), 2);
+        let v = e.pin();
+        assert_eq!((v.epoch(), v.batches()), (2, 2));
+        assert_eq!(sorted_entries(&*v), oracle_entries(n, &[big, small]));
+    }
+
+    #[test]
+    fn a_malformed_batch_is_rejected_at_the_door() {
+        let e = engine(8, ServeConfig::default().with_history(true));
+        let first = vec![ins(0, 1, 1)];
+        e.submit(first.clone());
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.submit(vec![ins(1, 2, 2), ins(3, 8, 3)]);
+        }));
+        let msg = bad.expect_err("an out-of-range vertex must be refused");
+        assert_eq!(
+            msg.downcast_ref::<String>().map(String::as_str),
+            Some("update 1 names vertex 8, but the graph has 8 vertices")
+        );
+        assert!(e.pending_batches() <= 1, "the refused batch is not counted");
+        // The writer never saw it: later batches apply and flush.
+        let last = vec![ins(1, 2, 4)];
+        e.submit(last.clone());
+        e.flush();
+        assert_eq!(e.pending_batches(), 0);
+        let v = e.pin();
+        assert_eq!(v.batches(), 2);
+        assert_eq!(e.history(), vec![first.clone(), last.clone()]);
+        assert_eq!(sorted_entries(&*v), oracle_entries(8, &[first, last]));
+        assert!(e.same_component(0, 2));
     }
 
     #[test]

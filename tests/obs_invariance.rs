@@ -86,7 +86,7 @@ fn instrumented_kernels_match_serial_oracles() {
 fn instrumented_serving_results_are_unchanged() {
     let hints = CapacityHints::new(256);
     let g = DynGraph::<HybridAdj>::undirected(32, &hints);
-    let engine = ServeEngine::new(g, ServeConfig::default().with_shards(2).with_coalesce(1));
+    let engine = ServeEngine::new(g, ServeConfig::default().with_shards(2));
     for i in 0..16u32 {
         engine.submit(vec![Update::insert(TimedEdge::new(
             i % 8,
@@ -94,10 +94,15 @@ fn instrumented_serving_results_are_unchanged() {
             i + 1,
         ))]);
     }
+    // Queued batches share cycles, so the inserts take 1 to 16 of them.
+    engine.flush();
+    let head = engine.epoch();
+    assert!((1..=16).contains(&head));
     // One delete of each kind the certificate distinguishes, one cycle
-    // each: a chord that never was a certificate edge; (3, 4), a
-    // certificate edge of the 8-cycle with (7, 0) as its replacement;
-    // then (7, 0) itself, which now splits the cycle. And one no-op.
+    // each (a flush per update keeps them apart): a chord that never was
+    // a certificate edge; (3, 4), a certificate edge of the 8-cycle with
+    // (7, 0) as its replacement; then (7, 0) itself, which now splits
+    // the cycle. And one no-op.
     let tail = [
         Update::delete(TimedEdge::new(20, 21, 0)),
         Update::insert(TimedEdge::new(1, 5, 20)),
@@ -107,8 +112,8 @@ fn instrumented_serving_results_are_unchanged() {
     ];
     for u in tail {
         engine.submit(vec![u]);
+        engine.flush();
     }
-    engine.flush();
 
     // Results: identical to a bulk-synchronous oracle of the stream.
     let v = engine.pin();
@@ -135,17 +140,27 @@ fn instrumented_serving_results_are_unchanged() {
         (21, 20)
     );
     // Demand-driven freeze, counted the same in both feature states:
-    // a cycle per batch, each either frozen or skipped, the last frozen.
-    assert_eq!(engine.epoch(), 21);
-    assert_eq!(v.epoch(), 21);
+    // a cycle per tail update after the inserts' cycles, each either
+    // frozen or skipped, the last frozen.
+    let cycles = head + 5;
+    assert_eq!(engine.epoch(), cycles);
+    assert_eq!(v.epoch(), cycles);
     let freezes = engine.freezes();
-    assert!((1..=21).contains(&freezes));
+    assert!((1..=cycles).contains(&freezes));
 
     if snap::obs::ENABLED {
-        assert!(counter_value("snap_serve_epochs_published_total") >= 21);
+        assert!(counter_value("snap_serve_epochs_published_total") >= cycles);
         let frozen = counter_value("snap_serve_freezes_total");
         assert!(frozen >= freezes);
-        assert!(frozen + counter_value("snap_serve_freezes_skipped_total") >= 21);
+        assert!(frozen + counter_value("snap_serve_freezes_skipped_total") >= cycles);
+        // Cycle sizes: this is the binary's only engine, so the
+        // histogram holds exactly its cycles and every update applied.
+        match scrape("snap_serve_cycle_updates") {
+            Some(MetricValue::Histogram(h)) => {
+                assert_eq!((h.count, h.sum), (engine.epoch(), engine.updates_applied()));
+            }
+            other => panic!("expected histogram snap_serve_cycle_updates, got {other:?}"),
+        }
         assert!(counter_value("snap_serve_queries_total") >= 200);
         assert!(counter_value("snap_serve_updates_applied_total") >= 21);
         assert!(counter_value("snap_serve_updates_changed_total") >= 20);

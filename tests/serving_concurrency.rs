@@ -17,7 +17,11 @@
 //!
 //! The second half of the file pins the demand-driven freeze: the
 //! writer builds a CSR only when a pin asked for one or its queue ran
-//! dry, and none of the contracts above may notice.
+//! dry, and none of the contracts above may notice. It ends with the
+//! backlog-sized cycle: behind a queue deeper than one applier range, a
+//! cycle takes batches until its stream fills that range, so a cycle
+//! spans two ranges and up to `shards` workers — with every index on,
+//! the same oracles hold.
 
 use snap::par::{par_bfs_with, par_cc_with};
 use snap::prelude::*;
@@ -97,7 +101,6 @@ fn stress(shards: usize) {
         seeded_graph(&base),
         ServeConfig::default()
             .with_shards(shards)
-            .with_coalesce(4)
             .with_retain(3)
             .with_history(true),
     );
@@ -249,10 +252,7 @@ fn pinned_handles_outlive_heavy_churn() {
     let base = base_stream(&edges, 9);
     let engine = ServeEngine::new(
         seeded_graph(&base),
-        ServeConfig::default()
-            .with_retain(2)
-            .with_coalesce(1)
-            .with_history(true),
+        ServeConfig::default().with_retain(2).with_history(true),
     );
     let pinned = engine.pin();
     let before_entries = pinned.num_entries();
@@ -287,10 +287,7 @@ fn same_component_stays_incremental_under_concurrent_ingest() {
     // answers match the serial kernel.
     let edges = base_edges(77);
     let base = base_stream(&edges, 3);
-    let engine = ServeEngine::new(
-        seeded_graph(&base),
-        ServeConfig::default().with_shards(2).with_coalesce(4),
-    );
+    let engine = ServeEngine::new(seeded_graph(&base), ServeConfig::default().with_shards(2));
     let engine = &engine;
     let n = 1usize << SCALE;
     std::thread::scope(|scope| {
@@ -363,22 +360,84 @@ fn assert_is_its_own_prefix(base: &[Update], history: &[Vec<Update>], v: &EpochS
     );
 }
 
+/// Half-updates one range of the batch applier holds (`RANGE_BUDGET` in
+/// `snap_core::engine`): under a backlog, a writer cycle takes queued
+/// batches until its stream holds this many.
+const RANGE_BUDGET: usize = 1 << 17;
+
+/// Updates per batch of the backlog tests. 2,000 half-updates do not
+/// divide the budget, so a cycle that fills up holds a little more than
+/// one range and the applier cuts it in two.
+const BACKLOG_BATCH: usize = 1000;
+
+/// Fewest cycles `halves` half-updates in batches of at most `largest`
+/// half-updates can drain in: a cycle takes another batch only while it
+/// holds less than the budget, so it ends below budget + `largest`.
+fn fewest_cycles(halves: usize, largest: usize) -> u64 {
+    halves.div_ceil(RANGE_BUDGET + largest) as u64
+}
+
+/// A burst of backlog batches holding more than `ranges` applier
+/// ranges of half-updates.
+fn backlog(
+    stream: &mut StreamBuilder<'_>,
+    ranges: usize,
+    insert_fraction: f64,
+) -> Vec<Vec<Update>> {
+    let count = ranges * RANGE_BUDGET / (2 * BACKLOG_BATCH) + 1;
+    (0..count)
+        .map(|_| stream.mixed(BACKLOG_BATCH, insert_fraction))
+        .collect()
+}
+
+/// The bulk-synchronous oracle walked forward through the history, so
+/// checks at increasing prefixes cost one replay in all.
+struct Oracle {
+    graph: DynGraph<HybridAdj>,
+    batches: usize,
+}
+
+impl Oracle {
+    fn new(base: &[Update]) -> Self {
+        Self {
+            graph: seeded_graph(base),
+            batches: 0,
+        }
+    }
+
+    /// The graph after base + the first `batches` of `history` (at least
+    /// as many as the previous call asked for).
+    fn at(&mut self, history: &[Vec<Update>], batches: usize) -> &DynGraph<HybridAdj> {
+        for u in history[self.batches..batches].iter().flatten() {
+            self.graph.apply(u);
+        }
+        self.batches = batches;
+        &self.graph
+    }
+}
+
 #[test]
 fn unpinned_drain_skips_freezes_and_flush_still_publishes_everything() {
     // Nobody pins while bursts drain, so only the cycle that finds the
-    // queue dry has to freeze. How many cycles that leaves unfrozen
-    // depends on how far the writer falls behind each burst; that some
-    // do over 8 bursts of 32 single-batch cycles is what is asserted.
+    // queue dry has to freeze. Each burst holds more than three applier
+    // ranges of half-updates and is queued in microseconds, far faster
+    // than a cycle applies, so the cycles after the first fill to the
+    // budget with batches still waiting behind them: the rule makes
+    // those skip their freeze.
     let edges = base_edges(5);
     let base = base_stream(&edges, 13);
     let engine = ServeEngine::new(
         seeded_graph(&base),
-        ServeConfig::default().with_coalesce(1).with_history(true),
+        ServeConfig::default().with_history(true),
     );
     let mut stream = StreamBuilder::new(&edges, 900).inserting_from(base_len(&edges));
-    let mut submitted = 0u64;
-    for _ in 0..8 {
-        let burst: Vec<Vec<Update>> = (0..32).map(|_| stream.mixed(BATCH, 0.7)).collect();
+    let mut oracle = Oracle::new(&base);
+    let (mut submitted, mut fewest) = (0u64, 0u64);
+    for _ in 0..3 {
+        let burst = backlog(&mut stream, 3, 0.7);
+        let halves = burst.len() * 2 * BACKLOG_BATCH;
+        assert!(halves > 3 * RANGE_BUDGET);
+        fewest += fewest_cycles(halves, 2 * BACKLOG_BATCH);
         for batch in burst {
             engine.submit(batch);
             submitted += 1;
@@ -388,9 +447,19 @@ fn unpinned_drain_skips_freezes_and_flush_still_publishes_everything() {
         let v = engine.pin();
         assert_eq!(v.batches(), submitted, "flush is a publication barrier");
         assert_eq!(v.epoch(), engine.epoch(), "an idle engine is frozen");
-        assert_is_its_own_prefix(&base, &engine.history(), &v);
+        let want = oracle.at(&engine.history(), submitted as usize);
+        assert_eq!(entries(&*v), entries(want), "{submitted} batches: CSR");
+        assert_eq!(
+            **v.component_labels().expect("conn on"),
+            connected_components(want),
+            "{submitted} batches: labels"
+        );
     }
-    assert_eq!(engine.epoch(), submitted, "coalesce(1): a cycle per batch");
+    assert!(
+        (fewest..=submitted).contains(&engine.epoch()),
+        "{} cycles for {submitted} batches: at least {fewest} budget-sized ones",
+        engine.epoch()
+    );
     assert!(
         engine.freezes() < engine.epoch(),
         "{} freezes in {} cycles: an unpinned drain must skip some",
@@ -398,6 +467,126 @@ fn unpinned_drain_skips_freezes_and_flush_still_publishes_everything() {
         engine.epoch()
     );
     assert_eq!(engine.full_rebuild_count(), Some(0));
+}
+
+/// Appends `v` unless it is the version pinned last.
+fn keep_new(pins: &mut Vec<SnapshotHandle>, v: SnapshotHandle) {
+    if pins.last().is_none_or(|last| last.epoch() != v.epoch()) {
+        pins.push(v);
+    }
+}
+
+/// A backlog deep enough that the writer's cycles fill one applier range
+/// and span two, drained at `shards` writer shards with connectivity,
+/// distance sources and triangles all maintained, while the submitting
+/// thread pins versions and queries the live indexes until the queue is
+/// dry. Every version pinned on the way equals the oracle replay of its
+/// own `batches()` prefix — CSR and labels — and after each burst's
+/// `flush` the live distance rows and triangle counts equal the oracle's
+/// too, with no index ever rebuilt in full.
+fn multi_range_backlog(shards: usize) {
+    const SOURCES: [u32; 3] = [0, 17, 300];
+    let n = 1u32 << SCALE;
+    let edges = base_edges(40 + shards as u64);
+    let base = base_stream(&edges, 19);
+    let engine = ServeEngine::new(
+        seeded_graph(&base),
+        ServeConfig::default()
+            .with_shards(shards)
+            .with_history(true)
+            .with_distance_sources(&SOURCES)
+            .with_triangles(true),
+    );
+    let mut stream =
+        StreamBuilder::new(&edges, 4000 + shards as u64).inserting_from(base_len(&edges));
+    let mut oracle = Oracle::new(&base);
+    let mut pins = Vec::new();
+    let (mut submitted, mut fewest) = (0, 0);
+    for burst in 0..2 {
+        let batches = backlog(&mut stream, 2, 0.7);
+        submitted += batches.len();
+        fewest += fewest_cycles(batches.len() * 2 * BACKLOG_BATCH, 2 * BACKLOG_BATCH);
+        for batch in batches {
+            engine.submit(batch);
+        }
+        let mut k = 0u32;
+        while engine.pending_batches() > 0 {
+            keep_new(&mut pins, engine.pin());
+            // Racing the writer's notes and repairs: answers are some
+            // applied prefix's, and must come back without panicking.
+            let index = engine.indexes();
+            k = k.wrapping_mul(31).wrapping_add(7);
+            let _ = index.hop_distance(SOURCES[k as usize % 3], k % n);
+            let _ = index.triangles_of(k % n);
+            std::thread::yield_now();
+        }
+        engine.flush();
+        let at = format!("{shards} shards, burst {burst}");
+        let history = engine.history();
+        assert_eq!(history.len(), submitted, "{at}: flush is a barrier");
+        let want = oracle.at(&history, submitted);
+        let index = engine.indexes();
+        for src in SOURCES {
+            assert_eq!(
+                index.hop_distances(src),
+                snap_kernels::serial_bfs(want, src).dist,
+                "{at}: source {src} row"
+            );
+        }
+        let per = snap_kernels::triangles_per_vertex(want);
+        for (u, &count) in per.iter().enumerate() {
+            assert_eq!(index.triangles_of(u as u32), count, "{at}: vertex {u}");
+        }
+        keep_new(&mut pins, engine.pin());
+    }
+    assert!(
+        (fewest..=submitted as u64).contains(&engine.epoch()),
+        "{shards} shards: {} cycles for {submitted} batches",
+        engine.epoch()
+    );
+    let routes = engine.indexes().routes();
+    let rebuilds = [
+        routes.conn.expect("conn on").full_rebuild_count(),
+        routes.dist.expect("sources pinned").full_rebuild_count(),
+        routes.tri.expect("triangles on").full_rebuild_count(),
+    ];
+    assert_eq!(
+        rebuilds, [0; 3],
+        "{shards} shards: everything stayed incremental"
+    );
+    // Each distinct version once, in prefix order (a later pin never
+    // gets an older version), against one oracle walked forward.
+    let history = engine.history();
+    let mut oracle = Oracle::new(&base);
+    for v in &pins {
+        let want = oracle.at(&history, v.batches() as usize);
+        let at = format!(
+            "{shards} shards, epoch {} ({} batches)",
+            v.epoch(),
+            v.batches()
+        );
+        assert_eq!(entries(&**v), entries(want), "{at}: CSR");
+        assert_eq!(
+            **v.component_labels().expect("conn on"),
+            connected_components(want),
+            "{at}: labels"
+        );
+    }
+}
+
+#[test]
+fn multi_range_backlog_matches_oracle_one_shard() {
+    multi_range_backlog(1);
+}
+
+#[test]
+fn multi_range_backlog_matches_oracle_two_shards() {
+    multi_range_backlog(2);
+}
+
+#[test]
+fn multi_range_backlog_matches_oracle_eight_shards() {
+    multi_range_backlog(8);
 }
 
 #[test]
@@ -408,10 +597,7 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
     let base = base_stream(&edges, 31);
     let engine = ServeEngine::new(
         seeded_graph(&base),
-        ServeConfig::default()
-            .with_shards(2)
-            .with_coalesce(2)
-            .with_history(true),
+        ServeConfig::default().with_shards(2).with_history(true),
     );
     let engine = &engine;
     let done = AtomicBool::new(false);
@@ -499,7 +685,7 @@ fn engine_label_queries_are_never_older_than_a_pin() {
     // answered from an older state than the pin's.
     let edges = base_edges(61);
     let base = base_stream(&edges, 17);
-    let engine = ServeEngine::new(seeded_graph(&base), ServeConfig::default().with_coalesce(2));
+    let engine = ServeEngine::new(seeded_graph(&base), ServeConfig::default());
     let engine = &engine;
     let n = 1u64 << SCALE;
     std::thread::scope(|scope| {
