@@ -456,10 +456,10 @@ fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> u128 {
 /// Serial vs parallel kernels (BFS / CC / SSSP) across the thread sweep,
 /// persisted to `BENCH_parallel.json` for cross-PR trajectory tracking.
 fn parallel(cfg: &Config) {
-    use snap_kernels::{connected_components, delta_stepping, dijkstra, serial_bfs};
+    use snap_kernels::{connected_components, dijkstra, serial_bfs};
     use snap_par::{
         par_bfs_stats, par_bfs_with, par_cc_stats, par_cc_with, par_sssp_stats, par_sssp_with,
-        ParConfig,
+        Grain, ParConfig,
     };
 
     let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed ^ 13);
@@ -467,6 +467,10 @@ fn parallel(cfg: &Config) {
     let csr = CsrGraph::from_edges_undirected(n, &edges);
     let src = hub_source(&csr);
     let pcfg = ParConfig::default();
+    let inline = ParConfig::default()
+        .with_threads(1)
+        .with_serial_threshold(0)
+        .with_level_grain(Grain::Edges(usize::MAX));
     let delta = 32u64;
     let reps = 9usize;
     let mut rows = vec![
@@ -483,13 +487,13 @@ fn parallel(cfg: &Config) {
             median_ns(reps, || connected_components(&csr)),
         ),
         row("sssp", "serial", 1, median_ns(reps, || dijkstra(&csr, src))),
-        // Same algorithm as par_sssp, single-threaded: separates the
+        // par_sssp's Δ-stepping run inline on one thread: separates the
         // delta-vs-dijkstra algorithm gap from the parallelization gap.
         row(
             "sssp",
             "serial-delta",
             1,
-            median_ns(reps, || delta_stepping(&csr, src, delta)),
+            median_ns(reps, || par_sssp_with(&csr, src, delta, &inline)),
         ),
     ];
     for &th in &cfg.threads {

@@ -36,10 +36,9 @@
 //!   against the view as it is *then*. Log entries are hints checked
 //!   against the view, so the order racing notes land in does not
 //!   matter.
-//! - **The whole-component relabel is the fallback.** A restricted
-//!   connected-components pass over a component's members (serial here;
-//!   `snap-par` plugs its parallel kernel in through
-//!   [`ConnectivityIndex::repair_with`]) still runs — and re-derives that
+//! - **The whole-component relabel is the fallback.** A serial restricted
+//!   connected-components pass over a component's members
+//!   ([`restricted_component_labels`]) still runs — and re-derives that
 //!   component's certificate — in exactly these cases: the exhausted
 //!   side of a split holds the component's minimum id (the other side
 //!   then needs a new minimum, hence an enumeration); a caller marked
@@ -545,7 +544,7 @@ impl ConnectivityIndex {
             }
             let r = self.find(u);
             if self.bit_get(r) {
-                self.repair_with(view, u, restricted_component_labels);
+                self.repair(view, u);
                 continue;
             }
             if self.find(u) == r {
@@ -834,17 +833,11 @@ impl ConnectivityIndex {
 
     /// Settles pending notes through the certificate, then — only if
     /// `u`'s component is (still) marked for the whole-component path —
-    /// relabels it using `relabel`: `relabel(view, verts)` receives the
-    /// component's member vertices (ascending) and must return, for each
-    /// position, the minimum vertex id of that member's post-deletion
-    /// component within `verts`. Repairs serialize on the internal lock
-    /// and re-check dirtiness under it, so concurrent queries on the
-    /// same dirty component coalesce into one repair.
-    pub fn repair_with<V, F>(&self, view: &V, u: u32, relabel: F) -> u32
-    where
-        V: GraphView,
-        F: FnOnce(&V, &[u32]) -> Vec<u32>,
-    {
+    /// relabels its members. Returns the post-repair root of `u`.
+    /// Repairs serialize on the internal lock and re-check dirtiness
+    /// under it, so concurrent queries on the same dirty component
+    /// coalesce into one repair.
+    fn repair<V: GraphView>(&self, view: &V, u: u32) -> u32 {
         let mut cert = self.repair_lock.lock();
         self.settle_locked(&mut cert, view);
         let root = self.find(u);
@@ -859,23 +852,19 @@ impl ConnectivityIndex {
         let verts: Vec<u32> = (0..self.parent.len() as u32)
             .filter(|&v| self.find(v) == root)
             .collect();
-        self.relabel_members_locked(&mut cert, view, &verts, relabel);
+        self.relabel_members_locked(&mut cert, view, &verts);
         self.find(u)
     }
 
     /// Shield, relabel, and publish one component's members, and
     /// re-derive their certificate. Caller holds `repair_lock` and has
     /// confirmed the component is dirty.
-    fn relabel_members_locked<V, F>(
+    fn relabel_members_locked<V: GraphView>(
         &self,
         cert: &mut Certificate,
         view: &V,
         verts: &[u32],
-        relabel: F,
-    ) where
-        V: GraphView,
-        F: FnOnce(&V, &[u32]) -> Vec<u32>,
-    {
+    ) {
         let gen_at_scan = self.core.generation();
         // Shield phase: with every member bit set, any concurrent reader
         // resolving into this component sees "dirty" and waits on the
@@ -883,8 +872,7 @@ impl ConnectivityIndex {
         for &v in verts {
             self.bit_set(v);
         }
-        let labels = relabel(view, verts);
-        debug_assert_eq!(labels.len(), verts.len(), "relabel must cover all members");
+        let labels = restricted_component_labels(view, verts);
         // Labels and certificate come from two passes over the view. A
         // change routed after its batch's barrier mutates the graph long
         // before its note bumps the generation, so the check below
@@ -1023,7 +1011,7 @@ impl IncrementalIndex for ConnectivityIndex {
             }
         }
         for verts in groups.values() {
-            self.relabel_members_locked(&mut cert, view, verts, restricted_component_labels);
+            self.relabel_members_locked(&mut cert, view, verts);
         }
     }
 
@@ -1153,8 +1141,7 @@ fn respan<V: GraphView>(forest: &mut Forest, view: &V, verts: &[u32]) {
 /// for `verts` — a component's member list, ascending — over the live
 /// edges of `view`. Edges leaving `verts` are ignored (a repair's member
 /// set is closed, since cross-component insertions union eagerly). This
-/// is the built-in relabeler for [`ConnectivityIndex::repair_with`]; `snap-par`
-/// supplies a parallel drop-in with the same contract.
+/// is the relabeler of the index's whole-component path.
 pub fn restricted_component_labels<V: GraphView>(view: &V, verts: &[u32]) -> Vec<u32> {
     // Position-indexed union-find; positions are id-ordered because
     // `verts` is ascending, so min-position roots are min-id labels.
@@ -1193,6 +1180,7 @@ mod tests {
     use crate::graph::DynGraph;
     use crate::hybrid::HybridAdj;
     use crate::treapadj::TreapAdj;
+    use crate::view::probe::ProbeView;
     use snap_rmat::TimedEdge;
 
     fn graph<A: crate::adjacency::DynamicAdjacency>(n: usize, edges: &[(u32, u32)]) -> DynGraph<A> {
@@ -1535,25 +1523,29 @@ mod tests {
     }
 
     #[test]
-    fn repair_with_external_relabeler() {
+    fn whole_component_repair_reads_only_the_members() {
         let g: DynGraph<DynArr> = graph(5, &[(0, 1), (1, 2)]);
         let idx = ConnectivityIndex::from_view(&g);
         g.delete_edge(0, 1);
         idx.mark_component_dirty(0);
-        // A stand-in for the parallel relabeler: same contract, and it
-        // must see exactly the component's members.
-        let root = idx.repair_with(&g, 0, |view, verts| {
-            assert_eq!(verts, &[0, 1, 2]);
-            restricted_component_labels(view, verts)
-        });
-        assert_eq!(root, 0);
+        let view = ProbeView::new(&g);
+        assert_eq!(idx.repair(&view, 0), 0);
+        assert_eq!(
+            view.read_set(),
+            [0, 1, 2],
+            "exactly the component's members"
+        );
         assert_eq!(idx.component(&g, 2), 1);
         assert_eq!(idx.component_count(&g), 4);
-        // A noted delete is settled by the certificate before the
-        // relabeler is even considered.
+        // A noted delete is settled by the certificate: its search reads
+        // each side at most once, where the whole-component path would
+        // read every member twice (relabel, then respan).
         delete(&g, &idx, 1, 2);
-        let root = idx.repair_with(&g, 2, |_, _| unreachable!("nothing is marked"));
-        assert_eq!(root, 2);
+        let view = ProbeView::new(&g);
+        assert_eq!(idx.repair(&view, 2), 2);
+        assert!(view.read_set().iter().all(|&v| v == 1 || v == 2));
+        assert_eq!(view.read_count(), view.read_set().len(), "no relabel");
+        assert_eq!(idx.labels(&g), [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -1565,11 +1557,11 @@ mod tests {
         let g: DynGraph<DynArr> = graph(4, &[(0, 1), (1, 2), (2, 3)]);
         let idx = ConnectivityIndex::from_view(&g);
         idx.mark_component_dirty(0);
-        idx.repair_with(&g, 0, |view, verts| {
-            let labels = restricted_component_labels(view, verts);
-            assert!(g.delete_edge(1, 2));
-            labels
-        });
+        // The relabel reads each of the 4 members once; the next read is
+        // the respan's first.
+        let view = ProbeView::with_hook(&g, 4 + 1, || assert!(g.delete_edge(1, 2)));
+        idx.repair(&view, 0);
+        assert!(!g.has_edge(1, 2), "the hook ran");
         assert!(idx.is_component_dirty(0), "the two passes disagree");
         idx.note_delete(1, 2);
         assert_eq!(idx.labels(&g), vec![0, 0, 2, 2]);

@@ -28,10 +28,8 @@
 //!   collects the seeds, closes them over the stored parent tree (every
 //!   possibly-stale vertex is a descendant of a seed), folds the intact
 //!   frontier into per-vertex external seed distances, and runs a
-//!   *restricted* BFS over just the affected set —
-//!   [`restricted_hop_distances`] serially here, or `snap-par`'s
-//!   frontier-engine drop-in through
-//!   [`DistanceIndex::repair_source_with`].
+//!   *restricted* BFS over just the affected set
+//!   ([`restricted_hop_distances`]).
 //!
 //! Distances are canonical (the unique BFS fixpoint), so they are
 //! bit-comparable with `serial_bfs` / `par_bfs` on the same view at
@@ -298,7 +296,7 @@ impl DistanceIndex {
         // ordering: Release — the flag is the query shield; it is
         // published after the seed bit so a repair entering through the
         // flag finds its seed (invariant 4). Pairs with the Acquire
-        // loads in the query loop and `repair_slot_with`.
+        // loads in the query loop and `repair_slot`.
         self.src_dirty[si].store(true, Ordering::Release);
         // ordering: Release — fast-path hint only; the per-source flags
         // are authoritative (pairs with the Acquire in `has_dirty`).
@@ -388,7 +386,7 @@ impl DistanceIndex {
         let si = self.slot(source);
         loop {
             if self.slot_dirty(si) {
-                self.repair_slot_with(view, si, restricted_hop_distances);
+                self.repair_slot(view, si);
                 continue;
             }
             let a = read(si);
@@ -428,29 +426,15 @@ impl DistanceIndex {
 
     // ---- repair --------------------------------------------------------
 
-    /// Targeted repair of `source`'s row using `relabel` to recompute
-    /// distances over the affected set: `relabel(view, verts, ext)`
-    /// receives the affected vertices (ascending) and, aligned with
-    /// them, the best distance each can claim through its *unaffected*
-    /// neighbors ([`UNREACHED`] when it has none), and must return the
-    /// restricted-BFS fixpoint (see [`restricted_hop_distances`] for
-    /// the exact contract). Certificate parents are recomputed by the
-    /// index from the returned distances. Repairs serialize on the
-    /// internal lock, so concurrent queries on the same dirty source
-    /// coalesce into one repair.
-    pub fn repair_source_with<V, F>(&self, view: &V, source: u32, relabel: F) -> bool
-    where
-        V: GraphView,
-        F: FnOnce(&V, &[u32], &[u32]) -> Vec<u32>,
-    {
-        self.repair_slot_with(view, self.slot(source), relabel)
-    }
-
-    fn repair_slot_with<V, F>(&self, view: &V, si: usize, relabel: F) -> bool
-    where
-        V: GraphView,
-        F: FnOnce(&V, &[u32], &[u32]) -> Vec<u32>,
-    {
+    /// Targeted repair of row `si`: closes the dead certificates' seeds
+    /// over the stored parent tree, seeds each affected vertex with the
+    /// best distance it can claim through its *unaffected* neighbors,
+    /// recomputes the affected set with [`restricted_hop_distances`],
+    /// and re-derives certificate parents from the result. Returns
+    /// whether a repair ran (false = the row was already clean).
+    /// Repairs serialize on the internal lock, so concurrent queries on
+    /// the same dirty source coalesce into one repair.
+    fn repair_slot<V: GraphView>(&self, view: &V, si: usize) -> bool {
         let _guard = self.repair_lock.lock();
         if !self.slot_dirty(si) {
             // A racing query already repaired this source.
@@ -535,8 +519,7 @@ impl DistanceIndex {
                 best
             })
             .collect();
-        let dists = relabel(view, &verts, &ext);
-        debug_assert_eq!(dists.len(), verts.len(), "relabel must cover all members");
+        let dists = restricted_hop_distances(view, &verts, &ext);
         // Position lookup for in-set neighbors during parent recompute.
         let mut pos = vec![u32::MAX; n];
         for (i, &a) in verts.iter().enumerate() {
@@ -695,7 +678,7 @@ impl IncrementalIndex for DistanceIndex {
         self.any_dirty.store(false, Ordering::Release);
         for si in 0..self.sources.len() {
             if self.slot_dirty(si) {
-                self.repair_slot_with(view, si, restricted_hop_distances);
+                self.repair_slot(view, si);
             }
         }
     }
@@ -751,10 +734,7 @@ impl IncrementalIndex for DistanceIndex {
 /// over `verts` (ascending) with external seed distances `ext`
 /// ([`UNREACHED`] = no claim from outside the set). Edges leaving
 /// `verts` are ignored — the caller folds the intact frontier into
-/// `ext`. This is the built-in relabeler for
-/// [`DistanceIndex::repair_source_with`]; `snap-par` supplies a parallel
-/// drop-in with the same contract, and `snap-kernels` an independent
-/// heap-based oracle for the differential suites.
+/// `ext`. This is the relabeler of the index's targeted repair.
 pub fn restricted_hop_distances<V: GraphView>(view: &V, verts: &[u32], ext: &[u32]) -> Vec<u32> {
     assert_eq!(verts.len(), ext.len(), "one seed distance per member");
     debug_assert!(
@@ -804,6 +784,7 @@ mod tests {
     use crate::dynarr::DynArr;
     use crate::graph::DynGraph;
     use crate::hybrid::HybridAdj;
+    use crate::view::probe::ProbeView;
     use snap_rmat::TimedEdge;
 
     fn graph<A: crate::adjacency::DynamicAdjacency>(n: usize, edges: &[(u32, u32)]) -> DynGraph<A> {
@@ -985,26 +966,21 @@ mod tests {
     }
 
     #[test]
-    fn repair_with_external_relabeler_sees_the_affected_set() {
+    fn repair_reads_only_the_affected_set() {
         let g: DynGraph<DynArr> = graph(5, &[(0, 1), (1, 2), (2, 3)]);
         let idx = DistanceIndex::from_view(&g, &[0]);
         g.delete_edge(1, 2);
         idx.note_delete(1, 2);
-        // Stand-in for the parallel relabeler: same contract; the
-        // affected set is the severed subtree {2, 3} with no external
-        // claims left.
-        let ran = idx.repair_source_with(&g, 0, |view, verts, ext| {
-            assert_eq!(verts, &[2, 3]);
-            assert_eq!(ext, &[UNREACHED, UNREACHED]);
-            restricted_hop_distances(view, verts, ext)
-        });
-        assert!(ran);
+        // The affected set is the severed subtree {2, 3}; nothing else's
+        // adjacency is read.
+        let view = ProbeView::new(&g);
+        assert!(idx.repair_slot(&view, 0));
+        assert_eq!(view.read_set(), [2, 3]);
         assert!(!idx.is_source_dirty(0));
         assert_eq!(idx.distance(&g, 0, 3), None);
-        assert!(
-            !idx.repair_source_with(&g, 0, restricted_hop_distances),
-            "already clean"
-        );
+        let view = ProbeView::new(&g);
+        assert!(!idx.repair_slot(&view, 0), "already clean");
+        assert_eq!(view.read_count(), 0);
     }
 
     #[test]

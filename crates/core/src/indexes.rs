@@ -336,8 +336,7 @@ pub struct IndexQuery<'a, V> {
 
 impl<'a, V: GraphView> IndexQuery<'a, V> {
     /// The attached indexes themselves (`None` when not enabled), for
-    /// their counters and for repairing with a custom relabeler
-    /// (`snap_par::par_repair`, `snap_par::par_dist_repair`).
+    /// their counters.
     pub fn routes(&self) -> IndexRoutes<'a> {
         self.routes
     }

@@ -255,6 +255,81 @@ impl<A: DynamicAdjacency> GraphView for DynGraph<A> {
     }
 }
 
+/// Test support: a view over another one that records whose adjacency
+/// each `for_each_edge` call read, and can run a hook just before the
+/// `k`-th call — how the index tests watch a repair's reads and change
+/// the graph in the middle of one.
+#[cfg(test)]
+pub(crate) mod probe {
+    use super::GraphView;
+    use parking_lot::Mutex;
+
+    pub(crate) struct ProbeView<'a, V> {
+        inner: &'a V,
+        reads: Mutex<Vec<u32>>,
+        hook: Option<(usize, Box<dyn Fn() + Sync + 'a>)>,
+    }
+
+    impl<'a, V: GraphView> ProbeView<'a, V> {
+        pub(crate) fn new(inner: &'a V) -> Self {
+            Self {
+                inner,
+                reads: Mutex::new(Vec::new()),
+                hook: None,
+            }
+        }
+
+        /// Runs `hook` before the `k`-th (1-based) adjacency read.
+        pub(crate) fn with_hook(inner: &'a V, k: usize, hook: impl Fn() + Sync + 'a) -> Self {
+            Self {
+                hook: Some((k, Box::new(hook))),
+                ..Self::new(inner)
+            }
+        }
+
+        /// The vertices whose adjacency was read, ascending, once each.
+        pub(crate) fn read_set(&self) -> Vec<u32> {
+            let mut set = self.reads.lock().clone();
+            set.sort_unstable();
+            set.dedup();
+            set
+        }
+
+        /// Number of adjacency reads so far.
+        pub(crate) fn read_count(&self) -> usize {
+            self.reads.lock().len()
+        }
+    }
+
+    impl<V: GraphView> GraphView for ProbeView<'_, V> {
+        fn num_vertices(&self) -> usize {
+            self.inner.num_vertices()
+        }
+
+        fn is_directed(&self) -> bool {
+            self.inner.is_directed()
+        }
+
+        fn degree(&self, u: u32) -> usize {
+            self.inner.degree(u)
+        }
+
+        fn for_each_edge<F: FnMut(u32, u32)>(&self, u: u32, f: F) {
+            let call = {
+                let mut reads = self.reads.lock();
+                reads.push(u);
+                reads.len()
+            };
+            if let Some((k, hook)) = &self.hook {
+                if call == *k {
+                    hook();
+                }
+            }
+            self.inner.for_each_edge(u, f)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -198,50 +198,6 @@ fn claim(
     }
 }
 
-/// Restricted multi-seed hop distances: the fixpoint of
-///
-/// `d[i] = min(ext[i], min over in-set neighbors j of d[j] + 1)`
-///
-/// over the vertex subset `verts` (ascending), where `ext[i]` is the
-/// best distance position `i` can claim through paths that leave the
-/// set ([`UNREACHED`] when none exists — seedless positions that no
-/// in-set path reaches stay [`UNREACHED`]). Edges leaving `verts` are
-/// ignored; the caller folds them into `ext`.
-///
-/// This is the from-scratch oracle the differential suites run against
-/// `snap-core`'s incremental distance repair: same contract, an
-/// independent implementation (heap-ordered relaxation here, frontier
-/// buckets there), so a shared bug cannot hide.
-pub fn restricted_bfs_distances<V: GraphView>(view: &V, verts: &[u32], ext: &[u32]) -> Vec<u32> {
-    assert_eq!(verts.len(), ext.len(), "one seed distance per member");
-    debug_assert!(
-        verts.windows(2).all(|w| w[0] < w[1]),
-        "verts must be ascending"
-    );
-    use std::cmp::Reverse;
-    let mut dist = ext.to_vec();
-    let mut heap: std::collections::BinaryHeap<Reverse<(u32, u32)>> = dist
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d != UNREACHED)
-        .map(|(i, &d)| Reverse((d, i as u32)))
-        .collect();
-    while let Some(Reverse((d, i))) = heap.pop() {
-        if d > dist[i as usize] {
-            continue; // superseded entry
-        }
-        view.for_each_edge(verts[i as usize], |w, _| {
-            if let Ok(j) = verts.binary_search(&w) {
-                if d + 1 < dist[j] {
-                    dist[j] = d + 1;
-                    heap.push(Reverse((d + 1, j as u32)));
-                }
-            }
-        });
-    }
-    dist
-}
-
 /// Sequential reference BFS (oracle for tests and tiny graphs).
 pub fn serial_bfs<V: GraphView>(view: &V, src: u32) -> BfsResult {
     let n = view.num_vertices();
@@ -368,35 +324,5 @@ mod tests {
     fn invalid_source_panics() {
         let g = CsrGraph::from_edges_undirected(2, &[]);
         bfs(&g, 5);
-    }
-
-    #[test]
-    fn restricted_distances_match_full_bfs_on_closed_sets() {
-        // Restricting to the whole vertex set with the source as the
-        // only seed is plain BFS.
-        let rm = Rmat::new(RmatParams::paper(8, 6), 11);
-        let g = CsrGraph::from_edges_undirected(1 << 8, &rm.edges());
-        let n = g.num_vertices();
-        let verts: Vec<u32> = (0..n as u32).collect();
-        let mut ext = vec![UNREACHED; n];
-        ext[5] = 0;
-        let got = restricted_bfs_distances(&g, &verts, &ext);
-        assert_eq!(got, serial_bfs(&g, 5).dist);
-    }
-
-    #[test]
-    fn restricted_distances_honor_external_seeds() {
-        // Path 0-1-2-3-4, restricted to {2, 3, 4} with boundary seeds:
-        // position 0 (vertex 2) claims distance 2 through the cut edge
-        // (1, 2), and in-set relaxation carries it down the tail.
-        let g = line_graph(5);
-        let got = restricted_bfs_distances(&g, &[2, 3, 4], &[2, UNREACHED, UNREACHED]);
-        assert_eq!(got, vec![2, 3, 4]);
-        // A closer external path at the far end wins where it is closer.
-        let got = restricted_bfs_distances(&g, &[2, 3, 4], &[2, UNREACHED, 1]);
-        assert_eq!(got, vec![2, 2, 1]);
-        // No seeds at all: everything stays unreached.
-        let got = restricted_bfs_distances(&g, &[2, 3, 4], &[UNREACHED; 3]);
-        assert_eq!(got, vec![UNREACHED; 3]);
     }
 }

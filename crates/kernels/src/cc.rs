@@ -1,91 +1,29 @@
-//! Parallel connected components (Shiloach–Vishkin style).
+//! Connected components: the serial union-find kernel.
 //!
-//! Used by the link-cut forest construction ("run connected components to
-//! construct a forest of link-cut trees") and as a standalone kernel. The
-//! algorithm alternates grafting (hooking a tree root under a neighbor's
-//! smaller-labeled root) and pointer jumping until labels stabilize; on
-//! low-diameter small-world graphs this converges in a handful of rounds.
+//! The standalone kernel, the serial fallback of `snap_par::par_cc`, and
+//! the oracle that kernel and the incremental `ConnectivityIndex` are
+//! checked against. It is deliberately not the parallel algorithm: the
+//! view's live edges stream once through a union-find that hooks the
+//! larger root under the smaller, so a Shiloach–Vishkin bug in `par_cc`
+//! cannot hide behind the same bug here.
 //!
-//! The input view must be symmetric (undirected semantics: both
-//! orientations stored), whether it is a CSR snapshot or a live dynamic
-//! graph.
+//! A directed view yields its weakly connected components (every entry
+//! joins its two endpoints), whether it is a CSR snapshot or a live
+//! dynamic graph.
 
-use rayon::prelude::*;
 use snap_core::GraphView;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-/// Computes a component label per vertex. Labels are the minimum vertex id
-/// of the component, so they are canonical and comparable across runs.
+/// Computes a component label per vertex over the live edges of `view`.
+/// Labels are the minimum vertex id of the component, so they are
+/// canonical and comparable across runs and with `par_cc`, the
+/// incremental `ConnectivityIndex`, and [`union_find_components`].
 pub fn connected_components<V: GraphView>(view: &V) -> Vec<u32> {
     let n = view.num_vertices();
-    let label: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let changed = AtomicBool::new(true);
-    // ordering: Relaxed — the swap reads between parallel phases; each
-    // phase's join barrier publishes the stores (invariant 8), and the
-    // fixed-point loop re-checks until no grafting occurs.
-    while changed.swap(false, Ordering::Relaxed) {
-        // Graft: hook higher-labeled roots under lower labels seen across
-        // edges. Racy relaxed updates are fine — the loop re-checks until a
-        // fixed point, and labels only ever decrease.
-        (0..n as u32).into_par_iter().for_each(|u| {
-            // ordering: Relaxed — labels are monotone-decreasing u32s;
-            // a stale read only delays convergence, never corrupts it
-            // (the loop re-checks to a fixed point).
-            let lu = label[u as usize].load(Ordering::Relaxed);
-            view.for_each_edge(u, |v, _| {
-                // ordering: Relaxed — as above.
-                let lv = label[v as usize].load(Ordering::Relaxed);
-                if lv < lu {
-                    // Hook u's current root downward.
-                    if try_lower(&label, u, lv) {
-                        // ordering: Relaxed — progress flag read after
-                        // the phase join (see the loop head).
-                        changed.store(true, Ordering::Relaxed);
-                    }
-                } else if lu < lv && try_lower(&label, v, lu) {
-                    // ordering: Relaxed — as above.
-                    changed.store(true, Ordering::Relaxed);
-                }
-            });
-        });
-        // Shortcut: pointer-jump every label to its root.
-        (0..n).into_par_iter().for_each(|u| {
-            // ordering: Relaxed (all) — pointer jumping over the same
-            // monotone labels; racy jumps land on a valid (possibly
-            // stale) root and the outer fixed point absorbs them.
-            let mut l = label[u].load(Ordering::Relaxed);
-            loop {
-                // ordering: Relaxed — see above.
-                let ll = label[l as usize].load(Ordering::Relaxed);
-                if ll == l {
-                    break;
-                }
-                l = ll;
-            }
-            // ordering: Relaxed — see above.
-            label[u].store(l, Ordering::Relaxed);
-        });
+    let mut uf = MinUnionFind::new(n);
+    for u in 0..n as u32 {
+        view.for_each_edge(u, |v, _| uf.union(u, v));
     }
-    label.into_iter().map(|l| l.into_inner()).collect()
-}
-
-/// Lowers `x`'s label to `to` if `to` is smaller (CAS loop). Returns true
-/// if a change was made.
-fn try_lower(label: &[AtomicU32], x: u32, to: u32) -> bool {
-    // ordering: Relaxed (load and CAS) — labels only decrease, so the
-    // CAS can only replace a value with a smaller one; no data is
-    // published through the label word itself (invariant 8: the phase
-    // join synchronizes).
-    let mut cur = label[x as usize].load(Ordering::Relaxed);
-    while to < cur {
-        // ordering: Relaxed — covered by the note above.
-        match label[x as usize].compare_exchange_weak(cur, to, Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => return true,
-            Err(now) => cur = now,
-        }
-    }
-    false
+    uf.labels()
 }
 
 /// Number of distinct components given a label array.
@@ -100,40 +38,50 @@ pub fn component_count(labels: &[u32]) -> usize {
     roots.len()
 }
 
-/// [`union_find_components`] over the live edges of any view — the
-/// sequential oracle for dynamic-connectivity tests and benches: after a
-/// mixed insert/delete stream, the surviving edge set is exactly what
-/// the view traverses, so this is the ground truth that `par_cc`,
-/// [`connected_components`], and the incremental `ConnectivityIndex`
-/// must all reproduce.
-pub fn union_find_from_view<V: GraphView>(view: &V) -> Vec<u32> {
-    let n = view.num_vertices();
-    let mut pairs = Vec::with_capacity(view.num_entries());
-    for u in 0..n as u32 {
-        view.for_each_edge(u, |v, _| pairs.push((u, v)));
+/// Sequential union-find over an edge list (tests and benches).
+pub fn union_find_components(n: usize, edges: impl Iterator<Item = (u32, u32)>) -> Vec<u32> {
+    let mut uf = MinUnionFind::new(n);
+    for (u, v) in edges {
+        uf.union(u, v);
     }
-    union_find_components(n, pairs.into_iter())
+    uf.labels()
 }
 
-/// Sequential union-find oracle (tests).
-pub fn union_find_components(n: usize, edges: impl Iterator<Item = (u32, u32)>) -> Vec<u32> {
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            let g = parent[parent[x as usize] as usize];
-            parent[x as usize] = g;
+/// Union-find whose roots are always their set's minimum: a union hooks
+/// the larger root under the smaller, and `find` splits paths.
+struct MinUnionFind {
+    parent: Vec<u32>,
+}
+
+impl MinUnionFind {
+    fn new(n: usize) -> Self {
+        Self {
+            parent: (0..n as u32).collect(),
+        }
+    }
+
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let g = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = g;
             x = g;
         }
         x
     }
-    for (u, v) in edges {
-        let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
+
+    fn union(&mut self, u: u32, v: u32) {
+        let (ru, rv) = (self.find(u), self.find(v));
         if ru != rv {
-            let (lo, hi) = (ru.min(rv), ru.max(rv));
-            parent[hi as usize] = lo;
+            self.parent[ru.max(rv) as usize] = ru.min(rv);
         }
     }
-    (0..n as u32).map(|v| find(&mut parent, v)).collect()
+
+    /// Each vertex's root, i.e. its set's minimum id.
+    fn labels(mut self) -> Vec<u32> {
+        (0..self.parent.len() as u32)
+            .map(|v| self.find(v))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -170,7 +118,7 @@ mod tests {
 
     #[test]
     fn long_path_converges() {
-        // Worst case for label propagation: a 1000-vertex path.
+        // A 1000-vertex path: the longest chains a union can build.
         let edges: Vec<TimedEdge> = (0..999).map(|i| TimedEdge::new(i, i + 1, 1)).collect();
         let g = CsrGraph::from_edges_undirected(1000, &edges);
         let labels = connected_components(&g);

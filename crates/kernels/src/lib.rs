@@ -19,7 +19,8 @@
 //! - [`bfs`](mod@bfs) — lock-free level-synchronous parallel BFS with the
 //!   unbalanced-degree optimization, and its temporal (timestamp-filtered)
 //!   variant (Figure 10).
-//! - [`cc`] — Shiloach–Vishkin parallel connected components.
+//! - [`cc`] — serial union-find connected components (the oracle of
+//!   `par_cc`'s Shiloach–Vishkin sweeps).
 //! - [`lcf`] — the parent-pointer link-cut forest: construction via
 //!   parallel BFS, `link`/`cut`/`findroot`, batch connectivity queries
 //!   (Figures 7–8), and replacement-edge search on deletions (extension).
@@ -59,14 +60,14 @@ pub mod subgraph;
 pub mod temporal_reach;
 
 pub use bc::{betweenness_approx, betweenness_exact, temporal_betweenness_approx};
-pub use bfs::{bfs, restricted_bfs_distances, serial_bfs, temporal_bfs, BfsResult, UNREACHED};
-pub use cc::{component_count, connected_components, union_find_from_view};
+pub use bfs::{bfs, serial_bfs, temporal_bfs, BfsResult, UNREACHED};
+pub use cc::{component_count, connected_components};
 pub use closeness::{closeness_approx, closeness_exact, harmonic_exact};
 pub use cluster::{average_clustering, local_clustering, triangle_count, triangles_per_vertex};
 pub use diameter::{double_sweep_lower_bound, exact_diameter};
 pub use lcf::LinkCutForest;
 pub use msf::{boruvka_msf, boruvka_msf_view, kruskal_msf, Msf};
-pub use sssp::{delta_stepping, dijkstra};
+pub use sssp::dijkstra;
 pub use stconn::st_connectivity;
 pub use stress::{stress_approx, stress_exact};
 pub use subgraph::{

@@ -1,149 +1,26 @@
-//! Parallel single-source shortest paths: Δ-stepping.
+//! Single-source shortest paths: the sequential Dijkstra oracle.
 //!
 //! The paper's future-work section singles out SSSP on arbitrarily
 //! weighted graphs as "challenging to parallelize efficiently", citing
 //! the authors' own Δ-stepping study (Madduri, Bader, Berry, Crobak,
-//! ALENEX 2007) as the state of the art this framework builds on. This is
-//! that algorithm: vertices are bucketed by `dist / Δ`; each round
-//! settles bucket `i` to a fixed point over its *light* edges
-//! (weight ≤ Δ, which can re-queue into the same bucket), then relaxes
-//! the *heavy* edges (weight > Δ, which always target later buckets) once.
+//! ALENEX 2007). That algorithm lives in `snap_par::par_sssp`; this
+//! module holds the binary-heap Dijkstra it falls back to and is checked
+//! against, and the weight convention both share.
 //!
 //! Edge weights are the paper's positive integer w(e); we reuse the
 //! timestamp field as the weight, matching the weighted-graph definition
 //! in Section 2 (unweighted graphs simply carry w(e) = 1).
 
-use rayon::prelude::*;
 use snap_core::GraphView;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Distance of unreachable vertices.
 pub const INF: u64 = u64::MAX;
 
-/// Δ-stepping SSSP from `src`, weighting edge `e` by `max(ts(e), 1)`
-/// (zero weights would break bucket monotonicity). Returns distances.
-pub fn delta_stepping<V: GraphView>(view: &V, src: u32, delta: u64) -> Vec<u64> {
-    let n = view.num_vertices();
-    assert!((src as usize) < n, "source out of range");
-    let delta = delta.max(1);
-    let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
-    // ordering: Relaxed — pre-parallel initialization; the first
-    // bucket's spawn barrier publishes it (invariant 8).
-    dist[src as usize].store(0, Ordering::Relaxed);
-    let mut buckets: Vec<Vec<u32>> = vec![vec![src]];
-    let mut current = 0usize;
-    while current < buckets.len() {
-        // Settle the current bucket over light edges to a fixed point.
-        let mut deleted: Vec<u32> = Vec::new();
-        loop {
-            let frontier: Vec<u32> = std::mem::take(&mut buckets[current]);
-            if frontier.is_empty() {
-                break;
-            }
-            deleted.extend_from_slice(&frontier);
-            let requests: Vec<(u32, u64)> =
-                relax_requests(view, &frontier, &dist, |w| weight(w) <= delta);
-            relax_all(&dist, &requests, delta, &mut buckets, current);
-        }
-        // One heavy-edge pass over everything settled in this bucket.
-        let requests: Vec<(u32, u64)> =
-            relax_requests(view, &deleted, &dist, |w| weight(w) > delta);
-        relax_all(&dist, &requests, delta, &mut buckets, current);
-        current += 1;
-    }
-    dist.into_iter().map(|d| d.into_inner()).collect()
-}
-
-/// Expands each frontier vertex's qualifying edges into relaxation
-/// requests `(target, tentative distance)`. CSR-backed views stream
-/// their slices lazily (zero per-vertex allocation — this is the
-/// innermost loop of every bucket round); live views buffer through
-/// the callback API.
-fn relax_requests<V: GraphView>(
-    view: &V,
-    frontier: &[u32],
-    dist: &[AtomicU64],
-    qualifies: impl Fn(u32) -> bool + Sync,
-) -> Vec<(u32, u64)> {
-    let qualifies = &qualifies;
-    if let Some(csr) = view.as_csr() {
-        return frontier
-            .par_iter()
-            .flat_map_iter(|&v| {
-                // ordering: Relaxed — v's distance settled in an
-                // earlier phase; the bucket join published it.
-                let dv = dist[v as usize].load(Ordering::Relaxed);
-                csr.neighbors(v)
-                    .iter()
-                    .zip(csr.timestamps(v))
-                    .filter(move |&(_, &w)| qualifies(w))
-                    .map(move |(&u, &w)| (u, dv.saturating_add(weight(w))))
-            })
-            .collect();
-    }
-    frontier
-        .par_iter()
-        .flat_map_iter(|&v| {
-            // ordering: Relaxed — as in the CSR path above.
-            let dv = dist[v as usize].load(Ordering::Relaxed);
-            let mut out = Vec::new();
-            view.for_each_edge(v, |u, w| {
-                if qualifies(w) {
-                    out.push((u, dv.saturating_add(weight(w))));
-                }
-            });
-            out
-        })
-        .collect()
-}
-
+/// Edge weight of a timestamp: `max(ts, 1)` (zero weights would break
+/// Δ-stepping's bucket monotonicity, so both kernels lift them to 1).
 #[inline]
 fn weight(ts: u32) -> u64 {
     (ts as u64).max(1)
-}
-
-/// Applies relaxation requests; improved vertices are queued into the
-/// bucket of their new tentative distance (never before `floor`, since
-/// edge weights are positive).
-fn relax_all(
-    dist: &[AtomicU64],
-    requests: &[(u32, u64)],
-    delta: u64,
-    buckets: &mut Vec<Vec<u32>>,
-    floor: usize,
-) {
-    // Parallel CAS-min pass; collect the vertices that actually improved.
-    let improved: Vec<(u32, u64)> = requests
-        .par_iter()
-        .filter_map(|&(v, nd)| {
-            // ordering: Relaxed (load and CAS) — distance words are
-            // monotone-decreasing minima (invariant 7: the CAS is the
-            // claim); the relax pass's join publishes them.
-            let mut cur = dist[v as usize].load(Ordering::Relaxed);
-            while nd < cur {
-                // ordering: Relaxed — covered by the note above.
-                match dist[v as usize].compare_exchange_weak(
-                    cur,
-                    nd,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some((v, nd)),
-                    Err(now) => cur = now,
-                }
-            }
-            None
-        })
-        .collect();
-    // Sequential bucket insertion (duplicates across rounds are fine: a
-    // stale queued vertex re-relaxes harmlessly).
-    for (v, nd) in improved {
-        let b = ((nd / delta) as usize).max(floor);
-        if b >= buckets.len() {
-            buckets.resize(b + 1, Vec::new());
-        }
-        buckets[b].push(v);
-    }
 }
 
 /// Sequential Dijkstra oracle (binary heap).
@@ -174,7 +51,7 @@ pub fn dijkstra<V: GraphView>(view: &V, src: u32) -> Vec<u64> {
 mod tests {
     use super::*;
     use snap_core::CsrGraph;
-    use snap_rmat::{Rmat, RmatParams, TimedEdge};
+    use snap_rmat::TimedEdge;
 
     fn weighted(n: usize, edges: &[(u32, u32, u32)]) -> CsrGraph {
         let e: Vec<TimedEdge> = edges
@@ -187,69 +64,14 @@ mod tests {
     #[test]
     fn weighted_path() {
         let g = weighted(4, &[(0, 1, 2), (1, 2, 3), (2, 3, 4)]);
-        for delta in [1u64, 3, 100] {
-            let d = delta_stepping(&g, 0, delta);
-            assert_eq!(d, vec![0, 2, 5, 9], "delta {delta}");
-        }
-    }
-
-    #[test]
-    fn shortcut_beats_direct_heavy_edge() {
-        // 0-2 costs 10 direct, 2+3 = 5 via 1.
-        let g = weighted(3, &[(0, 2, 10), (0, 1, 2), (1, 2, 3)]);
-        let d = delta_stepping(&g, 0, 4);
-        assert_eq!(d[2], 5);
+        assert_eq!(dijkstra(&g, 0), vec![0, 2, 5, 9]);
     }
 
     #[test]
     fn unreachable_is_inf() {
         let g = weighted(4, &[(0, 1, 1)]);
-        let d = delta_stepping(&g, 0, 2);
+        let d = dijkstra(&g, 0);
         assert_eq!(d[2], INF);
         assert_eq!(d[3], INF);
-    }
-
-    #[test]
-    fn zero_timestamps_treated_as_unit_weights() {
-        let g = weighted(3, &[(0, 1, 0), (1, 2, 0)]);
-        let d = delta_stepping(&g, 0, 1);
-        assert_eq!(d, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn matches_dijkstra_on_rmat_across_deltas() {
-        let rm = Rmat::new(RmatParams::paper(10, 8).with_max_timestamp(100), 5);
-        let g = CsrGraph::from_edges_undirected(1 << 10, &rm.edges());
-        let oracle = dijkstra(&g, 0);
-        for delta in [1u64, 8, 32, 128, 1 << 20] {
-            let d = delta_stepping(&g, 0, delta);
-            assert_eq!(d, oracle, "delta {delta} diverged from Dijkstra");
-        }
-    }
-
-    #[test]
-    fn delta_extremes_degenerate_correctly() {
-        // delta = 1: pure Bellman-Ford-ish bucketing; delta = inf: one
-        // bucket (Chaotic relaxation until fixpoint). Both must be exact.
-        let rm = Rmat::new(RmatParams::paper(8, 6).with_max_timestamp(30), 6);
-        let g = CsrGraph::from_edges_undirected(1 << 8, &rm.edges());
-        let oracle = dijkstra(&g, 3);
-        assert_eq!(delta_stepping(&g, 3, 1), oracle);
-        assert_eq!(delta_stepping(&g, 3, u64::MAX / 4), oracle);
-    }
-
-    #[test]
-    fn unit_weights_reduce_to_bfs() {
-        let rm = Rmat::new(RmatParams::paper(9, 8).with_max_timestamp(0), 7);
-        let g = CsrGraph::from_edges_undirected(1 << 9, &rm.edges());
-        let d = delta_stepping(&g, 0, 1);
-        let b = crate::bfs::bfs(&g, 0);
-        for (v, &dv) in d.iter().enumerate() {
-            if b.dist[v] == crate::bfs::UNREACHED {
-                assert_eq!(dv, INF);
-            } else {
-                assert_eq!(dv, b.dist[v] as u64);
-            }
-        }
     }
 }

@@ -24,12 +24,8 @@
 //!   dense; see [`bfs`] for the switch heuristic).
 //! - [`par_cc`] — Shiloach–Vishkin label propagation with pointer
 //!   jumping; canonical min-id labels, bit-identical to the serial
-//!   kernel at any thread count.
+//!   union-find kernel at any thread count.
 //! - [`par_sssp`] — Δ-stepping with parallel CAS-min bucket relaxation.
-//! - [`par_restricted_bfs`] / [`par_dist_repair`] — CAS-min restricted
-//!   hop-distance relaxation over a vertex subset: the parallel repair
-//!   path of the incremental `snap_core::DistanceIndex`, bit-identical
-//!   to the serial bucket kernel at any thread count.
 //! - [`par_bc`] — multi-source Brandes betweenness centrality, exact or
 //!   source-sampled, source-parallel or frontier-parallel (see
 //!   [`BcStrategy`]); scores are bit-identical to the serial kernel at
@@ -70,7 +66,6 @@ pub mod bc;
 pub mod bfs;
 pub mod bitset;
 pub mod cc;
-pub mod dist;
 pub mod frontier;
 mod metrics;
 pub mod sssp;
@@ -78,8 +73,7 @@ pub mod sssp;
 pub use bc::{par_bc, par_bc_with, BcConfig, BcSources, BcStrategy};
 pub use bfs::{par_bfs, par_bfs_stats, par_bfs_with, BfsStats};
 pub use bitset::AtomicBitset;
-pub use cc::{par_cc, par_cc_restricted, par_cc_stats, par_cc_with, par_repair};
-pub use dist::{par_dist_repair, par_restricted_bfs};
+pub use cc::{par_cc, par_cc_stats, par_cc_with};
 pub use frontier::{FrontierEngine, LevelRunner, ParStats};
 pub use sssp::{par_sssp, par_sssp_stats, par_sssp_with};
 

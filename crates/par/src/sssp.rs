@@ -1,28 +1,32 @@
 //! Parallel single-source shortest paths: Δ-stepping with parallel
-//! bucket relaxation.
+//! bucket relaxation — the paper's future-work SSSP, after the authors'
+//! own Δ-stepping study (Madduri, Bader, Berry, Crobak, ALENEX 2007).
 //!
-//! Same bucket structure as the serial kernel (`snap_kernels::sssp`):
-//! vertices bucketed by `dist / Δ`, each bucket settled to a fixed point
-//! over its light edges (weight <= Δ) before one heavy-edge pass. The
-//! parallel part is the relaxation: each bucket's frontier fans out
-//! through one persistent [`LevelRunner`] — edge-budgeted chunks dealt
-//! to workers with stealing, volume-gated so the many tiny buckets a
-//! Δ-stepping run produces relax inline instead of paying a fork/join
-//! barrier each — and every edge applies a CAS-min directly to the
-//! shared atomic distance array. Workers record which vertices they
+//! Vertices are bucketed by `dist / Δ`; each bucket is settled to a
+//! fixed point over its light edges (weight <= Δ, which can re-queue
+//! into the same bucket) before one heavy-edge pass (weight > Δ, which
+//! always targets later buckets). The parallel part is the relaxation:
+//! each bucket's frontier fans out through one persistent
+//! [`LevelRunner`] — edge-budgeted chunks dealt to workers with
+//! stealing, volume-gated so the many tiny buckets a Δ-stepping run
+//! produces relax inline instead of paying a fork/join barrier each —
+//! and every edge applies a CAS-min directly to the shared atomic
+//! distance array. Workers record which vertices they
 //! improved in per-worker buffers; the (cheap, frontier-sized) bucket
 //! insertion happens sequentially after the join. A vertex improved
 //! twice in one round is pushed twice — a stale queued entry re-relaxes
-//! harmlessly, exactly as in the serial kernel.
+//! harmlessly.
 //!
 //! When the [`Grain::Auto`] gate resolves at or above the whole view's
 //! size, *no* level could ever fork (single effective core, or a tiny
 //! view): the kernel dispatches to serial Dijkstra outright, because
 //! without parallelism Δ-stepping's redundant relaxations are pure loss
 //! against the binary heap. Both are exact, so the answer is identical.
+//! [`Grain::Edges`] pins the Δ-stepping path; `Edges(usize::MAX)` at one
+//! thread runs it inline, start to finish.
 //!
-//! Edge weight is `max(timestamp, 1)`, matching the serial kernel, so
-//! results are comparable bit-for-bit (both are exact).
+//! Edge weight is `max(timestamp, 1)`, matching `snap_kernels::dijkstra`,
+//! so results are comparable bit-for-bit (both are exact).
 
 use crate::frontier::{LevelRunner, ParStats};
 use crate::{Grain, ParConfig};
@@ -39,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// use snap_par::par_sssp;
 /// use snap_rmat::TimedEdge;
 ///
-/// // Edge weight is max(timestamp, 1), matching the serial kernel.
+/// // Edge weight is max(timestamp, 1), matching Dijkstra.
 /// let edges = vec![TimedEdge::new(0, 1, 2), TimedEdge::new(1, 2, 3)];
 /// let g = CsrGraph::from_edges_undirected(3, &edges);
 /// assert_eq!(par_sssp(&g, 0, 4), vec![0, 2, 5]);
@@ -207,7 +211,7 @@ fn enqueue_improved(
 mod tests {
     use super::*;
     use snap_core::CsrGraph;
-    use snap_kernels::{delta_stepping, dijkstra};
+    use snap_kernels::dijkstra;
     use snap_rmat::{Rmat, RmatParams, TimedEdge};
 
     // Gate 0 pins the Δ-stepping path (and its forked levels) even on
@@ -233,14 +237,49 @@ mod tests {
     }
 
     #[test]
-    fn matches_dijkstra_and_serial_delta_stepping_on_rmat() {
+    fn shortcut_beats_direct_heavy_edge() {
+        // 0-2 costs 10 direct, 2+3 = 5 via 1.
+        let edges = vec![
+            TimedEdge::new(0, 2, 10),
+            TimedEdge::new(0, 1, 2),
+            TimedEdge::new(1, 2, 3),
+        ];
+        let g = CsrGraph::from_edges_undirected(3, &edges);
+        assert_eq!(par_sssp_with(&g, 0, 4, &force())[2], 5);
+    }
+
+    #[test]
+    fn zero_timestamps_treated_as_unit_weights() {
+        let edges = vec![TimedEdge::new(0, 1, 0), TimedEdge::new(1, 2, 0)];
+        let g = CsrGraph::from_edges_undirected(3, &edges);
+        assert_eq!(par_sssp_with(&g, 0, 1, &force()), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn unit_weights_reduce_to_bfs() {
+        let rm = Rmat::new(RmatParams::paper(9, 8).with_max_timestamp(0), 7);
+        let g = CsrGraph::from_edges_undirected(1 << 9, &rm.edges());
+        let d = par_sssp_with(&g, 0, 1, &force());
+        let b = snap_kernels::serial_bfs(&g, 0);
+        for (v, &dv) in d.iter().enumerate() {
+            if b.dist[v] == snap_kernels::UNREACHED {
+                assert_eq!(dv, INF);
+            } else {
+                assert_eq!(dv, b.dist[v] as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn matches_dijkstra_on_rmat_across_deltas() {
         let rm = Rmat::new(RmatParams::paper(10, 8).with_max_timestamp(100), 5);
         let g = CsrGraph::from_edges_undirected(1 << 10, &rm.edges());
         let oracle = dijkstra(&g, 0);
-        for delta in [1u64, 8, 32, 1 << 20] {
+        // Δ = 1 buckets every distance apart; Δ = huge is one bucket of
+        // chaotic relaxation to a fixed point. Both must stay exact.
+        for delta in [1u64, 8, 32, 1 << 20, u64::MAX / 4] {
             let par = par_sssp_with(&g, 0, delta, &force());
             assert_eq!(par, oracle, "delta {delta} diverged from Dijkstra");
-            assert_eq!(par, delta_stepping(&g, 0, delta));
         }
     }
 

@@ -28,9 +28,6 @@ struct Node {
     prio: u32,
     left: u32,
     right: u32,
-    /// Subtree size (this node + descendants), maintained by every
-    /// structural operation; powers the order-statistic queries.
-    size: u32,
 }
 
 /// A treap mapping `u32` keys to `u32` values.
@@ -167,7 +164,6 @@ impl Treap {
             prio,
             left: NIL,
             right: NIL,
-            size: 1,
         };
         if let Some(idx) = self.free.pop() {
             self.nodes[idx as usize] = node;
@@ -176,24 +172,6 @@ impl Treap {
             self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         }
-    }
-
-    /// Subtree size of `t` (0 for NIL).
-    #[inline]
-    fn size_of(&self, t: u32) -> u32 {
-        if t == NIL {
-            0
-        } else {
-            self.nodes[t as usize].size
-        }
-    }
-
-    /// Recomputes `t`'s size from its children.
-    #[inline]
-    fn update_size(&mut self, t: u32) {
-        let l = self.nodes[t as usize].left;
-        let r = self.nodes[t as usize].right;
-        self.nodes[t as usize].size = 1 + self.size_of(l) + self.size_of(r);
     }
 
     /// Merges subtrees `l` and `r` where every key in `l` < every key in `r`.
@@ -208,13 +186,11 @@ impl Treap {
             let lr = self.nodes[l as usize].right;
             let merged = self.merge(lr, r);
             self.nodes[l as usize].right = merged;
-            self.update_size(l);
             l
         } else {
             let rl = self.nodes[r as usize].left;
             let merged = self.merge(l, rl);
             self.nodes[r as usize].left = merged;
-            self.update_size(r);
             r
         }
     }
@@ -269,7 +245,6 @@ impl Treap {
             std::cmp::Ordering::Less => {
                 let (nl, ins) = self.insert_rec(node.left, key, val);
                 self.nodes[t as usize].left = nl;
-                self.update_size(t);
                 if self.nodes[nl as usize].prio > self.nodes[t as usize].prio {
                     (self.rotate_right(t), ins)
                 } else {
@@ -279,7 +254,6 @@ impl Treap {
             std::cmp::Ordering::Greater => {
                 let (nr, ins) = self.insert_rec(node.right, key, val);
                 self.nodes[t as usize].right = nr;
-                self.update_size(t);
                 if self.nodes[nr as usize].prio > self.nodes[t as usize].prio {
                     (self.rotate_left(t), ins)
                 } else {
@@ -294,8 +268,6 @@ impl Treap {
         let l = self.nodes[t as usize].left;
         self.nodes[t as usize].left = self.nodes[l as usize].right;
         self.nodes[l as usize].right = t;
-        self.update_size(t);
-        self.update_size(l);
         l
     }
 
@@ -304,8 +276,6 @@ impl Treap {
         let r = self.nodes[t as usize].right;
         self.nodes[t as usize].right = self.nodes[r as usize].left;
         self.nodes[r as usize].left = t;
-        self.update_size(t);
-        self.update_size(r);
         r
     }
 
@@ -334,13 +304,11 @@ impl Treap {
             std::cmp::Ordering::Less => {
                 let (nl, rem) = self.delete_rec(n.left, key);
                 self.nodes[t as usize].left = nl;
-                self.update_size(t);
                 (t, rem)
             }
             std::cmp::Ordering::Greater => {
                 let (nr, rem) = self.delete_rec(n.right, key);
                 self.nodes[t as usize].right = nr;
-                self.update_size(t);
                 (t, rem)
             }
             std::cmp::Ordering::Equal => {
@@ -426,27 +394,21 @@ impl Treap {
         let mut spine = NodeStack::new();
         for (i, &(key, val)) in pairs.iter().enumerate() {
             let i = i as u32;
-            // Node `i` holds the `i`-th key, so a subtree is an index
-            // range. `size` parks the range's start while the node sits
-            // on the spine; when it leaves, its subtree is complete and
-            // ends just before the node that pushed it out.
             let mut node = Node {
                 key,
                 val,
                 prio: self.rng.next_u64() as u32,
                 left: NIL,
                 right: NIL,
-                size: i,
             };
+            // Spine nodes of lower priority become the new node's left
+            // subtree; the last one popped is its root.
             while let Some(top) = spine.last() {
-                let done = &mut self.nodes[top as usize];
-                if done.prio >= node.prio {
+                if self.nodes[top as usize].prio >= node.prio {
                     break;
                 }
                 spine.pop();
                 node.left = top;
-                node.size = done.size;
-                done.size = i - done.size;
             }
             if let Some(top) = spine.last() {
                 self.nodes[top as usize].right = i;
@@ -456,8 +418,6 @@ impl Treap {
         }
         self.root = NIL;
         while let Some(top) = spine.pop() {
-            let done = &mut self.nodes[top as usize];
-            done.size = pairs.len() as u32 - done.size;
             self.root = top;
         }
         self.len = pairs.len();
@@ -520,56 +480,6 @@ impl Treap {
         });
     }
 
-    /// Number of keys strictly smaller than `key` (the rank a present key
-    /// would have in sorted order).
-    pub fn rank(&self, key: u32) -> usize {
-        let mut cur = self.root;
-        let mut acc = 0usize;
-        while cur != NIL {
-            let n = &self.nodes[cur as usize];
-            match key.cmp(&n.key) {
-                std::cmp::Ordering::Less => cur = n.left,
-                std::cmp::Ordering::Greater => {
-                    acc += 1 + self.size_of(n.left) as usize;
-                    cur = n.right;
-                }
-                std::cmp::Ordering::Equal => {
-                    return acc + self.size_of(n.left) as usize;
-                }
-            }
-        }
-        acc
-    }
-
-    /// The `k`-th smallest entry (0-based), or `None` if `k >= len`.
-    pub fn select(&self, mut k: usize) -> Option<(u32, u32)> {
-        if k >= self.len {
-            return None;
-        }
-        let mut cur = self.root;
-        while cur != NIL {
-            let n = &self.nodes[cur as usize];
-            let left = self.size_of(n.left) as usize;
-            match k.cmp(&left) {
-                std::cmp::Ordering::Less => cur = n.left,
-                std::cmp::Ordering::Equal => return Some((n.key, n.val)),
-                std::cmp::Ordering::Greater => {
-                    k -= left + 1;
-                    cur = n.right;
-                }
-            }
-        }
-        None
-    }
-
-    /// Number of keys in the half-open range `[lo, hi)`.
-    pub fn range_count(&self, lo: u32, hi: u32) -> usize {
-        if lo >= hi {
-            return 0;
-        }
-        self.rank(hi) - self.rank(lo)
-    }
-
     /// Verifies the BST-order and heap-order invariants (test support).
     pub fn check_invariants(&self) -> Result<(), String> {
         fn walk(
@@ -584,13 +494,6 @@ impl Treap {
             }
             *count += 1;
             let n = &t.nodes[node as usize];
-            let expect_size = 1 + t.size_of(n.left) + t.size_of(n.right);
-            if n.size != expect_size {
-                return Err(format!(
-                    "size violation at key {}: stored {} vs computed {expect_size}",
-                    n.key, n.size
-                ));
-            }
             if let Some(lo) = lo {
                 if n.key <= lo {
                     return Err(format!("BST violation: key {} <= lower bound {lo}", n.key));
@@ -713,6 +616,13 @@ mod tests {
         assert_eq!(t.to_sorted_vec(), pairs);
         assert_eq!(t.get(500), Some(250));
         assert_eq!(t.get(501), None);
+    }
+
+    #[test]
+    fn a_node_is_twenty_bytes() {
+        // Key, value, priority and two child links; nothing else.
+        let pairs: Vec<(u32, u32)> = (0..1000).map(|k| (k, k)).collect();
+        assert_eq!(Treap::from_sorted(&pairs, 12).reserved_bytes(), 20_000);
     }
 
     #[test]
@@ -879,7 +789,7 @@ mod bulk_tests {
         assert_eq!(t.len(), 1009);
         assert_eq!(t.nodes.capacity(), 1009);
         assert!(t.free.is_empty(), "recycled slots do not survive a rebuild");
-        assert_eq!(t.select(9), Some((100, 100)));
+        assert_eq!(t.to_sorted_vec()[9], (100, 100));
     }
 
     #[test]
@@ -900,95 +810,5 @@ mod bulk_tests {
         });
         assert_eq!(inner_len, 1);
         outer.check_invariants().unwrap();
-    }
-}
-
-#[cfg(test)]
-mod order_statistics_tests {
-    use super::*;
-
-    #[test]
-    fn rank_and_select_are_inverse_on_dense_keys() {
-        let mut t = Treap::new(21);
-        for k in (0..500u32).rev() {
-            t.insert(k * 2, k);
-        }
-        t.check_invariants().unwrap();
-        for i in 0..500usize {
-            let (k, _) = t.select(i).expect("in range");
-            assert_eq!(k, i as u32 * 2);
-            assert_eq!(t.rank(k), i);
-        }
-        assert_eq!(t.select(500), None);
-    }
-
-    #[test]
-    fn rank_of_absent_keys_counts_smaller() {
-        let mut t = Treap::new(22);
-        for k in [10u32, 20, 30] {
-            t.insert(k, 0);
-        }
-        assert_eq!(t.rank(5), 0);
-        assert_eq!(t.rank(10), 0);
-        assert_eq!(t.rank(15), 1);
-        assert_eq!(t.rank(25), 2);
-        assert_eq!(t.rank(99), 3);
-    }
-
-    #[test]
-    fn range_count_half_open() {
-        let mut t = Treap::new(23);
-        for k in 0..100u32 {
-            t.insert(k, k);
-        }
-        assert_eq!(t.range_count(10, 20), 10);
-        assert_eq!(t.range_count(0, 100), 100);
-        assert_eq!(t.range_count(50, 50), 0);
-        assert_eq!(t.range_count(60, 40), 0);
-        assert_eq!(t.range_count(95, 200), 5);
-    }
-
-    #[test]
-    fn sizes_survive_churn_and_deletion() {
-        let mut t = Treap::new(24);
-        let mut rng = XorShift64::new(7);
-        let mut model = std::collections::BTreeSet::new();
-        for _ in 0..3000 {
-            let k = rng.next_bounded(128) as u32;
-            if rng.next_bool(0.5) {
-                t.insert(k, 0);
-                model.insert(k);
-            } else {
-                t.delete(k);
-                model.remove(&k);
-            }
-            assert_eq!(t.len(), model.len());
-        }
-        t.check_invariants().unwrap();
-        // select sweeps the model in order.
-        for (i, &k) in model.iter().enumerate() {
-            assert_eq!(t.select(i).map(|p| p.0), Some(k));
-        }
-    }
-
-    #[test]
-    fn from_sorted_sizes_are_correct() {
-        let pairs: Vec<(u32, u32)> = (0..777).map(|k| (k * 3, k)).collect();
-        let t = Treap::from_sorted(&pairs, 25);
-        t.check_invariants().unwrap();
-        assert_eq!(t.select(776).map(|p| p.0), Some(776 * 3));
-        assert_eq!(t.rank(777 * 3), 777);
-    }
-
-    #[test]
-    fn select_supports_uniform_neighbor_sampling() {
-        // The use case: pick the k-th neighbor of a treap-backed hub.
-        let mut t = Treap::new(26);
-        for k in [7u32, 3, 99, 42, 15] {
-            t.insert(k, k);
-        }
-        let mut drawn: Vec<u32> = (0..5).map(|i| t.select(i).unwrap().0).collect();
-        drawn.sort_unstable();
-        assert_eq!(drawn, vec![3, 7, 15, 42, 99]);
     }
 }

@@ -50,9 +50,8 @@
 //! a deletion that misses the forest is an O(1) no-op, and one that
 //! hits it searches the live view for a replacement edge from both
 //! sides of the cut in lock-step — work bounded by the smaller side,
-//! with only a true split relabelled. The whole-component relabel
-//! (serial, or `snap::par::par_repair` with the parallel kernel) is the
-//! fallback. Between batches, `mgr.indexes().same_component(u, v)`
+//! with only a true split relabelled. A serial whole-component relabel
+//! is the fallback. Between batches, `mgr.indexes().same_component(u, v)`
 //! costs zero traversals and zero CSR rebuilds.
 //!
 //! The same certificate + lazy-targeted-repair discipline extends to an
@@ -60,11 +59,10 @@
 //! ([`SnapshotManager::enable_distances`]) serves exact hop distances
 //! from pinned sources — insertions relax a bounded wavefront,
 //! deletions dirty only the vertices whose shortest-path-tree edge
-//! died, and repairs re-level just the affected region (serial, or
-//! `snap::par::par_dist_repair` in parallel) — and [`TriangleIndex`]
-//! ([`SnapshotManager::enable_triangles`]) keeps per-vertex triangle
-//! counts and the clustering coefficient current by O(min-degree)
-//! deltas, never recounting. Both also attach to the concurrent
+//! died, and repairs re-level just the affected region — and
+//! [`TriangleIndex`] ([`SnapshotManager::enable_triangles`]) keeps
+//! per-vertex triangle counts and the clustering coefficient current by
+//! O(min-degree) deltas, never recounting. Both also attach to the concurrent
 //! [`ServeEngine`] via [`ServeConfig::with_distance_sources`] and
 //! [`ServeConfig::with_triangles`]. Either engine answers through the
 //! same query surface — [`SnapshotManager::indexes`] /
@@ -204,16 +202,16 @@ pub mod prelude {
     };
     pub use snap_kernels::{
         average_clustering, betweenness_approx, betweenness_exact, bfs, boruvka_msf,
-        boruvka_msf_view, closeness_approx, closeness_exact, connected_components, delta_stepping,
+        boruvka_msf_view, closeness_approx, closeness_exact, connected_components,
         double_sweep_lower_bound, earliest_arrival, induced_subgraph_csr,
         induced_subgraph_vertices, induced_subgraph_view, st_connectivity, stress_approx,
-        stress_exact, temporal_betweenness_approx, temporal_bfs, triangle_count,
-        union_find_from_view, LinkCutForest, TimeWindow,
+        stress_exact, temporal_betweenness_approx, temporal_bfs, triangle_count, LinkCutForest,
+        TimeWindow,
     };
     pub use snap_obs::MetricsRegistry;
     pub use snap_par::{
-        par_bc, par_bc_with, par_bfs, par_cc, par_cc_restricted, par_dist_repair, par_repair,
-        par_restricted_bfs, par_sssp, BcConfig, BcSources, BcStrategy, Grain, ParConfig, ParStats,
+        par_bc, par_bc_with, par_bfs, par_cc, par_sssp, BcConfig, BcSources, BcStrategy, Grain,
+        ParConfig, ParStats,
     };
     pub use snap_rmat::{Rmat, RmatParams, StreamBuilder};
 }

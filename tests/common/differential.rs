@@ -312,7 +312,7 @@ impl DifferentialPair for ConnPair {
     }
 
     fn oracle<V: GraphView>(&self, view: &V) -> Vec<u32> {
-        union_find_from_view(view)
+        connected_components(view)
     }
 }
 

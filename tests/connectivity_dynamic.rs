@@ -7,10 +7,10 @@
 //! worker threads, with the incrementally maintained
 //! [`ConnectivityIndex`] differentially checked against the union-find
 //! oracle mid-stream and at the end — zero full rebuilds allowed. A
-//! second test cross-checks every read path (serial kernel, forced
-//! parallel kernel, view oracle, from-scratch index, and the
-//! [`SnapshotManager`]-maintained index with serial and parallel
-//! targeted repairs) on the surviving edge set. The certificate's edge
+//! second test cross-checks every read path (the serial union-find
+//! kernel, the forced parallel kernel, a from-scratch index, and the
+//! [`SnapshotManager`]-maintained index with its targeted repairs) on
+//! the surviving edge set. The certificate's edge
 //! cases run through the same harness as scripted streams, and a
 //! counting view pins the cost contract: a non-certificate delete reads
 //! no adjacency at all, a certificate delete at most twice the smaller
@@ -311,13 +311,13 @@ fn deletes_scan_nothing_or_at_most_twice_the_smaller_side() {
         splits > 0 && replaced > 0,
         "{splits} splits, {replaced} replacements"
     );
-    assert_eq!(idx.labels(&g), union_find_from_view(&g));
+    assert_eq!(idx.labels(&g), connected_components(&g));
     assert_eq!(idx.full_rebuild_count(), 0);
 }
 
 /// Asserts every read path over the final live graph against the oracle.
 fn check_all_paths<A: DynamicAdjacency>(g: &DynGraph<A>, want: &[u32], what: &str) {
-    assert_eq!(&connected_components(g), want, "{what}: serial kernel");
+    assert_eq!(&connected_components(g), want, "{what}: serial union-find");
     for threads in [1usize, 2, 8] {
         assert_eq!(
             &snap::par::par_cc_with(g, &forced(threads)),
@@ -325,7 +325,6 @@ fn check_all_paths<A: DynamicAdjacency>(g: &DynGraph<A>, want: &[u32], what: &st
             "{what}: par_cc @ {threads} threads"
         );
     }
-    assert_eq!(&union_find_from_view(g), want, "{what}: view oracle");
     let idx = ConnectivityIndex::from_view(g);
     assert_eq!(&idx.labels(g), want, "{what}: ConnectivityIndex::from_view");
     assert_eq!(
@@ -353,9 +352,7 @@ fn incremental_index_tracks_mixed_batches_without_rebuilds() {
             });
             check_all_paths(mgr.live(), &want, "final view");
             // The deletion-heavy phase left dirty components; queries
-            // repair them on demand — spot-check pairs first, through
-            // both the serial and the parallel repair path.
-            par_repair(idx, mgr.live(), 0, &forced(threads));
+            // repair them on demand — spot-check pairs first.
             let mut rng = rng_for(SUITE, 2, case * 10 + threads as u64);
             for _ in 0..200 {
                 let u = rng.next_bounded(n as u64) as u32;

@@ -7,8 +7,8 @@
 //! deletions by dirty-marks plus lazy targeted repairs — the
 //! zero-full-rebuild assertion in the harness pins that the incremental
 //! path, not a rebuild, produced every bit-identical row. The
-//! SnapshotManager-level test additionally drives the parallel repair
-//! kernel (`par_dist_repair`) before the full-row comparison.
+//! SnapshotManager-level test additionally checks the rows the manager's
+//! query surface repairs on demand, in full and by spot queries.
 
 mod common;
 
@@ -53,12 +53,7 @@ fn deletion_heavy_streams_stay_on_the_targeted_repair_path() {
 }
 
 #[test]
-fn manager_and_parallel_repair_agree_with_the_oracle() {
-    let forced = |threads: usize| {
-        ParConfig::default()
-            .with_serial_threshold(0)
-            .with_threads(threads)
-    };
+fn manager_repairs_agree_with_the_oracle() {
     for case in 0..2 {
         let w = rmat_workload(SUITE, 20 + case, 9, 3, 50, 256);
         let n = w.n as usize;
@@ -71,12 +66,8 @@ fn manager_and_parallel_repair_agree_with_the_oracle() {
                     mgr.apply_batch(batch);
                 }
             });
-            // Repair the dirtied rows through the parallel kernel first
-            // (forced parallel, so the restricted sweep path runs even
-            // for small affected sets), then compare bit-for-bit.
-            for &s in &SOURCES {
-                snap::par::par_dist_repair(idx, mgr.live(), s, &forced(threads));
-            }
+            // The first query of each dirtied row repairs it; compare
+            // bit-for-bit.
             for &s in &SOURCES {
                 assert_eq!(
                     mgr.indexes().hop_distances(s),

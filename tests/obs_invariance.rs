@@ -60,7 +60,7 @@ fn instrumented_kernels_match_serial_oracles() {
     let par_dist = snap::par::par_sssp_with(&csr, 0, 4, &cfg);
     assert_eq!(
         par_dist,
-        delta_stepping(&csr, 0, 4),
+        snap::kernels::dijkstra(&csr, 0),
         "SSSP distances bit-identical"
     );
 
