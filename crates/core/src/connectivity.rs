@@ -61,7 +61,8 @@
 //! are thread-safe, like the rest of the workspace. Queries are safe to
 //! run concurrently with each other, including the repairs they trigger:
 //! repairs serialize on an internal lock (which also owns the forest),
-//! members being relabeled are shielded by their dirty bits, and
+//! members being relabeled are shielded (invariant 4, see
+//! [`crate::indexes`]), and
 //! [`ConnectivityIndex::component`] re-checks root stability before
 //! answering. Queries racing *mutations* follow the workspace's
 //! bulk-synchronous discipline (apply the batch, then query); see
@@ -69,11 +70,11 @@
 //! out-of-band mutation and falls back to a full rebuild.
 
 use crate::forest::{Forest, Reconnect, Search, ROOT};
-use crate::indexes::{IncrementalIndex, IndexCore};
+use crate::indexes::{IncrementalIndex, IndexCore, Shields};
 use crate::view::GraphView;
 use parking_lot::Mutex;
 use snap_rmat::{Update, UpdateKind};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Connectivity-index instrumentation, shared by every index in the
@@ -209,16 +210,12 @@ pub struct ConnectivityIndex {
     /// points a higher id at a lower one, so a component's root is its
     /// minimum vertex id.
     parent: Vec<AtomicU32>,
-    /// One bit per vertex. A set bit on a *root* marks its component for
-    /// a whole-component relabel; during any relabel the bits of every
-    /// vertex whose label changes shield concurrent readers (they
+    /// One shield per vertex. A mark on a *root* owes its component a
+    /// whole-component relabel; during any relabel the shields of every
+    /// vertex whose label changes are raised, so concurrent readers
     /// re-route into the repair path until the new labels are fully
-    /// published).
-    dirty: Vec<AtomicU64>,
-    /// Fast path for [`ConnectivityIndex::has_dirty`]: avoids scanning
-    /// the bitmap when no component has been marked since the last full
-    /// repair.
-    any_dirty: AtomicBool,
+    /// published (invariant 4).
+    shields: Shields,
     /// Notes not yet applied to the certificate, in arrival order. The
     /// lock is held for one push or one swap, never across a traversal.
     log: Mutex<Vec<Note>>,
@@ -243,8 +240,7 @@ impl ConnectivityIndex {
     pub fn new(n: usize) -> Self {
         Self {
             parent: (0..n as u32).map(AtomicU32::new).collect(),
-            dirty: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-            any_dirty: AtomicBool::new(false),
+            shields: Shields::new(1, n),
             log: Mutex::new(Vec::new()),
             pending: AtomicBool::new(false),
             components: AtomicUsize::new(n),
@@ -398,7 +394,7 @@ impl ConnectivityIndex {
                 // `component_count` so a published merge is counted
                 // exactly once.
                 self.components.fetch_sub(1, Ordering::AcqRel);
-                if self.bit_get(hi) {
+                if self.shields.is_raised(hi as usize) {
                     // The absorbed component was awaiting repair; the
                     // merged one inherits that debt.
                     self.mark_component_dirty(lo);
@@ -455,22 +451,16 @@ impl ConnectivityIndex {
 
     /// Marks `x`'s component for a whole-component relabel (which also
     /// re-derives its certificate), chasing concurrent unions: after
-    /// setting a root's bit the root is re-resolved, so a hook racing
-    /// with the mark cannot strand the bit on a non-root (the union path
-    /// propagates bits it sees; this loop covers the set-after-hook
+    /// marking a root the root is re-resolved, so a hook racing with the
+    /// mark cannot strand it on a non-root (the union path propagates
+    /// marks it sees; this loop covers the mark-after-hook
     /// interleaving). For callers that changed the graph in ways the
     /// notes did not describe.
     pub fn mark_component_dirty(&self, x: u32) {
         conn_metrics().dirty_marks.inc();
-        // ordering: Release (downgraded from SeqCst by the PR 9 audit) —
-        // `any_dirty` is a fast-path hint only: the per-vertex dirty
-        // bits are authoritative for queries (invariant 4), so the flag
-        // needs visibility (pairs with the Acquire in `has_dirty`), not
-        // a total order against the bitmap.
-        self.any_dirty.store(true, Ordering::Release);
         let mut r = self.find(x);
         loop {
-            self.bit_set(r);
+            self.shields.mark(r as usize);
             let r2 = self.find(r);
             if r2 == r {
                 return;
@@ -482,17 +472,17 @@ impl ConnectivityIndex {
     /// True if `x`'s component is marked for a whole-component relabel.
     /// (Pending notes are not marks: see [`ConnectivityIndex::has_dirty`].)
     pub fn is_component_dirty(&self, x: u32) -> bool {
-        self.bit_get(self.find(x))
+        self.shields.is_raised(self.find(x) as usize)
     }
 
     /// True if the next query may have work to do: notes are pending or
     /// a component is marked (the mark hint may stay `true` until the
     /// next [`IncrementalIndex::repair_all`]).
     pub fn has_dirty(&self) -> bool {
-        // ordering: Acquire (both) — pair with the Release stores of
-        // the hint flags; the authoritative state is the log and the
-        // dirty bitmap.
-        self.pending.load(Ordering::Acquire) || self.any_dirty.load(Ordering::Acquire)
+        // ordering: Acquire — pairs with the Release stores of the
+        // pending hint (invariant 4: hints only, the log and the shields
+        // are authoritative).
+        self.pending.load(Ordering::Acquire) || self.shields.any_marked()
     }
 
     // ---- queries (self-repairing) --------------------------------------
@@ -543,7 +533,7 @@ impl ConnectivityIndex {
                 self.settle_locked(&mut self.repair_lock.lock(), view);
             }
             let r = self.find(u);
-            if self.bit_get(r) {
+            if self.shields.is_raised(r as usize) {
                 self.repair(view, u);
                 continue;
             }
@@ -569,13 +559,13 @@ impl ConnectivityIndex {
         }
         let gen_at_scan = self.core.generation();
         let notes = std::mem::take(&mut *self.log.lock());
-        self.apply_notes(cert, view, &notes);
         // A note that raced this drain may have changed the view under
         // the searches, or had its union overwritten by the relabel
         // (generation guard, invariant 6): hand every component this
         // drain touched to the whole-component path, which reads the
         // truth off the view.
-        if self.core.generation() != gen_at_scan {
+        let drain = || self.apply_notes(cert, view, &notes);
+        if self.core.lower_guarded(gen_at_scan, drain) {
             for note in &notes {
                 let (Note::Link(u, v) | Note::Cut(u, v)) = *note;
                 self.mark_component_dirty(u);
@@ -595,7 +585,7 @@ impl ConnectivityIndex {
     }
 
     /// Applies drained notes to the certificate and publishes the splits
-    /// they cause.
+    /// they cause, returning with every shield it raised lowered again.
     ///
     /// Links are applied first, then every cut, and only then does the
     /// search run: the view already lacks *all* the deleted edges, so a
@@ -760,11 +750,11 @@ impl ConnectivityIndex {
                     .filter_map(|(side, p)| p.map(|(_, new)| (side, new)))
             };
             // Shield phase, as in `relabel_members_locked`: a reader
-            // resolving into a side mid-publication sees a set bit and
-            // waits on the lock.
+            // resolving into a side mid-publication sees a raised shield
+            // and waits on the lock.
             for (side, _) in planned() {
                 for &v in side {
-                    self.bit_set(v);
+                    self.shields.raise(v as usize);
                 }
             }
             // The plan of the split a `split_of` id names (0 = none).
@@ -808,7 +798,7 @@ impl ConnectivityIndex {
             // Publish: shields drop only after every label store.
             for (side, _) in planned() {
                 for &v in side {
-                    self.bit_unset(v);
+                    self.shields.lower(v as usize);
                 }
             }
             // ordering: AcqRel — split accounting published together
@@ -841,7 +831,7 @@ impl ConnectivityIndex {
         let mut cert = self.repair_lock.lock();
         self.settle_locked(&mut cert, view);
         let root = self.find(u);
-        if !self.bit_get(root) {
+        if !self.shields.is_raised(root as usize) {
             // Settled by the certificate, or a racing query already
             // repaired this component.
             return root;
@@ -866,11 +856,11 @@ impl ConnectivityIndex {
         verts: &[u32],
     ) {
         let gen_at_scan = self.core.generation();
-        // Shield phase: with every member bit set, any concurrent reader
-        // resolving into this component sees "dirty" and waits on the
-        // lock instead of consuming half-published labels.
+        // Shield phase: with every member shielded, any concurrent
+        // reader resolving into this component sees "dirty" and waits on
+        // the lock instead of consuming half-published labels.
         for &v in verts {
-            self.bit_set(v);
+            self.shields.raise(v as usize);
         }
         let labels = restricted_component_labels(view, verts);
         // Labels and certificate come from two passes over the view. A
@@ -900,7 +890,7 @@ impl ConnectivityIndex {
         for (&v, &l) in verts.iter().zip(&labels) {
             // ordering: Release (downgraded from SeqCst by the PR 9
             // audit) — label publication under the shield (invariant 4):
-            // every member bit is still set, so a reader either sees the
+            // every member is still shielded, so a reader either sees the
             // shield and re-routes into the locked repair path, or its
             // Acquire walk synchronizes with this store.
             self.parent[v as usize].store(l, Ordering::Release);
@@ -908,17 +898,18 @@ impl ConnectivityIndex {
                 new_roots += 1;
             }
         }
-        // Publish: clearing the shields *after* every parent store means
-        // a reader that observes a clean bit also observes final labels
-        // (the AcqRel bit_unset carries the release of the stores above).
-        for &v in verts {
-            self.bit_unset(v);
-        }
-        // The clears above may have wiped the mark of a note that raced
+        // Publish: the shields come down *after* every parent store, so a
+        // reader that observes a lowered shield also observes final
+        // labels. The lower may have wiped the mark of a note that raced
         // this repair, and the view reads may have missed its mutation
         // (generation guard, invariant 6): re-dirty the repaired
         // component(s) and let the next query repair again.
-        if view_moved || self.core.generation() != gen_at_scan {
+        let raced = self.core.lower_guarded(gen_at_scan, || {
+            for &v in verts {
+                self.shields.lower(v as usize);
+            }
+        });
+        if view_moved || raced {
             for (&v, &l) in verts.iter().zip(&labels) {
                 if l == v {
                     self.mark_component_dirty(v);
@@ -935,35 +926,6 @@ impl ConnectivityIndex {
         m.fallbacks.inc();
         m.relabel_members.record(verts.len() as u64);
         m.shield_events.add(verts.len() as u64);
-    }
-
-    // ---- dirty bitmap ---------------------------------------------------
-    //
-    // The shield-bit publication protocol (invariant 4). The RMWs are
-    // AcqRel and the load Acquire (downgraded from SeqCst by the PR 9
-    // audit): bit_unset is a repair's publication point — its release
-    // makes every preceding label store visible to a reader that
-    // acquires the cleared word — and bit_set's release orders the
-    // shield before the relabel that follows it. No site needs a total
-    // order across *different* words: cross-word interleavings are
-    // resolved by `component`'s stability re-check and the repair lock.
-
-    #[inline]
-    fn bit_set(&self, i: u32) {
-        // ordering: AcqRel — see the shield publication note above.
-        self.dirty[i as usize >> 6].fetch_or(1 << (i & 63), Ordering::AcqRel);
-    }
-
-    #[inline]
-    fn bit_unset(&self, i: u32) {
-        // ordering: AcqRel — see the shield publication note above.
-        self.dirty[i as usize >> 6].fetch_and(!(1u64 << (i & 63)), Ordering::AcqRel);
-    }
-
-    #[inline]
-    fn bit_get(&self, i: u32) -> bool {
-        // ordering: Acquire — see the shield publication note above.
-        self.dirty[i as usize >> 6].load(Ordering::Acquire) & (1 << (i & 63)) != 0
     }
 }
 
@@ -994,19 +956,16 @@ impl IncrementalIndex for ConnectivityIndex {
         }
         let mut cert = self.repair_lock.lock();
         self.settle_locked(&mut cert, view);
-        // Clear the flag before scanning: a mark racing this scan re-sets
-        // it and the next repair_all picks the component up.
-        // ordering: AcqRel (Release half downgraded from SeqCst by the
-        // PR 9 audit) — hint only; point queries route through the
-        // authoritative dirty bits (invariant 4) and never consult it.
-        if !self.any_dirty.swap(false, Ordering::AcqRel) {
+        // Take the hint before scanning: a mark racing this scan sets it
+        // again and the next repair_all picks the component up.
+        if !self.shields.take_marks() {
             return;
         }
         let mut groups: std::collections::BTreeMap<u32, Vec<u32>> =
             std::collections::BTreeMap::new();
         for v in 0..self.parent.len() as u32 {
             let r = self.find(v);
-            if self.bit_get(r) {
+            if self.shields.is_raised(r as usize) {
                 groups.entry(r).or_default().push(v);
             }
         }
@@ -1015,69 +974,45 @@ impl IncrementalIndex for ConnectivityIndex {
         }
     }
 
-    // Discards labels and certificate and re-absorbs the view. On
-    // `false` every vertex is left shielded, so queries keep repairing
-    // from the live view until a later rebuild converges.
+    // Discards labels and certificate and re-absorbs the view, every
+    // vertex shielded; the lower settles all debt, pre-rebuild dirt
+    // included. On `false` every vertex is left marked, so queries keep
+    // repairing from the live view until a later rebuild converges.
     fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
         assert_eq!(view.num_vertices(), self.parent.len(), "vertex count moved");
         let cert = &mut *self.repair_lock.lock();
         let m = conn_metrics();
         m.full_rebuilds.inc();
-        // ordering: Release on every store in this rebuild (downgraded
-        // from SeqCst by the PR 9 audit). The protocol needs no total
-        // order: a reader whose walk acquires ANY value written below
-        // synchronizes with that store and therefore also sees the
-        // shield words stored before it (invariant 4), so its bit_get
-        // re-routes into the locked repair path; a reader that saw only
-        // pre-rebuild values linearizes before the rebuild; and a mixed
-        // walk is caught by `component`'s stability re-check.
-        let shield_all = || {
-            for w in &self.dirty {
-                w.store(u64::MAX, Ordering::Release); // ordering: see above
+        self.core.rebuild_until_stable(&[&self.shields], || {
+            // ordering: Release on every store in this scan (downgraded
+            // from SeqCst by the PR 9 audit). The protocol needs no
+            // total order: a reader whose walk acquires ANY value
+            // written below synchronizes with that store and therefore
+            // also sees the shields raised before it (invariant 4), so
+            // it re-routes into the locked repair path; a reader that
+            // saw only pre-rebuild values linearizes before the rebuild;
+            // and a mixed walk is caught by `component`'s stability
+            // re-check.
+            for v in 0..self.parent.len() {
+                self.parent[v].store(v as u32, Ordering::Release); // ordering: see above
             }
-            self.any_dirty.store(true, Ordering::Release); // ordering: see above
-        };
-        let converged = self.core.rebuild_until_stable(
-            || {
-                // Shield *every* vertex first: a lock-free reader racing
-                // this rebuild re-routes into the (locked) repair path
-                // instead of observing the half-reset forest.
-                shield_all();
-                for v in 0..self.parent.len() {
-                    self.parent[v].store(v as u32, Ordering::Release); // ordering: see above
-                }
-                // ordering: Release — rebuild publication, see above.
-                self.components.store(self.parent.len(), Ordering::Release);
-                // The scan absorbs everything the pending notes describe
-                // (their mutations precede their generation bumps). An
-                // entry that slips in after this clear is a hint like
-                // any other: the next drain checks it against the view.
-                {
-                    let mut log = self.log.lock();
-                    log.clear();
-                    // ordering: Release — hint store under the log lock,
-                    // as in `log_note` and `settle_locked`.
-                    self.pending.store(false, Ordering::Release);
-                }
-                cert.forest = Forest::new(self.parent.len());
-                self.absorb(view, cert);
-                m.shield_events.add(self.parent.len() as u64);
-            },
-            || {
-                // The view fully absorbed: all debts (including any
-                // pre-rebuild dirt) are settled.
-                for w in &self.dirty {
-                    w.store(0, Ordering::Release); // ordering: see above
-                }
-                self.any_dirty.store(false, Ordering::Release); // ordering: see above
-            },
-        );
-        if !converged {
-            // The last pass may have dropped the shields before a note
-            // raced its publication.
-            shield_all();
-        }
-        converged
+            // ordering: Release — rebuild publication, see above.
+            self.components.store(self.parent.len(), Ordering::Release);
+            // The scan absorbs everything the pending notes describe
+            // (their mutations precede their generation bumps). An
+            // entry that slips in after this clear is a hint like any
+            // other: the next drain checks it against the view.
+            {
+                let mut log = self.log.lock();
+                log.clear();
+                // ordering: Release — hint store under the log lock, as
+                // in `log_note` and `settle_locked`.
+                self.pending.store(false, Ordering::Release);
+            }
+            cert.forest = Forest::new(self.parent.len());
+            self.absorb(view, cert);
+            m.shield_events.add(self.parent.len() as u64);
+        })
     }
 }
 
@@ -1558,8 +1493,11 @@ mod tests {
         let idx = ConnectivityIndex::from_view(&g);
         idx.mark_component_dirty(0);
         // The relabel reads each of the 4 members once; the next read is
-        // the respan's first.
-        let view = ProbeView::with_hook(&g, 4 + 1, || assert!(g.delete_edge(1, 2)));
+        // the respan's first. The hook runs again every 5 reads, so it
+        // must be idempotent.
+        let view = ProbeView::with_hook(&g, 4 + 1, || {
+            g.delete_edge(1, 2);
+        });
         idx.repair(&view, 0);
         assert!(!g.has_edge(1, 2), "the hook ran");
         assert!(idx.is_component_dirty(0), "the two passes disagree");

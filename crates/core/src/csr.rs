@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 ///
 /// Returned by [`CsrGraph::try_from_dynamic`] and propagated by
 /// [`crate::graph::DynGraph::try_to_csr`] and
-/// [`crate::engine::SnapshotManager::try_snapshot`]. The race is
+/// [`crate::manager::SnapshotManager::try_snapshot`]. The race is
 /// transient: retrying after the writer quiesces succeeds. Callers that
 /// need snapshots *under* sustained concurrent ingest should use the
 /// serving engine ([`crate::serve::ServeEngine`]), whose published

@@ -41,18 +41,19 @@
 //! Mutation notes (`note_insert` / `note_delete`) take `&self` and are
 //! thread-safe. Queries are safe concurrently with each other,
 //! including the repairs they trigger: repairs serialize on an internal
-//! lock, a dirty source's flag shields its whole row until the new
-//! distances are fully published, and clean answers are double-read for
-//! stability. Queries racing *mutations* follow the workspace's
-//! bulk-synchronous discipline (apply the batch, then query); see
-//! [`crate::indexes`] for the epoch bookkeeping that detects
-//! out-of-band mutation and falls back to a full rebuild.
+//! lock, a dirty source's shield covers its whole row until the new
+//! distances are fully published (invariant 4), and clean answers are
+//! double-read for stability. Queries racing *mutations* follow the
+//! workspace's bulk-synchronous discipline (apply the batch, then
+//! query); see [`crate::indexes`] for the shield protocol and the epoch
+//! bookkeeping that detects out-of-band mutation and falls back to a
+//! full rebuild.
 
-use crate::indexes::{IncrementalIndex, IndexCore};
+use crate::indexes::{IncrementalIndex, IndexCore, Shields};
 use crate::view::GraphView;
 use parking_lot::Mutex;
 use snap_rmat::{Update, UpdateKind};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Distance value for unreached vertices (mirrors the kernels' BFS
@@ -153,17 +154,14 @@ pub struct DistanceIndex {
     /// certificate for source `si` (see [`pack`]). The source's own
     /// entry is `pack(0, source)`; unreached entries are all ones.
     state: Vec<AtomicU64>,
-    /// Per-(source, vertex) seed bits: a set bit records that the
-    /// vertex's certificate edge died and a repair must re-seed from
-    /// it. Layout: `seeds[si * seed_words + (v >> 6)]`, bit `v & 63`.
-    seeds: Vec<AtomicU64>,
-    /// Per-source shield flag: set by the first seed mark, cleared only
+    /// One row per source, one bit per vertex: a raised bit records that
+    /// the vertex's certificate edge died and a repair must re-seed
+    /// from it (the hint is unused).
+    seeds: Shields,
+    /// One shield per source: marked by every seed mark, lowered only
     /// when a repair fully publishes the source's new distances.
-    /// Queries on a flagged source re-route into the repair path.
-    src_dirty: Vec<AtomicBool>,
-    /// Fast path for [`DistanceIndex::has_dirty`]; the per-source flags
-    /// are authoritative.
-    any_dirty: AtomicBool,
+    /// Queries on a shielded source re-route into the repair path.
+    dirty: Shields,
     /// Epoch coupling, note generation and the `repair_count` /
     /// `full_rebuild_count` counters (invariant 6; the index derefs to
     /// it). A repair that sees the generation move across its scan must not
@@ -198,9 +196,8 @@ impl DistanceIndex {
             sources: sources.to_vec(),
             n,
             state,
-            seeds: (0..k * n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-            src_dirty: (0..k).map(|_| AtomicBool::new(false)).collect(),
-            any_dirty: AtomicBool::new(false),
+            seeds: Shields::new(k, n),
+            dirty: Shields::new(1, k),
             core: IndexCore::default(),
             repair_lock: Mutex::new(()),
         }
@@ -285,22 +282,12 @@ impl DistanceIndex {
         }
     }
 
-    /// Seed-marks `(si, v)` and raises the source shield.
+    /// Seed-marks `(si, v)` and marks the source shield — in that order,
+    /// so a repair entering through the shield finds its seed.
     fn mark_seed(&self, si: usize, v: u32) {
         dist_metrics().dirty_marks.inc();
-        let words = self.n.div_ceil(64);
-        // ordering: AcqRel — the seed bit must be visible to a repair
-        // that acquired the flag below (invariant 3: deletions dirty
-        // only the severed subtree).
-        self.seeds[si * words + (v as usize >> 6)].fetch_or(1 << (v & 63), Ordering::AcqRel);
-        // ordering: Release — the flag is the query shield; it is
-        // published after the seed bit so a repair entering through the
-        // flag finds its seed (invariant 4). Pairs with the Acquire
-        // loads in the query loop and `repair_slot`.
-        self.src_dirty[si].store(true, Ordering::Release);
-        // ordering: Release — fast-path hint only; the per-source flags
-        // are authoritative (pairs with the Acquire in `has_dirty`).
-        self.any_dirty.store(true, Ordering::Release);
+        self.seeds.raise(self.seeds.at(si, v as usize));
+        self.dirty.mark(si);
     }
 
     /// Chaotic CAS-min relaxation outward from an inserted edge: claim
@@ -385,16 +372,16 @@ impl DistanceIndex {
     ) -> T {
         let si = self.slot(source);
         loop {
-            if self.slot_dirty(si) {
+            if self.dirty.is_raised(si) {
                 self.repair_slot(view, si);
                 continue;
             }
             let a = read(si);
-            if self.slot_dirty(si) {
+            if self.dirty.is_raised(si) {
                 continue; // a repair raced the read; retry
             }
             // Double-read stability (invariant 5): observing the shield
-            // clear synchronizes with the repair's publication, so the
+            // lowered synchronizes with the repair's publication, so the
             // re-read below sees final certificates; returning only a
             // value the re-read confirms excludes a half-published mix.
             if a == read(si) {
@@ -405,23 +392,13 @@ impl DistanceIndex {
 
     /// True if `source`'s row has pending deletion debt to repair.
     pub fn is_source_dirty(&self, source: u32) -> bool {
-        self.slot_dirty(self.slot(source))
+        self.dirty.is_raised(self.slot(source))
     }
 
-    /// True if any source is awaiting repair.
+    /// True if any source may be awaiting repair (the hint may stay
+    /// `true` until the next [`IncrementalIndex::repair_all`]).
     pub fn has_dirty(&self) -> bool {
-        // ordering: Acquire — pairs with the Release stores of the
-        // hint flag; the per-source flags are authoritative.
-        self.any_dirty.load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn slot_dirty(&self, si: usize) -> bool {
-        // ordering: Acquire — pairs with `mark_seed`'s Release (the
-        // shield raise) and the repair's Release clear (the publication
-        // point), so a clean observation implies final certificates
-        // (invariant 4).
-        self.src_dirty[si].load(Ordering::Acquire)
+        self.dirty.any_marked()
     }
 
     // ---- repair --------------------------------------------------------
@@ -436,38 +413,23 @@ impl DistanceIndex {
     /// the same dirty source coalesce into one repair.
     fn repair_slot<V: GraphView>(&self, view: &V, si: usize) -> bool {
         let _guard = self.repair_lock.lock();
-        if !self.slot_dirty(si) {
+        if !self.dirty.is_raised(si) {
             // A racing query already repaired this source.
             return false;
         }
-        // A note racing this repair is detected through the generation:
-        // one counted by this read applied its state ops before our
-        // scan could miss them consistently — movement after the scan
-        // means the published row may be stale, so the shield stays up.
+        // A note bumping after this read is caught by the re-check after
+        // the lower; one counted here may still be marking seeds, which
+        // `finish_repair_locked` finds after the lower.
         let gen_at_scan = self.core.generation();
         let n = self.n;
         let source = self.sources[si];
-        let words = n.div_ceil(64);
-        // Collect the seeds (vertices whose certificate edge died).
+        // Take the seeds (vertices whose certificate edge died). One
+        // marked after this point is not this repair's to cover.
         let mut seed_list: Vec<u32> = Vec::new();
-        for w in 0..words {
-            // ordering: Acquire — pairs with `mark_seed`'s AcqRel set;
-            // every bit set before the flag we entered through is
-            // visible here.
-            let bits = self.seeds[si * words + w].load(Ordering::Acquire);
-            let mut b = bits;
-            while b != 0 {
-                let i = b.trailing_zeros() as usize;
-                let v = (w << 6) + i;
-                if v < n {
-                    seed_list.push(v as u32);
-                }
-                b &= b - 1;
-            }
-        }
+        self.seeds.take_row(si, |v| seed_list.push(v as u32));
         if seed_list.is_empty() {
-            // Flag without seeds: nothing to recompute; clear the
-            // shield under the generation check below.
+            // Shield without seeds: nothing to recompute; lower it
+            // through the guarded lower.
             self.finish_repair_locked(si, Some(gen_at_scan), 0);
             return true;
         }
@@ -530,9 +492,9 @@ impl DistanceIndex {
             let d = dists[i];
             if d == UNREACHED {
                 // ordering: Release — certificate publication under the
-                // source shield (invariant 4): the flag is still set, so
-                // a reader either re-routes through the repair path or
-                // its Acquire double-read confirms the final value.
+                // source shield (invariant 4): it is still raised, so a
+                // reader either re-routes through the repair path or its
+                // Acquire double-read confirms the final value.
                 self.state[si * n + a as usize].store(u64::MAX, Ordering::Release);
                 continue;
             }
@@ -573,45 +535,27 @@ impl DistanceIndex {
         true
     }
 
-    /// Leaves source `si` shielded with every vertex a seed, so the next
-    /// repair recomputes its whole row from the view (invariant 6:
-    /// sticky, never stale).
-    fn owe_full_row(&self, si: usize) {
-        let words = self.n.div_ceil(64);
-        for w in &self.seeds[si * words..(si + 1) * words] {
-            // ordering: Release — seeds before the shield, as in
-            // `mark_seed` (invariant 4).
-            w.store(u64::MAX, Ordering::Release);
-        }
-        // ordering: Release — the query shield, see `mark_seed`.
-        self.src_dirty[si].store(true, Ordering::Release);
-        // ordering: Release — hint flag, see `mark_seed`.
-        self.any_dirty.store(true, Ordering::Release);
-    }
-
-    /// Clears the seed row and, if no note raced the repair, drops the
-    /// source shield; otherwise re-shields the whole row so the next
-    /// query recomputes it from scratch (sticky, invariant 6). Caller
-    /// holds the repair lock; `gen_at_scan` is `None` when the repair
-    /// already observed the view moving under it and the re-shield is
-    /// mandatory regardless of the generation.
+    /// Publishes the repair of source `si` by lowering its shield through
+    /// the guarded lower. If a note raced the repair — or `gen_at_scan`
+    /// is `None`, when the repair already saw the view move under it —
+    /// every vertex becomes a seed, so the next repair recomputes the
+    /// whole row (sticky, invariant 6); a race seen before the lower
+    /// keeps the shield up. Any seed left then — including one marked
+    /// after the repair took its own, which the re-check cannot see —
+    /// marks the source again: read after the lower, it includes the
+    /// seed of every mark whose shield the lower wiped. Caller holds the
+    /// repair lock.
     fn finish_repair_locked(&self, si: usize, gen_at_scan: Option<u64>, relabeled: usize) {
-        let words = self.n.div_ceil(64);
-        for w in 0..words {
-            // ordering: Release — the seed clear precedes the flag
-            // clear below; a reader entering through a raised flag
-            // never misses a bit that is still owed (invariant 4).
-            self.seeds[si * words + w].store(0, Ordering::Release);
+        let raced = gen_at_scan.is_none_or(|gen| {
+            self.core.generation() != gen || self.core.lower_guarded(gen, || self.dirty.lower(si))
+        });
+        if raced {
+            self.seeds.raise_row(si);
         }
-        // Movement since gen_at_scan means a note raced the scan or the
-        // publication (invariant 6).
-        if gen_at_scan != Some(self.core.generation()) {
-            self.owe_full_row(si);
-        } else {
-            // ordering: Release — the repair's publication point: a
-            // reader that acquires the cleared flag also sees every
-            // certificate stored above (invariant 4).
-            self.src_dirty[si].store(false, Ordering::Release);
+        let mut owed = false;
+        self.seeds.for_each_raised(si, |_| owed = true);
+        if owed {
+            self.dirty.mark(si);
         }
         self.core.count_repairs(1);
         let m = dist_metrics();
@@ -669,61 +613,33 @@ impl IncrementalIndex for DistanceIndex {
 
     // Repairs every dirty source (serial restricted BFS per source).
     fn repair_all<V: GraphView>(&self, view: &V) {
-        if !self.has_dirty() {
+        // Take the hint first: a mark racing this loop sets it again.
+        if !self.dirty.take_marks() {
             return;
         }
-        // ordering: Release — hint reset; a mark racing this loop
-        // re-raises it, and the per-source flags below are
-        // authoritative either way.
-        self.any_dirty.store(false, Ordering::Release);
-        for si in 0..self.sources.len() {
-            if self.slot_dirty(si) {
-                self.repair_slot(view, si);
-            }
-        }
+        self.dirty.for_each_raised(0, |si| {
+            self.repair_slot(view, si);
+        });
     }
 
-    // Discards every row and recomputes all sources from the view. On
-    // `false` every source is left shielded with a full seed row, so
-    // queries recompute from the live view on demand.
+    // Discards every row and recomputes all sources from the view, with
+    // every seed and then every source shield raised, so lock-free
+    // readers re-route into the (locked) repair path instead of
+    // observing the half-reset state. On `false` every source is left
+    // marked with a full seed row, so queries recompute from the live
+    // view on demand.
     fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
         assert_eq!(view.num_vertices(), self.n, "vertex count moved");
         let _guard = self.repair_lock.lock();
         let m = dist_metrics();
         m.full_rebuilds.inc();
-        let converged = self.core.rebuild_until_stable(
-            || {
-                // Raise every shield before touching the rows, so
-                // lock-free readers re-route into the (locked) repair
-                // path instead of observing the half-reset state.
-                (0..self.sources.len()).for_each(|si| self.owe_full_row(si));
+        self.core
+            .rebuild_until_stable(&[&self.seeds, &self.dirty], || {
                 for si in 0..self.sources.len() {
                     self.bfs_row(view, si);
                 }
                 m.shield_events.add((self.sources.len() * self.n) as u64);
-            },
-            || {
-                for w in &self.seeds {
-                    // ordering: Release — the view fully absorbed; all
-                    // seed debt is settled (invariant 4 publication
-                    // order: bits before flags).
-                    w.store(0, Ordering::Release);
-                }
-                for flag in &self.src_dirty {
-                    // ordering: Release — per-source publication point,
-                    // paired with the query loop's Acquire (invariant 4).
-                    flag.store(false, Ordering::Release);
-                }
-                // ordering: Release — hint flag, see `mark_seed`.
-                self.any_dirty.store(false, Ordering::Release);
-            },
-        );
-        if !converged {
-            // The last pass may have dropped the shields before a note
-            // raced its publication.
-            (0..self.sources.len()).for_each(|si| self.owe_full_row(si));
-        }
-        converged
+            })
     }
 }
 
@@ -786,6 +702,8 @@ mod tests {
     use crate::hybrid::HybridAdj;
     use crate::view::probe::ProbeView;
     use snap_rmat::TimedEdge;
+    use std::sync::atomic::AtomicU32;
+    use std::sync::Barrier;
 
     fn graph<A: crate::adjacency::DynamicAdjacency>(n: usize, edges: &[(u32, u32)]) -> DynGraph<A> {
         let g = DynGraph::undirected(n, &CapacityHints::new(edges.len() * 2 + 8));
@@ -1049,6 +967,75 @@ mod tests {
             assert_eq!(idx.distance(&g, 0, q % 128), Some(q % 128));
         });
         assert_eq!(idx.repair_count(), 1, "queries coalesce into one repair");
+        assert_eq!(idx.full_rebuild_count(), 0);
+    }
+
+    #[test]
+    fn racing_deletes_and_repairs_leave_no_stale_row() {
+        // Regression: a repair lowered a source shield over seed marks it
+        // never covered — one landing between its generation re-check and
+        // its lower, or one whose note bumped before the repair's sample
+        // but marked after its seed collection — and the row stayed
+        // stale. Each round releases, at once, one deleting thread per
+        // spoke (graph first, then note) and as many more; all query, and
+        // so repair, until every spoke is deleted.
+        const SPOKES: u32 = 4;
+        const ROUNDS: u32 = 2000;
+        // The hub 0 is every spoke's certificate parent; the spokes sit
+        // on a path whose last one also reaches the hub through `far`.
+        let far = SPOKES + 1;
+        let mut edges: Vec<(u32, u32)> = (1..=SPOKES).map(|s| (0, s)).collect();
+        edges.extend((1..SPOKES).map(|s| (s, s + 1)));
+        edges.extend([(0, far), (far, SPOKES)]);
+        let g: DynGraph<DynArr> = graph(far as usize + 1, &edges);
+        let idx = DistanceIndex::from_view(&g, &[0]);
+        let threads = 2 * SPOKES as usize + 1;
+        let (start, end) = (Barrier::new(threads), Barrier::new(threads));
+        let deleted = AtomicU32::new(0);
+        // Recorded, not asserted, inside the scope: a panic there would
+        // leave the other threads waiting at the barrier for good.
+        let mut stale = None;
+        std::thread::scope(|s| {
+            for t in 0..2 * SPOKES {
+                let (g, idx, start, end, deleted) = (&g, &idx, &start, &end, &deleted);
+                let spoke = 1 + t % SPOKES;
+                s.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        start.wait();
+                        if t < SPOKES {
+                            assert!(g.delete_edge(0, spoke));
+                            idx.note_delete(0, spoke);
+                            // ordering: Relaxed — a progress count; the
+                            // barriers order everything the check reads.
+                            deleted.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // ordering: Relaxed — see the count above.
+                        while deleted.load(Ordering::Relaxed) < SPOKES {
+                            idx.distance(g, 0, spoke);
+                            std::thread::yield_now();
+                        }
+                        end.wait();
+                        end.wait(); // the checker restores the spokes
+                    }
+                });
+            }
+            for round in 0..ROUNDS {
+                start.wait();
+                end.wait();
+                idx.repair_all(&g);
+                if idx.has_dirty() || idx.distances(&g, 0) != bfs_oracle(&g, 0) {
+                    stale.get_or_insert(round);
+                }
+                for spoke in 1..=SPOKES {
+                    g.insert_edge(TimedEdge::new(0, spoke, 1));
+                    idx.note_insert(&g, 0, spoke);
+                }
+                // ordering: Relaxed — reset between the barriers.
+                deleted.store(0, Ordering::Relaxed);
+                end.wait();
+            }
+        });
+        assert_eq!(stale, None, "the first round that left a stale row");
         assert_eq!(idx.full_rebuild_count(), 0);
     }
 

@@ -1,6 +1,6 @@
 //! The incremental index family: one epoch / generation protocol
-//! ([`IndexCore`]), one contract an index joins it by
-//! ([`IncrementalIndex`]), one owner both engines hold
+//! ([`IndexCore`]), one shield set (`Shields`), one contract an index
+//! joins it by ([`IncrementalIndex`]), one owner both engines hold
 //! ([`IndexFamily`]), one borrowed bundle the appliers route into
 //! ([`IndexRoutes`]) and one query surface ([`IndexQuery`]). The index
 //! files ([`crate::connectivity`], [`crate::distindex`],
@@ -13,6 +13,9 @@
 //! (an out-of-band mutation, an update that raced its attachment) pays
 //! one counted full rebuild, which records the epoch only if no note
 //! raced its scan. A gap is never stepped over.
+//! The shield protocol, invariant 4, is `Shields` and the one guarded
+//! lower, `IndexCore::lower_guarded`: raise before the first store, lower
+//! after the last, then re-check the generation and re-mark if it moved.
 
 use crate::connectivity::ConnectivityIndex;
 use crate::distindex::DistanceIndex;
@@ -21,8 +24,140 @@ use crate::view::GraphView;
 use parking_lot::Mutex;
 use snap_rmat::Update;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+/// Shield bits (invariant 4): one per unit — a vertex, a source, or a
+/// cell of a source × vertex row — plus the hint that some unit is
+/// *marked*. A raised unit sends a lock-free reader into the index's
+/// locked repair path. A mark is a raise that also records debt for the
+/// next [`IncrementalIndex::repair_all`]; publication shields are plain
+/// raises, so a split never costs the writer a pass. Every lower is an
+/// AcqRel read-modify-write: a lower that wipes a racing note's raise has
+/// read it, so the note's earlier generation bump is visible to the
+/// re-check in [`IndexCore::lower_guarded`].
+pub(crate) struct Shields {
+    words: Vec<AtomicU64>,
+    /// `rows` word-aligned rows of `row_len` units in `row_words` words.
+    rows: usize,
+    row_len: usize,
+    row_words: usize,
+    /// Set by every mark, taken by `take_marks`; the bits are
+    /// authoritative.
+    marked: AtomicBool,
+}
+
+impl Shields {
+    /// `rows` rows of `row_len` shields each, all lowered.
+    pub(crate) fn new(rows: usize, row_len: usize) -> Self {
+        let row_words = row_len.div_ceil(64);
+        Self {
+            words: (0..rows * row_words).map(|_| AtomicU64::new(0)).collect(),
+            rows,
+            row_len,
+            row_words,
+            marked: AtomicBool::new(false),
+        }
+    }
+
+    /// The unit of `col` in row `row`.
+    pub(crate) fn at(&self, row: usize, col: usize) -> usize {
+        row * self.row_words * 64 + col
+    }
+
+    #[inline]
+    pub(crate) fn raise(&self, i: usize) {
+        // ordering: AcqRel — before the stores it shields (invariant 4).
+        self.words[i >> 6].fetch_or(1 << (i & 63), Ordering::AcqRel);
+    }
+
+    #[inline]
+    pub(crate) fn lower(&self, i: usize) {
+        // ordering: AcqRel — the publication point: its release carries
+        // the label stores before it to a reader that acquires the word,
+        // its acquire a raise it wipes to the re-check (invariant 4).
+        self.words[i >> 6].fetch_and(!(1u64 << (i & 63)), Ordering::AcqRel);
+    }
+
+    #[inline]
+    pub(crate) fn is_raised(&self, i: usize) -> bool {
+        // ordering: Acquire — pairs with `raise` and `lower` (invariant 4).
+        self.words[i >> 6].load(Ordering::Acquire) & (1 << (i & 63)) != 0
+    }
+
+    fn hint(&self, marked: bool) {
+        // ordering: Release — after the bits it reports, so whoever takes
+        // it (AcqRel in `take_marks`) sees them (invariant 4).
+        self.marked.store(marked, Ordering::Release);
+    }
+
+    /// Raises unit `i` and records the debt.
+    pub(crate) fn mark(&self, i: usize) {
+        self.raise(i);
+        self.hint(true);
+    }
+
+    /// True if some unit may be marked; the hint can outlive its marks
+    /// until the next `take_marks`.
+    pub(crate) fn any_marked(&self) -> bool {
+        // ordering: Acquire — pairs with `hint` (invariant 4).
+        self.marked.load(Ordering::Acquire)
+    }
+
+    /// Takes the hint. A mark racing the caller's scan sets it again.
+    pub(crate) fn take_marks(&self) -> bool {
+        // ordering: AcqRel — acquires the marks it takes (invariant 4).
+        self.marked.swap(false, Ordering::AcqRel)
+    }
+
+    /// Raises every unit of `row`.
+    pub(crate) fn raise_row(&self, row: usize) {
+        for w in &self.words[row * self.row_words..(row + 1) * self.row_words] {
+            // ordering: Release — as in `raise` (invariant 4).
+            w.store(u64::MAX, Ordering::Release);
+        }
+    }
+
+    /// Raises every unit and records the debt.
+    pub(crate) fn mark_all(&self) {
+        (0..self.rows).for_each(|r| self.raise_row(r));
+        self.hint(true);
+    }
+
+    /// Lowers every unit and drops the hint: every debt is settled.
+    pub(crate) fn lower_all(&self) {
+        (0..self.rows).for_each(|r| self.take_row(r, |_| {}));
+        self.hint(false);
+    }
+
+    /// Calls `f` with the column of every raised unit of `row`, in
+    /// ascending order.
+    pub(crate) fn for_each_raised(&self, row: usize, f: impl FnMut(usize)) {
+        // ordering: Acquire — as in `is_raised` (invariant 4).
+        self.scan_row(row, |w| w.load(Ordering::Acquire), f);
+    }
+
+    /// [`Shields::for_each_raised`], lowering the row as it goes; a unit
+    /// raised after its word was taken stays raised.
+    pub(crate) fn take_row(&self, row: usize, f: impl FnMut(usize)) {
+        // ordering: AcqRel — as in `lower` (invariant 4).
+        self.scan_row(row, |w| w.swap(0, Ordering::AcqRel), f);
+    }
+
+    fn scan_row(&self, row: usize, read: impl Fn(&AtomicU64) -> u64, mut f: impl FnMut(usize)) {
+        let words = &self.words[row * self.row_words..(row + 1) * self.row_words];
+        for (w, word) in words.iter().enumerate() {
+            let mut bits = read(word);
+            while bits != 0 {
+                let col = (w << 6) + bits.trailing_zeros() as usize;
+                if col < self.row_len {
+                    f(col);
+                }
+                bits &= bits - 1;
+            }
+        }
+    }
+}
 
 /// What every index embeds: the absorbed epoch, the note generation that
 /// guards repairs and rebuilds, the rebuild loop and the counters.
@@ -32,15 +167,19 @@ pub struct IndexCore {
     synced_epoch: AtomicU64,
     /// Bumped at the *start* of every routed note, before the index is
     /// touched. A repair or rebuild samples it before its view scan and
-    /// again after publishing: movement means a note raced it — its
-    /// graph mutation may have been missed by the scan, or its mark
-    /// wiped by a shield clear — so the result must not be trusted.
+    /// again after lowering its shields: movement means a note raced it —
+    /// its graph mutation may have been missed by the scan, or its mark
+    /// wiped by the lower — so the result must not be trusted.
     note_gen: AtomicU64,
     repairs: AtomicUsize,
     full_rebuilds: AtomicUsize,
     /// Serializes resyncs, so concurrent stale queries coalesce into
     /// one rebuild.
     resync_lock: Mutex<()>,
+    /// Test hook: the next this-many guarded lowers each have a note
+    /// land between the lower and the re-check.
+    #[cfg(test)]
+    notes_on_lower: AtomicUsize,
 }
 
 impl IndexCore {
@@ -115,31 +254,55 @@ impl IndexCore {
         self.note_gen.load(Ordering::Acquire)
     }
 
-    /// The full-rebuild loop, counted once. Each pass runs `scan` (raise
-    /// the shields, recompute everything from the view) and, only if no
-    /// note moved the generation across it, `publish` (drop the
-    /// shields); a second check catches a note whose mark the
-    /// publication may have wiped, and re-runs the pass. Returns whether
-    /// a pass converged; on `false` the caller leaves its shields up and
-    /// no epoch may be recorded.
+    /// The one guarded shield-lower (invariant 4): runs `lower`, which
+    /// ends with every shield the caller raised lowered again, and only
+    /// then compares the generation with `gen_at_scan`, sampled before
+    /// the caller's view scan. Returns whether it moved — a note raced
+    /// the scan, or had its mark wiped by the lower — so the caller must
+    /// re-mark what it touched. A mark after the check finds its shield
+    /// already down and stays.
+    pub(crate) fn lower_guarded(&self, gen_at_scan: u64, lower: impl FnOnce()) -> bool {
+        lower();
+        #[cfg(test)]
+        {
+            // ordering: Relaxed — a test-only countdown on the lowering
+            // thread; the note it stages is ordered by `begin_note`
+            // (invariant 4).
+            let take =
+                self.notes_on_lower
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |k| k.checked_sub(1));
+            if take.is_ok() {
+                self.begin_note();
+            }
+        }
+        self.generation() != gen_at_scan
+    }
+
+    /// The full-rebuild loop, counted once. Each pass marks every set of
+    /// `shields` in order, runs `scan` (recompute everything from the
+    /// view) and, if no note moved the generation across it, lowers them
+    /// in order through [`IndexCore::lower_guarded`]; a race re-runs the
+    /// pass. Returns whether a pass converged; on `false` every shield
+    /// is left marked and no epoch may be recorded.
     pub(crate) fn rebuild_until_stable(
         &self,
+        shields: &[&Shields],
         mut scan: impl FnMut(),
-        mut publish: impl FnMut(),
     ) -> bool {
         // ordering: Relaxed — statistics counter, no ordering consumed.
         self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
         for _attempt in 0..Self::REBUILD_RETRIES {
             let gen_at_scan = self.generation();
+            shields.iter().for_each(|s| s.mark_all());
             scan();
             if self.generation() != gen_at_scan {
                 continue;
             }
-            publish();
-            if self.generation() == gen_at_scan {
+            if !self.lower_guarded(gen_at_scan, || shields.iter().for_each(|s| s.lower_all())) {
                 return true;
             }
         }
+        shields.iter().for_each(|s| s.mark_all());
         false
     }
 
@@ -414,8 +577,11 @@ impl<'a, V: GraphView> IndexQuery<'a, V> {
 mod tests {
     use super::*;
     use crate::adjacency::CapacityHints;
+    use crate::connectivity::restricted_component_labels;
+    use crate::distindex::{restricted_hop_distances, UNREACHED};
     use crate::dynarr::DynArr;
     use crate::graph::DynGraph;
+    use crate::view::probe::ProbeView;
     use snap_rmat::TimedEdge;
     use std::sync::Barrier;
 
@@ -455,7 +621,7 @@ mod tests {
             for _ in 0..THREADS {
                 s.spawn(|| {
                     start.wait();
-                    core.resync(4, || core.rebuild_until_stable(|| {}, || {}));
+                    core.resync(4, || core.rebuild_until_stable(&[], || {}));
                 });
             }
         });
@@ -466,33 +632,42 @@ mod tests {
     #[test]
     fn rebuild_raced_by_a_note_does_not_record_the_epoch() {
         let core = IndexCore::default();
-        let published = std::cell::Cell::new(0);
+        let shields = Shields::new(2, 70);
+        let mut passes = 0;
         // A note lands during every scan: no pass may publish.
         core.resync(3, || {
-            core.rebuild_until_stable(|| core.begin_note(), || published.set(published.get() + 1))
+            core.rebuild_until_stable(&[&shields], || {
+                passes += 1;
+                core.begin_note();
+            })
         });
-        assert_eq!(published.get(), 0);
+        assert_eq!(passes, IndexCore::REBUILD_RETRIES);
+        assert!(shields.any_marked() && shields.is_raised(shields.at(1, 69)));
         assert_eq!(core.synced_epoch(), 0, "the gap stays open");
         assert_eq!(
             core.full_rebuild_count(),
             1,
             "one rebuild, however many passes"
         );
-        // A note landing on the publication re-runs the pass; the second
-        // pass is quiet and converges.
-        let mut racing = true;
-        core.resync(3, || {
-            core.rebuild_until_stable(
-                || {},
-                || {
-                    if std::mem::take(&mut racing) {
-                        core.begin_note();
-                    }
-                },
-            )
-        });
+        // A note landing on the publication's lower re-runs the pass; the
+        // second pass is quiet and converges with every shield down.
+        // ordering: Relaxed — arms the test hook on this thread
+        // (invariant 4).
+        core.notes_on_lower.store(1, Ordering::Relaxed);
+        let mut passes = 0;
+        core.resync(3, || core.rebuild_until_stable(&[&shields], || passes += 1));
+        assert_eq!(passes, 2, "the raced lower re-runs the pass");
         assert_eq!(core.synced_epoch(), 3);
         assert_eq!(core.full_rebuild_count(), 2);
+        assert!(!shields.any_marked() && !shields.is_raised(shields.at(1, 69)));
+        // A note landing on every lower: no pass converges, the shields
+        // go back up and the gap stays open.
+        // ordering: Relaxed — arms the test hook on this thread
+        // (invariant 4).
+        core.notes_on_lower.store(usize::MAX, Ordering::Relaxed);
+        core.resync(4, || core.rebuild_until_stable(&[&shields], || {}));
+        assert_eq!(core.synced_epoch(), 3, "the gap stays open");
+        assert!(shields.any_marked() && shields.is_raised(shields.at(1, 69)));
     }
 
     fn path(n: usize) -> DynGraph<DynArr> {
@@ -541,6 +716,52 @@ mod tests {
         for core in cores {
             assert_eq!(core.full_rebuild_count(), 1, "paid once, not per query");
             assert_eq!(core.synced_epoch(), 2);
+        }
+    }
+
+    #[test]
+    fn rebuild_that_never_converges_leaves_both_indexes_shielded() {
+        let g = path(6);
+        assert!(g.delete_edge(3, 4));
+        let all: Vec<u32> = (0..6).collect();
+        let conn = ConnectivityIndex::from_view(&g);
+        let dist = DistanceIndex::from_view(&g, &[0, 5]);
+        // A note races every adjacency read, so no rebuild pass scans a
+        // quiet generation. Each re-inserts a parallel (0, 1): the graph
+        // changes, neither oracle's answer does.
+        let parallel_edge = || assert!(g.insert_edge(TimedEdge::new(0, 1, 1)));
+        let racing = ProbeView::with_hook(&g, 1, || {
+            parallel_edge();
+            conn.note_insert(0, 1);
+        });
+        assert!(!conn.rebuild_from(&racing));
+        let racing = ProbeView::with_hook(&g, 1, || {
+            parallel_edge();
+            dist.note_insert(&g, 0, 1);
+        });
+        assert!(!dist.rebuild_from(&racing));
+        // Every component and every source is owed a repair ...
+        assert!(conn.has_dirty() && all.iter().all(|&v| conn.is_component_dirty(v)));
+        assert!(dist.has_dirty() && dist.is_source_dirty(0) && dist.is_source_dirty(5));
+        // ... a source its whole row, not just its shield: the repair
+        // reads every vertex, the other component's too ...
+        let reads = ProbeView::new(&g);
+        dist.distances(&reads, 5);
+        assert_eq!(reads.read_set(), all);
+        // ... and the next quiet queries answer like the oracles.
+        let labels = restricted_component_labels(&g, &all);
+        assert!(all
+            .iter()
+            .all(|&v| conn.component(&g, v) == labels[v as usize]));
+        for s in [0, 5] {
+            let ext: Vec<u32> = all
+                .iter()
+                .map(|&v| if v == s { 0 } else { UNREACHED })
+                .collect();
+            assert_eq!(
+                dist.distances(&g, s),
+                restricted_hop_distances(&g, &all, &ext)
+            );
         }
     }
 

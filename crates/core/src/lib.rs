@@ -26,7 +26,7 @@
 //! Rule of thumb: traversal-heavy analytics (BC, diameter, repeated BFS
 //! bursts) want the snapshot; cheap point queries (degree probes, one
 //! s-t check) and freshness-critical reads want the live view. The
-//! [`engine::SnapshotManager`] automates the choice's bookkeeping: it
+//! [`manager::SnapshotManager`] automates the choice's bookkeeping: it
 //! tracks a dirty epoch and rebuilds the cached snapshot lazily, so a
 //! burst of queries between update batches pays for one rebuild.
 //!
@@ -80,6 +80,7 @@ pub mod forest;
 pub mod graph;
 pub mod hybrid;
 pub mod indexes;
+pub mod manager;
 pub mod reorder;
 pub mod serve;
 pub mod treapadj;
@@ -92,10 +93,10 @@ pub use connectivity::ConnectivityIndex;
 pub use csr::{CsrGraph, SnapshotRace};
 pub use distindex::{restricted_hop_distances, DistanceIndex};
 pub use dynarr::{DynArr, FixedDynArr};
-pub use engine::SnapshotManager;
 pub use graph::DynGraph;
 pub use hybrid::HybridAdj;
 pub use indexes::{IncrementalIndex, IndexCore, IndexFamily, IndexQuery, IndexRoutes};
+pub use manager::SnapshotManager;
 pub use serve::{EpochSnapshot, ServeConfig, ServeEngine, SnapshotHandle};
 pub use treapadj::TreapAdj;
 pub use triindex::TriangleIndex;

@@ -480,19 +480,16 @@ impl IncrementalIndex for TriangleIndex {
         let adj = &mut *self.adj.lock();
         let m = tri_metrics();
         m.full_rebuilds.inc();
-        // ordering: Release (every store of the flag below) — raised
-        // before the counters are touched, so lock-free readers re-route
-        // around the reset, and lowered as the recount's publication
-        // point (invariant 4). Pairs with the Acquire loads in
-        // `stable_read`.
-        let converged = self.core.rebuild_until_stable(
-            || {
-                self.rebuilding.store(true, Ordering::Release); // ordering: see above
-                self.recount_locked(adj, view);
-                m.shield_events.add(self.n as u64);
-            },
-            || self.rebuilding.store(false, Ordering::Release), // ordering: see above
-        );
+        // ordering: Release (both stores of the flag) — raised before the
+        // counters are touched, so lock-free readers re-route around the
+        // reset, and lowered as the recount's publication point whether
+        // or not a pass converged (invariant 4). Pairs with the Acquire
+        // loads in `stable_read`.
+        self.rebuilding.store(true, Ordering::Release); // ordering: see above
+        let converged = self.core.rebuild_until_stable(&[], || {
+            self.recount_locked(adj, view);
+            m.shield_events.add(self.n as u64);
+        });
         self.rebuilding.store(false, Ordering::Release); // ordering: see above
         converged
     }

@@ -18,7 +18,7 @@
 //!   representations, in-order walks for treaps), paying per-vertex lock
 //!   acquisition and pointer chasing but **zero** snapshot cost.
 //!
-//! The intended pattern (see [`crate::engine::SnapshotManager`]): serve
+//! The intended pattern (see [`crate::manager::SnapshotManager`]): serve
 //! cheap or latency-critical queries from the live view; amortize one
 //! CSR rebuild across bursts of traversal-heavy queries via the epoch
 //! cache.
@@ -256,9 +256,9 @@ impl<A: DynamicAdjacency> GraphView for DynGraph<A> {
 }
 
 /// Test support: a view over another one that records whose adjacency
-/// each `for_each_edge` call read, and can run a hook just before the
+/// each `for_each_edge` call read, and can run a hook just before every
 /// `k`-th call — how the index tests watch a repair's reads and change
-/// the graph in the middle of one.
+/// the graph in the middle of one (or of every rebuild pass).
 #[cfg(test)]
 pub(crate) mod probe {
     use super::GraphView;
@@ -279,7 +279,9 @@ pub(crate) mod probe {
             }
         }
 
-        /// Runs `hook` before the `k`-th (1-based) adjacency read.
+        /// Runs `hook` before the `k`-th (1-based) adjacency read, and
+        /// again every `k` reads after it, so a hook must tolerate
+        /// repeated calls.
         pub(crate) fn with_hook(inner: &'a V, k: usize, hook: impl Fn() + Sync + 'a) -> Self {
             Self {
                 hook: Some((k, Box::new(hook))),
@@ -321,7 +323,7 @@ pub(crate) mod probe {
                 reads.len()
             };
             if let Some((k, hook)) = &self.hook {
-                if call == *k {
+                if call % k == 0 {
                     hook();
                 }
             }

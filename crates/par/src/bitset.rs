@@ -7,12 +7,11 @@
 //! bit — the property BFS needs to assign each vertex one parent and
 //! one level.
 //!
-//! It differs from `snap_util::AtomicBitmap` (a plain `fetch_or`
-//! membership set) in two ways the runtime depends on: per-bit clearing
-//! (the bottom-up frontier mask is recycled across levels by unsetting
-//! only the previous frontier's bits) and word-granular unset iteration
-//! ([`AtomicBitset::for_each_unset_in`] skips fully-visited words 64
-//! vertices at a time in the bottom-up sweep).
+//! Beyond claiming, the runtime depends on two more operations: per-bit
+//! clearing (the bottom-up frontier mask is recycled across levels by
+//! unsetting only the previous frontier's bits) and word-granular unset
+//! iteration ([`AtomicBitset::for_each_unset_in`] skips fully-visited
+//! words 64 vertices at a time in the bottom-up sweep).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -687,6 +687,7 @@ impl FrontierEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AtomicBitset;
     use snap_core::CsrGraph;
     use snap_rmat::TimedEdge;
     use std::collections::HashSet;
@@ -775,17 +776,17 @@ mod tests {
     #[test]
     fn advance_claims_each_vertex_once() {
         let g = star(500);
-        let claimed = snap_util::AtomicBitmap::new(501);
+        let claimed = AtomicBitset::new(501);
         let mut engine = FrontierEngine::new(4, 32);
         engine.seed(0);
         claimed.set(0);
-        let next = engine.advance(&g, |_, v, _| claimed.set(v as usize));
+        let next = engine.advance(&g, |_, v, _| claimed.claim(v as usize));
         assert_eq!(next, 500, "every leaf claimed exactly once");
         let mut got: Vec<u32> = engine.current().to_vec();
         got.sort_unstable();
         assert_eq!(got, (1..=500).collect::<Vec<u32>>());
         // Second level: leaves all point back at the visited hub.
-        let next = engine.advance(&g, |_, v, _| claimed.set(v as usize));
+        let next = engine.advance(&g, |_, v, _| claimed.claim(v as usize));
         assert_eq!(next, 0);
         assert!(engine.is_empty());
     }
@@ -845,21 +846,21 @@ mod tests {
         let g = star(600);
         // The hub level carries exactly 600 edges; a gate of 600 keeps
         // it inline (volume <= gate is the serial side of the boundary).
-        let claimed = snap_util::AtomicBitmap::new(601);
+        let claimed = AtomicBitset::new(601);
         claimed.set(0);
         let mut eng = FrontierEngine::new(4, 32).with_level_gate(600);
         eng.seed(0);
-        assert_eq!(eng.advance(&g, |_, v, _| claimed.set(v as usize)), 600);
+        assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 600);
         let s = eng.take_stats();
         assert_eq!((s.serial_levels, s.forked_levels), (1, 0));
         assert_eq!(s.edges_scanned, 600);
         assert_eq!(s.chunks_built, 0, "serial levels never chunk");
         // One below the volume: the same level forks.
-        let claimed = snap_util::AtomicBitmap::new(601);
+        let claimed = AtomicBitset::new(601);
         claimed.set(0);
         let mut eng = FrontierEngine::new(4, 32).with_level_gate(599);
         eng.seed(0);
-        assert_eq!(eng.advance(&g, |_, v, _| claimed.set(v as usize)), 600);
+        assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 600);
         let s = eng.take_stats();
         assert_eq!((s.serial_levels, s.forked_levels), (0, 1));
         assert!(s.chunks_built > 0);
@@ -873,13 +874,13 @@ mod tests {
         // advancing head and zero spawns.
         let edges: Vec<TimedEdge> = (0..99).map(|i| TimedEdge::new(i, i + 1, 1)).collect();
         let g = CsrGraph::from_edges_undirected(100, &edges);
-        let claimed = snap_util::AtomicBitmap::new(100);
+        let claimed = AtomicBitset::new(100);
         claimed.set(0);
         let mut eng = FrontierEngine::new(4, 32).with_level_gate(usize::MAX);
         eng.seed(0);
         let mut levels = 0u32;
         while !eng.is_empty() {
-            eng.advance(&g, |_, v, _| claimed.set(v as usize));
+            eng.advance(&g, |_, v, _| claimed.claim(v as usize));
             levels += 1;
         }
         assert_eq!(levels, 100);
@@ -888,7 +889,7 @@ mod tests {
         assert_eq!(s.forked_levels, 0);
         assert_eq!(s.edges_scanned, 2 * 99, "every edge scanned once per side");
         for v in 0..100 {
-            assert!(claimed.get(v), "vertex {v} never claimed");
+            assert!(claimed.test(v), "vertex {v} never claimed");
         }
     }
 
@@ -901,14 +902,14 @@ mod tests {
         let mut edges = vec![TimedEdge::new(0, 1, 1)];
         edges.extend((2..301).map(|v| TimedEdge::new(1, v, 1)));
         let g = CsrGraph::from_edges_undirected(301, &edges);
-        let claimed = snap_util::AtomicBitmap::new(301);
+        let claimed = AtomicBitset::new(301);
         claimed.set(0);
         let mut eng = FrontierEngine::new(4, 32).with_level_gate(usize::MAX);
         eng.seed(0);
-        assert_eq!(eng.advance(&g, |_, v, _| claimed.set(v as usize)), 1);
+        assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 1);
         assert_eq!(eng.current(), &[1]);
         eng.set_level_gate(0);
-        assert_eq!(eng.advance(&g, |_, v, _| claimed.set(v as usize)), 299);
+        assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 299);
         let mut got = eng.current().to_vec();
         got.sort_unstable();
         assert_eq!(got, (2..301).collect::<Vec<u32>>());

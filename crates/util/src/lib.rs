@@ -10,20 +10,16 @@
 //!   order within group irrelevant) the paper uses to batch updates.
 //! - [`prefix`]: sequential and parallel exclusive prefix sums, the glue of
 //!   every counting-sort-style kernel in the workspace.
-//! - [`bitmap`]: an atomic fixed-size bitmap used for frontier membership in
-//!   breadth-first search.
 //! - [`timer`]: wall-clock timing helpers and the MUPS (millions of updates
 //!   per second) metric from the paper.
 //! - [`stats`]: summary statistics for experiment reporting.
 
-pub mod bitmap;
 pub mod prefix;
 pub mod rng;
 pub mod sort;
 pub mod stats;
 pub mod timer;
 
-pub use bitmap::AtomicBitmap;
 pub use rng::SplitMix64;
 pub use rng::XorShift64;
 pub use timer::{mups, Timer};
