@@ -1,80 +1,78 @@
-//! Regenerates every figure of the paper as a printed series.
+//! Prints every figure of the paper as a table, plus the tables no
+//! `benchmark/` row covers (parallel SSSP and BC, the distance and
+//! triangle indexes, the `GraphView` read paths).
 //!
 //! ```text
-//! experiments [fig1 fig2 ... fig11 | parallel | connectivity | bc | ablations | extensions | all]
+//! experiments [fig1 .. fig11 | parallel | bc | indexes | views | ablations | extensions | all]...
 //! ```
 //!
-//! Environment: `SNAP_SCALE` (default 16) sets `log2(n)` for the update
-//! figures; kernel figures derive their sizes from it. `SNAP_THREADS`
-//! (comma list, default `1,2,4,8`) sets the sweep. Shapes, not absolute
-//! numbers, are the reproduction target — see EXPERIMENTS.md.
-//!
-//! `parallel` additionally persists machine-readable medians to
-//! `BENCH_parallel.json` (kernel, mode, scale, threads, median ns),
-//! `connectivity` to `BENCH_connectivity.json` (incremental index vs
-//! recompute-per-query vs snapshot-per-query), `indexes` to
-//! `BENCH_indexes.json` (incremental distance and triangle indexes vs
-//! recompute-per-query), `bc` to
-//! `BENCH_bc.json` (serial vs parallel betweenness, exact and sampled),
-//! and `serve` to `BENCH_serving.json` (mixed update+query traffic
-//! against the concurrent [`ServeEngine`]: update throughput plus query
-//! p50/p99 per client count), so the perf trajectories are tracked
-//! across PRs. The `serve` mix is tunable: `SNAP_SERVE_OPS` ops per
-//! client (default 40000) at `SNAP_SERVE_WRITE_PCT` percent writes
-//! (default 20).
+//! No argument means `all`; an unknown name exits with status 2 before
+//! anything runs. Environment: `SNAP_SCALE` (default 16) sets `log2(n)`
+//! for the update figures, and the kernel figures derive their sizes
+//! from it; `SNAP_THREADS` (comma list, default `1,2,4,8`) sets the
+//! sweep; `SNAP_SEED` the workload seed. Shapes, not absolute numbers,
+//! are the reproduction target. Nothing is written to disk: the numbers
+//! a change is judged by come from the repo benchmark (`benchmark/`).
 
 use snap_bench::*;
 use snap_core::adjacency::CapacityHints;
 use snap_core::compressed::CompressedCsr;
 use snap_core::engine;
 use snap_core::reorder::Relabeling;
-use snap_core::{
-    CsrGraph, DynArr, DynGraph, HybridAdj, ServeConfig, ServeEngine, SnapshotManager, TreapAdj,
-};
+use snap_core::{CsrGraph, DynArr, DynGraph, HybridAdj, SnapshotManager, TreapAdj};
 use snap_kernels::bc::sample_sources;
 use snap_kernels::{bfs, temporal_bfs, LinkCutForest, TimeWindow};
-use snap_rmat::StreamBuilder;
+use snap_rmat::{StreamBuilder, TimedEdge, Update};
 use snap_util::rng::XorShift64;
-use snap_util::stats::percentile_sorted;
 use snap_util::timer::mups;
 
+/// One printed table (or a group of them).
+type Experiment = fn(&Config);
+
+/// Every experiment by name, in the order `all` runs them.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("parallel", parallel),
+    ("bc", bc_bench),
+    ("indexes", indexes_bench),
+    ("views", views),
+    ("ablations", ablations),
+    ("extensions", extensions),
+];
+
 fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() {
+        args.push("all".into());
+    }
+    let mut what: Vec<Experiment> = Vec::new();
+    for name in &args {
+        if name == "all" {
+            what.extend(EXPERIMENTS.iter().map(|&(_, f)| f));
+        } else if let Some(&(_, f)) = EXPERIMENTS.iter().find(|(n, _)| n == name) {
+            what.push(f);
+        } else {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|&(n, _)| n).collect();
+            eprintln!(
+                "unknown experiment: {name}\nvalid: {} all\n\
+                 (these tables are printed only; persisted numbers come from the \
+                 repo benchmark, see benchmark/README.md)",
+                names.join(" ")
+            );
+            std::process::exit(2);
+        }
+    }
     let cfg = Config::from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // `--metrics` (or SNAP_METRICS=1) dumps the process-wide metrics
-    // registry to METRICS.json alongside the BENCH_*.json files. Only
-    // meaningful with `--features obs`; otherwise the dump is empty.
-    let dump_metrics =
-        args.iter().any(|a| a == "--metrics") || std::env::var_os("SNAP_METRICS").is_some();
-    let selected: Vec<&str> = args
-        .iter()
-        .map(|s| s.as_str())
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    let what: Vec<&str> = if selected.is_empty() || selected.contains(&"all") {
-        vec![
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "parallel",
-            "connectivity",
-            "indexes",
-            "bc",
-            "serve",
-            "ablations",
-            "extensions",
-        ]
-    } else {
-        selected
-    };
     println!(
         "# snap-dynamic experiments (scale={}, n={}, threads={:?}, seed={:#x})",
         cfg.scale,
@@ -82,51 +80,8 @@ fn main() {
         cfg.threads,
         cfg.seed
     );
-    for w in what {
-        match w {
-            "fig1" => fig1(&cfg),
-            "fig2" => fig2(&cfg),
-            "fig3" => fig3(&cfg),
-            "fig4" => fig4(&cfg),
-            "fig5" => fig5(&cfg),
-            "fig6" => fig6(&cfg),
-            "fig7" => fig7(&cfg),
-            "fig8" => fig8(&cfg),
-            "fig9" => fig9(&cfg),
-            "fig10" => fig10(&cfg),
-            "fig11" => fig11(&cfg),
-            "parallel" => parallel(&cfg),
-            "connectivity" => connectivity(&cfg),
-            "indexes" => indexes_bench(&cfg),
-            "bc" => bc_bench(&cfg),
-            "serve" => serve_bench(&cfg),
-            "ablations" => {
-                ablation_degree_thresh(&cfg);
-                ablation_initial_size(&cfg);
-                ablation_delete_policy(&cfg);
-            }
-            "extensions" => {
-                extension_compressed(&cfg);
-                extension_reorder(&cfg);
-                extension_replacement(&cfg);
-            }
-            other => eprintln!("unknown experiment: {other}"),
-        }
-    }
-    if dump_metrics {
-        write_metrics_json();
-    }
-}
-
-/// Dumps the global metrics registry as JSON next to the BENCH files.
-fn write_metrics_json() {
-    if !snap_obs::ENABLED {
-        eprintln!("note: built without `--features obs` — METRICS.json will be empty");
-    }
-    let path = "METRICS.json";
-    match std::fs::write(path, snap_obs::MetricsRegistry::global().render_json()) {
-        Ok(()) => println!("\nwrote metrics registry to {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
+    for f in what {
+        f(&cfg);
     }
 }
 
@@ -398,11 +353,13 @@ fn fig10(cfg: &Config) {
     ));
 }
 
-/// Figure 11: approximate temporal betweenness, 256 sampled sources.
-/// The kernel is the serial reference implementation (deterministic
-/// blocked accumulation — see `snap_kernels::bc`), so this is a single
-/// timing, not a thread sweep; the multi-threaded static-BC comparison
-/// lives in the `bc` experiment (`snap_par::par_bc`).
+/// Figure 11: approximate temporal betweenness, 256 sampled sources,
+/// beside static approximate betweenness from the same sources (what the
+/// temporal edge filter costs). Both kernels are the serial reference
+/// implementations (deterministic blocked accumulation — see
+/// `snap_kernels::bc`), so these are single timings, not a thread sweep;
+/// the multi-threaded static-BC comparison lives in the `bc` experiment
+/// (`snap_par::par_bc`).
 fn fig11(cfg: &Config) {
     let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed ^ 11);
     let n = cfg.vertices();
@@ -418,12 +375,15 @@ fn fig11(cfg: &Config) {
     let sources = sample_sources(n, 256, cfg.seed);
     let (bc, secs) = seconds(|| snap_kernels::temporal_betweenness_approx(&csr, &sources));
     std::hint::black_box(&bc);
+    let (bc, static_secs) = seconds(|| snap_kernels::betweenness_approx(&csr, &sources));
+    std::hint::black_box(&bc);
     let mut t = Table::new(&["kernel", "BC time (s)"]);
     t.row(vec!["temporal Brandes (serial)".into(), f3(secs)]);
+    t.row(vec!["static Brandes (serial)".into(), f3(static_secs)]);
     t.print("Figure 11: approximate temporal betweenness (256 sources; see `bc` for the parallel kernel)");
 }
 
-/// One persisted measurement of the `parallel` experiment.
+/// One row of the `parallel` table.
 struct BenchRow {
     kernel: &'static str,
     mode: &'static str,
@@ -454,7 +414,7 @@ fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> u128 {
 }
 
 /// Serial vs parallel kernels (BFS / CC / SSSP) across the thread sweep,
-/// persisted to `BENCH_parallel.json` for cross-PR trajectory tracking.
+/// then what the adaptive runtime decided at each thread count.
 fn parallel(cfg: &Config) {
     use snap_kernels::{connected_components, dijkstra, serial_bfs};
     use snap_par::{
@@ -564,72 +524,9 @@ fn parallel(cfg: &Config) {
         }
     }
     st.print("Adaptive scheduling counters (levels run serial vs forked)");
-
-    write_bench_json(cfg, &rows);
-    enforce_scaling_gate(&rows);
 }
 
-/// `SNAP_SCALING_GATE=<ratio>` (CI smoke): exits non-zero if any
-/// parallel kernel's median at t > 1 threads exceeds `ratio` times its
-/// own 1-thread median — threads must never make a kernel slower.
-fn enforce_scaling_gate(rows: &[BenchRow]) {
-    let Ok(gate) = std::env::var("SNAP_SCALING_GATE") else {
-        return;
-    };
-    let Ok(gate) = gate.parse::<f64>() else {
-        eprintln!("SNAP_SCALING_GATE={gate:?} is not a number; ignoring");
-        return;
-    };
-    let mut violations = 0usize;
-    for r in rows
-        .iter()
-        .filter(|r| r.mode == "parallel" && r.threads > 1)
-    {
-        let Some(base) = rows
-            .iter()
-            .find(|b| b.kernel == r.kernel && b.mode == "parallel" && b.threads == 1)
-        else {
-            continue;
-        };
-        let ratio = r.median_ns as f64 / base.median_ns.max(1) as f64;
-        if ratio > gate {
-            eprintln!(
-                "scaling gate violated: {} @ {}t is {ratio:.2}x its 1-thread median (gate {gate:.2})",
-                r.kernel, r.threads
-            );
-            violations += 1;
-        }
-    }
-    if violations > 0 {
-        std::process::exit(1);
-    }
-    println!("scaling gate {gate:.2}: all parallel medians within bound");
-}
-
-/// Persists the `parallel` rows as JSON (no serde in the build
-/// environment; the schema is flat enough to emit by hand).
-fn write_bench_json(cfg: &Config, rows: &[BenchRow]) {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"kernel\": \"{}\", \"mode\": \"{}\", \"scale\": {}, \"threads\": {}, \"median_ns\": {}}}{}\n",
-            r.kernel,
-            r.mode,
-            cfg.scale,
-            r.threads,
-            r.median_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    let path = "BENCH_parallel.json";
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("\nwrote {} rows to {path}", rows.len()),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
-
-/// One persisted measurement of the `bc` experiment.
+/// One row of the `bc` table.
 struct BcRow {
     mode: &'static str,
     scale: u32,
@@ -643,7 +540,7 @@ struct BcRow {
 /// (exact BC is O(n(n + m))) and 256-source sampled (the paper's sample
 /// size) at serving scale, across the thread sweep. Scores are
 /// bit-identical between the two kernels, so the comparison is pure
-/// throughput. Persists machine-readable medians to `BENCH_bc.json`.
+/// throughput.
 fn bc_bench(cfg: &Config) {
     use snap_kernels::{betweenness_approx, betweenness_exact};
     use snap_par::{par_bc_with, BcConfig, ParConfig};
@@ -729,271 +626,9 @@ fn bc_bench(cfg: &Config) {
         ]);
     }
     t.print("Betweenness centrality: serial Brandes vs par_bc (bit-identical scores)");
-    write_bc_json(&rows);
 }
 
-/// Persists the `bc` rows as JSON (hand-emitted; no serde).
-fn write_bc_json(rows: &[BcRow]) {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"kernel\": \"bc\", \"mode\": \"{}\", \"scale\": {}, \"threads\": {}, \"sources\": {}, \"median_ns\": {}}}{}\n",
-            r.mode,
-            r.scale,
-            r.threads,
-            r.sources,
-            r.median_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    let path = "BENCH_bc.json";
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("\nwrote {} rows to {path}", rows.len()),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
-
-/// One persisted measurement of the `connectivity` experiment.
-struct ConnRow {
-    workload: &'static str,
-    method: &'static str,
-    queries: usize,
-    /// `per_query` for bursts, `per_round` for the serving mix.
-    unit: &'static str,
-    median_ns: u128,
-}
-
-/// Dynamic connectivity serving: the incremental `ConnectivityIndex`
-/// against the two traversal-based baselines — a full recompute per
-/// query on the live view, and a naive snapshot-rebuild per query —
-/// followed by a mixed insert/delete/query serving loop. Persists
-/// machine-readable medians to `BENCH_connectivity.json`.
-fn connectivity(cfg: &Config) {
-    use snap_kernels::connected_components;
-
-    let scale = cfg.scale.min(16);
-    let edges = build_edges(scale, cfg.edge_factor, cfg.seed ^ 17);
-    let n = 1usize << scale;
-    let hints = CapacityHints::new(edges.len() * 2);
-    let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
-    let idx = mgr.enable_connectivity();
-    mgr.apply_batch(&construction_stream(&edges, cfg.seed));
-    let index = mgr.indexes();
-
-    let mut rng = XorShift64::new(cfg.seed ^ 0x51);
-    fn rand_pair(rng: &mut XorShift64, n: usize) -> (u32, u32) {
-        (
-            rng.next_bounded(n as u64) as u32,
-            rng.next_bounded(n as u64) as u32,
-        )
-    }
-    let burst: Vec<(u32, u32)> = (0..100_000).map(|_| rand_pair(&mut rng, n)).collect();
-    let mut rows = Vec::new();
-
-    // --- Clean query burst -------------------------------------------
-    // Index: near-O(alpha) per query, no traversal, no snapshot.
-    let total = median_ns(5, || {
-        burst
-            .iter()
-            .filter(|&&(u, v)| index.same_component(u, v))
-            .count()
-    });
-    rows.push(ConnRow {
-        workload: "clean_burst",
-        method: "index",
-        queries: burst.len(),
-        unit: "per_query",
-        median_ns: total / burst.len() as u128,
-    });
-    assert_eq!(mgr.rebuild_count(), 0, "index burst must not build CSR");
-    assert_eq!(idx.full_rebuild_count(), 0);
-    assert_eq!(idx.repair_count(), 0, "clean burst must not repair");
-
-    // Recompute-per-query: a full CC pass on the live view, per query.
-    let probes = &burst[..4];
-    let total = median_ns(3, || {
-        probes
-            .iter()
-            .filter(|&&(u, v)| {
-                let labels = connected_components(mgr.live());
-                labels[u as usize] == labels[v as usize]
-            })
-            .count()
-    });
-    rows.push(ConnRow {
-        workload: "clean_burst",
-        method: "recompute_per_query",
-        queries: probes.len(),
-        unit: "per_query",
-        median_ns: total / probes.len() as u128,
-    });
-
-    // Snapshot-per-query: rebuild the CSR, then a CC pass on it — what a
-    // naive client of the snapshot API pays after every update.
-    let total = median_ns(3, || {
-        probes
-            .iter()
-            .filter(|&&(u, v)| {
-                mgr.mark_dirty(); // defeat the epoch cache: fresh build per query
-                let s = mgr.snapshot();
-                let labels = connected_components(&*s);
-                labels[u as usize] == labels[v as usize]
-            })
-            .count()
-    });
-    rows.push(ConnRow {
-        workload: "clean_burst",
-        method: "snapshot_per_query",
-        queries: probes.len(),
-        unit: "per_query",
-        median_ns: total / probes.len() as u128,
-    });
-    // mark_dirty left the index's epoch behind on purpose; resync once so
-    // the serving phase below starts incremental again.
-    let _ = index.component(0);
-
-    // --- Mixed insert/delete/query serving loop ----------------------
-    // Each round: one 256-update batch (70% insert / 30% delete of live
-    // edges), then a query burst. The index path repairs dirtied
-    // components lazily; the recompute path pays a full CC per query.
-    let mut live: Vec<(u32, u32)> = edges.iter().map(|e| (e.u, e.v)).collect();
-    fn round_batch(
-        rng: &mut XorShift64,
-        live: &mut Vec<(u32, u32)>,
-        n: usize,
-    ) -> Vec<snap_rmat::Update> {
-        (0..256)
-            .map(|_| {
-                if rng.next_bounded(10) < 3 && !live.is_empty() {
-                    let i = rng.next_bounded(live.len() as u64) as usize;
-                    let (u, v) = live.swap_remove(i);
-                    snap_rmat::Update::delete(snap_rmat::TimedEdge::new(u, v, 0))
-                } else {
-                    let (u, v) = rand_pair(rng, n);
-                    live.push((u, v));
-                    snap_rmat::Update::insert(snap_rmat::TimedEdge::new(
-                        u,
-                        v,
-                        rng.next_bounded(90) as u32 + 1,
-                    ))
-                }
-            })
-            .collect()
-    }
-    let median_round =
-        |samples: &mut Vec<u128>| snap_util::stats::median(samples).expect("rounds >= 1");
-
-    let rounds = 9usize;
-    let q_index = 1024usize;
-    let mut samples = Vec::new();
-    for _ in 0..rounds {
-        let batch = round_batch(&mut rng, &mut live, n);
-        let queries: Vec<(u32, u32)> = (0..q_index).map(|_| rand_pair(&mut rng, n)).collect();
-        let start = std::time::Instant::now();
-        mgr.apply_batch(&batch);
-        let hits = queries
-            .iter()
-            .filter(|&&(u, v)| index.same_component(u, v))
-            .count();
-        std::hint::black_box(hits);
-        samples.push(start.elapsed().as_nanos());
-    }
-    rows.push(ConnRow {
-        workload: "serving_mix",
-        method: "index",
-        queries: q_index,
-        unit: "per_round",
-        median_ns: median_round(&mut samples),
-    });
-    let repairs = idx.repair_count();
-    assert_eq!(idx.full_rebuild_count(), 1, "only the burst-section resync");
-
-    let q_recompute = 2usize;
-    let mut samples = Vec::new();
-    for _ in 0..rounds {
-        let batch = round_batch(&mut rng, &mut live, n);
-        let queries: Vec<(u32, u32)> = (0..q_recompute).map(|_| rand_pair(&mut rng, n)).collect();
-        let start = std::time::Instant::now();
-        engine::apply_stream(mgr.live(), &batch);
-        let hits = queries
-            .iter()
-            .filter(|&&(u, v)| {
-                let labels = connected_components(mgr.live());
-                labels[u as usize] == labels[v as usize]
-            })
-            .count();
-        std::hint::black_box(hits);
-        samples.push(start.elapsed().as_nanos());
-    }
-    // The recompute baseline mutated live() directly (the whole point:
-    // no manager bookkeeping on its path), so honor the escape-hatch
-    // contract before anyone queries the manager again.
-    mgr.mark_dirty();
-    rows.push(ConnRow {
-        workload: "serving_mix",
-        method: "recompute_per_query",
-        queries: q_recompute,
-        unit: "per_round",
-        median_ns: median_round(&mut samples),
-    });
-
-    let mut t = Table::new(&["workload", "method", "queries", "unit", "median (us)"]);
-    for r in &rows {
-        t.row(vec![
-            r.workload.into(),
-            r.method.into(),
-            r.queries.to_string(),
-            r.unit.into(),
-            f3(r.median_ns as f64 / 1e3),
-        ]);
-    }
-    t.print(&format!(
-        "Connectivity serving: index vs recompute vs snapshot (scale {scale}, m = {}, {repairs} relabels)",
-        edges.len()
-    ));
-    // Where the deletes went, from the same instruments `/metrics`
-    // serves (empty without `--features obs`).
-    let conn: Vec<String> = snap_obs::MetricsRegistry::global()
-        .snapshot()
-        .into_iter()
-        .filter_map(|m| match m.value {
-            snap_obs::MetricValue::Counter(v) if m.name.starts_with("snap_conn_") => {
-                Some(format!("{} {v}", &m.name["snap_conn_".len()..]))
-            }
-            _ => None,
-        })
-        .collect();
-    if !conn.is_empty() {
-        println!("  certificate: {}", conn.join(", "));
-    }
-    write_connectivity_json(scale, &rows);
-}
-
-/// Persists the `connectivity` rows as JSON (hand-emitted; no serde).
-fn write_connectivity_json(scale: u32, rows: &[ConnRow]) {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"workload\": \"{}\", \"method\": \"{}\", \"scale\": {}, \"queries\": {}, \"unit\": \"{}\", \"median_ns\": {}}}{}\n",
-            r.workload,
-            r.method,
-            scale,
-            r.queries,
-            r.unit,
-            r.median_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    let path = "BENCH_connectivity.json";
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("\nwrote {} rows to {path}", rows.len()),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
-
-/// One persisted measurement of the `indexes` experiment.
+/// One row of the `indexes` table.
 struct IndexRow {
     index: &'static str,
     method: &'static str,
@@ -1006,7 +641,7 @@ struct IndexRow {
 /// from the source, and a full triangle count, per query) after a mixed
 /// insert/delete stream that exercises the incremental maintenance
 /// path. The acceptance check asserts neither index ever fell back to a
-/// full rebuild. Persists medians to `BENCH_indexes.json`.
+/// full rebuild.
 fn indexes_bench(cfg: &Config) {
     use snap_kernels::{bfs, triangle_count};
 
@@ -1137,206 +772,84 @@ fn indexes_bench(cfg: &Config) {
         dist_idx.repair_count(),
         tri_idx.delta_count()
     ));
-    write_indexes_json(scale, &rows);
 }
 
-/// Persists the `indexes` rows as JSON (hand-emitted; no serde).
-fn write_indexes_json(scale: u32, rows: &[IndexRow]) {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"index\": \"{}\", \"method\": \"{}\", \"scale\": {}, \"queries\": {}, \"median_ns\": {}}}{}\n",
-            r.index,
-            r.method,
-            scale,
-            r.queries,
-            r.median_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    let path = "BENCH_indexes.json";
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("\nwrote {} rows to {path}", rows.len()),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
+/// The `GraphView` read paths: one BFS over the frozen CSR snapshot vs
+/// over the live `DynGraph`, then the serving pattern `SnapshotManager`
+/// exists for — an update batch lands, then a burst of 16
+/// snapshot-consuming queries — with a CSR rebuilt per query vs the
+/// manager's epoch-cached snapshot (one rebuild per batch).
+fn views(cfg: &Config) {
+    let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed ^ 21);
+    let n = cfg.vertices();
+    let stream = construction_stream(&edges, cfg.seed);
+    let live: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(stream.len() * 2));
+    engine::apply_stream(&live, &stream);
+    let csr = live.to_csr();
+    let hub = hub_source(&csr);
+    let reps = 5usize;
+    let on_csr = median_ns(reps, || bfs(&csr, hub));
+    let on_live = median_ns(reps, || bfs(&live, hub));
 
-struct ServeRow {
-    clients: usize,
-    write_pct: u64,
-    ops: usize,
-    updates: u64,
-    changed: u64,
-    update_mups: f64,
-    query_p50_ns: u64,
-    query_p99_ns: u64,
-    epochs: u64,
-}
-
-/// Concurrent serving benchmark: N client threads drive mixed
-/// update+query traffic against a [`ServeEngine`]. Writes submit
-/// 64-update mixed batches into the ingest queue; reads are
-/// `same_component` probes served from the newest cycle's published
-/// labels (no client pins, so the writer freezes a CSR only when its
-/// queue runs dry). Reported per client count: update throughput (MUPS, measured
-/// over the full run including the final flush) and query latency
-/// p50/p99 — the acceptance check asserts the incremental connectivity
-/// path never fell back to a full rebuild.
-fn serve_bench(cfg: &Config) {
-    // SNAP_METRICS_ADDR (e.g. 127.0.0.1:9184) serves live Prometheus
-    // text at GET /metrics for the duration of the benchmark. Requires
-    // `--features obs`; without it the bind is refused up front.
-    let _metrics_server = std::env::var("SNAP_METRICS_ADDR").ok().and_then(|addr| {
-        match snap_obs::MetricsRegistry::global().serve_http(&addr) {
-            Ok(srv) => {
-                println!("# serving live metrics at http://{}/metrics", srv.addr());
-                Some(srv)
-            }
-            Err(e) => {
-                eprintln!("cannot serve metrics on {addr}: {e}");
-                None
-            }
+    // Every batch changes the graph: it deletes 1024 present edges, the
+    // next re-inserts them. `median_ns` applies reps + 1 (even) batches,
+    // so each path starts from the same graph.
+    let toggled = &edges[..edges.len().min(1024)];
+    let toggle = |op: fn(TimedEdge) -> Update| toggled.iter().map(|&e| op(e)).collect::<Vec<_>>();
+    let batches = [toggle(Update::delete), toggle(Update::insert)];
+    let burst = 16usize;
+    let mut next = 0usize;
+    let rebuild = median_ns(reps, || {
+        engine::apply_vpart(&live, &batches[next % 2], 0);
+        next += 1;
+        for _ in 0..burst {
+            std::hint::black_box(bfs(&live.to_csr(), hub));
         }
     });
-    let ops_per_client: usize = std::env::var("SNAP_SERVE_OPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000);
-    let write_pct: u64 = std::env::var("SNAP_SERVE_WRITE_PCT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-    let n = cfg.vertices();
-    let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed);
-    // The engine starts from the first three quarters of the edge list;
-    // the clients' generators insert the rest (and delete from all of
-    // it), so most submitted updates change the graph.
-    let base_len = edges.len() * 3 / 4;
-    let base = construction_stream(&edges[..base_len], cfg.seed);
-    let mut rows: Vec<ServeRow> = Vec::new();
-    for &clients in &cfg.threads {
-        let hints = CapacityHints::new(edges.len() * 3);
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints);
-        for u in &base {
-            g.apply(u);
+    let mgr = SnapshotManager::new(live);
+    let cached = median_ns(reps, || {
+        mgr.apply_batch(&batches[next % 2]);
+        next += 1;
+        for _ in 0..burst {
+            std::hint::black_box(bfs(&*mgr.snapshot(), hub));
         }
-        let engine = ServeEngine::new(g, ServeConfig::default());
-        let engine = &engine;
-        let edges = &edges;
-        let (latencies, secs) = seconds(|| {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..clients)
-                    .map(|c| {
-                        scope.spawn(move || {
-                            let mut rng =
-                                XorShift64::new(cfg.seed ^ (c as u64).wrapping_mul(0x9E37));
-                            let mut lat = Vec::with_capacity(ops_per_client);
-                            // One generator per client: its insert
-                            // cursor carries across batches, each
-                            // client on its own stretch of the tail.
-                            let mut stream = StreamBuilder::new(edges, cfg.seed + c as u64)
-                                .inserting_from(base_len + c * (edges.len() - base_len) / clients);
-                            for _ in 0..ops_per_client {
-                                if rng.next_bounded(100) < write_pct {
-                                    engine.submit(stream.mixed(64, 0.7));
-                                } else {
-                                    let u = rng.next_bounded(n as u64) as u32;
-                                    let v = rng.next_bounded(n as u64) as u32;
-                                    let t = std::time::Instant::now();
-                                    std::hint::black_box(engine.same_component(u, v));
-                                    lat.push(t.elapsed().as_nanos() as u64);
-                                }
-                            }
-                            lat
-                        })
-                    })
-                    .collect();
-                let mut all: Vec<u64> = Vec::new();
-                for h in handles {
-                    all.extend(h.join().expect("serve client panicked"));
-                }
-                engine.flush();
-                all
-            })
-        });
-        assert_eq!(
-            engine.full_rebuild_count(),
-            Some(0),
-            "serving must stay on the incremental connectivity path"
-        );
-        let mut latencies = latencies;
-        latencies.sort_unstable();
-        let pct = |p: f64| percentile_sorted(&latencies, p).unwrap_or(0);
-        let updates = engine.updates_applied();
-        rows.push(ServeRow {
-            clients,
-            write_pct,
-            ops: ops_per_client * clients,
-            updates,
-            changed: engine.updates_changed(),
-            update_mups: updates as f64 / secs / 1e6,
-            query_p50_ns: pct(0.50),
-            query_p99_ns: pct(0.99),
-            epochs: engine.epoch(),
-        });
-    }
-    let mut t = Table::new(&[
-        "clients",
-        "write%",
-        "ops",
-        "updates",
-        "changed",
-        "update MUPS",
-        "query p50 (ns)",
-        "query p99 (ns)",
-        "epochs",
-    ]);
-    for r in &rows {
+    });
+    assert_eq!(mgr.rebuild_count(), reps + 1, "one rebuild per burst");
+
+    let mut t = Table::new(&["workload", "read path", "median (ms)", "vs first"]);
+    let bursts = format!("batch + {burst} BFS");
+    for (workload, path, ns, first) in [
+        ("one BFS", "CSR snapshot", on_csr, on_csr),
+        ("one BFS", "live DynGraph", on_live, on_csr),
+        (bursts.as_str(), "CSR rebuilt per query", rebuild, rebuild),
+        (bursts.as_str(), "SnapshotManager cache", cached, rebuild),
+    ] {
         t.row(vec![
-            r.clients.to_string(),
-            r.write_pct.to_string(),
-            r.ops.to_string(),
-            r.updates.to_string(),
-            r.changed.to_string(),
-            f3(r.update_mups),
-            r.query_p50_ns.to_string(),
-            r.query_p99_ns.to_string(),
-            r.epochs.to_string(),
+            workload.into(),
+            path.into(),
+            f3(ns as f64 / 1e6),
+            f3(ns as f64 / first.max(1) as f64),
         ]);
     }
     t.print(&format!(
-        "Concurrent serving: mixed update+query clients on ServeEngine (scale {}, {}% writes, 0 full rebuilds)",
-        cfg.scale, write_pct
+        "GraphView read paths (scale {}, m = {})",
+        cfg.scale,
+        edges.len()
     ));
-    write_serving_json(cfg.scale, &rows);
 }
 
-/// Persists the `serve` rows as JSON (hand-emitted; no serde).
-fn write_serving_json(scale: u32, rows: &[ServeRow]) {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"scale\": {}, \"clients\": {}, \"write_pct\": {}, \"ops\": {}, \"updates\": {}, \"changed\": {}, \"update_mups\": {:.3}, \"query_p50_ns\": {}, \"query_p99_ns\": {}, \"epochs\": {}, \"full_rebuilds\": 0}}{}\n",
-            scale,
-            r.clients,
-            r.write_pct,
-            r.ops,
-            r.updates,
-            r.changed,
-            r.update_mups,
-            r.query_p50_ns,
-            r.query_p99_ns,
-            r.epochs,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    let path = "BENCH_serving.json";
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("\nwrote {} rows to {path}", rows.len()),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+/// The three ablation tables.
+fn ablations(cfg: &Config) {
+    ablation_degree_thresh(cfg);
+    ablation_initial_size(cfg);
+    ablation_delete_policy(cfg);
+}
+
+/// The three extension tables.
+fn extensions(cfg: &Config) {
+    extension_compressed(cfg);
+    extension_reorder(cfg);
+    extension_replacement(cfg);
 }
 
 /// Ablation: hybrid degree threshold sweep on the mixed workload.
@@ -1405,19 +918,27 @@ fn ablation_delete_policy(cfg: &Config) {
     t.print("Ablation: deletion policy");
 }
 
-/// Extension: compressed CSR footprint and decode cost.
+/// Extension: compressed CSR footprint and decode cost, against the same
+/// full scan of the plain CSR.
 fn extension_compressed(cfg: &Config) {
     let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed);
     let csr = CsrGraph::from_edges_undirected(cfg.vertices(), &edges);
+    let n = csr.num_vertices() as u32;
     let (comp, build_s) = seconds(|| CompressedCsr::from_csr(&csr));
     let (sum, scan_s) = seconds(|| {
         let mut acc = 0u64;
-        for u in 0..csr.num_vertices() as u32 {
+        for u in 0..n {
             comp.for_each_neighbor(u, |v| acc += v as u64);
         }
         acc
     });
-    std::hint::black_box(sum);
+    let (csr_sum, csr_scan_s) = seconds(|| {
+        (0..n)
+            .flat_map(|u| csr.neighbors(u))
+            .map(|&v| v as u64)
+            .sum::<u64>()
+    });
+    assert_eq!(sum, csr_sum, "both scans read the same neighbours");
     let mut t = Table::new(&["metric", "value"]);
     t.row(vec![
         "CSR neighbor bytes".into(),
@@ -1428,8 +949,9 @@ fn extension_compressed(cfg: &Config) {
         comp.payload_bytes().to_string(),
     ]);
     t.row(vec!["compression ratio".into(), f3(comp.ratio_vs_csr())]);
-    t.row(vec!["encode time (s)".into(), f3(build_s)]);
-    t.row(vec!["full decode scan (s)".into(), f3(scan_s)]);
+    t.row(vec!["encode time (ms)".into(), f3(build_s * 1e3)]);
+    t.row(vec!["full decode scan (ms)".into(), f3(scan_s * 1e3)]);
+    t.row(vec!["plain CSR scan (ms)".into(), f3(csr_scan_s * 1e3)]);
     t.print("Extension: delta+varint compressed adjacency");
 }
 

@@ -1,11 +1,10 @@
-//! Workload builders and measurement plumbing for the figure benches.
+//! Workload builders and measurement plumbing for the figure tables.
 
 use snap_core::adjacency::{CapacityHints, DynamicAdjacency};
 use snap_core::engine;
 use snap_core::{DynGraph, FixedDynArr};
-use snap_rmat::{Rmat, RmatParams, StreamBuilder, TimedEdge, Update, UpdateKind};
+use snap_rmat::{Rmat, RmatParams, StreamBuilder, TimedEdge, Update};
 use snap_util::timer::{mups, time};
-use std::time::Duration;
 
 /// Global benchmark configuration.
 #[derive(Clone, Debug)]
@@ -111,7 +110,7 @@ pub fn fixed_construction_mups(n: usize, updates: &[Update], threads: usize) -> 
 }
 
 /// Builds an empty `Dyn-arr-nr` graph sized exactly for `updates`.
-pub fn build_fixed_graph(n: usize, updates: &[Update]) -> DynGraph<FixedDynArr> {
+fn build_fixed_graph(n: usize, updates: &[Update]) -> DynGraph<FixedDynArr> {
     let sources = updates.iter().flat_map(|u| {
         let e = u.edge;
         let second = if e.u == e.v { None } else { Some(e.v) };
@@ -140,14 +139,6 @@ pub fn apply_mups<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update], thre
 pub fn seconds<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let (r, d) = time(f);
     (r, d.as_secs_f64())
-}
-
-/// Counts insertions in a stream (MUPS denominators).
-pub fn insert_count(updates: &[Update]) -> usize {
-    updates
-        .iter()
-        .filter(|u| u.kind == UpdateKind::Insert)
-        .count()
 }
 
 /// Markdown-ish table printer for the experiments binary.
@@ -197,9 +188,4 @@ impl Table {
 /// Formats a float with 3 significant decimals.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
-}
-
-/// Formats a duration in seconds with 4 decimals.
-pub fn s4(d: Duration) -> String {
-    format!("{:.4}", d.as_secs_f64())
 }

@@ -1,14 +1,12 @@
-//! Benchmark support library: workload construction and measurement
-//! helpers shared by the `experiments` binary and the criterion benches.
-//!
-//! Every figure of the paper has two regeneration paths:
-//! - `cargo run -p snap-bench --release --bin experiments -- figN`
-//!   prints the figure's series as a table (used to fill EXPERIMENTS.md);
-//! - `cargo bench -p snap-bench --bench figNN_*` runs the statistical
-//!   criterion version of the same measurement.
+//! Workload construction and measurement helpers for the `experiments`
+//! binary, which prints every figure of the paper as a table:
+//! `cargo run -p snap-bench --release --bin experiments -- figN` (or
+//! `all`).
 //!
 //! Instance sizes are scaled-down replicas of the paper's (Section 1.2)
-//! R-MAT configurations; `SNAP_SCALE` raises `log2(n)` globally.
+//! R-MAT configurations; `SNAP_SCALE` raises `log2(n)` globally. The
+//! numbers a change is judged by come from the repo benchmark under
+//! `benchmark/`, not from these tables.
 
 pub mod common;
 

@@ -433,7 +433,7 @@ mod tests {
         let idx = mgr.enable_connectivity();
         assert_eq!(idx.full_rebuild_count(), 0);
         // Clean query burst: zero CSR rebuilds, zero repairs, zero full
-        // recomputes — the acceptance criterion of the serving path.
+        // recomputes — the acceptance check of the serving path.
         for _ in 0..128 {
             assert!(mgr.indexes().same_component(0, 31));
             assert!(!mgr.indexes().same_component(0, 40));

@@ -43,8 +43,8 @@ pub fn summarize(xs: &[f64]) -> Option<Summary> {
 /// elements, by the truncating nearest-rank rule `floor((n - 1) * p)`
 /// the bench harness has always used. 0 for an empty sample.
 ///
-/// `snap-obs` histograms and the `experiments` latency reports share
-/// this rule, so a scraped p99 and a printed p99 rank identically.
+/// `snap-obs` histograms use this rule, so a scraped p99 and a p99
+/// computed from raw samples rank identically.
 pub fn percentile_rank(n: usize, p: f64) -> usize {
     if n == 0 {
         0

@@ -186,9 +186,9 @@ fn instrumented_serving_results_are_unchanged() {
     }
 }
 
-/// With the feature on, the `/metrics` endpoint serves the text
-/// exposition over plain TCP (the `serve` subcommand wires this up via
-/// SNAP_METRICS_ADDR).
+/// With the feature on, the `/metrics` endpoint
+/// (`MetricsRegistry::global().serve_http(addr)`) serves the text
+/// exposition over plain TCP.
 #[test]
 fn metrics_endpoint_serves_text_when_enabled() {
     if !snap::obs::ENABLED {

@@ -178,7 +178,7 @@ fn stress(shards: usize) {
         samples
     });
 
-    // The incremental-path acceptance criterion: the writer repaired
+    // The incremental-path acceptance check: the writer repaired
     // deletions targetedly, never a full union-find rebuild.
     assert_eq!(engine.full_rebuild_count(), Some(0));
     assert_eq!(engine.pending_batches(), 0);
