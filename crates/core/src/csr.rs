@@ -3,13 +3,16 @@
 //! The analysis kernels of Section 3 run on a frozen view of the dynamic
 //! graph: cache-friendly adjacency arrays, the representation prior work
 //! showed dominates linked structures for static traversal. A snapshot is
-//! built in parallel either from an edge list or from any
-//! [`DynamicAdjacency`] state.
+//! built in parallel from an edge list, from any [`DynamicAdjacency`]
+//! state, or by patching the previous snapshot of that state: copying
+//! the rows nothing touched since and re-reading only the rest.
 
 use crate::adjacency::DynamicAdjacency;
 use rayon::prelude::*;
 use snap_rmat::TimedEdge;
 use snap_util::prefix::par_exclusive_scan;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A snapshot attempt observed a writer mutating the source adjacency
@@ -34,8 +37,9 @@ impl std::fmt::Display for SnapshotRace {
 
 impl std::error::Error for SnapshotRace {}
 
-/// A static timestamped graph in CSR form.
-#[derive(Clone, Debug)]
+/// A static timestamped graph in CSR form. Two snapshots are equal when
+/// their rows hold the same entries in the same order.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[u]..offsets[u+1]` delimits `u`'s adjacency.
     offsets: Vec<usize>,
@@ -48,13 +52,96 @@ pub struct CsrGraph {
 
 /// Raw pointer wrapper for provably disjoint parallel scatters.
 struct SendPtr<T>(*mut T);
-// SAFETY: SendPtr is only used by the CSR builders, whose cursor
+// SAFETY: SendPtr is only used by the edge-list builder, whose cursor
 // protocol hands each slot index to exactly one task — the shared
 // pointer is never used for overlapping writes (invariant 7).
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: as above; concurrent &SendPtr use only performs disjoint
 // writes through it.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
+
+/// CSR offsets (`n + 1` slots) from per-vertex degrees. The exclusive
+/// scan leaves the sum of all `n` degrees in the pushed slot, so
+/// `offsets[n]` is the entry total.
+fn offsets_from_degrees(mut degrees: Vec<usize>) -> Vec<usize> {
+    degrees.push(0);
+    par_exclusive_scan(&mut degrees);
+    degrees
+}
+
+/// One fill task of the row builder: a vertex range and the slots its
+/// rows own in the neighbor and timestamp arrays.
+type FillChunk<'a> = (
+    Range<usize>,
+    &'a mut [MaybeUninit<u32>],
+    &'a mut [MaybeUninit<u32>],
+);
+
+/// Cuts the vertex space into a few ranges per thread holding about
+/// equal entry counts, each with its disjoint share of the output.
+fn fill_chunks<'a>(
+    offsets: &[usize],
+    mut nbrs: &'a mut [MaybeUninit<u32>],
+    mut ts: &'a mut [MaybeUninit<u32>],
+) -> Vec<FillChunk<'a>> {
+    let n = offsets.len() - 1;
+    let parts = 4 * rayon::current_num_threads().max(1);
+    let mut chunks = Vec::with_capacity(parts);
+    let mut lo = 0;
+    for i in 1..=parts {
+        let hi = if i == parts {
+            n
+        } else {
+            offsets[..n].partition_point(|&o| o < offsets[n] * i / parts)
+        };
+        let len = offsets[hi] - offsets[lo];
+        let (a, rest) = std::mem::take(&mut nbrs).split_at_mut(len);
+        nbrs = rest;
+        let (b, rest) = std::mem::take(&mut ts).split_at_mut(len);
+        ts = rest;
+        chunks.push((lo..hi, a, b));
+        lo = hi;
+    }
+    chunks
+}
+
+/// The rows a [`CsrGraph::patched`] build re-reads from the live
+/// adjacency: one bit per vertex.
+#[derive(Debug)]
+pub(crate) struct RowSet {
+    words: Vec<u64>,
+}
+
+impl RowSet {
+    /// An empty set over vertices `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Adds `u`.
+    #[inline]
+    pub(crate) fn insert(&mut self, u: u32) {
+        self.words[u as usize / 64] |= 1 << (u % 64);
+    }
+
+    /// True if `u` is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, u: u32) -> bool {
+        self.words[u as usize / 64] >> (u % 64) & 1 == 1
+    }
+
+    /// Number of vertices in the set.
+    pub(crate) fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Empties the set.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+}
 
 impl CsrGraph {
     /// Builds a directed CSR from an edge list.
@@ -92,14 +179,8 @@ impl CsrGraph {
                 degrees[e.v as usize].fetch_add(1, Ordering::Relaxed);
             }
         });
-        let mut offsets: Vec<usize> = degrees.into_iter().map(|d| d.into_inner()).collect();
-        offsets.push(0);
-        let total = par_exclusive_scan(&mut offsets);
-        // `offsets` is now exclusive prefix; the pushed 0 became `total`?
-        // No: the scan wrote prefix sums in place, so the final slot holds
-        // the sum of all but the last original element. Fix it explicitly.
-        // panics: unreachable — `offsets` always holds n + 1 >= 1 slots.
-        *offsets.last_mut().expect("offsets non-empty") = total;
+        let offsets = offsets_from_degrees(degrees.into_iter().map(|d| d.into_inner()).collect());
+        let total = offsets[n];
 
         // Pass 2: scatter through per-vertex atomic cursors.
         let cursors: Vec<AtomicUsize> = offsets[..n].iter().map(|&o| AtomicUsize::new(o)).collect();
@@ -175,60 +256,107 @@ impl CsrGraph {
         adj: &A,
         directed: bool,
     ) -> Result<Self, SnapshotRace> {
+        Self::rows(adj, directed, None)
+    }
+
+    /// Snapshots `adj` by patching `prev`, an earlier snapshot of it: the
+    /// rows of vertices outside `touched` are copied from `prev`, one
+    /// `copy_from_slice` per maximal run, and only the rows in `touched`
+    /// are re-read from `adj`. The result is bit-identical to a fresh
+    /// [`CsrGraph::try_from_dynamic`], row order included, as long as no
+    /// row outside `touched` changed since `prev` was built — the
+    /// caller's contract (the serving writer marks both endpoints of
+    /// every update it applies). A torn re-read row is still
+    /// [`SnapshotRace`].
+    pub(crate) fn patched<A: DynamicAdjacency>(
+        prev: &CsrGraph,
+        adj: &A,
+        touched: &RowSet,
+    ) -> Result<Self, SnapshotRace> {
+        Self::rows(adj, prev.directed, Some((prev, touched)))
+    }
+
+    /// The one dynamic-source row builder: [`CsrGraph::patched`] when
+    /// `reuse` names a previous snapshot and its touched set, a fresh
+    /// build of every row otherwise.
+    fn rows<A: DynamicAdjacency>(
+        adj: &A,
+        directed: bool,
+        reuse: Option<(&CsrGraph, &RowSet)>,
+    ) -> Result<Self, SnapshotRace> {
         let n = adj.num_vertices();
-        let mut offsets: Vec<usize> = (0..n as u32)
+        debug_assert!(reuse.is_none_or(|(prev, _)| prev.num_vertices() == n));
+        let degrees = (0..n as u32)
             .into_par_iter()
-            .map(|u| adj.degree(u))
+            .map(|u| match reuse {
+                Some((prev, touched)) if !touched.contains(u) => prev.out_degree(u),
+                _ => adj.degree(u),
+            })
             .collect();
-        offsets.push(0);
-        let total = par_exclusive_scan(&mut offsets);
-        // panics: unreachable — `offsets` always holds n + 1 >= 1 slots.
-        *offsets.last_mut().expect("offsets non-empty") = total;
+        let offsets = offsets_from_degrees(degrees);
+        let total = offsets[n];
         let mut nbrs: Vec<u32> = Vec::with_capacity(total);
         let mut ts: Vec<u32> = Vec::with_capacity(total);
-        // SAFETY: every slot in 0..total is either written through the
-        // per-vertex disjoint ranges below or the build is discarded as
-        // torn; uninitialized values are never returned to the caller.
-        #[allow(clippy::uninit_vec)]
-        unsafe {
-            nbrs.set_len(total);
-            ts.set_len(total);
-        }
-        let nbrs_ptr = SendPtr(nbrs.as_mut_ptr());
-        let ts_ptr = SendPtr(ts.as_mut_ptr());
-        let offsets_ref = &offsets;
         let torn = AtomicBool::new(false);
-        (0..n as u32).into_par_iter().for_each(|u| {
-            let nbrs_ptr = &nbrs_ptr;
-            let ts_ptr = &ts_ptr;
-            let mut cursor = offsets_ref[u as usize];
-            let end = offsets_ref[u as usize + 1];
-            adj.for_each(u, &mut |e| {
-                // A concurrent mutation between the degree pass and this
-                // scatter breaks the slot budget. Flag it and drop the
-                // surplus entries rather than writing past the vertex's
-                // slot range.
-                if cursor >= end {
-                    // ordering: Relaxed — monotonic torn flag joined
-                    // at the par_iter barrier (`into_inner` below).
-                    torn.store(true, Ordering::Relaxed);
-                    return;
+        let chunks = fill_chunks(
+            &offsets,
+            &mut nbrs.spare_capacity_mut()[..total],
+            &mut ts.spare_capacity_mut()[..total],
+        );
+        chunks.into_par_iter().for_each(|(rows, nbrs, ts)| {
+            let slot = |u: usize| offsets[u] - offsets[rows.start];
+            let mut u = rows.start;
+            while u < rows.end {
+                match reuse {
+                    Some((prev, touched)) if !touched.contains(u as u32) => {
+                        // An untouched run never changed: copy it whole.
+                        let end = (u + 1..rows.end)
+                            .find(|&w| touched.contains(w as u32))
+                            .unwrap_or(rows.end);
+                        let src = prev.offsets[u]..prev.offsets[end];
+                        let dst = slot(u)..slot(end);
+                        nbrs[dst.clone()].write_copy_of_slice(&prev.nbrs[src.clone()]);
+                        ts[dst].write_copy_of_slice(&prev.ts[src]);
+                        u = end;
+                    }
+                    _ => {
+                        let (mut cursor, end) = (slot(u), slot(u + 1));
+                        adj.for_each(u as u32, &mut |e| {
+                            // A concurrent mutation between the degree
+                            // pass and this read breaks the row's slot
+                            // budget. Flag it and drop the surplus
+                            // entries rather than write into the next
+                            // row.
+                            if cursor == end {
+                                // ordering: Relaxed — monotonic torn flag
+                                // joined at the par_iter barrier
+                                // (`into_inner` below).
+                                torn.store(true, Ordering::Relaxed);
+                                return;
+                            }
+                            nbrs[cursor].write(e.nbr);
+                            ts[cursor].write(e.ts);
+                            cursor += 1;
+                        });
+                        if cursor != end {
+                            // ordering: Relaxed — same torn flag as above.
+                            torn.store(true, Ordering::Relaxed);
+                        }
+                        u += 1;
+                    }
                 }
-                // SAFETY: each vertex owns offsets[u]..offsets[u+1]
-                // exclusively, and the guard above keeps cursor < end.
-                unsafe {
-                    *nbrs_ptr.0.add(cursor) = e.nbr;
-                    *ts_ptr.0.add(cursor) = e.ts;
-                }
-                cursor += 1;
-            });
-            if cursor != end {
-                // ordering: Relaxed — same torn flag as above.
-                torn.store(true, Ordering::Relaxed);
             }
         });
         if torn.into_inner() {
             return Err(SnapshotRace);
+        }
+        // SAFETY: the chunks partition slots 0..total and each wrote every
+        // slot of its share: a copied run fills exactly its rows' slots
+        // (their degrees came from `prev`), and a re-read row whose cursor
+        // stopped short of its end set the torn flag, returned above.
+        unsafe {
+            nbrs.set_len(total);
+            ts.set_len(total);
         }
         Ok(Self {
             offsets,
@@ -307,6 +435,9 @@ mod tests {
     use crate::adjacency::CapacityHints;
     use crate::dynarr::DynArr;
     use crate::graph::DynGraph;
+    use crate::hybrid::HybridAdj;
+    use crate::treapadj::TreapAdj;
+    use snap_util::rng::XorShift64;
 
     fn edges() -> Vec<TimedEdge> {
         vec![
@@ -494,6 +625,122 @@ mod tests {
             x.sort_unstable();
             y.sort_unstable();
             assert_eq!(x, y);
+        }
+    }
+
+    /// Random insert / delete rounds on `g` over `n` vertices, half of
+    /// them on hub 0: after each round, patching the previous snapshot
+    /// with the round's endpoints must give the fresh build exactly. The
+    /// first half of the rounds mostly inserts, the second mostly deletes,
+    /// so a hybrid hub crosses its threshold both ways. `observe` sees
+    /// the adjacency after every round.
+    fn patch_forward<A: DynamicAdjacency>(g: &DynGraph<A>, seed: u64, mut observe: impl FnMut(&A)) {
+        let n = g.num_vertices() as u64;
+        let mut rng = XorShift64::new(seed);
+        let mut prev = g.to_csr();
+        for round in 0..48u32 {
+            let insert_share = if round < 24 { 0.8 } else { 0.05 };
+            let mut touched = RowSet::new(n as usize);
+            for i in 0..rng.next_bounded(12) + 1 {
+                let u = if rng.next_bool(0.5) {
+                    0
+                } else {
+                    rng.next_bounded(n) as u32
+                };
+                let v = rng.next_bounded(n) as u32;
+                let e = TimedEdge::new(u, v, round * 16 + i as u32);
+                if rng.next_bool(insert_share) {
+                    g.insert_edge(e);
+                } else {
+                    g.delete_edge(u, v);
+                }
+                touched.insert(u);
+                touched.insert(v);
+            }
+            let next = CsrGraph::patched(&prev, g.adjacency(), &touched).expect("quiescent");
+            assert_eq!(next, g.to_csr(), "round {round}");
+            observe(g.adjacency());
+            prev = next;
+        }
+    }
+
+    #[test]
+    fn patched_equals_a_fresh_build_on_every_representation() {
+        let hints = CapacityHints::new(64).with_degree_thresh(8);
+        for seed in 1..=4 {
+            patch_forward(&DynGraph::<DynArr>::undirected(16, &hints), seed, |_| {});
+            patch_forward(&DynGraph::<DynArr>::directed(16, &hints), seed, |_| {});
+            patch_forward(&DynGraph::<TreapAdj>::undirected(16, &hints), seed, |_| {});
+            let mut hub_was_treap = Vec::new();
+            let g = DynGraph::<HybridAdj>::undirected(16, &hints);
+            patch_forward(&g, seed, |adj| hub_was_treap.push(adj.is_treap(0)));
+            // The hub's row changed order through a promotion and a
+            // demotion, and the patches still matched.
+            let flips = |from, to| hub_was_treap.windows(2).any(|w| w == [from, to]);
+            assert!(
+                flips(false, true) && flips(true, false),
+                "seed {seed}: {hub_was_treap:?}"
+            );
+        }
+    }
+
+    /// A graph, its snapshot, and the vertices mutated after it.
+    fn mutated_after_snapshot() -> (DynGraph<HybridAdj>, CsrGraph, Vec<u32>) {
+        let g = DynGraph::<HybridAdj>::undirected(8, &CapacityHints::new(32).with_degree_thresh(4));
+        for e in edges() {
+            g.insert_edge(e);
+        }
+        let prev = g.to_csr();
+        g.delete_edge(0, 2);
+        g.insert_edge(TimedEdge::new(5, 6, 50));
+        (g, prev, vec![0, 2, 5, 6])
+    }
+
+    #[test]
+    fn patched_with_no_row_touched_is_prev_and_with_every_row_is_fresh() {
+        let (g, prev, _) = mutated_after_snapshot();
+        let fresh = g.to_csr();
+        assert_ne!(prev, fresh);
+        let none = RowSet::new(8);
+        assert_eq!(
+            CsrGraph::patched(&prev, g.adjacency(), &none),
+            Ok(prev.clone())
+        );
+        let mut all = RowSet::new(8);
+        (0..8).for_each(|u| all.insert(u));
+        assert_eq!(CsrGraph::patched(&prev, g.adjacency(), &all), Ok(fresh));
+    }
+
+    #[test]
+    fn a_touched_set_missing_a_mutated_vertex_is_detectably_wrong() {
+        // The exactness assertions above can fail: leave any one mutated
+        // vertex out and the patch serves its stale row.
+        let (g, prev, mutated) = mutated_after_snapshot();
+        let fresh = g.to_csr();
+        for &skip in &mutated {
+            let mut touched = RowSet::new(8);
+            mutated
+                .iter()
+                .filter(|&&u| u != skip)
+                .for_each(|&u| touched.insert(u));
+            let patched = CsrGraph::patched(&prev, g.adjacency(), &touched).expect("quiescent");
+            assert_ne!(patched, fresh, "vertex {skip} left out");
+        }
+    }
+
+    #[test]
+    fn patched_reports_a_torn_touched_row_as_race() {
+        let prev = CsrGraph::try_from_dynamic(&RacingAdj { skew: 0 }, false).expect("no skew");
+        let (mut row0, mut row1) = (RowSet::new(2), RowSet::new(2));
+        row0.insert(0);
+        row1.insert(1);
+        for skew in [1, -1] {
+            let adj = RacingAdj { skew };
+            assert_eq!(CsrGraph::patched(&prev, &adj, &row0), Err(SnapshotRace));
+            // An untouched row is copied, never read, so its race goes
+            // unseen — which is why the writer must mark every row it
+            // changes.
+            assert_eq!(CsrGraph::patched(&prev, &adj, &row1), Ok(prev.clone()));
         }
     }
 

@@ -35,12 +35,14 @@
 //!    [`ServeEngine::epoch`] are fresh after every cycle. That costs the
 //!    index's repair work plus one O(n) label extraction per cycle that
 //!    changed the graph (a `find` per vertex into a fresh n × 4 B
-//!    array), amortized by the cycle's size. The O(graph) part of a
-//!    version — the CSR that traversals read — is *frozen* at the end of
-//!    a cycle only when somebody can use it: a [`ServeEngine::pin`] asked
-//!    for a newer version than the newest frozen one, or no further batch
-//!    is waiting (so an idle engine is always frozen and pins see
-//!    everything). A
+//!    array), amortized by the cycle's size. The rest of a version — the
+//!    CSR that traversals read — is *frozen* at the end of a cycle only
+//!    when somebody can use it: a [`ServeEngine::pin`] asked for a newer
+//!    version than the newest frozen one, or no further batch is waiting
+//!    (so an idle engine is always frozen and pins see everything). A
+//!    freeze patches the previous version's CSR: O(n) offsets, a memcpy
+//!    of the rows no update named since the last freeze, and a re-read of
+//!    the touched rows from the live graph. A
 //!    frozen cycle publishes an immutable [`EpochSnapshot`] with **one**
 //!    pointer swap. Readers never observe intermediate state and never
 //!    block on a build: `pin` returns the newest frozen version in
@@ -104,7 +106,7 @@
 //! ```
 
 use crate::adjacency::{AdjEntry, DynamicAdjacency};
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, RowSet};
 use crate::engine::{apply_vpart_indexed, check_endpoints, resolve_workers, RANGE_BUDGET};
 use crate::graph::DynGraph;
 use crate::indexes::{IndexFamily, IndexQuery, NO_CONNECTIVITY};
@@ -341,6 +343,7 @@ struct ServeMetrics {
     apply_ns: Histogram,
     repair_ns: Histogram,
     freeze_ns: Histogram,
+    freeze_rows_reread: Histogram,
     publish_ns: Histogram,
     publish_lag_ns: Histogram,
     epochs: Counter,
@@ -387,7 +390,11 @@ impl ServeMetrics {
             ),
             freeze_ns: r.histogram(
                 "snap_serve_freeze_ns",
-                "CSR freeze (to_csr) time of the cycles that froze (ns)",
+                "CSR freeze time of the freezes that built a version: previous version patched with the touched rows (ns)",
+            ),
+            freeze_rows_reread: r.histogram(
+                "snap_serve_freeze_rows_reread",
+                "Rows a freeze re-read from the live graph (vertices touched since the last freeze; 0 when it shared the previous CSR)",
             ),
             publish_ns: r.histogram(
                 "snap_serve_publish_ns",
@@ -781,6 +788,10 @@ struct Writer<'a, A: DynamicAdjacency> {
     uncovered: Vec<Stamp>,
     /// Whether the graph changed since the last freeze.
     dirty: bool,
+    /// Both endpoints of every update applied since the last freeze: the
+    /// rows the next freeze re-reads. Every other row is unchanged since
+    /// the previous version, whose CSR it is copied from.
+    touched: RowSet,
     /// Cycles run so far (what `Shared::cycle_epoch` publishes).
     epoch: u64,
 }
@@ -792,6 +803,7 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
             stream: Vec::new(),
             uncovered: Vec::new(),
             dirty: false,
+            touched: RowSet::new(shared.graph.num_vertices()),
             epoch: 0,
         }
     }
@@ -868,6 +880,10 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         for b in &batches {
             self.stream.extend_from_slice(b);
         }
+        for u in &self.stream {
+            self.touched.insert(u.edge.u);
+            self.touched.insert(u.edge.v);
+        }
         let applied = self.stream.len() as u64;
         m.cycle_updates.record(applied);
         let routes = shared.indexes.routes();
@@ -934,22 +950,31 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         stash
     }
 
-    /// Builds the CSR of the current state (the writer is the only
-    /// thread that ever mutates the live graph, so it is quiescent
-    /// here), publishes it with the newest cycle's epoch, batch count
-    /// and labels by a single pointer swap, hands the covered batches'
-    /// `pending` counts and lag stamps over, and retires ring overflow.
+    /// Builds the CSR of the current state by patching the previous
+    /// version's: O(n) offsets, a memcpy of the rows no update named
+    /// since the last freeze, and a re-read of the touched rows from the
+    /// live graph (the writer is the only thread that ever mutates it, so
+    /// it is quiescent here). Publishes it with the newest cycle's epoch,
+    /// batch count and labels by a single pointer swap, hands the covered
+    /// batches' `pending` counts and lag stamps over, and retires ring
+    /// overflow.
     fn freeze(&mut self) {
         let shared = self.shared;
         let m = &shared.metrics;
         let prev = Arc::clone(&shared.current.read());
         let csr = if self.dirty {
             let _t = Timer::scope(&m.freeze_ns);
-            Arc::new(shared.graph.to_csr())
+            m.freeze_rows_reread.record(self.touched.count() as u64);
+            let csr = CsrGraph::patched(&prev.csr, shared.graph.adjacency(), &self.touched);
+            // panics: unreachable — a race needs a second mutator, and the
+            // writer is the live graph's only one (invariant 1).
+            Arc::new(csr.expect("writer is the only mutator"))
         } else {
+            m.freeze_rows_reread.record(0);
             Arc::clone(&prev.csr)
         };
         self.dirty = false;
+        self.touched.clear();
         // Every batch applied since the last freeze is now visible to
         // pins.
         let covered = self.uncovered.len();
@@ -1374,6 +1399,106 @@ mod tests {
         assert_eq!(e.history(), vec![first.clone(), last.clone()]);
         assert_eq!(sorted_entries(&*v), oracle_entries(8, &[first, last]));
         assert!(e.same_component(0, 2));
+    }
+
+    /// The version a pin gets after a flush is the fresh build of the
+    /// live graph, row for row: the freezes that patched it forward from
+    /// version 0 re-read every row that changed.
+    fn assert_patched_exactly<A: DynamicAdjacency>(e: &ServeEngine<A>) {
+        let v = e.pin();
+        assert_eq!(**v.csr(), e.shared.graph.to_csr(), "epoch {}", v.epoch());
+    }
+
+    #[test]
+    fn patched_freezes_follow_a_hub_through_promotion_and_demotion() {
+        let (n, hints) = (32, CapacityHints::new(256).with_degree_thresh(8));
+        let e = ServeEngine::new(
+            DynGraph::<HybridAdj>::undirected(n, &hints),
+            ServeConfig::default().with_shards(2),
+        );
+        let hub_is_treap = |e: &ServeEngine<HybridAdj>| e.shared.graph.adjacency().is_treap(0);
+        let mut rng = snap_util::rng::XorShift64::new(5);
+        let mut seen = Vec::new();
+        for round in 0..32u32 {
+            // Grow the hub past the threshold, then tear it down below a
+            // quarter of it; the other half of each batch churns elsewhere.
+            let insert_share = if round < 12 { 0.9 } else { 0.05 };
+            let batch = (0..8u32)
+                .map(|i| {
+                    let (u, v) = if i % 2 == 0 {
+                        (0, rng.next_bounded(16) as u32)
+                    } else {
+                        let u = rng.next_bounded(n as u64) as u32;
+                        (u, rng.next_bounded(n as u64) as u32)
+                    };
+                    if rng.next_bool(insert_share) {
+                        ins(u, v, round * 8 + i)
+                    } else {
+                        del(u, v)
+                    }
+                })
+                .collect();
+            e.submit(batch);
+            e.flush();
+            assert_patched_exactly(&e);
+            seen.push(hub_is_treap(&e));
+        }
+        let flips = |from, to| seen.windows(2).any(|w| w == [from, to]);
+        assert!(flips(false, true) && flips(true, false), "{seen:?}");
+    }
+
+    #[test]
+    fn a_drain_that_skips_freezes_patches_every_row_it_touched() {
+        // Each batch churns within its own 16-vertex slice and fills most of an
+        // applier range, so a cycle takes two and the cycles before the
+        // last one find batches waiting: they skip their freeze, and the
+        // freeze that covers them re-reads every slice they touched.
+        let (n, len, slice) = (256, 40_000, 16);
+        let e = engine(n, ServeConfig::default().with_shards(2));
+        let mut rng = snap_util::rng::XorShift64::new(9);
+        for burst in 0..2u32 {
+            for b in 0..6u32 {
+                let lo = (burst * 6 + b) * slice;
+                let batch = (0..len)
+                    .map(|i| {
+                        let u = lo + rng.next_bounded(slice as u64) as u32;
+                        let v = lo + rng.next_bounded(slice as u64) as u32;
+                        if rng.next_bool(0.7) {
+                            ins(u, v, i)
+                        } else {
+                            del(u, v)
+                        }
+                    })
+                    .collect();
+                e.submit(batch);
+            }
+            e.flush();
+            assert_patched_exactly(&e);
+        }
+        assert!(
+            e.freezes() < e.epoch(),
+            "{} freezes in {} cycles: the drain must skip some",
+            e.freezes(),
+            e.epoch()
+        );
+    }
+
+    #[test]
+    fn noop_cycles_around_patched_freezes_stay_exact() {
+        let e = engine(8, ServeConfig::default());
+        e.submit(vec![ins(0, 1, 1), ins(2, 3, 2)]);
+        e.flush();
+        assert_patched_exactly(&e);
+        let v1 = e.pin();
+        // A no-op cycle names rows it does not change: the freeze shares
+        // the CSR, and the next patch starts from a clean touched set.
+        e.submit(vec![del(4, 5), del(0, 2)]);
+        e.flush();
+        assert!(Arc::ptr_eq(v1.csr(), e.pin().csr()));
+        e.submit(vec![ins(5, 6, 3), del(2, 3)]);
+        e.submit(vec![del(6, 7)]);
+        e.flush();
+        assert_patched_exactly(&e);
     }
 
     #[test]

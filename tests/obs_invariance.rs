@@ -161,6 +161,14 @@ fn instrumented_serving_results_are_unchanged() {
             }
             other => panic!("expected histogram snap_serve_cycle_updates, got {other:?}"),
         }
+        // One sample per freeze, each at most every row of the graph.
+        match scrape("snap_serve_freeze_rows_reread") {
+            Some(MetricValue::Histogram(h)) => {
+                assert_eq!(h.count, engine.freezes());
+                assert!(h.max <= 32, "{} rows re-read of 32", h.max);
+            }
+            other => panic!("expected histogram snap_serve_freeze_rows_reread, got {other:?}"),
+        }
         assert!(counter_value("snap_serve_queries_total") >= 200);
         assert!(counter_value("snap_serve_updates_applied_total") >= 21);
         assert!(counter_value("snap_serve_updates_changed_total") >= 20);

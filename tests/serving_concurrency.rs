@@ -202,11 +202,12 @@ fn stress(shards: usize) {
     for (k, s) in samples.iter().enumerate() {
         let batches = s.handle.batches() as usize;
         let oracle = oracle_csr(&base, &history, batches);
-        // Same structure...
+        // Same entries, timestamps included (an entry count alone would
+        // pass a stale row whose insert and delete cancelled out)...
         assert_eq!(
-            s.handle.num_entries(),
-            oracle.num_entries(),
-            "sample {k} (epoch {}, {batches} batches): entry count",
+            entries(&*s.handle),
+            entries(&oracle),
+            "sample {k} (epoch {}, {batches} batches): entries",
             s.handle.epoch()
         );
         // ...same parallel-kernel outputs as the serial kernels on the
