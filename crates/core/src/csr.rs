@@ -15,28 +15,6 @@ use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// A snapshot attempt observed a writer mutating the source adjacency
-/// between the degree pass and the copy pass of the CSR builder (the
-/// per-vertex slot budget and the live entry count disagreed).
-///
-/// Returned by [`CsrGraph::try_from_dynamic`] and propagated by
-/// [`crate::graph::DynGraph::try_to_csr`] and
-/// [`crate::manager::SnapshotManager::try_snapshot`]. The race is
-/// transient: retrying after the writer quiesces succeeds. Callers that
-/// need snapshots *under* sustained concurrent ingest should use the
-/// serving engine ([`crate::serve::ServeEngine`]), whose published
-/// versions are immutable by construction and can never race a writer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SnapshotRace;
-
-impl std::fmt::Display for SnapshotRace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("adjacency mutated during snapshot construction")
-    }
-}
-
-impl std::error::Error for SnapshotRace {}
-
 /// A static timestamped graph in CSR form. Two snapshots are equal when
 /// their rows hold the same entries in the same order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,7 +85,6 @@ fn fill_chunks<'a>(
 
 /// The rows a [`CsrGraph::patched`] build re-reads from the live
 /// adjacency: one bit per vertex.
-#[derive(Debug)]
 pub(crate) struct RowSet {
     words: Vec<u64>,
 }
@@ -231,31 +208,11 @@ impl CsrGraph {
     ///
     /// # Panics
     ///
-    /// Panics if a writer mutates `adj` concurrently with the build (see
-    /// [`CsrGraph::try_from_dynamic`] for the non-panicking variant and
-    /// [`SnapshotRace`] for the race this detects).
+    /// If a racing writer makes the degree pass and the copy pass
+    /// disagree (it can never make the builder write out of bounds). A
+    /// race that keeps every row's length goes unseen: snapshots under
+    /// concurrent ingest are [`crate::serve::ServeEngine`]'s job.
     pub fn from_dynamic<A: DynamicAdjacency>(adj: &A, directed: bool) -> Self {
-        // panics: documented contract (see `# Panics` above) — the
-        // bulk-synchronous discipline was violated by a racing writer.
-        Self::try_from_dynamic(adj, directed).expect("adjacency mutated during snapshot")
-    }
-
-    /// Non-panicking [`CsrGraph::from_dynamic`]: returns
-    /// `Err(`[`SnapshotRace`]`)` instead of panicking when a concurrent
-    /// writer makes the degree pass and the copy pass disagree.
-    ///
-    /// Detection is best-effort but write-safe: a racing writer can never
-    /// make the builder write out of bounds (overrunning entries are
-    /// dropped and reported as a race), and a torn build is never
-    /// returned as `Ok`. A mutation that leaves every per-vertex entry
-    /// count unchanged within the build window (e.g. a delete and an
-    /// insert on the same vertex) can still go undetected — consistent
-    /// snapshots under sustained ingest are the serving engine's job
-    /// ([`crate::serve::ServeEngine`]), not this builder's.
-    pub fn try_from_dynamic<A: DynamicAdjacency>(
-        adj: &A,
-        directed: bool,
-    ) -> Result<Self, SnapshotRace> {
         Self::rows(adj, directed, None)
     }
 
@@ -263,16 +220,11 @@ impl CsrGraph {
     /// rows of vertices outside `touched` are copied from `prev`, one
     /// `copy_from_slice` per maximal run, and only the rows in `touched`
     /// are re-read from `adj`. The result is bit-identical to a fresh
-    /// [`CsrGraph::try_from_dynamic`], row order included, as long as no
-    /// row outside `touched` changed since `prev` was built — the
-    /// caller's contract (the serving writer marks both endpoints of
-    /// every update it applies). A torn re-read row is still
-    /// [`SnapshotRace`].
-    pub(crate) fn patched<A: DynamicAdjacency>(
-        prev: &CsrGraph,
-        adj: &A,
-        touched: &RowSet,
-    ) -> Result<Self, SnapshotRace> {
+    /// [`CsrGraph::from_dynamic`], row order included, as long as no row
+    /// outside `touched` changed since `prev` — the caller's contract (a
+    /// [`crate::cycle::Cycle`] marks both endpoints of every update). A
+    /// torn re-read row panics, as in `from_dynamic`.
+    pub(crate) fn patched<A: DynamicAdjacency>(prev: &CsrGraph, adj: &A, touched: &RowSet) -> Self {
         Self::rows(adj, prev.directed, Some((prev, touched)))
     }
 
@@ -283,7 +235,7 @@ impl CsrGraph {
         adj: &A,
         directed: bool,
         reuse: Option<(&CsrGraph, &RowSet)>,
-    ) -> Result<Self, SnapshotRace> {
+    ) -> Self {
         let n = adj.num_vertices();
         debug_assert!(reuse.is_none_or(|(prev, _)| prev.num_vertices() == n));
         let degrees = (0..n as u32)
@@ -347,23 +299,23 @@ impl CsrGraph {
                 }
             }
         });
-        if torn.into_inner() {
-            return Err(SnapshotRace);
-        }
+        // panics: documented contract of `from_dynamic` / `patched` — a
+        // writer raced the build, and a torn CSR must never be returned.
+        assert!(!torn.into_inner(), "adjacency mutated during snapshot");
         // SAFETY: the chunks partition slots 0..total and each wrote every
         // slot of its share: a copied run fills exactly its rows' slots
         // (their degrees came from `prev`), and a re-read row whose cursor
-        // stopped short of its end set the torn flag, returned above.
+        // stopped short of its end set the torn flag, which panicked above.
         unsafe {
             nbrs.set_len(total);
             ts.set_len(total);
         }
-        Ok(Self {
+        Self {
             offsets,
             nbrs,
             ts,
             directed,
-        })
+        }
     }
 
     /// Number of vertices.
@@ -584,40 +536,28 @@ mod tests {
     }
 
     #[test]
-    fn try_from_dynamic_reports_overrun_as_race() {
+    #[should_panic(expected = "adjacency mutated during snapshot")]
+    fn from_dynamic_panics_on_an_overrun() {
         // Surplus entries must be dropped (never written out of bounds)
-        // and surfaced as Err, not a panic.
-        let adj = RacingAdj { skew: 1 };
-        assert_eq!(
-            CsrGraph::try_from_dynamic(&adj, false).err(),
-            Some(SnapshotRace)
-        );
-    }
-
-    #[test]
-    fn try_from_dynamic_reports_underrun_as_race() {
-        let adj = RacingAdj { skew: -1 };
-        assert!(CsrGraph::try_from_dynamic(&adj, false).is_err());
+        // before the race is surfaced.
+        let _ = CsrGraph::from_dynamic(&RacingAdj { skew: 1 }, false);
     }
 
     #[test]
     #[should_panic(expected = "adjacency mutated during snapshot")]
-    fn from_dynamic_still_panics_on_race() {
-        // The panicking builder is the bulk-synchronous assertion path;
-        // its behavior is pinned here.
-        let adj = RacingAdj { skew: 1 };
-        let _ = CsrGraph::from_dynamic(&adj, false);
+    fn from_dynamic_panics_on_an_underrun() {
+        let _ = CsrGraph::from_dynamic(&RacingAdj { skew: -1 }, false);
     }
 
     #[test]
-    fn try_from_dynamic_matches_from_dynamic_when_quiescent() {
+    fn from_dynamic_matches_the_edge_list_build_when_quiescent() {
         let hints = CapacityHints::new(16);
         let g: DynGraph<DynArr> = DynGraph::undirected(4, &hints);
         for e in edges() {
             g.insert_edge(e);
         }
-        let a = g.to_csr();
-        let b = CsrGraph::try_from_dynamic(g.adjacency(), false).expect("no writer, no race");
+        let a = CsrGraph::from_edges_undirected(4, &edges());
+        let b = CsrGraph::from_dynamic(g.adjacency(), false);
         assert_eq!(a.num_entries(), b.num_entries());
         for u in 0..4u32 {
             let mut x = a.neighbors(u).to_vec();
@@ -657,7 +597,7 @@ mod tests {
                 touched.insert(u);
                 touched.insert(v);
             }
-            let next = CsrGraph::patched(&prev, g.adjacency(), &touched).expect("quiescent");
+            let next = CsrGraph::patched(&prev, g.adjacency(), &touched);
             assert_eq!(next, g.to_csr(), "round {round}");
             observe(g.adjacency());
             prev = next;
@@ -702,13 +642,10 @@ mod tests {
         let fresh = g.to_csr();
         assert_ne!(prev, fresh);
         let none = RowSet::new(8);
-        assert_eq!(
-            CsrGraph::patched(&prev, g.adjacency(), &none),
-            Ok(prev.clone())
-        );
+        assert_eq!(CsrGraph::patched(&prev, g.adjacency(), &none), prev);
         let mut all = RowSet::new(8);
         (0..8).for_each(|u| all.insert(u));
-        assert_eq!(CsrGraph::patched(&prev, g.adjacency(), &all), Ok(fresh));
+        assert_eq!(CsrGraph::patched(&prev, g.adjacency(), &all), fresh);
     }
 
     #[test]
@@ -723,25 +660,35 @@ mod tests {
                 .iter()
                 .filter(|&&u| u != skip)
                 .for_each(|&u| touched.insert(u));
-            let patched = CsrGraph::patched(&prev, g.adjacency(), &touched).expect("quiescent");
+            let patched = CsrGraph::patched(&prev, g.adjacency(), &touched);
             assert_ne!(patched, fresh, "vertex {skip} left out");
         }
     }
 
-    #[test]
-    fn patched_reports_a_torn_touched_row_as_race() {
-        let prev = CsrGraph::try_from_dynamic(&RacingAdj { skew: 0 }, false).expect("no skew");
+    /// Patches the skew-free snapshot of [`RacingAdj`] over a racing
+    /// adjacency with row 1 touched, then with row 0 touched.
+    fn patch_a_racing_row(skew: i64) {
+        let prev = CsrGraph::from_dynamic(&RacingAdj { skew: 0 }, false);
         let (mut row0, mut row1) = (RowSet::new(2), RowSet::new(2));
         row0.insert(0);
         row1.insert(1);
-        for skew in [1, -1] {
-            let adj = RacingAdj { skew };
-            assert_eq!(CsrGraph::patched(&prev, &adj, &row0), Err(SnapshotRace));
-            // An untouched row is copied, never read, so its race goes
-            // unseen — which is why the writer must mark every row it
-            // changes.
-            assert_eq!(CsrGraph::patched(&prev, &adj, &row1), Ok(prev.clone()));
-        }
+        let adj = RacingAdj { skew };
+        // An untouched row is copied, never read, so its race goes
+        // unseen — which is why the cycle must mark every row it changes.
+        assert_eq!(CsrGraph::patched(&prev, &adj, &row1), prev);
+        let _ = CsrGraph::patched(&prev, &adj, &row0);
+    }
+
+    #[test]
+    #[should_panic(expected = "adjacency mutated during snapshot")]
+    fn patched_panics_on_a_torn_touched_row_overrun() {
+        patch_a_racing_row(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "adjacency mutated during snapshot")]
+    fn patched_panics_on_a_torn_touched_row_underrun() {
+        patch_a_racing_row(-1);
     }
 
     #[test]

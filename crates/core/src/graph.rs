@@ -6,7 +6,7 @@
 //! touches two adjacency lists.
 
 use crate::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency};
-use crate::csr::{CsrGraph, SnapshotRace};
+use crate::csr::CsrGraph;
 use snap_rmat::{TimedEdge, Update, UpdateKind};
 
 /// A dynamic graph over representation `A`.
@@ -119,18 +119,10 @@ impl<A: DynamicAdjacency> DynGraph<A> {
     ///
     /// # Panics
     ///
-    /// Panics if a writer races the build (bulk-synchronous discipline
-    /// violated); see [`DynGraph::try_to_csr`] for the checked variant.
+    /// If a writer races the build (bulk-synchronous discipline
+    /// violated; see [`CsrGraph::from_dynamic`]).
     pub fn to_csr(&self) -> CsrGraph {
         CsrGraph::from_dynamic(&self.adj, self.directed)
-    }
-
-    /// Non-panicking [`DynGraph::to_csr`]: returns
-    /// `Err(`[`SnapshotRace`]`)` when a concurrent writer tears the
-    /// build (see [`CsrGraph::try_from_dynamic`] for the detection
-    /// contract).
-    pub fn try_to_csr(&self) -> Result<CsrGraph, SnapshotRace> {
-        CsrGraph::try_from_dynamic(&self.adj, self.directed)
     }
 }
 

@@ -27,8 +27,10 @@
 //! bursts) want the snapshot; cheap point queries (degree probes, one
 //! s-t check) and freshness-critical reads want the live view. The
 //! [`manager::SnapshotManager`] automates the choice's bookkeeping: it
-//! tracks a dirty epoch and rebuilds the cached snapshot lazily, so a
-//! burst of queries between update batches pays for one rebuild.
+//! runs every mutation through one write cycle — the one the serving
+//! writer runs — and freezes the cached snapshot lazily by patching the
+//! previous one, so a burst of queries between update batches pays for
+//! one build.
 //!
 //! Connectivity queries get a third, cheaper path:
 //! [`connectivity::ConnectivityIndex`] is a concurrent union-find
@@ -62,10 +64,15 @@
 //!
 //! # Phase discipline
 //!
-//! Mutation methods take `&self` and are safe to call from many threads.
-//! Read methods ([`DynamicAdjacency::degree`], traversal, CSR snapshots)
-//! are also thread-safe, but the MUPS experiments follow the paper's
-//! bulk-synchronous pattern: apply a batch in parallel, then read.
+//! The representations' mutation methods take `&self` and are safe to
+//! call from many threads; their read methods
+//! ([`DynamicAdjacency::degree`], traversal) are too, but the MUPS
+//! experiments follow the paper's bulk-synchronous pattern: apply a
+//! batch in parallel, then read. A CSR snapshot ([`DynGraph::to_csr`])
+//! built while a writer mutates the same graph panics rather than return
+//! a torn CSR. Both engines are their graph's only mutator —
+//! `SnapshotManager` runs one mutation call at a time behind its lock,
+//! `ServeEngine` one writer thread — so their snapshots never race.
 
 #![deny(missing_docs)]
 
@@ -73,6 +80,7 @@ pub mod adjacency;
 pub mod compressed;
 pub mod connectivity;
 pub mod csr;
+mod cycle;
 pub mod distindex;
 pub mod dynarr;
 pub mod engine;
@@ -90,7 +98,7 @@ pub mod vlabels;
 
 pub use adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, HalfUpdate, TOMBSTONE};
 pub use connectivity::ConnectivityIndex;
-pub use csr::{CsrGraph, SnapshotRace};
+pub use csr::CsrGraph;
 pub use distindex::{restricted_hop_distances, DistanceIndex};
 pub use dynarr::{DynArr, FixedDynArr};
 pub use graph::DynGraph;

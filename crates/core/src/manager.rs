@@ -1,69 +1,48 @@
-//! The epoch-tagged snapshot cache over one dynamic graph
-//! ([`SnapshotManager`]): every mutation goes through the one batch
-//! applier ([`crate::engine`]), bumps the epoch only on actual change,
-//! and routes into the attached index family ([`crate::indexes`]); a CSR
-//! snapshot is rebuilt lazily, at most once per epoch.
+//! The bulk-synchronous engine ([`SnapshotManager`]): a dynamic graph and
+//! its index family ([`crate::indexes`]), written through the serving
+//! writer's cycle run inline behind one lock.
 
 use crate::adjacency::DynamicAdjacency;
 use crate::connectivity::ConnectivityIndex;
-use crate::csr::{CsrGraph, SnapshotRace};
+use crate::csr::CsrGraph;
+use crate::cycle::Cycle;
 use crate::distindex::DistanceIndex;
-use crate::engine::apply_vpart_indexed;
 use crate::graph::DynGraph;
-use crate::indexes::{IndexFamily, IndexQuery, IndexRoutes};
+use crate::indexes::{IndexFamily, IndexQuery};
 use crate::triindex::TriangleIndex;
+use crate::view::GraphView;
 use parking_lot::Mutex;
 use snap_rmat::{TimedEdge, Update};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Epoch-tagged snapshot cache over a dynamic graph.
+/// A dynamic graph, its attached indexes and a CSR snapshot cached
+/// between changes: the paper's bulk-synchronous engine.
 ///
-/// The paper's kernels run on CSR snapshots; rebuilding one costs
-/// O(n + m). A serving workload interleaves update batches with *bursts*
-/// of queries, so paying that rebuild per query (or even per batch when
-/// no query arrives) is pure waste. `SnapshotManager` makes the rebuild
-/// lazy and amortized:
+/// The kernels run on CSR snapshots, and a build costs O(n + m). A
+/// serving workload interleaves update batches with bursts of queries, so
+/// the build is lazy: [`SnapshotManager::snapshot`] returns the cached
+/// [`Arc<CsrGraph>`] while no update changed the graph, and otherwise
+/// patches it, re-reading only the rows updates named. Cheap queries skip
+/// CSR entirely through the read-only [`SnapshotManager::live`].
 ///
-/// - every mutation (single update or batch) bumps a monotone *epoch*;
-/// - [`SnapshotManager::snapshot`] returns a cached [`Arc<CsrGraph>`]
-///   and rebuilds only when the epoch moved since the cached build —
-///   a burst of traversal-heavy queries between batches pays for at
-///   most one rebuild;
-/// - cheap queries skip CSR entirely by reading the
-///   [live view](crate::view::GraphView) via [`SnapshotManager::live`].
+/// Mutations take `&self` from any thread but run one call at a time:
+/// they, `snapshot` and the `enable_*` methods take one lock, and a batch
+/// is applied in parallel inside its call. A snapshot is therefore the
+/// graph after a prefix of the calls, and the manager is the graph's only
+/// mutator. Readers that must not wait behind a batch belong on
+/// [`crate::serve::ServeEngine`].
 ///
-/// # Consistency
-///
-/// Mutations take `&self` and are thread-safe, like the underlying
-/// representations. `snapshot()` performs best between batches (the
-/// paper's bulk-synchronous discipline), but it is safe concurrently
-/// with writers: a detected race ([`SnapshotRace`]) makes
-/// [`SnapshotManager::try_snapshot`] return `Err` and
-/// [`SnapshotManager::snapshot`] retry — never a panic. Workloads where
-/// writers never quiesce should serve reads from the multi-version
-/// publication path in [`crate::serve`] instead of retrying here.
-///
-/// # Index serving
-///
-/// [`SnapshotManager::enable_connectivity`],
-/// [`SnapshotManager::enable_distances`] and
-/// [`SnapshotManager::enable_triangles`] attach members of the
-/// incremental index family ([`crate::indexes`]): from then on every
-/// update routed through the manager also maintains them, and
-/// [`SnapshotManager::indexes`] answers `same_component`,
-/// `hop_distance`, `triangle_count` and friends with **no CSR rebuild
-/// and no full recompute**. Validity is epoch-coupled: mutations applied
-/// behind the manager's back (via [`SnapshotManager::live`] +
-/// [`SnapshotManager::mark_dirty`]) leave an index's absorbed epoch
-/// behind, and its next query detects the gap and pays one counted full
-/// rebuild.
+/// The `enable_*` methods attach members of the incremental index family
+/// ([`crate::indexes`]): every later mutation maintains them, and
+/// [`SnapshotManager::indexes`] answers their queries with no lock, no
+/// CSR build and no full recompute.
 ///
 /// # Examples
 ///
 /// ```
 /// use snap_core::adjacency::CapacityHints;
-/// use snap_core::{DynGraph, HybridAdj, SnapshotManager};
+/// use snap_core::{DynGraph, GraphView, HybridAdj, SnapshotManager};
 /// use snap_rmat::{StreamBuilder, TimedEdge};
 ///
 /// let edges = vec![TimedEdge::new(0, 1, 1), TimedEdge::new(1, 2, 2)];
@@ -75,7 +54,7 @@ use std::sync::{Arc, OnceLock};
 /// assert_eq!(mgr.live().degree(1), 2);
 /// assert_eq!(mgr.rebuild_count(), 0);
 ///
-/// // ... and a burst of snapshot reads pays for exactly one rebuild.
+/// // ... and a burst of snapshot reads pays for exactly one build.
 /// let csr = mgr.snapshot();
 /// assert_eq!(csr.num_entries(), 4);
 /// let again = mgr.snapshot();
@@ -88,43 +67,29 @@ use std::sync::{Arc, OnceLock};
 /// ```
 pub struct SnapshotManager<A: DynamicAdjacency> {
     graph: DynGraph<A>,
-    /// Monotone mutation counter; `snapshot` compares it to the cached
-    /// build's epoch to decide whether a rebuild is due, and every index
-    /// query compares it to the index's absorbed epoch.
-    epoch: AtomicU64,
-    /// Held across "step every attached index, then publish the epoch",
-    /// so racing routed changes step in epoch order (invariant 6).
-    epoch_lock: Mutex<()>,
-    cache: Mutex<SnapshotCache>,
-    rebuilds: AtomicUsize,
     indexes: IndexFamily,
-}
-
-struct SnapshotCache {
-    epoch: u64,
-    csr: Option<Arc<CsrGraph>>,
+    /// The cycle's epoch, published after every run for the lock-free
+    /// readers: `epoch()` and the index queries' freshness check.
+    epoch: AtomicU64,
+    /// The one lock: every mutation, snapshot and attach takes it.
+    cycle: Mutex<Cycle>,
 }
 
 impl<A: DynamicAdjacency> SnapshotManager<A> {
-    /// Wraps a dynamic graph. The first [`SnapshotManager::snapshot`]
-    /// call builds the initial CSR.
+    /// Wraps a dynamic graph; the first snapshot builds every row.
     pub fn new(graph: DynGraph<A>) -> Self {
+        let cycle = Mutex::new(Cycle::new(graph.num_vertices()));
         Self {
             graph,
-            epoch: AtomicU64::new(0),
-            epoch_lock: Mutex::new(()),
-            cache: Mutex::new(SnapshotCache {
-                epoch: 0,
-                csr: None,
-            }),
-            rebuilds: AtomicUsize::new(0),
             indexes: IndexFamily::default(),
+            epoch: AtomicU64::new(0),
+            cycle,
         }
     }
 
-    /// The live graph, for direct queries through
-    /// [`crate::view::GraphView`] with zero snapshot cost.
-    pub fn live(&self) -> &DynGraph<A> {
+    /// The live graph, read-only: queries through [`GraphView`] at zero
+    /// snapshot cost.
+    pub fn live(&self) -> &impl GraphView {
         &self.graph
     }
 
@@ -133,119 +98,79 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
         self.graph
     }
 
-    /// Current mutation epoch.
+    /// Current mutation epoch: the number of mutation calls so far.
     pub fn epoch(&self) -> u64 {
-        // ordering: Acquire — pairs with the Release epoch publications
-        // so a reader that observes epoch e also observes the mutations
-        // it covers (invariant 1: epoch-coupled validity).
+        // ordering: Acquire — pairs with the Release publication in
+        // `apply_batch` so a reader that observes epoch e also observes the
+        // mutations it covers (invariant 1: epoch-coupled validity).
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// True when the cached snapshot (if any) reflects every applied
-    /// update — i.e. the next [`SnapshotManager::snapshot`] is free.
+    /// True when the next [`SnapshotManager::snapshot`] is the cached one.
     pub fn is_clean(&self) -> bool {
-        let cache = self.cache.lock();
-        cache.csr.is_some() && cache.epoch == self.epoch()
+        self.cycle.lock().is_clean()
     }
 
-    /// Number of CSR rebuilds performed so far (the quantity the epoch
-    /// cache exists to minimize).
+    /// CSR builds so far, patched or full (what the cache minimizes).
     pub fn rebuild_count(&self) -> usize {
-        // ordering: Relaxed — statistics counter (invariant 9).
-        self.rebuilds.load(Ordering::Relaxed)
+        self.cycle.lock().builds()
     }
 
-    /// Marks the graph dirty without going through the manager's update
-    /// methods (escape hatch for callers mutating `live()` directly).
-    /// The attached indexes are *not* stepped, so the next query on each
-    /// pays one full rebuild: that is the detection mechanism.
-    pub fn mark_dirty(&self) {
-        self.publish_epoch(IndexRoutes::default());
-    }
-
-    /// Publishes the next epoch as one ordered action: under the epoch
-    /// lock, step every index in `routes` to it, then store it. Racing
-    /// routed changes therefore step in epoch order — without the lock
-    /// the later epoch's exact step could run first, fail, and leave
-    /// every index one epoch behind for good. `mark_dirty` passes no
-    /// routes, so its gap stays open under every later step. `routes`
-    /// must be the bundle captured at the *start* of the mutation: a
-    /// change was not routed into an index attached after that, and
-    /// stepping its epoch anyway would hide exactly that gap.
-    fn publish_epoch(&self, routes: IndexRoutes<'_>) {
-        let _order = self.epoch_lock.lock();
-        let e = self.epoch() + 1;
-        routes.sync_change(e);
-        // ordering: Release — publishes the mutation (and the index
-        // steps above) to Acquire `epoch()` readers (invariants 1, 2, 6).
-        self.epoch.store(e, Ordering::Release);
-    }
-
-    /// Inserts a timestamped edge, bumping the epoch only if an entry
-    /// was actually stored (a deduplicated re-insert leaves the cached
-    /// snapshot valid). Thread-safe.
+    /// [`SnapshotManager::apply`] of an insert.
     pub fn insert_edge(&self, e: TimedEdge) -> bool {
         self.apply(&Update::insert(e))
     }
 
-    /// Deletes one occurrence of `(u, v)`, bumping the epoch only if an
-    /// entry was actually removed (deleting an absent edge leaves the
-    /// cached snapshot valid). Thread-safe.
+    /// [`SnapshotManager::apply`] of a delete of one `(u, v)`.
     pub fn delete_edge(&self, u: u32, v: u32) -> bool {
         self.apply(&Update::delete(TimedEdge::new(u, v, 0)))
     }
 
-    /// Applies a single structural update, bumping the epoch only if it
-    /// changed the graph. Thread-safe.
+    /// Applies one update in O(degree), stepping the epoch; returns
+    /// whether it changed the graph. Panics like
+    /// [`SnapshotManager::apply_batch`].
     pub fn apply(&self, upd: &Update) -> bool {
-        let routes = self.indexes.routes();
-        let changed = self.graph.apply(upd);
-        if changed {
-            routes.route(&self.graph, upd);
-            self.publish_epoch(routes);
-        }
-        changed
+        self.apply_batch(std::slice::from_ref(upd))
     }
 
-    /// Applies a whole batch in parallel ([`apply_vpart_indexed`] on
-    /// the installed pool), bumping the epoch **at most once** and only
-    /// if some update actually changed the graph — the paper's
-    /// bulk-synchronous pattern. A burst of no-op batches (deletes of
-    /// absent edges, deduplicated re-inserts) leaves the cached snapshot
-    /// and the indexes untouched; confirmed changes are routed to the
-    /// attached indexes after the barrier, in stream order. Returns
-    /// whether the batch changed anything.
+    /// Applies a batch in parallel ([`crate::engine::apply_vpart_indexed`]
+    /// on the installed pool), routes its changes to the attached indexes
+    /// in stream order and steps the epoch **once**. A batch that changes
+    /// nothing keeps the cached snapshot. Returns whether it changed
+    /// anything.
     ///
     /// # Panics
     ///
     /// Before anything is applied, if an update names a vertex outside
     /// the graph.
     pub fn apply_batch(&self, updates: &[Update]) -> bool {
-        let routes = self.indexes.routes();
-        let changed = apply_vpart_indexed(&self.graph, updates, 0, routes) > 0;
-        if changed {
-            self.publish_epoch(routes);
-        }
+        let mut cycle = self.cycle.lock();
+        let changed = cycle.run(&self.graph, self.indexes.routes(), updates, 0) > 0;
+        // ordering: Release — publishes the mutation and the index steps
+        // `run` made before it to Acquire `epoch()` readers (invariants
+        // 1, 6).
+        self.epoch.store(cycle.epoch(), Ordering::Release);
         changed
     }
 
-    /// Attaches (or returns) the incremental [`ConnectivityIndex`],
-    /// building it from the current live graph on first call. From then
-    /// on, updates routed through the manager maintain it; query through
-    /// [`SnapshotManager::indexes`].
+    /// Attaches (or returns) the incremental [`ConnectivityIndex`], built
+    /// from the live graph on the first call.
     pub fn enable_connectivity(&self) -> &ConnectivityIndex {
+        let _cycle = self.cycle.lock();
         self.indexes.attach_connectivity(&self.graph, self.epoch())
     }
 
     /// Attaches (or returns) the incremental [`DistanceIndex`] over the
     /// given pinned sources (honored only by the attaching call).
     pub fn enable_distances(&self, sources: &[u32]) -> &DistanceIndex {
+        let _cycle = self.cycle.lock();
         self.indexes
             .attach_distances(&self.graph, sources, self.epoch())
     }
 
     /// Attaches (or returns) the incremental [`TriangleIndex`].
     pub fn enable_triangles(&self) -> &TriangleIndex {
+        let _cycle = self.cycle.lock();
         self.indexes.attach_triangles(&self.graph, self.epoch())
     }
 
@@ -256,60 +181,19 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
         self.indexes.query(&self.graph, &self.epoch)
     }
 
-    /// The CSR snapshot of the current state. Returns the cached build
-    /// when the epoch has not moved; otherwise rebuilds, caches, and
-    /// returns the fresh snapshot. The `Arc` keeps earlier snapshots
-    /// alive for readers that are still traversing them.
-    ///
-    /// Never panics on a racing writer: a detected race
-    /// ([`SnapshotRace`]) yields and retries until a consistent build
-    /// lands. Under *sustained* concurrent ingest that retry loop may
-    /// spin for a long time — serving workloads that never quiesce
-    /// should read published versions from
-    /// [`crate::serve::ServeEngine`] instead, where a race is impossible
-    /// by construction.
+    /// The CSR of the current state: the cached one while no update
+    /// changed the graph, otherwise that one patched with the rows named
+    /// since. Waits for a running mutation call, so it is never torn; the
+    /// `Arc` keeps earlier snapshots alive for their readers.
     pub fn snapshot(&self) -> Arc<CsrGraph> {
-        loop {
-            match self.try_snapshot() {
-                Ok(csr) => return csr,
-                Err(SnapshotRace) => std::thread::yield_now(),
-            }
+        let m = snapshot_metrics();
+        let mut cycle = self.cycle.lock();
+        if cycle.is_clean() {
+            m.cache_hits.inc();
+        } else {
+            m.rebuilds.inc();
         }
-    }
-
-    /// One snapshot attempt: returns `Err(`[`SnapshotRace`]`)` instead
-    /// of blocking or panicking when a writer races the build — either
-    /// the CSR builder detected torn per-vertex state, or the epoch
-    /// moved while the build ran (a structurally consistent build that
-    /// can no longer be stamped with the epoch it was meant for).
-    /// On `Ok`, the returned snapshot is cached and exactly reflects the
-    /// epoch read at entry.
-    pub fn try_snapshot(&self) -> Result<Arc<CsrGraph>, SnapshotRace> {
-        let mut cache = self.cache.lock();
-        // Read the epoch under the lock: a concurrent mutation between an
-        // earlier read and the build would otherwise stamp the fresh CSR
-        // with a stale tag and force a spurious rebuild later.
-        let target = self.epoch();
-        if let Some(csr) = &cache.csr {
-            if cache.epoch == target {
-                snapshot_metrics().cache_hits.inc();
-                return Ok(Arc::clone(csr));
-            }
-        }
-        let csr = Arc::new(self.graph.try_to_csr()?);
-        if self.epoch() != target {
-            // The build is internally consistent but a writer landed
-            // mid-build; it may contain a prefix of that writer's batch,
-            // so it represents neither `target` nor the new epoch.
-            return Err(SnapshotRace);
-        }
-        // ordering: Relaxed — statistics counter (invariant 9); the
-        // cache itself is published by the mutex.
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        snapshot_metrics().rebuilds.inc();
-        cache.epoch = target;
-        cache.csr = Some(Arc::clone(&csr));
-        Ok(csr)
+        cycle.freeze(&self.graph)
     }
 }
 
@@ -331,7 +215,7 @@ fn snapshot_metrics() -> &'static SnapshotMetrics {
             ),
             rebuilds: r.counter(
                 "snap_snapshot_rebuilds_total",
-                "CSR rebuilds performed by snapshot managers",
+                "CSR builds performed by snapshot managers, patched or full",
             ),
         }
     })
@@ -342,6 +226,7 @@ mod tests {
     use super::*;
     use crate::adjacency::CapacityHints;
     use crate::dynarr::DynArr;
+    use crate::engine::apply_vpart;
     use crate::engine::tests::{non_commuting_stream, workload};
     use crate::hybrid::HybridAdj;
     use crate::treapadj::TreapAdj;
@@ -404,7 +289,7 @@ mod tests {
         let s1 = mgr.snapshot();
         assert_eq!(mgr.rebuild_count(), 1);
         // A burst of batches that change nothing: deletes of absent
-        // edges. The epoch must not move and the cache must survive.
+        // edges. The epoch steps once per run, but the cache survives.
         let noop: Vec<Update> = (0..4u32)
             .map(|i| Update::delete(snap_rmat::TimedEdge::new(4 + i, 7, 0)))
             .collect();
@@ -412,8 +297,8 @@ mod tests {
         for _ in 0..8 {
             assert!(!mgr.apply_batch(&noop), "no-op batch must report false");
         }
-        assert_eq!(mgr.epoch(), epoch_before, "no-op batches must not dirty");
-        assert!(mgr.is_clean());
+        assert_eq!(mgr.epoch(), epoch_before + 8, "one epoch per run");
+        assert!(mgr.is_clean(), "no-op batches must not dirty");
         let s2 = mgr.snapshot();
         assert!(Arc::ptr_eq(&s1, &s2));
         assert_eq!(mgr.rebuild_count(), 1, "rebuild count stays flat");
@@ -459,72 +344,24 @@ mod tests {
     }
 
     #[test]
-    fn out_of_band_mutation_costs_one_full_resync() {
-        let g: DynGraph<DynArr> = DynGraph::undirected(8, &CapacityHints::new(16));
-        let mgr = SnapshotManager::new(g);
-        let idx = mgr.enable_connectivity();
-        assert!(!mgr.indexes().same_component(2, 3));
-        // Mutate behind the manager's back, then mark dirty: the next
-        // connectivity query must notice and resync exactly once.
-        mgr.live().insert_edge(snap_rmat::TimedEdge::new(2, 3, 1));
-        mgr.mark_dirty();
-        assert!(mgr.indexes().same_component(2, 3));
-        assert_eq!(idx.full_rebuild_count(), 1);
-        assert!(mgr.indexes().same_component(2, 3));
-        assert_eq!(
-            idx.full_rebuild_count(),
-            1,
-            "resync paid once, not per query"
-        );
-    }
-
-    #[test]
-    fn routed_updates_do_not_absorb_an_out_of_band_gap() {
-        // Regression: the epoch sync used a monotone max, so a routed
-        // update arriving *after* an unsynced mark_dirty fast-forwarded
-        // the index past the gap and the stale-detection never fired.
-        let g: DynGraph<DynArr> = DynGraph::undirected(8, &CapacityHints::new(16));
-        let mgr = SnapshotManager::new(g);
-        let idx = mgr.enable_connectivity();
-        mgr.live().insert_edge(snap_rmat::TimedEdge::new(2, 3, 1));
-        mgr.mark_dirty(); // gap: epoch moved, index did not absorb it
-                          // A routed update lands before any query. It must not paper
-                          // over the gap...
-        assert!(mgr.insert_edge(snap_rmat::TimedEdge::new(5, 6, 1)));
-        assert!(
-            idx.synced_epoch() < mgr.epoch(),
-            "the out-of-band gap must stay sticky"
-        );
-        // ...so the next query still detects staleness and resyncs.
-        assert!(
-            mgr.indexes().same_component(2, 3),
-            "out-of-band edge must be seen"
-        );
-        assert!(mgr.indexes().same_component(5, 6));
-        assert_eq!(idx.full_rebuild_count(), 1);
-        assert_eq!(idx.synced_epoch(), mgr.epoch());
-        // Lockstep resumes after the resync: further routed updates
-        // keep the index fresh with no more rebuilds.
-        assert!(mgr.insert_edge(snap_rmat::TimedEdge::new(3, 5, 2)));
-        assert!(mgr.indexes().same_component(2, 6));
-        assert_eq!(idx.full_rebuild_count(), 1);
-    }
-
-    #[test]
     fn racing_routed_changes_leave_no_epoch_gap() {
-        // Regression (the 1-in-25 chaos flake): two threads in the
-        // epoch bump took epochs e and e + 1; when the exact step to
-        // e + 1 ran before the step to e it failed, the step to e then
-        // succeeded, and the index sat one epoch behind for good — the
-        // next query paid a full rebuild although every change had been
-        // routed. Each round releases every thread into the bump at
-        // once (far more threads than cores, so wake-ups preempt inside
-        // the window); one inversion in any round fails the test.
+        // Regression (the 1-in-25 chaos flake): two racing mutations took
+        // epochs e and e + 1; when the exact step to e + 1 ran before the
+        // step to e it failed, and the index sat one epoch behind for
+        // good. Each round releases every thread into `apply_batch` at
+        // once (far more threads than cores, so wake-ups preempt at the
+        // lock); each call inserts a triangle on vertex 0 of its own, so
+        // the calls commute and the oracle is their union.
         const THREADS: u32 = 32;
-        const ROUNDS: u32 = 2000;
-        let n = (THREADS * ROUNDS + 1) as usize;
-        let g: DynGraph<DynArr> = DynGraph::undirected(n, &CapacityHints::new(n * 2));
-        let mgr = SnapshotManager::new(g);
+        const ROUNDS: u32 = 250;
+        let calls = THREADS * ROUNDS;
+        let n = (2 * calls + 1) as usize;
+        let triangle = |call: u32| {
+            let x = 1 + 2 * call;
+            [(0, x), (x, x + 1), (x + 1, 0)].map(|(u, v)| Update::insert(TimedEdge::new(u, v, 1)))
+        };
+        let hints = CapacityHints::new(n * 3);
+        let mgr = SnapshotManager::new(DynGraph::<DynArr>::undirected(n, &hints));
         let cores: [&crate::indexes::IndexCore; 3] = [
             mgr.enable_connectivity(),
             mgr.enable_distances(&[0]),
@@ -537,16 +374,39 @@ mod tests {
                 s.spawn(move || {
                     for r in 0..ROUNDS {
                         start.wait();
-                        assert!(mgr.insert_edge(TimedEdge::new(0, 1 + r * THREADS + t, 1)));
+                        assert!(mgr.apply_batch(&triangle(r * THREADS + t)));
                     }
                 });
             }
         });
-        assert_eq!(mgr.epoch(), u64::from(THREADS * ROUNDS));
+        assert_eq!(mgr.epoch(), u64::from(calls), "one epoch per call");
+        let oracle = DynGraph::<DynArr>::undirected(n, &hints);
+        for u in (0..calls).flat_map(triangle) {
+            oracle.apply(&u);
+        }
+        let all: Vec<u32> = (0..n as u32).collect();
+        let labels = crate::connectivity::restricted_component_labels(&oracle, &all);
+        let from_0: Vec<u32> = all
+            .iter()
+            .map(|&v| {
+                if v == 0 {
+                    0
+                } else {
+                    crate::distindex::UNREACHED
+                }
+            })
+            .collect();
+        let triangles = TriangleIndex::from_view(&oracle);
         let q = mgr.indexes();
-        assert_eq!(q.component_count(), 1);
-        assert_eq!(q.hop_distance(0, n as u32 - 1), Some(1));
-        assert_eq!(q.triangle_count(), 0);
+        for &u in &all {
+            assert_eq!(q.component(u), labels[u as usize], "vertex {u}");
+            assert_eq!(q.triangles_of(u), triangles.triangles_of(u), "vertex {u}");
+        }
+        assert_eq!(
+            q.hop_distances(0),
+            crate::distindex::restricted_hop_distances(&oracle, &all, &from_0)
+        );
+        assert_eq!(q.triangle_count(), u64::from(calls));
         for core in cores {
             assert_eq!(core.synced_epoch(), mgr.epoch(), "stepped in lockstep");
             assert_eq!(core.full_rebuild_count(), 0, "so nothing to resync");
@@ -595,19 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_manager_mark_dirty_forces_rebuild() {
-        let g: DynGraph<TreapAdj> = DynGraph::undirected(4, &CapacityHints::new(8));
-        let mgr = SnapshotManager::new(g);
-        let _ = mgr.snapshot();
-        // Mutate through the live graph, bypassing the manager.
-        mgr.live().insert_edge(snap_rmat::TimedEdge::new(1, 2, 3));
-        mgr.mark_dirty();
-        let s = mgr.snapshot();
-        assert_eq!(s.num_entries(), 2);
-        assert_eq!(mgr.rebuild_count(), 2);
-    }
-
-    #[test]
     fn apply_batch_is_one_applier_call_with_or_without_an_index() {
         let n = 48u32;
         let hints = CapacityHints::new(64).with_degree_thresh(4);
@@ -621,14 +468,13 @@ mod tests {
             let epochs = (plain.epoch(), indexed.epoch());
             let changed = plain.apply_batch(batch);
             assert_eq!(indexed.apply_batch(batch), changed, "same return value");
-            let step = u64::from(changed);
-            assert_eq!(plain.epoch(), epochs.0 + step, "one epoch step");
-            assert_eq!(indexed.epoch(), epochs.1 + step, "one epoch step");
+            assert_eq!(plain.epoch(), epochs.0 + 1, "one epoch step");
+            assert_eq!(indexed.epoch(), epochs.1 + 1, "one epoch step");
         }
         for u in 0..n {
             assert_eq!(
-                plain.live().adjacency().neighbors(u),
-                indexed.live().adjacency().neighbors(u)
+                plain.graph.adjacency().neighbors(u),
+                indexed.graph.adjacency().neighbors(u)
             );
         }
         let labels = crate::connectivity::ConnectivityIndex::from_view(plain.live());
@@ -692,37 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_band_mutation_resyncs_distance_and_triangle_indexes() {
-        let g: DynGraph<DynArr> = DynGraph::undirected(8, &CapacityHints::new(32));
-        let mgr = SnapshotManager::new(g);
-        mgr.apply_batch(&[
-            Update::insert(TimedEdge::new(0, 1, 1)),
-            Update::insert(TimedEdge::new(1, 2, 1)),
-        ]);
-        let dist = mgr.enable_distances(&[0]);
-        let tri = mgr.enable_triangles();
-        assert_eq!(mgr.indexes().hop_distance(0, 2), Some(2));
-        assert_eq!(mgr.indexes().triangle_count(), 0);
-        // Mutate behind the manager's back: both indexes must detect
-        // the gap on their next query and pay exactly one rebuild.
-        mgr.live().insert_edge(TimedEdge::new(2, 0, 5));
-        mgr.mark_dirty();
-        assert_eq!(mgr.indexes().hop_distance(0, 2), Some(1));
-        assert_eq!(mgr.indexes().triangle_count(), 1);
-        assert_eq!(dist.full_rebuild_count(), 1);
-        assert_eq!(tri.full_rebuild_count(), 1);
-        // Paid once, not per query.
-        assert_eq!(mgr.indexes().hop_distance(0, 2), Some(1));
-        assert_eq!(mgr.indexes().triangle_count(), 1);
-        assert_eq!(dist.full_rebuild_count(), 1);
-        assert_eq!(tri.full_rebuild_count(), 1);
-        // Routed updates resume incremental maintenance afterwards.
-        mgr.insert_edge(TimedEdge::new(2, 3, 6));
-        assert_eq!(mgr.indexes().hop_distance(0, 3), Some(2));
-        assert_eq!(dist.full_rebuild_count(), 1);
-    }
-
-    #[test]
     fn batched_updates_route_into_all_indexes_in_stream_order() {
         // A batch that inserts an edge and deletes it again: the settled
         // view no longer has it, and stream-order routing must leave
@@ -752,53 +567,128 @@ mod tests {
     }
 
     #[test]
-    fn try_snapshot_succeeds_and_caches_when_quiescent() {
-        let (n, s) = workload();
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(s.len() * 2));
-        let mgr = SnapshotManager::new(g);
-        mgr.apply_batch(&s);
-        let s1 = mgr.try_snapshot().expect("no writer, no race");
-        let s2 = mgr.try_snapshot().expect("cached");
-        assert!(Arc::ptr_eq(&s1, &s2));
-        assert_eq!(mgr.rebuild_count(), 1);
-    }
-
-    #[test]
-    fn snapshot_never_panics_under_racing_writer() {
-        // The satellite regression: a writer streams real batches while a
-        // reader hammers snapshot(). Pre-PR this panicked in the CSR
-        // builder ("adjacency mutated during snapshot"); now every
-        // snapshot call must return a structurally consistent CSR.
+    fn snapshots_racing_apply_batch_are_batch_prefixes() {
+        // A writer streams real batches while a reader hammers
+        // `snapshot`: every snapshot must be the graph after some prefix
+        // of the writer's batches — never a torn mix — and one reader's
+        // prefixes never go backwards.
         let n = 1usize << 8;
-        let r = Rmat::new(RmatParams::paper(8, 8), 17);
-        let edges = r.edges();
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(edges.len() * 3));
-        let mgr = SnapshotManager::new(g);
-        mgr.apply_batch(&StreamBuilder::new(&edges, 3).construction_shuffled());
+        let edges = Rmat::new(RmatParams::paper(8, 8), 17).edges();
+        let hints = CapacityHints::new(edges.len() * 3);
+        let base = StreamBuilder::new(&edges, 3).construction_shuffled();
+        let mut stream = StreamBuilder::new(&edges, 1000);
+        let batches: Vec<Vec<Update>> = (0..60).map(|_| stream.mixed(64, 0.5)).collect();
+        // The oracle of every prefix: the same applier, batch by batch,
+        // on a graph nobody races.
+        let oracle: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints);
+        apply_vpart(&oracle, &base, 0);
+        let mut prefixes = vec![oracle.to_csr()];
+        for b in &batches {
+            apply_vpart(&oracle, b, 0);
+            prefixes.push(oracle.to_csr());
+        }
+        let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
+        mgr.apply_batch(&base);
         std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
-                let mut stream = StreamBuilder::new(&edges, 1000);
-                for _ in 0..60 {
-                    mgr.apply_batch(&stream.mixed(64, 0.5));
+                for b in &batches {
+                    mgr.apply_batch(b);
                 }
             });
             let reader = scope.spawn(|| {
-                let mut races = 0usize;
+                let mut at = 0;
                 for _ in 0..200 {
                     let csr = mgr.snapshot();
-                    // Structural consistency of whatever epoch we got.
-                    assert_eq!(csr.offsets().len(), n + 1);
-                    assert_eq!(csr.num_entries(), *csr.offsets().last().unwrap());
-                    if mgr.try_snapshot().is_err() {
-                        races += 1;
-                    }
+                    at += prefixes[at..]
+                        .iter()
+                        .position(|p| *p == *csr)
+                        .expect("a snapshot is a batch prefix no older than the last");
                 }
-                races
             });
-            writer.join().unwrap();
-            let _races = reader.join().unwrap();
-            // After the writer quiesces, one attempt must succeed.
-            assert!(mgr.try_snapshot().is_ok());
+            writer.join().expect("writer must not panic");
+            reader.join().expect("reader must not panic");
         });
+        // Quiescent: one more build at most, then the cache.
+        let (s1, s2) = (mgr.snapshot(), mgr.snapshot());
+        assert!(Arc::ptr_eq(&s1, &s2));
+        assert_eq!(*s1, prefixes[batches.len()]);
+    }
+
+    #[test]
+    fn patched_snapshots_follow_a_hub_through_promotion_and_demotion() {
+        // Every snapshot after the first patches the previous one, and
+        // must equal a fresh build of the graph row for row — through
+        // the one-update path (odd rounds) and the batch path (even).
+        let (n, hints) = (32, CapacityHints::new(256).with_degree_thresh(8));
+        let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
+        let mut rng = snap_util::rng::XorShift64::new(5);
+        let mut seen = Vec::new();
+        for round in 0..32u32 {
+            // Grow the hub past the threshold, then tear it down below a
+            // quarter of it; the other half of each batch churns elsewhere.
+            let insert_share = if round < 12 { 0.9 } else { 0.05 };
+            let batch: Vec<Update> = (0..8u32)
+                .map(|i| {
+                    let (u, v) = if i % 2 == 0 {
+                        (0, rng.next_bounded(16) as u32)
+                    } else {
+                        let u = rng.next_bounded(n as u64) as u32;
+                        (u, rng.next_bounded(n as u64) as u32)
+                    };
+                    let e = TimedEdge::new(u, v, round * 8 + i);
+                    if rng.next_bool(insert_share) {
+                        Update::insert(e)
+                    } else {
+                        Update::delete(e)
+                    }
+                })
+                .collect();
+            if round % 2 == 0 {
+                mgr.apply_batch(&batch);
+            } else {
+                for u in &batch {
+                    mgr.apply(u);
+                }
+            }
+            assert_eq!(*mgr.snapshot(), mgr.graph.to_csr(), "round {round}");
+            seen.push(mgr.graph.adjacency().is_treap(0));
+        }
+        let flips = |from, to| seen.windows(2).any(|w| w == [from, to]);
+        assert!(flips(false, true) && flips(true, false), "{seen:?}");
+    }
+
+    #[test]
+    fn an_out_of_range_single_update_leaves_the_manager_untouched() {
+        // Regression: `insert_edge(0, 99)` on 8 vertices stored 0→99,
+        // then panicked inside the representation, leaving the graph
+        // changed behind a clean cache and an unmoved epoch.
+        let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(
+            8,
+            &CapacityHints::new(16),
+        ));
+        let conn = mgr.enable_connectivity();
+        assert!(mgr.insert_edge(TimedEdge::new(1, 2, 1)));
+        let before = mgr.snapshot();
+        for bad in [
+            Update::insert(TimedEdge::new(0, 99, 1)),
+            Update::delete(TimedEdge::new(99, 0, 0)),
+        ] {
+            let refused =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mgr.apply(&bad)));
+            let msg = refused.expect_err("an out-of-range vertex must be refused");
+            assert_eq!(
+                msg.downcast_ref::<String>().map(String::as_str),
+                Some("update 0 names vertex 99, but the graph has 8 vertices")
+            );
+        }
+        assert_eq!(mgr.live().degree(0), 0);
+        assert_eq!(mgr.epoch(), 1);
+        let oracle = DynGraph::<HybridAdj>::undirected(8, &CapacityHints::new(16));
+        oracle.insert_edge(TimedEdge::new(1, 2, 1));
+        let after = mgr.snapshot();
+        assert_eq!(*after, oracle.to_csr());
+        assert!(Arc::ptr_eq(&before, &after), "nothing to rebuild");
+        assert!(mgr.indexes().same_component(1, 2));
+        assert_eq!(conn.full_rebuild_count(), 0);
     }
 }

@@ -40,16 +40,15 @@
 //!    when somebody can use it: a [`ServeEngine::pin`] asked for a newer
 //!    version than the newest frozen one, or no further batch is waiting
 //!    (so an idle engine is always frozen and pins see everything). A
-//!    freeze patches the previous version's CSR: O(n) offsets, a memcpy
-//!    of the rows no update named since the last freeze, and a re-read of
-//!    the touched rows from the live graph. A
-//!    frozen cycle publishes an immutable [`EpochSnapshot`] with **one**
-//!    pointer swap. Readers never observe intermediate state and never
-//!    block on a build: `pin` returns the newest frozen version in
-//!    nanoseconds, with its true epoch, batch count and labels, and the
-//!    handle is valid forever. Under a sustained backlog that version
-//!    may trail the newest cycle; the pin that notices raises the
-//!    writer's wanted-flag, and the cycle that ends next freezes.
+//!    freeze patches the previous version's CSR (O(n) offsets, the
+//!    untouched rows copied, the touched ones re-read) and publishes an
+//!    immutable [`EpochSnapshot`] with **one** pointer swap. Readers
+//!    never observe intermediate state and never block on a build: `pin`
+//!    returns the newest frozen version in nanoseconds, with its true
+//!    epoch, batch count and labels, and the handle is valid forever.
+//!    Under a sustained backlog that version may trail the newest cycle;
+//!    the pin that notices raises the writer's wanted-flag, and the cycle
+//!    that ends next freezes.
 //! 3. **Epoch-based reclamation.** The engine retains the last
 //!    [`ServeConfig::retain`] frozen versions in a ring; older versions
 //!    are dropped from the ring but stay alive as long as any pinned
@@ -106,8 +105,9 @@
 //! ```
 
 use crate::adjacency::{AdjEntry, DynamicAdjacency};
-use crate::csr::{CsrGraph, RowSet};
-use crate::engine::{apply_vpart_indexed, check_endpoints, resolve_workers, RANGE_BUDGET};
+use crate::csr::CsrGraph;
+use crate::cycle::Cycle;
+use crate::engine::{check_endpoints, resolve_workers, RANGE_BUDGET};
 use crate::graph::DynGraph;
 use crate::indexes::{IndexFamily, IndexQuery, NO_CONNECTIVITY};
 use crate::view::GraphView;
@@ -509,12 +509,13 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         if cfg.triangles {
             indexes.attach_triangles(&graph, 0);
         }
-        let csr = Arc::new(graph.to_csr());
+        // Version 0 is the writer's cycle's first freeze: a full build.
+        let mut cycle = Cycle::new(graph.num_vertices());
         let labels = conn.map(|c| Arc::new(c.labels(&graph)));
         let v0 = Arc::new(EpochSnapshot {
             epoch: 0,
             batches: 0,
-            csr,
+            csr: cycle.freeze(&graph),
             labels: labels.clone(),
         });
         let shared = Arc::new(Shared {
@@ -546,7 +547,7 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
             // return an error from yet, and the message names the cause.
             std::thread::Builder::new()
                 .name("snap-serve-writer".into())
-                .spawn(move || Writer::new(&shared).run(&rx))
+                .spawn(move || Writer::new(&shared, cycle).run(&rx))
                 .expect("spawn serve writer thread")
         };
         Self {
@@ -776,8 +777,7 @@ impl<A: DynamicAdjacency + 'static> Drop for ServeEngine<A> {
     }
 }
 
-/// The writer thread's own state: what it has applied that the newest
-/// frozen version does not cover yet.
+/// The writer thread's own state.
 struct Writer<'a, A: DynamicAdjacency> {
     shared: &'a Shared<A>,
     /// The cycle's coalesced batches as one stream (reused every cycle).
@@ -786,34 +786,24 @@ struct Writer<'a, A: DynamicAdjacency> {
     /// as many entries as `pending` still counts on their behalf. (The
     /// stamps are ZSTs without the `obs` feature; the length is real.)
     uncovered: Vec<Stamp>,
-    /// Whether the graph changed since the last freeze.
-    dirty: bool,
-    /// Both endpoints of every update applied since the last freeze: the
-    /// rows the next freeze re-reads. Every other row is unchanged since
-    /// the previous version, whose CSR it is copied from.
-    touched: RowSet,
-    /// Cycles run so far (what `Shared::cycle_epoch` publishes).
-    epoch: u64,
+    /// Its epoch is what `Shared::cycle_epoch` publishes.
+    cycle: Cycle,
 }
 
 impl<'a, A: DynamicAdjacency> Writer<'a, A> {
-    fn new(shared: &'a Shared<A>) -> Self {
+    fn new(shared: &'a Shared<A>, cycle: Cycle) -> Self {
         Self {
             shared,
             stream: Vec::new(),
             uncovered: Vec::new(),
-            dirty: false,
-            touched: RowSet::new(shared.graph.num_vertices()),
-            epoch: 0,
+            cycle,
         }
     }
 
     fn run(mut self, rx: &Receiver<Ingest>) {
-        // A non-batch message pulled while coalescing is stashed and
-        // handled on the next iteration, *after* the preceding batches'
-        // cycle — so a Flush acks only once everything submitted before
-        // it is visible, and a Stop never drops batches that were
-        // coalesced ahead of it.
+        // A non-batch message pulled while coalescing is handled after
+        // the cycle of the batches ahead of it: a Flush acks only once
+        // they are visible, and a Stop never drops them.
         let mut stash: Option<Ingest> = None;
         loop {
             let msg = match stash.take() {
@@ -826,10 +816,8 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
             match msg {
                 Ingest::Stop => return,
                 Ingest::Flush(ack) => {
-                    // A cycle skips its freeze only while another
-                    // client's batch is on its way, so this barrier
-                    // finds unfrozen cycles only when it overtook that
-                    // batch in the queue.
+                    // Unfrozen cycles here mean this barrier overtook
+                    // the batch whose arrival let them skip.
                     if !self.uncovered.is_empty() {
                         self.freeze();
                     }
@@ -880,18 +868,15 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         for b in &batches {
             self.stream.extend_from_slice(b);
         }
-        for u in &self.stream {
-            self.touched.insert(u.edge.u);
-            self.touched.insert(u.edge.v);
-        }
         let applied = self.stream.len() as u64;
         m.cycle_updates.record(applied);
         let routes = shared.indexes.routes();
+        // Steps every index before `cycle_epoch` publishes (invariant 6).
         let changed = {
             let _t = Timer::scope(&m.apply_ns);
-            apply_vpart_indexed(&shared.graph, &self.stream, shared.shards, routes) as u64
+            self.cycle
+                .run(&shared.graph, routes, &self.stream, shared.shards) as u64
         };
-        self.epoch += 1;
         if shared.record_history {
             shared.history.lock().extend(batches);
         }
@@ -907,30 +892,23 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         // re-inserts) keeps the previous labels and leaves the graph
         // clean, so a freeze after it shares the previous CSR.
         if changed > 0 {
-            self.dirty = true;
-            // Repair order matters: labels are extracted *after* the
-            // index absorbed this cycle's routed updates, over the live
-            // graph the writer exclusively owns. `labels` settles the
-            // cycle's logged deletes through the certificate (a search
-            // of the smaller side per cut tree edge; nothing for the
-            // rest) — never a full rebuild.
+            // Settle every index on the writer (so queries between cycles
+            // read clean state lock-free), then extract the labels: the
+            // certificate searches the smaller side per cut tree edge —
+            // never a full rebuild.
             let _t = Timer::scope(&m.repair_ns);
-            // Distance repairs ride the same writer-side repair phase:
-            // queries between cycles then read clean rows lock-free
-            // instead of paying the targeted repair themselves.
             routes.repair_all(&shared.graph);
             if let Some(c) = routes.conn {
                 let labels = Arc::new(c.labels(&shared.graph));
                 *shared.labels.write() = Some(labels);
             }
         }
-        // Step, then publish (invariant 6): an index query that reads
-        // this cycle's epoch finds every index already at it.
-        routes.sync_change(self.epoch);
         // ordering: SeqCst — after the label swap, so an epoch read
         // implies labels at least that new; SeqCst (with the flag load
         // below) for the store-buffering argument spelled out in `pin`.
-        shared.cycle_epoch.store(self.epoch, Ordering::SeqCst);
+        shared
+            .cycle_epoch
+            .store(self.cycle.epoch(), Ordering::SeqCst);
         m.epochs.inc();
 
         // Freeze on demand: skip only when nobody asked *and* a batch
@@ -950,37 +928,26 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         stash
     }
 
-    /// Builds the CSR of the current state by patching the previous
-    /// version's: O(n) offsets, a memcpy of the rows no update named
-    /// since the last freeze, and a re-read of the touched rows from the
-    /// live graph (the writer is the only thread that ever mutates it, so
-    /// it is quiescent here). Publishes it with the newest cycle's epoch,
-    /// batch count and labels by a single pointer swap, hands the covered
-    /// batches' `pending` counts and lag stamps over, and retires ring
-    /// overflow.
+    /// Freezes the current state ([`Cycle::freeze`]), publishes it with
+    /// the newest cycle's epoch, batch count and labels by a single
+    /// pointer swap, hands the covered batches' `pending` counts and lag
+    /// stamps over, and retires ring overflow.
     fn freeze(&mut self) {
         let shared = self.shared;
         let m = &shared.metrics;
-        let prev = Arc::clone(&shared.current.read());
-        let csr = if self.dirty {
-            let _t = Timer::scope(&m.freeze_ns);
-            m.freeze_rows_reread.record(self.touched.count() as u64);
-            let csr = CsrGraph::patched(&prev.csr, shared.graph.adjacency(), &self.touched);
-            // panics: unreachable — a race needs a second mutator, and the
-            // writer is the live graph's only one (invariant 1).
-            Arc::new(csr.expect("writer is the only mutator"))
-        } else {
-            m.freeze_rows_reread.record(0);
-            Arc::clone(&prev.csr)
+        let rows = self.cycle.dirty_rows();
+        m.freeze_rows_reread.record(rows as u64);
+        let csr = {
+            let _t = (rows > 0).then(|| Timer::scope(&m.freeze_ns));
+            self.cycle.freeze(&shared.graph)
         };
-        self.dirty = false;
-        self.touched.clear();
         // Every batch applied since the last freeze is now visible to
         // pins.
         let covered = self.uncovered.len();
+        let batches = shared.current.read().batches + covered as u64;
         let snap = Arc::new(EpochSnapshot {
-            epoch: self.epoch,
-            batches: prev.batches + covered as u64,
+            epoch: self.cycle.epoch(),
+            batches,
             csr,
             // Only this thread swaps the label pointer, so this is the
             // newest cycle's.

@@ -40,7 +40,7 @@ fn main() {
     println!(
         "applied {} deletions; {} live entries",
         deletions.len(),
-        mgr.live().total_entries()
+        mgr.live().num_entries()
     );
 
     // 4a. Query the LIVE view: kernels run directly on the dynamic

@@ -34,10 +34,10 @@
 //!   state, O(n + m) to build.
 //!
 //! [`SnapshotManager`] ties the two together for serving workloads: it
-//! tags the graph with a mutation epoch and rebuilds its cached CSR
-//! lazily, so a burst of queries between update batches pays for at most
-//! one rebuild, and cheap probes bypass CSR entirely via
-//! [`SnapshotManager::live`].
+//! runs every mutation through one write cycle and freezes its cached CSR
+//! lazily, patching the previous one, so a burst of queries between
+//! update batches pays for at most one build, and cheap probes bypass CSR
+//! entirely via the read-only [`SnapshotManager::live`].
 //!
 //! ## Connectivity serving
 //!
@@ -68,9 +68,11 @@
 //! same query surface — [`SnapshotManager::indexes`] /
 //! [`ServeEngine::indexes`] hand out an
 //! [`IndexQuery`](snap_core::IndexQuery) (`same_component`,
-//! `hop_distance`, `triangle_count`, ...) that first checks the index
-//! against the engine's epoch, so a mutation behind the engine's back
-//! costs one full rebuild instead of a stale answer.
+//! `hop_distance`, `triangle_count`, ...). Each engine is its graph's
+//! only mutator and steps every index before it publishes an epoch, so
+//! a query never finds an index behind; the freshness check it makes
+//! first still turns an unrouted change into one full rebuild instead of
+//! a stale answer.
 //!
 //! ## Observability
 //!
@@ -188,7 +190,7 @@ pub use snap_util as util;
 // every kernel call site speaks.
 pub use snap_core::{
     ConnectivityIndex, CsrGraph, DistanceIndex, DynGraph, EpochSnapshot, GraphView, ServeConfig,
-    ServeEngine, SnapshotHandle, SnapshotManager, SnapshotRace, TriangleIndex,
+    ServeEngine, SnapshotHandle, SnapshotManager, TriangleIndex,
 };
 
 /// One-stop imports for applications.
@@ -197,8 +199,8 @@ pub mod prelude {
     pub use snap_core::engine;
     pub use snap_core::{
         ConnectivityIndex, CsrGraph, DistanceIndex, DynArr, DynGraph, EpochSnapshot, FixedDynArr,
-        GraphView, HybridAdj, ServeConfig, ServeEngine, SnapshotHandle, SnapshotManager,
-        SnapshotRace, TimedEdge, TreapAdj, TriangleIndex, Update, UpdateKind,
+        GraphView, HybridAdj, ServeConfig, ServeEngine, SnapshotHandle, SnapshotManager, TimedEdge,
+        TreapAdj, TriangleIndex, Update, UpdateKind,
     };
     pub use snap_kernels::{
         average_clustering, betweenness_approx, betweenness_exact, bfs, boruvka_msf,

@@ -15,9 +15,10 @@
 //!    a half-relabeled forest.
 //! 2. **ServeEngine publish** (invariant 1): every version a reader
 //!    pins corresponds to one prefix of the submission order.
-//! 3. **Epoch resync** (invariant 6): out-of-band mutation plus
-//!    `mark_dirty` leaves a sticky epoch gap that the next query must
-//!    absorb with a conservative full resync — never serve stale.
+//! 3. **Epoch resync** (invariant 6): a mutation the indexes were not
+//!    routed, published as a bare epoch bump, leaves a sticky epoch gap
+//!    that the next query must absorb with a conservative full resync —
+//!    never serve stale.
 //! 4. **Distance repair** (invariant 4, per-source shields): deletion
 //!    batches dirty-mark shortest-path trees while `hop_distance`
 //!    queries trigger the targeted repairs mid-race.
@@ -46,9 +47,11 @@
 mod common;
 
 use common::rng_for;
+use snap::core::IndexFamily;
 use snap::prelude::*;
 use snap_kernels::cc::union_find_components;
 use snap_kernels::serial_bfs;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const SUITE: u64 = 0xC4A05;
 const SEEDS: u64 = 16;
@@ -145,8 +148,8 @@ fn shield_repair_matches_oracle_across_seeds() {
                 });
             }
         });
-        // Query through the manager first: racing writers can leave a
-        // sticky epoch gap (invariant 6) that the query surface absorbs.
+        // Query through the manager first: it settles the deletes the
+        // racing writers left pending.
         assert_eq!(
             mgr.indexes().component_count(),
             snap::kernels::component_count(&want),
@@ -257,12 +260,15 @@ fn serve_publish_matches_oracle_across_seeds() {
     }
 }
 
-/// Protocol 3 — sticky out-of-band epochs (invariant 6). A writer
-/// mutates `live()` directly (bypassing update routing) and calls
-/// `mark_dirty`, while readers query through the manager; whatever
-/// interleaving the chaos schedule produces, the quiesced index must
-/// have resynced — stale answers post-quiescence are a protocol hole,
-/// and the forced full rebuild must be observable.
+/// Protocol 3 — sticky out-of-band epochs (invariant 6). Neither engine
+/// can open an epoch gap (each is its graph's only mutator), so the test
+/// owns the graph, the index family and the epoch: a writer
+/// mutates the graph directly, bypassing update routing, and publishes
+/// a bare epoch bump per chunk, while readers query through
+/// `IndexFamily::query`; whatever interleaving the chaos schedule
+/// produces, the quiesced index must have resynced — stale answers
+/// post-quiescence are a protocol hole, and the forced full rebuild must
+/// be observable.
 #[test]
 fn epoch_resync_matches_oracle_across_seeds() {
     for seed in 0..SEEDS {
@@ -270,18 +276,25 @@ fn epoch_resync_matches_oracle_across_seeds() {
         let (inserts, deletes, want) = workload(100 + seed);
         let hints = CapacityHints::new(inserts.len() * 2);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
-        let mgr = SnapshotManager::new(g);
-        let idx = mgr.enable_connectivity();
-        assert!(mgr.apply_batch(&inserts));
-        let mgr = &mgr;
-        let deletes = &deletes;
+        let family = IndexFamily::default();
+        let epoch = AtomicU64::new(0);
+        let idx = family.attach_connectivity(&g, 0);
+        // The inserts are routed, stepped, then published.
+        assert!(engine::apply_vpart_indexed(&g, &inserts, 0, family.routes()) > 0);
+        family.routes().sync_change(1);
+        // ordering: Release — the test's epoch publication, after the
+        // step (invariant 6).
+        epoch.store(1, Ordering::Release);
+        let (g, family, epoch, deletes) = (&g, &family, &epoch, &deletes);
         std::thread::scope(|s| {
             s.spawn(move || {
                 for chunk in deletes.chunks(64) {
                     for u in chunk {
-                        mgr.live().apply(u);
+                        g.apply(u);
                     }
-                    mgr.mark_dirty();
+                    // ordering: Release — publishes the chunk's
+                    // unrouted mutations with a bare bump (invariant 6).
+                    epoch.fetch_add(1, Ordering::Release);
                 }
             });
             for r in 0..2u64 {
@@ -290,18 +303,18 @@ fn epoch_resync_matches_oracle_across_seeds() {
                     for _ in 0..150 {
                         let u = rng.next_bounded(N as u64) as u32;
                         let v = rng.next_bounded(N as u64) as u32;
-                        let _ = mgr.indexes().same_component(u, v);
+                        let _ = family.query(g, epoch).same_component(u, v);
                     }
                 });
             }
         });
         // The first post-quiescence query absorbs the final epoch gap.
         assert_eq!(
-            mgr.indexes().component_count(),
+            family.query(g, epoch).component_count(),
             snap::kernels::component_count(&want),
             "seed {seed}: component count after resync"
         );
-        assert_eq!(idx.labels(mgr.live()), want, "seed {seed}: final labels");
+        assert_eq!(idx.labels(g), want, "seed {seed}: final labels");
         assert!(
             idx.full_rebuild_count() >= 1,
             "seed {seed}: the out-of-band gap must have forced a resync"

@@ -316,7 +316,7 @@ fn deletes_scan_nothing_or_at_most_twice_the_smaller_side() {
 }
 
 /// Asserts every read path over the final live graph against the oracle.
-fn check_all_paths<A: DynamicAdjacency>(g: &DynGraph<A>, want: &[u32], what: &str) {
+fn check_all_paths<V: GraphView>(g: &V, want: &[u32], what: &str) {
     assert_eq!(&connected_components(g), want, "{what}: serial union-find");
     for threads in [1usize, 2, 8] {
         assert_eq!(
