@@ -15,7 +15,7 @@
 //! a change is judged by come from the repo benchmark (`benchmark/`).
 
 use snap_bench::*;
-use snap_core::adjacency::CapacityHints;
+use snap_core::adjacency::{CapacityHints, DynamicAdjacency};
 use snap_core::compressed::CompressedCsr;
 use snap_core::engine;
 use snap_core::reorder::Relabeling;
@@ -852,26 +852,97 @@ fn extensions(cfg: &Config) {
     extension_replacement(cfg);
 }
 
-/// Ablation: hybrid degree threshold sweep on the mixed workload.
+/// Ablation: the hybrid degree threshold, priced on every path the
+/// threshold touches — the serial figs 4–6 rates (one thread, one update
+/// at a time), one serving cycle's apply (the writer's applier on a
+/// ¾-`m` base, one worker, median of 3) and the bulk appliers of figure
+/// 3 (construct, then delete a quarter of `m`) — plus the footprint. The
+/// library default's row is marked. It should sit at the crossover: the
+/// largest threshold before the bulk-delete column climbs, because past
+/// it each delete scans an array longer than a treap descent costs.
 fn ablation_degree_thresh(cfg: &Config) {
     let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed);
     let n = cfg.vertices();
-    let mixed = StreamBuilder::new(&edges, cfg.seed).mixed(edges.len() / 5, 0.5);
+    let m = edges.len();
+    let construct = StreamBuilder::new(&edges, 7).construction();
+    let dels = StreamBuilder::new(&edges, cfg.seed).deletions(m / 13);
+    let mixed = StreamBuilder::new(&edges, cfg.seed).mixed(m / 5, 0.5);
+    // The serving base and one backlog cycle on top of it: 2^16 updates
+    // (the writer's 2^17 half-updates), or the rest of `m` if smaller.
+    let base_len = m * 3 / 4;
+    let base = StreamBuilder::new(&edges[..base_len], 7).construction_shuffled();
+    let cycle = (1usize << 16).min(m - base_len);
+    let cycles = [
+        StreamBuilder::new(&edges, cfg.seed)
+            .inserting_from(base_len)
+            .mixed(cycle, 1.0),
+        StreamBuilder::new(&edges, cfg.seed)
+            .inserting_from(base_len)
+            .mixed(cycle, 0.75),
+    ];
+    let bulk = construction_stream(&edges, cfg.seed);
+    let bulk_dels = StreamBuilder::new(&edges, cfg.seed).deletions(m / 4);
     let th = *cfg.threads.last().expect("thread list non-empty");
-    let mut t = Table::new(&["degree-thresh", "mixed MUPS", "treap vertices"]);
-    for thresh in [4u32, 8, 16, 32, 64, 128, 256] {
-        let hints = CapacityHints::new(edges.len() * 2).with_degree_thresh(thresh);
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints);
-        let stream = StreamBuilder::new(&edges, 7).construction();
-        engine::apply_stream(&g, &stream);
-        let rate = apply_mups(&g, &mixed, th);
+    let default = CapacityHints::new(0).degree_thresh;
+    let mut t = Table::new(&[
+        "degree-thresh",
+        "insert MUPS",
+        "delete MUPS",
+        "50/50 MUPS",
+        "cycle insert ms",
+        "cycle 75/25 ms",
+        "bulk build ms",
+        "bulk delete ms",
+        "B/edge",
+        "treap vertices",
+    ]);
+    for thresh in [32u32, 64, 128, 256, 512, 1024, 2048, 4096, u32::MAX] {
+        let hints = CapacityHints::new(m * 2).with_degree_thresh(thresh);
+        let fresh = || DynGraph::<HybridAdj>::undirected(n, &hints);
+        let g = fresh();
+        let insert = apply_mups(&g, &construct, 1);
+        let bytes = g.adjacency().memory_bytes() as f64 / m as f64;
+        let treaps = g.adjacency().treap_vertex_count();
+        let delete = apply_mups(&g, &dels, 1);
+        let g = fresh();
+        engine::apply_stream(&g, &construct);
+        let mix = apply_mups(&g, &mixed, 1);
+        let [cycle_insert, cycle_churn] = cycles.each_ref().map(|stream| {
+            let mut ms: Vec<f64> = (0..3)
+                .map(|_| {
+                    let g = fresh();
+                    in_pool(th, || engine::apply_vpart(&g, &base, th));
+                    in_pool(1, || seconds(|| engine::apply_vpart(&g, stream, 1)).1 * 1e3)
+                })
+                .collect();
+            ms.sort_by(f64::total_cmp);
+            ms[1]
+        });
+        let g = fresh();
+        let (_, build) = seconds(|| in_pool(th, || engine::apply_vpart(&g, &bulk, th)));
+        let (_, delete_bulk) = seconds(|| in_pool(th, || engine::apply_vpart(&g, &bulk_dels, th)));
+        let label = match thresh {
+            u32::MAX => "none (all arrays)".to_string(),
+            t if t == default => format!("{t} (default)"),
+            t => t.to_string(),
+        };
         t.row(vec![
-            thresh.to_string(),
-            f3(rate),
-            g.adjacency().treap_vertex_count().to_string(),
+            label,
+            f3(insert),
+            f3(delete),
+            f3(mix),
+            f3(cycle_insert),
+            f3(cycle_churn),
+            f3(build * 1e3),
+            f3(delete_bulk * 1e3),
+            format!("{bytes:.1}"),
+            treaps.to_string(),
         ]);
     }
-    t.print("Ablation: Hybrid degree-thresh sweep (50/50 mixed updates)");
+    t.print(&format!(
+        "Ablation: Hybrid degree-thresh (serial MUPS at 1 thread; cycle = {cycle} updates \
+         on a 3/4-m base at 1 worker, median of 3; bulk at {th} workers)"
+    ));
 }
 
 /// Ablation: Dyn-arr initial capacity factor `k` (paper picks k = 2).
@@ -897,7 +968,8 @@ fn ablation_initial_size(cfg: &Config) {
 }
 
 /// Ablation: deletion policy — tombstone scan (Dyn-arr) vs compacting
-/// swap-remove array (Hybrid with an unreachable threshold) vs treap.
+/// array (Hybrid with an unreachable threshold: an order-preserving
+/// `retain`) vs treap.
 fn ablation_delete_policy(cfg: &Config) {
     let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed);
     let n = cfg.vertices();
@@ -913,7 +985,10 @@ fn ablation_delete_policy(cfg: &Config) {
     let treap = apply_mups(&gt, &dels, th);
     let mut t = Table::new(&["policy", "deletion MUPS"]);
     t.row(vec!["tombstone array (Dyn-arr)".into(), f3(tomb)]);
-    t.row(vec!["compacting array (swap-remove)".into(), f3(compact)]);
+    t.row(vec![
+        "compacting array (order-preserving retain)".into(),
+        f3(compact),
+    ]);
     t.row(vec!["treap".into(), f3(treap)]);
     t.print("Ablation: deletion policy");
 }

@@ -128,20 +128,25 @@ pub struct CapacityHints {
     /// `k = 2` "performs reasonably well" on R-MAT instances.
     pub initial_capacity_factor: usize,
     /// Degree threshold at which the hybrid representation switches a
-    /// vertex from array to treap. The paper settles on 32.
+    /// vertex from array to treap. The paper settles on 32. The default,
+    /// 1024, is the crossover `experiments ablation_degree_thresh`
+    /// measures on a current x86 host: below it an array's sequential
+    /// scan beats an `O(log d)` descent through cold treap nodes (see
+    /// [`crate::hybrid`]).
     pub degree_thresh: u32,
     /// Slot capacity of each slab in the backing pool.
     pub pool_slab_slots: usize,
 }
 
 impl CapacityHints {
-    /// Paper defaults for an instance expected to reach `expected_edges`
-    /// directed adjacency slots.
+    /// Defaults for an instance expected to reach `expected_edges`
+    /// directed adjacency slots: the paper's `k = 2` and the measured
+    /// hybrid threshold (see [`Self::degree_thresh`]).
     pub fn new(expected_edges: usize) -> Self {
         Self {
             expected_edges,
             initial_capacity_factor: 2,
-            degree_thresh: 32,
+            degree_thresh: 1024,
             pool_slab_slots: snap_arena::DEFAULT_SLAB_SLOTS,
         }
     }

@@ -47,6 +47,25 @@ fn offsets_from_degrees(mut degrees: Vec<usize>) -> Vec<usize> {
     degrees
 }
 
+/// A dynamic-source build that allocates its entry arrays asks for
+/// `1 / HEADROOM` more slots than it fills. Arrays are recycled only by a
+/// later version ([`CsrGraph::patched`]'s `spare`), and the graph may
+/// have grown in between: the spare slots let them still fit. Slots
+/// never written are never faulted in.
+const HEADROOM: usize = 8;
+
+/// `buf` emptied with room for `len` slots: kept when it has the room,
+/// else replaced by a fresh allocation with [`HEADROOM`].
+fn storage<T>(mut buf: Vec<T>, len: usize) -> Vec<T> {
+    buf.clear();
+    if buf.capacity() < len {
+        // Release the short buffer before asking for the long one.
+        buf = Vec::new();
+        buf.reserve_exact(len + len / HEADROOM);
+    }
+    buf
+}
+
 /// One fill task of the row builder: a vertex range and the slots its
 /// rows own in the neighbor and timestamp arrays.
 type FillChunk<'a> = (
@@ -213,7 +232,7 @@ impl CsrGraph {
     /// race that keeps every row's length goes unseen: snapshots under
     /// concurrent ingest are [`crate::serve::ServeEngine`]'s job.
     pub fn from_dynamic<A: DynamicAdjacency>(adj: &A, directed: bool) -> Self {
-        Self::rows(adj, directed, None)
+        Self::rows(adj, directed, None, None)
     }
 
     /// Snapshots `adj` by patching `prev`, an earlier snapshot of it: the
@@ -224,31 +243,42 @@ impl CsrGraph {
     /// outside `touched` changed since `prev` — the caller's contract (a
     /// [`crate::cycle::Cycle`] marks both endpoints of every update). A
     /// torn re-read row panics, as in `from_dynamic`.
-    pub(crate) fn patched<A: DynamicAdjacency>(prev: &CsrGraph, adj: &A, touched: &RowSet) -> Self {
-        Self::rows(adj, prev.directed, Some((prev, touched)))
+    ///
+    /// `spare` is a retired snapshot nobody reads any more: the new one
+    /// writes into its arrays when they are long enough, so a steady
+    /// stream of patches stops faulting in fresh pages.
+    pub(crate) fn patched<A: DynamicAdjacency>(
+        prev: &CsrGraph,
+        adj: &A,
+        touched: &RowSet,
+        spare: Option<CsrGraph>,
+    ) -> Self {
+        Self::rows(adj, prev.directed, Some((prev, touched)), spare)
     }
 
     /// The one dynamic-source row builder: [`CsrGraph::patched`] when
     /// `reuse` names a previous snapshot and its touched set, a fresh
-    /// build of every row otherwise.
+    /// build of every row otherwise; into `spare`'s arrays where they fit.
     fn rows<A: DynamicAdjacency>(
         adj: &A,
         directed: bool,
         reuse: Option<(&CsrGraph, &RowSet)>,
+        spare: Option<CsrGraph>,
     ) -> Self {
         let n = adj.num_vertices();
         debug_assert!(reuse.is_none_or(|(prev, _)| prev.num_vertices() == n));
-        let degrees = (0..n as u32)
-            .into_par_iter()
-            .map(|u| match reuse {
-                Some((prev, touched)) if !touched.contains(u) => prev.out_degree(u),
-                _ => adj.degree(u),
-            })
-            .collect();
+        let (mut degrees, nbrs, ts) =
+            spare.map_or_else(Default::default, |s| (s.offsets, s.nbrs, s.ts));
+        degrees.clear();
+        degrees.reserve_exact(n + 1);
+        degrees.par_extend((0..n as u32).into_par_iter().map(|u| match reuse {
+            Some((prev, touched)) if !touched.contains(u) => prev.out_degree(u),
+            _ => adj.degree(u),
+        }));
         let offsets = offsets_from_degrees(degrees);
         let total = offsets[n];
-        let mut nbrs: Vec<u32> = Vec::with_capacity(total);
-        let mut ts: Vec<u32> = Vec::with_capacity(total);
+        let mut nbrs = storage(nbrs, total);
+        let mut ts = storage(ts, total);
         let torn = AtomicBool::new(false);
         let chunks = fill_chunks(
             &offsets,
@@ -578,6 +608,9 @@ mod tests {
         let n = g.num_vertices() as u64;
         let mut rng = XorShift64::new(seed);
         let mut prev = g.to_csr();
+        // Each patch writes into the arrays of the version before `prev`
+        // where they fit: stale entries must never show through.
+        let mut spare = None;
         for round in 0..48u32 {
             let insert_share = if round < 24 { 0.8 } else { 0.05 };
             let mut touched = RowSet::new(n as usize);
@@ -597,10 +630,10 @@ mod tests {
                 touched.insert(u);
                 touched.insert(v);
             }
-            let next = CsrGraph::patched(&prev, g.adjacency(), &touched);
+            let next = CsrGraph::patched(&prev, g.adjacency(), &touched, spare.take());
             assert_eq!(next, g.to_csr(), "round {round}");
             observe(g.adjacency());
-            prev = next;
+            spare = Some(std::mem::replace(&mut prev, next));
         }
     }
 
@@ -642,10 +675,46 @@ mod tests {
         let fresh = g.to_csr();
         assert_ne!(prev, fresh);
         let none = RowSet::new(8);
-        assert_eq!(CsrGraph::patched(&prev, g.adjacency(), &none), prev);
+        assert_eq!(CsrGraph::patched(&prev, g.adjacency(), &none, None), prev);
         let mut all = RowSet::new(8);
         (0..8).for_each(|u| all.insert(u));
-        assert_eq!(CsrGraph::patched(&prev, g.adjacency(), &all), fresh);
+        assert_eq!(CsrGraph::patched(&prev, g.adjacency(), &all, None), fresh);
+    }
+
+    #[test]
+    fn a_patch_writes_into_a_spare_with_room_and_only_then() {
+        let (g, prev, mutated) = mutated_after_snapshot();
+        let mut touched = RowSet::new(8);
+        mutated.iter().for_each(|&u| touched.insert(u));
+        let fresh = g.to_csr();
+        // `prev` holds other entries in exactly as many slots.
+        let spare = prev.clone();
+        let (nbrs, ts) = (spare.nbrs.as_ptr(), spare.ts.as_ptr());
+        let next = CsrGraph::patched(&prev, g.adjacency(), &touched, Some(spare));
+        assert_eq!(next, fresh);
+        assert_eq!((next.nbrs.as_ptr(), next.ts.as_ptr()), (nbrs, ts));
+        // Too short for the entries: fresh arrays, the same result.
+        let short = CsrGraph::from_edges_undirected(8, &[]);
+        let next = CsrGraph::patched(&prev, g.adjacency(), &touched, Some(short));
+        assert_eq!(next, fresh);
+    }
+
+    #[test]
+    fn a_build_leaves_headroom_for_a_grown_successor() {
+        let g = DynGraph::<DynArr>::undirected(32, &CapacityHints::new(64));
+        for v in 1..17 {
+            g.insert_edge(TimedEdge::new(0, v, v));
+        }
+        let prev = g.to_csr();
+        let outgrown = g.to_csr();
+        let nbrs = outgrown.nbrs.as_ptr();
+        g.insert_edge(TimedEdge::new(20, 21, 1));
+        let mut touched = RowSet::new(32);
+        touched.insert(20);
+        touched.insert(21);
+        let next = CsrGraph::patched(&prev, g.adjacency(), &touched, Some(outgrown));
+        assert_eq!(next, g.to_csr());
+        assert_eq!(next.nbrs.as_ptr(), nbrs, "34 entries fit 32 + 32 / 8");
     }
 
     #[test]
@@ -660,7 +729,7 @@ mod tests {
                 .iter()
                 .filter(|&&u| u != skip)
                 .for_each(|&u| touched.insert(u));
-            let patched = CsrGraph::patched(&prev, g.adjacency(), &touched);
+            let patched = CsrGraph::patched(&prev, g.adjacency(), &touched, None);
             assert_ne!(patched, fresh, "vertex {skip} left out");
         }
     }
@@ -675,8 +744,8 @@ mod tests {
         let adj = RacingAdj { skew };
         // An untouched row is copied, never read, so its race goes
         // unseen — which is why the cycle must mark every row it changes.
-        assert_eq!(CsrGraph::patched(&prev, &adj, &row1), prev);
-        let _ = CsrGraph::patched(&prev, &adj, &row0);
+        assert_eq!(CsrGraph::patched(&prev, &adj, &row1, None), prev);
+        let _ = CsrGraph::patched(&prev, &adj, &row0, None);
     }
 
     #[test]

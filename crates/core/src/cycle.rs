@@ -26,6 +26,9 @@ pub(crate) struct Cycle {
     frozen: Option<Arc<CsrGraph>>,
     /// Freezes that built a CSR, patched or full.
     builds: usize,
+    /// A retired freeze nobody reads any more ([`Cycle::recycle`]): the
+    /// next patch writes into its arrays.
+    spare: Option<CsrGraph>,
 }
 
 impl Cycle {
@@ -37,6 +40,7 @@ impl Cycle {
             dirty: false,
             frozen: None,
             builds: 0,
+            spare: None,
         }
     }
 
@@ -110,13 +114,24 @@ impl Cycle {
     pub(crate) fn freeze<A: DynamicAdjacency>(&mut self, graph: &DynGraph<A>) -> Arc<CsrGraph> {
         let csr = match &self.frozen {
             Some(prev) if !self.dirty => return Arc::clone(prev),
-            Some(prev) => CsrGraph::patched(prev, graph.adjacency(), &self.touched),
+            Some(prev) => {
+                CsrGraph::patched(prev, graph.adjacency(), &self.touched, self.spare.take())
+            }
             None => graph.to_csr(),
         };
         self.builds += 1;
         self.dirty = false;
         self.touched.clear();
         Arc::clone(self.frozen.insert(Arc::new(csr)))
+    }
+
+    /// Hands back a freeze its owner retired: when nobody else holds it,
+    /// the next patch reuses its arrays instead of allocating (and
+    /// faulting in) fresh ones.
+    pub(crate) fn recycle(&mut self, csr: Arc<CsrGraph>) {
+        if let Ok(csr) = Arc::try_unwrap(csr) {
+            self.spare = Some(csr);
+        }
     }
 }
 

@@ -2,11 +2,21 @@
 //!
 //! Low-degree vertices — the overwhelming majority under a power-law
 //! distribution — keep a plain contiguous array: constant-time insertion
-//! and cheap scans. Once a vertex's degree crosses `degree-thresh`
-//! (paper value: 32), its adjacency converts to a treap, making deletions
-//! on the few high-degree vertices logarithmic instead of linear. The
-//! result is `Dyn-arr`-class insertion speed with `Treaps`-class deletion
-//! speed (Figures 4–6).
+//! and cheap scans. Once a vertex's degree crosses `degree-thresh`, its
+//! adjacency converts to a treap, making deletions on the few
+//! high-degree vertices logarithmic instead of linear. The result is
+//! `Dyn-arr`-class insertion speed with `Treaps`-class deletion speed
+//! (Figures 4–6).
+//!
+//! The paper uses 32; the default ([`CapacityHints::new`]) is 1024. At
+//! R-MAT's `m = 8n` three quarters of all entries sit past degree 32, so
+//! at the paper's value the hybrid behaves like a treap: every insert
+//! and delete descends through cold treap nodes. On a current x86 host a
+//! sequential scan of a `d × 8 B` array beats that descent up to
+//! `d ≈ 1024`; past it, each array delete's scan costs more than the
+//! treap's `O(log d)`. `experiments ablation_degree_thresh` prices both
+//! sides (serial figs 4–6 rates, one serving cycle's apply, bulk
+//! construct + delete, bytes per edge) and marks the default's row.
 //!
 //! Hysteresis: a treap vertex whose degree falls below `degree_thresh / 4`
 //! converts back to an array, so a vertex oscillating around the threshold
@@ -352,6 +362,29 @@ mod tests {
         assert!(a.treap_vertex_count() >= 1);
         let total = a.total_entries();
         assert_eq!(total, 20_000);
+    }
+
+    #[test]
+    fn default_threshold_promotes_at_it_and_demotes_below_a_quarter() {
+        let hints = CapacityHints::new(0);
+        let thresh = hints.degree_thresh;
+        assert!(thresh >= 4, "a quarter of the default is a degree");
+        let a = HybridAdj::new(1, &hints);
+        for k in 0..thresh - 1 {
+            a.insert(0, AdjEntry::new(k, k));
+        }
+        assert!(!a.is_treap(0), "an array at thresh - 1");
+        a.insert(0, AdjEntry::new(thresh - 1, 0));
+        assert!(a.is_treap(0), "a treap at thresh");
+        // Down to thresh / 4 keys it stays a treap; one fewer demotes.
+        let keep = thresh / 4;
+        for k in 0..thresh - keep {
+            assert!(a.delete(0, k));
+        }
+        assert!(a.is_treap(0), "a treap at thresh / 4");
+        assert!(a.delete(0, thresh - keep));
+        assert!(!a.is_treap(0), "an array below thresh / 4");
+        assert_eq!(a.degree(0), keep as usize - 1);
     }
 
     #[test]

@@ -55,7 +55,9 @@
 //!    handle references them (`Arc` reference counting is the
 //!    reclamation mechanism — a `par_bc` run that pins a version for
 //!    hundreds of milliseconds keeps exactly that version alive, nothing
-//!    else).
+//!    else). The oldest version leaves the ring just before a freeze,
+//!    and if no handle holds it, that freeze writes into its arrays
+//!    instead of faulting in fresh ones.
 //!
 //! Because every cycle's labels are extracted *after* the index settled
 //! that cycle's updates, [`ServeEngine::same_component`] stays
@@ -935,6 +937,11 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
     fn freeze(&mut self) {
         let shared = self.shared;
         let m = &shared.metrics;
+        // The oldest version goes before the build, not after it, so the
+        // build may write into its arrays; the newest (`current`) stays,
+        // and the ring holds the `retain` newest again once this one is
+        // in.
+        self.retire((shared.retain - 1).max(1));
         let rows = self.cycle.dirty_rows();
         m.freeze_rows_reread.record(rows as u64);
         let csr = {
@@ -975,15 +982,24 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         // ordering: Relaxed — statistics counter (invariant 9).
         shared.freezes.fetch_add(1, Ordering::Relaxed);
         m.freezes.inc();
-        let mut ring = shared.ring.lock();
-        ring.push_back(snap);
+        shared.ring.lock().push_back(snap);
         m.retained.inc();
-        while ring.len() > shared.retain {
-            ring.pop_front();
+        self.retire(shared.retain);
+    }
+
+    /// Drops ring versions, oldest first, until `keep` remain. One that
+    /// no reader holds lends its arrays to the next freeze.
+    fn retire(&mut self, keep: usize) {
+        let shared = self.shared;
+        let mut ring = shared.ring.lock();
+        while ring.len() > keep {
+            if let Some(Ok(old)) = ring.pop_front().map(Arc::try_unwrap) {
+                self.cycle.recycle(old.csr);
+            }
             // ordering: Relaxed — statistics counter (invariant 9); the
             // ring itself is guarded by its mutex.
             shared.retired.fetch_add(1, Ordering::Relaxed);
-            m.retained.dec();
+            shared.metrics.retained.dec();
         }
     }
 }
@@ -1052,6 +1068,41 @@ mod tests {
         assert_eq!(old.epoch(), old_epoch);
         assert_eq!(old.num_entries(), old_entries);
         assert_eq!(old.degree(0), 1);
+    }
+
+    #[test]
+    fn a_retired_version_nobody_pins_lends_its_arrays_to_a_later_freeze() {
+        let row0 = |e: &ServeEngine<HybridAdj>| e.pin().csr().neighbors(0).as_ptr();
+        // Each batch moves one edge between 0-1 and 0-7, so every
+        // version fits the arrays of any other.
+        let step = |e: &ServeEngine<HybridAdj>, i: u32| {
+            let (gone, back) = if i.is_multiple_of(2) { (1, 7) } else { (7, 1) };
+            e.submit(vec![del(0, gone), ins(0, back, i)]);
+            e.flush();
+            assert_eq!(**e.pin().csr(), e.shared.graph.to_csr(), "batch {i}");
+            assert!(e.retained() <= e.shared.retain);
+        };
+        for retain in 1..=3 {
+            let e = engine(8, ServeConfig::default().with_retain(retain));
+            e.submit(vec![ins(0, 1, 0), ins(1, 2, 0), ins(0, 3, 0)]);
+            e.flush();
+            let first = row0(&e);
+            // The oldest of `retain` versions leaves the ring before the
+            // next build (the newest one stays), so that build writes
+            // into its arrays.
+            for i in 0..retain.max(2) as u32 {
+                step(&e, i);
+            }
+            assert_eq!(row0(&e), first, "retain {retain}");
+            // A pinned version is never written into, retired or not.
+            let held = e.pin();
+            let kept = (**held.csr()).clone();
+            for i in 2..8 {
+                step(&e, i);
+                assert_ne!(row0(&e), held.csr().neighbors(0).as_ptr());
+            }
+            assert_eq!(**held.csr(), kept);
+        }
     }
 
     #[test]

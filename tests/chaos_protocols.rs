@@ -46,7 +46,7 @@
 
 mod common;
 
-use common::rng_for;
+use common::{hints, rng_for};
 use snap::core::IndexFamily;
 use snap::prelude::*;
 use snap_kernels::cc::union_find_components;
@@ -103,8 +103,7 @@ fn workload(case: u64) -> (Vec<Update>, Vec<Update>, Vec<u32>) {
 /// Bulk-synchronous replay of the surviving edge set, for oracles that
 /// need a settled view rather than component labels.
 fn surviving_view(surviving: &[(u32, u32)]) -> DynGraph<HybridAdj> {
-    let g: DynGraph<HybridAdj> =
-        DynGraph::undirected(N as usize, &CapacityHints::new(surviving.len() * 2));
+    let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints(surviving.len() * 2));
     for &(u, v) in surviving {
         g.apply(&Update::insert(TimedEdge::new(u, v, 1 + (u + v) % 90)));
     }
@@ -122,7 +121,7 @@ fn shield_repair_matches_oracle_across_seeds() {
     for seed in 0..SEEDS {
         set_chaos_seed(seed);
         let (inserts, deletes, want) = workload(seed);
-        let hints = CapacityHints::new(inserts.len() * 2);
+        let hints = hints(inserts.len() * 2);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
         let mgr = SnapshotManager::new(g);
         let idx = mgr.enable_connectivity();
@@ -177,10 +176,14 @@ fn serve_publish_matches_oracle_across_seeds() {
     let base = StreamBuilder::new(&edges[..base_len], 7).construction_shuffled();
     for seed in 0..SEEDS {
         set_chaos_seed(seed);
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(base.len() * 3));
+        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints(base.len() * 3));
         for u in &base {
             g.apply(u);
         }
+        assert!(
+            g.adjacency().treap_vertex_count() > 0,
+            "seed {seed}: the engine must serve treap vertices too"
+        );
         let engine = ServeEngine::new(
             g,
             ServeConfig::default()
@@ -236,8 +239,7 @@ fn serve_publish_matches_oracle_across_seeds() {
         let history = engine.history();
         for (k, (handle, probes)) in samples.iter().enumerate() {
             // Bulk-synchronous replay of the pinned prefix.
-            let g: DynGraph<HybridAdj> =
-                DynGraph::undirected(n, &CapacityHints::new(base.len() * 3));
+            let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints(base.len() * 3));
             for u in &base {
                 g.apply(u);
             }
@@ -274,7 +276,7 @@ fn epoch_resync_matches_oracle_across_seeds() {
     for seed in 0..SEEDS {
         set_chaos_seed(seed);
         let (inserts, deletes, want) = workload(100 + seed);
-        let hints = CapacityHints::new(inserts.len() * 2);
+        let hints = hints(inserts.len() * 2);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
         let family = IndexFamily::default();
         let epoch = AtomicU64::new(0);
@@ -335,7 +337,7 @@ fn distance_repair_matches_oracle_across_seeds() {
     for seed in 0..SEEDS {
         set_chaos_seed(seed);
         let (inserts, deletes, surviving) = workload_edges(200 + seed);
-        let hints = CapacityHints::new(inserts.len() * 2);
+        let hints = hints(inserts.len() * 2);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
         let mgr = SnapshotManager::new(g);
         let idx = mgr.enable_distances(&SOURCES);
@@ -389,7 +391,7 @@ fn triangle_deltas_match_oracle_across_seeds() {
     for seed in 0..SEEDS {
         set_chaos_seed(seed);
         let (inserts, deletes, surviving) = workload_edges(300 + seed);
-        let hints = CapacityHints::new(inserts.len() * 2);
+        let hints = hints(inserts.len() * 2);
         let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
         let mgr = SnapshotManager::new(g);
         let idx = mgr.enable_triangles();
@@ -463,7 +465,7 @@ fn demand_freeze_matches_oracle_across_seeds() {
     let base = StreamBuilder::new(&edges[..base_len], 7).construction_shuffled();
     // The base graph with `history` replayed on top, bulk-synchronously.
     let replay = |history: &[Vec<Update>]| {
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(base.len() * 3));
+        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints(base.len() * 3));
         for u in base.iter().chain(history.iter().flatten()) {
             g.apply(u);
         }
@@ -545,7 +547,7 @@ fn index_family_under_serving_matches_oracles_across_seeds() {
     let base_len = edges.len() * 3 / 4;
     let base = StreamBuilder::new(&edges[..base_len], 7).construction_shuffled();
     let replay = |history: &[Vec<Update>]| {
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(base.len() * 3));
+        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints(base.len() * 3));
         for u in base.iter().chain(history.iter().flatten()) {
             g.apply(u);
         }
@@ -661,7 +663,7 @@ fn backlog_cycles_match_oracles_across_seeds() {
     let base_len = edges.len() * 3 / 4;
     let base = StreamBuilder::new(&edges[..base_len], 7).construction_shuffled();
     let seeded = || {
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(base.len() * 3));
+        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints(base.len() * 3));
         for u in &base {
             g.apply(u);
         }
@@ -783,7 +785,7 @@ fn chaos_injection_is_live_when_enabled() {
     }
     set_chaos_seed(7);
     let (inserts, _, _) = workload(999);
-    let hints = CapacityHints::new(inserts.len() * 2);
+    let hints = hints(inserts.len() * 2);
     let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
     let mgr = SnapshotManager::new(g);
     mgr.enable_connectivity();

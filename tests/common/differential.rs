@@ -21,7 +21,7 @@ use snap::prelude::*;
 use snap::util::thread_pool;
 use snap_kernels::serial_bfs;
 
-use super::rng_for;
+use super::{hints, rng_for};
 
 /// A generated differential workload: mixed batches plus the edge set
 /// that survives them (for external oracles).
@@ -223,7 +223,7 @@ where
     F: FnOnce(&DynGraph<A>) -> P,
 {
     let what = format!("{strategy:?} @ {threads} threads");
-    let hints = CapacityHints::new(w.len() * 2);
+    let hints = hints(w.len() * 2);
     let g: DynGraph<A> = DynGraph::undirected(w.n as usize, &hints);
     let pair = make(&g);
     let pool = thread_pool(threads);

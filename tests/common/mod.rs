@@ -11,9 +11,20 @@
 
 pub mod differential;
 
-use snap::prelude::{GraphView, TimedEdge};
+use snap::prelude::{CapacityHints, GraphView, TimedEdge};
 use snap::util::rng::XorShift64;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The hybrid promotion threshold the suites pin. The library default
+/// is sized for graphs of 2^16 vertices and promotes no vertex of these
+/// small ones, so without it the serving, chaos and index suites would
+/// not cover treap vertices at all.
+pub const DEGREE_THRESH: u32 = 8;
+
+/// `CapacityHints::new(expected_edges)` with [`DEGREE_THRESH`] pinned.
+pub fn hints(expected_edges: usize) -> CapacityHints {
+    CapacityHints::new(expected_edges).with_degree_thresh(DEGREE_THRESH)
+}
 
 /// Deterministic per-(suite, test, case) generator: `base` names the
 /// suite, `salt` the test, `case` the iteration. Failures reproduce by

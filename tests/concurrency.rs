@@ -4,6 +4,9 @@
 //! appliers (vertex-ranged, so each vertex's updates keep stream order)
 //! must do so for streams that do not commute, too.
 
+mod common;
+
+use common::hints;
 use snap::prelude::*;
 use std::collections::HashSet;
 
@@ -33,20 +36,23 @@ fn sequential_reference(stream: &[Update]) -> HashSet<(u32, u32)> {
 }
 
 /// Insert-only streams commute: any parallel interleaving must match
-/// sequential application.
-fn check_parallel_insertions<A: DynamicAdjacency>() {
+/// sequential application. Returns the last parallel build.
+fn check_parallel_insertions<A: DynamicAdjacency>() -> DynGraph<A> {
     let e = edges();
     let stream = StreamBuilder::new(&e, 1).construction_shuffled();
     let want = sequential_reference(&stream);
+    let mut last = None;
     for threads in [1usize, 2, 4] {
-        let g: DynGraph<A> = DynGraph::undirected(N, &CapacityHints::new(stream.len() * 2));
+        let g: DynGraph<A> = DynGraph::undirected(N, &hints(stream.len() * 2));
         snap::util::thread_pool(threads).install(|| engine::apply_stream(&g, &stream));
         assert_eq!(live_set(&g), want, "{threads}-thread insert run diverged");
         assert!(
             g.total_entries() > 0,
             "graph unexpectedly empty after parallel build"
         );
+        last = Some(g);
     }
+    last.expect("three thread counts")
 }
 
 #[test]
@@ -61,7 +67,8 @@ fn parallel_insertions_treap() {
 
 #[test]
 fn parallel_insertions_hybrid() {
-    check_parallel_insertions::<HybridAdj>();
+    let g = check_parallel_insertions::<HybridAdj>();
+    assert!(g.adjacency().treap_vertex_count() > 0, "both hybrid arms");
 }
 
 /// Mixed streams where every delete targets a *distinct pre-existing*
@@ -86,13 +93,13 @@ fn check_parallel_mixed<A: DynamicAdjacency>() {
     let (unique, dels) = commuting_mixed_stream();
     let build: Vec<Update> = unique.iter().copied().map(Update::insert).collect();
     // Sequential reference.
-    let seq: DynGraph<A> = DynGraph::undirected(N, &CapacityHints::new(unique.len() * 2));
+    let seq: DynGraph<A> = DynGraph::undirected(N, &hints(unique.len() * 2));
     for u in build.iter().chain(&dels) {
         seq.apply(u);
     }
     let want = live_set(&seq);
     for threads in [2usize, 4] {
-        let g: DynGraph<A> = DynGraph::undirected(N, &CapacityHints::new(unique.len() * 2));
+        let g: DynGraph<A> = DynGraph::undirected(N, &hints(unique.len() * 2));
         snap::util::thread_pool(threads).install(|| {
             engine::apply_stream(&g, &build);
             engine::apply_stream(&g, &dels);

@@ -21,7 +21,7 @@ mod common;
 use common::differential::{
     rmat_workload, run_differential, scripted_workload, ConnPair, Strategy, Workload, STRATEGIES,
 };
-use common::{rng_for, CountingView};
+use common::{hints, rng_for, CountingView};
 use snap::prelude::*;
 use snap::util::thread_pool;
 use snap_kernels::cc::union_find_components;
@@ -222,7 +222,7 @@ fn deletes_scan_nothing_or_at_most_twice_the_smaller_side() {
         .filter(|&(u, v)| u != v && seen.insert((u, v)))
         .collect();
     rng_for(SUITE, 77, 0).shuffle(&mut edges);
-    let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(edges.len() * 2));
+    let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints(edges.len() * 2));
     for &(u, v) in &edges {
         g.insert_edge(TimedEdge::new(u, v, 1));
     }
@@ -341,8 +341,7 @@ fn incremental_index_tracks_mixed_batches_without_rebuilds() {
         let n = w.n as usize;
         let want = union_find_components(n, w.surviving.iter().copied());
         for &threads in &[1usize, 2, 8] {
-            let hints = CapacityHints::new(w.len() * 2);
-            let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints);
+            let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints(w.len() * 2));
             let mgr = SnapshotManager::new(g);
             let idx = mgr.enable_connectivity();
             thread_pool(threads).install(|| {
@@ -374,6 +373,8 @@ fn incremental_index_tracks_mixed_batches_without_rebuilds() {
             assert_eq!(mgr.rebuild_count(), 0, "no CSR rebuild");
             assert_eq!(idx.full_rebuild_count(), 0, "no full recompute");
             assert!(idx.repair_count() >= 1, "deletions must repair lazily");
+            let g = mgr.into_inner();
+            assert!(g.adjacency().treap_vertex_count() > 0, "both hybrid arms");
         }
     }
 }
@@ -446,7 +447,7 @@ fn one_applier_call_per_cycle_equals_one_per_batch() {
             apply_vpart_indexed(&self.g, updates, shards, routes)
         }
     }
-    let hints = CapacityHints::new(cycle.len() * 2);
+    let hints = hints(cycle.len() * 2);
     for shards in [1usize, 2, 8] {
         let (per_batch, per_cycle) = (Side::new(&hints), Side::new(&hints));
         let changed: usize = batches.iter().map(|b| per_batch.apply(b, shards)).sum();

@@ -13,7 +13,7 @@
 mod common;
 
 use common::differential::{rmat_workload, run_differential, DistPair, Strategy};
-use common::rng_for;
+use common::{hints, rng_for};
 use snap::prelude::*;
 use snap::util::thread_pool;
 use snap_kernels::serial_bfs;
@@ -58,8 +58,8 @@ fn manager_repairs_agree_with_the_oracle() {
         let w = rmat_workload(SUITE, 20 + case, 9, 3, 50, 256);
         let n = w.n as usize;
         for &threads in &[1usize, 2, 8] {
-            let hints = CapacityHints::new(w.len() * 2);
-            let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
+            let mgr =
+                SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints(w.len() * 2)));
             let idx = mgr.enable_distances(&SOURCES);
             thread_pool(threads).install(|| {
                 for batch in &w.batches {
@@ -89,6 +89,8 @@ fn manager_repairs_agree_with_the_oracle() {
             }
             assert_eq!(mgr.rebuild_count(), 0, "no CSR rebuild");
             assert_eq!(idx.full_rebuild_count(), 0, "no full recompute");
+            let g = mgr.into_inner();
+            assert!(g.adjacency().treap_vertex_count() > 0, "both hybrid arms");
         }
     }
 }

@@ -8,6 +8,9 @@
 //! `snap::obs::ENABLED`: live counters when the runtime is compiled
 //! in, empty expositions when it is compiled out.
 
+mod common;
+
+use common::hints;
 use snap::obs::{MetricValue, MetricsRegistry};
 use snap::prelude::*;
 
@@ -34,11 +37,11 @@ fn instrumented_kernels_match_serial_oracles() {
     let rmat = Rmat::new(RmatParams::paper(10, 8), 77);
     let edges = rmat.edges();
     let n = 1 << 10;
-    let hints = CapacityHints::new(edges.len() * 2);
-    let g = DynGraph::<HybridAdj>::undirected(n, &hints);
+    let g = DynGraph::<HybridAdj>::undirected(n, &hints(edges.len() * 2));
     for u in StreamBuilder::new(&edges, 1).construction_shuffled().iter() {
         g.apply(u);
     }
+    assert!(g.adjacency().treap_vertex_count() > 0, "both hybrid arms");
     let csr = g.to_csr();
     // Force the parallel path so the instrumented runtime actually runs.
     let cfg = ParConfig::default()
@@ -84,7 +87,7 @@ fn instrumented_kernels_match_serial_oracles() {
 /// counters when the feature is on.
 #[test]
 fn instrumented_serving_results_are_unchanged() {
-    let hints = CapacityHints::new(256);
+    let hints = hints(256);
     let g = DynGraph::<HybridAdj>::undirected(32, &hints);
     let engine = ServeEngine::new(g, ServeConfig::default().with_shards(2));
     for i in 0..16u32 {

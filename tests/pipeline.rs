@@ -2,6 +2,8 @@
 //! representation -> identical graph state -> CSR snapshot -> kernels
 //! agree with each other and with oracles.
 
+mod common;
+
 use snap::prelude::*;
 use std::collections::HashSet;
 
@@ -19,8 +21,7 @@ fn live_set<A: DynamicAdjacency>(g: &DynGraph<A>) -> HashSet<(u32, u32)> {
 }
 
 fn build<A: DynamicAdjacency>(edges: &[TimedEdge]) -> DynGraph<A> {
-    let hints = CapacityHints::new(edges.len() * 2);
-    let g: DynGraph<A> = DynGraph::undirected(N, &hints);
+    let g: DynGraph<A> = DynGraph::undirected(N, &common::hints(edges.len() * 2));
     let stream = StreamBuilder::new(edges, 3).construction_shuffled();
     engine::apply_stream(&g, &stream);
     g
@@ -35,6 +36,10 @@ fn all_representations_agree_after_parallel_construction() {
     let sa = live_set(&arr);
     let st = live_set(&tre);
     let sh = live_set(&hyb);
+    assert!(
+        hyb.adjacency().treap_vertex_count() > 0,
+        "both hybrid arms built"
+    );
     assert_eq!(sa, st, "Dyn-arr vs Treaps live sets differ");
     assert_eq!(sa, sh, "Dyn-arr vs Hybrid live sets differ");
     // Ground truth from the edge list itself.

@@ -313,7 +313,8 @@ fn apply_group_equals_one_by_one_on_treaps() {
 
 #[test]
 fn apply_group_equals_one_by_one_on_hybrid_across_thresholds() {
-    for thresh in [1, 2, 4, 32] {
+    // 32 is the paper's value; the library default is the measured one.
+    for thresh in [1, 2, 4, 32, CapacityHints::new(0).degree_thresh] {
         check_random_groups(9 + thresh as u64, || hybrid(thresh), hybrid_form);
     }
 }

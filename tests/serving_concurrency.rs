@@ -23,6 +23,8 @@
 //! spans two ranges and up to `shards` workers — with every index on,
 //! the same oracles hold.
 
+mod common;
+
 use snap::par::{par_bfs_with, par_cc_with};
 use snap::prelude::*;
 
@@ -63,11 +65,14 @@ fn oracle_changed(base: &[Update], history: &[Vec<Update>]) -> u64 {
 /// exact same per-vertex state).
 fn seeded_graph(base: &[Update]) -> DynGraph<HybridAdj> {
     let n = 1usize << SCALE;
-    let hints = CapacityHints::new(base.len() * 3);
-    let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &hints);
+    let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &common::hints(base.len() * 3));
     for u in base {
         g.apply(u);
     }
+    assert!(
+        g.adjacency().treap_vertex_count() > 0,
+        "the engine must serve treap vertices too"
+    );
     g
 }
 

@@ -11,6 +11,7 @@
 mod common;
 
 use common::differential::{rmat_workload, run_differential, Strategy, TriPair};
+use common::hints;
 use snap::prelude::*;
 use snap::util::thread_pool;
 
@@ -44,8 +45,8 @@ fn manager_queries_agree_with_the_kernels_oracle() {
         let w = rmat_workload(SUITE, 20 + case, 9, 3, 50, 256);
         let n = w.n as usize;
         for &threads in &[1usize, 2, 8] {
-            let hints = CapacityHints::new(w.len() * 2);
-            let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
+            let mgr =
+                SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints(w.len() * 2)));
             let idx = mgr.enable_triangles();
             thread_pool(threads).install(|| {
                 for batch in &w.batches {
@@ -65,6 +66,8 @@ fn manager_queries_agree_with_the_kernels_oracle() {
             assert_eq!(mgr.rebuild_count(), 0, "no CSR rebuild");
             assert_eq!(idx.full_rebuild_count(), 0, "no recount");
             assert!(idx.delta_count() >= w.len() / 2, "deltas did the work");
+            let g = mgr.into_inner();
+            assert!(g.adjacency().treap_vertex_count() > 0, "both hybrid arms");
         }
     }
 }
