@@ -1,5 +1,5 @@
-//! Incremental connectivity serving: a concurrent union-find index over
-//! the dynamic graph, certified by the paper's link-cut forest.
+//! Incremental connectivity serving: a union-find index over the dynamic
+//! graph, certified by the paper's link-cut forest.
 //!
 //! The paper's motivating workload is *serving connectivity queries on a
 //! massive graph under a stream of updates*. The kernels answer those
@@ -8,16 +8,15 @@
 //! subsystem that makes the query path cheap:
 //!
 //! - **Insertions are free to index.** [`ConnectivityIndex`] maintains a
-//!   lock-free union-find (`u32` parent forest, CAS hooking, path
-//!   splitting). An edge insertion is one [`ConnectivityIndex::union`];
-//!   `component(u)` / `same_component(u, v)` are then near-O(α) pointer
-//!   chases with **zero traversals and zero CSR rebuilds**.
+//!   union-find (`u32` parent forest, path halving). An edge insertion
+//!   is one [`ConnectivityIndex::union`]; `component(u)` /
+//!   `same_component(u, v)` are then near-O(α) pointer chases with
+//!   **zero traversals and zero CSR rebuilds**.
 //! - **Every merge leaves a certificate edge.** Beside the union-find
 //!   the index keeps the paper's spanning forest (§3.1; one parent
 //!   pointer per vertex, [`crate::forest::Forest`]): the edge whose
-//!   insertion merged two components becomes a tree edge, so at
-//!   quiescence the forest spans exactly the components the labels
-//!   name.
+//!   insertion merged two components becomes a tree edge, so once
+//!   settled the forest spans exactly the components the labels name.
 //! - **A deletion costs the smaller side of the cut, or nothing.**
 //!   Union-find cannot un-union, but an edge that is *not* in the forest
 //!   cannot disconnect anything: its deletion is an O(1) no-op — no
@@ -27,24 +26,24 @@
 //!   ([`crate::forest::Forest::reconnect`]); the work is bounded by the
 //!   smaller side. Only a true split relabels, and only the members of
 //!   the side the search exhausted.
-//! - **Notes are cheap, the forest is serialized.**
+//! - **Notes are cheap; the certificate settles once.**
 //!   [`ConnectivityIndex::note_insert`] / [`ConnectivityIndex::note_delete`]
 //!   never touch the forest: a merging insert and every delete append to
-//!   a pending log, and the next query (or
-//!   [`ConnectivityIndex::labels`]) drains it under the repair lock —
-//!   links first, then cuts, then one replacement search per cut, all
-//!   against the view as it is *then*. Log entries are hints checked
-//!   against the view, so the order racing notes land in does not
-//!   matter.
+//!   a pending log, and the settle drains it — links first, then cuts,
+//!   then one replacement search per cut, all against the view as it is
+//!   *then*. An engine settles once per cycle
+//!   ([`IncrementalIndex::absorb`]), a direct caller on its next
+//!   view-taking query. Log entries are checked against the view: an
+//!   edge inserted and deleted again in one cycle leaves a link whose
+//!   edge is gone.
 //! - **The whole-component relabel is the fallback.** A serial restricted
 //!   connected-components pass over a component's members
 //!   ([`restricted_component_labels`]) still runs — and re-derives that
 //!   component's certificate — in exactly these cases: the exhausted
 //!   side of a split holds the component's minimum id (the other side
 //!   then needs a new minimum, hence an enumeration); a caller marked
-//!   the component with [`ConnectivityIndex::mark_component_dirty`]; a
-//!   note raced the drain (the generation guard, invariant 6); the view
-//!   is directed (its out-adjacency cannot be searched from both
+//!   the component with [`ConnectivityIndex::mark_component_dirty`]; the
+//!   view is directed (its out-adjacency cannot be searched from both
 //!   sides). Out-of-band resync rebuilds labels and certificate
 //!   together.
 //! - **Self-loops never matter**: deleting `(u, u)` cannot disconnect,
@@ -52,29 +51,25 @@
 //!
 //! Canonical labels: unions always hook the higher-id root under the
 //! lower one and every relabel assigns the minimum member id, so every
-//! stable label is the component's minimum vertex id — bit-comparable
+//! settled label is the component's minimum vertex id — bit-comparable
 //! with `connected_components`, `par_cc`, and the union-find test oracle.
 //!
 //! # Concurrency contract
 //!
-//! Mutations (`union` / `note_insert` / `note_delete`) take `&self` and
-//! are thread-safe, like the rest of the workspace. Queries are safe to
-//! run concurrently with each other, including the repairs they trigger:
-//! repairs serialize on an internal lock (which also owns the forest),
-//! members being relabeled are shielded (invariant 4, see
-//! [`crate::indexes`]), and
-//! [`ConnectivityIndex::component`] re-checks root stability before
-//! answering. Queries racing *mutations* follow the workspace's
-//! bulk-synchronous discipline (apply the batch, then query); see
-//! [`crate::indexes`] for the epoch bookkeeping that detects
-//! out-of-band mutation and falls back to a full rebuild.
+//! All mutable state — union-find parents, spanning forest, note log and
+//! debt marks — is plain data behind one lock ([`crate::indexes`]).
+//! Notes, settles and rebuilds take it for writing; queries take it for
+//! reading, and settle first under the write lock only when the state
+//! owes something their answer depends on. A settle reads the view, so
+//! it must not race a mutation of the view; both engines settle on their
+//! one writer, after the cycle's mutation.
 
+use crate::csr::RowSet;
 use crate::forest::{Forest, Reconnect, Search, ROOT};
-use crate::indexes::{IncrementalIndex, IndexCore, Shields};
+use crate::indexes::{read_settled, IncrementalIndex, IndexCore};
 use crate::view::GraphView;
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use snap_rmat::{Update, UpdateKind};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Connectivity-index instrumentation, shared by every index in the
@@ -85,7 +80,6 @@ struct ConnMetrics {
     dirty_marks: snap_obs::Counter,
     repairs: snap_obs::Counter,
     full_rebuilds: snap_obs::Counter,
-    shield_events: snap_obs::Counter,
     cert_deletes: snap_obs::Counter,
     noncert_deletes: snap_obs::Counter,
     replacements: snap_obs::Counter,
@@ -111,10 +105,6 @@ fn conn_metrics() -> &'static ConnMetrics {
             full_rebuilds: r.counter(
                 "snap_conn_full_rebuilds_total",
                 "Full index rebuilds (incremental maintenance keeps this at zero)",
-            ),
-            shield_events: r.counter(
-                "snap_conn_shield_events_total",
-                "Vertices shielded during repairs and rebuilds",
             ),
             cert_deletes: r.counter(
                 "snap_conn_certificate_deletes_total",
@@ -149,7 +139,7 @@ fn conn_metrics() -> &'static ConnMetrics {
 }
 
 /// One pending notification, recorded by the note path and applied to
-/// the certificate by the next drain.
+/// the certificate by the next settle.
 #[derive(Clone, Copy, Debug)]
 enum Note {
     /// Inserting `(u, v)` merged two components: a certificate edge.
@@ -158,21 +148,10 @@ enum Note {
     Cut(u32, u32),
 }
 
-/// Everything only a repair touches; the repair lock owns it.
-struct Certificate {
-    /// Spanning forest of the indexed graph: at quiescence its trees are
-    /// exactly the components the union-find labels name.
-    forest: Forest,
-    search: Search,
-    /// Drain scratch, zero between uses: 1-based id of the split set
-    /// that claimed the vertex (sized on first use).
-    split_of: Vec<u32>,
-}
-
-/// Incrementally maintained connectivity over a dynamic graph: concurrent
-/// union-find certified by a spanning forest, so deletions cost the
-/// smaller side of the cut. See the [module docs](self) for the design
-/// and the concurrency contract.
+/// Incrementally maintained connectivity over a dynamic graph: union-find
+/// certified by a spanning forest, so deletions cost the smaller side of
+/// the cut. See the [module docs](self) for the design and the
+/// concurrency contract.
 ///
 /// # Examples
 ///
@@ -206,386 +185,176 @@ struct Certificate {
 /// assert_eq!(idx.repair_count(), 1);
 /// ```
 pub struct ConnectivityIndex {
+    state: RwLock<State>,
+    /// Epoch coupling and the `repair_count` / `full_rebuild_count`
+    /// counters (invariant 6; the index derefs to it).
+    core: IndexCore,
+}
+
+/// Everything a [`ConnectivityIndex`] maintains, behind its lock.
+struct State {
     /// Union-find forest. Roots satisfy `parent[r] == r`; every hook
     /// points a higher id at a lower one, so a component's root is its
     /// minimum vertex id.
-    parent: Vec<AtomicU32>,
-    /// One shield per vertex. A mark on a *root* owes its component a
-    /// whole-component relabel; during any relabel the shields of every
-    /// vertex whose label changes are raised, so concurrent readers
-    /// re-route into the repair path until the new labels are fully
-    /// published (invariant 4).
-    shields: Shields,
-    /// Notes not yet applied to the certificate, in arrival order. The
-    /// lock is held for one push or one swap, never across a traversal.
-    log: Mutex<Vec<Note>>,
-    /// Hint that notes are logged or being drained, so clean queries
-    /// skip the lock. Raised and lowered under the `log` lock.
-    pending: AtomicBool,
-    /// Live component count (successful unions decrement, repairs add
-    /// back the splits they discover).
-    components: AtomicUsize,
-    /// Epoch coupling, note generation and the `repair_count` /
-    /// `full_rebuild_count` counters (invariant 6; the index derefs to
-    /// it). A repair that sees the generation move across its view reads
-    /// re-marks the components involved instead of trusting its result.
-    core: IndexCore,
-    /// Serializes repairs and full rebuilds and owns the certificate;
-    /// clean-component queries never take it.
-    repair_lock: Mutex<Certificate>,
+    parent: Vec<u32>,
+    /// Roots whose component owes a whole-component relabel.
+    marked: RowSet,
+    /// Notes not yet applied to the certificate, in arrival order.
+    log: Vec<Note>,
+    /// Live component count (merges decrement, splits add back).
+    components: usize,
+    /// Spanning forest of the indexed graph: once settled its trees are
+    /// exactly the components the union-find labels name.
+    forest: Forest,
+    search: Search,
+    /// Settle scratch, zero between uses: 1-based id of the split set
+    /// that claimed the vertex (sized on first use).
+    split_of: Vec<u32>,
 }
 
-impl ConnectivityIndex {
-    /// An index over `n` isolated vertices.
-    pub fn new(n: usize) -> Self {
+impl State {
+    /// `n` isolated vertices.
+    fn new(n: usize) -> Self {
         Self {
-            parent: (0..n as u32).map(AtomicU32::new).collect(),
-            shields: Shields::new(1, n),
-            log: Mutex::new(Vec::new()),
-            pending: AtomicBool::new(false),
-            components: AtomicUsize::new(n),
-            core: IndexCore::default(),
-            repair_lock: Mutex::new(Certificate {
-                forest: Forest::new(n),
-                search: Search::new(),
-                split_of: Vec::new(),
-            }),
+            parent: (0..n as u32).collect(),
+            marked: RowSet::new(n),
+            log: Vec::new(),
+            components: n,
+            forest: Forest::new(n),
+            search: Search::new(),
+            split_of: Vec::new(),
         }
     }
 
-    /// Builds labels and certificate from the live edges of a view in
-    /// one breadth-first pass (the initial build is not counted as a
-    /// rebuild).
-    pub fn from_view<V: GraphView>(view: &V) -> Self {
-        let idx = Self::new(view.num_vertices());
-        idx.absorb(view, &mut idx.repair_lock.lock());
-        idx
-    }
-
-    /// Labels and spans every component of `view`. Expects identity
-    /// labels and a forest of singletons. Sweeping start vertices in
-    /// ascending order makes each start the minimum of its component, so
-    /// the labels come out canonical and flat, and the BFS tree is the
-    /// certificate (shallow, so `reroot` and the search's walks stay
-    /// short).
-    fn absorb<V: GraphView>(&self, view: &V, cert: &mut Certificate) {
+    /// `view`'s labels and certificate, from one breadth-first pass.
+    /// Sweeping start vertices in ascending order makes each start the
+    /// minimum of its component, so the labels come out canonical and
+    /// flat, and the BFS tree is the certificate (shallow, so `reroot`
+    /// and the search's walks stay short).
+    fn from_view<V: GraphView>(view: &V) -> Self {
+        let n = view.num_vertices();
+        let mut st = Self::new(n);
         if view.is_directed() {
             // Components are weak: a BFS over out-edges would miss
             // in-neighbours, so union per stored entry. (No certificate
-            // is kept for directed views; see `settle_locked`.)
-            for u in 0..self.parent.len() as u32 {
+            // is kept for directed views; see `apply_notes`.)
+            for u in 0..n as u32 {
                 view.for_each_edge(u, |w, _| {
-                    self.union(u, w);
+                    st.union(u, w);
                 });
             }
-            return;
+            return st;
         }
-        let n = self.parent.len();
-        let mut merged = 0usize;
         grow_trees(view, 0..n as u32, &mut vec![true; n], |s, y, x| {
-            // ordering: Release — same publication rule as the union
-            // hook (invariant 5); `s < y`, so labels only ever decrease.
-            self.parent[y as usize].store(s, Ordering::Release);
-            cert.forest.link(y, x);
-            merged += 1;
+            st.parent[y as usize] = s;
+            st.forest.link(y, x);
+            st.components -= 1;
         });
-        // ordering: AcqRel — pairs with the Acquire load in
-        // `component_count`, like the per-union decrement.
-        self.components.fetch_sub(merged, Ordering::AcqRel);
+        st
     }
 
-    // ---- the concurrent union-find core --------------------------------
-
-    /// Walk depth past which [`ConnectivityIndex::find`] tries to
-    /// flatten the chain (under the repair lock).
-    const FIND_COMPRESS_DEPTH: usize = 16;
-
-    /// Current root of `x`'s tree. The walk itself is **read-only**:
-    /// a query must not path-split lock-free, because a repair can
-    /// *raise* parent values when it publishes a split, and a racing
-    /// splitting CAS whose expected value coincides with the freshly
-    /// published one (ABA on vertex ids) would overwrite the repair
-    /// with a stale ancestor. Mutations compress through
-    /// `ConnectivityIndex::find_compress` and repairs flatten what they
-    /// relabel, which keeps typical walks short; if an
-    /// adversarial insertion order still builds a deep chain (union by
-    /// min-id has no rank), the walk flattens it opportunistically —
-    /// but only under the repair lock, which excludes the repair
-    /// publication the read-only rule exists to avoid, via `try_lock`
-    /// so the query never blocks and never deadlocks from locked
-    /// contexts.
-    pub fn find(&self, x: u32) -> u32 {
-        let mut cur = x;
-        let mut steps = 0usize;
-        loop {
-            // ordering: Acquire — a walk that reads a repair-published
-            // parent must also see every label store that preceded its
-            // publication (invariant 5: the query walk is read-only and
-            // leans on publication order, not locks).
-            let p = self.parent[cur as usize].load(Ordering::Acquire);
-            if p == cur {
-                break;
-            }
-            cur = p;
-            steps += 1;
+    fn find(&self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            x = self.parent[x as usize];
         }
-        if steps > Self::FIND_COMPRESS_DEPTH {
-            if let Some(_guard) = self.repair_lock.try_lock() {
-                self.find_compress(x);
-            }
-        }
-        cur
+        x
     }
 
-    /// [`ConnectivityIndex::find`] with path splitting: every visited
-    /// vertex is CAS-pointed at its grandparent, halving the path for
-    /// later walks. Only the mutation side uses it — during a mutation
-    /// phase parents only ever decrease, so a stale split write is still
-    /// a valid ancestor; concurrent *repairs* (query side) can raise
-    /// parents, which is why queries use the read-only walk.
-    fn find_compress(&self, mut x: u32) -> u32 {
+    /// [`State::find`] with path halving: every other vertex on the walk
+    /// is pointed at its grandparent.
+    fn find_compress(&mut self, mut x: u32) -> u32 {
         loop {
-            // ordering: Acquire (both loads) — grandparent chasing must
-            // observe hooks published by racing unions (invariant 5).
-            let p = self.parent[x as usize].load(Ordering::Acquire);
-            if p == x {
-                return x;
-            }
-            let gp = self.parent[p as usize].load(Ordering::Acquire); // ordering: see above
-            if gp == p {
+            let p = self.parent[x as usize];
+            let gp = self.parent[p as usize];
+            if p == gp {
                 return p;
             }
-            // ordering: AcqRel on success — the split write publishes a
-            // still-valid ancestor to later walks; Relaxed on failure —
-            // the retry re-reads through the Acquire loads above.
-            let _ = self.parent[x as usize].compare_exchange_weak(
-                p,
-                gp,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
+            self.parent[x as usize] = gp;
             x = gp;
         }
     }
 
-    /// Merges the components of `u` and `v`; returns `true` if they were
-    /// distinct, in which case `(u, v)` is recorded as the merge's
-    /// certificate edge. Always hooks the higher root under the lower,
-    /// so labels only ever decrease and settle on the component minimum.
-    /// If either side was marked dirty, the merged component is.
-    pub fn union(&self, u: u32, v: u32) -> bool {
-        loop {
-            let ru = self.find_compress(u);
-            let rv = self.find_compress(v);
-            if ru == rv {
-                return false;
-            }
-            let (lo, hi) = (ru.min(rv), ru.max(rv));
-            // ordering: AcqRel — a successful hook is the union's
-            // publication point (invariant 5: mutation-side labels only
-            // ever decrease); Relaxed on failure — the loop re-finds
-            // both roots before retrying.
-            if self.parent[hi as usize]
-                .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                // ordering: AcqRel — the decrement is ordered after the
-                // winning hook, pairing with the Acquire load in
-                // `component_count` so a published merge is counted
-                // exactly once.
-                self.components.fetch_sub(1, Ordering::AcqRel);
-                if self.shields.is_raised(hi as usize) {
-                    // The absorbed component was awaiting repair; the
-                    // merged one inherits that debt.
-                    self.mark_component_dirty(lo);
-                }
-                // An edge that merged two components but is missing
-                // from the forest would make its later delete look free.
-                self.log_note(Note::Link(u, v));
-                return true;
-            }
-            // Lost the hook race; re-resolve both roots and retry.
-        }
+    /// True if the state owes a settle that could change `x`'s label:
+    /// notes are pending, or `x`'s component is marked.
+    fn owes_for(&self, x: u32) -> bool {
+        !self.log.is_empty() || self.marked.contains(self.find(x))
     }
 
-    // ---- update notifications ------------------------------------------
-
-    /// Appends to the pending log. The forest is a multi-word structure
-    /// owned by the repair lock; notes run concurrently (the manager's
-    /// parallel batch path, racing writers), so they only record what
-    /// happened and the next drain applies it.
-    fn log_note(&self, note: Note) {
-        let mut log = self.log.lock();
-        log.push(note);
-        // Set under the log lock, like the drain's clear, so the hint
-        // can never read "empty" while an entry sits in the log.
-        //
-        // ordering: Release — pairs with the Acquire loads in
-        // `has_dirty` / `component`: a query that follows the note
-        // (bulk-synchronous discipline) sees the hint and drains.
-        self.pending.store(true, Ordering::Release);
+    fn owes(&self) -> bool {
+        !self.log.is_empty() || !self.marked.is_empty()
     }
 
-    /// Records an edge insertion. Returns `true` if it merged two
-    /// components. Self-loops are connectivity no-ops.
-    pub fn note_insert(&self, u: u32, v: u32) -> bool {
-        if u == v {
+    /// See [`ConnectivityIndex::union`].
+    fn union(&mut self, u: u32, v: u32) -> bool {
+        let ru = self.find_compress(u);
+        let rv = self.find_compress(v);
+        if ru == rv {
             return false;
         }
-        self.core.begin_note();
-        self.union(u, v)
+        let (lo, hi) = (ru.min(rv), ru.max(rv));
+        self.parent[hi as usize] = lo;
+        self.components -= 1;
+        if self.marked.contains(hi) {
+            // The absorbed component was awaiting a relabel; the merged
+            // one inherits that debt.
+            self.marked.remove(hi);
+            self.marked.insert(lo);
+        }
+        // An edge that merged two components but is missing from the
+        // forest would make its later delete look free.
+        self.log.push(Note::Link(u, v));
+        true
     }
 
-    /// Records an edge deletion: O(1), whatever the edge. Whether it was
-    /// a certificate edge — and, if so, whether the graph still connects
-    /// its endpoints — is settled by the next query against the view as
-    /// it is then. Deleting a self-loop cannot disconnect anything and
-    /// is ignored. (The caller guarantees the edge existed.)
-    pub fn note_delete(&self, u: u32, v: u32) {
+    fn note(&mut self, upd: &Update) {
+        let (u, v) = (upd.edge.u, upd.edge.v);
         if u == v {
             return;
         }
-        self.core.begin_note();
-        self.log_note(Note::Cut(u, v));
-    }
-
-    /// Marks `x`'s component for a whole-component relabel (which also
-    /// re-derives its certificate), chasing concurrent unions: after
-    /// marking a root the root is re-resolved, so a hook racing with the
-    /// mark cannot strand it on a non-root (the union path propagates
-    /// marks it sees; this loop covers the mark-after-hook
-    /// interleaving). For callers that changed the graph in ways the
-    /// notes did not describe.
-    pub fn mark_component_dirty(&self, x: u32) {
-        conn_metrics().dirty_marks.inc();
-        let mut r = self.find(x);
-        loop {
-            self.shields.mark(r as usize);
-            let r2 = self.find(r);
-            if r2 == r {
-                return;
+        match upd.kind {
+            UpdateKind::Insert => {
+                self.union(u, v);
             }
-            r = r2;
+            UpdateKind::Delete => self.log.push(Note::Cut(u, v)),
         }
     }
 
-    /// True if `x`'s component is marked for a whole-component relabel.
-    /// (Pending notes are not marks: see [`ConnectivityIndex::has_dirty`].)
-    pub fn is_component_dirty(&self, x: u32) -> bool {
-        self.shields.is_raised(self.find(x) as usize)
+    /// See [`ConnectivityIndex::mark_component_dirty`].
+    fn mark(&mut self, x: u32) {
+        conn_metrics().dirty_marks.inc();
+        let r = self.find(x);
+        self.marked.insert(r);
     }
 
-    /// True if the next query may have work to do: notes are pending or
-    /// a component is marked (the mark hint may stay `true` until the
-    /// next [`IncrementalIndex::repair_all`]).
-    pub fn has_dirty(&self) -> bool {
-        // ordering: Acquire — pairs with the Release stores of the
-        // pending hint (invariant 4: hints only, the log and the shields
-        // are authoritative).
-        self.pending.load(Ordering::Acquire) || self.shields.any_marked()
-    }
-
-    // ---- queries (self-repairing) --------------------------------------
-
-    /// True if `u` and `v` are connected in `view`, settling pending
-    /// notes and repairing any marked component the query touches.
-    pub fn same_component<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
-        self.component(view, u) == self.component(view, v)
-    }
-
-    /// Number of components, after settling and repairing everything.
-    pub fn component_count<V: GraphView>(&self, view: &V) -> usize {
-        self.repair_all(view);
-        // ordering: Acquire (downgraded from SeqCst by the PR 9 audit)
-        // — pairs with the AcqRel counter updates, so the count read
-        // after `repair_all` reflects every published merge and split.
-        self.components.load(Ordering::Acquire)
-    }
-
-    /// Canonical labels for every vertex, after settling and repairing
-    /// everything — directly comparable with `connected_components` /
-    /// `par_cc` output on the same view.
-    pub fn labels<V: GraphView>(&self, view: &V) -> Vec<u32> {
-        self.repair_all(view);
-        (0..self.parent.len() as u32)
-            .map(|v| self.find(v))
-            .collect()
-    }
-
-    /// True if `(u, v)` is a certificate edge once everything pending is
-    /// settled against `view` — i.e. whether deleting it next would
-    /// trigger a replacement search (diagnostics and tests).
-    pub fn is_certificate_edge<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
-        self.repair_all(view);
-        self.repair_lock.lock().forest.is_tree_edge(u, v)
-    }
-
-    /// Canonical component label (minimum member id) of `u`, clean
-    /// *and stable*: pending notes are settled and a marked component is
-    /// repaired first, and a clean answer is re-checked against a second
-    /// `find` so a reader overlapping a repair's publication window
-    /// re-routes instead of mixing old and new labels.
-    pub fn component<V: GraphView>(&self, view: &V, u: u32) -> u32 {
-        loop {
-            // ordering: Acquire — pairs with the note path's Release
-            // store; see `log_note`.
-            if self.pending.load(Ordering::Acquire) {
-                self.settle_locked(&mut self.repair_lock.lock(), view);
+    /// Pays everything owed against `view`: drains the log through the
+    /// certificate, then relabels every marked component whole.
+    fn settle<V: GraphView>(&mut self, view: &V, core: &IndexCore) {
+        if !self.log.is_empty() {
+            let notes = std::mem::take(&mut self.log);
+            self.apply_notes(view, &notes, core);
+        }
+        if self.marked.is_empty() {
+            return;
+        }
+        // One O(n·α) grouping pass collects every marked component's
+        // members at once.
+        let mut groups: std::collections::BTreeMap<u32, Vec<u32>> =
+            std::collections::BTreeMap::new();
+        for v in 0..self.parent.len() as u32 {
+            let r = self.find(v);
+            if self.marked.contains(r) {
+                groups.entry(r).or_default().push(v);
             }
-            let r = self.find(u);
-            if self.shields.is_raised(r as usize) {
-                self.repair(view, u);
-                continue;
-            }
-            if self.find(u) == r {
-                return r;
-            }
+        }
+        for verts in groups.values() {
+            self.relabel_members(view, verts, core);
         }
     }
 
     // ---- the certificate path ------------------------------------------
 
-    /// Drains the pending log into the certificate and publishes the
-    /// splits it finds. Caller holds the repair lock.
-    fn settle_locked<V: GraphView>(&self, cert: &mut Certificate, view: &V) {
-        // The hint stays up for the whole drain: a query arriving while
-        // splits are still being worked out must find its way to the
-        // repair lock (and wait there), not read labels the drain is
-        // about to change.
-        //
-        // ordering: Acquire — pairs with the Release store in `log_note`.
-        if !self.pending.load(Ordering::Acquire) {
-            return;
-        }
-        let gen_at_scan = self.core.generation();
-        let notes = std::mem::take(&mut *self.log.lock());
-        // A note that raced this drain may have changed the view under
-        // the searches, or had its union overwritten by the relabel
-        // (generation guard, invariant 6): hand every component this
-        // drain touched to the whole-component path, which reads the
-        // truth off the view.
-        let drain = || self.apply_notes(cert, view, &notes);
-        if self.core.lower_guarded(gen_at_scan, drain) {
-            for note in &notes {
-                let (Note::Link(u, v) | Note::Cut(u, v)) = *note;
-                self.mark_component_dirty(u);
-                self.mark_component_dirty(v);
-            }
-        }
-        // Everything drained is published (or marked): lower the hint,
-        // unless a racing note has logged more in the meantime — checked
-        // and cleared under the log lock, where `log_note` raises it.
-        let log = self.log.lock();
-        if log.is_empty() {
-            // ordering: Release — pairs with the Acquire loads of the
-            // hint; a query that sees it down also sees the labels
-            // published above.
-            self.pending.store(false, Ordering::Release);
-        }
-    }
-
     /// Applies drained notes to the certificate and publishes the splits
-    /// they cause, returning with every shield it raised lowered again.
+    /// they cause.
     ///
     /// Links are applied first, then every cut, and only then does the
     /// search run: the view already lacks *all* the deleted edges, so a
@@ -593,7 +362,7 @@ impl ConnectivityIndex {
     /// edge left to scan" mean less than "this side is a whole tree".
     /// With every stale edge cut first, each tree is connected in the
     /// view and an exhausted side is exactly one tree and one component.
-    fn apply_notes<V: GraphView>(&self, cert: &mut Certificate, view: &V, notes: &[Note]) {
+    fn apply_notes<V: GraphView>(&mut self, view: &V, notes: &[Note], core: &IndexCore) {
         let m = conn_metrics();
         if view.is_directed() {
             // Out-adjacency cannot be searched from both sides of a cut:
@@ -601,39 +370,33 @@ impl ConnectivityIndex {
             // the certificate existed.
             for note in notes {
                 if let Note::Cut(u, _) = *note {
-                    self.mark_component_dirty(u);
+                    self.mark(u);
                 }
             }
             return;
         }
-        let Certificate {
-            forest,
-            search,
-            split_of,
-        } = cert;
-        split_of.resize(self.parent.len(), 0);
         // Vertices whose trees are not yet known to be whole components.
         let mut open: Vec<u32> = Vec::new();
         for note in notes {
             if let Note::Link(u, v) = *note {
-                if forest.connected(u, v) {
+                if self.forest.connected(u, v) {
                     continue;
                 }
                 if has_edge(view, u, v) {
-                    forest.reroot(u);
-                    forest.link(u, v);
+                    self.forest.reroot(u);
+                    self.forest.link(u, v);
                 } else {
-                    // Merged by an edge that is already gone again (its
-                    // delete may have been settled before this note
-                    // arrived): whether anything else joins the two
-                    // trees is the same question a cut asks.
+                    // Merged by an edge that is already gone again
+                    // (deleted later in the same cycle): whether anything
+                    // else joins the two trees is the same question a cut
+                    // asks.
                     open.extend([u, v]);
                 }
             }
         }
         for note in notes {
             if let Note::Cut(u, v) = *note {
-                if forest.cut_edge(u, v) {
+                if self.forest.cut_edge(u, v) {
                     m.cert_deletes.inc();
                     open.extend([u, v]);
                 } else {
@@ -641,8 +404,9 @@ impl ConnectivityIndex {
                 }
             }
         }
-        let splits = self.resolve(forest, search, split_of, view, open);
-        self.publish_splits(forest, split_of, &splits);
+        self.split_of.resize(self.parent.len(), 0);
+        let splits = self.resolve(view, open);
+        self.publish_splits(&splits, core);
     }
 
     /// Runs replacement searches until, in every component, at most one
@@ -650,14 +414,7 @@ impl ConnectivityIndex {
     /// one then is too, since no live edge can lead into the others.
     /// Returns the exhausted sides (each marked in `split_of` with its
     /// 1-based position).
-    fn resolve<V: GraphView>(
-        &self,
-        forest: &mut Forest,
-        search: &mut Search,
-        split_of: &mut [u32],
-        view: &V,
-        mut open: Vec<u32>,
-    ) -> Vec<Vec<u32>> {
+    fn resolve<V: GraphView>(&mut self, view: &V, mut open: Vec<u32>) -> Vec<Vec<u32>> {
         let m = conn_metrics();
         let mut splits: Vec<Vec<u32>> = Vec::new();
         // The union-find has not been touched yet, so `find` still names
@@ -665,16 +422,17 @@ impl ConnectivityIndex {
         // open vertices of one component sit together on the stack.
         open.sort_by_cached_key(|&v| self.find(v));
         while let Some(a) = open.pop() {
-            if split_of[a as usize] != 0 {
+            if self.split_of[a as usize] != 0 {
                 continue;
             }
             let label = self.find(a);
-            let tree = forest.findroot(a);
+            let tree = self.forest.findroot(a);
             // `a` stands for its whole tree from here on (trees only
             // merge): drop what it already covers, so the next vertex of
             // this component, if any, is in another open tree.
             while open.last().is_some_and(|&b| {
-                self.find(b) == label && (split_of[b as usize] != 0 || forest.findroot(b) == tree)
+                self.find(b) == label
+                    && (self.split_of[b as usize] != 0 || self.forest.findroot(b) == tree)
             }) {
                 open.pop();
             }
@@ -682,24 +440,23 @@ impl ConnectivityIndex {
                 // The last open tree of its component keeps the label,
                 // so it must hold the label's vertex (unless a split
                 // side does; `publish_splits` handles that). Anything
-                // else means the forest and the labels disagree — a
-                // note raced an earlier drain — and only the view can
-                // say who is right.
-                if split_of[label as usize] == 0 && forest.findroot(label) != tree {
-                    self.mark_component_dirty(label);
+                // else means the notes did not describe the view, and
+                // only the view can say who is right.
+                if self.split_of[label as usize] == 0 && self.forest.findroot(label) != tree {
+                    self.mark(label);
                 }
                 continue;
             };
-            let outcome = forest.reconnect(view, a, b, search);
-            m.search_scanned.record(search.scanned() as u64);
+            let outcome = self.forest.reconnect(view, a, b, &mut self.search);
+            m.search_scanned.record(self.search.scanned() as u64);
             match outcome {
                 Reconnect::Linked => m.replacements.inc(),
                 Reconnect::Split => {
                     m.splits.inc();
                     let id = splits.len() as u32 + 1;
-                    let side = search.exhausted().to_vec();
+                    let side = self.search.exhausted().to_vec();
                     for &v in &side {
-                        split_of[v as usize] = id;
+                        self.split_of[v as usize] = id;
                     }
                     splits.push(side);
                 }
@@ -709,13 +466,12 @@ impl ConnectivityIndex {
         splits
     }
 
-    /// Publishes the splits a drain found: each exhausted side `S` is
-    /// relabelled to `min(S)` under its members' shields (invariant 4),
-    /// unless `S` holds its component's label — then the *other* side
-    /// needs a new minimum, which takes an enumeration, and the
-    /// component goes to the whole-component path instead. Clears
-    /// `split_of`.
-    fn publish_splits(&self, forest: &Forest, split_of: &mut [u32], splits: &[Vec<u32>]) {
+    /// Publishes the splits a settle found: each exhausted side `S` is
+    /// relabelled to `min(S)`, unless `S` holds its component's label —
+    /// then the *other* side needs a new minimum, which takes an
+    /// enumeration, and the component goes to the whole-component path
+    /// instead. Clears `split_of`.
+    fn publish_splits(&mut self, splits: &[Vec<u32>], core: &IndexCore) {
         let m = conn_metrics();
         // Per split: (label before, label after), or None for the
         // whole-component path.
@@ -723,18 +479,16 @@ impl ConnectivityIndex {
             .iter()
             .zip(1u32..)
             .map(|(side, id)| {
-                if split_of[side[0] as usize] != id {
+                if self.split_of[side[0] as usize] != id {
                     // Swallowed by a later side: a search found an edge
                     // into this one after it had been exhausted, which
-                    // only a view changing under the drain can produce
-                    // (the generation guard then hands the components
-                    // to the whole-component path). The later side
-                    // carries these members now.
+                    // only a view the notes do not describe can produce.
+                    // The later side carries these members now.
                     return None;
                 }
                 let old = self.find(side[0]);
-                if split_of[old as usize] == id {
-                    self.mark_component_dirty(old);
+                if self.split_of[old as usize] == id {
+                    self.mark(old);
                     return None;
                 }
                 side.iter().min().map(|&new| (old, new))
@@ -742,190 +496,211 @@ impl ConnectivityIndex {
             .collect();
         let relabelled = plan.iter().flatten().count();
         if relabelled > 0 {
-            // (side, its new label) of every split relabelled here.
-            let planned = || {
-                splits
-                    .iter()
-                    .zip(&plan)
-                    .filter_map(|(side, p)| p.map(|(_, new)| (side, new)))
-            };
-            // Shield phase, as in `relabel_members_locked`: a reader
-            // resolving into a side mid-publication sees a raised shield
-            // and waits on the lock.
-            for (side, _) in planned() {
-                for &v in side {
-                    self.shields.raise(v as usize);
-                }
-            }
             // The plan of the split a `split_of` id names (0 = none).
             let plan_of = |id: u32| id.checked_sub(1).and_then(|i| plan[i as usize]);
             let mut stale: Vec<u32> = Vec::new();
             for v in 0..self.parent.len() {
-                let id = split_of[v];
+                let id = self.split_of[v];
                 // A vertex staying behind whose union-find parent sits
-                // in a departing side (path splitting and root-to-root
+                // in a departing side (path halving and root-to-root
                 // hooks make this common) must not follow the side to
                 // its new label: point it at the label it keeps.
-                //
-                // ordering: Acquire / Release — label reads and stores
-                // of a repair, as in `relabel_members_locked`.
-                let p = self.parent[v].load(Ordering::Acquire);
-                let pid = split_of[p as usize];
+                let pid = self.split_of[self.parent[v] as usize];
                 if pid != id && plan_of(id).is_none() {
                     if let Some((old, _)) = plan_of(pid) {
-                        self.parent[v].store(old, Ordering::Release); // ordering: see above
+                        self.parent[v] = old;
                     }
                 }
                 // A tree pointer crossing a side's boundary is an edge
                 // the view no longer has (the side is closed under the
-                // view's adjacency) whose delete has not been logged
-                // yet: a note is racing. Let the view decide.
-                let t = forest.parent(v as u32);
-                if t != ROOT && split_of[t as usize] != id {
+                // view's adjacency) whose delete was never noted. Let
+                // the view decide.
+                let t = self.forest.parent(v as u32);
+                if t != ROOT && self.split_of[t as usize] != id {
                     stale.push(v as u32);
                 }
             }
-            for (side, new) in planned() {
+            for (side, p) in splits.iter().zip(&plan) {
+                let Some((old, new)) = *p else { continue };
                 for &v in side {
-                    // ordering: Release — label publication under the
-                    // shield (invariant 4), as in
-                    // `relabel_members_locked`.
-                    self.parent[v as usize].store(new, Ordering::Release);
+                    self.parent[v as usize] = new;
+                }
+                if self.marked.contains(old) {
+                    // The side leaves a component that owed a relabel.
+                    self.marked.insert(new);
                 }
                 m.relabel_members.record(side.len() as u64);
-                m.shield_events.add(side.len() as u64);
             }
-            // Publish: shields drop only after every label store.
-            for (side, _) in planned() {
-                for &v in side {
-                    self.shields.lower(v as usize);
-                }
-            }
-            // ordering: AcqRel — split accounting published together
-            // with the labels; pairs with the Acquire in
-            // `component_count`.
-            self.components.fetch_add(relabelled, Ordering::AcqRel);
-            self.core.count_repairs(relabelled);
+            self.components += relabelled;
+            core.count_repairs(relabelled);
             m.repairs.add(relabelled as u64);
             for v in stale {
-                self.mark_component_dirty(v);
-                self.mark_component_dirty(forest.parent(v));
+                self.mark(v);
+                self.mark(self.forest.parent(v));
             }
         }
         for side in splits {
             for &v in side {
-                split_of[v as usize] = 0;
+                self.split_of[v as usize] = 0;
             }
         }
     }
 
     // ---- the whole-component path --------------------------------------
 
-    /// Settles pending notes through the certificate, then — only if
-    /// `u`'s component is (still) marked for the whole-component path —
-    /// relabels its members. Returns the post-repair root of `u`.
-    /// Repairs serialize on the internal lock and re-check dirtiness
-    /// under it, so concurrent queries on the same dirty component
-    /// coalesce into one repair.
-    fn repair<V: GraphView>(&self, view: &V, u: u32) -> u32 {
-        let mut cert = self.repair_lock.lock();
-        self.settle_locked(&mut cert, view);
-        let root = self.find(u);
-        if !self.shields.is_raised(root as usize) {
-            // Settled by the certificate, or a racing query already
-            // repaired this component.
-            return root;
-        }
-        // One `find` per vertex: collecting the members is O(n·α)
-        // whatever the component's size (`repair_all` groups every
-        // dirty component in a single pass instead).
-        let verts: Vec<u32> = (0..self.parent.len() as u32)
-            .filter(|&v| self.find(v) == root)
-            .collect();
-        self.relabel_members_locked(&mut cert, view, &verts);
-        self.find(u)
-    }
-
-    /// Shield, relabel, and publish one component's members, and
-    /// re-derive their certificate. Caller holds `repair_lock` and has
-    /// confirmed the component is dirty.
-    fn relabel_members_locked<V: GraphView>(
-        &self,
-        cert: &mut Certificate,
-        view: &V,
-        verts: &[u32],
-    ) {
-        let gen_at_scan = self.core.generation();
-        // Shield phase: with every member shielded, any concurrent
-        // reader resolving into this component sees "dirty" and waits on
-        // the lock instead of consuming half-published labels.
-        for &v in verts {
-            self.shields.raise(v as usize);
-        }
+    /// Relabels one marked component's members (ascending) from the view
+    /// and re-derives their certificate.
+    fn relabel_members<V: GraphView>(&mut self, view: &V, verts: &[u32], core: &IndexCore) {
         let labels = restricted_component_labels(view, verts);
-        // Labels and certificate come from two passes over the view. A
-        // change routed after its batch's barrier mutates the graph long
-        // before its note bumps the generation, so the check below
-        // cannot see it land between the passes; the two results
-        // disagreeing can. `respan` roots every tree at its minimum, so
-        // they agree exactly when every tree root is its own label and
-        // every tree edge stays within one label.
-        let mut view_moved = false;
         if !view.is_directed() {
-            respan(&mut cert.forest, view, verts);
-            view_moved = verts.iter().zip(&labels).any(|(&v, &l)| {
-                let p = cert.forest.parent(v);
-                let want = if p == ROOT {
-                    v
-                } else {
-                    // panics: `respan` links members to members only.
-                    labels[verts
-                        .binary_search(&p)
-                        .expect("tree edges stay among the members")]
-                };
-                l != want
-            });
+            respan(&mut self.forest, view, verts);
         }
         let mut new_roots = 0usize;
         for (&v, &l) in verts.iter().zip(&labels) {
-            // ordering: Release (downgraded from SeqCst by the PR 9
-            // audit) — label publication under the shield (invariant 4):
-            // every member is still shielded, so a reader either sees the
-            // shield and re-routes into the locked repair path, or its
-            // Acquire walk synchronizes with this store.
-            self.parent[v as usize].store(l, Ordering::Release);
+            self.parent[v as usize] = l;
+            self.marked.remove(v);
             if l == v {
                 new_roots += 1;
             }
         }
-        // Publish: the shields come down *after* every parent store, so a
-        // reader that observes a lowered shield also observes final
-        // labels. The lower may have wiped the mark of a note that raced
-        // this repair, and the view reads may have missed its mutation
-        // (generation guard, invariant 6): re-dirty the repaired
-        // component(s) and let the next query repair again.
-        let raced = self.core.lower_guarded(gen_at_scan, || {
-            for &v in verts {
-                self.shields.lower(v as usize);
-            }
-        });
-        if view_moved || raced {
-            for (&v, &l) in verts.iter().zip(&labels) {
-                if l == v {
-                    self.mark_component_dirty(v);
-                }
-            }
-        }
-        // ordering: AcqRel — split accounting published together with
-        // the labels; pairs with the Acquire in `component_count`.
-        self.components
-            .fetch_add(new_roots.saturating_sub(1), Ordering::AcqRel);
-        self.core.count_repairs(1);
+        self.components += new_roots.saturating_sub(1);
+        core.count_repairs(1);
         let m = conn_metrics();
         m.repairs.inc();
         m.fallbacks.inc();
         m.relabel_members.record(verts.len() as u64);
-        m.shield_events.add(verts.len() as u64);
+    }
+}
+
+impl ConnectivityIndex {
+    /// An index over `n` isolated vertices.
+    pub fn new(n: usize) -> Self {
+        Self::from_state(State::new(n))
+    }
+
+    /// Builds labels and certificate from the live edges of a view in
+    /// one breadth-first pass (the initial build is not counted as a
+    /// rebuild).
+    pub fn from_view<V: GraphView>(view: &V) -> Self {
+        Self::from_state(State::from_view(view))
+    }
+
+    fn from_state(state: State) -> Self {
+        Self {
+            state: RwLock::new(state),
+            core: IndexCore::default(),
+        }
+    }
+
+    /// Current root of `x`'s union-find tree: its canonical label once
+    /// everything noted is settled (see [`ConnectivityIndex::component`]).
+    pub fn find(&self, x: u32) -> u32 {
+        self.state.read().find(x)
+    }
+
+    /// Merges the components of `u` and `v`; returns `true` if they were
+    /// distinct, in which case `(u, v)` is recorded as the merge's
+    /// certificate edge. Always hooks the higher root under the lower,
+    /// so labels only ever decrease and settle on the component minimum.
+    /// If either side was marked dirty, the merged component is.
+    pub fn union(&self, u: u32, v: u32) -> bool {
+        self.state.write().union(u, v)
+    }
+
+    // ---- update notifications ------------------------------------------
+
+    /// Records an edge insertion. Returns `true` if it merged two
+    /// components. Self-loops are connectivity no-ops.
+    pub fn note_insert(&self, u: u32, v: u32) -> bool {
+        u != v && self.union(u, v)
+    }
+
+    /// Records an edge deletion: O(1), whatever the edge. Whether it was
+    /// a certificate edge — and, if so, whether the graph still connects
+    /// its endpoints — is settled by the next query against the view as
+    /// it is then. Deleting a self-loop cannot disconnect anything and
+    /// is ignored. (The caller guarantees the edge existed.)
+    pub fn note_delete(&self, u: u32, v: u32) {
+        if u != v {
+            self.state.write().log.push(Note::Cut(u, v));
+        }
+    }
+
+    /// Marks `x`'s component for a whole-component relabel (which also
+    /// re-derives its certificate). For callers that changed the graph
+    /// in ways the notes did not describe.
+    pub fn mark_component_dirty(&self, x: u32) {
+        self.state.write().mark(x);
+    }
+
+    /// True if `x`'s component is marked for a whole-component relabel.
+    /// (Pending notes are not marks: see [`ConnectivityIndex::has_dirty`].)
+    pub fn is_component_dirty(&self, x: u32) -> bool {
+        let st = self.state.read();
+        st.marked.contains(st.find(x))
+    }
+
+    /// True if the next query has work to do: notes are pending or a
+    /// component is marked.
+    pub fn has_dirty(&self) -> bool {
+        self.state.read().owes()
+    }
+
+    // ---- queries (settling first) --------------------------------------
+
+    /// Runs `read` on the state with nothing owed that `owes` cares
+    /// about, settling against `view` first if needed.
+    fn settled<V: GraphView, R>(
+        &self,
+        view: &V,
+        owes: impl Fn(&State) -> bool,
+        read: impl Fn(&State) -> R,
+    ) -> R {
+        read_settled(&self.state, owes, |st| st.settle(view, &self.core), read)
+    }
+
+    /// True if `u` and `v` are connected in `view`, settling first if
+    /// pending notes or a marked component could change the answer.
+    pub fn same_component<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
+        self.settled(
+            view,
+            |st| st.owes_for(u) || st.owes_for(v),
+            |st| st.find(u) == st.find(v),
+        )
+    }
+
+    /// Number of components, after settling everything.
+    pub fn component_count<V: GraphView>(&self, view: &V) -> usize {
+        self.settled(view, State::owes, |st| st.components)
+    }
+
+    /// Canonical labels for every vertex, after settling everything —
+    /// directly comparable with `connected_components` / `par_cc` output
+    /// on the same view. Flattens the union-find on the way, so later
+    /// walks take one step.
+    pub fn labels<V: GraphView>(&self, view: &V) -> Vec<u32> {
+        let mut st = self.state.write();
+        st.settle(view, &self.core);
+        (0..st.parent.len() as u32)
+            .map(|v| {
+                let r = st.find(v);
+                st.parent[v as usize] = r;
+                r
+            })
+            .collect()
+    }
+
+    /// True if `(u, v)` is a certificate edge once everything pending is
+    /// settled against `view` — i.e. whether deleting it next would
+    /// trigger a replacement search (diagnostics and tests).
+    pub fn is_certificate_edge<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
+        self.settled(view, State::owes, |st| st.forest.is_tree_edge(u, v))
+    }
+
+    /// Canonical component label (minimum member id) of `u`, settling
+    /// first if pending notes or a marked component could change it.
+    pub fn component<V: GraphView>(&self, view: &V, u: u32) -> u32 {
+        self.settled(view, |st| st.owes_for(u), |st| st.find(u))
     }
 }
 
@@ -939,80 +714,24 @@ impl std::ops::Deref for ConnectivityIndex {
 
 impl IncrementalIndex for ConnectivityIndex {
     fn note<V: GraphView>(&self, _view: &V, upd: &Update) {
-        match upd.kind {
-            UpdateKind::Insert => {
-                self.note_insert(upd.edge.u, upd.edge.v);
-            }
-            UpdateKind::Delete => self.note_delete(upd.edge.u, upd.edge.v),
-        }
+        self.state.write().note(upd);
     }
 
-    // Settles pending notes, then repairs every marked component
-    // (serial relabeling). One O(n·α) grouping pass collects every
-    // dirty component's members at once.
-    fn repair_all<V: GraphView>(&self, view: &V) {
-        if !self.has_dirty() {
-            return;
+    fn absorb<'u, V: GraphView>(&self, view: &V, changes: impl IntoIterator<Item = &'u Update>) {
+        let mut st = self.state.write();
+        for upd in changes {
+            st.note(upd);
         }
-        let mut cert = self.repair_lock.lock();
-        self.settle_locked(&mut cert, view);
-        // Take the hint before scanning: a mark racing this scan sets it
-        // again and the next repair_all picks the component up.
-        if !self.shields.take_marks() {
-            return;
-        }
-        let mut groups: std::collections::BTreeMap<u32, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for v in 0..self.parent.len() as u32 {
-            let r = self.find(v);
-            if self.shields.is_raised(r as usize) {
-                groups.entry(r).or_default().push(v);
-            }
-        }
-        for verts in groups.values() {
-            self.relabel_members_locked(&mut cert, view, verts);
-        }
+        st.settle(view, &self.core);
     }
 
-    // Discards labels and certificate and re-absorbs the view, every
-    // vertex shielded; the lower settles all debt, pre-rebuild dirt
-    // included. On `false` every vertex is left marked, so queries keep
-    // repairing from the live view until a later rebuild converges.
-    fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
-        assert_eq!(view.num_vertices(), self.parent.len(), "vertex count moved");
-        let cert = &mut *self.repair_lock.lock();
-        let m = conn_metrics();
-        m.full_rebuilds.inc();
-        self.core.rebuild_until_stable(&[&self.shields], || {
-            // ordering: Release on every store in this scan (downgraded
-            // from SeqCst by the PR 9 audit). The protocol needs no
-            // total order: a reader whose walk acquires ANY value
-            // written below synchronizes with that store and therefore
-            // also sees the shields raised before it (invariant 4), so
-            // it re-routes into the locked repair path; a reader that
-            // saw only pre-rebuild values linearizes before the rebuild;
-            // and a mixed walk is caught by `component`'s stability
-            // re-check.
-            for v in 0..self.parent.len() {
-                self.parent[v].store(v as u32, Ordering::Release); // ordering: see above
-            }
-            // ordering: Release — rebuild publication, see above.
-            self.components.store(self.parent.len(), Ordering::Release);
-            // The scan absorbs everything the pending notes describe
-            // (their mutations precede their generation bumps). An
-            // entry that slips in after this clear is a hint like any
-            // other: the next drain checks it against the view.
-            {
-                let mut log = self.log.lock();
-                log.clear();
-                // ordering: Release — hint store under the log lock, as
-                // in `log_note` and `settle_locked`.
-                self.pending.store(false, Ordering::Release);
-            }
-            cert.forest = Forest::new(self.parent.len());
-            self.absorb(view, cert);
-            m.shield_events.add(self.parent.len() as u64);
-        })
+    // Discards labels and certificate and re-absorbs the view.
+    fn resync<V: GraphView>(&self, view: &V, epoch: u64) {
+        self.core.resync(epoch, &self.state, |st| {
+            assert_eq!(view.num_vertices(), st.parent.len(), "vertex count moved");
+            conn_metrics().full_rebuilds.inc();
+            *st = State::from_view(view);
+        });
     }
 }
 
@@ -1315,8 +1034,7 @@ mod tests {
         for (u, v) in [(3, 7), (2, 3), (0, 2), (0, 7), (0, 5), (5, 6), (0, 8)] {
             insert(&g, &idx, u, v);
         }
-        // ordering: Relaxed — single-threaded test peeking at one cell.
-        let parent_of_7 = idx.parent[7].load(Ordering::Relaxed);
+        let parent_of_7 = idx.state.read().parent[7];
         assert!(
             [2, 3].contains(&parent_of_7),
             "the setup this test is about"
@@ -1464,7 +1182,7 @@ mod tests {
         g.delete_edge(0, 1);
         idx.mark_component_dirty(0);
         let view = ProbeView::new(&g);
-        assert_eq!(idx.repair(&view, 0), 0);
+        assert_eq!(idx.component(&view, 0), 0);
         assert_eq!(
             view.read_set(),
             [0, 1, 2],
@@ -1477,42 +1195,19 @@ mod tests {
         // read every member twice (relabel, then respan).
         delete(&g, &idx, 1, 2);
         let view = ProbeView::new(&g);
-        assert_eq!(idx.repair(&view, 2), 2);
+        assert_eq!(idx.component(&view, 2), 2);
         assert!(view.read_set().iter().all(|&v| v == 1 || v == 2));
         assert_eq!(view.read_count(), view.read_set().len(), "no relabel");
         assert_eq!(idx.labels(&g), [0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn edge_deleted_between_the_relabel_and_the_respan_is_not_lost() {
-        // What a batch whose notes are routed after its barrier can do
-        // to a racing query: the bridge goes while the whole-component
-        // repair is between its two passes over the view, and the note
-        // (with its generation bump) only arrives afterwards.
-        let g: DynGraph<DynArr> = graph(4, &[(0, 1), (1, 2), (2, 3)]);
-        let idx = ConnectivityIndex::from_view(&g);
-        idx.mark_component_dirty(0);
-        // The relabel reads each of the 4 members once; the next read is
-        // the respan's first. The hook runs again every 5 reads, so it
-        // must be idempotent.
-        let view = ProbeView::with_hook(&g, 4 + 1, || {
-            g.delete_edge(1, 2);
-        });
-        idx.repair(&view, 0);
-        assert!(!g.has_edge(1, 2), "the hook ran");
-        assert!(idx.is_component_dirty(0), "the two passes disagree");
-        idx.note_delete(1, 2);
-        assert_eq!(idx.labels(&g), vec![0, 0, 2, 2]);
-        assert_eq!(idx.component_count(&g), 2);
-    }
-
-    #[test]
-    fn rebuild_from_resets_and_counts() {
+    fn resync_rebuilds_and_counts() {
         let g: DynGraph<DynArr> = graph(4, &[(0, 1)]);
         let idx = ConnectivityIndex::from_view(&g);
         // Out-of-band mutation the index never saw:
         g.insert_edge(TimedEdge::new(2, 3, 1));
-        idx.rebuild_from(&g);
+        idx.resync(&g, 1);
         assert!(idx.same_component(&g, 2, 3));
         assert_eq!(idx.full_rebuild_count(), 1);
         assert_eq!(idx.component_count(&g), 2);
@@ -1591,9 +1286,8 @@ mod tests {
     fn adversarial_chain_queries_flatten_and_stay_correct() {
         // Hooking high-to-low builds a deep parent chain (union by
         // min-id has no rank, and every union here touches two fresh
-        // roots, so find_compress never splits anything). The read-only
-        // query walk must still answer correctly and trigger the
-        // opportunistic locked flatten so repeat queries are shallow.
+        // roots, so find_compress never halves anything). The query walk
+        // must still answer correctly, and `labels` flattens it.
         let n = 4096u32;
         let idx = ConnectivityIndex::new(n as usize);
         for i in (0..n - 1).rev() {
@@ -1605,6 +1299,8 @@ mod tests {
         let path: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let g: DynGraph<DynArr> = graph(n as usize, &path);
         assert_eq!(idx.component_count(&g), 1);
+        assert!(idx.labels(&g).iter().all(|&l| l == 0));
+        assert!(idx.state.read().parent.iter().all(|&p| p == 0), "flat");
     }
 
     #[test]

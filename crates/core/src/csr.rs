@@ -102,8 +102,9 @@ fn fill_chunks<'a>(
     chunks
 }
 
-/// The rows a [`CsrGraph::patched`] build re-reads from the live
-/// adjacency: one bit per vertex.
+/// A plain bitset over `0..n`: the rows a [`CsrGraph::patched`] build
+/// re-reads from the live adjacency, and the debt marks of the
+/// incremental indexes.
 pub(crate) struct RowSet {
     words: Vec<u64>,
 }
@@ -122,6 +123,31 @@ impl RowSet {
         self.words[u as usize / 64] |= 1 << (u % 64);
     }
 
+    /// Removes `u`.
+    #[inline]
+    pub(crate) fn remove(&mut self, u: u32) {
+        self.words[u as usize / 64] &= !(1 << (u % 64));
+    }
+
+    /// True if the set holds nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + Clone + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    (i * 64) as u32 + b
+                })
+            })
+        })
+    }
+
     /// True if `u` is in the set.
     #[inline]
     pub(crate) fn contains(&self, u: u32) -> bool {
@@ -136,6 +162,14 @@ impl RowSet {
     /// Empties the set.
     pub(crate) fn clear(&mut self) {
         self.words.fill(0);
+    }
+
+    /// Adds every member of `other`, a set over the same range.
+    pub(crate) fn union_with(&mut self, other: &RowSet) {
+        self.words
+            .iter_mut()
+            .zip(&other.words)
+            .for_each(|(a, b)| *a |= b);
     }
 }
 

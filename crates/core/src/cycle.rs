@@ -1,10 +1,11 @@
 //! The write protocol both engines run ([`Cycle`]): apply a stream,
-//! route it into the attached indexes, step their epochs, and freeze the
-//! CSR of the result by patching the previous freeze.
+//! absorb it into the attached indexes and settle them, step their
+//! epochs, and freeze the CSR of the result by patching the previous
+//! freeze.
 
 use crate::adjacency::DynamicAdjacency;
 use crate::csr::{CsrGraph, RowSet};
-use crate::engine::{apply_vpart_indexed, check_endpoints};
+use crate::engine::{apply_ranged, check_endpoints, RANGE_BUDGET};
 use crate::graph::DynGraph;
 use crate::indexes::IndexRoutes;
 use snap_rmat::Update;
@@ -67,12 +68,15 @@ impl Cycle {
         }
     }
 
-    /// Applies `stream` ([`apply_vpart_indexed`] on up to `workers`; one
+    /// Applies `stream` (the applier of
+    /// [`crate::engine::apply_vpart_indexed`] on up to `workers`; one
     /// update through [`DynGraph::apply`], O(degree) where the ranged cut
-    /// is O(n)), routes its changes into `routes` in stream order, marks
-    /// its rows, and steps every index in `routes` to the next epoch,
-    /// which the caller publishes after (invariant 6). Returns how many
-    /// updates changed the graph.
+    /// is O(n)), absorbs its changes into `routes` in stream order and
+    /// settles them, in one write-lock hold per index
+    /// ([`IndexRoutes::absorb`]), marks its rows, and steps
+    /// every index in `routes` to the next epoch, which the caller
+    /// publishes after (invariant 6). Returns how many updates changed
+    /// the graph.
     ///
     /// # Panics
     ///
@@ -90,11 +94,15 @@ impl Cycle {
                 check_endpoints(0, upd, graph.num_vertices());
                 let changed = graph.apply(upd);
                 if changed {
-                    routes.route(graph, upd);
+                    routes.absorb(graph, [upd]);
                 }
                 usize::from(changed)
             }
-            _ => apply_vpart_indexed(graph, stream, workers, routes),
+            _ => {
+                let changed = apply_ranged(graph, stream, workers, RANGE_BUDGET);
+                routes.absorb(graph, changed.iter().map(|i| &stream[i as usize]));
+                changed.count()
+            }
         };
         if self.frozen.is_some() {
             for u in stream {

@@ -52,6 +52,7 @@
 //! [`resolve_workers`] implements the rule once for all of them.
 
 use crate::adjacency::{DynamicAdjacency, HalfUpdate};
+use crate::csr::RowSet;
 use crate::graph::DynGraph;
 pub use crate::indexes::IndexRoutes;
 pub use crate::manager::SnapshotManager;
@@ -192,16 +193,18 @@ const HISTOGRAM_BITS: u32 = 12;
 /// An update's "did it change the graph" verdict is the OR of its
 /// halves' outcomes (matching [`DynGraph::insert_edge`] /
 /// [`DynGraph::delete_edge`]). After the parallel phase's barrier,
-/// confirmed changes are fed to every index in [`IndexRoutes`] **in
-/// stream order** against the settled graph — so no-op updates
-/// (deduplicated re-inserts, deletes of absent edges) never touch an
-/// index, and view-consuming notes (distance wavefronts, triangle delete
-/// checks) observe exactly the state their deltas describe. An update
-/// deleted later in the same stream may relax a distance certificate
-/// through an edge the final view no longer has; the later-routed delete
-/// note sees that certificate and dirty-marks it, so stream-order
-/// routing keeps the indexes exact at quiescence. Returns how many
-/// updates changed the graph.
+/// confirmed changes are noted into every index in [`IndexRoutes`]
+/// **in stream order** against the settled graph ([`IndexRoutes::route`];
+/// the engines' cycle absorbs and settles them instead,
+/// [`IndexRoutes::absorb`]) — so no-op updates (deduplicated
+/// re-inserts, deletes of absent edges) never touch an index, and
+/// view-consuming notes (distance wavefronts, triangle delete checks)
+/// observe exactly the state their deltas describe. An update deleted
+/// later in the same stream may relax a distance certificate through an
+/// edge the final view no longer has; the later-routed delete note sees
+/// that certificate and dirty-marks it, so stream-order routing keeps
+/// the indexes exact once settled. Returns how many updates changed the
+/// graph.
 ///
 /// # Panics
 ///
@@ -214,18 +217,24 @@ pub fn apply_vpart_indexed<A: DynamicAdjacency>(
     workers: usize,
     routes: IndexRoutes<'_>,
 ) -> usize {
-    apply_ranged(g, updates, workers, routes, RANGE_BUDGET)
+    let changed = apply_ranged(g, updates, workers, RANGE_BUDGET);
+    if !routes.is_empty() {
+        for i in changed.iter() {
+            routes.route(g, &updates[i as usize]);
+        }
+    }
+    changed.count()
 }
 
-/// [`apply_vpart_indexed`] with the range budget as a parameter, so
-/// tests can make small inputs span many ranges.
+/// The applier of [`apply_vpart_indexed`], routing nothing and with the
+/// range budget as a parameter (so tests can make small inputs span many
+/// ranges). Returns the positions of the updates that changed the graph.
 pub(crate) fn apply_ranged<A: DynamicAdjacency>(
     g: &DynGraph<A>,
     updates: &[Update],
     workers: usize,
-    routes: IndexRoutes<'_>,
     budget: usize,
-) -> usize {
+) -> RowSet {
     let ranges = cut_ranges(g, updates, budget);
     let next = AtomicUsize::new(0);
     let work = || {
@@ -252,20 +261,12 @@ pub(crate) fn apply_ranged<A: DynamicAdjacency>(
                 work()
             });
             others.into_inner().into_iter().fold(mine, |mut all, bits| {
-                all.iter_mut().zip(bits).for_each(|(a, b)| *a |= b);
+                all.union_with(&bits);
                 all
             })
         }
     };
-    if !routes.is_empty() {
-        for (word, mut bits) in changed.iter().copied().enumerate() {
-            while bits != 0 {
-                routes.route(g, &updates[word * 64 + bits.trailing_zeros() as usize]);
-                bits &= bits - 1;
-            }
-        }
-    }
-    changed.iter().map(|bits| bits.count_ones() as usize).sum()
+    changed
 }
 
 /// Checks the stream ([`checked_halves`]) and cuts the vertex space into
@@ -312,7 +313,7 @@ struct RangeWorker {
     cursors: Vec<usize>,
     /// One bit per update of the stream. Worker-local, so no atomics; an
     /// update's verdict is the OR over workers, taken after the barrier.
-    changed: Vec<u64>,
+    changed: RowSet,
 }
 
 impl RangeWorker {
@@ -321,7 +322,7 @@ impl RangeWorker {
             kept: Vec::new(),
             sorted: Vec::new(),
             cursors: Vec::new(),
-            changed: vec![0; updates.div_ceil(64)],
+            changed: RowSet::new(updates),
         }
     }
 
@@ -375,7 +376,7 @@ impl RangeWorker {
             if end > start {
                 g.adjacency()
                     .apply_group(vertex as u32, &mut sorted[start..end], &mut |idx| {
-                        changed[idx / 64] |= 1 << (idx % 64);
+                        changed.insert(idx as u32);
                     });
                 start = end;
             }
@@ -681,8 +682,7 @@ pub(crate) mod tests {
             for workers in [1, 2, 8] {
                 for budget in [RANGE_BUDGET, 64, 1] {
                     let got = graph();
-                    let changed = batches
-                        .map(|b| apply_ranged(&got, b, workers, IndexRoutes::default(), budget));
+                    let changed = batches.map(|b| apply_ranged(&got, b, workers, budget).count());
                     assert_eq!(changed, want_changed, "{workers} workers, budget {budget}");
                     for u in 0..n {
                         let (got, want) = (got.adjacency(), want.adjacency());
@@ -764,7 +764,7 @@ pub(crate) mod tests {
                 &|| apply_batched(&g, &batch),
                 &|| apply_epart(&g, &batch, 2),
                 &|| {
-                    apply_ranged(&g, &batch, 2, IndexRoutes::default(), 1);
+                    apply_ranged(&g, &batch, 2, 1);
                 },
             ];
             for applier in appliers {

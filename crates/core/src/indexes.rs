@@ -1,192 +1,55 @@
-//! The incremental index family: one epoch / generation protocol
-//! ([`IndexCore`]), one shield set (`Shields`), one contract an index
-//! joins it by ([`IncrementalIndex`]), one owner both engines hold
-//! ([`IndexFamily`]), one borrowed bundle the appliers route into
-//! ([`IndexRoutes`]) and one query surface ([`IndexQuery`]). The index
+//! The incremental index family: one epoch protocol ([`IndexCore`]), one
+//! contract an index joins it by ([`IncrementalIndex`]), one owner both
+//! engines hold ([`IndexFamily`]), one borrowed bundle the appliers route
+//! into ([`IndexRoutes`]) and one query surface ([`IndexQuery`]). The index
 //! files ([`crate::connectivity`], [`crate::distindex`],
 //! [`crate::triindex`]) keep only their state and delta rules.
 //!
+//! # Concurrency contract
+//!
+//! Each index keeps its mutable state as plain data behind one
+//! `RwLock`; [`IndexCore`] holds only the absorbed epoch and the
+//! statistics counters. Notes and repairs take the write lock. An
+//! engine's single writer takes it once per cycle and index
+//! ([`IncrementalIndex::absorb`]): after the cycle's graph mutation it
+//! notes every change the cycle made, in stream order, settles the debt
+//! they left against the settled graph, and only then steps the index
+//! and publishes the cycle's epoch. Readers take the read lock and find
+//! a settled index, so an [`IndexQuery`] answer is the index as of a
+//! cycle boundary, and no repair ever overlaps a graph mutation. A
+//! direct caller that notes one change at a time
+//! ([`IncrementalIndex::note`]) leaves the debt in place; the index's own
+//! view-taking queries settle it under the write lock first. Whoever
+//! notes or settles against a view must not mutate it meanwhile; the
+//! engines guarantee that by construction.
+//!
 //! The epoch contract is ARCHITECTURE.md's invariant 6: an index is
 //! attached with the engine epoch read **before** its build scan, a
-//! routed change steps it by exactly one before the engine publishes the
+//! routed cycle steps it by exactly one before the engine publishes the
 //! new epoch, and a query first compares the two — an index left behind
 //! (an out-of-band mutation, an update that raced its attachment) pays
-//! one counted full rebuild, which records the epoch only if no note
-//! raced its scan. A gap is never stepped over.
-//! The shield protocol, invariant 4, is `Shields` and the one guarded
-//! lower, `IndexCore::lower_guarded`: raise before the first store, lower
-//! after the last, then re-check the generation and re-mark if it moved.
+//! one counted full rebuild. A gap is never stepped over.
 
 use crate::connectivity::ConnectivityIndex;
 use crate::distindex::DistanceIndex;
 use crate::triindex::TriangleIndex;
 use crate::view::GraphView;
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use snap_rmat::Update;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Shield bits (invariant 4): one per unit — a vertex, a source, or a
-/// cell of a source × vertex row — plus the hint that some unit is
-/// *marked*. A raised unit sends a lock-free reader into the index's
-/// locked repair path. A mark is a raise that also records debt for the
-/// next [`IncrementalIndex::repair_all`]; publication shields are plain
-/// raises, so a split never costs the writer a pass. Every lower is an
-/// AcqRel read-modify-write: a lower that wipes a racing note's raise has
-/// read it, so the note's earlier generation bump is visible to the
-/// re-check in [`IndexCore::lower_guarded`].
-pub(crate) struct Shields {
-    words: Vec<AtomicU64>,
-    /// `rows` word-aligned rows of `row_len` units in `row_words` words.
-    rows: usize,
-    row_len: usize,
-    row_words: usize,
-    /// Set by every mark, taken by `take_marks`; the bits are
-    /// authoritative.
-    marked: AtomicBool,
-}
-
-impl Shields {
-    /// `rows` rows of `row_len` shields each, all lowered.
-    pub(crate) fn new(rows: usize, row_len: usize) -> Self {
-        let row_words = row_len.div_ceil(64);
-        Self {
-            words: (0..rows * row_words).map(|_| AtomicU64::new(0)).collect(),
-            rows,
-            row_len,
-            row_words,
-            marked: AtomicBool::new(false),
-        }
-    }
-
-    /// The unit of `col` in row `row`.
-    pub(crate) fn at(&self, row: usize, col: usize) -> usize {
-        row * self.row_words * 64 + col
-    }
-
-    #[inline]
-    pub(crate) fn raise(&self, i: usize) {
-        // ordering: AcqRel — before the stores it shields (invariant 4).
-        self.words[i >> 6].fetch_or(1 << (i & 63), Ordering::AcqRel);
-    }
-
-    #[inline]
-    pub(crate) fn lower(&self, i: usize) {
-        // ordering: AcqRel — the publication point: its release carries
-        // the label stores before it to a reader that acquires the word,
-        // its acquire a raise it wipes to the re-check (invariant 4).
-        self.words[i >> 6].fetch_and(!(1u64 << (i & 63)), Ordering::AcqRel);
-    }
-
-    #[inline]
-    pub(crate) fn is_raised(&self, i: usize) -> bool {
-        // ordering: Acquire — pairs with `raise` and `lower` (invariant 4).
-        self.words[i >> 6].load(Ordering::Acquire) & (1 << (i & 63)) != 0
-    }
-
-    fn hint(&self, marked: bool) {
-        // ordering: Release — after the bits it reports, so whoever takes
-        // it (AcqRel in `take_marks`) sees them (invariant 4).
-        self.marked.store(marked, Ordering::Release);
-    }
-
-    /// Raises unit `i` and records the debt.
-    pub(crate) fn mark(&self, i: usize) {
-        self.raise(i);
-        self.hint(true);
-    }
-
-    /// True if some unit may be marked; the hint can outlive its marks
-    /// until the next `take_marks`.
-    pub(crate) fn any_marked(&self) -> bool {
-        // ordering: Acquire — pairs with `hint` (invariant 4).
-        self.marked.load(Ordering::Acquire)
-    }
-
-    /// Takes the hint. A mark racing the caller's scan sets it again.
-    pub(crate) fn take_marks(&self) -> bool {
-        // ordering: AcqRel — acquires the marks it takes (invariant 4).
-        self.marked.swap(false, Ordering::AcqRel)
-    }
-
-    /// Raises every unit of `row`.
-    pub(crate) fn raise_row(&self, row: usize) {
-        for w in &self.words[row * self.row_words..(row + 1) * self.row_words] {
-            // ordering: Release — as in `raise` (invariant 4).
-            w.store(u64::MAX, Ordering::Release);
-        }
-    }
-
-    /// Raises every unit and records the debt.
-    pub(crate) fn mark_all(&self) {
-        (0..self.rows).for_each(|r| self.raise_row(r));
-        self.hint(true);
-    }
-
-    /// Lowers every unit and drops the hint: every debt is settled.
-    pub(crate) fn lower_all(&self) {
-        (0..self.rows).for_each(|r| self.take_row(r, |_| {}));
-        self.hint(false);
-    }
-
-    /// Calls `f` with the column of every raised unit of `row`, in
-    /// ascending order.
-    pub(crate) fn for_each_raised(&self, row: usize, f: impl FnMut(usize)) {
-        // ordering: Acquire — as in `is_raised` (invariant 4).
-        self.scan_row(row, |w| w.load(Ordering::Acquire), f);
-    }
-
-    /// [`Shields::for_each_raised`], lowering the row as it goes; a unit
-    /// raised after its word was taken stays raised.
-    pub(crate) fn take_row(&self, row: usize, f: impl FnMut(usize)) {
-        // ordering: AcqRel — as in `lower` (invariant 4).
-        self.scan_row(row, |w| w.swap(0, Ordering::AcqRel), f);
-    }
-
-    fn scan_row(&self, row: usize, read: impl Fn(&AtomicU64) -> u64, mut f: impl FnMut(usize)) {
-        let words = &self.words[row * self.row_words..(row + 1) * self.row_words];
-        for (w, word) in words.iter().enumerate() {
-            let mut bits = read(word);
-            while bits != 0 {
-                let col = (w << 6) + bits.trailing_zeros() as usize;
-                if col < self.row_len {
-                    f(col);
-                }
-                bits &= bits - 1;
-            }
-        }
-    }
-}
-
-/// What every index embeds: the absorbed epoch, the note generation that
-/// guards repairs and rebuilds, the rebuild loop and the counters.
+/// What every index embeds: the absorbed epoch and the counters.
 #[derive(Default)]
 pub struct IndexCore {
     /// Epoch of the owning engine this index has absorbed.
     synced_epoch: AtomicU64,
-    /// Bumped at the *start* of every routed note, before the index is
-    /// touched. A repair or rebuild samples it before its view scan and
-    /// again after lowering its shields: movement means a note raced it —
-    /// its graph mutation may have been missed by the scan, or its mark
-    /// wiped by the lower — so the result must not be trusted.
-    note_gen: AtomicU64,
     repairs: AtomicUsize,
     full_rebuilds: AtomicUsize,
-    /// Serializes resyncs, so concurrent stale queries coalesce into
-    /// one rebuild.
-    resync_lock: Mutex<()>,
-    /// Test hook: the next this-many guarded lowers each have a note
-    /// land between the lower and the re-check.
-    #[cfg(test)]
-    notes_on_lower: AtomicUsize,
 }
 
 impl IndexCore {
-    /// Rebuild passes attempted before giving up on a generation-stable
-    /// scan.
-    const REBUILD_RETRIES: usize = 4;
-
     /// Engine epoch this index has absorbed (monotone).
     pub fn synced_epoch(&self) -> u64 {
         // ordering: Acquire — pairs with the AcqRel epoch stores so an
@@ -221,101 +84,33 @@ impl IndexCore {
         );
     }
 
-    /// Runs `rebuild` if the absorbed epoch is behind `epoch` —
-    /// re-checked under the resync lock, so concurrent stale queries
-    /// coalesce into one rebuild — and records `epoch` only if it
-    /// reports convergence: a rebuild raced by notes leaves the gap open
-    /// for the next query.
-    pub(crate) fn resync(&self, epoch: u64, rebuild: impl FnOnce() -> bool) {
+    /// If the absorbed epoch is behind `epoch`, runs `rebuild` on the
+    /// state behind `lock` under its write lock — one counted full
+    /// rebuild — and records `epoch`. The check is repeated under the
+    /// lock, so concurrent stale queries coalesce into one rebuild.
+    pub(crate) fn resync<S>(&self, epoch: u64, lock: &RwLock<S>, rebuild: impl FnOnce(&mut S)) {
         if self.synced_epoch() >= epoch {
             return;
         }
-        let _guard = self.resync_lock.lock();
-        if self.synced_epoch() < epoch && rebuild() {
+        let mut state = lock.write();
+        if self.synced_epoch() < epoch {
+            // ordering: Relaxed — statistics counter, no ordering consumed.
+            self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
+            rebuild(&mut state);
             self.sync_to(epoch);
         }
     }
 
-    /// Bump-before-touch: the first act of every routed note. A rebuild
-    /// whose scan-start read includes the bump also sees the note's
-    /// graph mutation; one that misses it observes the moved generation
-    /// afterwards and refuses to publish.
-    pub(crate) fn begin_note(&self) {
-        // ordering: Release — pairs with the Acquire reads in
-        // `generation`.
-        self.note_gen.fetch_add(1, Ordering::Release);
-    }
-
-    /// The note generation, for a repair to compare before its view
-    /// scan and after its publication.
-    pub(crate) fn generation(&self) -> u64 {
-        // ordering: Acquire — pairs with the Release bump in
-        // `begin_note` (invariant 6).
-        self.note_gen.load(Ordering::Acquire)
-    }
-
-    /// The one guarded shield-lower (invariant 4): runs `lower`, which
-    /// ends with every shield the caller raised lowered again, and only
-    /// then compares the generation with `gen_at_scan`, sampled before
-    /// the caller's view scan. Returns whether it moved — a note raced
-    /// the scan, or had its mark wiped by the lower — so the caller must
-    /// re-mark what it touched. A mark after the check finds its shield
-    /// already down and stays.
-    pub(crate) fn lower_guarded(&self, gen_at_scan: u64, lower: impl FnOnce()) -> bool {
-        lower();
-        #[cfg(test)]
-        {
-            // ordering: Relaxed — a test-only countdown on the lowering
-            // thread; the note it stages is ordered by `begin_note`
-            // (invariant 4).
-            let take =
-                self.notes_on_lower
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |k| k.checked_sub(1));
-            if take.is_ok() {
-                self.begin_note();
-            }
-        }
-        self.generation() != gen_at_scan
-    }
-
-    /// The full-rebuild loop, counted once. Each pass marks every set of
-    /// `shields` in order, runs `scan` (recompute everything from the
-    /// view) and, if no note moved the generation across it, lowers them
-    /// in order through [`IndexCore::lower_guarded`]; a race re-runs the
-    /// pass. Returns whether a pass converged; on `false` every shield
-    /// is left marked and no epoch may be recorded.
-    pub(crate) fn rebuild_until_stable(
-        &self,
-        shields: &[&Shields],
-        mut scan: impl FnMut(),
-    ) -> bool {
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-        for _attempt in 0..Self::REBUILD_RETRIES {
-            let gen_at_scan = self.generation();
-            shields.iter().for_each(|s| s.mark_all());
-            scan();
-            if self.generation() != gen_at_scan {
-                continue;
-            }
-            if !self.lower_guarded(gen_at_scan, || shields.iter().for_each(|s| s.lower_all())) {
-                return true;
-            }
-        }
-        shields.iter().for_each(|s| s.mark_all());
-        false
-    }
-
-    /// Counts `n` published repairs.
+    /// Counts `n` repairs.
     pub(crate) fn count_repairs(&self, n: usize) {
         // ordering: Relaxed — statistics counter, no ordering consumed.
         self.repairs.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Targeted repairs published so far: connectivity counts one per
-    /// split side relabelled through the certificate and one per
-    /// whole-component relabel, distances one per dirty source row. A
-    /// clean query burst leaves this flat.
+    /// Targeted repairs so far: connectivity counts one per split side
+    /// relabelled through the certificate and one per whole-component
+    /// relabel, distances one per dirty source row. A clean query burst
+    /// leaves this flat.
     pub fn repair_count(&self) -> usize {
         // ordering: Relaxed — statistics counter, no ordering consumed.
         self.repairs.load(Ordering::Relaxed)
@@ -329,23 +124,47 @@ impl IndexCore {
     }
 }
 
+/// Runs `read` on the state behind `lock` with nothing owed: under the
+/// read lock when `owes` finds no debt that could change this read,
+/// otherwise under the write lock once `settle` has paid it.
+pub(crate) fn read_settled<S, R>(
+    lock: &RwLock<S>,
+    owes: impl Fn(&S) -> bool,
+    settle: impl FnOnce(&mut S),
+    read: impl Fn(&S) -> R,
+) -> R {
+    {
+        let state = lock.read();
+        if !owes(&state) {
+            return read(&state);
+        }
+    }
+    let mut state = lock.write();
+    settle(&mut state);
+    read(&state)
+}
+
 /// What an index supplies to join the family, beside its own state and
 /// query methods: it embeds an [`IndexCore`] and derefs to it (so
 /// `synced_epoch`, `repair_count`, `full_rebuild_count` read the same on
-/// every index), and it implements the three operations below.
+/// every index), and it implements the three operations below, each
+/// under its write lock.
 pub trait IncrementalIndex: Deref<Target = IndexCore> {
     /// Absorbs one confirmed change. `view` already reflects it (mutate
     /// first, then note), and an update that did not change the graph is
-    /// never noted.
+    /// never noted. Whatever the note cannot settle on the spot stays
+    /// owed until a query or an [`IncrementalIndex::absorb`] settles it.
     fn note<V: GraphView>(&self, view: &V, upd: &Update);
 
-    /// Settles every dirty region the notes left, against `view`.
-    fn repair_all<V: GraphView>(&self, _view: &V) {}
+    /// Notes `changes` in order and then settles every debt against
+    /// `view`, all in one hold of the write lock: the writer's per-cycle
+    /// entry point. `view` must reflect exactly the changes noted so far.
+    fn absorb<'u, V: GraphView>(&self, view: &V, changes: impl IntoIterator<Item = &'u Update>);
 
-    /// Discards everything and recomputes from `view`, counted as one
-    /// full rebuild. Returns whether the rebuild converged (no note
-    /// raced its scan); on `false` the index stays shielded.
-    fn rebuild_from<V: GraphView>(&self, view: &V) -> bool;
+    /// If this index is behind `epoch`, discards everything, recomputes
+    /// from `view` — one counted full rebuild — and records `epoch`
+    /// ([`IndexCore::full_rebuild_count`]).
+    fn resync<V: GraphView>(&self, view: &V, epoch: u64);
 }
 
 /// Borrowed bundle of the incremental indexes attached to a graph. All
@@ -368,9 +187,9 @@ impl IndexRoutes<'_> {
         self.conn.is_none() && self.dist.is_none() && self.tri.is_none()
     }
 
-    /// Routes one confirmed change into every attached index
-    /// ([`IncrementalIndex::note`]'s contract: `view` already reflects
-    /// it).
+    /// Notes one confirmed change into every attached index
+    /// ([`IncrementalIndex::note`]: `view` already reflects it), leaving
+    /// what it owes for a query or an absorb to settle.
     pub fn route<V: GraphView>(&self, view: &V, upd: &Update) {
         if let Some(c) = self.conn {
             c.note(view, upd);
@@ -383,17 +202,24 @@ impl IndexRoutes<'_> {
         }
     }
 
-    /// Settles every attached index's dirty regions against `view` — the
-    /// writer-side repair phase, after which queries read clean state.
-    pub fn repair_all<V: GraphView>(&self, view: &V) {
+    /// Absorbs one cycle's confirmed changes, in stream order, into every
+    /// attached index and settles them ([`IncrementalIndex::absorb`]: one
+    /// write-lock hold per index); `view` already reflects them all.
+    pub fn absorb<'u, V, I>(&self, view: &V, changes: I)
+    where
+        V: GraphView,
+        I: IntoIterator<Item = &'u Update>,
+        I::IntoIter: Clone,
+    {
+        let changes = changes.into_iter();
         if let Some(c) = self.conn {
-            c.repair_all(view);
+            c.absorb(view, changes.clone());
         }
         if let Some(d) = self.dist {
-            d.repair_all(view);
+            d.absorb(view, changes.clone());
         }
         if let Some(t) = self.tri {
-            t.repair_all(view);
+            t.absorb(view, changes);
         }
     }
 
@@ -488,9 +314,11 @@ pub(crate) const NO_CONNECTIVITY: &str = "connectivity index not enabled";
 /// The one query surface of the index family, handed out by
 /// `SnapshotManager::indexes` and `ServeEngine::indexes`. Every query
 /// first checks the index against the engine's epoch (a stale index pays
-/// one counted full rebuild) and then answers from the maintained state,
-/// repairing dirty regions lazily against the engine's live graph. A
-/// query on an index the engine never enabled panics, naming the index.
+/// one counted full rebuild) and then answers from the maintained state
+/// under the index's read lock: both engines settle every cycle before
+/// they publish its epoch, so an answer is the index as of the last
+/// cycle. A query on an index the engine never enabled panics, naming
+/// the index.
 pub struct IndexQuery<'a, V> {
     routes: IndexRoutes<'a>,
     view: &'a V,
@@ -512,7 +340,7 @@ impl<'a, V: GraphView> IndexQuery<'a, V> {
         // ordering: Acquire — pairs with the engine's epoch publication,
         // which follows the routed step of every attached index.
         let epoch = self.epoch.load(Ordering::Acquire);
-        idx.resync(epoch, || idx.rebuild_from(self.view));
+        idx.resync(self.view, epoch);
         idx
     }
 
@@ -528,8 +356,8 @@ impl<'a, V: GraphView> IndexQuery<'a, V> {
         self.fresh(self.routes.tri, "triangle index not enabled")
     }
 
-    /// Canonical component label (minimum member id) of `u`: no
-    /// traversal unless a pending deletion cut a certificate edge.
+    /// Canonical component label (minimum member id) of `u`: a
+    /// union-find walk, no traversal.
     pub fn component(&self, u: u32) -> u32 {
         self.conn().component(self.view, u)
     }
@@ -539,7 +367,7 @@ impl<'a, V: GraphView> IndexQuery<'a, V> {
         self.conn().same_component(self.view, u, v)
     }
 
-    /// Number of connected components, settling pending deletions first.
+    /// Number of connected components.
     pub fn component_count(&self) -> usize {
         self.conn().component_count(self.view)
     }
@@ -577,17 +405,15 @@ impl<'a, V: GraphView> IndexQuery<'a, V> {
 mod tests {
     use super::*;
     use crate::adjacency::CapacityHints;
-    use crate::connectivity::restricted_component_labels;
-    use crate::distindex::{restricted_hop_distances, UNREACHED};
     use crate::dynarr::DynArr;
     use crate::graph::DynGraph;
-    use crate::view::probe::ProbeView;
     use snap_rmat::TimedEdge;
     use std::sync::Barrier;
 
     #[test]
     fn sticky_gap_survives_routed_steps() {
         let core = IndexCore::default();
+        let state = RwLock::new(());
         core.sync_to(5);
         core.sync_change(6); // the exact step absorbs
         assert_eq!(core.synced_epoch(), 6);
@@ -596,8 +422,9 @@ mod tests {
         core.sync_change(8);
         core.sync_change(9);
         assert_eq!(core.synced_epoch(), 6, "the gap stays open");
-        core.resync(9, || true);
+        core.resync(9, &state, |_| {});
         assert_eq!(core.synced_epoch(), 9);
+        assert_eq!(core.full_rebuild_count(), 1);
         core.sync_change(10);
         assert_eq!(core.synced_epoch(), 10, "lockstep resumes after the resync");
     }
@@ -608,7 +435,7 @@ mod tests {
         core.sync_to(7);
         core.sync_to(3);
         assert_eq!(core.synced_epoch(), 7);
-        core.resync(5, || unreachable!("already past 5"));
+        core.resync(5, &RwLock::new(()), |_| unreachable!("already past 5"));
         assert_eq!(core.synced_epoch(), 7);
     }
 
@@ -616,58 +443,19 @@ mod tests {
     fn concurrent_stale_queries_coalesce_into_one_rebuild() {
         const THREADS: usize = 8;
         let core = IndexCore::default();
+        let state = RwLock::new(0usize);
         let start = Barrier::new(THREADS);
         std::thread::scope(|s| {
             for _ in 0..THREADS {
                 s.spawn(|| {
                     start.wait();
-                    core.resync(4, || core.rebuild_until_stable(&[], || {}));
+                    core.resync(4, &state, |passes| *passes += 1);
                 });
             }
         });
+        assert_eq!(*state.read(), 1, "one rebuild ran");
         assert_eq!(core.full_rebuild_count(), 1);
         assert_eq!(core.synced_epoch(), 4);
-    }
-
-    #[test]
-    fn rebuild_raced_by_a_note_does_not_record_the_epoch() {
-        let core = IndexCore::default();
-        let shields = Shields::new(2, 70);
-        let mut passes = 0;
-        // A note lands during every scan: no pass may publish.
-        core.resync(3, || {
-            core.rebuild_until_stable(&[&shields], || {
-                passes += 1;
-                core.begin_note();
-            })
-        });
-        assert_eq!(passes, IndexCore::REBUILD_RETRIES);
-        assert!(shields.any_marked() && shields.is_raised(shields.at(1, 69)));
-        assert_eq!(core.synced_epoch(), 0, "the gap stays open");
-        assert_eq!(
-            core.full_rebuild_count(),
-            1,
-            "one rebuild, however many passes"
-        );
-        // A note landing on the publication's lower re-runs the pass; the
-        // second pass is quiet and converges with every shield down.
-        // ordering: Relaxed — arms the test hook on this thread
-        // (invariant 4).
-        core.notes_on_lower.store(1, Ordering::Relaxed);
-        let mut passes = 0;
-        core.resync(3, || core.rebuild_until_stable(&[&shields], || passes += 1));
-        assert_eq!(passes, 2, "the raced lower re-runs the pass");
-        assert_eq!(core.synced_epoch(), 3);
-        assert_eq!(core.full_rebuild_count(), 2);
-        assert!(!shields.any_marked() && !shields.is_raised(shields.at(1, 69)));
-        // A note landing on every lower: no pass converges, the shields
-        // go back up and the gap stays open.
-        // ordering: Relaxed — arms the test hook on this thread
-        // (invariant 4).
-        core.notes_on_lower.store(usize::MAX, Ordering::Relaxed);
-        core.resync(4, || core.rebuild_until_stable(&[&shields], || {}));
-        assert_eq!(core.synced_epoch(), 3, "the gap stays open");
-        assert!(shields.any_marked() && shields.is_raised(shields.at(1, 69)));
     }
 
     fn path(n: usize) -> DynGraph<DynArr> {
@@ -690,11 +478,11 @@ mod tests {
         assert_eq!(q.hop_distance(0, 3), Some(3));
         assert_eq!(q.triangle_count(), 0);
         assert_eq!(q.component_count(), 1);
-        // A routed change: note, step, publish. Nothing rebuilds.
+        // A routed change: absorb, step, publish. Nothing rebuilds.
         let upd = Update::insert(TimedEdge::new(0, 2, 1));
         assert!(g.apply(&upd));
         let routes = family.routes();
-        routes.route(&g, &upd);
+        routes.absorb(&g, [&upd]);
         routes.sync_change(1);
         // ordering: Release — the test's epoch publication.
         epoch.store(1, Ordering::Release);
@@ -716,52 +504,6 @@ mod tests {
         for core in cores {
             assert_eq!(core.full_rebuild_count(), 1, "paid once, not per query");
             assert_eq!(core.synced_epoch(), 2);
-        }
-    }
-
-    #[test]
-    fn rebuild_that_never_converges_leaves_both_indexes_shielded() {
-        let g = path(6);
-        assert!(g.delete_edge(3, 4));
-        let all: Vec<u32> = (0..6).collect();
-        let conn = ConnectivityIndex::from_view(&g);
-        let dist = DistanceIndex::from_view(&g, &[0, 5]);
-        // A note races every adjacency read, so no rebuild pass scans a
-        // quiet generation. Each re-inserts a parallel (0, 1): the graph
-        // changes, neither oracle's answer does.
-        let parallel_edge = || assert!(g.insert_edge(TimedEdge::new(0, 1, 1)));
-        let racing = ProbeView::with_hook(&g, 1, || {
-            parallel_edge();
-            conn.note_insert(0, 1);
-        });
-        assert!(!conn.rebuild_from(&racing));
-        let racing = ProbeView::with_hook(&g, 1, || {
-            parallel_edge();
-            dist.note_insert(&g, 0, 1);
-        });
-        assert!(!dist.rebuild_from(&racing));
-        // Every component and every source is owed a repair ...
-        assert!(conn.has_dirty() && all.iter().all(|&v| conn.is_component_dirty(v)));
-        assert!(dist.has_dirty() && dist.is_source_dirty(0) && dist.is_source_dirty(5));
-        // ... a source its whole row, not just its shield: the repair
-        // reads every vertex, the other component's too ...
-        let reads = ProbeView::new(&g);
-        dist.distances(&reads, 5);
-        assert_eq!(reads.read_set(), all);
-        // ... and the next quiet queries answer like the oracles.
-        let labels = restricted_component_labels(&g, &all);
-        assert!(all
-            .iter()
-            .all(|&v| conn.component(&g, v) == labels[v as usize]));
-        for s in [0, 5] {
-            let ext: Vec<u32> = all
-                .iter()
-                .map(|&v| if v == s { 0 } else { UNREACHED })
-                .collect();
-            assert_eq!(
-                dist.distances(&g, s),
-                restricted_hop_distances(&g, &all, &ext)
-            );
         }
     }
 

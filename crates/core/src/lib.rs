@@ -33,8 +33,8 @@
 //! one build.
 //!
 //! Connectivity queries get a third, cheaper path:
-//! [`connectivity::ConnectivityIndex`] is a concurrent union-find
-//! maintained incrementally on every insert and certified by the
+//! [`connectivity::ConnectivityIndex`] is a union-find maintained
+//! incrementally on every insert and certified by the
 //! paper's link-cut forest ([`forest::Forest`]): a deletion that misses
 //! the forest is free, one that hits it searches the smaller side of
 //! the cut for a replacement edge — `same_component(u, v)` between
@@ -43,9 +43,10 @@
 //! family: [`distindex::DistanceIndex`] (exact hop distances from
 //! pinned sources) and [`triindex::TriangleIndex`] (per-vertex triangle
 //! counts and clustering, delta-maintained). [`indexes`] holds what the
-//! three share: the epoch / generation protocol ([`IndexCore`]) and the
-//! one query surface ([`IndexQuery`]) that [`SnapshotManager::indexes`]
-//! and [`ServeEngine::indexes`] both hand out.
+//! three share: state behind one lock that the engine's writer notes
+//! into and settles, the epoch protocol ([`IndexCore`]) and the one
+//! query surface ([`IndexQuery`]) that [`SnapshotManager::indexes`] and
+//! [`ServeEngine::indexes`] both hand out.
 //!
 //! Under *concurrent* ingest — writers that never quiesce — the
 //! [`serve::ServeEngine`] generalizes all three: a sharded single-queue

@@ -34,9 +34,11 @@ use std::sync::{Arc, OnceLock};
 /// [`crate::serve::ServeEngine`].
 ///
 /// The `enable_*` methods attach members of the incremental index family
-/// ([`crate::indexes`]): every later mutation maintains them, and
-/// [`SnapshotManager::indexes`] answers their queries with no lock, no
-/// CSR build and no full recompute.
+/// ([`crate::indexes`]): every later mutation call notes its changes into
+/// them and settles them before it returns, and
+/// [`SnapshotManager::indexes`] answers their queries as of the last
+/// call — under each index's read lock, never the manager's, with no CSR
+/// build and no full recompute.
 ///
 /// # Examples
 ///
@@ -68,8 +70,9 @@ use std::sync::{Arc, OnceLock};
 pub struct SnapshotManager<A: DynamicAdjacency> {
     graph: DynGraph<A>,
     indexes: IndexFamily,
-    /// The cycle's epoch, published after every run for the lock-free
-    /// readers: `epoch()` and the index queries' freshness check.
+    /// The cycle's epoch, published after every run for the readers
+    /// that do not take the lock: `epoch()` and the index queries'
+    /// freshness check.
     epoch: AtomicU64,
     /// The one lock: every mutation, snapshot and attach takes it.
     cycle: Mutex<Cycle>,
@@ -135,9 +138,9 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
 
     /// Applies a batch in parallel ([`crate::engine::apply_vpart_indexed`]
     /// on the installed pool), routes its changes to the attached indexes
-    /// in stream order and steps the epoch **once**. A batch that changes
-    /// nothing keeps the cached snapshot. Returns whether it changed
-    /// anything.
+    /// in stream order and settles them, then steps the epoch **once**.
+    /// A batch that changes nothing keeps the cached snapshot. Returns
+    /// whether it changed anything.
     ///
     /// # Panics
     ///
@@ -146,9 +149,9 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
     pub fn apply_batch(&self, updates: &[Update]) -> bool {
         let mut cycle = self.cycle.lock();
         let changed = cycle.run(&self.graph, self.indexes.routes(), updates, 0) > 0;
-        // ordering: Release — publishes the mutation and the index steps
-        // `run` made before it to Acquire `epoch()` readers (invariants
-        // 1, 6).
+        // ordering: Release — publishes the mutation and the index
+        // settles and steps `run` made before it to Acquire `epoch()`
+        // readers (invariants 1, 6).
         self.epoch.store(cycle.epoch(), Ordering::Release);
         changed
     }
@@ -176,7 +179,8 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
 
     /// The query surface of the attached indexes over the live graph
     /// ([`IndexQuery`]); every query checks the index against the
-    /// manager's epoch first.
+    /// manager's epoch first and answers as of the last cycle (the last
+    /// completed mutation call).
     pub fn indexes(&self) -> IndexQuery<'_, DynGraph<A>> {
         self.indexes.query(&self.graph, &self.epoch)
     }

@@ -3,9 +3,8 @@
 //! The paper targets *massive dynamic* network analysis: updates stream
 //! in while analysts query. The rest of this crate follows the paper's
 //! bulk-synchronous discipline (apply a batch, then read); this module
-//! removes that restriction for serving workloads by generalizing the
-//! [`ConnectivityIndex`](crate::connectivity::ConnectivityIndex)
-//! shield-bit publication pattern into a whole-graph protocol:
+//! removes that restriction for serving workloads with a whole-graph
+//! publication protocol:
 //!
 //! 1. **Single writer, single queue, backlog-sized cycles.** All
 //!    mutations enter through [`ServeEngine::submit`] as batches on one
@@ -147,12 +146,12 @@ pub struct ServeConfig {
     pub history: bool,
     /// Pinned sources for an incremental distance index maintained by
     /// the writer (empty = no distance index). Queries go through
-    /// [`ServeEngine::indexes`] against the live graph: exact after a
-    /// [`ServeEngine::flush`], transient while racing the writer.
+    /// [`ServeEngine::indexes`] and answer as of the last cycle: exact
+    /// for everything submitted before a [`ServeEngine::flush`].
     pub distance_sources: Vec<u32>,
     /// Maintain an incremental triangle index (per-vertex triangle
     /// counts + clustering), queried through [`ServeEngine::indexes`]
-    /// with the same exact-at-quiescence contract as distances.
+    /// with the same as-of-the-last-cycle contract as distances.
     pub triangles: bool,
 }
 
@@ -343,7 +342,7 @@ struct ServeMetrics {
     coalesced: Histogram,
     cycle_updates: Histogram,
     apply_ns: Histogram,
-    repair_ns: Histogram,
+    labels_ns: Histogram,
     freeze_ns: Histogram,
     freeze_rows_reread: Histogram,
     publish_ns: Histogram,
@@ -384,11 +383,11 @@ impl ServeMetrics {
             ),
             apply_ns: r.histogram(
                 "snap_serve_apply_ns",
-                "Per-cycle sharded update application time (ns)",
+                "Per-cycle sharded update application time, index notes and settles included (ns)",
             ),
-            repair_ns: r.histogram(
-                "snap_serve_repair_ns",
-                "Per-cycle connectivity repair + label extraction time (ns)",
+            labels_ns: r.histogram(
+                "snap_serve_labels_ns",
+                "Per-cycle component-label extraction time (ns); the indexes note and settle inside snap_serve_apply_ns",
             ),
             freeze_ns: r.histogram(
                 "snap_serve_freeze_ns",
@@ -740,12 +739,15 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     /// The query surface of the indexes this engine maintains
     /// ([`IndexQuery`]: `hop_distance`, `triangles_of`, `triangle_count`,
     /// `average_clustering`, ..., and the indexes' own counters through
-    /// [`IndexQuery::routes`]). Queries read the writer's live indexes:
-    /// exact after a [`ServeEngine::flush`], transient while racing the
-    /// writer (some recently applied prefix) — for connectivity prefer
-    /// the wait-free [`ServeEngine::same_component`]. The writer steps
-    /// every index before it publishes a cycle's epoch, so no query here
-    /// ever pays a rebuild. Do not note into the indexes.
+    /// [`IndexQuery::routes`]). Queries read the writer's indexes under
+    /// their read locks, as of the last cycle: the writer notes and
+    /// settles a cycle's changes under each index's write lock, so an
+    /// answer is the graph after some prefix of the submitted batches,
+    /// never older than a version pinned before the call — for
+    /// connectivity prefer the wait-free
+    /// [`ServeEngine::same_component`]. The writer steps every index
+    /// before it publishes a cycle's epoch, so no query here ever pays a
+    /// rebuild. Do not note into the indexes.
     pub fn indexes(&self) -> IndexQuery<'_, DynGraph<A>> {
         let s = &*self.shared;
         s.indexes.query(&s.graph, &s.cycle_epoch)
@@ -873,7 +875,8 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         let applied = self.stream.len() as u64;
         m.cycle_updates.record(applied);
         let routes = shared.indexes.routes();
-        // Steps every index before `cycle_epoch` publishes (invariant 6).
+        // Absorbs the cycle's changes into every index, settles them and
+        // steps them, all before `cycle_epoch` publishes (invariant 6).
         let changed = {
             let _t = Timer::scope(&m.apply_ns);
             self.cycle
@@ -894,13 +897,11 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         // re-inserts) keeps the previous labels and leaves the graph
         // clean, so a freeze after it shares the previous CSR.
         if changed > 0 {
-            // Settle every index on the writer (so queries between cycles
-            // read clean state lock-free), then extract the labels: the
-            // certificate searches the smaller side per cut tree edge —
-            // never a full rebuild.
-            let _t = Timer::scope(&m.repair_ns);
-            routes.repair_all(&shared.graph);
+            // The indexes settled inside the run (the certificate
+            // searched the smaller side per cut tree edge — never a full
+            // rebuild); extract the labels.
             if let Some(c) = routes.conn {
+                let _t = Timer::scope(&m.labels_ns);
                 let labels = Arc::new(c.labels(&shared.graph));
                 *shared.labels.write() = Some(labels);
             }

@@ -15,26 +15,22 @@
 //! graph never double-count.
 //!
 //! Following the [`crate::connectivity::ConnectivityIndex`] template:
-//! deltas are the incremental fast path; a full rebuild
-//! ([`IncrementalIndex::rebuild_from`]) exists only as the sticky
-//! fallback for out-of-band mutation ([`crate::indexes`]), behind a
-//! shield flag so racing readers never observe the half-reset state.
+//! deltas are the incremental fast path; a full recount
+//! ([`IncrementalIndex::resync`]) exists only as the sticky fallback
+//! for out-of-band mutation ([`crate::indexes`]).
 //!
 //! # Concurrency contract
 //!
-//! Update notes serialize on the internal adjacency lock and are
-//! thread-safe. Reads are lock-free and exact at quiescence
-//! (bit-identical to the static kernels on the same view); a read
-//! racing in-flight deltas may observe a transient mid-delta state —
-//! the workspace's bulk-synchronous discipline (apply, then query)
-//! gives exact answers, and the serving layer documents racing reads
-//! as transient for every index.
+//! The adjacency and the counters are plain data behind one lock
+//! ([`crate::indexes`]). A note applies its whole delta under the write
+//! lock and reads take the read lock, so a read sees every delta or
+//! none of it. Deltas are complete, so the index never owes a settle,
+//! and its reads take no view.
 
 use crate::indexes::{IncrementalIndex, IndexCore};
 use crate::view::GraphView;
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use snap_rmat::{Update, UpdateKind};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Triangle-index instrumentation, shared process-wide (ZST no-ops
@@ -42,7 +38,6 @@ use std::sync::OnceLock;
 struct TriMetrics {
     deltas: snap_obs::Counter,
     full_rebuilds: snap_obs::Counter,
-    shield_events: snap_obs::Counter,
 }
 
 fn tri_metrics() -> &'static TriMetrics {
@@ -57,10 +52,6 @@ fn tri_metrics() -> &'static TriMetrics {
             full_rebuilds: r.counter(
                 "snap_tri_full_rebuilds_total",
                 "Full triangle recounts (delta maintenance keeps this at zero)",
-            ),
-            shield_events: r.counter(
-                "snap_tri_shield_events_total",
-                "Vertices recounted under the rebuild shield",
             ),
         }
     })
@@ -119,47 +110,165 @@ fn common_neighbors(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// ```
 pub struct TriangleIndex {
     n: usize,
+    state: RwLock<Counts>,
+    /// Epoch coupling and the `full_rebuild_count` counter (invariant
+    /// 6; the index derefs to it).
+    core: IndexCore,
+}
+
+/// Everything a [`TriangleIndex`] maintains, behind its lock.
+struct Counts {
+    /// The index's own sorted simple adjacency — authoritative for
+    /// presence (duplicate graph representations collapse here); a
+    /// list's length is the vertex's simple degree, the wedge
+    /// denominator of its clustering coefficient.
+    adj: Vec<Vec<u32>>,
     /// Per-vertex incident-triangle counts (each triangle counted once
     /// per member), matching `snap_kernels::triangles_per_vertex`.
-    tri: Vec<AtomicU64>,
-    /// Simple degrees (deduplicated, self-loop-free) — the wedge
-    /// denominators for clustering coefficients.
-    deg: Vec<AtomicU32>,
+    tri: Vec<u64>,
     /// Global distinct-triangle count.
-    total: AtomicU64,
-    /// The index's own sorted simple adjacency — authoritative for
-    /// presence (duplicate graph representations collapse here) and the
-    /// serialization point for all deltas and rebuilds.
-    adj: Mutex<Vec<Vec<u32>>>,
-    /// Rebuild shield: raised (under the lock) while counters are being
-    /// recomputed wholesale, so lock-free readers re-route around the
-    /// half-reset state.
-    rebuilding: AtomicBool,
-    /// Epoch coupling, note generation and the `full_rebuild_count`
-    /// counter (invariant 6; the index derefs to it). Notes bump the generation before they take the
-    /// lock, so a rebuild whose view scan races a note's graph mutation
-    /// retries.
-    core: IndexCore,
-    deltas: AtomicUsize,
+    total: u64,
+    /// Delta applications so far.
+    deltas: usize,
+}
+
+impl Counts {
+    /// `n` isolated vertices.
+    fn new(n: usize) -> Self {
+        Self {
+            adj: vec![Vec::new(); n],
+            tri: vec![0; n],
+            total: 0,
+            deltas: 0,
+        }
+    }
+
+    /// See [`TriangleIndex::note_insert`].
+    fn note_insert(&mut self, u: u32, v: u32) -> bool {
+        let n = self.adj.len();
+        if u == v || (u as usize) >= n || (v as usize) >= n {
+            return false;
+        }
+        let i = match self.adj[u as usize].binary_search(&v) {
+            Ok(_) => return false, // already present in the simple graph
+            Err(i) => i,
+        };
+        self.adj[u as usize].insert(i, v);
+        let j = self.adj[v as usize]
+            .binary_search(&u)
+            .expect_err("adjacency symmetry"); // panics: internal invariant — lists are mirrored under the lock
+        self.adj[v as usize].insert(j, u);
+        let common = common_neighbors(&self.adj[u as usize], &self.adj[v as usize]);
+        self.apply_delta(u, v, &common, true);
+        true
+    }
+
+    /// See [`TriangleIndex::note_delete`].
+    fn note_delete<V: GraphView>(&mut self, view: &V, u: u32, v: u32) -> bool {
+        let n = self.adj.len();
+        if u == v || (u as usize) >= n || (v as usize) >= n {
+            return false;
+        }
+        let i = match self.adj[u as usize].binary_search(&v) {
+            Ok(i) => i,
+            Err(_) => return false, // never present in the simple graph
+        };
+        // Key-granular contract: only an edge actually gone from the
+        // live view changes the simple graph.
+        if view.find_edge(u, |w, _| w == v).is_some() {
+            return false;
+        }
+        // Intersect *before* unlinking: the dying triangles are exactly
+        // the common neighbors while the edge still stands.
+        let common = common_neighbors(&self.adj[u as usize], &self.adj[v as usize]);
+        self.adj[u as usize].remove(i);
+        let j = self.adj[v as usize]
+            .binary_search(&u)
+            .expect("adjacency symmetry"); // panics: internal invariant — lists are mirrored under the lock
+        self.adj[v as usize].remove(j);
+        self.apply_delta(u, v, &common, false);
+        true
+    }
+
+    fn note<V: GraphView>(&mut self, view: &V, upd: &Update) {
+        match upd.kind {
+            UpdateKind::Insert => self.note_insert(upd.edge.u, upd.edge.v),
+            UpdateKind::Delete => self.note_delete(view, upd.edge.u, upd.edge.v),
+        };
+    }
+
+    /// Applies one edge's triangle delta; the lists are already updated.
+    fn apply_delta(&mut self, u: u32, v: u32, common: &[u32], add: bool) {
+        // Subtraction is the wrapping add of the negation.
+        let signed = |c: u64| if add { c } else { c.wrapping_neg() };
+        let c = common.len() as u64;
+        for x in [u, v] {
+            self.tri[x as usize] = self.tri[x as usize].wrapping_add(signed(c));
+        }
+        for &w in common {
+            self.tri[w as usize] = self.tri[w as usize].wrapping_add(signed(1));
+        }
+        self.total = self.total.wrapping_add(signed(c));
+        self.deltas += 1;
+        tri_metrics().deltas.inc();
+    }
+
+    /// Rebuilds the simple adjacency from the view and recounts every
+    /// triangle counter.
+    fn recount<V: GraphView>(&mut self, view: &V) {
+        let n = self.adj.len();
+        for l in self.adj.iter_mut() {
+            l.clear();
+        }
+        for u in 0..n as u32 {
+            view.for_each_edge(u, |v, _| {
+                if v != u {
+                    self.adj[u as usize].push(v);
+                }
+            });
+        }
+        // Directed views expose only out-arcs; mirror them so triangles
+        // of the undirected simplification are counted (the static
+        // kernels do the same).
+        if view.is_directed() {
+            let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for (u, out) in self.adj.iter().enumerate() {
+                for &v in out {
+                    rev[v as usize].push(u as u32);
+                }
+            }
+            for (out, back) in self.adj.iter_mut().zip(rev) {
+                out.extend(back);
+            }
+        }
+        for l in self.adj.iter_mut() {
+            l.sort_unstable();
+            l.dedup();
+        }
+        let mut total = 0u64;
+        for u in 0..n {
+            let nu = &self.adj[u];
+            // Each incident triangle {u, v, w} is seen twice from u —
+            // once via v, once via w (the static kernel's identity).
+            let t = nu
+                .iter()
+                .map(|&v| common_neighbors(nu, &self.adj[v as usize]).len() as u64)
+                .sum::<u64>()
+                / 2;
+            total += t;
+            self.tri[u] = t;
+        }
+        self.total = total / 3;
+    }
 }
 
 impl TriangleIndex {
-    /// Stable-read passes attempted before a racing reader settles for
-    /// its latest pass (exactness is only promised at quiescence, where
-    /// the first pass is already stable).
-    const STABLE_RETRIES: usize = 16;
-
     /// An index over `n` isolated vertices (zero triangles everywhere).
     pub fn new(n: usize) -> Self {
         Self {
             n,
-            tri: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            deg: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            total: AtomicU64::new(0),
-            adj: Mutex::new(vec![Vec::new(); n]),
-            rebuilding: AtomicBool::new(false),
+            state: RwLock::new(Counts::new(n)),
             core: IndexCore::default(),
-            deltas: AtomicUsize::new(0),
         }
     }
 
@@ -168,10 +277,7 @@ impl TriangleIndex {
     /// simplification, matching the static kernels.
     pub fn from_view<V: GraphView>(view: &V) -> Self {
         let idx = Self::new(view.num_vertices());
-        {
-            let mut guard = idx.adj.lock();
-            idx.recount_locked(&mut guard, view);
-        }
+        idx.state.write().recount(view);
         idx
     }
 
@@ -184,27 +290,7 @@ impl TriangleIndex {
     /// against duplicate representations and rebuild absorption). The
     /// underlying graph does not need to be consulted.
     pub fn note_insert(&self, u: u32, v: u32) -> bool {
-        if u == v || (u as usize) >= self.n || (v as usize) >= self.n {
-            return false;
-        }
-        // Bump-before-lock: a rebuild scanning the view concurrently
-        // with the caller's graph mutation sees the moved generation
-        // and retries; this note then applies idempotently against the
-        // rebuilt adjacency once the lock frees (invariant 6).
-        self.core.begin_note();
-        let mut adj = self.adj.lock();
-        let i = match adj[u as usize].binary_search(&v) {
-            Ok(_) => return false, // already present in the simple graph
-            Err(i) => i,
-        };
-        adj[u as usize].insert(i, v);
-        let j = adj[v as usize]
-            .binary_search(&u)
-            .expect_err("adjacency symmetry"); // panics: internal invariant — lists are mirrored under the lock
-        adj[v as usize].insert(j, u);
-        let common = common_neighbors(&adj[u as usize], &adj[v as usize]);
-        self.apply_delta(&adj, u, v, &common, true);
-        true
+        self.state.write().note_insert(u, v)
     }
 
     /// Records an edge deletion: the mirror of
@@ -214,164 +300,44 @@ impl TriangleIndex {
     /// nothing — the simple graph hasn't changed. Returns `true` if the
     /// edge actually left the simple graph.
     pub fn note_delete<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
-        if u == v || (u as usize) >= self.n || (v as usize) >= self.n {
-            return false;
-        }
-        // Bump-before-lock: see `note_insert` (invariant 6).
-        self.core.begin_note();
-        let mut adj = self.adj.lock();
-        let i = match adj[u as usize].binary_search(&v) {
-            Ok(i) => i,
-            Err(_) => return false, // never present in the simple graph
-        };
-        // Key-granular contract: only an edge actually gone from the
-        // live view changes the simple graph.
-        let mut survives = false;
-        view.for_each_edge(u, |w, _| {
-            if w == v {
-                survives = true;
-            }
-        });
-        if survives {
-            return false;
-        }
-        // Intersect *before* unlinking: the dying triangles are exactly
-        // the common neighbors while the edge still stands.
-        let common = common_neighbors(&adj[u as usize], &adj[v as usize]);
-        adj[u as usize].remove(i);
-        let j = adj[v as usize]
-            .binary_search(&u)
-            .expect("adjacency symmetry"); // panics: internal invariant — lists are mirrored under the lock
-        adj[v as usize].remove(j);
-        self.apply_delta(&adj, u, v, &common, false);
-        true
-    }
-
-    /// Publishes one edge's triangle delta. Caller holds the adjacency
-    /// lock with the lists already updated.
-    fn apply_delta(&self, adj: &[Vec<u32>], u: u32, v: u32, common: &[u32], add: bool) {
-        // Subtraction is the wrapping add of the negation.
-        let signed = |c: u64| if add { c } else { c.wrapping_neg() };
-        let c = common.len() as u64;
-        // ordering: Release (all stores/RMWs below) — counter
-        // publication; paired with the Acquire loads in the read path
-        // so a reader that sees a later marker also sees these. Readers
-        // racing the group observe a documented transient; exactness is
-        // a quiescence property (module docs).
-        self.deg[u as usize].store(adj[u as usize].len() as u32, Ordering::Release);
-        // ordering: Release — see the group note above.
-        self.deg[v as usize].store(adj[v as usize].len() as u32, Ordering::Release);
-        // ordering: Release — see the group note above.
-        self.tri[u as usize].fetch_add(signed(c), Ordering::Release);
-        // ordering: Release — see the group note above.
-        self.tri[v as usize].fetch_add(signed(c), Ordering::Release);
-        for &w in common {
-            // ordering: Release — see the group note above.
-            self.tri[w as usize].fetch_add(signed(1), Ordering::Release);
-        }
-        // ordering: Release — see the group note above.
-        self.total.fetch_add(signed(c), Ordering::Release);
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.deltas.fetch_add(1, Ordering::Relaxed);
-        tri_metrics().deltas.inc();
+        self.state.write().note_delete(view, u, v)
     }
 
     // ---- reads ---------------------------------------------------------
 
-    /// A read pass that is stable across the rebuild shield: waits out
-    /// a rebuild in progress, runs `pass` twice, and returns the second
-    /// result once two passes agree (bounded retries — see
-    /// [`Self::STABLE_RETRIES`]; under racing deltas the latest pass is
-    /// returned as the documented transient).
-    fn stable_read<T: PartialEq>(&self, mut pass: impl FnMut(&Self) -> T) -> T {
-        let mut last = None;
-        for _ in 0..Self::STABLE_RETRIES {
-            // ordering: Acquire — pairs with the rebuild's Release flag
-            // stores; a clean observation means the counters are not
-            // mid-reset (invariant 4: shield publication).
-            if self.rebuilding.load(Ordering::Acquire) {
-                // The rebuild holds the adjacency lock; queue on it
-                // instead of spinning.
-                drop(self.adj.lock());
-                continue;
-            }
-            let a = pass(self);
-            // ordering: Acquire — double-read stability (invariant 5):
-            // if a rebuild raced pass `a`, either this flag is still
-            // raised (retry) or the re-read below confirms the final
-            // values.
-            if self.rebuilding.load(Ordering::Acquire) {
-                continue;
-            }
-            let b = pass(self);
-            if a == b {
-                return b;
-            }
-            last = Some(b);
-        }
-        // panics: unreachable — the loop above always seeds `last`
-        // before falling through.
-        last.expect("stable_read retries at least once")
-    }
-
     /// Triangles incident to vertex `u` (each triangle counted once per
-    /// member vertex) — row `u` of `snap_kernels::triangles_per_vertex`
-    /// at quiescence.
+    /// member vertex) — row `u` of `snap_kernels::triangles_per_vertex`.
     pub fn triangles_of(&self, u: u32) -> u64 {
-        // ordering: Acquire — pairs with the delta/rebuild Release
-        // publications (see `apply_delta`).
-        self.stable_read(|idx| idx.tri[u as usize].load(Ordering::Acquire))
+        self.state.read().tri[u as usize]
     }
 
     /// The full per-vertex triangle-count vector — bit-comparable with
-    /// `snap_kernels::triangles_per_vertex` on the same view at
-    /// quiescence.
+    /// `snap_kernels::triangles_per_vertex` on the same view.
     pub fn per_vertex(&self) -> Vec<u64> {
-        self.stable_read(|idx| {
-            idx.tri
-                .iter()
-                // ordering: Acquire — see `triangles_of`.
-                .map(|t| t.load(Ordering::Acquire))
-                .collect()
-        })
+        self.state.read().tri.clone()
     }
 
-    /// Total number of distinct triangles — `snap_kernels::triangle_count`
-    /// at quiescence.
+    /// Total number of distinct triangles — `snap_kernels::triangle_count`.
     pub fn triangle_count(&self) -> u64 {
-        // ordering: Acquire — see `triangles_of`.
-        self.stable_read(|idx| idx.total.load(Ordering::Acquire))
+        self.state.read().total
     }
 
     /// Average clustering coefficient (the Watts–Strogatz global
     /// measure), computed from the maintained counters with exactly the
     /// static kernel's summation: per-vertex `2·tri / (d·(d−1))` in
     /// vertex order, then the mean — bit-identical to
-    /// `snap_kernels::average_clustering` at quiescence.
+    /// `snap_kernels::average_clustering`.
     pub fn average_clustering(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
-        let (tri, deg) = self.stable_read(|idx| {
-            let tri: Vec<u64> = idx
-                .tri
-                .iter()
-                // ordering: Acquire — see `triangles_of`.
-                .map(|t| t.load(Ordering::Acquire))
-                .collect();
-            let deg: Vec<u32> = idx
-                .deg
-                .iter()
-                // ordering: Acquire — see `triangles_of`.
-                .map(|d| d.load(Ordering::Acquire))
-                .collect();
-            (tri, deg)
-        });
-        let sum: f64 = tri
+        let st = self.state.read();
+        let sum: f64 = st
+            .tri
             .iter()
-            .zip(&deg)
-            .map(|(&t, &d)| {
-                let d = d as u64;
+            .zip(&st.adj)
+            .map(|(&t, nbrs)| {
+                let d = nbrs.len() as u64;
                 if d < 2 {
                     0.0
                 } else {
@@ -385,73 +351,12 @@ impl TriangleIndex {
     /// Simple degree (deduplicated, self-loop-free) of `u` as the index
     /// sees it — the wedge denominator of its clustering coefficient.
     pub fn degree_of(&self, u: u32) -> u32 {
-        // ordering: Acquire — see `triangles_of`.
-        self.stable_read(|idx| idx.deg[u as usize].load(Ordering::Acquire))
+        self.state.read().adj[u as usize].len() as u32
     }
-
-    // ---- full rebuild --------------------------------------------------
-
-    /// Rebuilds the internal simple adjacency from the view and
-    /// recounts every triangle counter. Caller holds the lock (and the
-    /// shield, when readers may race).
-    fn recount_locked<V: GraphView>(&self, adj: &mut [Vec<u32>], view: &V) {
-        let n = self.n;
-        for l in adj.iter_mut() {
-            l.clear();
-        }
-        for u in 0..n as u32 {
-            view.for_each_edge(u, |v, _| {
-                if v != u {
-                    adj[u as usize].push(v);
-                }
-            });
-        }
-        // Directed views expose only out-arcs; mirror them so triangles
-        // of the undirected simplification are counted (the static
-        // kernels do the same).
-        if view.is_directed() {
-            let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for (u, out) in adj.iter().enumerate() {
-                for &v in out {
-                    rev[v as usize].push(u as u32);
-                }
-            }
-            for (out, back) in adj.iter_mut().zip(rev) {
-                out.extend(back);
-            }
-        }
-        for l in adj.iter_mut() {
-            l.sort_unstable();
-            l.dedup();
-        }
-        let mut total = 0u64;
-        for u in 0..n {
-            let nu = &adj[u];
-            let mut t = 0u64;
-            for &v in nu {
-                // Each incident triangle {u, v, w} is seen twice from
-                // u — once via v, once via w (the static kernel's
-                // identity).
-                t += common_neighbors(nu, &adj[v as usize]).len() as u64;
-            }
-            t /= 2;
-            total += t;
-            // ordering: Release — counter publication under the shield
-            // (invariant 4).
-            self.tri[u].store(t, Ordering::Release);
-            // ordering: Release — see the store above.
-            self.deg[u].store(nu.len() as u32, Ordering::Release);
-        }
-        // ordering: Release — see the stores above.
-        self.total.store(total / 3, Ordering::Release);
-    }
-
-    // ---- counters ------------------------------------------------------
 
     /// Number of delta applications (one per effective edge update).
     pub fn delta_count(&self) -> usize {
-        // ordering: Relaxed — statistics counter, no ordering consumed.
-        self.deltas.load(Ordering::Relaxed)
+        self.state.read().deltas
     }
 }
 
@@ -465,33 +370,24 @@ impl std::ops::Deref for TriangleIndex {
 
 impl IncrementalIndex for TriangleIndex {
     fn note<V: GraphView>(&self, view: &V, upd: &Update) {
-        match upd.kind {
-            UpdateKind::Insert => self.note_insert(upd.edge.u, upd.edge.v),
-            UpdateKind::Delete => self.note_delete(view, upd.edge.u, upd.edge.v),
-        };
+        self.state.write().note(view, upd);
     }
 
-    // Discards all counters and recounts from the view. On `false` the
-    // count is a best-effort transient: the notes blocked behind the
-    // lock re-apply idempotently against the rebuilt adjacency, and the
-    // unrecorded epoch keeps the debt sticky.
-    fn rebuild_from<V: GraphView>(&self, view: &V) -> bool {
-        assert_eq!(view.num_vertices(), self.n, "vertex count moved");
-        let adj = &mut *self.adj.lock();
-        let m = tri_metrics();
-        m.full_rebuilds.inc();
-        // ordering: Release (both stores of the flag) — raised before the
-        // counters are touched, so lock-free readers re-route around the
-        // reset, and lowered as the recount's publication point whether
-        // or not a pass converged (invariant 4). Pairs with the Acquire
-        // loads in `stable_read`.
-        self.rebuilding.store(true, Ordering::Release); // ordering: see above
-        let converged = self.core.rebuild_until_stable(&[], || {
-            self.recount_locked(adj, view);
-            m.shield_events.add(self.n as u64);
+    // Deltas are complete: there is nothing to settle after the notes.
+    fn absorb<'u, V: GraphView>(&self, view: &V, changes: impl IntoIterator<Item = &'u Update>) {
+        let mut st = self.state.write();
+        for upd in changes {
+            st.note(view, upd);
+        }
+    }
+
+    // Discards all counters and recounts from the view.
+    fn resync<V: GraphView>(&self, view: &V, epoch: u64) {
+        self.core.resync(epoch, &self.state, |st| {
+            assert_eq!(view.num_vertices(), self.n, "vertex count moved");
+            tri_metrics().full_rebuilds.inc();
+            st.recount(view);
         });
-        self.rebuilding.store(false, Ordering::Release); // ordering: see above
-        converged
     }
 }
 
@@ -673,7 +569,7 @@ mod tests {
         let idx = TriangleIndex::from_view(&g);
         assert_eq!(idx.triangle_count(), 0);
         g.insert_edge(TimedEdge::new(2, 0, 5)); // the index never hears of it
-        assert!(idx.rebuild_from(&g));
+        idx.resync(&g, 1);
         assert_eq!(idx.triangle_count(), 1);
         assert_eq!(idx.full_rebuild_count(), 1);
         // And notes keep working against the rebuilt adjacency.
@@ -734,17 +630,15 @@ mod tests {
     #[test]
     fn concurrent_reads_during_rebuild_never_see_the_reset() {
         // A rebuild resets counters wholesale; racing readers must
-        // either wait it out or double-read to a stable pair — never
-        // observe a half-reset total that undercounts below the final
-        // value of either side of the race.
+        // never observe a half-reset total.
         let g: DynGraph<HybridAdj> = graph(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let idx = std::sync::Arc::new(TriangleIndex::from_view(&g));
         std::thread::scope(|s| {
             let i2 = idx.clone();
             let gr = &g;
             s.spawn(move || {
-                for _ in 0..50 {
-                    i2.rebuild_from(gr);
+                for epoch in 1..=50 {
+                    i2.resync(gr, epoch);
                 }
             });
             for _ in 0..200 {
@@ -753,5 +647,6 @@ mod tests {
             }
         });
         assert_eq!(idx.per_vertex(), vec![3, 3, 3, 3]);
+        assert_eq!(idx.full_rebuild_count(), 50);
     }
 }

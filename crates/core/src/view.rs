@@ -256,9 +256,8 @@ impl<A: DynamicAdjacency> GraphView for DynGraph<A> {
 }
 
 /// Test support: a view over another one that records whose adjacency
-/// each `for_each_edge` call read, and can run a hook just before every
-/// `k`-th call — how the index tests watch a repair's reads and change
-/// the graph in the middle of one (or of every rebuild pass).
+/// each `for_each_edge` call read — how the index tests watch a repair's
+/// reads.
 #[cfg(test)]
 pub(crate) mod probe {
     use super::GraphView;
@@ -267,7 +266,6 @@ pub(crate) mod probe {
     pub(crate) struct ProbeView<'a, V> {
         inner: &'a V,
         reads: Mutex<Vec<u32>>,
-        hook: Option<(usize, Box<dyn Fn() + Sync + 'a>)>,
     }
 
     impl<'a, V: GraphView> ProbeView<'a, V> {
@@ -275,17 +273,6 @@ pub(crate) mod probe {
             Self {
                 inner,
                 reads: Mutex::new(Vec::new()),
-                hook: None,
-            }
-        }
-
-        /// Runs `hook` before the `k`-th (1-based) adjacency read, and
-        /// again every `k` reads after it, so a hook must tolerate
-        /// repeated calls.
-        pub(crate) fn with_hook(inner: &'a V, k: usize, hook: impl Fn() + Sync + 'a) -> Self {
-            Self {
-                hook: Some((k, Box::new(hook))),
-                ..Self::new(inner)
             }
         }
 
@@ -317,16 +304,7 @@ pub(crate) mod probe {
         }
 
         fn for_each_edge<F: FnMut(u32, u32)>(&self, u: u32, f: F) {
-            let call = {
-                let mut reads = self.reads.lock();
-                reads.push(u);
-                reads.len()
-            };
-            if let Some((k, hook)) = &self.hook {
-                if call % k == 0 {
-                    hook();
-                }
-            }
+            self.reads.lock().push(u);
             self.inner.for_each_edge(u, f)
         }
     }

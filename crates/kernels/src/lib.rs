@@ -29,9 +29,8 @@
 //! - [`bc`] — Brandes-style betweenness centrality, static and temporal,
 //!   exact and source-sampled approximate (Figure 11).
 //! - [`stconn`] — early-exit s-t connectivity.
-//! - [`sssp`] / [`msf`] / [`closeness`] / [`cluster`] / [`diameter`] /
-//!   [`stress`] / [`temporal_reach`] — the extended kernel suite, all
-//!   view-generic.
+//! - [`sssp`] / [`msf`] / [`cluster`] / [`temporal_reach`] — the
+//!   extended kernel suite, all view-generic.
 //!
 //! The multi-threaded runtime lives one layer up in `snap-par`
 //! (`par_bfs` / `par_cc` / `par_sssp` / `par_bc`): it shares this
@@ -48,28 +47,22 @@
 pub mod bc;
 pub mod bfs;
 pub mod cc;
-pub mod closeness;
 pub mod cluster;
-pub mod diameter;
 pub mod lcf;
 pub mod msf;
 pub mod sssp;
 pub mod stconn;
-pub mod stress;
 pub mod subgraph;
 pub mod temporal_reach;
 
 pub use bc::{betweenness_approx, betweenness_exact, temporal_betweenness_approx};
 pub use bfs::{bfs, serial_bfs, temporal_bfs, BfsResult, UNREACHED};
 pub use cc::{component_count, connected_components};
-pub use closeness::{closeness_approx, closeness_exact, harmonic_exact};
 pub use cluster::{average_clustering, local_clustering, triangle_count, triangles_per_vertex};
-pub use diameter::{double_sweep_lower_bound, exact_diameter};
 pub use lcf::LinkCutForest;
 pub use msf::{boruvka_msf, boruvka_msf_view, kruskal_msf, Msf};
 pub use sssp::dijkstra;
 pub use stconn::st_connectivity;
-pub use stress::{stress_approx, stress_exact};
 pub use subgraph::{
     induced_subgraph_csr, induced_subgraph_edges, induced_subgraph_vertices, induced_subgraph_view,
     TimeWindow,

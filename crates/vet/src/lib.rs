@@ -1,9 +1,8 @@
 //! snap-vet: workspace-local static analysis for the snap stack.
 //!
-//! Five lock-free protocols (shield-bit publication, epoch-coupled
-//! validity, CAS-hooking union-find, distance-word claims, pin-based
-//! reclamation) rest on the prose invariants in `ARCHITECTURE.md` and a
-//! couple hundred atomic-ordering call sites. A silent ordering bug in
+//! The lock-free protocols (epoch-coupled validity, the parallel
+//! runtime's claims, pin-based reclamation) rest on the prose invariants
+//! in `ARCHITECTURE.md` and over a hundred atomic-ordering call sites. A silent ordering bug in
 //! this serving regime corrupts results under load instead of crashing
 //! — so the invariants are enforced by a tool that fails CI, not a
 //! document that asks nicely.

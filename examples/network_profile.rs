@@ -10,9 +10,7 @@
 //! ```
 
 use snap::kernels::bc::sample_sources;
-use snap::kernels::{
-    average_clustering, boruvka_msf, double_sweep_lower_bound, temporal_reach_count,
-};
+use snap::kernels::{average_clustering, boruvka_msf, serial_bfs, temporal_reach_count, UNREACHED};
 use snap::prelude::*;
 use snap::rmat::io;
 use snap::util::stats::log2_histogram;
@@ -67,7 +65,14 @@ fn main() {
     let hub = (0..n as u32)
         .max_by_key(|&u| csr.out_degree(u))
         .expect("non-empty");
-    let diam_lb = double_sweep_lower_bound(&csr, hub);
+    // Double sweep: the eccentricity of the vertex farthest from the
+    // hub bounds the diameter from below.
+    let from_hub = serial_bfs(&csr, hub).dist;
+    let far = (0..n as u32)
+        .filter(|&v| from_hub[v as usize] != UNREACHED)
+        .max_by_key(|&v| from_hub[v as usize])
+        .unwrap_or(hub);
+    let diam_lb = serial_bfs(&csr, far).max_distance();
     println!("average clustering {cc:.4}, diameter lower bound {diam_lb}");
 
     // Components and spanning structure.
@@ -80,20 +85,14 @@ fn main() {
         msf.total_weight
     );
 
-    // Central entities, three ways.
-    let sources = sample_sources(n, 128, 5);
-    let bc = betweenness_approx(&csr, &sources);
-    let cl = snap::kernels::closeness_approx(&csr, &sources);
-    let st = snap::kernels::stress_approx(&csr, &sources);
-    let top = |scores: &[f64], label: &str| {
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        idx.sort_unstable_by(|&a, &b| scores[b as usize].total_cmp(&scores[a as usize]));
-        println!("  top-5 by {label}: {:?}", &idx[..5.min(idx.len())]);
-    };
-    println!("centrality (128 sampled sources):");
-    top(&bc, "betweenness");
-    top(&cl, "closeness  ");
-    top(&st, "stress     ");
+    // Central entities.
+    let bc = betweenness_approx(&csr, &sample_sources(n, 128, 5));
+    let mut idx: Vec<u32> = (0..n as u32).collect();
+    idx.sort_unstable_by(|&a, &b| bc[b as usize].total_cmp(&bc[a as usize]));
+    println!(
+        "top-5 by betweenness (128 sampled sources): {:?}",
+        &idx[..5.min(idx.len())]
+    );
 
     // Temporal reachability from the hub (exact, Kempe semantics).
     let reach = temporal_reach_count(&csr, hub);

@@ -204,11 +204,9 @@ pub mod prelude {
     };
     pub use snap_kernels::{
         average_clustering, betweenness_approx, betweenness_exact, bfs, boruvka_msf,
-        boruvka_msf_view, closeness_approx, closeness_exact, connected_components,
-        double_sweep_lower_bound, earliest_arrival, induced_subgraph_csr,
-        induced_subgraph_vertices, induced_subgraph_view, st_connectivity, stress_approx,
-        stress_exact, temporal_betweenness_approx, temporal_bfs, triangle_count, LinkCutForest,
-        TimeWindow,
+        boruvka_msf_view, connected_components, earliest_arrival, induced_subgraph_csr,
+        induced_subgraph_vertices, induced_subgraph_view, st_connectivity,
+        temporal_betweenness_approx, temporal_bfs, triangle_count, LinkCutForest, TimeWindow,
     };
     pub use snap_obs::MetricsRegistry;
     pub use snap_par::{

@@ -10,31 +10,32 @@
 //!
 //! Eight protocols are swept, one per test:
 //!
-//! 1. **Shield-bit repair** (invariant 4): deletion-heavy batches race
-//!    `same_component` queries whose targeted repairs must never expose
-//!    a half-relabeled forest.
+//! 1. **Connectivity under racing queries** (invariants 1, 6):
+//!    deletion-heavy batches through `SnapshotManager`, which settles
+//!    the index under its write lock, race `same_component` queries that
+//!    must never see a half-settled forest.
 //! 2. **ServeEngine publish** (invariant 1): every version a reader
 //!    pins corresponds to one prefix of the submission order.
 //! 3. **Epoch resync** (invariant 6): a mutation the indexes were not
 //!    routed, published as a bare epoch bump, leaves a sticky epoch gap
 //!    that the next query must absorb with a conservative full resync —
 //!    never serve stale.
-//! 4. **Distance repair** (invariant 4, per-source shields): deletion
-//!    batches dirty-mark shortest-path trees while `hop_distance`
-//!    queries trigger the targeted repairs mid-race.
-//! 5. **Triangle deltas** (invariant 3, packed CAS counters): racing
-//!    writers apply O(min-degree) deltas while readers sample counts;
+//! 4. **Distance repair** (invariants 1, 6): deletion batches
+//!    dirty-mark shortest-path trees and repair them under the index's
+//!    write lock while `hop_distance` queries read mid-race.
+//! 5. **Triangle deltas** (invariant 3): racing writers apply
+//!    O(min-degree) deltas while readers sample counts;
 //!    the quiesced counts must match the kernels recount to the bit.
 //! 6. **Demand-driven freeze** (invariant 1): a back-to-back drain
 //!    skips freezes unless a racing pin raises the wanted-flag; every
 //!    version pinned on the way is one prefix — CSR *and* labels — and
 //!    `pending_batches() == 0` means the next pin has everything.
-//! 7. **The whole index family under serving** (invariants 1, 4, 6): a
+//! 7. **The whole index family under serving** (invariants 1, 6): a
 //!    `ServeEngine` maintaining connectivity, distances and triangles
 //!    at once while readers pin versions and call every index query;
 //!    after `flush` all three equal from-scratch oracles on the
 //!    bulk-synchronous replay, with zero full rebuilds.
-//! 8. **Backlog-sized cycles** (invariants 1, 4, 6, 8): a burst queued
+//! 8. **Backlog-sized cycles** (invariants 1, 6, 8): a burst queued
 //!    faster than the writer drains it, so cycles fill to the applier's
 //!    range budget and span two ranges its shards race for, with all
 //!    three indexes on; every pinned version is one prefix and the
@@ -110,12 +111,13 @@ fn surviving_view(surviving: &[(u32, u32)]) -> DynGraph<HybridAdj> {
     g
 }
 
-/// Protocol 1 — shield-bit repair (invariant 4). Two writers stream
-/// disjoint (hence commuting) delete batches while readers hammer
-/// `same_component`, whose targeted repairs race the writers. Racing
-/// answers are not oracle-checkable (they land between batches), but
-/// they must come back without panics; at quiescence the labels must be
-/// bit-identical to the union-find oracle over surviving edges.
+/// Protocol 1 — connectivity under racing queries. Two writers stream
+/// disjoint (hence commuting) delete batches, each settled under the
+/// index's write lock, while readers hammer `same_component` under its
+/// read lock. Racing answers are not oracle-checkable (they land
+/// between batches), but they must come back without panics; at
+/// quiescence the labels must be bit-identical to the union-find oracle
+/// over surviving edges.
 #[test]
 fn shield_repair_matches_oracle_across_seeds() {
     for seed in 0..SEEDS {
@@ -147,8 +149,7 @@ fn shield_repair_matches_oracle_across_seeds() {
                 });
             }
         });
-        // Query through the manager first: it settles the deletes the
-        // racing writers left pending.
+        // Query through the manager first, then the index directly.
         assert_eq!(
             mgr.indexes().component_count(),
             snap::kernels::component_count(&want),
@@ -325,9 +326,9 @@ fn epoch_resync_matches_oracle_across_seeds() {
 }
 
 /// Protocol 4 — DistanceIndex targeted repair under fire. Two writers
-/// stream disjoint delete batches (dirty-marking shortest-path trees)
-/// while readers hammer `hop_distance`, whose lazy targeted repairs
-/// race the writers under the chaos schedule. Racing answers merely
+/// stream disjoint delete batches (dirty-marking shortest-path trees and
+/// repairing them under the index's write lock) while readers hammer
+/// `hop_distance` under the chaos schedule. Racing answers merely
 /// must not panic; at quiescence every pinned source's row must be
 /// bit-identical to a fresh serial BFS on the bulk-synchronous replay,
 /// with zero full recomputes along the way.
@@ -381,8 +382,8 @@ fn distance_repair_matches_oracle_across_seeds() {
 
 /// Protocol 5 — TriangleIndex delta application under fire. Two
 /// writers stream disjoint delete batches whose O(min-degree) deltas
-/// land on packed per-vertex CAS counters, while readers sample
-/// `triangles_of` / `triangle_count` mid-race. At quiescence the
+/// land on the per-vertex counters under the index's write lock, while
+/// readers sample `triangles_of` / `triangle_count` mid-race. At quiescence the
 /// per-vertex counts, the global count, and the clustering coefficient
 /// must all match the kernels recount on the bulk-synchronous replay —
 /// to the bit — with zero recounts on the incremental path.
@@ -526,11 +527,11 @@ fn demand_freeze_matches_oracle_across_seeds() {
     }
 }
 
-/// Protocol 7 — the whole index family under serving (invariants 1, 4
+/// Protocol 7 — the whole index family under serving (invariants 1
 /// and 6). One engine maintains connectivity, pinned distance sources
 /// and triangles; a producer streams mixed batches while readers pin
 /// versions and call every index query against the live indexes, racing
-/// the writer's notes, repairs and epoch steps. Racing answers merely
+/// the writer's cycles. Racing answers merely
 /// must not panic. After `flush`, labels, distance rows, per-vertex
 /// triangle counts and the clustering coefficient must equal
 /// from-scratch oracles on the bulk-synchronous replay of the history —
@@ -638,7 +639,7 @@ fn index_family_under_serving_matches_oracles_across_seeds() {
     }
 }
 
-/// Protocol 8 — backlog-sized cycles (invariants 1, 4, 6, 8). A producer
+/// Protocol 8 — backlog-sized cycles (invariants 1, 6, 8). A producer
 /// queues about one and a half applier ranges of half-updates at once,
 /// so the writer's cycles fill to the range budget and span two ranges,
 /// claimed by the writer's 1, 2 or 8 shards (by seed), while the engine

@@ -482,14 +482,70 @@ fn keep_new(pins: &mut Vec<SnapshotHandle>, v: SnapshotHandle) {
     }
 }
 
+/// One index answer read while the writer ran.
+#[derive(Debug)]
+enum Answer {
+    /// `hop_distance(source, v)`.
+    Hop(u32, u32, Option<u32>),
+    /// `triangles_of(v)`.
+    Triangles(u32, u64),
+}
+
+/// Asserts that each racing answer equals the oracle's at some batch
+/// prefix at least as long as its pinned count: the indexes answer as of
+/// a cycle boundary, and no older than a version pinned before the read.
+fn assert_prefix_answers(
+    base: &[Update],
+    history: &[Vec<Update>],
+    mut open: Vec<(usize, Answer)>,
+    at: &str,
+) {
+    let Some(from) = open.iter().map(|&(before, _)| before).min() else {
+        return;
+    };
+    let mut oracle = Oracle::new(base);
+    for prefix in from..=history.len() {
+        let g = oracle.at(history, prefix);
+        let mut rows = std::collections::HashMap::new();
+        let mut triangles = None;
+        open.retain(|(before, answer)| {
+            if *before > prefix {
+                return true;
+            }
+            let matches = match *answer {
+                Answer::Hop(src, v, got) => {
+                    let row = rows
+                        .entry(src)
+                        .or_insert_with(|| snap_kernels::serial_bfs(g, src).dist);
+                    let d = row[v as usize];
+                    got == (d != snap_kernels::UNREACHED).then_some(d)
+                }
+                Answer::Triangles(v, got) => {
+                    let per =
+                        triangles.get_or_insert_with(|| snap_kernels::triangles_per_vertex(g));
+                    got == per[v as usize]
+                }
+            };
+            !matches
+        });
+    }
+    assert!(
+        open.is_empty(),
+        "{at}: {} racing answers match no prefix at or after their pin, first {:?}",
+        open.len(),
+        open.first()
+    );
+}
+
 /// A backlog deep enough that the writer's cycles fill one applier range
 /// and span two, drained at `shards` writer shards with connectivity,
 /// distance sources and triangles all maintained, while the submitting
 /// thread pins versions and queries the live indexes until the queue is
 /// dry. Every version pinned on the way equals the oracle replay of its
-/// own `batches()` prefix — CSR and labels — and after each burst's
-/// `flush` the live distance rows and triangle counts equal the oracle's
-/// too, with no index ever rebuilt in full.
+/// own `batches()` prefix — CSR and labels — every racing index answer
+/// is some prefix's no older than the pin before it, and after each
+/// burst's `flush` the live distance rows and triangle counts equal the
+/// oracle's too, with no index ever rebuilt in full.
 fn multi_range_backlog(shards: usize) {
     const SOURCES: [u32; 3] = [0, 17, 300];
     let n = 1u32 << SCALE;
@@ -516,20 +572,25 @@ fn multi_range_backlog(shards: usize) {
             engine.submit(batch);
         }
         let mut k = 0u32;
+        let mut racing = Vec::new();
         while engine.pending_batches() > 0 {
-            keep_new(&mut pins, engine.pin());
-            // Racing the writer's notes and repairs: answers are some
-            // applied prefix's, and must come back without panicking.
+            // Racing the writer: each answer is recorded with the batch
+            // count of a version pinned before it was read.
+            let pinned = engine.pin();
+            let before = pinned.batches() as usize;
+            keep_new(&mut pins, pinned);
             let index = engine.indexes();
             k = k.wrapping_mul(31).wrapping_add(7);
-            let _ = index.hop_distance(SOURCES[k as usize % 3], k % n);
-            let _ = index.triangles_of(k % n);
+            let (src, v) = (SOURCES[k as usize % 3], k % n);
+            racing.push((before, Answer::Hop(src, v, index.hop_distance(src, v))));
+            racing.push((before, Answer::Triangles(v, index.triangles_of(v))));
             std::thread::yield_now();
         }
         engine.flush();
         let at = format!("{shards} shards, burst {burst}");
         let history = engine.history();
         assert_eq!(history.len(), submitted, "{at}: flush is a barrier");
+        assert_prefix_answers(&base, &history, racing, &at);
         let want = oracle.at(&history, submitted);
         let index = engine.indexes();
         for src in SOURCES {

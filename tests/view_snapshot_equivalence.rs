@@ -12,7 +12,7 @@
 
 use snap::core::SnapshotManager;
 use snap::kernels::{
-    boruvka_msf_view, earliest_arrival, harmonic_exact, st_connectivity, triangle_count,
+    boruvka_msf_view, earliest_arrival, local_clustering, st_connectivity, triangle_count,
 };
 use snap::prelude::*;
 use snap::util::rng::XorShift64;
@@ -212,12 +212,12 @@ fn extended_kernels_agree_across_read_paths() {
     let (msf_live, _) = boruvka_msf_view(&g);
     let (msf_snap, _) = boruvka_msf_view(&csr);
     assert_eq!(msf_live.edges.len(), msf_snap.edges.len());
-    let hl = harmonic_exact(&g);
-    let hs = harmonic_exact(&csr);
+    let cl = local_clustering(&g);
+    let cs = local_clustering(&csr);
     for v in 0..N {
         assert!(
-            (hl[v] - hs[v]).abs() < 1e-9,
-            "harmonic centrality diverges at {v}"
+            (cl[v] - cs[v]).abs() < 1e-9,
+            "local clustering diverges at {v}"
         );
     }
 }
