@@ -2,10 +2,12 @@
 //!
 //! The standalone kernel, the serial fallback of `snap_par::par_cc`, and
 //! the oracle that kernel and the incremental `ConnectivityIndex` are
-//! checked against. It is deliberately not the parallel algorithm: the
-//! view's live edges stream once through a union-find that hooks the
-//! larger root under the smaller, so a Shiloach–Vishkin bug in `par_cc`
-//! cannot hide behind the same bug here.
+//! checked against. The view's live edges stream once, in order,
+//! through a union-find that hooks the larger root under the smaller.
+//! `par_cc` is union-find too (Afforest's sampled CAS linking), so
+//! `tests/parallel_equivalence.rs` also checks both against min-id
+//! labels built from `serial_bfs`, a traversal that shares neither's
+//! code.
 //!
 //! A directed view yields its weakly connected components (every entry
 //! joins its two endpoints), whether it is a CSR snapshot or a live

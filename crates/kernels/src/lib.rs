@@ -19,8 +19,8 @@
 //! - [`bfs`](mod@bfs) — lock-free level-synchronous parallel BFS with the
 //!   unbalanced-degree optimization, and its temporal (timestamp-filtered)
 //!   variant (Figure 10).
-//! - [`cc`] — serial union-find connected components (the oracle of
-//!   `par_cc`'s Shiloach–Vishkin sweeps).
+//! - [`cc`] — serial union-find connected components (the oracle and
+//!   fallback of `par_cc`'s Afforest linking).
 //! - [`lcf`] — the parent-pointer link-cut forest: construction via
 //!   parallel BFS, `link`/`cut`/`findroot`, batch connectivity queries
 //!   (Figures 7–8), and replacement-edge search on deletions (extension).

@@ -426,7 +426,7 @@ fn bc_frontier_parallel<V: GraphView>(view: &V, sources: &[u32], cfg: &ParConfig
         dist[s as usize].store(0, Ordering::Relaxed);
         // ordering: Relaxed — see above.
         sigma[s as usize].store(1.0f64.to_bits(), Ordering::Relaxed);
-        engine.seed(s);
+        engine.seed([s]);
         levels.push(vec![s]);
         let mut level = 0u32;
         loop {

@@ -5,13 +5,22 @@
 //! discovered vertex in an [`AtomicBitset`]. When the frontier gets
 //! dense, the traversal flips to **bottom-up** (Beamer et al., SC'12):
 //! instead of expanding frontier edges, every *unvisited* vertex scans
-//! its own adjacency for any frontier neighbor and claims itself — no
-//! contention at all (each vertex is examined by exactly one worker),
-//! and on small-world graphs the scan early-exits after a handful of
-//! edges because almost everything neighbors the dense frontier.
+//! its own adjacency for any frontier neighbor, and on small-world
+//! graphs the scan stops after a handful of entries because almost
+//! everything neighbors the dense frontier.
 //!
-//! The switch heuristic is the standard one, driven by frontier/edge
-//! counts the engine already tracks:
+//! Bottom-up levels keep the frontier as a bitmap: two [`AtomicBitset`]s,
+//! this level's and the next, swapped after each level. The sweep walks
+//! the vertex ids in ranges aligned to 64-vertex words
+//! ([`sweep_grain`] is a multiple of 64), so the worker holding a range
+//! is the only writer of its words. It builds a word's discoveries in a
+//! local `u64` and publishes them to `visited` and to the next frontier
+//! with one plain store each — no claim, no read-modify-write — and it
+//! sums the count and degree of what it found, so the direction switch
+//! needs no pass over the frontier. The frontier converts between the
+//! engine's queue and the bitmap only when the direction switches.
+//!
+//! The switch heuristic is the standard one:
 //!
 //! - top-down -> bottom-up when `m_f * alpha > m_u` (the frontier's
 //!   out-edge count approaches the unvisited edge count), and
@@ -26,12 +35,12 @@
 //! graph that fits in one core's cache.
 
 use crate::bitset::AtomicBitset;
-use crate::frontier::{par_range_map_stats, sweep_grain, FrontierEngine, ParStats};
+use crate::frontier::{par_for_ranges_stats, sweep_grain, FrontierEngine, ParStats};
 use crate::ParConfig;
 use snap_core::GraphView;
 use snap_kernels::bfs::{serial_bfs, BfsResult, UNREACHED};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Per-run traversal counters, exposed for tests and tuning.
 #[derive(Clone, Copy, Debug, Default)]
@@ -99,29 +108,28 @@ pub fn par_bfs_stats<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> (BfsR
 
     let mut engine =
         FrontierEngine::new(threads, cfg.chunk_edges).with_level_gate(cfg.level_gate(work));
-    engine.seed(src);
+    engine.seed([src]);
 
-    // Direction bookkeeping: out-degree mass of the current frontier and
-    // of the still-unvisited remainder.
+    // Direction bookkeeping: size and out-degree mass of the current
+    // frontier, and the degree mass of the still-unvisited remainder.
+    let mut frontier_len: u64 = 1;
     let mut frontier_deg: u64 = view.degree(src) as u64;
     let mut prev_frontier_deg: u64 = 0;
     let mut unexplored: u64 = (m as u64).saturating_sub(frontier_deg);
     let bottom_up_allowed = !view.is_directed() && cfg.beta > 0;
-    // Frontier membership mask + per-worker sinks, allocated lazily on
-    // the first switch and recycled for every bottom-up level after.
-    let mut frontier_bits: Option<AtomicBitset> = None;
-    let mut bu_sinks: Vec<Vec<u32>> = Vec::new();
-    let mut ranges: Vec<Range<u32>> = Vec::new();
+    // The bottom-up frontier as a bitmap pair, swapped after each level.
+    let (mut front, mut next) = (AtomicBitset::new(n), AtomicBitset::new(n));
+    let ranges: Vec<Range<u32>> = view.vertex_chunks(sweep_grain(n, threads)).collect();
     let mut in_bottom_up = false;
 
     let mut level = 0u32;
-    while !engine.is_empty() {
+    while frontier_len > 0 {
         level += 1;
-        in_bottom_up = bottom_up_allowed
+        let bottom_up = bottom_up_allowed
             && if in_bottom_up {
                 // Stay bottom-up while the frontier is still dense:
                 // n_f * beta >= n.
-                engine.len() as u64 * cfg.beta as u64 >= n as u64
+                frontier_len.saturating_mul(cfg.beta as u64) >= n as u64
             } else {
                 // Switch when the frontier is still growing and its edge
                 // mass rivals the unvisited edge mass: m_f * alpha > m_u.
@@ -130,37 +138,31 @@ pub fn par_bfs_stats<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> (BfsR
                 frontier_deg > prev_frontier_deg
                     && frontier_deg.saturating_mul(cfg.alpha as u64) > unexplored
             };
-        if in_bottom_up {
+        let found_deg;
+        if bottom_up {
             stats.bottom_up_levels += 1;
-            let bits = frontier_bits.get_or_insert_with(|| AtomicBitset::new(n));
-            if bu_sinks.is_empty() {
-                bu_sinks = (0..threads).map(|_| Vec::new()).collect();
-                ranges = view.vertex_chunks(sweep_grain(n, threads)).collect();
-            }
-            for &u in engine.current() {
-                bits.set(u as usize);
+            if !in_bottom_up {
+                front.fill_from(engine.current());
             }
             // The sweep's cost is the unexplored adjacency mass, so that
-            // is the volume the gate weighs (narrowing the sink slice
-            // narrows the fork width).
+            // is the volume the gate weighs.
             let width = cfg.fork_width(unexplored.min(usize::MAX as u64) as usize, work);
-            bottom_up_level(
+            let sweep = Sweep {
                 view,
-                &visited,
-                &*bits,
-                &dist,
-                &parent,
+                visited: &visited,
+                front: &front,
+                next: &next,
+                dist: &dist,
+                parent: &parent,
                 level,
-                &ranges,
-                &mut bu_sinks[..width.min(threads)],
-                &mut sweep_stats,
-            );
-            for &u in engine.current() {
-                bits.clear(u as usize);
-            }
-            engine.replace_from(&mut bu_sinks);
+            };
+            (frontier_len, found_deg) = sweep.run(&ranges, width, &mut sweep_stats);
+            std::mem::swap(&mut front, &mut next);
         } else {
             stats.top_down_levels += 1;
+            if in_bottom_up {
+                engine.seed(front.iter_ones());
+            }
             let (dist, parent, visited) = (&dist, &parent, &visited);
             engine.advance_hinted(view, Some(frontier_deg), |u, v, _| {
                 if visited.claim(v as usize) {
@@ -175,13 +177,16 @@ pub fn par_bfs_stats<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> (BfsR
                     false
                 }
             });
+            frontier_len = engine.len() as u64;
+            found_deg = engine
+                .current()
+                .iter()
+                .map(|&u| view.degree(u) as u64)
+                .sum();
         }
+        in_bottom_up = bottom_up;
         prev_frontier_deg = frontier_deg;
-        frontier_deg = engine
-            .current()
-            .iter()
-            .map(|&u| view.degree(u) as u64)
-            .sum();
+        frontier_deg = found_deg;
         unexplored = unexplored.saturating_sub(frontier_deg);
     }
     let result = BfsResult {
@@ -194,42 +199,94 @@ pub fn par_bfs_stats<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> (BfsR
     (result, stats)
 }
 
-/// One bottom-up level: every unvisited vertex looks for a frontier
-/// neighbor and claims itself. No claim race exists — vertex ownership
-/// is exclusive to the worker holding its range — so plain stores
-/// suffice; the scope join publishes them to the next level.
-#[allow(clippy::too_many_arguments)]
-fn bottom_up_level<V: GraphView>(
-    view: &V,
-    visited: &AtomicBitset,
-    frontier_bits: &AtomicBitset,
-    dist: &[AtomicU32],
-    parent: &[AtomicU32],
+/// One bottom-up level's shared state.
+struct Sweep<'a, V> {
+    view: &'a V,
+    visited: &'a AtomicBitset,
+    /// This level's frontier, read-only during the sweep.
+    front: &'a AtomicBitset,
+    /// The next frontier: every word is overwritten by its range owner.
+    next: &'a AtomicBitset,
+    dist: &'a [AtomicU32],
+    parent: &'a [AtomicU32],
     level: u32,
-    ranges: &[Range<u32>],
-    sinks: &mut [Vec<u32>],
-    stats: &mut ParStats,
-) {
-    par_range_map_stats(
-        ranges,
-        |r, sink: &mut Vec<u32>| {
-            visited.for_each_unset_in(r.start as usize, r.end as usize, |w| {
-                let hit = view.find_edge(w as u32, |v, _| frontier_bits.test(v as usize));
-                if let Some((v, _)) = hit {
-                    visited.set(w);
-                    // ordering: Relaxed (both) — bottom-up: w's range
-                    // owner is the only writer (invariant 7); the
-                    // level join publishes (invariant 8).
-                    dist[w].store(level, Ordering::Relaxed);
-                    // ordering: Relaxed — see above.
-                    parent[w].store(v, Ordering::Relaxed);
-                    sink.push(w as u32);
+}
+
+impl<V: GraphView> Sweep<'_, V> {
+    /// Every unvisited vertex looks for a frontier neighbor and, on a
+    /// hit, joins the next frontier. A vertex with no entries can never
+    /// be reached, so it is marked visited (its level stays
+    /// `UNREACHED`) and later sweeps skip it with its word. Returns how
+    /// many vertices joined and their total degree; adds the entries
+    /// examined to `stats`.
+    fn run(&self, ranges: &[Range<u32>], width: usize, stats: &mut ParStats) -> (u64, u64) {
+        let totals: [AtomicU64; 3] = Default::default();
+        par_for_ranges_stats(
+            ranges,
+            width,
+            |r| {
+                let sums = self.range(r);
+                for (total, sum) in totals.iter().zip(sums) {
+                    // ordering: Relaxed — one add per range of a
+                    // range-local sum, read after the sweep join
+                    // (invariant 8).
+                    total.fetch_add(sum, Ordering::Relaxed);
                 }
-            });
-        },
-        sinks,
-        stats,
-    );
+            },
+            stats,
+        );
+        let [found, degree, scanned] = totals.map(AtomicU64::into_inner);
+        stats.edges_scanned += scanned;
+        (found, degree)
+    }
+
+    /// One word-aligned range: `[found, degree, scanned]` sums.
+    fn range(&self, r: Range<u32>) -> [u64; 3] {
+        let (lo, hi) = (r.start as usize, r.end as usize);
+        debug_assert_eq!(lo % 64, 0, "sweep ranges start on word boundaries");
+        let (mut found, mut degree, mut scanned) = (0u64, 0u64, 0u64);
+        for word in lo / 64..hi.div_ceil(64) {
+            let base = word * 64;
+            let live = if hi - base >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << (hi - base)) - 1
+            };
+            let seen = self.visited.word(word);
+            let mut todo = !seen & live;
+            let mut new = 0u64;
+            let mut isolated = 0u64;
+            while todo != 0 {
+                let bit = todo.trailing_zeros();
+                todo &= todo - 1;
+                let w = (base as u32) | bit;
+                let before = scanned;
+                let hit = self.view.find_edge(w, |v, _| {
+                    scanned += 1;
+                    self.front.test(v as usize)
+                });
+                if scanned == before {
+                    isolated |= 1u64 << bit;
+                }
+                if let Some((v, _)) = hit {
+                    new |= 1u64 << bit;
+                    // ordering: Relaxed (both) — w's range owner is its
+                    // only writer this level (invariant 7); the level
+                    // join publishes (invariant 8).
+                    self.dist[w as usize].store(self.level, Ordering::Relaxed);
+                    // ordering: Relaxed — see above.
+                    self.parent[w as usize].store(v, Ordering::Relaxed);
+                    found += 1;
+                    degree += self.view.degree(w) as u64;
+                }
+            }
+            if new | isolated != 0 {
+                self.visited.store_word(word, seen | new | isolated);
+            }
+            self.next.store_word(word, new);
+        }
+        [found, degree, scanned]
+    }
 }
 
 #[cfg(test)]
@@ -291,6 +348,19 @@ mod tests {
         let (r, stats) = par_bfs_stats(&g, 0, &cfg);
         assert!(stats.bottom_up_levels >= 1);
         assert_eq!(serial_bfs(&g, 0).dist, r.dist);
+    }
+
+    #[test]
+    fn bottom_up_levels_count_the_entries_they_examine() {
+        // Level 1 is bottom-up: every leaf reads its one entry, the hub.
+        // Level 2 thins out (4000 * beta < n) and expands top-down.
+        let edges: Vec<TimedEdge> = (1..=4000).map(|v| TimedEdge::new(0, v, 1)).collect();
+        let g = CsrGraph::from_edges_undirected(4001, &edges);
+        let cfg = force().with_alpha(usize::MAX).with_beta(1);
+        let (_, stats) = par_bfs_stats(&g, 0, &cfg);
+        assert_eq!((stats.bottom_up_levels, stats.top_down_levels), (1, 1));
+        assert!(stats.runtime.edges_scanned >= 4000, "{:?}", stats.runtime);
+        assert_eq!(stats.runtime.edges_scanned, 4000 + 4000);
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! races on: one bit per vertex, packed 64 to a cache-dense word.
 //! Claiming is a compare-exchange loop on the containing word, so the
 //! caller learns *exactly* whether it was the thread that flipped the
-//! bit — the property BFS needs to assign each vertex one parent and
-//! one level.
+//! bit — the property top-down BFS needs to assign each vertex one
+//! parent and one level.
 //!
-//! Beyond claiming, the runtime depends on two more operations: per-bit
-//! clearing (the bottom-up frontier mask is recycled across levels by
-//! unsetting only the previous frontier's bits) and word-granular unset
-//! iteration ([`AtomicBitset::for_each_unset_in`] skips fully-visited
-//! words 64 vertices at a time in the bottom-up sweep).
+//! Bottom-up BFS needs no claim: it walks the id space in 64-aligned
+//! ranges, one worker per range, so each word has exactly one writer in
+//! a sweep. That worker reads a word (`word`), builds its new bits in a
+//! local `u64` and publishes them with one plain store (`store_word`) —
+//! no read-modify-write at all. `fill_from` and `iter_ones` convert a
+//! frontier between queue and bitmap when the traversal switches
+//! direction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -74,16 +76,6 @@ impl AtomicBitset {
         self.words[i >> 6].fetch_or(1u64 << (i & 63), Ordering::Relaxed);
     }
 
-    /// Clears bit `i`. Used to recycle the bottom-up frontier mask:
-    /// unsetting the previous frontier's bits is O(frontier), not O(n).
-    #[inline]
-    pub fn clear(&self, i: usize) {
-        debug_assert!(i < self.len);
-        // ordering: Relaxed — frontier-mask recycling between levels;
-        // the level join orders it (invariant 8).
-        self.words[i >> 6].fetch_and(!(1u64 << (i & 63)), Ordering::Relaxed);
-    }
-
     /// Reads bit `i`.
     #[inline]
     pub fn test(&self, i: usize) -> bool {
@@ -103,30 +95,48 @@ impl AtomicBitset {
             .sum()
     }
 
-    /// Invokes `f` for every *unset* bit index in `lo..hi`, skipping
-    /// fully-set words wholesale. This is the bottom-up BFS scan: once
-    /// most of the graph is visited, whole 64-vertex words short-circuit
-    /// with one load.
-    pub fn for_each_unset_in(&self, lo: usize, hi: usize, mut f: impl FnMut(usize)) {
-        debug_assert!(hi <= self.len);
-        let mut i = lo;
-        while i < hi {
-            // ordering: Relaxed — bottom-up scan hint; a stale word
-            // only sends extra vertices to the idempotent claim.
-            let w = self.words[i >> 6].load(Ordering::Relaxed);
-            let word_end = ((i >> 6) + 1) << 6;
-            let end = word_end.min(hi);
-            if w == u64::MAX {
-                i = end;
-                continue;
-            }
-            while i < end {
-                if w & (1u64 << (i & 63)) == 0 {
-                    f(i);
-                }
-                i += 1;
-            }
+    /// Word `i`: bits `64 * i .. 64 * i + 64`.
+    #[inline]
+    pub(crate) fn word(&self, i: usize) -> u64 {
+        // ordering: Relaxed — read by the word's only writer, or between
+        // sweeps after the join that ordered its store (invariants 7, 8).
+        self.words[i].load(Ordering::Relaxed)
+    }
+
+    /// Overwrites word `i`. Only for a caller that is the word's one
+    /// writer for the sweep (its range owner): a plain store would drop
+    /// a concurrent [`AtomicBitset::claim`] or [`AtomicBitset::set`].
+    #[inline]
+    pub(crate) fn store_word(&self, i: usize, bits: u64) {
+        // ordering: Relaxed — one writer per word (invariant 7); the
+        // sweep join publishes the store (invariant 8).
+        self.words[i].store(bits, Ordering::Relaxed);
+    }
+
+    /// Clears every bit, then sets the bits of `ids`. Exclusive access
+    /// makes this plain memory writes, no atomics.
+    pub(crate) fn fill_from(&mut self, ids: &[u32]) {
+        for w in &mut self.words {
+            *w.get_mut() = 0;
         }
+        for &i in ids {
+            debug_assert!((i as usize) < self.len);
+            *self.words[i as usize >> 6].get_mut() |= 1u64 << (i & 63);
+        }
+    }
+
+    /// The set bit indices in increasing order.
+    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.words.len()).flat_map(move |i| {
+            let mut bits = self.word(i);
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    (i as u32) << 6 | b
+                })
+            })
+        })
     }
 }
 
@@ -145,15 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_recycles_bits() {
-        let bs = AtomicBitset::new(64);
-        assert!(bs.claim(7));
-        bs.clear(7);
-        assert!(!bs.test(7));
-        assert!(bs.claim(7), "cleared bit is claimable again");
-    }
-
-    #[test]
     fn concurrent_claims_have_one_winner_per_bit() {
         let bs = AtomicBitset::new(500);
         let wins: usize = (0..4000usize)
@@ -165,31 +166,33 @@ mod tests {
     }
 
     #[test]
-    fn unset_iteration_skips_full_words_and_respects_bounds() {
+    fn word_stores_replace_whole_words() {
         let bs = AtomicBitset::new(200);
-        // Fill word 1 (bits 64..128) completely, plus a few stragglers.
-        for i in 64..128 {
-            bs.set(i);
-        }
         bs.set(3);
-        bs.set(130);
-        let mut seen = Vec::new();
-        bs.for_each_unset_in(0, 200, |i| seen.push(i));
-        assert!(!seen.contains(&3));
-        assert!(!seen.contains(&130));
-        assert!(seen.iter().all(|&i| !(64..128).contains(&i)));
-        assert_eq!(seen.len(), 200 - 64 - 2);
-        // Sub-range iteration.
-        let mut sub = Vec::new();
-        bs.for_each_unset_in(128, 132, |i| sub.push(i));
-        assert_eq!(sub, vec![128, 129, 131]);
+        assert_eq!(bs.word(0), 1 << 3);
+        bs.store_word(0, 0b101);
+        assert!(bs.test(0) && !bs.test(1) && bs.test(2) && !bs.test(3));
+        bs.store_word(3, 1 << 7);
+        assert!(bs.test(199));
+        assert_eq!(bs.count_ones(), 3);
+    }
+
+    #[test]
+    fn fill_from_and_iter_ones_round_trip() {
+        let mut bs = AtomicBitset::new(200);
+        bs.set(100);
+        let ids = [0u32, 63, 64, 130, 199];
+        bs.fill_from(&ids);
+        assert!(!bs.test(100), "fill_from clears the old bits first");
+        assert_eq!(bs.iter_ones().collect::<Vec<_>>(), ids);
     }
 
     #[test]
     fn empty_bitset() {
-        let bs = AtomicBitset::new(0);
+        let mut bs = AtomicBitset::new(0);
         assert!(bs.is_empty());
         assert_eq!(bs.count_ones(), 0);
-        bs.for_each_unset_in(0, 0, |_| panic!("no bits to visit"));
+        bs.fill_from(&[]);
+        assert_eq!(bs.iter_ones().count(), 0);
     }
 }

@@ -64,7 +64,9 @@ pub struct ParStats {
     pub chunks_built: u64,
     /// Chunks a worker claimed from another worker's deal.
     pub steals: u64,
-    /// Frontier edge volume scanned through the edge-map path.
+    /// Adjacency entries the kernel examined: every entry of a top-down
+    /// frontier, every entry a bottom-up probe read before it found a
+    /// frontier parent (or ran out), every entry a linking sweep hooked.
     pub edges_scanned: u64,
 }
 
@@ -393,19 +395,23 @@ pub fn par_edge_map<V, T, F>(
     runner.edge_map(view, frontier, visit, sinks);
 }
 
-/// Vertex-range grain for whole-graph sweeps (bottom-up BFS, label
-/// propagation): enough chunks for dynamic balance (8 per worker)
-/// without drowning in claim traffic.
+/// Vertex-range grain for whole-graph sweeps (bottom-up BFS, component
+/// linking): enough chunks for dynamic balance (8 per worker) without
+/// drowning in claim traffic. Always a multiple of 64, so the ranges of
+/// [`GraphView::vertex_chunks`] start on [`crate::AtomicBitset`] word
+/// boundaries and each word belongs to one range.
 pub fn sweep_grain(n: usize, threads: usize) -> usize {
-    (n / (threads * 8).max(1)).clamp(64, 1 << 16)
+    (n / (threads * 8).max(1))
+        .clamp(64, 1 << 16)
+        .next_multiple_of(64)
 }
 
 /// Runs `f` over contiguous sub-ranges of `ranges` (a pre-chunked vertex
 /// id space, typically from [`GraphView::vertex_chunks`]) on `width`
 /// scoped workers with per-worker deals and stealing. `width <= 1` runs
 /// inline; callers derive a volume-gated width with [`fork_width`].
-/// Whole-graph sweeps (pointer jumping, bottom-up scans, grafting) are
-/// built on this.
+/// Whole-graph sweeps (bottom-up scans, component linking and
+/// compression) are built on this.
 pub fn par_for_ranges<F>(ranges: &[Range<u32>], width: usize, f: F)
 where
     F: Fn(Range<u32>) + Sync,
@@ -447,59 +453,6 @@ where
     stats.steals += steals.load(Ordering::Relaxed);
 }
 
-/// Like [`par_for_ranges`] but each worker appends results to its own
-/// sink — the bottom-up BFS discovery loop. The fork width is
-/// `sinks.len()`; pass a sub-slice to narrow it.
-pub fn par_range_map<T, F>(ranges: &[Range<u32>], f: F, sinks: &mut [Vec<T>])
-where
-    T: Send,
-    F: Fn(Range<u32>, &mut Vec<T>) + Sync,
-{
-    let mut stats = ParStats::default();
-    par_range_map_stats(ranges, f, sinks, &mut stats);
-}
-
-/// Like [`par_range_map`], recording the sweep in `stats`.
-pub fn par_range_map_stats<T, F>(
-    ranges: &[Range<u32>],
-    f: F,
-    sinks: &mut [Vec<T>],
-    stats: &mut ParStats,
-) where
-    T: Send,
-    F: Fn(Range<u32>, &mut Vec<T>) + Sync,
-{
-    debug_assert!(!sinks.is_empty());
-    if ranges.is_empty() {
-        return;
-    }
-    let width = sinks.len().min(ranges.len());
-    if width <= 1 {
-        if let Some(sink) = sinks.first_mut() {
-            for r in ranges {
-                f(r.clone(), sink);
-            }
-        }
-        stats.serial_levels += 1;
-        return;
-    }
-    let mut deals = Vec::new();
-    fill_deals(&mut deals, ranges.len(), width);
-    let steals = AtomicU64::new(0);
-    {
-        let (deals, f, steals) = (&deals, &f, &steals);
-        rayon::scope(|s| {
-            for (w, sink) in sinks.iter_mut().take(width).enumerate() {
-                s.spawn(move |_| drain_deals(deals, w, |i| f(ranges[i].clone(), sink), steals));
-            }
-        });
-    }
-    stats.forked_levels += 1;
-    stats.chunks_built += ranges.len() as u64;
-    // ordering: Relaxed — statistics read after the scope join.
-    stats.steals += steals.load(Ordering::Relaxed);
-}
-
 /// Double-buffered frontier state for level-synchronous traversal.
 ///
 /// The current frontier, the per-worker next-frontier buffers, and the
@@ -507,8 +460,8 @@ pub fn par_range_map_stats<T, F>(
 /// levels, so a full BFS allocates each buffer once and then only moves
 /// vertex ids. [`FrontierEngine::advance`] is one top-down level —
 /// inline and *fused in place* below the volume gate, forked above it;
-/// kernels that discover the next frontier by other means (bottom-up
-/// sweeps) splice it in with [`FrontierEngine::replace_from`].
+/// a kernel that discovered a frontier by other means (a bottom-up
+/// sweep) hands it over with [`FrontierEngine::seed`].
 pub struct FrontierEngine {
     runner: LevelRunner,
     current: Vec<u32>,
@@ -562,11 +515,11 @@ impl FrontierEngine {
         self.runner.take_stats()
     }
 
-    /// Seeds the current frontier with a single vertex.
-    pub fn seed(&mut self, v: u32) {
+    /// Replaces the current frontier with `vs`.
+    pub fn seed(&mut self, vs: impl IntoIterator<Item = u32>) {
         self.current.clear();
         self.head = 0;
-        self.current.push(v);
+        self.current.extend(vs);
     }
 
     /// The current frontier.
@@ -650,17 +603,6 @@ impl FrontierEngine {
         );
         self.swap_in_next();
         self.len()
-    }
-
-    /// Replaces the current frontier by draining `parts` (worker buffers
-    /// filled outside the engine, e.g. by a bottom-up sweep).
-    pub fn replace_from(&mut self, parts: &mut [Vec<u32>]) {
-        self.current.clear();
-        self.head = 0;
-        for p in parts {
-            self.current.extend_from_slice(p);
-            p.clear();
-        }
     }
 
     /// Drops the consumed prefix left behind by fused serial levels so
@@ -778,7 +720,7 @@ mod tests {
         let g = star(500);
         let claimed = AtomicBitset::new(501);
         let mut engine = FrontierEngine::new(4, 32);
-        engine.seed(0);
+        engine.seed([0]);
         claimed.set(0);
         let next = engine.advance(&g, |_, v, _| claimed.claim(v as usize));
         assert_eq!(next, 500, "every leaf claimed exactly once");
@@ -816,8 +758,10 @@ mod tests {
         // Tiny n clamps to the floor, huge n to the ceiling.
         assert_eq!(sweep_grain(0, 4), 64);
         assert_eq!(sweep_grain(1 << 26, 1), 1 << 16);
-        // In between: n / (8 * threads).
-        assert_eq!(sweep_grain(6400, 4), 200);
+        // In between: n / (8 * threads), rounded up to whole words.
+        assert_eq!(sweep_grain(6400, 4), 256);
+        assert_eq!(sweep_grain(8192, 4), 256);
+        assert_eq!(sweep_grain(1000, 1), 128);
         // threads = 0 degrades to one giant (clamped) chunk.
         assert_eq!(sweep_grain(100_000, 0), 1 << 16);
     }
@@ -849,7 +793,7 @@ mod tests {
         let claimed = AtomicBitset::new(601);
         claimed.set(0);
         let mut eng = FrontierEngine::new(4, 32).with_level_gate(600);
-        eng.seed(0);
+        eng.seed([0]);
         assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 600);
         let s = eng.take_stats();
         assert_eq!((s.serial_levels, s.forked_levels), (1, 0));
@@ -859,7 +803,7 @@ mod tests {
         let claimed = AtomicBitset::new(601);
         claimed.set(0);
         let mut eng = FrontierEngine::new(4, 32).with_level_gate(599);
-        eng.seed(0);
+        eng.seed([0]);
         assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 600);
         let s = eng.take_stats();
         assert_eq!((s.serial_levels, s.forked_levels), (0, 1));
@@ -877,7 +821,7 @@ mod tests {
         let claimed = AtomicBitset::new(100);
         claimed.set(0);
         let mut eng = FrontierEngine::new(4, 32).with_level_gate(usize::MAX);
-        eng.seed(0);
+        eng.seed([0]);
         let mut levels = 0u32;
         while !eng.is_empty() {
             eng.advance(&g, |_, v, _| claimed.claim(v as usize));
@@ -905,7 +849,7 @@ mod tests {
         let claimed = AtomicBitset::new(301);
         claimed.set(0);
         let mut eng = FrontierEngine::new(4, 32).with_level_gate(usize::MAX);
-        eng.seed(0);
+        eng.seed([0]);
         assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 1);
         assert_eq!(eng.current(), &[1]);
         eng.set_level_gate(0);

@@ -16,14 +16,17 @@
 //!   proportional to the volume), consecutive serial levels fuse in
 //!   place without buffer swaps, and every decision is counted in
 //!   [`ParStats`].
-//! - [`AtomicBitset`] — the visited/claim structure: one
-//!   compare-exchange per discovered vertex decides which thread owns
-//!   its level and parent.
+//! - [`AtomicBitset`] — the visited set and the bottom-up frontier: a
+//!   top-down claim is one compare-exchange per discovered vertex; a
+//!   bottom-up sweep has one writer per 64-vertex word, which publishes
+//!   the word with one plain store.
 //! - [`par_bfs`] — direction-optimizing BFS (top-down through the
-//!   engine, bottom-up over unvisited vertex ranges once the frontier is
-//!   dense; see [`bfs`] for the switch heuristic).
-//! - [`par_cc`] — Shiloach–Vishkin label propagation with pointer
-//!   jumping; canonical min-id labels, bit-identical to the serial
+//!   engine, bottom-up over 64-aligned vertex ranges on a bitmap
+//!   frontier once the frontier is dense; see [`bfs`] for the switch
+//!   heuristic).
+//! - [`par_cc`] — Afforest: CAS linking where the lower id wins, over a
+//!   sampled subgraph first, then every edge outside the most frequent
+//!   component; canonical min-id labels, bit-identical to the serial
 //!   union-find kernel at any thread count.
 //! - [`par_sssp`] — Δ-stepping with parallel CAS-min bucket relaxation.
 //! - [`par_bc`] — multi-source Brandes betweenness centrality, exact or

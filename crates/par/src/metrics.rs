@@ -42,7 +42,7 @@ fn par_metrics() -> &'static ParMetrics {
             ),
             edges_scanned: r.counter(
                 "snap_par_edges_scanned_total",
-                "Frontier edge volume scanned through the edge-map path",
+                "Adjacency entries examined by kernel levels and sweeps",
             ),
         }
     })

@@ -8,6 +8,13 @@
 //! counts named in `SNAP_THREADS`), on both read paths: live
 //! [`DynGraph`] views and CSR snapshots.
 //!
+//! `par_cc` and `connected_components` are both union-find, so
+//! components are also checked against min-id labels built from
+//! `serial_bfs`, a traversal that shares no code with either — among
+//! them on the shapes Afforest's skip rule must get right: a largest
+//! component without vertex 0, a tie for largest, isolated vertices and
+//! `n % 64 != 0`.
+//!
 //! The parallel path is forced (`serial_threshold = 0`) so these graphs
 //! exercise the frontier engine, the atomic claim protocol, and the
 //! direction-optimizing switch rather than the serial fallback — and the
@@ -189,10 +196,29 @@ fn check_bfs<V: GraphView>(view: &V, label: &str, threads: usize) {
     assert_valid_parents(view, 0, &par.dist, &par.parent);
 }
 
+/// Canonical min-id component labels from serial BFS: sources in
+/// increasing id order, so each component is labeled by its minimum.
+fn bfs_labels<V: GraphView>(view: &V) -> Vec<u32> {
+    let n = view.num_vertices();
+    let mut labels = vec![UNREACHED; n];
+    for s in 0..n as u32 {
+        if labels[s as usize] != UNREACHED {
+            continue;
+        }
+        for (v, &d) in serial_bfs(view, s).dist.iter().enumerate() {
+            if d != UNREACHED {
+                labels[v] = s;
+            }
+        }
+    }
+    labels
+}
+
 fn check_cc<V: GraphView>(view: &V, label: &str, threads: usize) {
     let serial = connected_components(view);
     let par = thread_pool(threads).install(|| par_cc_with(view, &force()));
     assert_eq!(par, serial, "{label}: component labels @ {threads}t");
+    assert_eq!(par, bfs_labels(view), "{label}: BFS labels @ {threads}t");
 }
 
 fn check_sssp<V: GraphView>(view: &V, label: &str, threads: usize) {
@@ -269,13 +295,79 @@ fn par_bfs_matches_serial_everywhere() {
 
 #[test]
 fn par_cc_matches_serial_everywhere() {
-    for case in cases().iter().filter(|c| !c.directed) {
-        let csr = csr_of(case);
-        let live = live_of(case);
+    let undirected = cases().into_iter().filter(|c| !c.directed);
+    for case in undirected.chain(component_cases()) {
+        let csr = csr_of(&case);
+        let live = live_of(&case);
         for &t in &thread_sweep() {
             check_cc(&csr, &format!("{} (csr)", case.name), t);
             check_cc(&live, &format!("{} (live)", case.name), t);
         }
+    }
+}
+
+/// Undirected shapes for Afforest's skip rule: its sampled root must be
+/// skipped safely wherever it lands. Every `n` is off a 64-multiple.
+fn component_cases() -> Vec<Case> {
+    let dense = |lo: u32, hi: u32| -> Vec<TimedEdge> {
+        // Every vertex to its next three: one dense component.
+        (lo..hi)
+            .flat_map(|u| (u + 1..(u + 4).min(hi)).map(move |v| TimedEdge::new(u, v, 1)))
+            .collect()
+    };
+    // Path 0..40, largest component 100..400, cycle 450..520, two
+    // triangles 530..536 bridged by each end's third entry (only the
+    // link sweep after sampling joins them), the rest isolated.
+    let mut several = line(40, false);
+    several.extend(dense(100, 400));
+    several.extend((450..520).map(|i| TimedEdge::new(i, if i == 519 { 450 } else { i + 1 }, 1)));
+    for t in [530, 533] {
+        several
+            .extend([(t, t + 1), (t + 1, t + 2), (t, t + 2)].map(|(u, v)| TimedEdge::new(u, v, 1)));
+    }
+    several.push(TimedEdge::new(530, 533, 1));
+    // Two equal stars (a sampler tie) and isolated vertices between.
+    let mut tie: Vec<TimedEdge> = (11..=210).map(|v| TimedEdge::new(10, v, 1)).collect();
+    tie.extend((301..=500).map(|v| TimedEdge::new(300, v, 1)));
+    vec![
+        Case {
+            name: "several-components",
+            n: 600,
+            edges: several,
+            directed: false,
+        },
+        Case {
+            name: "tied-largest",
+            n: 700,
+            edges: tie,
+            directed: false,
+        },
+        Case {
+            name: "isolates-only",
+            n: 130,
+            edges: Vec::new(),
+            directed: false,
+        },
+    ]
+}
+
+#[test]
+fn forced_bottom_up_from_a_small_component() {
+    // Source 460 sits on the 70-vertex cycle, not in the largest
+    // component; every sweep walks all 600 ids, isolated ones included.
+    let cfg = force().with_alpha(usize::MAX).with_beta(1);
+    let case = &component_cases()[0];
+    let csr = csr_of(case);
+    let live = live_of(case);
+    let serial = serial_bfs(&csr, 460);
+    for &t in &thread_sweep() {
+        let (p_csr, s_csr) = thread_pool(t).install(|| par_bfs_stats(&csr, 460, &cfg));
+        let (p_live, _) = thread_pool(t).install(|| par_bfs_stats(&live, 460, &cfg));
+        assert!(s_csr.bottom_up_levels > 0, "never went bottom-up @ {t}t");
+        assert_eq!(p_csr.dist, serial.dist, "csr bottom-up @ {t}t");
+        assert_eq!(p_live.dist, serial.dist, "live bottom-up @ {t}t");
+        assert_valid_parents(&csr, 460, &p_csr.dist, &p_csr.parent);
+        assert_valid_parents(&live, 460, &p_live.dist, &p_live.parent);
     }
 }
 
@@ -301,6 +393,7 @@ fn check_adaptive<V: GraphView>(view: &V, cfg: &ParConfig, label: &str, t: usize
         let labels = connected_components(view);
         let par = thread_pool(t).install(|| par_cc_with(view, cfg));
         assert_eq!(par, labels, "{label}: CC @ {t}t");
+        assert_eq!(par, bfs_labels(view), "{label}: CC vs BFS labels @ {t}t");
     }
     let oracle = dijkstra(view, 0);
     let par = thread_pool(t).install(|| par_sssp_with(view, 0, 16, cfg));
