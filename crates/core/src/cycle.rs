@@ -9,7 +9,8 @@ use crate::engine::{apply_ranged, check_endpoints, RANGE_BUDGET};
 use crate::graph::DynGraph;
 use crate::indexes::IndexRoutes;
 use snap_rmat::Update;
-use std::sync::Arc;
+use snap_util::timer::Timer;
+use std::sync::{Arc, OnceLock};
 
 /// One engine's write side: the serving writer thread owns one, and
 /// [`crate::manager::SnapshotManager`] holds one behind its lock. Either
@@ -89,17 +90,20 @@ impl Cycle {
         stream: &[Update],
         workers: usize,
     ) -> usize {
+        let absorb_ns = absorb_ns();
         let changed = match stream {
             [upd] => {
                 check_endpoints(0, upd, graph.num_vertices());
                 let changed = graph.apply(upd);
                 if changed {
+                    let _t = Timer::scope(absorb_ns);
                     routes.absorb(graph, [upd]);
                 }
                 usize::from(changed)
             }
             _ => {
                 let changed = apply_ranged(graph, stream, workers, RANGE_BUDGET);
+                let _t = Timer::scope(absorb_ns);
                 routes.absorb(graph, changed.iter().map(|i| &stream[i as usize]));
                 changed.count()
             }
@@ -141,6 +145,19 @@ impl Cycle {
             self.spare = Some(csr);
         }
     }
+}
+
+/// Per-run time of [`IndexRoutes::absorb`], shared by every cycle in the
+/// process (a ZST no-op without the `obs` feature): the index half of a
+/// run, beside the applier's own timers in [`crate::engine`].
+fn absorb_ns() -> &'static snap_obs::Histogram {
+    static H: OnceLock<snap_obs::Histogram> = OnceLock::new();
+    H.get_or_init(|| {
+        snap_obs::MetricsRegistry::global().histogram(
+            "snap_cycle_absorb_ns",
+            "Per absorb of a cycle run: noting its changes into the attached indexes and settling them (ns)",
+        )
+    })
 }
 
 #[cfg(test)]

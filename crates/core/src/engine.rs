@@ -5,14 +5,17 @@
 //! applier, [`apply_vpart_indexed`], and it is the paper's `Vpart` and
 //! its batched scheme at once:
 //!
-//! 1. a coarse histogram over source vertices cuts the vertex space into
-//!    ranges of about a fixed number of half-updates each (one or two for
-//!    a serving cycle, a dozen or so for a million-update batch);
-//! 2. workers claim ranges from a shared counter; for its range a worker
-//!    scans the stream once, keeps the half-updates whose source falls in
-//!    the range (the paper's "every worker scans the stream" — scratch
-//!    stays bounded by the range, whatever the batch size), and
-//!    counting-sorts them by source, stably, in buffers it reuses;
+//! 1. one parallel pass over the stream, a chunk per worker, counts its
+//!    half-updates in a coarse histogram over source vertices, and the
+//!    summed histogram cuts the vertex space into ranges of about a fixed
+//!    number of half-updates each (one for a serving cycle, a dozen or so
+//!    for a million-update batch);
+//! 2. a second parallel pass writes every half-update once into a buffer
+//!    laid out range-major, then chunk-minor (16 B per half-update, freed
+//!    when the call returns), so each range's slice keeps stream order —
+//!    the stream is read twice, whatever the number of ranges; workers
+//!    then claim ranges from a shared counter and counting-sort their
+//!    range's slice by source, stably, in buffers they reuse;
 //! 3. each vertex's group goes to
 //!    [`DynamicAdjacency::apply_group`] as a unit: one lock acquisition,
 //!    and for treap-backed vertices a merge and one rebuild when the
@@ -56,12 +59,14 @@ use crate::csr::RowSet;
 use crate::graph::DynGraph;
 pub use crate::indexes::IndexRoutes;
 pub use crate::manager::SnapshotManager;
-use parking_lot::Mutex;
 use rayon::prelude::*;
 use snap_rmat::{Update, UpdateKind};
 use snap_util::sort::semi_sort_by_key;
+use snap_util::timer::Timer;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Applies every update via a parallel iterator (the streaming default).
@@ -99,40 +104,32 @@ fn halves(idx: usize, u: &Update, directed: bool) -> (HalfUpdate, Option<HalfUpd
     (half(e.u, e.v), back)
 }
 
-/// The stream's [`checked_halves`] as one vector, in stream order.
-fn expand_half_updates(updates: &[Update], n: usize, directed: bool) -> Vec<HalfUpdate> {
-    let mut out = Vec::with_capacity(updates.len() * if directed { 1 } else { 2 });
-    checked_halves(updates, n, directed, |there, back| {
-        out.push(there);
-        out.extend(back);
-    });
-    out
-}
-
-/// Feeds `f` the [`halves`] of every update, in stream order, after
-/// checking the contract the batch appliers hold a stream to before they
-/// touch the graph: it fits the half-update tag and names only vertices
-/// below `n`.
+/// The [`halves`] of every update, in stream order, after checking the
+/// contract the batch appliers hold a stream to before they touch the
+/// graph: it fits the half-update tag and names only vertices below `n`.
 ///
 /// # Panics
 ///
 /// Otherwise, naming the offending update.
-fn checked_halves(
-    updates: &[Update],
-    n: usize,
-    directed: bool,
-    mut f: impl FnMut(HalfUpdate, Option<HalfUpdate>),
-) {
+fn expand_half_updates(updates: &[Update], n: usize, directed: bool) -> Vec<HalfUpdate> {
+    check_len(updates);
+    let mut out = Vec::with_capacity(updates.len() * if directed { 1 } else { 2 });
+    for (idx, u) in updates.iter().enumerate() {
+        check_endpoints(idx, u, n);
+        let (there, back) = halves(idx, u, directed);
+        out.push(there);
+        out.extend(back);
+    }
+    out
+}
+
+/// Panics unless the stream fits the half-update tag.
+fn check_len(updates: &[Update]) {
     assert!(
         updates.len() <= HalfUpdate::MAX_INDEX,
         "a batch holds at most 2^31 updates, not {}",
         updates.len()
     );
-    for (idx, u) in updates.iter().enumerate() {
-        check_endpoints(idx, u, n);
-        let (there, back) = halves(idx, u, directed);
-        f(there, back);
-    }
 }
 
 /// Panics unless both endpoints of `u`, the `idx`-th update of its batch,
@@ -171,13 +168,12 @@ pub fn apply_batched<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update]) {
     apply_vpart(g, updates, 0);
 }
 
-/// Half-updates one vertex range holds, about: what a worker gathers,
-/// sorts and applies at a time. Large enough that a hub's whole group
-/// fits one range; small enough that the two scratch buffers (16 B per
-/// half-update each) stay at a few MB per worker and a million-update
-/// batch still splits into more ranges than workers. The serving writer
-/// sizes its cycles by it too: under a backlog it takes queued batches
-/// until the cycle's stream fills one range.
+/// Half-updates one vertex range holds, about: what a worker sorts and
+/// applies at a time. Large enough that a hub's whole group fits one
+/// range; small enough that a million-update batch still splits into
+/// more ranges than workers and a range's sort runs in cache. The
+/// serving writer sizes its cycles by it too: under a backlog it takes
+/// queued batches until the cycle's stream fills one range.
 pub(crate) const RANGE_BUDGET: usize = 1 << 17;
 
 /// Log2 of the buckets in the coarse source-vertex histogram the ranges
@@ -235,81 +231,241 @@ pub(crate) fn apply_ranged<A: DynamicAdjacency>(
     workers: usize,
     budget: usize,
 ) -> RowSet {
-    let ranges = cut_ranges(g, updates, budget);
+    let metrics = apply_metrics();
+    let part = {
+        let _t = Timer::scope(&metrics.partition_ns);
+        Partition::new(g, updates, workers, budget)
+    };
     let next = AtomicUsize::new(0);
-    let work = || {
+    let walkers = resolve_workers(workers).min(part.ranges.len()).max(1);
+    let changed = fork_each((0..walkers).collect(), |_| {
         let mut worker = RangeWorker::new(updates.len());
-        // ordering: Relaxed — a claim counter: the RMW alone hands each
-        // range to exactly one worker (invariant 8), and what a worker
-        // writes is published by the scope barrier, not through it.
-        while let Some(range) = ranges.get(next.fetch_add(1, Ordering::Relaxed)) {
-            worker.walk(g, updates, range);
-        }
-        worker.changed
-    };
-    let changed = match resolve_workers(workers).min(ranges.len()) {
-        0 | 1 => work(),
-        workers => {
-            let others = Mutex::new(Vec::new());
-            let mine = rayon::scope(|s| {
-                for _ in 1..workers {
-                    s.spawn(|_| {
-                        let bits = work();
-                        others.lock().push(bits);
-                    });
-                }
-                work()
-            });
-            others.into_inner().into_iter().fold(mine, |mut all, bits| {
-                all.union_with(&bits);
-                all
-            })
-        }
-    };
-    changed
-}
-
-/// Checks the stream ([`checked_halves`]) and cuts the vertex space into
-/// consecutive ranges holding about `budget` half-updates each, along a
-/// coarse histogram of their sources. Vertices past the last update's
-/// bucket are in no range.
-fn cut_ranges<A: DynamicAdjacency>(
-    g: &DynGraph<A>,
-    updates: &[Update],
-    budget: usize,
-) -> Vec<Range<usize>> {
-    let n = g.num_vertices();
-    let shift = source_bits(n).saturating_sub(HISTOGRAM_BITS);
-    let mut histogram = vec![0usize; (n >> shift) + 1];
-    checked_halves(updates, n, g.is_directed(), |there, back| {
-        for h in [Some(there), back].into_iter().flatten() {
-            histogram[h.src as usize >> shift] += 1;
+        loop {
+            // ordering: Relaxed — a claim counter: the RMW alone hands
+            // each range to exactly one worker (invariant 8), and what a
+            // worker writes is published by the scope barrier, not
+            // through it.
+            let r = next.fetch_add(1, Ordering::Relaxed);
+            let Some(range) = part.ranges.get(r) else {
+                break worker.changed;
+            };
+            worker.walk(g, range, part.slice(r), metrics);
         }
     });
-    let mut ranges = Vec::new();
-    let (mut start, mut load) = (0, 0);
-    for (bucket, count) in histogram.into_iter().enumerate() {
-        load += count;
+    changed
+        .into_iter()
+        .reduce(|mut all, bits| {
+            all.union_with(&bits);
+            all
+        })
+        .unwrap_or_else(|| RowSet::new(updates.len()))
+}
+
+/// The stream of one [`apply_ranged`] call, semi-sorted by source
+/// vertex: the vertex space cut into consecutive ranges of about
+/// `budget` half-updates each, and every half-update of the stream
+/// written once into its range's slice, in stream order.
+struct Partition {
+    /// Consecutive vertex ranges from 0 to n; none for an empty stream.
+    ranges: Vec<Range<usize>>,
+    /// Range `r`'s half-updates are `halves[starts[r]..starts[r + 1]]`.
+    starts: Vec<usize>,
+    halves: Vec<HalfUpdate>,
+}
+
+impl Partition {
+    /// Reads the stream twice, one chunk per worker each time (one chunk
+    /// when the stream fits one range: a serving cycle partitions
+    /// inline). The first pass checks the stream ([`check_endpoints`])
+    /// and counts each chunk's half-updates per bucket of a coarse
+    /// source histogram; the ranges are cut along the summed counts. The
+    /// second pass writes every half-update into a buffer laid out
+    /// range-major, then chunk-minor, each chunk into slices of its own,
+    /// so a range's slice keeps stream order.
+    ///
+    /// # Panics
+    ///
+    /// Before anything is written, if the stream holds more than 2^31
+    /// updates or one names a vertex outside the graph (the first such
+    /// update, whatever the chunking).
+    fn new<A: DynamicAdjacency>(
+        g: &DynGraph<A>,
+        updates: &[Update],
+        workers: usize,
+        budget: usize,
+    ) -> Self {
+        check_len(updates);
+        let (n, directed) = (g.num_vertices(), g.is_directed());
+        let shift = source_bits(n).saturating_sub(HISTOGRAM_BITS);
+        let buckets = (n >> shift) + 1;
+        let len = chunk_len(updates.len(), directed, workers, budget);
+        let chunks: Vec<(usize, &[Update])> = updates
+            .chunks(len)
+            .enumerate()
+            .map(|(c, chunk)| (c * len, chunk))
+            .collect();
+
+        let histograms = fork_each(chunks.clone(), |(first, chunk)| {
+            let mut histogram = vec![0usize; buckets];
+            for (i, u) in chunk.iter().enumerate() {
+                let (a, b) = (u.edge.u as usize, u.edge.v as usize);
+                if a.max(b) >= n {
+                    return Err(first + i);
+                }
+                histogram[a >> shift] += 1;
+                if !directed && a != b {
+                    histogram[b >> shift] += 1;
+                }
+            }
+            Ok(histogram)
+        });
+        // Chunks in stream order: the first refusal names the first
+        // offending update.
+        let histograms: Vec<Vec<usize>> = histograms
+            .into_iter()
+            .map(|h| {
+                h.unwrap_or_else(|idx| {
+                    check_endpoints(idx, &updates[idx], n);
+                    unreachable!("update {idx} passed its endpoint check twice")
+                })
+            })
+            .collect();
+
+        let bounds = cut(&histograms, buckets, budget);
+        let ranges: Vec<Range<usize>> = bounds
+            .windows(2)
+            .map(|w| (w[0] << shift).min(n)..(w[1] << shift).min(n))
+            .collect();
+        let mut range_of = vec![0; buckets];
+        for (r, w) in bounds.windows(2).enumerate() {
+            range_of[w[0]..w[1]].fill(r);
+        }
+
+        // Carve the buffer into (range, chunk) slices, range-major.
+        let sizes: Vec<Vec<usize>> = histograms
+            .iter()
+            .map(|h| {
+                bounds
+                    .windows(2)
+                    .map(|w| h[w[0]..w[1]].iter().sum())
+                    .collect()
+            })
+            .collect();
+        let total = sizes.iter().flatten().sum();
+        let mut buffer: Vec<HalfUpdate> = Vec::with_capacity(total);
+        let mut starts = Vec::with_capacity(ranges.len() + 1);
+        let mut slices: Vec<Vec<&mut [MaybeUninit<HalfUpdate>]>> =
+            chunks.iter().map(|_| Vec::new()).collect();
+        let (mut rest, mut start) = (&mut buffer.spare_capacity_mut()[..total], 0);
+        for r in 0..ranges.len() {
+            starts.push(start);
+            for (mine, size) in slices.iter_mut().zip(&sizes) {
+                let (slice, tail) = std::mem::take(&mut rest).split_at_mut(size[r]);
+                mine.push(slice);
+                (rest, start) = (tail, start + size[r]);
+            }
+        }
+        starts.push(start);
+
+        fork_each(
+            chunks.into_iter().zip(slices).collect(),
+            |((first, chunk), mut slices)| {
+                let mut cursors = vec![0; slices.len()];
+                for (i, u) in chunk.iter().enumerate() {
+                    let (there, back) = halves(first + i, u, directed);
+                    for h in [Some(there), back].into_iter().flatten() {
+                        let r = range_of[h.src as usize >> shift];
+                        slices[r][cursors[r]].write(h);
+                        cursors[r] += 1;
+                    }
+                }
+                // The chunk's counts came from the same halves, so this
+                // holds; it is what makes `set_len` below sound.
+                assert!(
+                    slices.iter().zip(&cursors).all(|(s, &c)| s.len() == c),
+                    "a chunk's scatter left a slot of its slices unwritten"
+                );
+            },
+        );
+        // SAFETY: the slices partition slots 0..total, and every chunk
+        // wrote each slot of its own slices (the assert above, joined
+        // before this line; a panicking chunk never gets here).
+        unsafe { buffer.set_len(total) };
+        Self {
+            ranges,
+            starts,
+            halves: buffer,
+        }
+    }
+
+    /// Range `r`'s half-updates, in stream order.
+    fn slice(&self, r: usize) -> &[HalfUpdate] {
+        &self.halves[self.starts[r]..self.starts[r + 1]]
+    }
+}
+
+/// Bucket bounds of the ranges along the chunks' summed `histograms`:
+/// each range closes once it holds `budget` half-updates, and the last
+/// one runs to the end. Just `[0]` for an empty stream.
+fn cut(histograms: &[Vec<usize>], buckets: usize, budget: usize) -> Vec<usize> {
+    let mut bounds = vec![0];
+    let mut load = 0;
+    for bucket in 0..buckets {
+        load += histograms.iter().map(|h| h[bucket]).sum::<usize>();
         if load >= budget {
-            let end = ((bucket + 1) << shift).min(n);
-            ranges.push(start..end);
-            (start, load) = (end, 0);
+            bounds.push(bucket + 1);
+            load = 0;
         }
     }
     if load > 0 {
-        ranges.push(start..n);
+        bounds.push(buckets);
+    } else if bounds.len() > 1 {
+        let last = bounds.len() - 1;
+        bounds[last] = buckets;
     }
-    ranges
+    bounds
+}
+
+/// Updates per chunk of a stream [`Partition::new`] reads: one chunk per
+/// worker, and a single chunk when the stream fits one range.
+fn chunk_len(updates: usize, directed: bool, workers: usize, budget: usize) -> usize {
+    let most = updates << usize::from(!directed);
+    let chunks = resolve_workers(workers).min(most.div_ceil(budget.max(1)));
+    updates.div_ceil(chunks.max(1)).max(1)
+}
+
+/// Runs `f` on every item at once, a thread each (the calling thread
+/// takes the first, so one item spawns nothing), and returns the results
+/// in item order.
+fn fork_each<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    rayon::scope(|s| {
+        let f = &f;
+        let mut jobs = items.into_iter().zip(results.iter_mut());
+        let mine = jobs.next();
+        for (item, slot) in jobs {
+            s.spawn(move |_| *slot = Some(f(item)));
+        }
+        if let Some((item, slot)) = mine {
+            *slot = Some(f(item));
+        }
+    });
+    // panics: unreachable — the scope joined every job, and each job
+    // filled its slot.
+    results
+        .into_iter()
+        .map(|r| r.expect("a joined job"))
+        .collect()
 }
 
 /// One worker of [`apply_ranged`]: the buffers it reuses from range to
 /// range, and the updates it saw change the graph.
 struct RangeWorker {
-    /// The range's half-updates in stream order, then sorted by source.
-    kept: Vec<HalfUpdate>,
+    /// The range's half-updates sorted by source, in a prefix: the
+    /// buffer only grows, so the sort writes each slot once.
     sorted: Vec<HalfUpdate>,
     /// Per vertex of the range: where its group starts in `sorted`
-    /// (after the scatter: where it ends).
+    /// (after the sort: where it ends).
     cursors: Vec<usize>,
     /// One bit per update of the stream. Worker-local, so no atomics; an
     /// update's verdict is the OR over workers, taken after the barrier.
@@ -319,58 +475,49 @@ struct RangeWorker {
 impl RangeWorker {
     fn new(updates: usize) -> Self {
         Self {
-            kept: Vec::new(),
             sorted: Vec::new(),
             cursors: Vec::new(),
             changed: RowSet::new(updates),
         }
     }
 
-    /// Applies every half-update whose source lies in `range`: gather
-    /// from one scan of the stream, counting-sort by source (stable, so
-    /// a vertex's group keeps stream order), one
+    /// Applies `halves`, the half-updates whose source lies in `range`
+    /// in stream order: counting-sort by source (stable, so a vertex's
+    /// group keeps stream order), one
     /// [`DynamicAdjacency::apply_group`] per vertex.
     fn walk<A: DynamicAdjacency>(
         &mut self,
         g: &DynGraph<A>,
-        updates: &[Update],
         range: &Range<usize>,
+        halves: &[HalfUpdate],
+        metrics: &ApplyMetrics,
     ) {
         let Self {
-            kept,
             sorted,
             cursors,
             changed,
         } = self;
-        kept.clear();
-        cursors.clear();
-        cursors.resize(range.len(), 0);
-        let inside = |vertex: u32| range.contains(&(vertex as usize));
-        for (idx, u) in updates.iter().enumerate() {
-            // Most of the stream lies outside the range: one test per
-            // update rejects it before its halves are formed.
-            if !(inside(u.edge.u) | inside(u.edge.v)) {
-                continue;
+        {
+            let _t = Timer::scope(&metrics.sort_ns);
+            cursors.clear();
+            cursors.resize(range.len(), 0);
+            for h in halves {
+                cursors[h.src as usize - range.start] += 1;
             }
-            let (there, back) = halves(idx, u, g.is_directed());
-            for h in [Some(there), back].into_iter().flatten() {
-                if inside(h.src) {
-                    cursors[h.src as usize - range.start] += 1;
-                    kept.push(h);
-                }
+            let mut start = 0;
+            for cursor in cursors.iter_mut() {
+                start += std::mem::replace(cursor, start);
+            }
+            if let Some(&h) = halves.first() {
+                sorted.resize(sorted.len().max(halves.len()), h);
+            }
+            for h in halves {
+                let cursor = &mut cursors[h.src as usize - range.start];
+                sorted[*cursor] = *h;
+                *cursor += 1;
             }
         }
-        let mut start = 0;
-        for cursor in cursors.iter_mut() {
-            start += std::mem::replace(cursor, start);
-        }
-        sorted.clear();
-        sorted.extend_from_slice(kept);
-        for h in kept.iter() {
-            let cursor = &mut cursors[h.src as usize - range.start];
-            sorted[*cursor] = *h;
-            *cursor += 1;
-        }
+        let _t = Timer::scope(&metrics.groups_ns);
         let mut start = 0;
         for (vertex, &end) in range.clone().zip(cursors.iter()) {
             if end > start {
@@ -382,6 +529,37 @@ impl RangeWorker {
             }
         }
     }
+}
+
+/// Applier instrumentation, shared by every call in the process (ZST
+/// no-ops without the `obs` feature): where an [`apply_ranged`] call's
+/// time goes. Timed per call and per range, never per group: a clock
+/// read costs as much as a small group.
+struct ApplyMetrics {
+    partition_ns: snap_obs::Histogram,
+    sort_ns: snap_obs::Histogram,
+    groups_ns: snap_obs::Histogram,
+}
+
+fn apply_metrics() -> &'static ApplyMetrics {
+    static M: OnceLock<ApplyMetrics> = OnceLock::new();
+    M.get_or_init(|| {
+        let r = snap_obs::MetricsRegistry::global();
+        ApplyMetrics {
+            partition_ns: r.histogram(
+                "snap_apply_partition_ns",
+                "Per applier call: the stream's two reads, histogram and stable scatter by vertex range (ns)",
+            ),
+            sort_ns: r.histogram(
+                "snap_apply_sort_ns",
+                "Per applier range: counting sort of the range's half-updates by source (ns)",
+            ),
+            groups_ns: r.histogram(
+                "snap_apply_groups_ns",
+                "Per applier range: the per-vertex group applies (ns)",
+            ),
+        }
+    })
 }
 
 /// `Epart` configuration: a vertex is "hot" if the current batch contains
@@ -720,17 +898,75 @@ pub(crate) mod tests {
         }
     }
 
+    /// Partitions `s` on `workers` and checks the result: contiguous
+    /// ranges from 0 to n, and each range's slice exactly the stream's
+    /// half-updates with a source in it, in stream order. Returns the
+    /// range count.
+    fn check_partition<A: DynamicAdjacency>(
+        g: &DynGraph<A>,
+        s: &[Update],
+        workers: usize,
+        budget: usize,
+    ) -> usize {
+        let n = g.num_vertices();
+        let part = Partition::new(g, s, workers, budget);
+        let ranges = &part.ranges;
+        if let (Some(first), Some(last)) = (ranges.first(), ranges.last()) {
+            assert_eq!((first.start, last.end), (0, n));
+        }
+        assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+        let stream = expand_half_updates(s, n, g.is_directed());
+        assert_eq!(part.halves.len(), stream.len());
+        for (r, range) in ranges.iter().enumerate() {
+            let want: Vec<HalfUpdate> = stream
+                .iter()
+                .filter(|h| range.contains(&(h.src as usize)))
+                .copied()
+                .collect();
+            assert_eq!(
+                part.slice(r),
+                want,
+                "range {r} of {workers} workers, budget {budget}"
+            );
+        }
+        ranges.len()
+    }
+
     #[test]
-    fn applier_cuts_ranges_by_budget_and_covers_every_update() {
+    fn applier_partitions_the_stream_by_range_in_stream_order() {
         let (n, s) = workload();
         let g: DynGraph<DynArr> = DynGraph::undirected(n, &CapacityHints::new(s.len() * 2));
         let halves = count_expected_halves(&s);
-        assert_eq!(cut_ranges(&g, &s, halves).len(), 1, "a batch within budget");
-        let ranges = cut_ranges(&g, &s, halves / 8);
-        assert!((4..=8).contains(&ranges.len()), "{} ranges", ranges.len());
-        assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
-        assert_eq!((ranges[0].start, ranges[ranges.len() - 1].end), (0, n));
-        assert!(cut_ranges(&g, &[], 1).is_empty());
+        // Vertex 0 in every update: each chunk boundary falls inside its
+        // run of half-updates. Directed and not, on ranges of one bucket.
+        let hub: Vec<Update> = non_commuting_stream(48, 3000, 3)
+            .into_iter()
+            .map(|mut u| {
+                u.edge.u = 0;
+                u
+            })
+            .collect();
+        let star = |directed| {
+            DynGraph::<DynArr>::from_adjacency(DynArr::new(48, &CapacityHints::new(64)), directed)
+        };
+        for workers in [1, 2, 8] {
+            assert_eq!(
+                check_partition(&g, &s, workers, halves),
+                1,
+                "a batch within budget"
+            );
+            let ranges = check_partition(&g, &s, workers, halves / 8);
+            assert!((4..=8).contains(&ranges), "{ranges} ranges");
+            assert_eq!(check_partition(&g, &[], workers, 1), 0);
+            assert_eq!(
+                chunk_len(hub.len(), false, workers, 1),
+                hub.len().div_ceil(workers)
+            );
+            for directed in [false, true] {
+                let ranges = check_partition(&star(directed), &hub, workers, 1);
+                assert_eq!(ranges == 1, directed, "the hub is the one directed source");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,15 @@
 //! Hysteresis: a treap vertex whose degree falls below `degree_thresh / 4`
 //! converts back to an array, so a vertex oscillating around the threshold
 //! does not thrash representations.
+//!
+//! A batch's group ([`DynamicAdjacency::apply_group`]) takes the vertex's
+//! lock once. An array deletes by `retain`, so `k` deletes one by one scan
+//! a `d`-entry array `k` times. A group that deletes twice or more and
+//! cannot promote the array scans it once instead: one `retain` against
+//! the group's sorted delete keys, then each op's verdict in stream
+//! order, then the inserts no later delete takes. Every other array group
+//! runs one by one; a treap's group merges or descends per key
+//! ([`Treap::apply_group`]).
 
 use crate::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, HalfUpdate};
 use parking_lot::Mutex;
@@ -116,6 +125,59 @@ impl HybridAdj {
         }
     }
 
+    /// A group on an array it cannot promote, in one pass over the array
+    /// rather than one per delete: the array drops every key the group
+    /// deletes, then the ops walk in stream order — an insert changes the
+    /// array and is appended unless its key is deleted later in the
+    /// group; a delete changes it when its key is there at that point
+    /// (stored before the group and not yet deleted, or inserted since).
+    /// The array ends as the one-by-one loop leaves it, entry for entry.
+    fn apply_array_group(
+        arr: &mut Vec<AdjEntry>,
+        ops: &[HalfUpdate],
+        on_changed: &mut dyn FnMut(usize),
+    ) {
+        // Each deleted key once, sorted: the group position of its last
+        // delete, and whether the array holds it at the walk's point.
+        let mut doomed: Vec<(u32, usize, bool)> = ops
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.is_delete())
+            .map(|(i, h)| (h.nbr, i, false))
+            .collect();
+        doomed.sort_unstable();
+        doomed.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        arr.retain(|e| match doomed.binary_search_by_key(&e.nbr, |d| d.0) {
+            Ok(j) => {
+                doomed[j].2 = true;
+                false
+            }
+            Err(_) => true,
+        });
+        for (i, h) in ops.iter().enumerate() {
+            let slot = doomed.binary_search_by_key(&h.nbr, |d| d.0);
+            if h.is_delete() {
+                // panics: unreachable — every delete's key is in `doomed`.
+                let held = &mut doomed[slot.expect("a deleted key")].2;
+                if std::mem::take(held) {
+                    on_changed(h.index());
+                }
+            } else {
+                on_changed(h.index());
+                match slot {
+                    Ok(j) if i < doomed[j].1 => doomed[j].2 = true,
+                    _ => arr.push(AdjEntry::new(h.nbr, h.ts)),
+                }
+            }
+        }
+    }
+
     /// [`DynamicAdjacency::delete`] on a locked cell.
     fn delete_locked(&self, cell: &mut Repr, v: u32) -> bool {
         match cell {
@@ -160,12 +222,15 @@ impl DynamicAdjacency for HybridAdj {
         self.delete_locked(&mut self.adj[u as usize].lock(), v)
     }
 
-    /// One lock acquisition for the group. While `u` is an array its ops
-    /// run one by one (it promotes within `degree_thresh` pushes); what
-    /// is left once it is a treap goes to [`Treap::apply_group`] whole —
-    /// a merge and one rebuild when the group is large against the
-    /// degree — unless a delete in it could demote `u` mid-group, which
-    /// only the one-by-one loop replays faithfully.
+    /// One lock acquisition for the group. An array group that cannot
+    /// promote `u` (its inserts stay below `degree_thresh`) and deletes
+    /// at least twice runs in one pass over the array (see the
+    /// [module docs](self)). Any other array group runs one by
+    /// one (it promotes within `degree_thresh` pushes); what is left once
+    /// `u` is a treap goes to [`Treap::apply_group`] whole — a merge and
+    /// one rebuild when the group is large against the degree — unless a
+    /// delete in it could demote `u` mid-group, which only the one-by-one
+    /// loop replays faithfully.
     fn apply_group(&self, u: u32, ops: &mut [HalfUpdate], on_changed: &mut dyn FnMut(usize)) {
         let cell = &mut *self.adj[u as usize].lock();
         let mut done = 0;
@@ -173,9 +238,12 @@ impl DynamicAdjacency for HybridAdj {
             // Room for what the group appends before a promotion; a
             // group that dominates the array leaves it at exact capacity.
             let room = (self.degree_thresh as usize).saturating_sub(arr.len());
-            let inserts = ops.iter().filter(|h| !h.is_delete()).count().min(room);
-            if inserts > arr.capacity() - arr.len() {
-                arr.reserve_exact(inserts.max(arr.len()));
+            let inserts = ops.iter().filter(|h| !h.is_delete()).count();
+            if inserts.min(room) > arr.capacity() - arr.len() {
+                arr.reserve_exact(inserts.min(room).max(arr.len()));
+            }
+            if inserts < room && ops.len() - inserts >= 2 {
+                return Self::apply_array_group(arr, ops, on_changed);
             }
         }
         while let (Repr::Arr(_), Some(h)) = (&*cell, ops.get(done)) {

@@ -197,6 +197,52 @@ fn instrumented_serving_results_are_unchanged() {
     }
 }
 
+/// The applier's phase timers and the cycle's absorb timer record a
+/// batch exactly when the feature is on, and the batch lands as a
+/// sequential loop would land it in both feature states.
+#[test]
+fn applier_phase_timers_leave_the_batch_unchanged() {
+    let timers = [
+        "snap_apply_partition_ns",
+        "snap_apply_sort_ns",
+        "snap_apply_groups_ns",
+        "snap_cycle_absorb_ns",
+    ];
+    let counts = || {
+        timers.map(|name| match scrape(name) {
+            Some(MetricValue::Histogram(h)) => h.count,
+            None => 0,
+            other => panic!("expected histogram {name}, got {other:?}"),
+        })
+    };
+    let batch: Vec<Update> = (0..2000u32)
+        .map(|i| {
+            let e = TimedEdge::new(i % 97, (i * i + 3) % 97, i + 1);
+            if i % 5 == 4 {
+                Update::delete(e)
+            } else {
+                Update::insert(e)
+            }
+        })
+        .collect();
+    let before = counts();
+    let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(97, &hints(4096)));
+    assert!(mgr.apply_batch(&batch));
+    let after = counts();
+    let oracle = DynGraph::<HybridAdj>::undirected(97, &hints(4096));
+    for u in &batch {
+        oracle.apply(u);
+    }
+    assert_eq!(*mgr.snapshot(), oracle.to_csr());
+    for (name, (was, is)) in timers.iter().zip(before.into_iter().zip(after)) {
+        if snap::obs::ENABLED {
+            assert!(is > was, "{name} recorded nothing");
+        } else {
+            assert_eq!(is, 0, "{name} compiled out");
+        }
+    }
+}
+
 /// With the feature on, the `/metrics` endpoint
 /// (`MetricsRegistry::global().serve_http(addr)`) serves the text
 /// exposition over plain TCP.

@@ -391,4 +391,46 @@ fn apply_group_scripted_edge_cases_on_hybrid() {
     assert!(a.is_treap(0));
     assert_eq!(a.degree(0), 7, "8 entries, 7 keys");
     assert!(a.neighbors(0).contains(&AdjEntry::new(7, 2)));
+
+    // The one-pass array groups. Each group below meets an array of 3 or
+    // 4 entries with two deletes or more and too few inserts to promote
+    // it; the last one could promote, so it runs one by one.
+    let after_four = |group: &[Op]| {
+        let ops = [inserts(0..4).collect(), group.to_vec()].concat();
+        let a = run(ops, &[4]);
+        let left: Vec<u32> = a.neighbors(0).iter().map(|e| e.nbr).collect();
+        (left, a.is_treap(0))
+    };
+
+    // A key stored twice by blind appends, deleted twice: the first
+    // delete takes both copies, the second changes nothing.
+    let mut ops = vec![
+        Op::Insert(0, 7, 1),
+        Op::Insert(0, 7, 2),
+        Op::Insert(0, 3, 3),
+    ];
+    ops.extend([Op::Delete(0, 7), Op::Delete(0, 7)]);
+    assert_eq!(run(ops, &[3]).neighbors(0), [AdjEntry::new(3, 3)]);
+
+    // Delete, insert, delete of one key: all three change the array.
+    let group = [Op::Delete(0, 2), Op::Insert(0, 2, 9), Op::Delete(0, 2)];
+    assert_eq!(after_four(&group), (vec![0, 1, 3], false));
+
+    // An insert of a new key, then its delete; a later insert survives.
+    let group = [
+        Op::Insert(0, 50, 1),
+        Op::Delete(0, 50),
+        Op::Delete(0, 1),
+        Op::Insert(0, 50, 2),
+    ];
+    assert_eq!(after_four(&group), (vec![0, 2, 3, 50], false));
+
+    // A delete of an absent key changes nothing; the other one does.
+    let group = [Op::Delete(0, 99), Op::Delete(0, 1)];
+    assert_eq!(after_four(&group), (vec![0, 2, 3], false));
+
+    // 4 entries + 4 inserts reach the threshold: the array promotes at
+    // the 4th insert and the deletes meet a treap.
+    let group: Vec<Op> = inserts(10..14).chain(deletes(0..2)).collect();
+    assert_eq!(after_four(&group), (vec![2, 3, 10, 11, 12, 13], true));
 }
