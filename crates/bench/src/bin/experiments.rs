@@ -1,6 +1,6 @@
 //! Prints every figure of the paper as a table, plus the tables no
-//! `benchmark/` row covers (parallel SSSP and BC, the distance and
-//! triangle indexes, the `GraphView` read paths).
+//! `benchmark/` row covers (parallel BC, the distance and triangle
+//! indexes, the `GraphView` read paths).
 //!
 //! ```text
 //! experiments [fig1 .. fig11 | parallel | bc | indexes | views | ablations | extensions | all]...
@@ -18,7 +18,6 @@ use snap_bench::*;
 use snap_core::adjacency::{CapacityHints, DynamicAdjacency};
 use snap_core::compressed::CompressedCsr;
 use snap_core::engine;
-use snap_core::reorder::Relabeling;
 use snap_core::{CsrGraph, DynArr, DynGraph, HybridAdj, SnapshotManager, TreapAdj};
 use snap_kernels::bc::sample_sources;
 use snap_kernels::{bfs, temporal_bfs, LinkCutForest, TimeWindow};
@@ -413,25 +412,17 @@ fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> u128 {
     snap_util::stats::median(&mut samples).expect("reps >= 1")
 }
 
-/// Serial vs parallel kernels (BFS / CC / SSSP) across the thread sweep,
-/// then what the adaptive runtime decided at each thread count.
+/// Serial vs parallel kernels (BFS / CC) across the thread sweep, then
+/// what the adaptive runtime decided at each thread count.
 fn parallel(cfg: &Config) {
-    use snap_kernels::{connected_components, dijkstra, serial_bfs};
-    use snap_par::{
-        par_bfs_stats, par_bfs_with, par_cc_stats, par_cc_with, par_sssp_stats, par_sssp_with,
-        Grain, ParConfig,
-    };
+    use snap_kernels::{connected_components, serial_bfs};
+    use snap_par::{par_bfs_stats, par_bfs_with, par_cc_stats, par_cc_with, ParConfig};
 
     let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed ^ 13);
     let n = cfg.vertices();
     let csr = CsrGraph::from_edges_undirected(n, &edges);
     let src = hub_source(&csr);
     let pcfg = ParConfig::default();
-    let inline = ParConfig::default()
-        .with_threads(1)
-        .with_serial_threshold(0)
-        .with_level_grain(Grain::Edges(usize::MAX));
-    let delta = 32u64;
     let reps = 9usize;
     let mut rows = vec![
         row(
@@ -446,15 +437,6 @@ fn parallel(cfg: &Config) {
             1,
             median_ns(reps, || connected_components(&csr)),
         ),
-        row("sssp", "serial", 1, median_ns(reps, || dijkstra(&csr, src))),
-        // par_sssp's Δ-stepping run inline on one thread: separates the
-        // delta-vs-dijkstra algorithm gap from the parallelization gap.
-        row(
-            "sssp",
-            "serial-delta",
-            1,
-            median_ns(reps, || par_sssp_with(&csr, src, delta, &inline)),
-        ),
     ];
     for &th in &cfg.threads {
         rows.push(row(
@@ -468,14 +450,6 @@ fn parallel(cfg: &Config) {
             "parallel",
             th,
             median_ns(reps, || in_pool(th, || par_cc_with(&csr, &pcfg))),
-        ));
-        rows.push(row(
-            "sssp",
-            "parallel",
-            th,
-            median_ns(reps, || {
-                in_pool(th, || par_sssp_with(&csr, src, delta, &pcfg))
-            }),
         ));
     }
 
@@ -502,16 +476,14 @@ fn parallel(cfg: &Config) {
 
     // Scheduling counters: what the adaptive runtime actually decided,
     // per thread count — serial-vs-forked levels, chunking, and steal
-    // traffic are observable, not guessed. All-zero sssp rows mean the
-    // Auto gate dispatched it to Dijkstra.
+    // traffic are observable, not guessed.
     let mut st = Table::new(&[
         "kernel", "threads", "serial", "forked", "chunks", "steals", "edges",
     ]);
     for &th in &cfg.threads {
         let b = in_pool(th, || par_bfs_stats(&csr, src, &pcfg)).1.runtime;
         let c = in_pool(th, || par_cc_stats(&csr, &pcfg)).1;
-        let s = in_pool(th, || par_sssp_stats(&csr, src, delta, &pcfg)).1;
-        for (kernel, ps) in [("bfs", b), ("cc", c), ("sssp", s)] {
+        for (kernel, ps) in [("bfs", b), ("cc", c)] {
             st.row(vec![
                 kernel.into(),
                 th.to_string(),
@@ -845,10 +817,9 @@ fn ablations(cfg: &Config) {
     ablation_delete_policy(cfg);
 }
 
-/// The three extension tables.
+/// The two extension tables.
 fn extensions(cfg: &Config) {
     extension_compressed(cfg);
-    extension_reorder(cfg);
     extension_replacement(cfg);
 }
 
@@ -1028,23 +999,6 @@ fn extension_compressed(cfg: &Config) {
     t.row(vec!["full decode scan (ms)".into(), f3(scan_s * 1e3)]);
     t.row(vec!["plain CSR scan (ms)".into(), f3(csr_scan_s * 1e3)]);
     t.print("Extension: delta+varint compressed adjacency");
-}
-
-/// Extension: degree-descending reordering effect on BFS.
-fn extension_reorder(cfg: &Config) {
-    let edges = build_edges(cfg.scale, cfg.edge_factor, cfg.seed);
-    let n = cfg.vertices();
-    let csr = CsrGraph::from_edges_undirected(n, &edges);
-    let rl = Relabeling::by_degree_desc(&csr);
-    let relabeled = rl.relabel_csr(&csr);
-    let th = *cfg.threads.last().expect("thread list non-empty");
-    let src = hub_source(&csr);
-    let (_, orig) = seconds(|| in_pool(th, || bfs(&csr, src)));
-    let (_, reord) = seconds(|| in_pool(th, || bfs(&relabeled, rl.perm[src as usize])));
-    let mut t = Table::new(&["layout", "BFS time (s)"]);
-    t.row(vec!["original ids".into(), f3(orig)]);
-    t.row(vec!["degree-descending ids".into(), f3(reord)]);
-    t.print("Extension: vertex reordering");
 }
 
 /// Extension: connectivity maintenance under deletions with replacement

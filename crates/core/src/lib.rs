@@ -90,7 +90,6 @@ pub mod graph;
 pub mod hybrid;
 pub mod indexes;
 pub mod manager;
-pub mod reorder;
 pub mod serve;
 pub mod treapadj;
 pub mod triindex;

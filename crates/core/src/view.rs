@@ -79,8 +79,8 @@ pub trait GraphView: Sync {
             .unwrap_or(0)
     }
 
-    /// Materializes every `(u, v, ts)` entry (used by kernels that sweep
-    /// edges globally, e.g. earliest-arrival reachability).
+    /// Materializes every `(u, v, ts)` entry (what a global edge sweep
+    /// reads; the read-path equivalence tests compare these).
     fn collect_entries(&self) -> Vec<(u32, u32, u32)> {
         let mut out = Vec::with_capacity(self.num_entries());
         for u in 0..self.num_vertices() as u32 {

@@ -28,19 +28,17 @@
 //!   from edge lists, views, or in place on a dynamic graph.
 //! - [`bc`] — Brandes-style betweenness centrality, static and temporal,
 //!   exact and source-sampled approximate (Figure 11).
-//! - [`stconn`] — early-exit s-t connectivity.
-//! - [`sssp`] / [`msf`] / [`cluster`] / [`temporal_reach`] — the
-//!   extended kernel suite, all view-generic.
+//! - [`cluster`] — triangle counts and clustering coefficients (the
+//!   oracle of `snap_core::TriangleIndex`).
 //!
 //! The multi-threaded runtime lives one layer up in `snap-par`
-//! (`par_bfs` / `par_cc` / `par_sssp` / `par_bc`): it shares this
-//! crate's result vocabulary ([`BfsResult`], [`UNREACHED`],
-//! [`sssp::INF`], the canonical min-id component labels, the
-//! deterministic betweenness summation order of [`bc`]) and falls back
-//! to the serial kernels here ([`serial_bfs`], [`connected_components`],
-//! [`dijkstra`], [`betweenness_exact`]) below its size threshold, so
-//! the two layers are interchangeable in call sites and comparable
-//! bit-for-bit in tests.
+//! (`par_bfs` / `par_cc` / `par_bc`): it shares this crate's result
+//! vocabulary ([`BfsResult`], [`UNREACHED`], the canonical min-id
+//! component labels, the deterministic betweenness summation order of
+//! [`bc`]) and falls back to the serial kernels here ([`serial_bfs`],
+//! [`connected_components`], [`betweenness_exact`]) below its size
+//! threshold, so the two layers are interchangeable in call sites and
+//! comparable bit-for-bit in tests.
 
 #![deny(missing_docs)]
 
@@ -49,22 +47,14 @@ pub mod bfs;
 pub mod cc;
 pub mod cluster;
 pub mod lcf;
-pub mod msf;
-pub mod sssp;
-pub mod stconn;
 pub mod subgraph;
-pub mod temporal_reach;
 
 pub use bc::{betweenness_approx, betweenness_exact, temporal_betweenness_approx};
 pub use bfs::{bfs, serial_bfs, temporal_bfs, BfsResult, UNREACHED};
 pub use cc::{component_count, connected_components};
 pub use cluster::{average_clustering, local_clustering, triangle_count, triangles_per_vertex};
 pub use lcf::LinkCutForest;
-pub use msf::{boruvka_msf, boruvka_msf_view, kruskal_msf, Msf};
-pub use sssp::dijkstra;
-pub use stconn::st_connectivity;
 pub use subgraph::{
     induced_subgraph_csr, induced_subgraph_edges, induced_subgraph_vertices, induced_subgraph_view,
     TimeWindow,
 };
-pub use temporal_reach::{earliest_arrival, temporal_reach_count};

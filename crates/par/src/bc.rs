@@ -57,7 +57,7 @@
 //! Graphs with `n + m <=` [`ParConfig::serial_threshold`] dispatch to the
 //! serial kernel directly, like every kernel in this crate.
 
-use crate::frontier::{par_for_ranges, sweep_grain, FrontierEngine};
+use crate::frontier::{par_for_ranges_stats, sweep_grain, FrontierEngine, ParStats};
 use crate::ParConfig;
 use snap_core::GraphView;
 use snap_kernels::bc::{sample_sources, SOURCE_BLOCK};
@@ -163,6 +163,7 @@ pub fn par_bc<V: GraphView>(view: &V) -> Vec<f64> {
 pub fn par_bc_with<V: GraphView>(view: &V, bc: &BcConfig, cfg: &ParConfig) -> Vec<f64> {
     let n = view.num_vertices();
     if n + view.num_entries() <= cfg.serial_threshold {
+        crate::metrics::publish(&ParStats::default());
         return match bc.sources {
             BcSources::Exact => betweenness_exact(view),
             BcSources::Sample { k, seed } => betweenness_approx(view, &sample_sources(n, k, seed)),
@@ -182,11 +183,13 @@ pub fn par_bc_with<V: GraphView>(view: &V, bc: &BcConfig, cfg: &ParConfig) -> Ve
         BcStrategy::SourceParallel => true,
         BcStrategy::FrontierParallel => false,
     };
+    let mut stats = ParStats::default();
     let mut scores = if coarse {
-        bc_source_parallel(view, &sources, cfg)
+        bc_source_parallel(view, &sources, cfg, &mut stats)
     } else {
-        bc_frontier_parallel(view, &sources, cfg)
+        bc_frontier_parallel(view, &sources, cfg, &mut stats)
     };
+    crate::metrics::publish(&stats);
     if scale != 1.0 {
         for x in scores.iter_mut() {
             *x *= scale;
@@ -243,8 +246,14 @@ impl Scratch {
 /// them (the bit-reproducibility contract). The volume here is the full
 /// run — one traversal of the view per source — so on any real multicore
 /// host the gate opens wide, while an effective width of 1 keeps the
-/// whole run inline with zero spawns.
-fn bc_source_parallel<V: GraphView>(view: &V, sources: &[u32], cfg: &ParConfig) -> Vec<f64> {
+/// whole run inline with zero spawns. Each wave counts as one level in
+/// `stats`, and each block of a forked wave as one chunk.
+fn bc_source_parallel<V: GraphView>(
+    view: &V,
+    sources: &[u32],
+    cfg: &ParConfig,
+    stats: &mut ParStats,
+) -> Vec<f64> {
     let n = view.num_vertices();
     let mut bc = vec![0.0f64; n];
     let blocks: Vec<&[u32]> = sources.chunks(SOURCE_BLOCK).collect();
@@ -258,7 +267,10 @@ fn bc_source_parallel<V: GraphView>(view: &V, sources: &[u32], cfg: &ParConfig) 
             for (i, block) in wave.iter().enumerate() {
                 compute_block(view, block, &mut scratch[i], &mut partials[i]);
             }
+            stats.serial_levels += 1;
         } else {
+            stats.forked_levels += 1;
+            stats.chunks_built += wave.len() as u64;
             rayon::scope(|s| {
                 for ((block, st), part) in
                     wave.iter().zip(scratch.iter_mut()).zip(partials.iter_mut())
@@ -392,10 +404,16 @@ fn atomic_f64_add(cell: &AtomicU64, add: f64) {
 /// usual `AtomicBitset` claim cannot work here — a losing claimer still
 /// needs to know whether the contested vertex sits on *this* level to
 /// contribute its path counts, so the level-stamped distance array is
-/// the claim word), backward levels through [`par_for_ranges`] in gather
-/// form. State is reset per source by walking the recorded levels, not
-/// O(n).
-fn bc_frontier_parallel<V: GraphView>(view: &V, sources: &[u32], cfg: &ParConfig) -> Vec<f64> {
+/// the claim word), backward levels through [`par_for_ranges_stats`] in
+/// gather form. State is reset per source by walking the recorded
+/// levels, not O(n). `stats` gathers the engine's forward levels and the
+/// backward sweeps.
+fn bc_frontier_parallel<V: GraphView>(
+    view: &V,
+    sources: &[u32],
+    cfg: &ParConfig,
+    stats: &mut ParStats,
+) -> Vec<f64> {
     let n = view.num_vertices();
     let threads = cfg.worker_count();
     let work = n + view.num_entries();
@@ -473,34 +491,39 @@ fn bc_frontier_parallel<V: GraphView>(view: &V, sources: &[u32], cfg: &ParConfig
             let width = cfg.fork_width(lvl.len() + vol, work);
             let ranges: Vec<Range<u32>> = chunk_positions(lvl.len(), sweep_grain(lvl.len(), width));
             let (dist_r, sigma_r, delta_r) = (&dist, &sigma, &delta);
-            par_for_ranges(&ranges, width, |r| {
-                for i in r {
-                    let v = lvl[i as usize];
-                    // ordering: Relaxed (all loads here) — dist/sigma
-                    // settled in the forward pass and deeper levels'
-                    // deltas in earlier backward iterations; each
-                    // fork-join barrier published them (invariant 8).
-                    let dv = dist_r[v as usize].load(Ordering::Relaxed);
-                    // ordering: Relaxed — see above.
-                    let sv = f64::from_bits(sigma_r[v as usize].load(Ordering::Relaxed));
-                    let mut dsum = 0.0f64;
-                    view.for_each_edge(v, |w, _| {
+            par_for_ranges_stats(
+                &ranges,
+                width,
+                |r| {
+                    for i in r {
+                        let v = lvl[i as usize];
+                        // ordering: Relaxed (all loads here) — dist/sigma
+                        // settled in the forward pass and deeper levels'
+                        // deltas in earlier backward iterations; each
+                        // fork-join barrier published them (invariant 8).
+                        let dv = dist_r[v as usize].load(Ordering::Relaxed);
                         // ordering: Relaxed — see above.
-                        if dist_r[w as usize].load(Ordering::Relaxed) != dv + 1 {
-                            return;
-                        }
-                        // ordering: Relaxed — see above.
-                        let dw = f64::from_bits(delta_r[w as usize].load(Ordering::Relaxed));
-                        // ordering: Relaxed — see above.
-                        let sw = f64::from_bits(sigma_r[w as usize].load(Ordering::Relaxed));
-                        dsum += sv * ((1.0 + dw) / sw);
-                    });
-                    // ordering: Relaxed — v's delta is written by the
-                    // one worker owning v's position (invariant 7);
-                    // the level join publishes it.
-                    delta_r[v as usize].store(dsum.to_bits(), Ordering::Relaxed);
-                }
-            });
+                        let sv = f64::from_bits(sigma_r[v as usize].load(Ordering::Relaxed));
+                        let mut dsum = 0.0f64;
+                        view.for_each_edge(v, |w, _| {
+                            // ordering: Relaxed — see above.
+                            if dist_r[w as usize].load(Ordering::Relaxed) != dv + 1 {
+                                return;
+                            }
+                            // ordering: Relaxed — see above.
+                            let dw = f64::from_bits(delta_r[w as usize].load(Ordering::Relaxed));
+                            // ordering: Relaxed — see above.
+                            let sw = f64::from_bits(sigma_r[w as usize].load(Ordering::Relaxed));
+                            dsum += sv * ((1.0 + dw) / sw);
+                        });
+                        // ordering: Relaxed — v's delta is written by the
+                        // one worker owning v's position (invariant 7);
+                        // the level join publishes it.
+                        delta_r[v as usize].store(dsum.to_bits(), Ordering::Relaxed);
+                    }
+                },
+                stats,
+            );
         }
         for lvl in levels.iter().skip(1) {
             for &v in lvl {
@@ -516,6 +539,7 @@ fn bc_frontier_parallel<V: GraphView>(view: &V, sources: &[u32], cfg: &ParConfig
             part.fill(0.0);
         }
     }
+    stats.absorb(engine.take_stats());
     bc
 }
 

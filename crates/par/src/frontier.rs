@@ -32,8 +32,8 @@
 //!   cursor nor strand work behind a slow worker.
 //! - **Allocation-free steady state.** The chunk vector, the deal
 //!   descriptors, and the per-worker next-frontier buffers persist inside
-//!   [`LevelRunner`] / [`FrontierEngine`] across levels (and across
-//!   delta-stepping buckets), so a traversal allocates each buffer once.
+//!   the [`FrontierEngine`] across levels, so a traversal allocates each
+//!   buffer once.
 //! - **Level fusion.** Consecutive serial levels are processed *in
 //!   place*: discoveries append past the live level's end of the same
 //!   buffer and a head index advances over the consumed prefix — no
@@ -243,11 +243,9 @@ fn drain_deals(deals: &[Deal], home: usize, mut work: impl FnMut(usize), steals:
 
 /// Persistent per-traversal scheduling state: the chunk vector, the
 /// per-worker deal descriptors, and the decision counters live here and
-/// are reused across levels — and across delta-stepping buckets — so the
-/// steady state allocates nothing. [`FrontierEngine`] embeds one;
-/// kernels that manage their own frontiers (delta-stepping) hold one
-/// directly.
-pub struct LevelRunner {
+/// are reused across levels, so the steady state allocates nothing.
+/// [`FrontierEngine`] embeds one.
+pub(crate) struct LevelRunner {
     workers: usize,
     chunk_edges: usize,
     gate: usize,
@@ -261,7 +259,7 @@ impl LevelRunner {
     /// [`resolve_workers`]), the given per-chunk edge budget, and a
     /// per-level serial `gate` in frontier edge volume (0 = always fork,
     /// `usize::MAX` = never fork; see [`fork_width`]).
-    pub fn new(threads: usize, chunk_edges: usize, gate: usize) -> Self {
+    pub(crate) fn new(threads: usize, chunk_edges: usize, gate: usize) -> Self {
         Self {
             workers: resolve_workers(threads),
             chunk_edges: chunk_edges.max(1),
@@ -273,27 +271,27 @@ impl LevelRunner {
     }
 
     /// Resolved worker count (the fork-width cap).
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 
     /// The per-level serial gate in frontier edge volume.
-    pub fn gate(&self) -> usize {
+    pub(crate) fn gate(&self) -> usize {
         self.gate
     }
 
     /// Replaces the per-level serial gate.
-    pub fn set_gate(&mut self, gate: usize) {
+    pub(crate) fn set_gate(&mut self, gate: usize) {
         self.gate = gate;
     }
 
     /// The counters accumulated so far.
-    pub fn stats(&self) -> ParStats {
+    pub(crate) fn stats(&self) -> ParStats {
         self.stats
     }
 
     /// Returns and resets the accumulated counters.
-    pub fn take_stats(&mut self) -> ParStats {
+    pub(crate) fn take_stats(&mut self) -> ParStats {
         std::mem::take(&mut self.stats)
     }
 
@@ -302,24 +300,11 @@ impl LevelRunner {
         self.stats.edges_scanned += volume;
     }
 
-    /// Expands every live edge out of `frontier`, inline or forked per
-    /// the volume gate; `visit(u, v, ts, sink)` appends whatever the
-    /// kernel derives from the edge to its worker's sink (`sinks[0]` on
-    /// the inline path).
-    pub fn edge_map<V, T, F>(&mut self, view: &V, frontier: &[u32], visit: F, sinks: &mut [Vec<T>])
-    where
-        V: GraphView,
-        T: Send,
-        F: Fn(u32, u32, u32, &mut Vec<T>) + Sync,
-    {
-        let volume = edge_volume(view, frontier);
-        self.edge_map_hinted(view, frontier, volume, visit, sinks);
-    }
-
-    /// Like [`LevelRunner::edge_map`] with the frontier edge volume
-    /// supplied by the caller (kernels often already track it per level,
-    /// saving the degree re-scan).
-    pub fn edge_map_hinted<V, T, F>(
+    /// Expands every live edge out of `frontier`, whose edge volume the
+    /// caller supplies, inline or forked per the volume gate;
+    /// `visit(u, v, ts, sink)` appends whatever the kernel derives from
+    /// the edge to its worker's sink (`sinks[0]` on the inline path).
+    pub(crate) fn edge_map_hinted<V, T, F>(
         &mut self,
         view: &V,
         frontier: &[u32],
@@ -373,28 +358,6 @@ impl LevelRunner {
     }
 }
 
-/// Expands every live edge out of `frontier`, fanning chunks out over
-/// `sinks.len()` scoped workers; `visit(u, v, ts, sink)` appends whatever
-/// the kernel derives from the edge to its worker's sink. This is the
-/// legacy ungated entry — any non-empty multi-chunk frontier forks
-/// (gate 0); kernels that want volume gating and persistent scheduling
-/// state use [`LevelRunner`] / [`FrontierEngine`] instead.
-pub fn par_edge_map<V, T, F>(
-    view: &V,
-    frontier: &[u32],
-    budget: usize,
-    visit: F,
-    sinks: &mut [Vec<T>],
-) where
-    V: GraphView,
-    T: Send,
-    F: Fn(u32, u32, u32, &mut Vec<T>) + Sync,
-{
-    debug_assert!(!sinks.is_empty());
-    let mut runner = LevelRunner::new(sinks.len().max(1), budget, 0);
-    runner.edge_map(view, frontier, visit, sinks);
-}
-
 /// Vertex-range grain for whole-graph sweeps (bottom-up BFS, component
 /// linking): enough chunks for dynamic balance (8 per worker) without
 /// drowning in claim traffic. Always a multiple of 64, so the ranges of
@@ -411,16 +374,8 @@ pub fn sweep_grain(n: usize, threads: usize) -> usize {
 /// scoped workers with per-worker deals and stealing. `width <= 1` runs
 /// inline; callers derive a volume-gated width with [`fork_width`].
 /// Whole-graph sweeps (bottom-up scans, component linking and
-/// compression) are built on this.
-pub fn par_for_ranges<F>(ranges: &[Range<u32>], width: usize, f: F)
-where
-    F: Fn(Range<u32>) + Sync,
-{
-    let mut stats = ParStats::default();
-    par_for_ranges_stats(ranges, width, f, &mut stats);
-}
-
-/// Like [`par_for_ranges`], recording the sweep in `stats`.
+/// compression, BC's backward levels) are built on this. The sweep is
+/// recorded in `stats`.
 pub fn par_for_ranges_stats<F>(ranges: &[Range<u32>], width: usize, f: F, stats: &mut ParStats)
 where
     F: Fn(Range<u32>) + Sync,
@@ -456,7 +411,7 @@ where
 /// Double-buffered frontier state for level-synchronous traversal.
 ///
 /// The current frontier, the per-worker next-frontier buffers, and the
-/// embedded [`LevelRunner`] (chunks, deals, counters) persist across
+/// embedded level runner (chunks, deals, counters) persist across
 /// levels, so a full BFS allocates each buffer once and then only moves
 /// vertex ids. [`FrontierEngine::advance`] is one top-down level —
 /// inline and *fused in place* below the volume gate, forked above it;
@@ -674,7 +629,14 @@ mod tests {
         let g = star(300);
         let frontier: Vec<u32> = (0..301).collect();
         let mut sinks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 4];
-        par_edge_map(&g, &frontier, 32, |u, v, _, s| s.push((u, v)), &mut sinks);
+        let volume = edge_volume(&g, &frontier);
+        LevelRunner::new(4, 32, 0).edge_map_hinted(
+            &g,
+            &frontier,
+            volume,
+            |u, v, _, s| s.push((u, v)),
+            &mut sinks,
+        );
         let mut all: Vec<(u32, u32)> = sinks.concat();
         all.sort_unstable();
         let mut want: Vec<(u32, u32)> = g.iter_entries().map(|(u, v, _)| (u, v)).collect();
@@ -695,10 +657,11 @@ mod tests {
         let frontier: Vec<u32> = vec![0]; // hub only: 20 hub chunks @ 100
         let ids = Mutex::new(HashSet::new());
         let mut sinks: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        par_edge_map(
+        let volume = edge_volume(&g, &frontier);
+        LevelRunner::new(4, 100, 0).edge_map_hinted(
             &g,
             &frontier,
-            100,
+            volume,
             |_, v, _, s: &mut Vec<u32>| {
                 ids.lock().unwrap().insert(std::thread::current().id());
                 if (v - 1) % 100 == 0 {
@@ -737,12 +700,18 @@ mod tests {
     fn par_for_ranges_covers_ranges_exactly_once() {
         let ranges: Vec<Range<u32>> = (0..40).map(|i| (i * 10)..((i + 1) * 10)).collect();
         let hits = Mutex::new(vec![0u32; 400]);
-        par_for_ranges(&ranges, 4, |r| {
-            let mut h = hits.lock().unwrap();
-            for i in r {
-                h[i as usize] += 1;
-            }
-        });
+        let mut stats = ParStats::default();
+        par_for_ranges_stats(
+            &ranges,
+            4,
+            |r| {
+                let mut h = hits.lock().unwrap();
+                for i in r {
+                    h[i as usize] += 1;
+                }
+            },
+            &mut stats,
+        );
         assert!(hits.lock().unwrap().iter().all(|&c| c == 1));
     }
 

@@ -28,7 +28,6 @@
 //!   sampled subgraph first, then every edge outside the most frequent
 //!   component; canonical min-id labels, bit-identical to the serial
 //!   union-find kernel at any thread count.
-//! - [`par_sssp`] — Δ-stepping with parallel CAS-min bucket relaxation.
 //! - [`par_bc`] — multi-source Brandes betweenness centrality, exact or
 //!   source-sampled, source-parallel or frontier-parallel (see
 //!   [`BcStrategy`]); scores are bit-identical to the serial kernel at
@@ -45,7 +44,7 @@
 //! # Serial fallback and adaptive granularity
 //!
 //! Each kernel falls back to its serial counterpart
-//! (`snap_kernels::serial_bfs`, `connected_components`, `dijkstra`,
+//! (`snap_kernels::serial_bfs`, `connected_components`,
 //! `betweenness_exact`) when
 //! `n + m <= serial_threshold` (default 4096): a fork-join barrier per
 //! BFS level cannot pay for itself on a graph that fits in one core's
@@ -58,10 +57,8 @@
 //! [`Grain::Auto`] from the view size and the *effective* width
 //! (`min(threads, available_parallelism)`) — on a single-core host every
 //! level runs inline, because a second OS thread can only add overhead.
-//! Delta-stepping goes one step further: when the gate says no level
-//! will ever fork, [`par_sssp`] dispatches to Dijkstra outright, which
-//! dominates serial delta-stepping. Results are bit-identical on every
-//! path; [`Grain::Edges`] pins the gate for tests and tuning.
+//! Results are bit-identical on every path; [`Grain::Edges`] pins the
+//! gate for tests and tuning.
 
 #![deny(missing_docs)]
 
@@ -71,14 +68,12 @@ pub mod bitset;
 pub mod cc;
 pub mod frontier;
 mod metrics;
-pub mod sssp;
 
 pub use bc::{par_bc, par_bc_with, BcConfig, BcSources, BcStrategy};
 pub use bfs::{par_bfs, par_bfs_stats, par_bfs_with, BfsStats};
 pub use bitset::AtomicBitset;
 pub use cc::{par_cc, par_cc_stats, par_cc_with};
-pub use frontier::{FrontierEngine, LevelRunner, ParStats};
-pub use sssp::{par_sssp, par_sssp_stats, par_sssp_with};
+pub use frontier::{FrontierEngine, ParStats};
 
 /// Edge volume per worker the [`Grain::Auto`] gate asks a level to carry
 /// before forking: a scoped OS-thread spawn plus its share of the join

@@ -1,7 +1,7 @@
 //! Full topology profile of a network — the "characterize this data set"
 //! workflow the paper's introduction motivates: degree distribution,
-//! clustering, diameter, spanning structure, and central entities, all
-//! from one snapshot. Reads an edge-list file if given one, otherwise
+//! clustering, diameter, components, and central entities, all from one
+//! snapshot. Reads an edge-list file if given one, otherwise
 //! profiles a synthetic R-MAT instance (and round-trips it through the
 //! edge-list format to exercise I/O).
 //!
@@ -10,7 +10,7 @@
 //! ```
 
 use snap::kernels::bc::sample_sources;
-use snap::kernels::{average_clustering, boruvka_msf, serial_bfs, temporal_reach_count, UNREACHED};
+use snap::kernels::{average_clustering, serial_bfs, UNREACHED};
 use snap::prelude::*;
 use snap::rmat::io;
 use snap::util::stats::log2_histogram;
@@ -75,15 +75,10 @@ fn main() {
     let diam_lb = serial_bfs(&csr, far).max_distance();
     println!("average clustering {cc:.4}, diameter lower bound {diam_lb}");
 
-    // Components and spanning structure.
+    // Components.
     let labels = connected_components(&csr);
     let comps = snap::kernels::component_count(&labels);
-    let msf = boruvka_msf(n, &edges);
-    println!(
-        "{comps} components; MSF: {} edges, total weight {}",
-        msf.edges.len(),
-        msf.total_weight
-    );
+    println!("{comps} components");
 
     // Central entities.
     let bc = betweenness_approx(&csr, &sample_sources(n, 128, 5));
@@ -92,12 +87,5 @@ fn main() {
     println!(
         "top-5 by betweenness (128 sampled sources): {:?}",
         &idx[..5.min(idx.len())]
-    );
-
-    // Temporal reachability from the hub (exact, Kempe semantics).
-    let reach = temporal_reach_count(&csr, hub);
-    println!(
-        "temporal reachability from hub {hub}: {reach} of {n} vertices have a \
-         time-respecting path"
     );
 }

@@ -15,11 +15,10 @@
 //! - [`core`] — the dynamic graph representations, the [`GraphView`]
 //!   read abstraction, and the update engines,
 //! - [`kernels`] — BFS, connected components, link-cut forest, induced
-//!   subgraphs, betweenness centrality, and the extended kernel suite,
+//!   subgraphs, betweenness centrality, and clustering coefficients,
 //! - [`par`] — the parallel traversal runtime: the chunked frontier
 //!   engine, atomic visited sets, and multi-threaded
 //!   [`par_bfs`](snap_par::par_bfs) / [`par_cc`](snap_par::par_cc) /
-//!   [`par_sssp`](snap_par::par_sssp) /
 //!   [`par_bc`](snap_par::par_bc).
 //!
 //! ## The read model
@@ -89,7 +88,8 @@
 //!
 //! ## The parallel runtime
 //!
-//! `snap::par` scales the three core traversals over worker threads,
+//! `snap::par` scales BFS, connected components and betweenness over
+//! worker threads,
 //! generic over the same [`GraphView`] inputs:
 //!
 //! - **Thread count**: [`ParConfig::threads`](snap_par::ParConfig) = 0
@@ -118,7 +118,7 @@
 //!
 //! Results are bit-comparable with the serial kernels: identical BFS
 //! levels (parents form a valid tree), identical canonical min-id
-//! component labels, identical distances.
+//! component labels, bit-identical betweenness scores.
 //!
 //! ## Quickstart
 //!
@@ -203,15 +203,14 @@ pub mod prelude {
         TreapAdj, TriangleIndex, Update, UpdateKind,
     };
     pub use snap_kernels::{
-        average_clustering, betweenness_approx, betweenness_exact, bfs, boruvka_msf,
-        boruvka_msf_view, connected_components, earliest_arrival, induced_subgraph_csr,
-        induced_subgraph_vertices, induced_subgraph_view, st_connectivity,
+        average_clustering, betweenness_approx, betweenness_exact, bfs, connected_components,
+        induced_subgraph_csr, induced_subgraph_vertices, induced_subgraph_view,
         temporal_betweenness_approx, temporal_bfs, triangle_count, LinkCutForest, TimeWindow,
     };
     pub use snap_obs::MetricsRegistry;
     pub use snap_par::{
-        par_bc, par_bc_with, par_bfs, par_cc, par_sssp, BcConfig, BcSources, BcStrategy, Grain,
-        ParConfig, ParStats,
+        par_bc, par_bc_with, par_bfs, par_cc, BcConfig, BcSources, BcStrategy, Grain, ParConfig,
+        ParStats,
     };
     pub use snap_rmat::{Rmat, RmatParams, StreamBuilder};
 }

@@ -1,12 +1,9 @@
 //! Cross-crate integration tests for the extended kernel set: centrality
-//! on the hub, spanning structure vs connectivity, temporal reachability
-//! vs traversal, and topology statistics on generated workloads.
+//! on the hub, temporal vertex lifecycles, and topology statistics on
+//! generated workloads.
 
 use snap::kernels::bc::sample_sources;
-use snap::kernels::{
-    average_clustering, boruvka_msf, earliest_arrival, kruskal_msf, temporal_reach_count,
-    triangle_count, UNREACHED,
-};
+use snap::kernels::{average_clustering, triangle_count, UNREACHED};
 use snap::prelude::*;
 
 fn rmat_csr(scale: u32, ef: usize, seed: u64) -> CsrGraph {
@@ -27,83 +24,6 @@ fn centrality_family_agrees_on_the_hub() {
     for (name, scores) in [("exact", &exact), ("sampled", &sampled)] {
         let better = (0..n).filter(|&v| scores[v] > scores[hub as usize]).count();
         assert!(better <= 3, "{name}: hub outranked by {better} vertices");
-    }
-}
-
-#[test]
-fn msf_weight_is_invariant_across_algorithms_on_workloads() {
-    for seed in [1u64, 2, 3] {
-        let edges: Vec<TimedEdge> = Rmat::new(RmatParams::paper(9, 6), seed)
-            .edges()
-            .into_iter()
-            .filter(|e| e.u != e.v)
-            .collect();
-        let b = boruvka_msf(1 << 9, &edges);
-        let k = kruskal_msf(1 << 9, &edges);
-        assert_eq!(b.total_weight, k.total_weight, "seed {seed}");
-        assert_eq!(b.edges.len(), k.edges.len(), "seed {seed}");
-    }
-}
-
-#[test]
-fn msf_connects_exactly_the_components() {
-    let edges: Vec<TimedEdge> = Rmat::new(RmatParams::paper(9, 4), 4)
-        .edges()
-        .into_iter()
-        .filter(|e| e.u != e.v)
-        .collect();
-    let n = 1 << 9;
-    let csr = CsrGraph::from_edges_undirected(n, &edges);
-    let labels = connected_components(&csr);
-    let msf = boruvka_msf(n, &edges);
-    let forest_edges: Vec<TimedEdge> = msf.edges.iter().map(|&i| edges[i]).collect();
-    let forest_csr = CsrGraph::from_edges_undirected(n, &forest_edges);
-    let forest_labels = connected_components(&forest_csr);
-    assert_eq!(
-        labels, forest_labels,
-        "forest must preserve connectivity exactly"
-    );
-    // And the forest is acyclic: |F| = n - #components.
-    assert_eq!(msf.edges.len(), n - snap::kernels::component_count(&labels));
-}
-
-#[test]
-fn temporal_reach_is_between_one_and_static_reach() {
-    let csr = rmat_csr(10, 8, 44);
-    let hub = (0..csr.num_vertices() as u32)
-        .max_by_key(|&u| csr.out_degree(u))
-        .unwrap();
-    let static_reach = bfs(&csr, hub).reached();
-    let temporal = temporal_reach_count(&csr, hub);
-    assert!(temporal >= 1);
-    assert!(
-        temporal <= static_reach,
-        "temporal {temporal} cannot exceed static {static_reach}"
-    );
-    // With uniform labels 1..=100 and a low diameter, most statically
-    // reachable vertices should have some time-respecting path.
-    assert!(
-        temporal * 2 >= static_reach,
-        "suspiciously low temporal reach {temporal} of {static_reach}"
-    );
-}
-
-#[test]
-fn earliest_arrival_labels_are_sound_witnesses() {
-    // Every finite arrival label must be witnessed by an in-edge from a
-    // vertex with a strictly smaller arrival.
-    let csr = rmat_csr(9, 6, 45);
-    let src = 0u32;
-    let arr = earliest_arrival(&csr, src);
-    for v in 0..csr.num_vertices() as u32 {
-        let a = arr[v as usize];
-        if a == u32::MAX || v == src {
-            continue;
-        }
-        let witnessed = csr
-            .iter_entries()
-            .any(|(u, w, t)| w == v && t == a && arr[u as usize] < t);
-        assert!(witnessed, "arrival {a} at {v} has no witnessing edge");
     }
 }
 

@@ -84,24 +84,6 @@ fn forest_roots_count_components() {
 }
 
 #[test]
-fn st_connectivity_equals_bfs_distance() {
-    for case in 0..CASES {
-        let mut rng = rng_for(case, 5);
-        let edges = edge_list(48, &mut rng);
-        let s = rng.next_bounded(48) as u32;
-        let t = rng.next_bounded(48) as u32;
-        let csr = CsrGraph::from_edges_undirected(48, &edges);
-        let d = serial_bfs(&csr, s);
-        let got = st_connectivity(&csr, s, t);
-        if d.dist[t as usize] == UNREACHED {
-            assert_eq!(got, None, "case {case}");
-        } else {
-            assert_eq!(got, Some(d.dist[t as usize]), "case {case}");
-        }
-    }
-}
-
-#[test]
 fn temporal_bfs_is_a_restriction_of_bfs() {
     for case in 0..CASES {
         let mut rng = rng_for(case, 6);

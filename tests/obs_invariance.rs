@@ -60,11 +60,12 @@ fn instrumented_kernels_match_serial_oracles() {
     );
     assert!(stats.levels() > 0, "the runtime really ran");
 
-    let par_dist = snap::par::par_sssp_with(&csr, 0, 4, &cfg);
+    let par_scores = snap::par::par_bc_with(&csr, &BcConfig::exact(), &cfg);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     assert_eq!(
-        par_dist,
-        snap::kernels::dijkstra(&csr, 0),
-        "SSSP distances bit-identical"
+        bits(&par_scores),
+        bits(&betweenness_exact(&csr)),
+        "BC scores bit-identical"
     );
 
     if snap::obs::ENABLED {

@@ -2,9 +2,9 @@
 //!
 //! Every parallel kernel in `snap-par` must reproduce its serial
 //! counterpart exactly — BFS levels, component partitions (canonical
-//! min-id labels, so "up to relabeling" is literal equality), and SSSP
-//! distances — on directed and undirected line/star/cycle graphs and
-//! seeded R-MAT instances, across 1, 2, and 8 worker threads (plus any
+//! min-id labels, so "up to relabeling" is literal equality), and
+//! betweenness scores — on directed and undirected line/star/cycle graphs
+//! and seeded R-MAT instances, across 1, 2, and 8 worker threads (plus any
 //! counts named in `SNAP_THREADS`), on both read paths: live
 //! [`DynGraph`] views and CSR snapshots.
 //!
@@ -24,13 +24,11 @@
 //! cannot leak into the results.
 
 use snap::kernels::bc::sample_sources;
-use snap::kernels::sssp::INF;
 use snap::kernels::{
-    betweenness_approx, betweenness_exact, connected_components, dijkstra, serial_bfs, UNREACHED,
+    betweenness_approx, betweenness_exact, connected_components, serial_bfs, UNREACHED,
 };
 use snap::par::{
-    par_bc_with, par_bfs_stats, par_bfs_with, par_cc_with, par_sssp_with, BcConfig, BcStrategy,
-    Grain, ParConfig,
+    par_bc_with, par_bfs_stats, par_bfs_with, par_cc_with, BcConfig, BcStrategy, Grain, ParConfig,
 };
 use snap::prelude::*;
 use snap::util::thread_pool;
@@ -221,14 +219,6 @@ fn check_cc<V: GraphView>(view: &V, label: &str, threads: usize) {
     assert_eq!(par, bfs_labels(view), "{label}: BFS labels @ {threads}t");
 }
 
-fn check_sssp<V: GraphView>(view: &V, label: &str, threads: usize) {
-    let oracle = dijkstra(view, 0);
-    for delta in [1u64, 16, 1 << 20] {
-        let par = thread_pool(threads).install(|| par_sssp_with(view, 0, delta, &force()));
-        assert_eq!(par, oracle, "{label}: SSSP @ {threads}t delta {delta}");
-    }
-}
-
 /// Betweenness must be *bit*-identical to the serial kernel — literal
 /// `f64` equality, not tolerance — on every view, at every thread count,
 /// under both parallelization strategies (see `snap_par::bc` for the
@@ -371,19 +361,7 @@ fn forced_bottom_up_from_a_small_component() {
     }
 }
 
-#[test]
-fn par_sssp_matches_dijkstra_everywhere() {
-    for case in &cases() {
-        let csr = csr_of(case);
-        let live = live_of(case);
-        for &t in &thread_sweep() {
-            check_sssp(&csr, &format!("{} (csr)", case.name), t);
-            check_sssp(&live, &format!("{} (live)", case.name), t);
-        }
-    }
-}
-
-/// BFS, CC (undirected), and SSSP under one pinned adaptive config.
+/// BFS and CC (undirected) under one pinned adaptive config.
 fn check_adaptive<V: GraphView>(view: &V, cfg: &ParConfig, label: &str, t: usize, directed: bool) {
     let serial = serial_bfs(view, 0);
     let par = thread_pool(t).install(|| par_bfs_with(view, 0, cfg));
@@ -395,9 +373,6 @@ fn check_adaptive<V: GraphView>(view: &V, cfg: &ParConfig, label: &str, t: usize
         assert_eq!(par, labels, "{label}: CC @ {t}t");
         assert_eq!(par, bfs_labels(view), "{label}: CC vs BFS labels @ {t}t");
     }
-    let oracle = dijkstra(view, 0);
-    let par = thread_pool(t).install(|| par_sssp_with(view, 0, 16, cfg));
-    assert_eq!(par, oracle, "{label}: SSSP @ {t}t");
 }
 
 #[test]
@@ -503,13 +478,10 @@ fn default_threshold_falls_back_to_serial_on_small_graphs() {
 #[test]
 fn unreachable_and_weight_sentinels_agree() {
     // Disconnected RMAT-ish fragment: sentinel values must match the
-    // serial kernels' (UNREACHED for BFS, INF for SSSP).
+    // serial kernel's (UNREACHED for BFS).
     let edges = vec![TimedEdge::new(0, 1, 3), TimedEdge::new(2, 3, 5)];
     let csr = CsrGraph::from_edges_undirected(6, &edges);
     let cfg = force();
     let b = par_bfs_with(&csr, 0, &cfg);
     assert_eq!(b.dist[4], UNREACHED);
-    let d = par_sssp_with(&csr, 0, 4, &cfg);
-    assert_eq!(d[5], INF);
-    assert_eq!(d[1], 3);
 }
