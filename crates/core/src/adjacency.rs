@@ -1,5 +1,7 @@
 //! The dynamic adjacency abstraction shared by all representations.
 
+use std::mem::MaybeUninit;
+
 /// Reserved neighbor id marking a tombstoned (deleted) slot in array
 /// representations. Real vertex ids must stay below this value.
 pub const TOMBSTONE: u32 = u32::MAX;
@@ -244,6 +246,35 @@ pub trait DynamicAdjacency: Send + Sync {
                 on_changed(h.index());
             }
         }
+    }
+
+    /// Writes `u`'s live entries, in [`Self::for_each`] order, into
+    /// `nbrs` and `ts` (neighbors and timestamps, two slices of one
+    /// length) when the row holds exactly that many; returns false, with
+    /// nothing written beyond the slices, when it does not. What a CSR
+    /// build reads a row with: this default is the [`Self::for_each`]
+    /// loop, and representations that can check the length first and
+    /// copy without a call per entry override it.
+    fn write_row(
+        &self,
+        u: u32,
+        nbrs: &mut [MaybeUninit<u32>],
+        ts: &mut [MaybeUninit<u32>],
+    ) -> bool {
+        let (mut cursor, mut fits) = (0, true);
+        self.for_each(u, &mut |e| {
+            // A row longer than the slices (say, a writer raced the
+            // caller's degree read) drops its surplus rather than write
+            // past them.
+            if cursor == nbrs.len() {
+                fits = false;
+                return;
+            }
+            nbrs[cursor].write(e.nbr);
+            ts[cursor].write(e.ts);
+            cursor += 1;
+        });
+        fits && cursor == nbrs.len()
     }
 
     /// Collects `u`'s live entries (convenience over [`Self::for_each`]).

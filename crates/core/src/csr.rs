@@ -5,7 +5,10 @@
 //! showed dominates linked structures for static traversal. A snapshot is
 //! built in parallel from an edge list, from any [`DynamicAdjacency`]
 //! state, or by patching the previous snapshot of that state: copying
-//! the rows nothing touched since and re-reading only the rest.
+//! the rows nothing touched since and re-reading only the rest. A
+//! serving version may also be a snapshot plus a `RowDelta`, the rows
+//! changed since in CSR form of their own, which `CsrGraph::folded`
+//! compacts later. One row builder makes all of them.
 
 use crate::adjacency::DynamicAdjacency;
 use rayon::prelude::*;
@@ -47,12 +50,19 @@ fn offsets_from_degrees(mut degrees: Vec<usize>) -> Vec<usize> {
     degrees
 }
 
-/// A dynamic-source build that allocates its entry arrays asks for
-/// `1 / HEADROOM` more slots than it fills. Arrays are recycled only by a
-/// later version ([`CsrGraph::patched`]'s `spare`), and the graph may
-/// have grown in between: the spare slots let them still fit. Slots
-/// never written are never faulted in.
+/// A build that allocates its entry arrays asks for `1 / HEADROOM` more
+/// slots than it fills. Arrays are recycled only by a later version (the
+/// `spare` of [`CsrGraph::patched`], [`CsrGraph::folded`] and
+/// [`RowDelta::next`]), and the graph may have grown in between: the
+/// spare slots let them still fit. Slots never written are never faulted
+/// in.
 const HEADROOM: usize = 8;
+
+/// A build fills on the calling thread alone below this many entries:
+/// a delta of one serving cycle (about 10^5 entries at scale 16) fills
+/// in about a millisecond there, less than a second thread's start plus
+/// its wait for a core that a busy reader holds.
+const PARALLEL_FILL: usize = 1 << 18;
 
 /// `buf` emptied with room for `len` slots: kept when it has the room,
 /// else replaced by a fresh allocation with [`HEADROOM`].
@@ -66,16 +76,16 @@ fn storage<T>(mut buf: Vec<T>, len: usize) -> Vec<T> {
     buf
 }
 
-/// One fill task of the row builder: a vertex range and the slots its
-/// rows own in the neighbor and timestamp arrays.
+/// One fill task of the row builder: a range of the rows it writes and
+/// the slots those rows own in the neighbor and timestamp arrays.
 type FillChunk<'a> = (
     Range<usize>,
     &'a mut [MaybeUninit<u32>],
     &'a mut [MaybeUninit<u32>],
 );
 
-/// Cuts the vertex space into a few ranges per thread holding about
-/// equal entry counts, each with its disjoint share of the output.
+/// Cuts the rows into a few ranges per thread holding about equal entry
+/// counts, each with its disjoint share of the output.
 fn fill_chunks<'a>(
     offsets: &[usize],
     mut nbrs: &'a mut [MaybeUninit<u32>],
@@ -102,9 +112,10 @@ fn fill_chunks<'a>(
     chunks
 }
 
-/// A plain bitset over `0..n`: the rows a [`CsrGraph::patched`] build
-/// re-reads from the live adjacency, and the debt marks of the
+/// A plain bitset over `0..n`: the rows a build re-reads from the live
+/// adjacency, the rows a [`RowDelta`] holds, and the debt marks of the
 /// incremental indexes.
+#[derive(Default)]
 pub(crate) struct RowSet {
     words: Vec<u64>,
 }
@@ -171,6 +182,329 @@ impl RowSet {
             .zip(&other.words)
             .for_each(|(a, b)| *a |= b);
     }
+}
+
+/// The rows of a serving version that changed since its base, the last
+/// compacted [`CsrGraph`]: a dense set of the rows held, a rank index
+/// over it, and those rows in CSR form in vertex order. Base and delta
+/// together are the version; a reader routes each row to one of them by
+/// one bitset test ([`RowDelta::holds`]), and [`CsrGraph::folded`]
+/// compacts them into the next base. Immutable once built.
+#[derive(Default)]
+pub(crate) struct RowDelta {
+    rows: RowSet,
+    /// Per word of `rows`: how many rows the words before it hold.
+    ranks: Vec<u32>,
+    /// Held row `r` (in vertex order) is `nbrs[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<usize>,
+    nbrs: Vec<u32>,
+    ts: Vec<u32>,
+}
+
+impl RowDelta {
+    /// The delta holding the rows of `held`: those in `fresh` re-read
+    /// from `adj`, the others copied from `prev`, which must hold them —
+    /// a [`crate::cycle::Cycle`] passes the rows touched since its base
+    /// as `held` and those touched since its last freeze as `fresh`, so
+    /// the build costs the rows of one cycle plus a copy of the rest.
+    /// `None` when the held rows have more than `limit` entries: the
+    /// count stops there, so a refusal costs degree reads, not a build.
+    /// Writes into `spare`'s arrays where they fit, and takes it only
+    /// when it builds. A torn re-read row panics, as in
+    /// [`CsrGraph::from_dynamic`].
+    pub(crate) fn next<A: DynamicAdjacency>(
+        prev: Option<&RowDelta>,
+        adj: &A,
+        fresh: &RowSet,
+        held: &RowSet,
+        limit: usize,
+        spare: &mut Option<RowDelta>,
+    ) -> Option<RowDelta> {
+        let src = Reread {
+            live: adj,
+            fresh,
+            prev,
+        };
+        let mut entries = 0;
+        if held.iter().any(|u| {
+            entries += src.degree(u);
+            entries > limit
+        }) {
+            return None;
+        }
+        let Self {
+            mut rows,
+            mut ranks,
+            offsets,
+            nbrs,
+            ts,
+        } = spare.take().unwrap_or_default();
+        rows.words.clone_from(&held.words);
+        ranks.clear();
+        let mut before = 0;
+        ranks.extend(rows.words.iter().map(|w| {
+            let rank = before;
+            before += w.count_ones();
+            rank
+        }));
+        let members: Vec<u32> = rows.iter().collect();
+        let built = self::rows(Span::Only(&members), &src, None, Rows { offsets, nbrs, ts });
+        Some(Self {
+            rows,
+            ranks,
+            offsets: built.offsets,
+            nbrs: built.nbrs,
+            ts: built.ts,
+        })
+    }
+
+    /// True if the delta holds `u`'s row.
+    #[inline]
+    pub(crate) fn holds(&self, u: u32) -> bool {
+        self.rows.contains(u)
+    }
+
+    /// The rows the delta holds.
+    pub(crate) fn held(&self) -> &RowSet {
+        &self.rows
+    }
+
+    /// Position of held row `u` among the held rows.
+    #[inline]
+    fn rank(&self, u: u32) -> usize {
+        let (w, bit) = (u as usize / 64, u % 64);
+        self.ranks[w] as usize + (self.rows.words[w] & ((1 << bit) - 1)).count_ones() as usize
+    }
+
+    /// Held row `u`: its neighbors and their timestamps.
+    #[inline]
+    pub(crate) fn row(&self, u: u32) -> (&[u32], &[u32]) {
+        let r = self.rank(u);
+        let slots = self.offsets[r]..self.offsets[r + 1];
+        (&self.nbrs[slots.clone()], &self.ts[slots])
+    }
+
+    /// Entries in the held rows.
+    pub(crate) fn num_entries(&self) -> usize {
+        self.nbrs.len()
+    }
+}
+
+/// Rows in CSR layout: row `i` is `nbrs[offsets[i]..offsets[i + 1]]`,
+/// timestamps parallel. A [`CsrGraph`] holds a row per vertex, a
+/// [`RowDelta`] a row per vertex it holds.
+#[derive(Default)]
+struct Rows {
+    offsets: Vec<usize>,
+    nbrs: Vec<u32>,
+    ts: Vec<u32>,
+}
+
+impl From<Option<CsrGraph>> for Rows {
+    /// The arrays of a retired snapshot, or none.
+    fn from(spare: Option<CsrGraph>) -> Self {
+        spare.map_or_else(Rows::default, |s| Rows {
+            offsets: s.offsets,
+            nbrs: s.nbrs,
+            ts: s.ts,
+        })
+    }
+}
+
+/// The rows a build writes, in order.
+#[derive(Clone, Copy)]
+enum Span<'a> {
+    /// Every vertex `0..n`: a CSR.
+    All(usize),
+    /// These vertices, ascending: a delta.
+    Only(&'a [u32]),
+}
+
+impl Span<'_> {
+    fn len(self) -> usize {
+        match self {
+            Span::All(n) => n,
+            Span::Only(ids) => ids.len(),
+        }
+    }
+
+    /// The vertex whose row the build writes `i`-th.
+    #[inline]
+    fn at(self, i: usize) -> u32 {
+        match self {
+            Span::All(_) => i as u32,
+            Span::Only(ids) => ids[i],
+        }
+    }
+}
+
+/// Where a build reads the rows it does not copy from an earlier CSR.
+trait RowSource: Sync {
+    /// Length of `u`'s row.
+    fn degree(&self, u: u32) -> usize;
+
+    /// Writes `u`'s row into `nbrs` / `ts`, which have the length
+    /// [`RowSource::degree`] returned. False, with no slot beyond them
+    /// written, when the row no longer has that length.
+    fn write_row(&self, u: u32, nbrs: &mut [MaybeUninit<u32>], ts: &mut [MaybeUninit<u32>])
+        -> bool;
+}
+
+/// A live adjacency structure reads its rows itself
+/// ([`DynamicAdjacency::write_row`]).
+impl<A: DynamicAdjacency> RowSource for A {
+    fn degree(&self, u: u32) -> usize {
+        DynamicAdjacency::degree(self, u)
+    }
+
+    fn write_row(
+        &self,
+        u: u32,
+        nbrs: &mut [MaybeUninit<u32>],
+        ts: &mut [MaybeUninit<u32>],
+    ) -> bool {
+        DynamicAdjacency::write_row(self, u, nbrs, ts)
+    }
+}
+
+impl RowSource for RowDelta {
+    fn degree(&self, u: u32) -> usize {
+        self.row(u).0.len()
+    }
+
+    fn write_row(
+        &self,
+        u: u32,
+        nbrs: &mut [MaybeUninit<u32>],
+        ts: &mut [MaybeUninit<u32>],
+    ) -> bool {
+        let (held_nbrs, held_ts) = self.row(u);
+        nbrs.write_copy_of_slice(held_nbrs);
+        ts.write_copy_of_slice(held_ts);
+        true
+    }
+}
+
+/// The rows of the next delta: those in `fresh` re-read from the live
+/// adjacency, the others copied from the previous delta.
+struct Reread<'a, A> {
+    live: &'a A,
+    fresh: &'a RowSet,
+    prev: Option<&'a RowDelta>,
+}
+
+impl<A: DynamicAdjacency> Reread<'_, A> {
+    fn source(&self, u: u32) -> &dyn RowSource {
+        match self.prev {
+            Some(prev) if !self.fresh.contains(u) => prev,
+            _ => self.live,
+        }
+    }
+}
+
+impl<A: DynamicAdjacency> RowSource for Reread<'_, A> {
+    fn degree(&self, u: u32) -> usize {
+        self.source(u).degree(u)
+    }
+
+    fn write_row(
+        &self,
+        u: u32,
+        nbrs: &mut [MaybeUninit<u32>],
+        ts: &mut [MaybeUninit<u32>],
+    ) -> bool {
+        self.source(u).write_row(u, nbrs, ts)
+    }
+}
+
+/// The one row builder, behind every CSR and delta build from a dynamic
+/// source. It writes the rows of `span` in order. When `keep` names an
+/// earlier CSR and a set, a row outside the set is copied from that CSR,
+/// one `copy_from_slice` per maximal run (only a [`Span::All`] build
+/// keeps rows, so row `i` is vertex `i` on both sides); every other row
+/// is read from `src`. Writes into `spare`'s arrays where they fit.
+///
+/// # Panics
+///
+/// If a row read from `src` changed length between the degree pass and
+/// the fill: a writer raced the build, and a torn CSR must never be
+/// returned. The builder never writes out of bounds first.
+fn rows<S: RowSource>(
+    span: Span<'_>,
+    src: &S,
+    keep: Option<(&CsrGraph, &RowSet)>,
+    spare: Rows,
+) -> Rows {
+    let len = span.len();
+    debug_assert!(
+        keep.is_none_or(|(prev, _)| matches!(span, Span::All(n) if n == prev.num_vertices()))
+    );
+    let Rows {
+        offsets: mut degrees,
+        nbrs,
+        ts,
+    } = spare;
+    degrees.clear();
+    degrees.reserve_exact(len + 1);
+    degrees.par_extend((0..len).into_par_iter().map(|i| match keep {
+        Some((prev, read)) if !read.contains(i as u32) => prev.out_degree(i as u32),
+        _ => src.degree(span.at(i)),
+    }));
+    let offsets = offsets_from_degrees(degrees);
+    let total = offsets[len];
+    let mut nbrs = storage(nbrs, total);
+    let mut ts = storage(ts, total);
+    let torn = AtomicBool::new(false);
+    let chunks = fill_chunks(
+        &offsets,
+        &mut nbrs.spare_capacity_mut()[..total],
+        &mut ts.spare_capacity_mut()[..total],
+    );
+    let fill = |(rows, nbrs, ts): FillChunk<'_>| {
+        let slot = |i: usize| offsets[i] - offsets[rows.start];
+        let mut i = rows.start;
+        while i < rows.end {
+            match keep {
+                Some((prev, read)) if !read.contains(i as u32) => {
+                    // A kept run never changed: copy it whole.
+                    let end = (i + 1..rows.end)
+                        .find(|&w| read.contains(w as u32))
+                        .unwrap_or(rows.end);
+                    let src = prev.offsets[i]..prev.offsets[end];
+                    let dst = slot(i)..slot(end);
+                    nbrs[dst.clone()].write_copy_of_slice(&prev.nbrs[src.clone()]);
+                    ts[dst].write_copy_of_slice(&prev.ts[src]);
+                    i = end;
+                }
+                _ => {
+                    let dst = slot(i)..slot(i + 1);
+                    if !src.write_row(span.at(i), &mut nbrs[dst.clone()], &mut ts[dst]) {
+                        // ordering: Relaxed — monotonic torn flag joined
+                        // at the par_iter barrier (`into_inner` below).
+                        torn.store(true, Ordering::Relaxed);
+                    }
+                    i += 1;
+                }
+            }
+        }
+    };
+    if total < PARALLEL_FILL {
+        chunks.into_iter().for_each(fill);
+    } else {
+        chunks.into_par_iter().for_each(fill);
+    }
+    // panics: documented contract — a writer raced the build.
+    assert!(!torn.into_inner(), "adjacency mutated during snapshot");
+    // SAFETY: the chunks partition slots 0..total and each wrote every
+    // slot of its share: a copied run fills exactly its rows' slots
+    // (their degrees came from `prev`), and a row `src` wrote short of
+    // its slots returned false, which set the torn flag and panicked
+    // above.
+    unsafe {
+        nbrs.set_len(total);
+        ts.set_len(total);
+    }
+    Rows { offsets, nbrs, ts }
 }
 
 impl CsrGraph {
@@ -266,7 +600,8 @@ impl CsrGraph {
     /// race that keeps every row's length goes unseen: snapshots under
     /// concurrent ingest are [`crate::serve::ServeEngine`]'s job.
     pub fn from_dynamic<A: DynamicAdjacency>(adj: &A, directed: bool) -> Self {
-        Self::rows(adj, directed, None, None)
+        let n = adj.num_vertices();
+        Self::with_rows(rows(Span::All(n), adj, None, Rows::default()), directed)
     }
 
     /// Snapshots `adj` by patching `prev`, an earlier snapshot of it: the
@@ -287,97 +622,32 @@ impl CsrGraph {
         touched: &RowSet,
         spare: Option<CsrGraph>,
     ) -> Self {
-        Self::rows(adj, prev.directed, Some((prev, touched)), spare)
+        let n = adj.num_vertices();
+        let built = rows(Span::All(n), adj, Some((prev, touched)), spare.into());
+        Self::with_rows(built, prev.directed)
     }
 
-    /// The one dynamic-source row builder: [`CsrGraph::patched`] when
-    /// `reuse` names a previous snapshot and its touched set, a fresh
-    /// build of every row otherwise; into `spare`'s arrays where they fit.
-    fn rows<A: DynamicAdjacency>(
-        adj: &A,
-        directed: bool,
-        reuse: Option<(&CsrGraph, &RowSet)>,
-        spare: Option<CsrGraph>,
-    ) -> Self {
-        let n = adj.num_vertices();
-        debug_assert!(reuse.is_none_or(|(prev, _)| prev.num_vertices() == n));
-        let (mut degrees, nbrs, ts) =
-            spare.map_or_else(Default::default, |s| (s.offsets, s.nbrs, s.ts));
-        degrees.clear();
-        degrees.reserve_exact(n + 1);
-        degrees.par_extend((0..n as u32).into_par_iter().map(|u| match reuse {
-            Some((prev, touched)) if !touched.contains(u) => prev.out_degree(u),
-            _ => adj.degree(u),
-        }));
-        let offsets = offsets_from_degrees(degrees);
-        let total = offsets[n];
-        let mut nbrs = storage(nbrs, total);
-        let mut ts = storage(ts, total);
-        let torn = AtomicBool::new(false);
-        let chunks = fill_chunks(
-            &offsets,
-            &mut nbrs.spare_capacity_mut()[..total],
-            &mut ts.spare_capacity_mut()[..total],
+    /// Compacts a version held as `base` plus `delta` (the rows changed
+    /// since `base`) into one CSR: `delta`'s rows copied from it, every
+    /// other row copied from `base` by runs. Reads no live graph, so it
+    /// runs whenever the caller likes; into `spare`'s arrays where they
+    /// fit, as in [`CsrGraph::patched`]. O(n + m).
+    pub(crate) fn folded(base: &CsrGraph, delta: &RowDelta, spare: Option<CsrGraph>) -> Self {
+        let n = base.num_vertices();
+        let built = rows(
+            Span::All(n),
+            delta,
+            Some((base, delta.held())),
+            spare.into(),
         );
-        chunks.into_par_iter().for_each(|(rows, nbrs, ts)| {
-            let slot = |u: usize| offsets[u] - offsets[rows.start];
-            let mut u = rows.start;
-            while u < rows.end {
-                match reuse {
-                    Some((prev, touched)) if !touched.contains(u as u32) => {
-                        // An untouched run never changed: copy it whole.
-                        let end = (u + 1..rows.end)
-                            .find(|&w| touched.contains(w as u32))
-                            .unwrap_or(rows.end);
-                        let src = prev.offsets[u]..prev.offsets[end];
-                        let dst = slot(u)..slot(end);
-                        nbrs[dst.clone()].write_copy_of_slice(&prev.nbrs[src.clone()]);
-                        ts[dst].write_copy_of_slice(&prev.ts[src]);
-                        u = end;
-                    }
-                    _ => {
-                        let (mut cursor, end) = (slot(u), slot(u + 1));
-                        adj.for_each(u as u32, &mut |e| {
-                            // A concurrent mutation between the degree
-                            // pass and this read breaks the row's slot
-                            // budget. Flag it and drop the surplus
-                            // entries rather than write into the next
-                            // row.
-                            if cursor == end {
-                                // ordering: Relaxed — monotonic torn flag
-                                // joined at the par_iter barrier
-                                // (`into_inner` below).
-                                torn.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                            nbrs[cursor].write(e.nbr);
-                            ts[cursor].write(e.ts);
-                            cursor += 1;
-                        });
-                        if cursor != end {
-                            // ordering: Relaxed — same torn flag as above.
-                            torn.store(true, Ordering::Relaxed);
-                        }
-                        u += 1;
-                    }
-                }
-            }
-        });
-        // panics: documented contract of `from_dynamic` / `patched` — a
-        // writer raced the build, and a torn CSR must never be returned.
-        assert!(!torn.into_inner(), "adjacency mutated during snapshot");
-        // SAFETY: the chunks partition slots 0..total and each wrote every
-        // slot of its share: a copied run fills exactly its rows' slots
-        // (their degrees came from `prev`), and a re-read row whose cursor
-        // stopped short of its end set the torn flag, which panicked above.
-        unsafe {
-            nbrs.set_len(total);
-            ts.set_len(total);
-        }
+        Self::with_rows(built, base.directed)
+    }
+
+    fn with_rows(rows: Rows, directed: bool) -> Self {
         Self {
-            offsets,
-            nbrs,
-            ts,
+            offsets: rows.offsets,
+            nbrs: rows.nbrs,
+            ts: rows.ts,
             directed,
         }
     }
@@ -689,6 +959,83 @@ mod tests {
                 "seed {seed}: {hub_was_treap:?}"
             );
         }
+    }
+
+    /// Random rounds on a hybrid graph as in [`patch_forward`], each
+    /// published as a delta over one base that re-reads only the round's
+    /// rows and copies the rest from the last delta, folded into a new
+    /// base every few rounds. Folding base and delta, and patching the
+    /// base with the delta's rows, must both give the fresh build.
+    #[test]
+    fn deltas_over_a_base_fold_into_a_fresh_build() {
+        let hints = CapacityHints::new(64).with_degree_thresh(8);
+        let g = DynGraph::<HybridAdj>::undirected(16, &hints);
+        let mut rng = XorShift64::new(3);
+        let mut base = g.to_csr();
+        let (mut delta, mut spare) = (None::<RowDelta>, None);
+        let mut held = RowSet::new(16);
+        for round in 0..48u32 {
+            let insert_share = if round < 24 { 0.8 } else { 0.05 };
+            let mut fresh = RowSet::new(16);
+            for i in 0..rng.next_bounded(6) + 1 {
+                let u = if rng.next_bool(0.5) {
+                    0
+                } else {
+                    rng.next_bounded(16) as u32
+                };
+                let v = rng.next_bounded(16) as u32;
+                if rng.next_bool(insert_share) {
+                    g.insert_edge(TimedEdge::new(u, v, round * 16 + i as u32));
+                } else {
+                    g.delete_edge(u, v);
+                }
+                for w in [u, v] {
+                    fresh.insert(w);
+                    held.insert(w);
+                }
+            }
+            let next = RowDelta::next(
+                delta.as_ref(),
+                g.adjacency(),
+                &fresh,
+                &held,
+                usize::MAX,
+                &mut spare,
+            )
+            .expect("no limit");
+            let want = g.to_csr();
+            assert_eq!(CsrGraph::folded(&base, &next, None), want, "round {round}");
+            assert_eq!(
+                CsrGraph::patched(&base, g.adjacency(), next.held(), None),
+                want
+            );
+            for u in held.iter() {
+                assert_eq!(next.row(u), (want.neighbors(u), want.timestamps(u)));
+            }
+            // The retired delta lends its arrays to the next one.
+            spare = delta.replace(next);
+            if round % 8 == 7 {
+                let folded = delta.take().expect("just built");
+                base = CsrGraph::folded(&base, &folded, Some(base.clone()));
+                held.clear();
+            }
+        }
+    }
+
+    #[test]
+    fn a_delta_over_its_limit_is_refused_and_keeps_the_spare() {
+        let (g, _, mutated) = mutated_after_snapshot();
+        let mut held = RowSet::new(8);
+        mutated.iter().for_each(|&u| held.insert(u));
+        let entries: usize = mutated.iter().map(|&u| g.degree(u)).sum();
+        let mut spare = Some(RowDelta::default());
+        let refused = RowDelta::next(None, g.adjacency(), &held, &held, entries - 1, &mut spare);
+        assert!(refused.is_none() && spare.is_some());
+        let delta = RowDelta::next(None, g.adjacency(), &held, &held, entries, &mut spare)
+            .expect("exactly at the limit");
+        assert!(spare.is_none());
+        assert_eq!(delta.num_entries(), entries);
+        assert!(mutated.iter().all(|&u| delta.holds(u)) && !delta.holds(1));
     }
 
     /// A graph, its snapshot, and the vertices mutated after it.

@@ -1,10 +1,12 @@
 //! The write protocol both engines run ([`Cycle`]): apply a stream,
 //! absorb it into the attached indexes and settle them, step their
-//! epochs, and freeze the CSR of the result by patching the previous
-//! freeze.
+//! epochs, and freeze the result: a compacted CSR patched from the
+//! previous one ([`Cycle::freeze`]), or, for the serving writer, the last
+//! compacted CSR plus a delta of the rows touched since
+//! ([`Cycle::publish`]), compacted later ([`Cycle::fold`]).
 
 use crate::adjacency::DynamicAdjacency;
-use crate::csr::{CsrGraph, RowSet};
+use crate::csr::{CsrGraph, RowDelta, RowSet};
 use crate::engine::{apply_ranged, check_endpoints, RANGE_BUDGET};
 use crate::graph::DynGraph;
 use crate::indexes::IndexRoutes;
@@ -12,25 +14,51 @@ use snap_rmat::Update;
 use snap_util::timer::Timer;
 use std::sync::{Arc, OnceLock};
 
+/// A [`Cycle::publish`] builds a delta only while its rows hold at most
+/// `1 / OVERLAY_SHARE` of the base's entries; past that it patches a new
+/// base. The bound is not for the freeze itself: measured at scale 16 on
+/// 2 vCPUs, a delta was cheaper to build than a patch at every share
+/// tried (0.8 against 1.5 ms at 15 % of the entries, 1.9 against 2.8 ms
+/// at 74 %; CHANGES.md). It is for what a delta costs later: every
+/// retained version that holds one keeps those entries twice, readers
+/// of it have no CSR fast path, and the fold copies them again. A
+/// quarter keeps a full ring of deltas (4 by default) within about one
+/// CSR of extra memory, and leaves a backlog's drain, which touches
+/// most rows, on the single patch.
+const OVERLAY_SHARE: usize = 4;
+
+/// A frozen graph: a compacted CSR and, unless the version is compacted,
+/// the delta of the rows changed since it.
+pub(crate) type Frozen = (Arc<CsrGraph>, Option<Arc<RowDelta>>);
+
 /// One engine's write side: the serving writer thread owns one, and
 /// [`crate::manager::SnapshotManager`] holds one behind its lock. Either
 /// way the cycle is the graph's only mutator, which is what makes a
-/// patched freeze exact and the epoch steps ordered.
+/// patched freeze and a delta exact and the epoch steps ordered.
 pub(crate) struct Cycle {
     /// Runs so far, changed or not.
     epoch: u64,
     /// Both endpoints of every update run since the last freeze (marked
-    /// only while there is a freeze to patch): the rows the next freeze
-    /// re-reads. No other row changed since.
+    /// only while there is a base): the rows the next freeze re-reads.
+    /// No other row changed since.
     touched: RowSet,
+    /// The same since `base` was built: `touched` plus the rows `delta`
+    /// holds, the rows the next delta holds or a patch re-reads.
+    since_base: RowSet,
     /// Whether the graph changed since the last freeze.
     dirty: bool,
-    frozen: Option<Arc<CsrGraph>>,
-    /// Freezes that built a CSR, patched or full.
+    /// The last compacted CSR.
+    base: Option<Arc<CsrGraph>>,
+    /// The rows changed between `base` and the last freeze, when that
+    /// freeze published a delta.
+    delta: Option<Arc<RowDelta>>,
+    /// Freezes that built something: a CSR, patched or full, or a delta.
     builds: usize,
-    /// A retired freeze nobody reads any more ([`Cycle::recycle`]): the
-    /// next patch writes into its arrays.
+    /// A retired CSR nobody reads any more ([`Cycle::recycle`]): the
+    /// next patch or fold writes into its arrays.
     spare: Option<CsrGraph>,
+    /// The same for the next delta.
+    spare_delta: Option<RowDelta>,
 }
 
 impl Cycle {
@@ -39,10 +67,13 @@ impl Cycle {
         Self {
             epoch: 0,
             touched: RowSet::new(n),
+            since_base: RowSet::new(n),
             dirty: false,
-            frozen: None,
+            base: None,
+            delta: None,
             builds: 0,
             spare: None,
+            spare_delta: None,
         }
     }
 
@@ -56,11 +87,17 @@ impl Cycle {
 
     /// True when the next [`Cycle::freeze`] shares the last CSR.
     pub(crate) fn is_clean(&self) -> bool {
-        self.frozen.is_some() && !self.dirty
+        self.base.is_some() && self.delta.is_none() && !self.dirty
     }
 
-    /// Rows the next [`Cycle::freeze`] re-reads into its patch; 0 when it
-    /// shares the last CSR.
+    /// True when the last freeze published a delta, which
+    /// [`Cycle::fold`] would compact.
+    pub(crate) fn has_delta(&self) -> bool {
+        self.delta.is_some()
+    }
+
+    /// Rows the next [`Cycle::publish`] re-reads from the live graph when
+    /// it builds a delta; 0 when it shares the last version.
     pub(crate) fn dirty_rows(&self) -> usize {
         if self.dirty {
             self.touched.count()
@@ -108,10 +145,12 @@ impl Cycle {
                 changed.count()
             }
         };
-        if self.frozen.is_some() {
+        if self.base.is_some() {
             for u in stream {
-                self.touched.insert(u.edge.u);
-                self.touched.insert(u.edge.v);
+                for v in [u.edge.u, u.edge.v] {
+                    self.touched.insert(v);
+                    self.since_base.insert(v);
+                }
             }
         }
         self.dirty |= changed > 0;
@@ -120,29 +159,80 @@ impl Cycle {
         changed
     }
 
-    /// The CSR of `graph` now: the last freeze when nothing changed
-    /// since, that one patched with the touched rows
-    /// ([`CsrGraph::patched`]), or a full build when there is none.
+    /// The compacted CSR of `graph` now: the base when nothing changed
+    /// since it, that one patched with every row touched since
+    /// ([`CsrGraph::patched`]), or a full build when there is none. The
+    /// result is the new base.
     pub(crate) fn freeze<A: DynamicAdjacency>(&mut self, graph: &DynGraph<A>) -> Arc<CsrGraph> {
-        let csr = match &self.frozen {
-            Some(prev) if !self.dirty => return Arc::clone(prev),
-            Some(prev) => {
-                CsrGraph::patched(prev, graph.adjacency(), &self.touched, self.spare.take())
+        let csr = match &self.base {
+            Some(base) if self.is_clean() => return Arc::clone(base),
+            Some(base) => {
+                CsrGraph::patched(base, graph.adjacency(), &self.since_base, self.spare.take())
             }
             None => graph.to_csr(),
         };
         self.builds += 1;
         self.dirty = false;
         self.touched.clear();
-        Arc::clone(self.frozen.insert(Arc::new(csr)))
+        self.since_base.clear();
+        self.delta = None;
+        Arc::clone(self.base.insert(Arc::new(csr)))
     }
 
-    /// Hands back a freeze its owner retired: when nobody else holds it,
-    /// the next patch reuses its arrays instead of allocating (and
-    /// faulting in) fresh ones.
-    pub(crate) fn recycle(&mut self, csr: Arc<CsrGraph>) {
+    /// The serving freeze, O(rows touched since the base): the last
+    /// version when nothing changed since it; else the base plus a delta
+    /// of the rows touched since it, the ones touched since the last
+    /// freeze re-read and the rest copied from the last delta
+    /// ([`RowDelta::next`]). When that delta would hold more than
+    /// `1 / OVERLAY_SHARE` of the base's entries (or there is no base),
+    /// a [`Cycle::freeze`] instead, and no delta.
+    pub(crate) fn publish<A: DynamicAdjacency>(&mut self, graph: &DynGraph<A>) -> Frozen {
+        let Some(base) = self.base.clone() else {
+            return (self.freeze(graph), None);
+        };
+        if !self.dirty {
+            return (base, self.delta.clone());
+        }
+        let next = RowDelta::next(
+            self.delta.as_deref(),
+            graph.adjacency(),
+            &self.touched,
+            &self.since_base,
+            base.num_entries() / OVERLAY_SHARE,
+            &mut self.spare_delta,
+        );
+        let Some(delta) = next else {
+            return (self.freeze(graph), None);
+        };
+        self.builds += 1;
+        self.dirty = false;
+        self.touched.clear();
+        (base, Some(Arc::clone(self.delta.insert(Arc::new(delta)))))
+    }
+
+    /// Compacts the last freeze's base and delta into a new base
+    /// ([`CsrGraph::folded`], O(n + m), into the spare arrays) and
+    /// returns it; `None` when there is no delta. The graph is not read:
+    /// the rows touched since the last freeze stay marked for the next.
+    pub(crate) fn fold(&mut self) -> Option<Arc<CsrGraph>> {
+        let delta = self.delta.take()?;
+        // panics: unreachable — a delta is only ever built over a base.
+        let base = self.base.as_ref().expect("a delta has a base");
+        let folded = Arc::new(CsrGraph::folded(base, &delta, self.spare.take()));
+        self.since_base.clear();
+        self.since_base.union_with(&self.touched);
+        Some(Arc::clone(self.base.insert(folded)))
+    }
+
+    /// Hands back the graph of a version its owner retired: the arrays
+    /// nobody else holds any more are what the next patch, fold or delta
+    /// writes into instead of allocating (and faulting in) fresh ones.
+    pub(crate) fn recycle(&mut self, (csr, delta): Frozen) {
         if let Ok(csr) = Arc::try_unwrap(csr) {
             self.spare = Some(csr);
+        }
+        if let Some(Ok(delta)) = delta.map(Arc::try_unwrap) {
+            self.spare_delta = Some(delta);
         }
     }
 }
@@ -213,6 +303,57 @@ mod tests {
         assert_eq!(cycle.dirty_rows(), 12, "the hub and its 11 neighbours");
         assert_eq!(*cycle.freeze(&g), g.to_csr());
         assert_eq!((cycle.dirty_rows(), cycle.builds()), (0, 2));
+    }
+
+    #[test]
+    fn publish_builds_deltas_until_a_quarter_of_the_entries_then_patches() {
+        let g = DynGraph::<HybridAdj>::undirected(64, &CapacityHints::new(256));
+        let ring: Vec<Update> = (0..64).map(|v| ins(v, (v + 1) % 64)).collect();
+        let mut cycle = Cycle::new(64);
+        cycle.run(&g, IndexRoutes::default(), &ring, 2);
+        let v0 = cycle.freeze(&g);
+        assert_eq!(v0.num_entries(), 128);
+        let publish = |cycle: &mut Cycle, stream: &[Update]| {
+            cycle.run(&g, IndexRoutes::default(), stream, 2);
+            let (base, delta) = cycle.publish(&g);
+            let version = match &delta {
+                Some(d) => CsrGraph::folded(&base, d, None),
+                None => (*base).clone(),
+            };
+            assert_eq!(version, g.to_csr());
+            (base, delta)
+        };
+        // A chord: two rows of 3 entries over the base.
+        let (base, delta) = publish(&mut cycle, &[ins(0, 32)]);
+        assert!(Arc::ptr_eq(&base, &v0));
+        assert_eq!(delta.expect("a small change").num_entries(), 6);
+        // The next delta keeps those rows (copied) beside its own.
+        let (base, delta) = publish(&mut cycle, &[ins(8, 40)]);
+        assert!(Arc::ptr_eq(&base, &v0));
+        assert_eq!(delta.expect("still small").num_entries(), 12);
+        // A no-op shares the last version.
+        let (base, same) = publish(&mut cycle, &[del(1, 5)]);
+        assert!(Arc::ptr_eq(&base, &v0));
+        assert!(Arc::ptr_eq(
+            &same.expect("a delta"),
+            cycle.delta.as_ref().unwrap()
+        ));
+        // Past a quarter of the base's 128 entries: a patched base.
+        let chords: Vec<Update> = (16..24).map(|v| ins(v, v + 24)).collect();
+        let (base, delta) = publish(&mut cycle, &chords);
+        assert!(delta.is_none() && !Arc::ptr_eq(&base, &v0));
+        assert_eq!((cycle.builds(), cycle.is_clean()), (4, true));
+        // A fold compacts the delta; the rows of a run after the last
+        // freeze stay marked for the next one.
+        publish(&mut cycle, &[del(0, 32)]);
+        cycle.run(&g, IndexRoutes::default(), &[ins(2, 50)], 1);
+        let folded = cycle.fold().expect("a delta to fold");
+        assert!(cycle.fold().is_none());
+        let (base, delta) = cycle.publish(&g);
+        assert!(Arc::ptr_eq(&base, &folded));
+        let delta = delta.expect("the run after the freeze");
+        assert!(delta.holds(2) && delta.holds(50) && !delta.holds(0));
+        assert_eq!(CsrGraph::folded(&base, &delta, None), g.to_csr());
     }
 
     #[test]

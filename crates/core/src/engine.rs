@@ -458,14 +458,22 @@ fn fork_each<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<
         .collect()
 }
 
+/// A range whose vertices outnumber its half-updates this many times
+/// over is sorted by comparison, not counting: the counting sort clears
+/// and scans one cursor per vertex of the range, so a small serving
+/// cycle (256 updates over 65,536 vertices) would pay O(range) for
+/// O(halves) of work. A bulk range holds more half-updates than
+/// vertices and keeps the counting sort.
+const COMPARISON_SORT_SPREAD: usize = 16;
+
 /// One worker of [`apply_ranged`]: the buffers it reuses from range to
 /// range, and the updates it saw change the graph.
 struct RangeWorker {
     /// The range's half-updates sorted by source, in a prefix: the
     /// buffer only grows, so the sort writes each slot once.
     sorted: Vec<HalfUpdate>,
-    /// Per vertex of the range: where its group starts in `sorted`
-    /// (after the sort: where it ends).
+    /// Per vertex of the range, for the counting sort: where its group
+    /// starts in `sorted`.
     cursors: Vec<usize>,
     /// One bit per update of the stream. Worker-local, so no atomics; an
     /// update's verdict is the OR over workers, taken after the barrier.
@@ -482,9 +490,9 @@ impl RangeWorker {
     }
 
     /// Applies `halves`, the half-updates whose source lies in `range`
-    /// in stream order: counting-sort by source (stable, so a vertex's
-    /// group keeps stream order), one
-    /// [`DynamicAdjacency::apply_group`] per vertex.
+    /// in stream order: sorts them by source, stably so a vertex's group
+    /// keeps stream order, then one [`DynamicAdjacency::apply_group`] per
+    /// run of one source.
     fn walk<A: DynamicAdjacency>(
         &mut self,
         g: &DynGraph<A>,
@@ -492,41 +500,53 @@ impl RangeWorker {
         halves: &[HalfUpdate],
         metrics: &ApplyMetrics,
     ) {
-        let Self {
-            sorted,
-            cursors,
-            changed,
-        } = self;
         {
             let _t = Timer::scope(&metrics.sort_ns);
-            cursors.clear();
-            cursors.resize(range.len(), 0);
-            for h in halves {
-                cursors[h.src as usize - range.start] += 1;
-            }
-            let mut start = 0;
-            for cursor in cursors.iter_mut() {
-                start += std::mem::replace(cursor, start);
-            }
-            if let Some(&h) = halves.first() {
-                sorted.resize(sorted.len().max(halves.len()), h);
-            }
-            for h in halves {
-                let cursor = &mut cursors[h.src as usize - range.start];
-                sorted[*cursor] = *h;
-                *cursor += 1;
-            }
+            let by_comparison = range.len() > COMPARISON_SORT_SPREAD * halves.len();
+            self.sort(range, halves, by_comparison);
         }
         let _t = Timer::scope(&metrics.groups_ns);
+        self.apply_groups(g, halves.len());
+    }
+
+    /// Writes `halves` into `sorted[..halves.len()]`, stably sorted by
+    /// source: by comparison, O(h log h), or by counting, O(h + range).
+    fn sort(&mut self, range: &Range<usize>, halves: &[HalfUpdate], by_comparison: bool) {
+        let Some(&first) = halves.first() else {
+            return;
+        };
+        let sorted = &mut self.sorted;
+        sorted.resize(sorted.len().max(halves.len()), first);
+        let sorted = &mut sorted[..halves.len()];
+        if by_comparison {
+            sorted.copy_from_slice(halves);
+            sorted.sort_by_key(|h| h.src);
+            return;
+        }
+        let cursors = &mut self.cursors;
+        cursors.clear();
+        cursors.resize(range.len(), 0);
+        for h in halves {
+            cursors[h.src as usize - range.start] += 1;
+        }
         let mut start = 0;
-        for (vertex, &end) in range.clone().zip(cursors.iter()) {
-            if end > start {
-                g.adjacency()
-                    .apply_group(vertex as u32, &mut sorted[start..end], &mut |idx| {
-                        changed.insert(idx as u32);
-                    });
-                start = end;
-            }
+        for cursor in cursors.iter_mut() {
+            start += std::mem::replace(cursor, start);
+        }
+        for h in halves {
+            let cursor = &mut cursors[h.src as usize - range.start];
+            sorted[*cursor] = *h;
+            *cursor += 1;
+        }
+    }
+
+    /// One [`DynamicAdjacency::apply_group`] per run of one source in
+    /// `sorted[..len]`, noting the updates that changed the graph.
+    fn apply_groups<A: DynamicAdjacency>(&mut self, g: &DynGraph<A>, len: usize) {
+        let changed = &mut self.changed;
+        for group in self.sorted[..len].chunk_by_mut(|a, b| a.src == b.src) {
+            g.adjacency()
+                .apply_group(group[0].src, group, &mut |idx| changed.insert(idx as u32));
         }
     }
 }
@@ -965,6 +985,54 @@ pub(crate) mod tests {
             for directed in [false, true] {
                 let ranges = check_partition(&star(directed), &hub, workers, 1);
                 assert_eq!(ranges == 1, directed, "the hub is the one directed source");
+            }
+        }
+    }
+
+    #[test]
+    fn applier_sorts_by_comparison_and_by_counting_alike() {
+        // One range over a graph much wider than the stream: the spread
+        // that picks the comparison sort. Both sorts must give the same
+        // order, and the same change bits and graph once applied.
+        let n = 1u32 << 14;
+        let hints = CapacityHints::new(64).with_degree_thresh(4);
+        let stream: Vec<Update> = non_commuting_stream(48, 200, 5)
+            .into_iter()
+            .map(|mut u| {
+                // Spread the 48 endpoints over the wide id space.
+                u.edge.u *= 83;
+                u.edge.v *= 83;
+                u
+            })
+            .collect();
+        for directed in [false, true] {
+            let graph = || {
+                DynGraph::<HybridAdj>::from_adjacency(HybridAdj::new(n as usize, &hints), directed)
+            };
+            let (a, b) = (graph(), graph());
+            let part = Partition::new(&a, &stream, 1, RANGE_BUDGET);
+            assert_eq!(part.ranges.len(), 1);
+            let (range, halves) = (&part.ranges[0], part.slice(0));
+            assert!(range.len() > COMPARISON_SORT_SPREAD * halves.len());
+            let (mut by_count, mut by_comparison) = (
+                RangeWorker::new(stream.len()),
+                RangeWorker::new(stream.len()),
+            );
+            by_count.sort(range, halves, false);
+            by_comparison.sort(range, halves, true);
+            let len = halves.len();
+            assert_eq!(by_count.sorted[..len], by_comparison.sorted[..len]);
+            by_count.apply_groups(&a, len);
+            by_comparison.apply_groups(&b, len);
+            let bits = |w: &RangeWorker| w.changed.iter().collect::<Vec<_>>();
+            assert_eq!(bits(&by_count), bits(&by_comparison));
+            assert!(!by_count.changed.is_empty());
+            for u in 0..n {
+                assert_eq!(
+                    a.adjacency().neighbors(u),
+                    b.adjacency().neighbors(u),
+                    "vertex {u}"
+                );
             }
         }
     }

@@ -34,6 +34,7 @@
 use crate::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, HalfUpdate};
 use parking_lot::Mutex;
 use snap_treap::Treap;
+use std::mem::MaybeUninit;
 
 /// One vertex's adjacency: array while small, treap once hot.
 enum Repr {
@@ -294,6 +295,36 @@ impl DynamicAdjacency for HybridAdj {
         }
     }
 
+    fn write_row(
+        &self,
+        u: u32,
+        nbrs: &mut [MaybeUninit<u32>],
+        ts: &mut [MaybeUninit<u32>],
+    ) -> bool {
+        let cell = self.adj[u as usize].lock();
+        match &*cell {
+            Repr::Arr(arr) if arr.len() == nbrs.len() => {
+                for ((e, nbr), t) in arr.iter().zip(nbrs).zip(ts) {
+                    nbr.write(e.nbr);
+                    t.write(e.ts);
+                }
+                true
+            }
+            Repr::Treap(t) if t.len() == nbrs.len() => {
+                let mut slots = nbrs.iter_mut().zip(ts);
+                t.for_each(|nbr, ts| {
+                    // The lengths match, so there is a slot per entry.
+                    if let Some((a, b)) = slots.next() {
+                        a.write(nbr);
+                        b.write(ts);
+                    }
+                });
+                true
+            }
+            _ => false,
+        }
+    }
+
     fn retain(&self, u: u32, keep: &mut dyn FnMut(AdjEntry) -> bool) -> usize {
         let mut cell = self.adj[u as usize].lock();
         match &mut *cell {
@@ -350,6 +381,36 @@ mod tests {
         }
         assert!(!a.is_treap(0));
         assert_eq!(a.degree(0), 31);
+    }
+
+    #[test]
+    fn write_row_copies_a_row_of_the_given_length_and_only_that() {
+        let a = HybridAdj::new(2, &hints());
+        for k in (0..40u32).rev() {
+            a.insert(u32::from(k < 8), AdjEntry::new(k, 100 + k));
+        }
+        // Vertex 0 became a treap, vertex 1 stays an array.
+        assert!(a.is_treap(0) && !a.is_treap(1));
+        let csr = crate::CsrGraph::from_dynamic(&a, true);
+        for u in 0..2 {
+            let want = a.neighbors(u);
+            for len in [want.len() - 1, want.len() + 1] {
+                let mut nbrs = vec![MaybeUninit::new(7); len];
+                let mut ts = vec![MaybeUninit::new(7); len];
+                assert!(
+                    !a.write_row(u, &mut nbrs, &mut ts),
+                    "vertex {u}, {len} slots"
+                );
+            }
+            // The CSR build reads rows with `write_row`.
+            let got: Vec<AdjEntry> = csr
+                .neighbors(u)
+                .iter()
+                .zip(csr.timestamps(u))
+                .map(|(&nbr, &ts)| AdjEntry::new(nbr, ts))
+                .collect();
+            assert_eq!(got, want, "vertex {u}");
+        }
     }
 
     #[test]

@@ -27,36 +27,49 @@
 //!    per range instead of once per batch. The lag a backlog adds is
 //!    bounded by the budget, not by a setting. (A cycle whose stream fits
 //!    one range runs on the writer thread itself, no spawn.)
-//! 2. **Labels every cycle, the CSR on demand.** After applying, the
-//!    writer settles the connectivity index and publishes the cycle's
-//!    component labels with one pointer swap, so
+//! 2. **Labels every cycle, a version on demand, in O(rows touched).**
+//!    After applying, the writer settles the connectivity index and
+//!    publishes the cycle's component labels with one pointer swap, so
 //!    [`ServeEngine::same_component`], [`ServeEngine::component`] and
 //!    [`ServeEngine::epoch`] are fresh after every cycle. That costs the
 //!    index's repair work plus one O(n) label extraction per cycle that
 //!    changed the graph (a `find` per vertex into a fresh n × 4 B
 //!    array), amortized by the cycle's size. The rest of a version — the
-//!    CSR that traversals read — is *frozen* at the end of a cycle only
+//!    rows that traversals read — is *frozen* at the end of a cycle only
 //!    when somebody can use it: a [`ServeEngine::pin`] asked for a newer
 //!    version than the newest frozen one, or no further batch is waiting
 //!    (so an idle engine is always frozen and pins see everything). A
-//!    freeze patches the previous version's CSR (O(n) offsets, the
-//!    untouched rows copied, the touched ones re-read) and publishes an
-//!    immutable [`EpochSnapshot`] with **one** pointer swap. Readers
-//!    never observe intermediate state and never block on a build: `pin`
-//!    returns the newest frozen version in nanoseconds, with its true
-//!    epoch, batch count and labels, and the handle is valid forever.
-//!    Under a sustained backlog that version may trail the newest cycle;
-//!    the pin that notices raises the writer's wanted-flag, and the cycle
-//!    that ends next freezes.
-//! 3. **Epoch-based reclamation.** The engine retains the last
-//!    [`ServeConfig::retain`] frozen versions in a ring; older versions
-//!    are dropped from the ring but stay alive as long as any pinned
-//!    handle references them (`Arc` reference counting is the
+//!    freeze does not rebuild the CSR: a version is the last compacted
+//!    CSR (its *base*) plus an immutable *delta* of the rows touched
+//!    since. The freeze re-reads the rows touched since the last freeze
+//!    and copies the last delta's other rows, so its cost follows the
+//!    cycle, not the graph. Only when the delta would hold more than a
+//!    quarter of the base's entries (a backlog's drain) does it patch a
+//!    new base instead: the base's untouched rows copied, the touched
+//!    ones re-read. Either way the version is published as an immutable
+//!    [`EpochSnapshot`] with **one** pointer swap. Readers never observe
+//!    intermediate state and never block on a build: `pin` returns the
+//!    newest frozen version in nanoseconds, with its true epoch, batch
+//!    count and labels, and the handle is valid forever. Under a
+//!    sustained backlog that version may trail the newest cycle; the pin
+//!    that notices raises the writer's wanted-flag, and the cycle that
+//!    ends next freezes.
+//! 3. **Compaction when idle, and epoch-based reclamation.** Once the
+//!    queue has stayed empty for a millisecond, or before a
+//!    [`ServeEngine::flush`] acknowledges, the writer *folds* the newest
+//!    version's base and delta into a fresh base, off every lag path,
+//!    and republishes that version compacted: same epoch, batch count
+//!    and labels (a fold is not a freeze and is not counted as one). The
+//!    engine retains the last [`ServeConfig::retain`] versions in a ring
+//!    (a compacted republication takes its overlay's place); older
+//!    versions are dropped from the ring but stay alive as long as any
+//!    pinned handle references them (`Arc` reference counting is the
 //!    reclamation mechanism — a `par_bc` run that pins a version for
-//!    hundreds of milliseconds keeps exactly that version alive, nothing
-//!    else). The oldest version leaves the ring just before a freeze,
-//!    and if no handle holds it, that freeze writes into its arrays
-//!    instead of faulting in fresh ones.
+//!    hundreds of milliseconds keeps exactly that version, its base and
+//!    its delta alive, nothing else). The oldest version leaves the ring
+//!    just before a freeze, and if no handle holds its arrays, the next
+//!    fold, patch or delta writes into them instead of faulting in fresh
+//!    ones.
 //!
 //! Because every cycle's labels are extracted *after* the index settled
 //! that cycle's updates, [`ServeEngine::same_component`] stays
@@ -70,13 +83,15 @@
 //! # Consistency contract
 //!
 //! A pinned [`EpochSnapshot`] is immutable and *linearizable per epoch*:
-//! its CSR and labels correspond exactly to the graph after the first
-//! [`EpochSnapshot::batches`] submitted batches, in queue order. Kernel
-//! results computed on a pinned version are therefore bit-identical to a
-//! bulk-synchronous replay of that prefix (the stress suite in
-//! `tests/serving_concurrency.rs` proves this across thread counts).
-//! Epochs count writer cycles, so the epochs of successive pins may skip
-//! numbers (the cycles that froze nothing). The engine-level label
+//! its rows (base and delta alike) and labels correspond exactly to the
+//! graph after the first [`EpochSnapshot::batches`] submitted batches,
+//! in queue order. Kernel results computed on a pinned version are
+//! therefore bit-identical to a bulk-synchronous replay of that prefix
+//! (the stress suite in `tests/serving_concurrency.rs` proves this
+//! across thread counts). Epochs count writer cycles, so the epochs of
+//! successive pins may skip numbers (the cycles that froze nothing),
+//! and two successive pins may share one (a version and its compacted
+//! republication, equal in everything they read). The engine-level label
 //! queries are never older than a pin taken before them.
 //! [`ServeEngine::flush`] returning, or [`ServeEngine::pending_batches`]
 //! reading 0, means the next pin includes every batch submitted before.
@@ -106,8 +121,8 @@
 //! ```
 
 use crate::adjacency::{AdjEntry, DynamicAdjacency};
-use crate::csr::CsrGraph;
-use crate::cycle::Cycle;
+use crate::csr::{CsrGraph, RowDelta};
+use crate::cycle::{Cycle, Frozen};
 use crate::engine::{check_endpoints, resolve_workers, RANGE_BUDGET};
 use crate::graph::DynGraph;
 use crate::indexes::{IndexFamily, IndexQuery, NO_CONNECTIVITY};
@@ -118,9 +133,10 @@ use snap_rmat::Update;
 use snap_util::timer::Timer;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Tuning knobs for [`ServeEngine`].
 #[derive(Clone, Debug)]
@@ -221,20 +237,58 @@ impl ServeConfig {
 /// One frozen, immutable version of the graph: what
 /// [`ServeEngine::pin`] hands out.
 ///
+/// A version is the last compacted CSR when it froze (its base) plus,
+/// unless it is compacted itself, an immutable delta of the rows that
+/// changed since: the writer publishes that in O(rows touched) and
+/// compacts base and delta into the next base once it is idle,
+/// republishing the same epoch compacted. Either way the version never
+/// changes.
+///
 /// Implements [`GraphView`], so every kernel runs directly on a pinned
-/// handle (`par_bfs(&*handle, src)`), with the CSR fast path available
-/// through [`GraphView::as_csr`].
+/// handle (`par_bfs(&*handle, src)`): each row is read from the delta or
+/// the base by one bitset test. A compacted version also offers the CSR
+/// fast path through [`GraphView::as_csr`].
 pub struct EpochSnapshot {
     epoch: u64,
     batches: u64,
-    csr: Arc<CsrGraph>,
+    /// The last compacted CSR when this version froze.
+    base: Arc<CsrGraph>,
+    /// The rows changed since `base`; `None` for a compacted version.
+    delta: Option<Arc<RowDelta>>,
+    /// Entries of the version: `base`'s, the delta's rows counted from
+    /// the delta.
+    entries: usize,
+    /// An overlay version's CSR, compacted by the first
+    /// [`EpochSnapshot::csr`] call.
+    compacted: OnceLock<Arc<CsrGraph>>,
     labels: Option<Arc<Vec<u32>>>,
 }
 
 impl EpochSnapshot {
+    fn new(epoch: u64, batches: u64, graph: Frozen, labels: Option<Arc<Vec<u32>>>) -> Self {
+        let (base, delta) = graph;
+        let entries = match &delta {
+            None => base.num_entries(),
+            Some(d) => {
+                let replaced: usize = d.held().iter().map(|u| base.out_degree(u)).sum();
+                base.num_entries() + d.num_entries() - replaced
+            }
+        };
+        Self {
+            epoch,
+            batches,
+            base,
+            delta,
+            entries,
+            compacted: OnceLock::new(),
+            labels,
+        }
+    }
+
     /// The writer cycle this version froze (0 = the construction
     /// snapshot; +1 per cycle, frozen or not — so consecutive versions'
-    /// epochs may differ by more than one).
+    /// epochs may differ by more than one). A compacted republication
+    /// keeps the epoch of the version it compacts.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -246,9 +300,16 @@ impl EpochSnapshot {
         self.batches
     }
 
-    /// The CSR this version serves traversals from.
+    /// This version as one CSR. Free for a compacted version; a version
+    /// still held as base plus delta compacts them on the caller's
+    /// thread the first time, which costs O(n + m), and keeps the result.
     pub fn csr(&self) -> &Arc<CsrGraph> {
-        &self.csr
+        match &self.delta {
+            None => &self.base,
+            Some(delta) => self
+                .compacted
+                .get_or_init(|| Arc::new(CsrGraph::folded(&self.base, delta, None))),
+        }
     }
 
     /// Canonical min-id component labels for this version, if the
@@ -269,54 +330,88 @@ impl EpochSnapshot {
     pub fn component(&self, u: u32) -> Option<u32> {
         self.labels.as_ref().map(|l| l[u as usize])
     }
+
+    /// `u`'s neighbors and their timestamps in this version.
+    #[inline]
+    fn row(&self, u: u32) -> (&[u32], &[u32]) {
+        match &self.delta {
+            Some(delta) if delta.holds(u) => held_row(delta, u),
+            _ => (self.base.neighbors(u), self.base.timestamps(u)),
+        }
+    }
+}
+
+/// A row of `delta`, kept out of line: the readers' hot loops inline
+/// [`EpochSnapshot::row`], and a compacted version never calls this.
+#[inline(never)]
+fn held_row(delta: &RowDelta, u: u32) -> (&[u32], &[u32]) {
+    delta.row(u)
 }
 
 impl GraphView for EpochSnapshot {
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.csr.num_vertices()
+        self.base.num_vertices()
     }
 
     #[inline]
     fn is_directed(&self) -> bool {
-        self.csr.is_directed()
+        self.base.is_directed()
     }
 
     #[inline]
     fn degree(&self, u: u32) -> usize {
-        self.csr.out_degree(u)
+        match &self.delta {
+            Some(delta) if delta.holds(u) => held_row(delta, u).0.len(),
+            _ => self.base.out_degree(u),
+        }
     }
 
     #[inline]
-    fn for_each_edge<F: FnMut(u32, u32)>(&self, u: u32, f: F) {
-        GraphView::for_each_edge(&*self.csr, u, f)
+    fn for_each_edge<F: FnMut(u32, u32)>(&self, u: u32, mut f: F) {
+        let (nbrs, ts) = self.row(u);
+        for (&v, &t) in nbrs.iter().zip(ts) {
+            f(v, t);
+        }
     }
 
     fn edges_of(&self, u: u32) -> Vec<AdjEntry> {
-        GraphView::edges_of(&*self.csr, u)
+        let (nbrs, ts) = self.row(u);
+        nbrs.iter()
+            .zip(ts)
+            .map(|(&nbr, &ts)| AdjEntry { nbr, ts })
+            .collect()
     }
 
     #[inline]
     fn num_entries(&self) -> usize {
-        self.csr.num_entries()
+        self.entries
     }
 
     fn max_degree(&self) -> usize {
-        self.csr.max_degree()
-    }
-
-    fn collect_entries(&self) -> Vec<(u32, u32, u32)> {
-        GraphView::collect_entries(&*self.csr)
+        match &self.delta {
+            None => self.base.max_degree(),
+            Some(_) => (0..self.num_vertices() as u32)
+                .map(|u| self.degree(u))
+                .max()
+                .unwrap_or(0),
+        }
     }
 
     #[inline]
-    fn find_edge<P: FnMut(u32, u32) -> bool>(&self, u: u32, pred: P) -> Option<(u32, u32)> {
-        GraphView::find_edge(&*self.csr, u, pred)
+    fn find_edge<P: FnMut(u32, u32) -> bool>(&self, u: u32, mut pred: P) -> Option<(u32, u32)> {
+        let (nbrs, ts) = self.row(u);
+        nbrs.iter()
+            .zip(ts)
+            .find(|&(&v, &t)| pred(v, t))
+            .map(|(&v, &t)| (v, t))
     }
 
+    /// The base, when the version is compacted; `None` while it holds a
+    /// delta (kernels then read rows through [`GraphView::for_each_edge`]).
     #[inline]
     fn as_csr(&self) -> Option<&CsrGraph> {
-        Some(&self.csr)
+        self.delta.is_none().then_some(&*self.base)
     }
 }
 
@@ -345,6 +440,10 @@ struct ServeMetrics {
     labels_ns: Histogram,
     freeze_ns: Histogram,
     freeze_rows_reread: Histogram,
+    overlay_ns: Histogram,
+    overlay_entries: Histogram,
+    fold_ns: Histogram,
+    folds: Counter,
     publish_ns: Histogram,
     publish_lag_ns: Histogram,
     epochs: Counter,
@@ -391,11 +490,27 @@ impl ServeMetrics {
             ),
             freeze_ns: r.histogram(
                 "snap_serve_freeze_ns",
-                "CSR freeze time of the freezes that built a version: previous version patched with the touched rows (ns)",
+                "Freeze time of the freezes that built a version: a delta of the rows touched since the base, or past a quarter of the base's entries the base patched with them (ns)",
             ),
             freeze_rows_reread: r.histogram(
                 "snap_serve_freeze_rows_reread",
-                "Rows a freeze re-read from the live graph (vertices touched since the last freeze; 0 when it shared the previous CSR)",
+                "Rows a freeze re-read from the live graph: vertices touched since the last freeze (a patch re-reads those since the base too; 0 when it shared the previous version)",
+            ),
+            overlay_ns: r.histogram(
+                "snap_serve_overlay_ns",
+                "Freeze time of the freezes that published a delta over the base (ns)",
+            ),
+            overlay_entries: r.histogram(
+                "snap_serve_overlay_entries",
+                "Entries in the delta each such freeze built",
+            ),
+            fold_ns: r.histogram(
+                "snap_serve_fold_ns",
+                "Per fold of a base and its delta into the next base, run when the writer idles or flushes (ns)",
+            ),
+            folds: r.counter(
+                "snap_serve_folds_total",
+                "Compacted republications of a version held as base plus delta (not freezes)",
             ),
             publish_ns: r.histogram(
                 "snap_serve_publish_ns",
@@ -513,12 +628,12 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         // Version 0 is the writer's cycle's first freeze: a full build.
         let mut cycle = Cycle::new(graph.num_vertices());
         let labels = conn.map(|c| Arc::new(c.labels(&graph)));
-        let v0 = Arc::new(EpochSnapshot {
-            epoch: 0,
-            batches: 0,
-            csr: cycle.freeze(&graph),
-            labels: labels.clone(),
-        });
+        let v0 = Arc::new(EpochSnapshot::new(
+            0,
+            0,
+            (cycle.freeze(&graph), None),
+            labels.clone(),
+        ));
         let shared = Arc::new(Shared {
             graph,
             indexes,
@@ -627,7 +742,8 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
 
     /// Publication barrier: blocks until every batch submitted before
     /// this call has been applied *and frozen* into the version the next
-    /// [`ServeEngine::pin`] returns.
+    /// [`ServeEngine::pin`] returns, and that version is compacted (its
+    /// [`GraphView::as_csr`] is the CSR).
     pub fn flush(&self) {
         let (ack_tx, ack_rx) = mpsc::sync_channel(1);
         // panics: as in `submit` — the writer outlives every `&self`
@@ -710,7 +826,8 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
 
     /// Frozen versions published so far, version 0 excluded — at most
     /// [`ServeEngine::epoch`], and fewer whenever a cycle found nobody
-    /// asking and more batches waiting.
+    /// asking and more batches waiting. A compacted republication of a
+    /// version (a fold) is not a freeze.
     pub fn freezes(&self) -> u64 {
         // ordering: Relaxed — statistics counter (invariant 9).
         self.shared.freezes.load(Ordering::Relaxed)
@@ -781,6 +898,12 @@ impl<A: DynamicAdjacency + 'static> Drop for ServeEngine<A> {
     }
 }
 
+/// How long the writer's queue must stay empty before it folds the
+/// newest version's delta into its base. Long enough that a client
+/// submitting as soon as it sees its last batch never waits behind a
+/// fold (O(n + m)); short beside the gaps between a reader's analyses.
+const FOLD_IDLE: Duration = Duration::from_millis(1);
+
 /// The writer thread's own state.
 struct Writer<'a, A: DynamicAdjacency> {
     shared: &'a Shared<A>,
@@ -812,6 +935,16 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         loop {
             let msg = match stash.take() {
                 Some(m) => m,
+                // A version held as base plus delta is compacted once the
+                // queue stays empty for `FOLD_IDLE`, off every lag path.
+                None if self.cycle.has_delta() => match rx.recv_timeout(FOLD_IDLE) {
+                    Ok(m) => m,
+                    Err(RecvTimeoutError::Timeout) => {
+                        self.fold();
+                        continue;
+                    }
+                    Err(RecvTimeoutError::Disconnected) => return, // engine dropped
+                },
                 None => match rx.recv() {
                     Ok(m) => m,
                     Err(_) => return, // engine dropped
@@ -825,6 +958,8 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
                     if !self.uncovered.is_empty() {
                         self.freeze();
                     }
+                    // The barrier leaves a compacted version behind.
+                    self.fold();
                     // Receiver may have timed out / gone away; ignore.
                     let _ = ack.send(());
                 }
@@ -931,8 +1066,9 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         stash
     }
 
-    /// Freezes the current state ([`Cycle::freeze`]), publishes it with
-    /// the newest cycle's epoch, batch count and labels by a single
+    /// Freezes the current state ([`Cycle::publish`]: the base plus a
+    /// delta of the rows touched since, or a patched base), publishes it
+    /// with the newest cycle's epoch, batch count and labels by a single
     /// pointer swap, hands the covered batches' `pending` counts and lag
     /// stamps over, and retires ring overflow.
     fn freeze(&mut self) {
@@ -944,25 +1080,32 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         // in.
         self.retire((shared.retain - 1).max(1));
         let rows = self.cycle.dirty_rows();
+        let built = Stamp::now();
+        let graph = self.cycle.publish(&shared.graph);
         m.freeze_rows_reread.record(rows as u64);
-        let csr = {
-            let _t = (rows > 0).then(|| Timer::scope(&m.freeze_ns));
-            self.cycle.freeze(&shared.graph)
-        };
+        if rows > 0 {
+            let ns = built.elapsed_ns();
+            m.freeze_ns.record(ns);
+            if let Some(delta) = &graph.1 {
+                m.overlay_ns.record(ns);
+                m.overlay_entries.record(delta.num_entries() as u64);
+            }
+        }
         // Every batch applied since the last freeze is now visible to
         // pins.
         let covered = self.uncovered.len();
         let batches = shared.current.read().batches + covered as u64;
-        let snap = Arc::new(EpochSnapshot {
-            epoch: self.cycle.epoch(),
+        // Only this thread swaps the label pointer, so this is the newest
+        // cycle's.
+        let labels = shared.labels.read().clone();
+        let snap = Arc::new(EpochSnapshot::new(
+            self.cycle.epoch(),
             batches,
-            csr,
-            // Only this thread swaps the label pointer, so this is the
-            // newest cycle's.
-            labels: shared.labels.read().clone(),
-        });
+            graph,
+            labels,
+        ));
         // Publication: everything above is complete before the swap, so
-        // a reader pinning after it sees CSR, labels, epoch and batch
+        // a reader pinning after it sees graph, labels, epoch and batch
         // count of one state. The write lock guards only this swap.
         let _t = Timer::scope(&m.publish_ns);
         *shared.current.write() = Arc::clone(&snap);
@@ -988,14 +1131,50 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         self.retire(shared.retain);
     }
 
+    /// Compacts the newest version's base and delta into the next base
+    /// ([`Cycle::fold`]) and republishes the newest version compacted:
+    /// same epoch, batch count and labels, so pins see no change but the
+    /// CSR fast path. The compacted version takes the overlay's place in
+    /// the ring. Not a freeze: nothing new becomes visible. A no-op when
+    /// the newest version is compacted already.
+    fn fold(&mut self) {
+        let shared = self.shared;
+        let m = &shared.metrics;
+        let started = Stamp::now();
+        let Some(base) = self.cycle.fold() else {
+            return;
+        };
+        m.fold_ns.record(started.elapsed_ns());
+        m.folds.inc();
+        let current = Arc::clone(&shared.current.read());
+        let snap = Arc::new(EpochSnapshot::new(
+            current.epoch,
+            current.batches,
+            (base, None),
+            current.labels.clone(),
+        ));
+        *shared.current.write() = Arc::clone(&snap);
+        // The overlay is unpinned once only the ring holds it: then its
+        // delta (and a base nobody else shares) can be recycled below.
+        drop(current);
+        let overlay = shared
+            .ring
+            .lock()
+            .back_mut()
+            .map(|newest| std::mem::replace(newest, snap));
+        if let Some(Ok(overlay)) = overlay.map(Arc::try_unwrap) {
+            self.cycle.recycle((overlay.base, overlay.delta));
+        }
+    }
+
     /// Drops ring versions, oldest first, until `keep` remain. One that
-    /// no reader holds lends its arrays to the next freeze.
+    /// no reader holds lends its arrays to the next build.
     fn retire(&mut self, keep: usize) {
         let shared = self.shared;
         let mut ring = shared.ring.lock();
         while ring.len() > keep {
             if let Some(Ok(old)) = ring.pop_front().map(Arc::try_unwrap) {
-                self.cycle.recycle(old.csr);
+                self.cycle.recycle((old.base, old.delta));
             }
             // ordering: Relaxed — statistics counter (invariant 9); the
             // ring itself is guarded by its mutex.
@@ -1518,6 +1697,146 @@ mod tests {
         e.submit(vec![del(6, 7)]);
         e.flush();
         assert_patched_exactly(&e);
+    }
+
+    /// An engine over `n` vertices that already holds `edges` random
+    /// edges (so a small batch's rows stay under the overlay limit), with
+    /// history on; returns it with its base stream.
+    fn seeded(n: usize, edges: usize, cfg: ServeConfig) -> (ServeEngine<HybridAdj>, Vec<Update>) {
+        let base: Vec<Update> = churn(n, 1, edges, 41)
+            .remove(0)
+            .into_iter()
+            .map(|u| Update::insert(u.edge))
+            .collect();
+        let g = DynGraph::<HybridAdj>::undirected(n, &CapacityHints::new(n * 4));
+        for u in &base {
+            g.apply(u);
+        }
+        (ServeEngine::new(g, cfg.with_history(true)), base)
+    }
+
+    /// The CSR of `base` and then `batches` replayed one update at a time.
+    fn replay(n: usize, base: &[Update], batches: &[Vec<Update>]) -> CsrGraph {
+        let g = DynGraph::<HybridAdj>::undirected(n, &CapacityHints::new(n * 4));
+        for u in base.iter().chain(batches.iter().flatten()) {
+            g.apply(u);
+        }
+        g.to_csr()
+    }
+
+    /// `v` read through its own rows equals `v` compacted, entry for
+    /// entry and in order.
+    fn assert_view_equals_csr(v: &EpochSnapshot) {
+        let csr = v.csr();
+        assert_eq!(v.collect_entries(), GraphView::collect_entries(&**csr));
+        assert_eq!(v.num_entries(), csr.num_entries());
+        assert_eq!(GraphView::max_degree(v), csr.max_degree());
+        let third = |w: u32, _| w.is_multiple_of(3);
+        for u in 0..csr.num_vertices() as u32 {
+            assert_eq!(v.degree(u), csr.out_degree(u), "vertex {u}");
+            assert_eq!(
+                v.find_edge(u, third),
+                GraphView::find_edge(&**csr, u, third)
+            );
+            assert_eq!(v.edges_of(u), GraphView::edges_of(&**csr, u));
+        }
+    }
+
+    #[test]
+    fn every_pinned_version_reads_as_its_replayed_prefix() {
+        let n = 128;
+        let (e, base) = seeded(n, 1200, ServeConfig::default().with_shards(2));
+        let batches = churn(n, 32, 6, 42);
+        // The producer pauses at random: back to back, deltas pile up
+        // over one base; after a pause past the idle delay, the writer
+        // folds. The reader keeps every distinct version it pins.
+        let mut versions: Vec<SnapshotHandle> = vec![e.pin()];
+        std::thread::scope(|s| {
+            let producer = s.spawn(|| {
+                let mut rng = snap_util::rng::XorShift64::new(43);
+                for b in &batches {
+                    e.submit(b.clone());
+                    let pause = rng.next_bounded(3000);
+                    std::thread::sleep(std::time::Duration::from_micros(pause));
+                }
+            });
+            while !producer.is_finished() || e.pending_batches() > 0 {
+                let v = e.pin();
+                if !versions.last().is_some_and(|last| Arc::ptr_eq(last, &v)) {
+                    versions.push(v);
+                }
+            }
+        });
+        e.flush();
+        versions.push(e.pin());
+        let history = e.history();
+        let mut overlays = 0;
+        for v in &versions {
+            overlays += usize::from(v.as_csr().is_none());
+            let want = replay(n, &base, &history[..v.batches() as usize]);
+            assert_eq!(**v.csr(), want, "epoch {}", v.epoch());
+            assert_view_equals_csr(v);
+        }
+        assert!(overlays > 0, "no overlay among {} versions", versions.len());
+        assert!(
+            e.pin().as_csr().is_some(),
+            "a flush leaves a compacted version"
+        );
+        assert_eq!(e.full_rebuild_count(), Some(0));
+    }
+
+    #[test]
+    fn a_pinned_overlay_outlives_its_fold_and_the_ring() {
+        let n = 128;
+        let (e, base) = seeded(n, 1200, ServeConfig::default().with_retain(2));
+        let batches = churn(n, 48, 4, 51);
+        let mut fed = 0;
+        // Pin each batch as soon as it shows; the writer folds only
+        // after a millisecond idle, so that version is an overlay unless
+        // this thread was descheduled that long.
+        let held = batches
+            .iter()
+            .find_map(|b| {
+                e.submit(b.clone());
+                fed += 1;
+                let v = std::iter::repeat_with(|| e.pin())
+                    .find(|v| v.batches() == fed as u64)
+                    .expect("an endless iterator");
+                v.as_csr().is_none().then_some(v)
+            })
+            .expect("an overlay version was pinned");
+        let want = replay(n, &base, &batches[..fed]);
+        let entries = held.collect_entries();
+        e.flush();
+        assert!(e.pin().as_csr().is_some(), "the flush folded");
+        for b in &batches[fed..fed + 6] {
+            e.submit(b.clone());
+            e.flush();
+        }
+        assert!(e.pin().batches() > held.batches() + 2, "out of the ring");
+        assert!(held.as_csr().is_none());
+        assert_eq!(held.collect_entries(), entries);
+        assert_eq!(**held.csr(), want);
+        assert_view_equals_csr(&held);
+    }
+
+    #[test]
+    fn a_batch_past_the_overlay_limit_publishes_a_patched_base() {
+        let n = 128;
+        let (e, base) = seeded(n, 600, ServeConfig::default());
+        // Inserts on every vertex: their rows hold all the entries.
+        let big: Vec<Update> = (0..n as u32)
+            .map(|u| ins(u, (u + 1) % n as u32, 7))
+            .collect();
+        let before = e.pin();
+        e.submit(big.clone());
+        let v = std::iter::repeat_with(|| e.pin())
+            .find(|v| v.batches() == 1)
+            .expect("an endless iterator");
+        // Published compacted at once, not after an idle fold.
+        assert!(v.as_csr().is_some());
+        assert!(!Arc::ptr_eq(v.csr(), before.csr()));
+        assert_eq!(**v.csr(), replay(n, &base, &[big]));
     }
 
     #[test]

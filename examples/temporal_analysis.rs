@@ -24,6 +24,15 @@ fn main() {
     // --- Induced subgraph: activity in the middle of the log. ---
     let window = TimeWindow::open(20, 70);
     let sub = induced_subgraph_csr(n, &edges, window);
+    // Both orientations of every in-window interaction; a self-loop is
+    // stored once.
+    let (inside, loops) = edges
+        .iter()
+        .filter(|e| window.contains(e.timestamp))
+        .fold((0, 0), |(all, loops), e| {
+            (all + 1, loops + usize::from(e.u == e.v))
+        });
+    assert_eq!(sub.num_entries(), 2 * inside - loops, "window subgraph");
     println!(
         "window ({}, {}): {} interactions ({:.1}% of the log)",
         window.lo,
@@ -40,6 +49,8 @@ fn main() {
     let static_reach = bfs(&csr, hub).reached();
     let early = temporal_bfs(&csr, hub, |ts| ts < 30).reached();
     let windowed = temporal_bfs(&csr, hub, |ts| window.contains(ts)).reached();
+    // A timestamp filter only removes edges: it cannot reach further.
+    assert!(early <= static_reach && windowed <= static_reach);
     println!(
         "reachability from hub {hub}: static {static_reach}, first-month edges {early}, window {windowed}"
     );
@@ -48,6 +59,10 @@ fn main() {
     let sources = sample_sources(n, 256, 9);
     let bc_t = temporal_betweenness_approx(&csr, &sources);
     let bc_s = betweenness_approx(&csr, &sources);
+    for (name, scores) in [("temporal", &bc_t), ("static", &bc_s)] {
+        let bad = scores.iter().position(|s| !(s.is_finite() && *s >= 0.0));
+        assert_eq!(bad, None, "{name} betweenness must be finite and >= 0");
+    }
     let top = |scores: &[f64]| -> Vec<u32> {
         let mut idx: Vec<u32> = (0..n as u32).collect();
         idx.sort_unstable_by(|&a, &b| scores[b as usize].total_cmp(&scores[a as usize]));
