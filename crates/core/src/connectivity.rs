@@ -1,5 +1,5 @@
-//! Incremental connectivity serving: a union-find index over the dynamic
-//! graph, certified by the paper's link-cut forest.
+//! Incremental connectivity serving: flat component labels over the
+//! dynamic graph, certified by the paper's link-cut forest.
 //!
 //! The paper's motivating workload is *serving connectivity queries on a
 //! massive graph under a stream of updates*. The kernels answer those
@@ -7,25 +7,28 @@
 //! O(n + m) recompute per batch, or worse, per query. This module is the
 //! subsystem that makes the query path cheap:
 //!
-//! - **Insertions are free to index.** [`ConnectivityIndex`] maintains a
-//!   union-find (`u32` parent forest, path halving). An edge insertion
-//!   is one [`ConnectivityIndex::union`]; `component(u)` /
-//!   `same_component(u, v)` are then near-O(α) pointer chases with
-//!   **zero traversals and zero CSR rebuilds**.
-//! - **Every merge leaves a certificate edge.** Beside the union-find
+//! - **Insertions are free to index.** [`ConnectivityIndex`] keeps one
+//!   `u32` label per vertex, flat at every settle (`parent[v]` is `v`'s
+//!   label), and each component's members on a ring (`labels`). An edge
+//!   insertion is one [`ConnectivityIndex::union`], which hooks one root
+//!   under another; the settle relabels the hooked component's members
+//!   off its ring, so `component(u)` / `same_component(u, v)` are one
+//!   array read with **zero traversals and zero CSR rebuilds**, and the
+//!   engine publishes the labels as one copy of the array.
+//! - **Every merge leaves a certificate edge.** Beside the labels
 //!   the index keeps the paper's spanning forest (§3.1; one parent
 //!   pointer per vertex, [`crate::forest::Forest`]): the edge whose
 //!   insertion merged two components becomes a tree edge, so once
 //!   settled the forest spans exactly the components the labels name.
 //! - **A deletion costs the smaller side of the cut, or nothing.**
-//!   Union-find cannot un-union, but an edge that is *not* in the forest
+//!   A merge cannot be undone, but an edge that is *not* in the forest
 //!   cannot disconnect anything: its deletion is an O(1) no-op — no
 //!   traversal, no relabel. Deleting a certificate edge cuts it and
 //!   searches the **live** [`GraphView`] for a replacement by growing
 //!   both sides of the cut in lock-step
 //!   ([`crate::forest::Forest::reconnect`]); the work is bounded by the
 //!   smaller side. Only a true split relabels, and only the members of
-//!   the side the search exhausted.
+//!   the side the search exhausted, in O(side) (`drain`).
 //! - **Notes are cheap; the certificate settles once.**
 //!   [`ConnectivityIndex::note_insert`] / [`ConnectivityIndex::note_delete`]
 //!   never touch the forest: a merging insert and every delete append to
@@ -56,7 +59,7 @@
 //!
 //! # Concurrency contract
 //!
-//! All mutable state — union-find parents, spanning forest, note log and
+//! All mutable state — labels and rings, spanning forest, note log and
 //! debt marks — is plain data behind one lock ([`crate::indexes`]).
 //! Notes, settles and rebuilds take it for writing; queries take it for
 //! reading, and settle first under the write lock only when the state
@@ -64,8 +67,11 @@
 //! it must not race a mutation of the view; both engines settle on their
 //! one writer, after the cycle's mutation.
 
+mod drain;
+mod labels;
+
 use crate::csr::RowSet;
-use crate::forest::{Forest, Reconnect, Search, ROOT};
+use crate::forest::{Forest, Search};
 use crate::indexes::{read_settled, IncrementalIndex, IndexCore};
 use crate::view::GraphView;
 use parking_lot::RwLock;
@@ -87,6 +93,7 @@ struct ConnMetrics {
     fallbacks: snap_obs::Counter,
     search_scanned: snap_obs::Histogram,
     relabel_members: snap_obs::Histogram,
+    relabeled: snap_obs::Histogram,
 }
 
 fn conn_metrics() -> &'static ConnMetrics {
@@ -134,6 +141,10 @@ fn conn_metrics() -> &'static ConnMetrics {
                 "snap_conn_relabel_members",
                 "Members relabelled per repair (split side or whole component)",
             ),
+            relabeled: r.histogram(
+                "snap_conn_relabeled_vertices",
+                "Vertices whose label changed per settle (merged, split off or relabelled whole): a settle's whole label work",
+            ),
         }
     })
 }
@@ -148,9 +159,9 @@ enum Note {
     Cut(u32, u32),
 }
 
-/// Incrementally maintained connectivity over a dynamic graph: union-find
-/// certified by a spanning forest, so deletions cost the smaller side of
-/// the cut. See the [module docs](self) for the design and the
+/// Incrementally maintained connectivity over a dynamic graph: flat
+/// labels certified by a spanning forest, so deletions cost the smaller
+/// side of the cut. See the [module docs](self) for the design and the
 /// concurrency contract.
 ///
 /// # Examples
@@ -193,23 +204,39 @@ pub struct ConnectivityIndex {
 
 /// Everything a [`ConnectivityIndex`] maintains, behind its lock.
 struct State {
-    /// Union-find forest. Roots satisfy `parent[r] == r`; every hook
-    /// points a higher id at a lower one, so a component's root is its
-    /// minimum vertex id.
+    /// Component labels, flat at every settle boundary: `parent[v]` is
+    /// `v`'s label, its component's minimum id. Between settles a merge
+    /// hooks the higher root under the lower one (so every root is its
+    /// component's minimum), and the next settle flattens that again.
     parent: Vec<u32>,
+    /// Member rings: each component's members on one circular
+    /// doubly-linked list ([`labels`]). A root hooked since the last
+    /// settle keeps its own ring until the settle splices it in.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Roots hooked since the last settle, in hook order.
+    hooked: Vec<u32>,
     /// Roots whose component owes a whole-component relabel.
     marked: RowSet,
+    /// The roots marked since the last settle, in mark order: what the
+    /// settle pays. (A merge or a relabel may have paid one already.)
+    debts: Vec<u32>,
     /// Notes not yet applied to the certificate, in arrival order.
     log: Vec<Note>,
     /// Live component count (merges decrement, splits add back).
     components: usize,
+    /// Vertices relabelled over the index's life, counted as each settle
+    /// changes them: unchanged, every label is.
+    relabeled: u64,
     /// Spanning forest of the indexed graph: once settled its trees are
-    /// exactly the components the union-find labels name.
+    /// exactly the components the labels name.
     forest: Forest,
     search: Search,
     /// Settle scratch, zero between uses: 1-based id of the split set
     /// that claimed the vertex (sized on first use).
     split_of: Vec<u32>,
+    /// Whole-component scratch, false between uses (sized on first use).
+    fresh: Vec<bool>,
 }
 
 impl State {
@@ -217,12 +244,18 @@ impl State {
     fn new(n: usize) -> Self {
         Self {
             parent: (0..n as u32).collect(),
+            next: (0..n as u32).collect(),
+            prev: (0..n as u32).collect(),
+            hooked: Vec::new(),
             marked: RowSet::new(n),
+            debts: Vec::new(),
             log: Vec::new(),
             components: n,
+            relabeled: 0,
             forest: Forest::new(n),
             search: Search::new(),
             split_of: Vec::new(),
+            fresh: Vec::new(),
         }
     }
 
@@ -236,42 +269,23 @@ impl State {
         let mut st = Self::new(n);
         if view.is_directed() {
             // Components are weak: a BFS over out-edges would miss
-            // in-neighbours, so union per stored entry. (No certificate
+            // in-neighbours, so hook per stored entry. (No certificate
             // is kept for directed views; see `apply_notes`.)
             for u in 0..n as u32 {
                 view.for_each_edge(u, |w, _| {
-                    st.union(u, w);
+                    st.hook(u, w);
                 });
             }
-            return st;
+            st.hooked.clear();
+        } else {
+            grow_trees(view, 0..n as u32, &mut vec![true; n], |s, y, x| {
+                st.parent[y as usize] = s;
+                st.forest.link(y, x);
+                st.components -= 1;
+            });
         }
-        grow_trees(view, 0..n as u32, &mut vec![true; n], |s, y, x| {
-            st.parent[y as usize] = s;
-            st.forest.link(y, x);
-            st.components -= 1;
-        });
+        st.flatten_all();
         st
-    }
-
-    fn find(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
-    }
-
-    /// [`State::find`] with path halving: every other vertex on the walk
-    /// is pointed at its grandparent.
-    fn find_compress(&mut self, mut x: u32) -> u32 {
-        loop {
-            let p = self.parent[x as usize];
-            let gp = self.parent[p as usize];
-            if p == gp {
-                return p;
-            }
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
     }
 
     /// True if the state owes a settle that could change `x`'s label:
@@ -281,24 +295,13 @@ impl State {
     }
 
     fn owes(&self) -> bool {
-        !self.log.is_empty() || !self.marked.is_empty()
+        !self.log.is_empty() || !self.debts.is_empty()
     }
 
     /// See [`ConnectivityIndex::union`].
     fn union(&mut self, u: u32, v: u32) -> bool {
-        let ru = self.find_compress(u);
-        let rv = self.find_compress(v);
-        if ru == rv {
+        if !self.hook(u, v) {
             return false;
-        }
-        let (lo, hi) = (ru.min(rv), ru.max(rv));
-        self.parent[hi as usize] = lo;
-        self.components -= 1;
-        if self.marked.contains(hi) {
-            // The absorbed component was awaiting a relabel; the merged
-            // one inherits that debt.
-            self.marked.remove(hi);
-            self.marked.insert(lo);
         }
         // An edge that merged two components but is missing from the
         // forest would make its later delete look free.
@@ -323,252 +326,38 @@ impl State {
     fn mark(&mut self, x: u32) {
         conn_metrics().dirty_marks.inc();
         let r = self.find(x);
-        self.marked.insert(r);
+        self.owe(r);
     }
 
-    /// Pays everything owed against `view`: drains the log through the
-    /// certificate, then relabels every marked component whole.
+    /// Marks root `r`'s component for a whole-component relabel.
+    fn owe(&mut self, r: u32) {
+        if !self.marked.contains(r) {
+            self.marked.insert(r);
+            self.debts.push(r);
+        }
+    }
+
+    /// Pays everything owed against `view`, in O(what changed): flattens
+    /// the merges, drains the log through the certificate, then relabels
+    /// every marked component whole, its members read off its ring.
     fn settle<V: GraphView>(&mut self, view: &V, core: &IndexCore) {
+        if !self.owes() {
+            return;
+        }
+        let before = self.relabeled;
+        self.flatten();
         if !self.log.is_empty() {
             let notes = std::mem::take(&mut self.log);
             self.apply_notes(view, &notes, core);
         }
-        if self.marked.is_empty() {
-            return;
-        }
-        // One O(n·α) grouping pass collects every marked component's
-        // members at once.
-        let mut groups: std::collections::BTreeMap<u32, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for v in 0..self.parent.len() as u32 {
-            let r = self.find(v);
-            if self.marked.contains(r) {
-                groups.entry(r).or_default().push(v);
-            }
-        }
-        for verts in groups.values() {
-            self.relabel_members(view, verts, core);
-        }
-    }
-
-    // ---- the certificate path ------------------------------------------
-
-    /// Applies drained notes to the certificate and publishes the splits
-    /// they cause.
-    ///
-    /// Links are applied first, then every cut, and only then does the
-    /// search run: the view already lacks *all* the deleted edges, so a
-    /// tree that still held one of them would make "this side has no
-    /// edge left to scan" mean less than "this side is a whole tree".
-    /// With every stale edge cut first, each tree is connected in the
-    /// view and an exhausted side is exactly one tree and one component.
-    fn apply_notes<V: GraphView>(&mut self, view: &V, notes: &[Note], core: &IndexCore) {
-        let m = conn_metrics();
-        if view.is_directed() {
-            // Out-adjacency cannot be searched from both sides of a cut:
-            // every deletion takes the whole-component path, as before
-            // the certificate existed.
-            for note in notes {
-                if let Note::Cut(u, _) = *note {
-                    self.mark(u);
-                }
-            }
-            return;
-        }
-        // Vertices whose trees are not yet known to be whole components.
-        let mut open: Vec<u32> = Vec::new();
-        for note in notes {
-            if let Note::Link(u, v) = *note {
-                if self.forest.connected(u, v) {
-                    continue;
-                }
-                if has_edge(view, u, v) {
-                    self.forest.reroot(u);
-                    self.forest.link(u, v);
-                } else {
-                    // Merged by an edge that is already gone again
-                    // (deleted later in the same cycle): whether anything
-                    // else joins the two trees is the same question a cut
-                    // asks.
-                    open.extend([u, v]);
-                }
-            }
-        }
-        for note in notes {
-            if let Note::Cut(u, v) = *note {
-                if self.forest.cut_edge(u, v) {
-                    m.cert_deletes.inc();
-                    open.extend([u, v]);
-                } else {
-                    m.noncert_deletes.inc();
-                }
-            }
-        }
-        self.split_of.resize(self.parent.len(), 0);
-        let splits = self.resolve(view, open);
-        self.publish_splits(&splits, core);
-    }
-
-    /// Runs replacement searches until, in every component, at most one
-    /// tree is not known to be a whole component of the view — and that
-    /// one then is too, since no live edge can lead into the others.
-    /// Returns the exhausted sides (each marked in `split_of` with its
-    /// 1-based position).
-    fn resolve<V: GraphView>(&mut self, view: &V, mut open: Vec<u32>) -> Vec<Vec<u32>> {
-        let m = conn_metrics();
-        let mut splits: Vec<Vec<u32>> = Vec::new();
-        // The union-find has not been touched yet, so `find` still names
-        // the components as they were before the cuts; sorted by it, the
-        // open vertices of one component sit together on the stack.
-        open.sort_by_cached_key(|&v| self.find(v));
-        while let Some(a) = open.pop() {
-            if self.split_of[a as usize] != 0 {
+        for r in std::mem::take(&mut self.debts) {
+            if !self.marked.contains(r) {
                 continue;
             }
-            let label = self.find(a);
-            let tree = self.forest.findroot(a);
-            // `a` stands for its whole tree from here on (trees only
-            // merge): drop what it already covers, so the next vertex of
-            // this component, if any, is in another open tree.
-            while open.last().is_some_and(|&b| {
-                self.find(b) == label
-                    && (self.split_of[b as usize] != 0 || self.forest.findroot(b) == tree)
-            }) {
-                open.pop();
-            }
-            let Some(b) = open.last().copied().filter(|&b| self.find(b) == label) else {
-                // The last open tree of its component keeps the label,
-                // so it must hold the label's vertex (unless a split
-                // side does; `publish_splits` handles that). Anything
-                // else means the notes did not describe the view, and
-                // only the view can say who is right.
-                if self.split_of[label as usize] == 0 && self.forest.findroot(label) != tree {
-                    self.mark(label);
-                }
-                continue;
-            };
-            let outcome = self.forest.reconnect(view, a, b, &mut self.search);
-            m.search_scanned.record(self.search.scanned() as u64);
-            match outcome {
-                Reconnect::Linked => m.replacements.inc(),
-                Reconnect::Split => {
-                    m.splits.inc();
-                    let id = splits.len() as u32 + 1;
-                    let side = self.search.exhausted().to_vec();
-                    for &v in &side {
-                        self.split_of[v as usize] = id;
-                    }
-                    splits.push(side);
-                }
-            }
-            open.push(a);
+            let verts = self.members(r);
+            self.relabel_members(view, &verts, core);
         }
-        splits
-    }
-
-    /// Publishes the splits a settle found: each exhausted side `S` is
-    /// relabelled to `min(S)`, unless `S` holds its component's label —
-    /// then the *other* side needs a new minimum, which takes an
-    /// enumeration, and the component goes to the whole-component path
-    /// instead. Clears `split_of`.
-    fn publish_splits(&mut self, splits: &[Vec<u32>], core: &IndexCore) {
-        let m = conn_metrics();
-        // Per split: (label before, label after), or None for the
-        // whole-component path.
-        let plan: Vec<Option<(u32, u32)>> = splits
-            .iter()
-            .zip(1u32..)
-            .map(|(side, id)| {
-                if self.split_of[side[0] as usize] != id {
-                    // Swallowed by a later side: a search found an edge
-                    // into this one after it had been exhausted, which
-                    // only a view the notes do not describe can produce.
-                    // The later side carries these members now.
-                    return None;
-                }
-                let old = self.find(side[0]);
-                if self.split_of[old as usize] == id {
-                    self.mark(old);
-                    return None;
-                }
-                side.iter().min().map(|&new| (old, new))
-            })
-            .collect();
-        let relabelled = plan.iter().flatten().count();
-        if relabelled > 0 {
-            // The plan of the split a `split_of` id names (0 = none).
-            let plan_of = |id: u32| id.checked_sub(1).and_then(|i| plan[i as usize]);
-            let mut stale: Vec<u32> = Vec::new();
-            for v in 0..self.parent.len() {
-                let id = self.split_of[v];
-                // A vertex staying behind whose union-find parent sits
-                // in a departing side (path halving and root-to-root
-                // hooks make this common) must not follow the side to
-                // its new label: point it at the label it keeps.
-                let pid = self.split_of[self.parent[v] as usize];
-                if pid != id && plan_of(id).is_none() {
-                    if let Some((old, _)) = plan_of(pid) {
-                        self.parent[v] = old;
-                    }
-                }
-                // A tree pointer crossing a side's boundary is an edge
-                // the view no longer has (the side is closed under the
-                // view's adjacency) whose delete was never noted. Let
-                // the view decide.
-                let t = self.forest.parent(v as u32);
-                if t != ROOT && self.split_of[t as usize] != id {
-                    stale.push(v as u32);
-                }
-            }
-            for (side, p) in splits.iter().zip(&plan) {
-                let Some((old, new)) = *p else { continue };
-                for &v in side {
-                    self.parent[v as usize] = new;
-                }
-                if self.marked.contains(old) {
-                    // The side leaves a component that owed a relabel.
-                    self.marked.insert(new);
-                }
-                m.relabel_members.record(side.len() as u64);
-            }
-            self.components += relabelled;
-            core.count_repairs(relabelled);
-            m.repairs.add(relabelled as u64);
-            for v in stale {
-                self.mark(v);
-                self.mark(self.forest.parent(v));
-            }
-        }
-        for side in splits {
-            for &v in side {
-                self.split_of[v as usize] = 0;
-            }
-        }
-    }
-
-    // ---- the whole-component path --------------------------------------
-
-    /// Relabels one marked component's members (ascending) from the view
-    /// and re-derives their certificate.
-    fn relabel_members<V: GraphView>(&mut self, view: &V, verts: &[u32], core: &IndexCore) {
-        let labels = restricted_component_labels(view, verts);
-        if !view.is_directed() {
-            respan(&mut self.forest, view, verts);
-        }
-        let mut new_roots = 0usize;
-        for (&v, &l) in verts.iter().zip(&labels) {
-            self.parent[v as usize] = l;
-            self.marked.remove(v);
-            if l == v {
-                new_roots += 1;
-            }
-        }
-        self.components += new_roots.saturating_sub(1);
-        core.count_repairs(1);
-        let m = conn_metrics();
-        m.repairs.inc();
-        m.fallbacks.inc();
-        m.relabel_members.record(verts.len() as u64);
+        conn_metrics().relabeled.record(self.relabeled - before);
     }
 }
 
@@ -592,8 +381,9 @@ impl ConnectivityIndex {
         }
     }
 
-    /// Current root of `x`'s union-find tree: its canonical label once
-    /// everything noted is settled (see [`ConnectivityIndex::component`]).
+    /// Current root of `x`: its label, followed through the merges noted
+    /// since the last settle — its canonical label once everything noted
+    /// is settled (see [`ConnectivityIndex::component`]).
     pub fn find(&self, x: u32) -> u32 {
         self.state.read().find(x)
     }
@@ -676,18 +466,32 @@ impl ConnectivityIndex {
 
     /// Canonical labels for every vertex, after settling everything —
     /// directly comparable with `connected_components` / `par_cc` output
-    /// on the same view. Flattens the union-find on the way, so later
-    /// walks take one step.
+    /// on the same view. A settled index is flat, so this is one copy.
     pub fn labels<V: GraphView>(&self, view: &V) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.labels_since(view, None, &mut out);
+        out
+    }
+
+    /// [`ConnectivityIndex::labels`] into a caller's buffer, and only if
+    /// a label changed: settles against `view`, then, unless the labels
+    /// are still those of generation `seen` (a value this method
+    /// returned), copies them into `out` (replacing its contents) and
+    /// returns their generation. `None` leaves `out` untouched.
+    pub(crate) fn labels_since<V: GraphView>(
+        &self,
+        view: &V,
+        seen: Option<u64>,
+        out: &mut Vec<u32>,
+    ) -> Option<u64> {
         let mut st = self.state.write();
         st.settle(view, &self.core);
-        (0..st.parent.len() as u32)
-            .map(|v| {
-                let r = st.find(v);
-                st.parent[v as usize] = r;
-                r
-            })
-            .collect()
+        if seen == Some(st.relabeled) {
+            return None;
+        }
+        out.clear();
+        out.extend_from_slice(&st.parent);
+        Some(st.relabeled)
     }
 
     /// True if `(u, v)` is a certificate edge once everything pending is
@@ -730,20 +534,12 @@ impl IncrementalIndex for ConnectivityIndex {
         self.core.resync(epoch, &self.state, |st| {
             assert_eq!(view.num_vertices(), st.parent.len(), "vertex count moved");
             conn_metrics().full_rebuilds.inc();
+            // Every label may have changed: move the generation on.
+            let relabeled = st.relabeled + st.parent.len() as u64;
             *st = State::from_view(view);
+            st.relabeled = relabeled;
         });
     }
-}
-
-/// True if `view` holds a live edge `(u, v)`; scans the shorter of the
-/// two adjacencies.
-fn has_edge<V: GraphView>(view: &V, u: u32, v: u32) -> bool {
-    let (a, b) = if view.degree(u) <= view.degree(v) {
-        (u, v)
-    } else {
-        (v, u)
-    };
-    view.find_edge(a, |w, _| w == b).is_some()
 }
 
 /// Breadth-first trees over the live edges of `view` among the vertices
@@ -779,14 +575,14 @@ fn grow_trees<V: GraphView>(
 
 /// Re-derives the certificate of `verts` (a whole component's members)
 /// from the view: every member is detached, then breadth-first trees are
-/// grown over the live edges between members.
-fn respan<V: GraphView>(forest: &mut Forest, view: &V, verts: &[u32]) {
-    let mut member = vec![false; forest.len()];
+/// grown over the live edges between members. `member` is all false, and
+/// is again after.
+fn respan<V: GraphView>(forest: &mut Forest, member: &mut [bool], view: &V, verts: &[u32]) {
     for &v in verts {
         member[v as usize] = true;
         forest.cut(v);
     }
-    grow_trees(view, verts.iter().copied(), &mut member, |_, y, x| {
+    grow_trees(view, verts.iter().copied(), member, |_, y, x| {
         forest.link(y, x)
     });
 }
@@ -1301,6 +1097,72 @@ mod tests {
         assert_eq!(idx.component_count(&g), 1);
         assert!(idx.labels(&g).iter().all(|&l| l == 0));
         assert!(idx.state.read().parent.iter().all(|&p| p == 0), "flat");
+    }
+
+    #[test]
+    fn unnoted_delete_under_a_split_side_marks_both_components() {
+        // The forest is the BFS tree 4 → 3 → 2 → 1 → 0 (plus 5..8 under
+        // 0). (3, 4) leaves the view with no note, so when the noted
+        // bridge (1, 2) splits {2, 3} off, 4 still hangs from 3 by a tree
+        // pointer no live edge backs: only the view can say where 4 is.
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (0, 5),
+            (5, 6),
+            (6, 7),
+            (0, 8),
+        ];
+        let g: DynGraph<DynArr> = graph(9, &edges);
+        let idx = ConnectivityIndex::from_view(&g);
+        assert!(g.delete_edge(3, 4), "out of band");
+        delete(&g, &idx, 1, 2);
+        assert_eq!(idx.labels(&g), vec![0, 0, 2, 2, 4, 0, 0, 0, 0]);
+        assert_eq!(idx.labels(&g), oracle(&g));
+        assert_eq!(
+            idx.repair_count(),
+            3,
+            "the split, then both components it touched relabelled whole"
+        );
+        assert!(!idx.has_dirty());
+        assert_eq!(idx.component_count(&g), 3);
+    }
+
+    #[test]
+    fn chain_of_merges_and_a_cut_in_one_settle() {
+        // 64 pairs {2i, 2i + 1}; one settle sees each pair merged into
+        // the pair below it (every hook points a root at a lower one, a
+        // chain 64 deep), then the middle link cut again.
+        let pairs: Vec<(u32, u32)> = (0..64).map(|i| (2 * i, 2 * i + 1)).collect();
+        let g: DynGraph<HybridAdj> = graph(130, &pairs);
+        let idx = ConnectivityIndex::from_view(&g);
+        for i in (0..63u32).rev() {
+            assert!(insert(&g, &idx, 2 * i + 1, 2 * i + 2), "merges pair {i}");
+        }
+        delete(&g, &idx, 63, 64);
+        let labels = idx.labels(&g);
+        assert_eq!(labels, oracle(&g));
+        assert!(labels[..64].iter().all(|&l| l == 0));
+        assert!(labels[64..128].iter().all(|&l| l == 64));
+        assert_eq!(idx.component_count(&g), 4);
+        assert_eq!(idx.full_rebuild_count(), 0);
+    }
+
+    #[test]
+    fn split_side_holding_a_root_hooked_in_the_same_settle() {
+        // {2, 3, 7} (label 2) merges into {0, 5, 6, 8} through (0, 7),
+        // and (3, 7) goes in the same settle: the side {2, 3} leaves
+        // holding the root that was just hooked, and 7, whose label was
+        // 2, stays behind with 0.
+        let g: DynGraph<DynArr> = graph(9, &[(2, 3), (3, 7), (0, 5), (5, 6), (0, 8)]);
+        let idx = ConnectivityIndex::from_view(&g);
+        assert!(insert(&g, &idx, 0, 7));
+        delete(&g, &idx, 3, 7);
+        assert_eq!(idx.labels(&g), vec![0, 1, 2, 2, 4, 0, 0, 0, 0]);
+        assert_eq!(idx.labels(&g), oracle(&g));
+        assert_eq!(idx.repair_count(), 1, "only {{2, 3}} is relabelled");
     }
 
     #[test]

@@ -38,10 +38,15 @@ use crate::view::GraphView;
 /// "No parent" marker: the vertex is a tree root.
 pub const ROOT: u32 = u32::MAX;
 
-/// A forest of rooted trees encoded as parent pointers.
+/// A forest of rooted trees encoded as parent pointers, plus each
+/// vertex's child count.
 #[derive(Clone, Debug)]
 pub struct Forest {
     parent: Vec<u32>,
+    /// `children[v]`: the vertices whose parent is `v`. Kept by `link`,
+    /// `cut` and `reroot` in O(1) each, so a caller can tell whether a
+    /// vertex set holds every child of its members without a scan.
+    children: Vec<u32>,
 }
 
 /// What [`Forest::reconnect`] found.
@@ -61,13 +66,18 @@ impl Forest {
     pub fn new(n: usize) -> Self {
         Self {
             parent: vec![ROOT; n],
+            children: vec![0; n],
         }
     }
 
     /// Wraps an existing parent array ([`ROOT`] marks roots). The caller
     /// guarantees it is acyclic.
     pub fn from_parents(parent: Vec<u32>) -> Self {
-        Self { parent }
+        let mut children = vec![0; parent.len()];
+        for &p in parent.iter().filter(|&&p| p != ROOT) {
+            children[p as usize] += 1;
+        }
+        Self { parent, children }
     }
 
     /// Number of vertices.
@@ -84,6 +94,12 @@ impl Forest {
     #[inline]
     pub fn parent(&self, v: u32) -> u32 {
         self.parent[v as usize]
+    }
+
+    /// Number of vertices whose parent is `v`.
+    #[inline]
+    pub(crate) fn children(&self, v: u32) -> u32 {
+        self.children[v as usize]
     }
 
     /// Walks parent pointers to the root of `v`'s tree — O(tree height).
@@ -133,12 +149,16 @@ impl Forest {
             "link requires v to be a root"
         );
         self.parent[v as usize] = w;
+        self.children[w as usize] += 1;
     }
 
     /// Structural `cut(v)`: deletes the arc from `v` to its parent,
     /// splitting the tree. No-op if `v` is a root.
     pub fn cut(&mut self, v: u32) {
-        self.parent[v as usize] = ROOT;
+        let p = std::mem::replace(&mut self.parent[v as usize], ROOT);
+        if p != ROOT {
+            self.children[p as usize] -= 1;
+        }
     }
 
     /// Reroots `v`'s tree at `v` by reversing the path to the old root —
@@ -151,6 +171,12 @@ impl Forest {
             self.parent[cur as usize] = prev;
             prev = cur;
             cur = next;
+        }
+        // Every vertex on the path trades the child below it for the one
+        // above, except the ends: `v` gains one, the old root loses one.
+        if prev != v {
+            self.children[v as usize] += 1;
+            self.children[prev as usize] -= 1;
         }
     }
 
@@ -472,6 +498,41 @@ mod tests {
             assert_eq!(side, vec![1, 2, 3]);
             assert!(s.scanned() <= 2 * 4, "scanned {}", s.scanned());
         }
+    }
+
+    #[test]
+    fn child_counts_follow_link_cut_reroot_and_reconnect() {
+        let recount = |f: &Forest| {
+            let mut c = vec![0u32; f.len()];
+            for v in 0..f.len() as u32 {
+                if f.parent(v) != ROOT {
+                    c[f.parent(v) as usize] += 1;
+                }
+            }
+            c
+        };
+        let counts = |f: &Forest| {
+            (0..f.len() as u32)
+                .map(|v| f.children(v))
+                .collect::<Vec<_>>()
+        };
+        let cycle: Vec<(u32, u32)> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
+        let mut f = forest_of(12, &cycle);
+        assert_eq!(counts(&f), recount(&f));
+        f.reroot(6);
+        assert_eq!(counts(&f), recount(&f));
+        f.cut(6);
+        f.cut(3);
+        assert_eq!(counts(&f), recount(&f));
+        let g = csr(12, &cycle);
+        assert!(f.cut_edge(4, 5));
+        let mut s = Search::new();
+        assert_eq!(f.reconnect(&g, 4, 5, &mut s), Reconnect::Linked);
+        assert_eq!(counts(&f), recount(&f));
+        assert_eq!(
+            Forest::from_parents((0..12).map(|v| f.parent(v)).collect()).children,
+            f.children
+        );
     }
 
     #[test]

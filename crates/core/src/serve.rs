@@ -486,7 +486,7 @@ impl ServeMetrics {
             ),
             labels_ns: r.histogram(
                 "snap_serve_labels_ns",
-                "Per-cycle component-label extraction time (ns); the indexes note and settle inside snap_serve_apply_ns",
+                "Per-cycle component-label publication (ns): one copy of the settled index's flat labels into a recycled array, or none when no label changed; the indexes note and settle inside snap_serve_apply_ns",
             ),
             freeze_ns: r.histogram(
                 "snap_serve_freeze_ns",
@@ -627,7 +627,12 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         }
         // Version 0 is the writer's cycle's first freeze: a full build.
         let mut cycle = Cycle::new(graph.num_vertices());
-        let labels = conn.map(|c| Arc::new(c.labels(&graph)));
+        let mut labels_seen = None;
+        let labels = conn.map(|c| {
+            let mut labels = Vec::new();
+            labels_seen = c.labels_since(&graph, None, &mut labels);
+            Arc::new(labels)
+        });
         let v0 = Arc::new(EpochSnapshot::new(
             0,
             0,
@@ -663,7 +668,7 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
             // return an error from yet, and the message names the cause.
             std::thread::Builder::new()
                 .name("snap-serve-writer".into())
-                .spawn(move || Writer::new(&shared, cycle).run(&rx))
+                .spawn(move || Writer::new(&shared, cycle, labels_seen).run(&rx))
                 .expect("spawn serve writer thread")
         };
         Self {
@@ -915,15 +920,23 @@ struct Writer<'a, A: DynamicAdjacency> {
     uncovered: Vec<Stamp>,
     /// Its epoch is what `Shared::cycle_epoch` publishes.
     cycle: Cycle,
+    /// The connectivity index's label generation behind
+    /// `Shared::labels` ([`crate::ConnectivityIndex::labels_since`]).
+    labels_seen: Option<u64>,
+    /// A label array nobody reads any more: the next publication copies
+    /// into it instead of allocating (and faulting in) a fresh one.
+    spare_labels: Option<Vec<u32>>,
 }
 
 impl<'a, A: DynamicAdjacency> Writer<'a, A> {
-    fn new(shared: &'a Shared<A>, cycle: Cycle) -> Self {
+    fn new(shared: &'a Shared<A>, cycle: Cycle, labels_seen: Option<u64>) -> Self {
         Self {
             shared,
             stream: Vec::new(),
             uncovered: Vec::new(),
             cycle,
+            labels_seen,
+            spare_labels: None,
         }
     }
 
@@ -1034,11 +1047,19 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         if changed > 0 {
             // The indexes settled inside the run (the certificate
             // searched the smaller side per cut tree edge — never a full
-            // rebuild); extract the labels.
+            // rebuild), which left the labels flat: publish a copy, or
+            // keep the previous array when no label changed.
             if let Some(c) = routes.conn {
                 let _t = Timer::scope(&m.labels_ns);
-                let labels = Arc::new(c.labels(&shared.graph));
-                *shared.labels.write() = Some(labels);
+                let mut labels = self.spare_labels.take().unwrap_or_default();
+                match c.labels_since(&shared.graph, self.labels_seen, &mut labels) {
+                    Some(seen) => {
+                        self.labels_seen = Some(seen);
+                        let old = shared.labels.write().replace(Arc::new(labels));
+                        self.recycle_labels(old);
+                    }
+                    None => self.spare_labels = Some(labels),
+                }
             }
         }
         // ordering: SeqCst — after the label swap, so an epoch read
@@ -1175,11 +1196,20 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         while ring.len() > keep {
             if let Some(Ok(old)) = ring.pop_front().map(Arc::try_unwrap) {
                 self.cycle.recycle((old.base, old.delta));
+                self.recycle_labels(old.labels);
             }
             // ordering: Relaxed — statistics counter (invariant 9); the
             // ring itself is guarded by its mutex.
             shared.retired.fetch_add(1, Ordering::Relaxed);
             shared.metrics.retained.dec();
+        }
+    }
+
+    /// Keeps a label array nobody else holds as the next publication's
+    /// buffer.
+    fn recycle_labels(&mut self, labels: Option<Arc<Vec<u32>>>) {
+        if self.spare_labels.is_none() {
+            self.spare_labels = labels.and_then(|l| Arc::try_unwrap(l).ok());
         }
     }
 }

@@ -81,7 +81,18 @@ pub fn par_bfs_with<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> BfsRes
 }
 
 /// Like [`par_bfs_with`], also returning direction-switch counters.
+/// A view backed by a CSR ([`GraphView::as_csr`], e.g. a compacted
+/// serving version) runs the kernel monomorphised for that CSR, so every
+/// `degree` / `find_edge` of a level is a slice read, not a call through
+/// the view.
 pub fn par_bfs_stats<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> (BfsResult, BfsStats) {
+    match view.as_csr() {
+        Some(csr) => bfs_stats(csr, src, cfg),
+        None => bfs_stats(view, src, cfg),
+    }
+}
+
+fn bfs_stats<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> (BfsResult, BfsStats) {
     let n = view.num_vertices();
     assert!((src as usize) < n, "source out of range");
     let m = view.num_entries();

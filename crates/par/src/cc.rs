@@ -71,8 +71,17 @@ pub fn par_cc_with<V: GraphView>(view: &V, cfg: &ParConfig) -> Vec<u32> {
 }
 
 /// Like [`par_cc_with`], also returning the runtime's scheduling
-/// counters (every link and compress sweep counts as one level).
+/// counters (every link and compress sweep counts as one level). A view
+/// backed by a CSR ([`GraphView::as_csr`]) runs the kernel monomorphised
+/// for that CSR.
 pub fn par_cc_stats<V: GraphView>(view: &V, cfg: &ParConfig) -> (Vec<u32>, ParStats) {
+    match view.as_csr() {
+        Some(csr) => cc_stats(csr, cfg),
+        None => cc_stats(view, cfg),
+    }
+}
+
+fn cc_stats<V: GraphView>(view: &V, cfg: &ParConfig) -> (Vec<u32>, ParStats) {
     let n = view.num_vertices();
     let m = view.num_entries();
     if n + m <= cfg.serial_threshold {
