@@ -277,6 +277,19 @@ pub trait DynamicAdjacency: Send + Sync {
         fits && cursor == nbrs.len()
     }
 
+    /// `u`'s length when its row is *keyed* now: sorted by neighbor, one
+    /// entry per neighbor, an insert setting its key's timestamp and a
+    /// delete removing the key (a tree row). `None` for any other row,
+    /// as this default says of every row. A keyed row equals its last
+    /// strictly ascending version with the half-updates since applied
+    /// key by key, the last op on a key winning, whatever its form was
+    /// in between (array pushes and key-granular deletes, promoted with
+    /// the last pair of a key winning, compose the same way) — which is
+    /// what lets a delta merge it rather than read it.
+    fn keyed_len(&self, _u: u32) -> Option<usize> {
+        None
+    }
+
     /// Collects `u`'s live entries (convenience over [`Self::for_each`]).
     fn neighbors(&self, u: u32) -> Vec<AdjEntry> {
         let mut out = Vec::with_capacity(self.degree(u));

@@ -10,7 +10,7 @@
 //! changed since in CSR form of their own, which `CsrGraph::folded`
 //! compacts later. One row builder makes all of them.
 
-use crate::adjacency::DynamicAdjacency;
+use crate::adjacency::{DynamicAdjacency, HalfUpdate};
 use rayon::prelude::*;
 use snap_rmat::TimedEdge;
 use snap_util::prefix::par_exclusive_scan;
@@ -199,31 +199,46 @@ pub(crate) struct RowDelta {
     offsets: Vec<usize>,
     nbrs: Vec<u32>,
     ts: Vec<u32>,
+    /// How the build read the rows fresh since the last version.
+    split: ReadSplit,
 }
 
 impl RowDelta {
-    /// The delta holding the rows of `held`: those in `fresh` re-read
-    /// from `adj`, the others copied from `prev`, which must hold them —
-    /// a [`crate::cycle::Cycle`] passes the rows touched since its base
-    /// as `held` and those touched since its last freeze as `fresh`, so
-    /// the build costs the rows of one cycle plus a copy of the rest.
+    /// The delta holding the rows of `held`, built after `last`, the
+    /// last version (its base and the delta over it, if any): the rows
+    /// in `fresh` read anew, the others copied from `last`'s delta,
+    /// which must hold them — a [`crate::cycle::Cycle`] passes the rows
+    /// touched since its base as `held` and those touched since its last
+    /// freeze as `fresh`, so the build costs the rows of one cycle plus a
+    /// copy of the rest. A fresh row that is keyed now
+    /// ([`DynamicAdjacency::keyed_len`]) and strictly ascending in
+    /// `last` is merged from there with its half-updates in `ops`
+    /// ([`merge_keyed`]); every other fresh row is re-read from `adj`.
+    /// `ops` holds every half-update applied since `last`, in
+    /// application order (it is sorted here); `None` re-reads every
+    /// fresh row.
+    ///
     /// `None` when the held rows have more than `limit` entries: the
     /// count stops there, so a refusal costs degree reads, not a build.
     /// Writes into `spare`'s arrays where they fit, and takes it only
-    /// when it builds. A torn re-read row panics, as in
-    /// [`CsrGraph::from_dynamic`].
+    /// when it builds. A torn fresh row panics, as in
+    /// [`CsrGraph::from_dynamic`]: a re-read one, or a merged one whose
+    /// length is not the live row's.
     pub(crate) fn next<A: DynamicAdjacency>(
-        prev: Option<&RowDelta>,
+        last: (&CsrGraph, Option<&RowDelta>),
         adj: &A,
         fresh: &RowSet,
         held: &RowSet,
+        ops: Option<&mut [HalfUpdate]>,
         limit: usize,
         spare: &mut Option<RowDelta>,
     ) -> Option<RowDelta> {
-        let src = Reread {
+        let mut src = DeltaRows {
             live: adj,
             fresh,
-            prev,
+            last,
+            ops: None,
+            split: ReadCounts::default(),
         };
         let mut entries = 0;
         if held.iter().any(|u| {
@@ -232,12 +247,18 @@ impl RowDelta {
         }) {
             return None;
         }
+        src.ops = ops.map(|ops| {
+            // Stable: a key's ops stay in application order.
+            ops.sort_by_key(|h| (h.src, h.nbr));
+            &*ops
+        });
         let Self {
             mut rows,
             mut ranks,
             offsets,
             nbrs,
             ts,
+            ..
         } = spare.take().unwrap_or_default();
         rows.words.clone_from(&held.words);
         ranks.clear();
@@ -255,7 +276,13 @@ impl RowDelta {
             offsets: built.offsets,
             nbrs: built.nbrs,
             ts: built.ts,
+            split: src.split.into(),
         })
+    }
+
+    /// How the build of this delta read its fresh rows.
+    pub(crate) fn split(&self) -> ReadSplit {
+        self.split
     }
 
     /// True if the delta holds `u`'s row.
@@ -385,26 +412,151 @@ impl RowSource for RowDelta {
     }
 }
 
-/// The rows of the next delta: those in `fresh` re-read from the live
-/// adjacency, the others copied from the previous delta.
-struct Reread<'a, A> {
-    live: &'a A,
-    fresh: &'a RowSet,
-    prev: Option<&'a RowDelta>,
+/// Writes `last`, a keyed row (neighbors strictly ascending, timestamps
+/// parallel), with `ops` applied into `nbrs` / `ts`: `ops` are the row's
+/// half-updates sorted by neighbor, in application order per neighbor,
+/// and the last op on a neighbor decides it — an insert sets its
+/// timestamp, new or not, and a delete removes it. The runs between op
+/// keys are copied whole. False, with no slot beyond the slices written,
+/// when the result does not fill them exactly.
+fn merge_keyed(
+    last: (&[u32], &[u32]),
+    ops: &[HalfUpdate],
+    nbrs: &mut [MaybeUninit<u32>],
+    ts: &mut [MaybeUninit<u32>],
+) -> bool {
+    debug_assert!(last.0.windows(2).all(|w| w[0] < w[1]));
+    let mut to = 0;
+    // Appends a run; false, writing nothing, when it would pass the slots.
+    let mut put = |run_nbrs: &[u32], run_ts: &[u32]| {
+        let end = to + run_nbrs.len();
+        if end > nbrs.len() {
+            return false;
+        }
+        nbrs[to..end].write_copy_of_slice(run_nbrs);
+        ts[to..end].write_copy_of_slice(run_ts);
+        to = end;
+        true
+    };
+    let mut from = 0;
+    for key_ops in ops.chunk_by(|a, b| a.nbr == b.nbr) {
+        // panics: unreachable — `chunk_by` yields no empty chunk.
+        let op = key_ops.last().expect("a chunk holds an op");
+        let below = from + last.0[from..].partition_point(|&v| v < op.nbr);
+        let kept = put(&last.0[from..below], &last.1[from..below]);
+        if !(kept && (op.is_delete() || put(&[op.nbr], &[op.ts]))) {
+            return false;
+        }
+        from = below + usize::from(last.0.get(below) == Some(&op.nbr));
+    }
+    put(&last.0[from..], &last.1[from..]) && to == nbrs.len()
 }
 
-impl<A: DynamicAdjacency> Reread<'_, A> {
-    fn source(&self, u: u32) -> &dyn RowSource {
-        match self.prev {
-            Some(prev) if !self.fresh.contains(u) => prev,
-            _ => self.live,
+/// How a delta build read its fresh rows: re-read whole from the live
+/// adjacency, or merged from the last version ([`merge_keyed`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct ReadSplit {
+    pub(crate) reread_rows: usize,
+    pub(crate) reread_entries: usize,
+    pub(crate) merged_rows: usize,
+    pub(crate) merged_entries: usize,
+}
+
+/// [`ReadSplit`] as a build's fill tasks count it.
+#[derive(Default)]
+struct ReadCounts {
+    reread: [AtomicUsize; 2],
+    merged: [AtomicUsize; 2],
+}
+
+impl ReadCounts {
+    fn add(counts: &[AtomicUsize; 2], entries: usize) {
+        // ordering: Relaxed — statistics joined at the fill's barrier,
+        // read after the build returns.
+        counts[0].fetch_add(1, Ordering::Relaxed);
+        // ordering: Relaxed — as above.
+        counts[1].fetch_add(entries, Ordering::Relaxed);
+    }
+}
+
+impl From<ReadCounts> for ReadSplit {
+    fn from(c: ReadCounts) -> Self {
+        let [reread_rows, reread_entries] = c.reread.map(AtomicUsize::into_inner);
+        let [merged_rows, merged_entries] = c.merged.map(AtomicUsize::into_inner);
+        Self {
+            reread_rows,
+            reread_entries,
+            merged_rows,
+            merged_entries,
         }
     }
 }
 
-impl<A: DynamicAdjacency> RowSource for Reread<'_, A> {
+/// `u`'s row in a version held as a base and the delta over it, if any:
+/// neighbors and their timestamps.
+pub(crate) fn version_row<'a>(
+    (base, delta): (&'a CsrGraph, Option<&'a RowDelta>),
+    u: u32,
+) -> (&'a [u32], &'a [u32]) {
+    match delta {
+        Some(delta) if delta.holds(u) => delta.row(u),
+        _ => (base.neighbors(u), base.timestamps(u)),
+    }
+}
+
+/// The rows of the next delta ([`RowDelta::next`]): those outside
+/// `fresh` copied from the last delta; a fresh one merged from its last
+/// version when it is keyed now and strictly ascending there, else
+/// re-read from the live adjacency.
+struct DeltaRows<'a, A> {
+    live: &'a A,
+    fresh: &'a RowSet,
+    /// The last version: its base and delta.
+    last: (&'a CsrGraph, Option<&'a RowDelta>),
+    /// Every half-update since the last version, sorted by (source,
+    /// neighbor) and in application order per key; `None` merges nothing.
+    ops: Option<&'a [HalfUpdate]>,
+    split: ReadCounts,
+}
+
+impl<A: DynamicAdjacency> DeltaRows<'_, A> {
+    /// The delta to copy `u`'s row from, unless the row is fresh.
+    fn copied(&self, u: u32) -> Option<&RowDelta> {
+        self.last.1.filter(|_| !self.fresh.contains(u))
+    }
+
+    /// Writes fresh row `u` merged into the slices; `None` when it is
+    /// not keyed at their length or not ascending in the last version.
+    fn merge(
+        &self,
+        u: u32,
+        nbrs: &mut [MaybeUninit<u32>],
+        ts: &mut [MaybeUninit<u32>],
+    ) -> Option<bool> {
+        let ops = self.ops?;
+        if self.live.keyed_len(u) != Some(nbrs.len()) {
+            return None;
+        }
+        let last = version_row(self.last, u);
+        if !last.0.windows(2).all(|w| w[0] < w[1]) {
+            return None;
+        }
+        let mine = ops.partition_point(|h| h.src < u)..ops.partition_point(|h| h.src <= u);
+        let merged = merge_keyed(last, &ops[mine], nbrs, ts);
+        #[cfg(debug_assertions)]
+        if merged {
+            check_merged(self.live, u, nbrs, ts);
+        }
+        Some(merged)
+    }
+}
+
+impl<A: DynamicAdjacency> RowSource for DeltaRows<'_, A> {
     fn degree(&self, u: u32) -> usize {
-        self.source(u).degree(u)
+        match self.copied(u) {
+            Some(delta) => delta.degree(u),
+            None => self.live.degree(u),
+        }
     }
 
     fn write_row(
@@ -413,8 +565,47 @@ impl<A: DynamicAdjacency> RowSource for Reread<'_, A> {
         nbrs: &mut [MaybeUninit<u32>],
         ts: &mut [MaybeUninit<u32>],
     ) -> bool {
-        self.source(u).write_row(u, nbrs, ts)
+        if let Some(delta) = self.copied(u) {
+            return delta.write_row(u, nbrs, ts);
+        }
+        if let Some(merged) = self.merge(u, nbrs, ts) {
+            ReadCounts::add(&self.split.merged, nbrs.len());
+            return merged;
+        }
+        ReadCounts::add(&self.split.reread, nbrs.len());
+        self.live.write_row(u, nbrs, ts)
     }
+}
+
+/// The `RowDelta` checker of debug builds: `u`'s merged row, as written
+/// into `nbrs` / `ts`, must equal a re-read of the live row.
+#[cfg(debug_assertions)]
+fn check_merged<A: DynamicAdjacency>(
+    live: &A,
+    u: u32,
+    nbrs: &[MaybeUninit<u32>],
+    ts: &[MaybeUninit<u32>],
+) {
+    let len = nbrs.len();
+    let (mut want_nbrs, mut want_ts) = (
+        vec![MaybeUninit::uninit(); len],
+        vec![MaybeUninit::uninit(); len],
+    );
+    assert!(
+        live.write_row(u, &mut want_nbrs, &mut want_ts),
+        "vertex {u}: the live row changed length under a merge"
+    );
+    let init = |s: &[MaybeUninit<u32>]| -> Vec<u32> {
+        // SAFETY: all four slices are written in full — the merge filled
+        // its slots (it returned true), and so did the re-read (it
+        // returned true).
+        s.iter().map(|x| unsafe { x.assume_init() }).collect()
+    };
+    assert_eq!(
+        (init(nbrs), init(ts)),
+        (init(&want_nbrs), init(&want_ts)),
+        "vertex {u}: a merged row differs from a re-read"
+    );
 }
 
 /// The one row builder, behind every CSR and delta build from a dynamic
@@ -718,11 +909,13 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjacency::CapacityHints;
+    use crate::adjacency::{AdjEntry, CapacityHints};
     use crate::dynarr::DynArr;
+    use crate::engine::halves;
     use crate::graph::DynGraph;
     use crate::hybrid::HybridAdj;
     use crate::treapadj::TreapAdj;
+    use snap_rmat::Update;
     use snap_util::rng::XorShift64;
 
     fn edges() -> Vec<TimedEdge> {
@@ -962,8 +1155,9 @@ mod tests {
     }
 
     /// Random rounds on a hybrid graph as in [`patch_forward`], each
-    /// published as a delta over one base that re-reads only the round's
-    /// rows and copies the rest from the last delta, folded into a new
+    /// published as a delta over one base that reads only the round's
+    /// rows (merging the hub's while it is a treap) and copies the rest
+    /// from the last delta, folded into a new
     /// base every few rounds. Folding base and delta, and patching the
     /// base with the delta's rows, must both give the fresh build.
     #[test]
@@ -976,7 +1170,7 @@ mod tests {
         let mut held = RowSet::new(16);
         for round in 0..48u32 {
             let insert_share = if round < 24 { 0.8 } else { 0.05 };
-            let mut fresh = RowSet::new(16);
+            let (mut fresh, mut ops) = (RowSet::new(16), Vec::new());
             for i in 0..rng.next_bounded(6) + 1 {
                 let u = if rng.next_bool(0.5) {
                     0
@@ -984,21 +1178,27 @@ mod tests {
                     rng.next_bounded(16) as u32
                 };
                 let v = rng.next_bounded(16) as u32;
-                if rng.next_bool(insert_share) {
-                    g.insert_edge(TimedEdge::new(u, v, round * 16 + i as u32));
+                let e = TimedEdge::new(u, v, round * 16 + i as u32);
+                let upd = if rng.next_bool(insert_share) {
+                    Update::insert(e)
                 } else {
-                    g.delete_edge(u, v);
-                }
+                    Update::delete(e)
+                };
+                g.apply(&upd);
+                let (there, back) = halves(0, &upd, false);
+                ops.push(there);
+                ops.extend(back);
                 for w in [u, v] {
                     fresh.insert(w);
                     held.insert(w);
                 }
             }
             let next = RowDelta::next(
-                delta.as_ref(),
+                (&base, delta.as_ref()),
                 g.adjacency(),
                 &fresh,
                 &held,
+                Some(&mut ops),
                 usize::MAX,
                 &mut spare,
             )
@@ -1023,15 +1223,62 @@ mod tests {
     }
 
     #[test]
+    fn a_keyed_merge_takes_the_last_op_per_key_and_fills_its_slots_exactly() {
+        let last = ([2, 4, 6, 8], [20, 40, 60, 80]);
+        let (ins, del) = (
+            |v, ts, i| HalfUpdate::insert(0, AdjEntry::new(v, ts), i),
+            |v, i| HalfUpdate::delete(0, v, i),
+        );
+        // Sorted by neighbor, application order per neighbor: 1 is
+        // inserted, 2 deleted, 4 deleted and re-inserted, 5 inserted and
+        // deleted, 8 overwritten twice, 9 deleted while absent.
+        let ops = [
+            ins(1, 11, 0),
+            del(2, 1),
+            del(4, 2),
+            ins(4, 44, 3),
+            ins(5, 55, 4),
+            del(5, 5),
+            ins(8, 81, 6),
+            ins(8, 82, 7),
+            del(9, 8),
+        ];
+        let merge = |len: usize| {
+            let (mut nbrs, mut ts) = (
+                vec![MaybeUninit::new(0); len],
+                vec![MaybeUninit::new(0); len],
+            );
+            let full = merge_keyed((&last.0, &last.1), &ops, &mut nbrs, &mut ts);
+            let read = |s: Vec<MaybeUninit<u32>>| -> Vec<u32> {
+                // SAFETY: every slot was initialized above.
+                s.into_iter().map(|x| unsafe { x.assume_init() }).collect()
+            };
+            (full, read(nbrs), read(ts))
+        };
+        assert_eq!(merge(4), (true, vec![1, 4, 6, 8], vec![11, 44, 60, 82]));
+        // A slot short or over: refused, with nothing past the slots.
+        assert!(!merge(0).0 && !merge(3).0 && !merge(5).0);
+    }
+
+    #[test]
     fn a_delta_over_its_limit_is_refused_and_keeps_the_spare() {
-        let (g, _, mutated) = mutated_after_snapshot();
+        let (g, prev, mutated) = mutated_after_snapshot();
         let mut held = RowSet::new(8);
         mutated.iter().for_each(|&u| held.insert(u));
         let entries: usize = mutated.iter().map(|&u| g.degree(u)).sum();
         let mut spare = Some(RowDelta::default());
-        let refused = RowDelta::next(None, g.adjacency(), &held, &held, entries - 1, &mut spare);
+        let last = (&prev, None);
+        let refused = RowDelta::next(
+            last,
+            g.adjacency(),
+            &held,
+            &held,
+            None,
+            entries - 1,
+            &mut spare,
+        );
         assert!(refused.is_none() && spare.is_some());
-        let delta = RowDelta::next(None, g.adjacency(), &held, &held, entries, &mut spare)
+        let delta = RowDelta::next(last, g.adjacency(), &held, &held, None, entries, &mut spare)
             .expect("exactly at the limit");
         assert!(spare.is_none());
         assert_eq!(delta.num_entries(), entries);

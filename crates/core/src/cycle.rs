@@ -5,12 +5,12 @@
 //! compacted CSR plus a delta of the rows touched since
 //! ([`Cycle::publish`]), compacted later ([`Cycle::fold`]).
 
-use crate::adjacency::DynamicAdjacency;
-use crate::csr::{CsrGraph, RowDelta, RowSet};
-use crate::engine::{apply_ranged, check_endpoints, RANGE_BUDGET};
+use crate::adjacency::{DynamicAdjacency, HalfUpdate};
+use crate::csr::{version_row, CsrGraph, ReadSplit, RowDelta, RowSet};
+use crate::engine::{apply_ranged, check_endpoints, halves, RANGE_BUDGET};
 use crate::graph::DynGraph;
 use crate::indexes::IndexRoutes;
-use snap_rmat::Update;
+use snap_rmat::{Update, UpdateKind};
 use snap_util::timer::Timer;
 use std::sync::{Arc, OnceLock};
 
@@ -45,8 +45,23 @@ pub(crate) struct Cycle {
     /// The same since `base` was built: `touched` plus the rows `delta`
     /// holds, the rows the next delta holds or a patch re-reads.
     since_base: RowSet,
-    /// Whether the graph changed since the last freeze.
+    /// Whether the graph changed since the last freeze: a key set, or a
+    /// timestamp a keyed row overwrote.
     dirty: bool,
+    /// Whether the cycle keeps `ops`: the serving writer's does, for
+    /// [`Cycle::publish`]; one that only freezes keeps no copy of its
+    /// streams.
+    keeps_ops: bool,
+    /// The half-updates of every update run since the last freeze, in
+    /// run order (kept beside `touched`): what the next delta merges its
+    /// keyed rows with ([`RowDelta::next`]). `None` when not kept: in a
+    /// cycle that only freezes, before the first freeze, and, until the
+    /// next freeze, once they would pass `1 / OVERLAY_SHARE` of the
+    /// vertices: a delta holds at most that share of the entries, about
+    /// as many rows at the mean degree, so more half-updates come from a
+    /// backlog whose rows patch, and it pays neither the copy nor the
+    /// memory for a merge that would not run.
+    ops: Option<Vec<HalfUpdate>>,
     /// The last compacted CSR.
     base: Option<Arc<CsrGraph>>,
     /// The rows changed between `base` and the last freeze, when that
@@ -54,6 +69,9 @@ pub(crate) struct Cycle {
     delta: Option<Arc<RowDelta>>,
     /// Freezes that built something: a CSR, patched or full, or a delta.
     builds: usize,
+    /// How the last freeze read its rows: none when it shared the last
+    /// version.
+    read: ReadSplit,
     /// A retired CSR nobody reads any more ([`Cycle::recycle`]): the
     /// next patch or fold writes into its arrays.
     spare: Option<CsrGraph>,
@@ -62,18 +80,31 @@ pub(crate) struct Cycle {
 }
 
 impl Cycle {
-    /// Epoch 0 over `n` vertices, nothing frozen.
+    /// Epoch 0 over `n` vertices, nothing frozen, for an engine that
+    /// only [`Cycle::freeze`]s.
     pub(crate) fn new(n: usize) -> Self {
         Self {
             epoch: 0,
             touched: RowSet::new(n),
             since_base: RowSet::new(n),
             dirty: false,
+            keeps_ops: false,
+            ops: None,
             base: None,
             delta: None,
             builds: 0,
+            read: ReadSplit::default(),
             spare: None,
             spare_delta: None,
+        }
+    }
+
+    /// [`Cycle::new`] for an engine that [`Cycle::publish`]es: its runs
+    /// keep their half-updates for the next delta's merge.
+    pub(crate) fn publishing(n: usize) -> Self {
+        Self {
+            keeps_ops: true,
+            ..Self::new(n)
         }
     }
 
@@ -96,14 +127,21 @@ impl Cycle {
         self.delta.is_some()
     }
 
-    /// Rows the next [`Cycle::publish`] re-reads from the live graph when
-    /// it builds a delta; 0 when it shares the last version.
-    pub(crate) fn dirty_rows(&self) -> usize {
+    /// Rows touched since the last freeze, when the graph changed since.
+    #[cfg(test)]
+    fn dirty_rows(&self) -> usize {
         if self.dirty {
             self.touched.count()
         } else {
             0
         }
+    }
+
+    /// How the last freeze read its rows: re-read from the live graph
+    /// (every row of a patch or full build) or merged (a delta's keyed
+    /// rows); nothing when it shared the last version.
+    pub(crate) fn read(&self) -> ReadSplit {
+        self.read
     }
 
     /// Applies `stream` (the applier of
@@ -114,7 +152,9 @@ impl Cycle {
     /// ([`IndexRoutes::absorb`]), marks its rows, and steps
     /// every index in `routes` to the next epoch, which the caller
     /// publishes after (invariant 6). Returns how many updates changed
-    /// the graph.
+    /// the graph's key sets; a run that changed none still makes the
+    /// next freeze build when an insert in it may have overwritten a
+    /// timestamp.
     ///
     /// # Panics
     ///
@@ -152,11 +192,61 @@ impl Cycle {
                     self.since_base.insert(v);
                 }
             }
+            let directed = graph.is_directed();
+            let room = graph.num_vertices() / OVERLAY_SHARE;
+            if let Some(ops) = &mut self.ops {
+                if ops.len() + 2 * stream.len() > room {
+                    self.ops = None;
+                } else {
+                    for (i, u) in stream.iter().enumerate() {
+                        let (there, back) = halves(i, u, directed);
+                        ops.push(there);
+                        ops.extend(back);
+                    }
+                }
+            }
         }
-        self.dirty |= changed > 0;
+        self.dirty = self.dirty || changed > 0 || self.rewrites_a_timestamp(graph, stream);
         self.epoch += 1;
         routes.sync_change(self.epoch);
         changed
+    }
+
+    /// True if `stream`, a run that changed no key set, holds an insert
+    /// whose timestamp the last freeze does not hold for its edge: a
+    /// keyed row overwrites a present key's timestamp and reports no
+    /// change. Asked only while the graph is clean, so the last freeze
+    /// is the graph before the run. False when nothing is frozen: the
+    /// next freeze builds whole anyway.
+    fn rewrites_a_timestamp<A: DynamicAdjacency>(
+        &self,
+        graph: &DynGraph<A>,
+        stream: &[Update],
+    ) -> bool {
+        let Some(base) = &self.base else {
+            return false;
+        };
+        let mut inserts = stream.iter().filter(|u| u.kind == UpdateKind::Insert);
+        inserts.any(|u| {
+            let (there, back) = halves(0, u, graph.is_directed());
+            std::iter::once(there).chain(back).any(|h| {
+                let (nbrs, ts) = version_row((base, self.delta.as_deref()), h.src);
+                !nbrs.iter().zip(ts).any(|(&v, &t)| (v, t) == (h.nbr, h.ts))
+            })
+        })
+    }
+
+    /// Starts the record of the runs after a freeze: `touched` and `ops`
+    /// empty.
+    fn froze(&mut self) {
+        self.builds += 1;
+        self.dirty = false;
+        self.touched.clear();
+        self.ops = self.keeps_ops.then(|| {
+            let mut ops = self.ops.take().unwrap_or_default();
+            ops.clear();
+            ops
+        });
     }
 
     /// The compacted CSR of `graph` now: the base when nothing changed
@@ -165,15 +255,27 @@ impl Cycle {
     /// result is the new base.
     pub(crate) fn freeze<A: DynamicAdjacency>(&mut self, graph: &DynGraph<A>) -> Arc<CsrGraph> {
         let csr = match &self.base {
-            Some(base) if self.is_clean() => return Arc::clone(base),
+            Some(base) if self.is_clean() => {
+                self.read = ReadSplit::default();
+                return Arc::clone(base);
+            }
             Some(base) => {
                 CsrGraph::patched(base, graph.adjacency(), &self.since_base, self.spare.take())
             }
             None => graph.to_csr(),
         };
-        self.builds += 1;
-        self.dirty = false;
-        self.touched.clear();
+        let (reread_rows, reread_entries) = match &self.base {
+            Some(_) => (self.since_base.iter()).fold((0, 0), |(rows, entries), u| {
+                (rows + 1, entries + csr.out_degree(u))
+            }),
+            None => (csr.num_vertices(), csr.num_entries()),
+        };
+        self.read = ReadSplit {
+            reread_rows,
+            reread_entries,
+            ..ReadSplit::default()
+        };
+        self.froze();
         self.since_base.clear();
         self.delta = None;
         Arc::clone(self.base.insert(Arc::new(csr)))
@@ -182,8 +284,9 @@ impl Cycle {
     /// The serving freeze, O(rows touched since the base): the last
     /// version when nothing changed since it; else the base plus a delta
     /// of the rows touched since it, the ones touched since the last
-    /// freeze re-read and the rest copied from the last delta
-    /// ([`RowDelta::next`]). When that delta would hold more than
+    /// freeze merged with the runs' half-updates (keyed rows) or re-read,
+    /// and the rest copied from the last delta ([`RowDelta::next`]).
+    /// When that delta would hold more than
     /// `1 / OVERLAY_SHARE` of the base's entries (or there is no base),
     /// a [`Cycle::freeze`] instead, and no delta.
     pub(crate) fn publish<A: DynamicAdjacency>(&mut self, graph: &DynGraph<A>) -> Frozen {
@@ -191,22 +294,23 @@ impl Cycle {
             return (self.freeze(graph), None);
         };
         if !self.dirty {
+            self.read = ReadSplit::default();
             return (base, self.delta.clone());
         }
         let next = RowDelta::next(
-            self.delta.as_deref(),
+            (&base, self.delta.as_deref()),
             graph.adjacency(),
             &self.touched,
             &self.since_base,
+            self.ops.as_deref_mut(),
             base.num_entries() / OVERLAY_SHARE,
             &mut self.spare_delta,
         );
         let Some(delta) = next else {
             return (self.freeze(graph), None);
         };
-        self.builds += 1;
-        self.dirty = false;
-        self.touched.clear();
+        self.read = delta.split();
+        self.froze();
         (base, Some(Arc::clone(self.delta.insert(Arc::new(delta)))))
     }
 
@@ -257,10 +361,16 @@ mod tests {
     use crate::dynarr::DynArr;
     use crate::hybrid::HybridAdj;
     use crate::indexes::IndexFamily;
+    use crate::treapadj::TreapAdj;
     use snap_rmat::TimedEdge;
+    use snap_util::rng::XorShift64;
 
     fn ins(u: u32, v: u32) -> Update {
-        Update::insert(TimedEdge::new(u, v, 1))
+        ins_at(u, v, 1)
+    }
+
+    fn ins_at(u: u32, v: u32, ts: u32) -> Update {
+        Update::insert(TimedEdge::new(u, v, ts))
     }
 
     fn del(u: u32, v: u32) -> Update {
@@ -369,5 +479,225 @@ mod tests {
             Some("update 0 names vertex 99, but the graph has 8 vertices")
         );
         assert_eq!((g.degree(0), cycle.epoch()), (0, 0));
+    }
+
+    #[test]
+    fn a_run_that_only_overwrites_treap_timestamps_still_builds() {
+        let hints = CapacityHints::new(64).with_degree_thresh(4);
+        for publishing in [false, true] {
+            let g = DynGraph::<HybridAdj>::undirected(64, &hints);
+            // Vertices 0 and 1: adjacent treap hubs.
+            let hubs: Vec<Update> = (2..8).flat_map(|v| [ins(0, v), ins(1, v)]).collect();
+            let mut cycle = served(&g, &[&hubs[..], &[ins(0, 1)]].concat(), publishing);
+            assert!(g.adjacency().is_treap(0) && g.adjacency().is_treap(1));
+            let version = |cycle: &mut Cycle| match publishing {
+                true => {
+                    let (base, delta) = cycle.publish(&g);
+                    delta.map_or_else(|| (*base).clone(), |d| CsrGraph::folded(&base, &d, None))
+                }
+                false => (*cycle.freeze(&g)).clone(),
+            };
+            // Both halves overwrite a present key: no key set changed,
+            // but the next version must show the new timestamp.
+            let overwrite = [ins_at(0, 1, 7)];
+            assert_eq!(cycle.run(&g, IndexRoutes::default(), &overwrite, 1), 0);
+            let v1 = version(&mut cycle);
+            assert_eq!((v1.timestamps(0)[0], v1.timestamps(1)[0]), (7, 7));
+            assert_eq!(v1, g.to_csr(), "publishing: {publishing}");
+            // The same insert again rewrites nothing: the version stays.
+            let builds = cycle.builds();
+            cycle.run(&g, IndexRoutes::default(), &overwrite, 1);
+            assert_eq!((version(&mut cycle), cycle.builds()), (v1, builds));
+        }
+    }
+
+    /// A graph on `g`'s vertices `8..`, a ring with chords — enough
+    /// entries that a delta of a few rows stays under a quarter of them —
+    /// plus `setup`, run and frozen by a new cycle, publishing or not.
+    fn served<A: DynamicAdjacency>(g: &DynGraph<A>, setup: &[Update], publishing: bool) -> Cycle {
+        let n = g.num_vertices() as u32;
+        let ring = |v: u32, step: u32| 8 + (v - 8 + step) % (n - 8);
+        let mut stream: Vec<Update> = (8..n)
+            .flat_map(|v| [ins(v, ring(v, 1)), ins(v, ring(v, 3))])
+            .collect();
+        stream.extend_from_slice(setup);
+        let mut cycle = match publishing {
+            true => Cycle::publishing(n as usize),
+            false => Cycle::new(n as usize),
+        };
+        cycle.run(g, IndexRoutes::default(), &stream, 1);
+        cycle.freeze(g);
+        cycle
+    }
+
+    /// `v`'s edges to every vertex of `to`.
+    fn star(v: u32, to: std::ops::Range<u32>) -> Vec<Update> {
+        to.map(|w| ins(v, w)).collect()
+    }
+
+    /// Runs each of `runs`, then publishes: the version, materialized,
+    /// must be the fresh build. Returns how the publish read its rows.
+    fn publish_runs<A: DynamicAdjacency>(
+        g: &DynGraph<A>,
+        cycle: &mut Cycle,
+        runs: &[&[Update]],
+    ) -> ReadSplit {
+        for run in runs {
+            cycle.run(g, IndexRoutes::default(), run, 1);
+        }
+        let (base, delta) = cycle.publish(g);
+        let version = delta.map_or_else(|| (*base).clone(), |d| CsrGraph::folded(&base, &d, None));
+        assert_eq!(version, g.to_csr());
+        cycle.read()
+    }
+
+    fn hybrid(n: usize, directed: bool) -> DynGraph<HybridAdj> {
+        let hints = CapacityHints::new(64).with_degree_thresh(8);
+        match directed {
+            true => DynGraph::directed(n, &hints),
+            false => DynGraph::undirected(n, &hints),
+        }
+    }
+
+    #[test]
+    fn a_hub_that_stays_a_treap_is_merged_through_overwrites_and_deletes() {
+        let g = hybrid(256, false);
+        let mut cycle = served(&g, &star(0, 1..13), true);
+        let rounds: [&[Update]; 4] = [
+            // Timestamp overwrites of present keys; a delete of a present
+            // key and one of an absent key.
+            &[ins_at(0, 3, 50), ins_at(0, 5, 51), del(0, 7), del(0, 40)],
+            // Insert-then-delete of a new key, delete-then-insert of a
+            // present one.
+            &[ins_at(0, 20, 60), del(0, 20), del(0, 4), ins_at(0, 4, 61)],
+            // A new key, and a present key overwritten twice.
+            &[ins_at(0, 30, 62), ins_at(0, 3, 63), ins_at(0, 3, 64)],
+            // One update: the one-update run.
+            &[ins_at(0, 5, 70)],
+        ];
+        for round in rounds {
+            let read = publish_runs(&g, &mut cycle, &[round]);
+            assert!(g.adjacency().is_treap(0));
+            assert_eq!((read.merged_rows, read.merged_entries), (1, g.degree(0)));
+        }
+    }
+
+    #[test]
+    fn a_row_promoted_since_the_last_freeze_is_merged_only_from_an_ascending_row() {
+        let g = hybrid(256, false);
+        // Row 2 is [0, 60, 9], out of order; row 3 is [0].
+        let setup = [star(0, 1..4), vec![ins(2, 60), ins(2, 9)]].concat();
+        let mut cycle = served(&g, &setup, true);
+        let read = publish_runs(&g, &mut cycle, &[&star(2, 20..26)]);
+        assert!(g.adjacency().is_treap(2));
+        assert!(cycle.has_delta());
+        assert_eq!(read.merged_rows, 0, "row 2 was not ascending: re-read");
+        let read = publish_runs(&g, &mut cycle, &[&star(3, 30..37)]);
+        assert!(g.adjacency().is_treap(3));
+        assert_eq!(read.merged_rows, 1, "row 3 was ascending: merged");
+    }
+
+    #[test]
+    fn a_row_demoted_and_promoted_again_in_one_window_is_merged_exactly() {
+        let g = hybrid(256, false);
+        let mut cycle = served(&g, &star(0, 1..13), true);
+        // Down to one key: the hub demotes to an array.
+        let thin: Vec<Update> = (1..12).map(|v| del(0, v)).collect();
+        // Array pushes, key 41 twice, up to the threshold: it promotes
+        // (the last 41 wins), then a treap insert and an overwrite.
+        let regrow = [
+            star(0, 40..41),
+            vec![ins_at(0, 41, 5), ins_at(0, 41, 90)],
+            star(0, 42..47),
+            vec![ins_at(0, 12, 91)],
+        ]
+        .concat();
+        cycle.run(&g, IndexRoutes::default(), &thin, 1);
+        assert!(!g.adjacency().is_treap(0));
+        let read = publish_runs(&g, &mut cycle, &[&regrow]);
+        assert!(g.adjacency().is_treap(0));
+        assert_eq!(read.merged_rows, 1);
+    }
+
+    #[test]
+    fn a_merged_row_comes_from_the_last_delta_or_else_the_base() {
+        let g = hybrid(256, false);
+        let hubs = [star(0, 2..14), star(1, 2..14)].concat();
+        let mut cycle = served(&g, &hubs, true);
+        // Hub 0 from the base.
+        let read = publish_runs(&g, &mut cycle, &[&[ins_at(0, 3, 50)]]);
+        assert_eq!(read.merged_rows, 1);
+        // Hub 0 from the last delta (key 3 kept its 50), hub 1 from the
+        // base.
+        let read = publish_runs(&g, &mut cycle, &[&[ins_at(0, 5, 51), ins_at(1, 3, 52)]]);
+        assert_eq!(read.merged_rows, 2);
+        // After a fold both come from the new base.
+        cycle.fold().expect("a delta to fold");
+        let read = publish_runs(&g, &mut cycle, &[&[ins_at(0, 6, 53), ins_at(1, 5, 54)]]);
+        assert_eq!(read.merged_rows, 2);
+    }
+
+    #[test]
+    fn a_directed_hub_and_a_self_loop_on_a_hub_are_merged() {
+        for directed in [true, false] {
+            let g = hybrid(256, directed);
+            let mut cycle = served(&g, &star(0, 1..13), true);
+            let rounds: [&[Update]; 4] = [
+                &[ins_at(0, 3, 50), del(0, 4), ins_at(0, 0, 51)],
+                &[ins_at(0, 0, 52), ins_at(0, 3, 53)],
+                &[del(0, 0), ins_at(0, 0, 54), del(0, 0)],
+                &[ins_at(0, 0, 55)],
+            ];
+            for round in rounds {
+                let read = publish_runs(&g, &mut cycle, &[round]);
+                assert!(g.adjacency().is_treap(0));
+                assert_eq!(read.merged_rows, 1, "directed: {directed}");
+            }
+        }
+    }
+
+    /// Random runs on hubs, published one to four at a time and folded
+    /// now and then, through `g`: every version must be the fresh build.
+    /// Returns the rows merged.
+    fn random_windows<A: DynamicAdjacency>(g: &DynGraph<A>, seed: u64) -> usize {
+        let n = g.num_vertices() as u64;
+        let mut cycle = served(g, &[star(0, 1..12), star(1, 2..10)].concat(), true);
+        let mut rng = XorShift64::new(seed);
+        let mut merged = 0;
+        for window in 0..40 {
+            let runs: Vec<Vec<Update>> = (0..rng.next_bounded(4) + 1)
+                .map(|_| {
+                    (0..rng.next_bounded(5) + 1)
+                        .map(|_| {
+                            let u = rng.next_bounded(3) as u32;
+                            let near = rng.next_bool(0.8);
+                            let v = rng.next_bounded(if near { 16 } else { n }) as u32;
+                            match rng.next_bool(0.6) {
+                                true => ins_at(u, v, rng.next_bounded(4) as u32),
+                                false => del(u, v),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let runs: Vec<&[Update]> = runs.iter().map(Vec::as_slice).collect();
+            merged += publish_runs(g, &mut cycle, &runs).merged_rows;
+            if window % 4 == 3 {
+                cycle.fold();
+            }
+        }
+        merged
+    }
+
+    #[test]
+    fn random_windows_of_keyed_and_array_rows_publish_exactly() {
+        for seed in 1..=4 {
+            for directed in [false, true] {
+                let g = hybrid(256, directed);
+                assert!(random_windows(&g, seed) > 0, "seed {seed}");
+            }
+            let g = DynGraph::<TreapAdj>::undirected(256, &CapacityHints::new(64));
+            assert!(random_windows(&g, seed) > 0, "seed {seed}");
+        }
     }
 }

@@ -97,7 +97,7 @@ pub fn apply_stream_timed<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Updat
 /// The directed half-updates of the stream's `idx`-th update: one per
 /// adjacency list it touches (two for an undirected non-loop edge), so
 /// that each can go to whoever owns its source vertex.
-fn halves(idx: usize, u: &Update, directed: bool) -> (HalfUpdate, Option<HalfUpdate>) {
+pub(crate) fn halves(idx: usize, u: &Update, directed: bool) -> (HalfUpdate, Option<HalfUpdate>) {
     let (e, is_delete) = (u.edge, u.kind == UpdateKind::Delete);
     let half = |src, nbr| HalfUpdate::new(src, nbr, e.timestamp, idx, is_delete);
     let back = (!directed && e.u != e.v).then(|| half(e.v, e.u));

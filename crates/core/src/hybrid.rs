@@ -283,6 +283,14 @@ impl DynamicAdjacency for HybridAdj {
         }
     }
 
+    /// A treap row is keyed; an array row is not.
+    fn keyed_len(&self, u: u32) -> Option<usize> {
+        match &*self.adj[u as usize].lock() {
+            Repr::Arr(_) => None,
+            Repr::Treap(t) => Some(t.len()),
+        }
+    }
+
     fn for_each(&self, u: u32, f: &mut dyn FnMut(AdjEntry)) {
         let cell = self.adj[u as usize].lock();
         match &*cell {

@@ -41,9 +41,10 @@
 //!    (so an idle engine is always frozen and pins see everything). A
 //!    freeze does not rebuild the CSR: a version is the last compacted
 //!    CSR (its *base*) plus an immutable *delta* of the rows touched
-//!    since. The freeze re-reads the rows touched since the last freeze
-//!    and copies the last delta's other rows, so its cost follows the
-//!    cycle, not the graph. Only when the delta would hold more than a
+//!    since. The freeze reads the rows touched since the last freeze —
+//!    a hub's treap row merged from its last version with the cycle's
+//!    half-updates, any other row re-read — and copies the last delta's
+//!    other rows, so its cost follows the cycle, not the graph. Only when the delta would hold more than a
 //!    quarter of the base's entries (a backlog's drain) does it patch a
 //!    new base instead: the base's untouched rows copied, the touched
 //!    ones re-read. Either way the version is published as an immutable
@@ -440,6 +441,9 @@ struct ServeMetrics {
     labels_ns: Histogram,
     freeze_ns: Histogram,
     freeze_rows_reread: Histogram,
+    freeze_rows_merged: Histogram,
+    freeze_entries_reread: Histogram,
+    freeze_entries_merged: Histogram,
     overlay_ns: Histogram,
     overlay_entries: Histogram,
     fold_ns: Histogram,
@@ -494,7 +498,19 @@ impl ServeMetrics {
             ),
             freeze_rows_reread: r.histogram(
                 "snap_serve_freeze_rows_reread",
-                "Rows a freeze re-read from the live graph: vertices touched since the last freeze (a patch re-reads those since the base too; 0 when it shared the previous version)",
+                "Rows a freeze re-read from the live graph: a delta's rows touched since the last freeze that it did not merge, a patch's rows touched since the base (0 when it shared the previous version)",
+            ),
+            freeze_rows_merged: r.histogram(
+                "snap_serve_freeze_rows_merged",
+                "Rows a freeze merged instead: a delta's keyed (treap) rows touched since the last freeze, each its last version with the half-updates since applied",
+            ),
+            freeze_entries_reread: r.histogram(
+                "snap_serve_freeze_entries_reread",
+                "Entries in the rows of snap_serve_freeze_rows_reread",
+            ),
+            freeze_entries_merged: r.histogram(
+                "snap_serve_freeze_entries_merged",
+                "Entries in the rows of snap_serve_freeze_rows_merged",
             ),
             overlay_ns: r.histogram(
                 "snap_serve_overlay_ns",
@@ -626,7 +642,7 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
             indexes.attach_triangles(&graph, 0);
         }
         // Version 0 is the writer's cycle's first freeze: a full build.
-        let mut cycle = Cycle::new(graph.num_vertices());
+        let mut cycle = Cycle::publishing(graph.num_vertices());
         let mut labels_seen = None;
         let labels = conn.map(|c| {
             let mut labels = Vec::new();
@@ -1041,9 +1057,10 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         m.updates_applied.add(applied);
         m.updates_changed.add(changed);
 
-        // A no-op cycle (deletes of absent edges, deduplicated
-        // re-inserts) keeps the previous labels and leaves the graph
-        // clean, so a freeze after it shares the previous CSR.
+        // A cycle that changes no key set (deletes of absent edges,
+        // re-inserts of live ones) keeps the previous labels; unless a
+        // re-insert rewrote a timestamp, it leaves the graph clean, so a
+        // freeze after it shares the previous version.
         if changed > 0 {
             // The indexes settled inside the run (the certificate
             // searched the smaller side per cut tree edge — never a full
@@ -1100,11 +1117,15 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         // and the ring holds the `retain` newest again once this one is
         // in.
         self.retire((shared.retain - 1).max(1));
-        let rows = self.cycle.dirty_rows();
+        let builds = self.cycle.builds();
         let built = Stamp::now();
         let graph = self.cycle.publish(&shared.graph);
-        m.freeze_rows_reread.record(rows as u64);
-        if rows > 0 {
+        let read = self.cycle.read();
+        m.freeze_rows_reread.record(read.reread_rows as u64);
+        m.freeze_rows_merged.record(read.merged_rows as u64);
+        m.freeze_entries_reread.record(read.reread_entries as u64);
+        m.freeze_entries_merged.record(read.merged_entries as u64);
+        if self.cycle.builds() > builds {
             let ns = built.elapsed_ns();
             m.freeze_ns.record(ns);
             if let Some(delta) = &graph.1 {

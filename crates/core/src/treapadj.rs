@@ -70,6 +70,11 @@ impl DynamicAdjacency for TreapAdj {
         self.adj[u as usize].lock().len()
     }
 
+    /// Every row is a treap, so every row is keyed.
+    fn keyed_len(&self, u: u32) -> Option<usize> {
+        Some(self.degree(u))
+    }
+
     fn for_each(&self, u: u32, f: &mut dyn FnMut(AdjEntry)) {
         let t = self.adj[u as usize].lock();
         t.for_each(|nbr, ts| f(AdjEntry { nbr, ts }));
