@@ -542,12 +542,7 @@ impl<A: DynamicAdjacency> DeltaRows<'_, A> {
             return None;
         }
         let mine = ops.partition_point(|h| h.src < u)..ops.partition_point(|h| h.src <= u);
-        let merged = merge_keyed(last, &ops[mine], nbrs, ts);
-        #[cfg(debug_assertions)]
-        if merged {
-            check_merged(self.live, u, nbrs, ts);
-        }
-        Some(merged)
+        Some(merge_keyed(last, &ops[mine], nbrs, ts))
     }
 }
 
@@ -565,46 +560,45 @@ impl<A: DynamicAdjacency> RowSource for DeltaRows<'_, A> {
         nbrs: &mut [MaybeUninit<u32>],
         ts: &mut [MaybeUninit<u32>],
     ) -> bool {
-        if let Some(delta) = self.copied(u) {
-            return delta.write_row(u, nbrs, ts);
-        }
-        if let Some(merged) = self.merge(u, nbrs, ts) {
+        let written = if let Some(delta) = self.copied(u) {
+            delta.write_row(u, nbrs, ts)
+        } else if let Some(merged) = self.merge(u, nbrs, ts) {
             ReadCounts::add(&self.split.merged, nbrs.len());
-            return merged;
+            merged
+        } else {
+            // A re-read row is the live row already.
+            ReadCounts::add(&self.split.reread, nbrs.len());
+            return self.live.write_row(u, nbrs, ts);
+        };
+        #[cfg(debug_assertions)]
+        if written {
+            check_row(self.live, u, nbrs, ts);
         }
-        ReadCounts::add(&self.split.reread, nbrs.len());
-        self.live.write_row(u, nbrs, ts)
+        written
     }
 }
 
-/// The `RowDelta` checker of debug builds: `u`'s merged row, as written
-/// into `nbrs` / `ts`, must equal a re-read of the live row.
+/// The `RowDelta` checker of debug builds: `u`'s row as a delta wrote it
+/// into `nbrs` / `ts`, merged or copied from the last delta, must equal a
+/// re-read of the live row.
 #[cfg(debug_assertions)]
-fn check_merged<A: DynamicAdjacency>(
+fn check_row<A: DynamicAdjacency>(
     live: &A,
     u: u32,
     nbrs: &[MaybeUninit<u32>],
     ts: &[MaybeUninit<u32>],
 ) {
-    let len = nbrs.len();
-    let (mut want_nbrs, mut want_ts) = (
-        vec![MaybeUninit::uninit(); len],
-        vec![MaybeUninit::uninit(); len],
-    );
-    assert!(
-        live.write_row(u, &mut want_nbrs, &mut want_ts),
-        "vertex {u}: the live row changed length under a merge"
-    );
-    let init = |s: &[MaybeUninit<u32>]| -> Vec<u32> {
-        // SAFETY: all four slices are written in full — the merge filled
-        // its slots (it returned true), and so did the re-read (it
-        // returned true).
-        s.iter().map(|x| unsafe { x.assume_init() }).collect()
-    };
+    let written: Vec<(u32, u32)> = nbrs
+        .iter()
+        .zip(ts)
+        // SAFETY: the delta's write returned true, so it filled both
+        // slices in full.
+        .map(|(v, t)| unsafe { (v.assume_init(), t.assume_init()) })
+        .collect();
+    let reread: Vec<(u32, u32)> = live.neighbors(u).iter().map(|e| (e.nbr, e.ts)).collect();
     assert_eq!(
-        (init(nbrs), init(ts)),
-        (init(&want_nbrs), init(&want_ts)),
-        "vertex {u}: a merged row differs from a re-read"
+        written, reread,
+        "vertex {u}: a delta row differs from a re-read"
     );
 }
 

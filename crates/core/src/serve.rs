@@ -27,34 +27,28 @@
 //!    per range instead of once per batch. The lag a backlog adds is
 //!    bounded by the budget, not by a setting. (A cycle whose stream fits
 //!    one range runs on the writer thread itself, no spawn.)
-//! 2. **Labels every cycle, a version on demand, in O(rows touched).**
-//!    After applying, the writer settles the connectivity index and
-//!    publishes the cycle's component labels with one pointer swap, so
-//!    [`ServeEngine::same_component`], [`ServeEngine::component`] and
-//!    [`ServeEngine::epoch`] are fresh after every cycle. That costs the
-//!    index's repair work plus one O(n) label extraction per cycle that
-//!    changed the graph (a `find` per vertex into a fresh n × 4 B
-//!    array), amortized by the cycle's size. The rest of a version — the
-//!    rows that traversals read — is *frozen* at the end of a cycle only
-//!    when somebody can use it: a [`ServeEngine::pin`] asked for a newer
-//!    version than the newest frozen one, or no further batch is waiting
-//!    (so an idle engine is always frozen and pins see everything). A
-//!    freeze does not rebuild the CSR: a version is the last compacted
-//!    CSR (its *base*) plus an immutable *delta* of the rows touched
-//!    since. The freeze reads the rows touched since the last freeze —
-//!    a hub's treap row merged from its last version with the cycle's
+//! 2. **Labels every cycle, a version when the writer is caught up, in
+//!    O(rows touched).** After applying, the writer settles the
+//!    connectivity index and publishes the cycle's component labels with
+//!    one pointer swap, so [`ServeEngine::same_component`],
+//!    [`ServeEngine::component`] and [`ServeEngine::epoch`] are fresh
+//!    after every cycle. That costs the index's repair work plus, when a
+//!    label changed, one copy of the index's flat labels into a recycled
+//!    array. The rows that traversals read are *frozen* by a rule of the
+//!    writer's own: never wait for a batch with a cycle unfrozen (so an
+//!    idle engine is always frozen), and under a backlog freeze at least
+//!    every fourth cycle. A version is the last compacted CSR (its
+//!    *base*) plus an immutable *delta* of the rows touched since: a
+//!    freeze reads the rows touched since the last freeze — a hub's
+//!    treap row merged from its last version with the cycle's
 //!    half-updates, any other row re-read — and copies the last delta's
-//!    other rows, so its cost follows the cycle, not the graph. Only when the delta would hold more than a
-//!    quarter of the base's entries (a backlog's drain) does it patch a
-//!    new base instead: the base's untouched rows copied, the touched
-//!    ones re-read. Either way the version is published as an immutable
-//!    [`EpochSnapshot`] with **one** pointer swap. Readers never observe
-//!    intermediate state and never block on a build: `pin` returns the
-//!    newest frozen version in nanoseconds, with its true epoch, batch
-//!    count and labels, and the handle is valid forever. Under a
-//!    sustained backlog that version may trail the newest cycle; the pin
-//!    that notices raises the writer's wanted-flag, and the cycle that
-//!    ends next freezes.
+//!    other rows, so its cost follows the cycle, not the graph. Only
+//!    when the delta would hold more than a quarter of the base's entries
+//!    (a backlog's drain) does it patch a new base instead. Either way
+//!    the version is published as an immutable [`EpochSnapshot`] with
+//!    **one** pointer swap: `pin` returns the newest frozen version in
+//!    nanoseconds, with its true epoch, batch count and labels, never
+//!    blocks on a build, and the handle is valid forever.
 //! 3. **Compaction when idle, and epoch-based reclamation.** Once the
 //!    queue has stayed empty for a millisecond, or before a
 //!    [`ServeEngine::flush`] acknowledges, the writer *folds* the newest
@@ -133,7 +127,7 @@ use snap_obs::{Counter, Gauge, Histogram, MetricsRegistry, Sampler, Stamp};
 use snap_rmat::Update;
 use snap_util::timer::Timer;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -452,7 +446,6 @@ struct ServeMetrics {
     publish_lag_ns: Histogram,
     epochs: Counter,
     freezes: Counter,
-    freezes_skipped: Counter,
     pin_staleness: Histogram,
     updates_applied: Counter,
     updates_changed: Counter,
@@ -544,10 +537,6 @@ impl ServeMetrics {
                 "snap_serve_freezes_total",
                 "Frozen versions published to pins (excluding version 0)",
             ),
-            freezes_skipped: r.counter(
-                "snap_serve_freezes_skipped_total",
-                "Writer cycles that froze nothing: no pin asked, more batches waiting",
-            ),
             pin_staleness: r.histogram(
                 "snap_serve_pin_staleness_epochs",
                 "Newest cycle epoch minus the epoch of the version a pin returned",
@@ -597,10 +586,6 @@ struct Shared<A: DynamicAdjacency> {
     /// The newest cycle's epoch; runs ahead of `current.epoch` while
     /// cycles skip their freeze.
     cycle_epoch: AtomicU64,
-    /// Raised by a pin that got a version behind `cycle_epoch`, lowered
-    /// by the freeze that catches up: the writer's "somebody wants a
-    /// newer CSR" signal.
-    wanted: AtomicBool,
     /// Last `retain` frozen versions, newest at the back.
     ring: Mutex<VecDeque<Arc<EpochSnapshot>>>,
     history: Mutex<Vec<Vec<Update>>>,
@@ -661,7 +646,6 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
             current: RwLock::new(Arc::clone(&v0)),
             labels: RwLock::new(labels),
             cycle_epoch: AtomicU64::new(0),
-            wanted: AtomicBool::new(false),
             ring: Mutex::new(VecDeque::from([v0])),
             history: Mutex::new(Vec::new()),
             pending: AtomicUsize::new(0),
@@ -702,27 +686,15 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     /// On an idle engine that version includes every submitted batch.
     /// While the writer works through a backlog it may trail the newest
     /// cycle (its [`EpochSnapshot::epoch`] / [`EpochSnapshot::batches`]
-    /// say by how much: the version is always internally consistent);
-    /// this call then raises the writer's wanted-flag, and the cycle
-    /// that ends next freezes — a polling reader is at most one cycle
-    /// behind what it asked for.
+    /// say by how much: the version is always internally consistent), by
+    /// at most four cycles: the writer freezes at least once every four.
     pub fn pin(&self) -> SnapshotHandle {
         let s = &*self.shared;
         s.metrics.pins.inc();
         let snap = Arc::clone(&s.current.read());
-        // ordering: SeqCst (this load, the flag accesses below, and the
-        // writer's `cycle_epoch` store / `wanted` load) — the
-        // store-buffering shape: a pin that raises the flag and then
-        // reads cycle epoch e is ordered before the writer's store of
-        // e + 1, so the freeze decision of cycle e + 1 at the latest
-        // sees the flag (invariant 1's staleness bound).
-        let newest = s.cycle_epoch.load(Ordering::SeqCst);
-        // ordering: SeqCst — see above; the load keeps pins from
-        // contending on the flag's cache line once it is up.
-        if newest > snap.epoch && !s.wanted.load(Ordering::SeqCst) {
-            // ordering: SeqCst — see above.
-            s.wanted.store(true, Ordering::SeqCst);
-        }
+        // ordering: Relaxed — a staleness sample only; the read lock above
+        // already orders the store of this version's epoch before it.
+        let newest = s.cycle_epoch.load(Ordering::Relaxed);
         s.metrics.pin_staleness.record(newest - snap.epoch);
         snap
     }
@@ -745,12 +717,11 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         for (idx, u) in batch.iter().enumerate() {
             check_endpoints(idx, u, n);
         }
-        // ordering: AcqRel — increments before the channel send, pairs
-        // with the writer's post-freeze AcqRel fetch_sub so
-        // `pending_batches() == 0` implies full visibility, and with
-        // its end-of-cycle load so a batch on its way keeps the freeze
-        // skippable (invariant 1's publication discipline).
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
+        // ordering: Relaxed — the channel send below orders it before the
+        // writer's decrement for this batch, so the count never drops
+        // below the batches not yet published; visibility rides on that
+        // decrement's Release (invariant 1).
+        self.shared.pending.fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.queue_depth.inc();
         // panics: the writer thread owns `rx` for the whole engine
         // lifetime and exits only via Drop/shutdown (which consume the
@@ -825,7 +796,7 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     /// in a cycle that has not been frozen yet).
     pub fn pending_batches(&self) -> usize {
         // ordering: Acquire — pairs with the writer's post-freeze
-        // AcqRel fetch_sub: observing 0 here means every submitted
+        // Release fetch_sub: observing 0 here means every submitted
         // batch is visible to a subsequent pin (invariant 1).
         self.shared.pending.load(Ordering::Acquire)
     }
@@ -846,9 +817,10 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     }
 
     /// Frozen versions published so far, version 0 excluded — at most
-    /// [`ServeEngine::epoch`], and fewer whenever a cycle found nobody
-    /// asking and more batches waiting. A compacted republication of a
-    /// version (a fold) is not a freeze.
+    /// [`ServeEngine::epoch`], at least a quarter of it once the writer
+    /// idles, and fewer than it when cycles ran with batches still
+    /// queued. A compacted republication of a version (a fold) is not a
+    /// freeze.
     pub fn freezes(&self) -> u64 {
         // ordering: Relaxed — statistics counter (invariant 9).
         self.shared.freezes.load(Ordering::Relaxed)
@@ -925,6 +897,12 @@ impl<A: DynamicAdjacency + 'static> Drop for ServeEngine<A> {
 /// fold (O(n + m)); short beside the gaps between a reader's analyses.
 const FOLD_IDLE: Duration = Duration::from_millis(1);
 
+/// Cycles the writer runs in a row without a freeze before the last of
+/// them freezes, however many batches wait: a reader's staleness bound
+/// under a backlog. Not 1, because a backlog cycle touches most rows, so
+/// freezing each would cost about a full patch.
+const FREEZE_EVERY: u64 = 4;
+
 /// The writer thread's own state.
 struct Writer<'a, A: DynamicAdjacency> {
     shared: &'a Shared<A>,
@@ -962,31 +940,33 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         // they are visible, and a Stop never drops them.
         let mut stash: Option<Ingest> = None;
         loop {
-            let msg = match stash.take() {
-                Some(m) => m,
-                // A version held as base plus delta is compacted once the
-                // queue stays empty for `FOLD_IDLE`, off every lag path.
-                None if self.cycle.has_delta() => match rx.recv_timeout(FOLD_IDLE) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.fold();
-                        continue;
+            let msg = match stash.take().map_or_else(|| rx.try_recv(), Ok) {
+                Ok(m) => m,
+                Err(TryRecvError::Disconnected) => return, // engine dropped
+                // Never wait with a cycle unfrozen. A version held as base
+                // plus delta is compacted once the queue stays empty for
+                // `FOLD_IDLE`, off every lag path.
+                Err(TryRecvError::Empty) => {
+                    self.freeze();
+                    let next = if self.cycle.has_delta() {
+                        rx.recv_timeout(FOLD_IDLE)
+                    } else {
+                        rx.recv().map_err(RecvTimeoutError::from)
+                    };
+                    match next {
+                        Ok(m) => m,
+                        Err(RecvTimeoutError::Timeout) => {
+                            self.fold();
+                            continue;
+                        }
+                        Err(RecvTimeoutError::Disconnected) => return, // engine dropped
                     }
-                    Err(RecvTimeoutError::Disconnected) => return, // engine dropped
-                },
-                None => match rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => return, // engine dropped
-                },
+                }
             };
             match msg {
                 Ingest::Stop => return,
                 Ingest::Flush(ack) => {
-                    // Unfrozen cycles here mean this barrier overtook
-                    // the batch whose arrival let them skip.
-                    if !self.uncovered.is_empty() {
-                        self.freeze();
-                    }
+                    self.freeze();
                     // The barrier leaves a compacted version behind.
                     self.fold();
                     // Receiver may have timed out / gone away; ignore.
@@ -1000,9 +980,9 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
     /// One ingest cycle: coalesce the queued batches, up to one applier
     /// range of half-updates, into one stream, apply it with one sharded
     /// applier call, settle the indexes, publish the cycle's labels with
-    /// a single pointer swap — and freeze only if a pin asked or the
-    /// queue ran dry. Returns the non-batch message that ended the
-    /// coalescing, if any.
+    /// a single pointer swap — and freeze if it is the `FREEZE_EVERY`-th
+    /// cycle since the last freeze. Returns the non-batch message that
+    /// ended the coalescing, if any.
     fn cycle(&mut self, first: Vec<Update>, stamp: Stamp, rx: &Receiver<Ingest>) -> Option<Ingest> {
         let shared = self.shared;
         let m = &shared.metrics;
@@ -1079,27 +1059,16 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
                 }
             }
         }
-        // ordering: SeqCst — after the label swap, so an epoch read
-        // implies labels at least that new; SeqCst (with the flag load
-        // below) for the store-buffering argument spelled out in `pin`.
+        // ordering: Release — after the label swap, so an epoch read
+        // (Acquire) implies labels at least that new.
         shared
             .cycle_epoch
-            .store(self.cycle.epoch(), Ordering::SeqCst);
+            .store(self.cycle.epoch(), Ordering::Release);
         m.epochs.inc();
-
-        // Freeze on demand: skip only when nobody asked *and* a batch
-        // beyond the ones applied so far is already submitted — the
-        // cycle that takes it decides again, so the last cycle of a
-        // burst always freezes and an idle engine is always frozen.
-        // ordering: SeqCst — pairs with `pin`'s flag store (see there).
-        let asked = shared.wanted.load(Ordering::SeqCst);
-        // ordering: Acquire — pairs with `submit`'s AcqRel increment,
-        // which precedes its channel send.
-        let waiting = shared.pending.load(Ordering::Acquire) > self.uncovered.len();
-        if asked || !waiting {
+        // Under a backlog, a freeze every `FREEZE_EVERY` cycles; the run
+        // loop freezes the rest before it waits for a batch.
+        if self.cycle.epoch() - shared.current.read().epoch >= FREEZE_EVERY {
             self.freeze();
-        } else {
-            m.freezes_skipped.inc();
         }
         stash
     }
@@ -1108,8 +1077,12 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
     /// delta of the rows touched since, or a patched base), publishes it
     /// with the newest cycle's epoch, batch count and labels by a single
     /// pointer swap, hands the covered batches' `pending` counts and lag
-    /// stamps over, and retires ring overflow.
+    /// stamps over, and retires ring overflow. A no-op when every applied
+    /// batch is frozen already.
     fn freeze(&mut self) {
+        if self.uncovered.is_empty() {
+            return;
+        }
         let shared = self.shared;
         let m = &shared.metrics;
         // The oldest version goes before the build, not after it, so the
@@ -1151,20 +1124,14 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         // count of one state. The write lock guards only this swap.
         let _t = Timer::scope(&m.publish_ns);
         *shared.current.write() = Arc::clone(&snap);
-        // Every pin that raised the flag saw a cycle no newer than this
-        // one (there is none yet), so this version is what it asked for.
-        // ordering: Relaxed — a hint; a raise racing this store costs
-        // one early freeze, never a missed one.
-        shared.wanted.store(false, Ordering::Relaxed);
         for s in self.uncovered.drain(..) {
             m.publish_lag_ns.record(s.elapsed_ns());
         }
         // Decrement pending only after publication so `pending_batches()
         // == 0` implies every submitted batch is visible to new pins.
-        // ordering: AcqRel — the release half pairs with pending_batches'
-        // Acquire load; the decrement is the post-publication signal
-        // (invariant 1).
-        shared.pending.fetch_sub(covered, Ordering::AcqRel);
+        // ordering: Release — pairs with pending_batches' Acquire load;
+        // the decrement is the post-publication signal (invariant 1).
+        shared.pending.fetch_sub(covered, Ordering::Release);
         // ordering: Relaxed — statistics counter (invariant 9).
         shared.freezes.fetch_add(1, Ordering::Relaxed);
         m.freezes.inc();
@@ -1287,7 +1254,7 @@ mod tests {
         let old = e.pin();
         let (old_epoch, old_entries) = (old.epoch(), old.num_entries());
         // A flush per batch demands a frozen version per batch (a
-        // back-to-back burst may freeze as little as once).
+        // back-to-back burst may freeze once every four cycles).
         for i in 0..10u32 {
             e.submit(vec![ins(i % 7, (i + 1) % 7, 10 + i)]);
             e.flush();
@@ -1697,39 +1664,62 @@ mod tests {
     }
 
     #[test]
-    fn a_drain_that_skips_freezes_patches_every_row_it_touched() {
-        // Each batch churns within its own 16-vertex slice and fills most of an
-        // applier range, so a cycle takes two and the cycles before the
-        // last one find batches waiting: they skip their freeze, and the
-        // freeze that covers them re-reads every slice they touched.
-        let (n, len, slice) = (256, 40_000, 16);
-        let e = engine(n, ServeConfig::default().with_shards(2));
-        let mut rng = snap_util::rng::XorShift64::new(9);
-        for burst in 0..2u32 {
-            for b in 0..6u32 {
-                let lo = (burst * 6 + b) * slice;
-                let batch = (0..len)
-                    .map(|i| {
-                        let u = lo + rng.next_bounded(slice as u64) as u32;
-                        let v = lo + rng.next_bounded(slice as u64) as u32;
-                        if rng.next_bool(0.7) {
-                            ins(u, v, i)
-                        } else {
-                            del(u, v)
-                        }
-                    })
-                    .collect();
-                e.submit(batch);
+    fn a_backlog_freezes_every_fourth_cycle_and_patches_every_row_it_touched() {
+        // Each batch fills an applier range in its own 16-vertex slice, so
+        // each is a cycle, and all are queued long before the writer drains
+        // them: every cycle but the last finds batches waiting, and a freeze
+        // re-reads every slice the cycles it covers touched.
+        let (cycles, slice) = (3 * FREEZE_EVERY as u32, 16);
+        let n = (cycles * slice) as usize;
+        let cfg = ServeConfig::default().with_shards(2).with_history(true);
+        let e = engine(n, cfg.with_retain(cycles as usize + 1));
+        for lo in (0..cycles).map(|b| b * slice) {
+            let mut batch = churn(slice as usize, 1, RANGE_BUDGET / 2, 9 + lo as u64).remove(0);
+            for u in &mut batch {
+                (u.edge.u, u.edge.v) = (u.edge.u + lo, u.edge.v + lo);
             }
-            e.flush();
-            assert_patched_exactly(&e);
+            e.submit(batch);
         }
+        e.flush();
+        assert_patched_exactly(&e);
+        assert_eq!(e.epoch(), cycles as u64);
         assert!(
-            e.freezes() < e.epoch(),
-            "{} freezes in {} cycles: the drain must skip some",
+            (e.epoch().div_ceil(FREEZE_EVERY)..e.epoch()).contains(&e.freezes()),
+            "{} freezes in {} cycles",
             e.freezes(),
             e.epoch()
         );
+        // The ring holds every version: each is its prefix, and no two
+        // frozen epochs are more than `FREEZE_EVERY` apart.
+        let versions: Vec<_> = e.shared.ring.lock().iter().cloned().collect();
+        assert_eq!(versions.len() as u64, e.freezes() + 1);
+        let (history, mut last) = (e.history(), (0, 0));
+        let oracle = DynGraph::<HybridAdj>::undirected(n, &CapacityHints::new(n * 4));
+        for v in &versions {
+            assert!(v.epoch() - last.0 <= FREEZE_EVERY, "epoch {}", v.epoch());
+            for u in history[last.1..v.batches() as usize].iter().flatten() {
+                oracle.apply(u);
+            }
+            last = (v.epoch(), v.batches() as usize);
+            let want = sorted_entries(&oracle.to_csr());
+            assert_eq!(sorted_entries(&**v), want, "epoch {}", v.epoch());
+        }
+    }
+
+    #[test]
+    fn a_budget_cycle_before_an_empty_queue_shows_unasked() {
+        // The cycle ends because its stream filled the budget, not because
+        // the queue ran dry; nobody pins or flushes, yet it freezes.
+        let batch = churn(16, 1, RANGE_BUDGET / 2, 17).remove(0);
+        let e = engine(16, ServeConfig::default());
+        e.submit(batch.clone());
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while e.pending_batches() > 0 {
+            assert!(std::time::Instant::now() < deadline, "never frozen");
+            std::thread::yield_now();
+        }
+        assert_eq!((e.epoch(), e.freezes(), e.pin().batches()), (1, 1, 1));
+        assert_eq!(sorted_entries(&*e.pin()), oracle_entries(16, &[batch]));
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! 5. **Triangle deltas** (invariant 3): racing writers apply
 //!    O(min-degree) deltas while readers sample counts;
 //!    the quiesced counts must match the kernels recount to the bit.
-//! 6. **Demand-driven freeze** (invariant 1): a back-to-back drain
-//!    skips freezes unless a racing pin raises the wanted-flag; every
-//!    version pinned on the way is one prefix — CSR *and* labels — and
+//! 6. **Writer-local freeze** (invariant 1): a drain freezes before the
+//!    writer waits and at least every fourth cycle; every version pinned
+//!    on the way is one prefix — CSR *and* labels — and
 //!    `pending_batches() == 0` means the next pin has everything.
 //! 7. **The whole index family under serving** (invariants 1, 6): a
 //!    `ServeEngine` maintaining connectivity, distances and triangles
@@ -448,19 +448,19 @@ fn triangle_deltas_match_oracle_across_seeds() {
     }
 }
 
-/// Protocol 6 — demand-driven freeze (invariant 1). A producer submits
+/// Protocol 6 — writer-local freeze (invariant 1). A producer submits
 /// small batches back to back, yielding between them so the writer runs
 /// many short cycles (a cycle takes whatever is queued), and the writer
-/// freezes only when the racing reader's pin raised the wanted-flag or
-/// the queue ran dry. The yields land on the label swap, the publication
-/// swap and the flag hand-off; under every schedule a pinned version's
-/// CSR and labels both equal the replay of its own `batches()` (never
-/// one prefix's CSR with another's labels), a drained queue means a
-/// complete pin, and the label queries are never behind a pin. Every
-/// distinct version pinned is checked, not every epoch: a compacted
-/// republication shares its overlay's epoch.
+/// freezes when it finds the queue dry or at the fourth cycle in a row
+/// without a freeze, whatever the racing reader pins. The yields land on
+/// the label swap and the publication swap; under every schedule a
+/// pinned version's CSR and labels both equal the replay of its own
+/// `batches()` (never one prefix's CSR with another's labels), a drained
+/// queue means a complete pin, and the label queries are never behind a
+/// pin. Every distinct version pinned is checked, not every epoch: a
+/// compacted republication shares its overlay's epoch.
 #[test]
-fn demand_freeze_matches_oracle_across_seeds() {
+fn writer_local_freeze_matches_oracle_across_seeds() {
     const SCALE: u32 = 8;
     const BATCHES: u64 = 24;
     let n = 1usize << SCALE;

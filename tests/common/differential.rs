@@ -6,8 +6,9 @@
 //! inserted twice while live nor deleted while absent, but deleted
 //! edges may be re-inserted later), drive it through an update
 //! strategy (`stream` / `vpart` / `epart`) at a given thread count,
-//! route every update into the maintained index in stream order, and
-//! assert — mid-stream and at the end — that the index's state is
+//! hand every update to the maintained index in stream order (a note per
+//! update, or one `absorb` per batch as the engines' write cycle does),
+//! and assert — mid-stream and at the end — that the index's state is
 //! **bit-identical** to a from-scratch oracle computed on the settled
 //! view, with the incremental path never once falling back to a full
 //! rebuild.
@@ -171,16 +172,16 @@ pub fn scripted_workload(n: u32, batches: &[&[(u32, u32, bool)]]) -> Workload {
     }
 }
 
-/// How a batch reaches the graph before its updates are routed into
-/// the maintained index (always in stream order, over the settled
-/// view).
+/// How a batch reaches the graph and the maintained index (always in
+/// stream order, over the settled view).
 #[derive(Clone, Copy, Debug)]
 pub enum Strategy {
-    /// One update at a time; the index is routed after each apply.
+    /// One update at a time; the index notes each after its apply and
+    /// settles what it owes at query time.
     Stream,
-    /// Vertex-partitioned parallel apply, then post-batch routing.
+    /// Vertex-partitioned parallel apply, then one absorb of the batch.
     Vpart,
-    /// Edge-partitioned parallel apply, then post-batch routing.
+    /// Edge-partitioned parallel apply, then one absorb of the batch.
     Epart,
 }
 
@@ -202,6 +203,11 @@ pub trait DifferentialPair {
     /// family's single note entry point.
     fn route<V: GraphView>(&self, view: &V, upd: &Update) {
         self.index().note(view, upd);
+    }
+    /// Hands a whole applied batch to the maintained index the way the
+    /// engines' write cycle does: one [`IncrementalIndex::absorb`].
+    fn absorb<V: GraphView>(&self, view: &V, batch: &[Update]) {
+        self.index().absorb(view, batch);
     }
     /// Extracts the maintained state (lazy repairs allowed).
     fn state<V: GraphView>(&self, view: &V) -> Self::State;
@@ -238,15 +244,11 @@ where
             }
             Strategy::Vpart => {
                 pool.install(|| engine::apply_vpart(&g, batch, threads));
-                for u in batch {
-                    pair.route(&g, u);
-                }
+                pair.absorb(&g, batch);
             }
             Strategy::Epart => {
                 pool.install(|| engine::apply_epart(&g, batch, threads));
-                for u in batch {
-                    pair.route(&g, u);
-                }
+                pair.absorb(&g, batch);
             }
         }
         if bi == last || (bi + 1) % w.check_every == 0 {
@@ -304,6 +306,15 @@ impl DifferentialPair for ConnPair {
             self.idx.union(upd.edge.u, upd.edge.v);
         } else {
             self.idx.note(view, upd);
+        }
+    }
+
+    /// With bare unions, one route per update (`absorb` never unions bare).
+    fn absorb<V: GraphView>(&self, view: &V, batch: &[Update]) {
+        if self.bare_union {
+            batch.iter().for_each(|u| self.route(view, u));
+        } else {
+            self.idx.absorb(view, batch);
         }
     }
 

@@ -21,6 +21,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// not cover treap vertices at all.
 pub const DEGREE_THRESH: u32 = 8;
 
+/// Most cycles the serving writer runs in a row without a freeze (private
+/// `FREEZE_EVERY` in `snap_core::serve`): a pin's bound under a backlog.
+pub const FREEZE_EVERY: u64 = 4;
+
 /// `CapacityHints::new(expected_edges)` with [`DEGREE_THRESH`] pinned.
 pub fn hints(expected_edges: usize) -> CapacityHints {
     CapacityHints::new(expected_edges).with_degree_thresh(DEGREE_THRESH)

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::hints;
+use common::{hints, FREEZE_EVERY};
 use snap::obs::{MetricValue, MetricsRegistry};
 use snap::prelude::*;
 
@@ -143,20 +143,18 @@ fn instrumented_serving_results_are_unchanged() {
         (engine.updates_applied(), engine.updates_changed()),
         (21, 20)
     );
-    // Demand-driven freeze, counted the same in both feature states:
-    // a cycle per tail update after the inserts' cycles, each either
-    // frozen or skipped, the last frozen.
+    // The writer's freeze rule, counted the same in both feature states:
+    // a cycle per tail update after the inserts' cycles, the last frozen,
+    // and never more than `FREEZE_EVERY` cycles to one freeze.
     let cycles = head + 5;
     assert_eq!(engine.epoch(), cycles);
     assert_eq!(v.epoch(), cycles);
     let freezes = engine.freezes();
-    assert!((1..=cycles).contains(&freezes));
+    assert!((cycles.div_ceil(FREEZE_EVERY)..=cycles).contains(&freezes));
 
     if snap::obs::ENABLED {
         assert!(counter_value("snap_serve_epochs_published_total") >= cycles);
-        let frozen = counter_value("snap_serve_freezes_total");
-        assert!(frozen >= freezes);
-        assert!(frozen + counter_value("snap_serve_freezes_skipped_total") >= cycles);
+        assert!(counter_value("snap_serve_freezes_total") >= freezes);
         // Cycle sizes: this is the binary's only engine, so the
         // histogram holds exactly its cycles and every update applied.
         match scrape("snap_serve_cycle_updates") {

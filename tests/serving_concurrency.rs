@@ -15,16 +15,17 @@
 //! on it all correspond to one prefix of the submission order — never a
 //! torn mix of batches.
 //!
-//! The second half of the file pins the demand-driven freeze: the
-//! writer builds a CSR only when a pin asked for one or its queue ran
-//! dry, and none of the contracts above may notice. It ends with the
-//! backlog-sized cycle: behind a queue deeper than one applier range, a
-//! cycle takes batches until its stream fills that range, so a cycle
-//! spans two ranges and up to `shards` workers — with every index on,
-//! the same oracles hold.
+//! The second half of the file pins the writer's freeze rule: it
+//! freezes before it waits on an empty queue, and under a backlog at
+//! least once every four cycles, and none of the contracts above may
+//! notice. It ends with the backlog-sized cycle: behind a queue deeper
+//! than one applier range, a cycle takes batches until its stream fills
+//! that range, so a cycle spans two ranges and up to `shards` workers —
+//! with every index on, the same oracles hold.
 
 mod common;
 
+use common::FREEZE_EVERY;
 use snap::par::{par_bfs_with, par_cc_with};
 use snap::prelude::*;
 
@@ -264,9 +265,8 @@ fn pinned_handles_outlive_heavy_churn() {
     let before_entries = pinned.num_entries();
     let before_dist = bfs(&*pinned, edges[0].u).dist;
     let mut stream = StreamBuilder::new(&edges, 500).inserting_from(base_len(&edges));
-    // A pin per batch keeps every cycle demanded: the version it gets
-    // may trail, so the next cycle to end freezes (a back-to-back burst
-    // nobody pins may freeze as little as once).
+    // A flush per batch freezes every cycle (a back-to-back burst may
+    // freeze as little as once every four cycles).
     for _ in 0..12 {
         engine.submit(stream.mixed(64, 0.5));
         engine.flush();
@@ -424,12 +424,11 @@ impl Oracle {
 
 #[test]
 fn unpinned_drain_skips_freezes_and_flush_still_publishes_everything() {
-    // Nobody pins while bursts drain, so only the cycle that finds the
-    // queue dry has to freeze. Each burst holds more than three applier
-    // ranges of half-updates and is queued in microseconds, far faster
-    // than a cycle applies, so the cycles after the first fill to the
-    // budget with batches still waiting behind them: the rule makes
-    // those skip their freeze.
+    // Nobody pins while bursts drain. Each burst holds more than three
+    // applier ranges of half-updates and is queued in microseconds, far
+    // faster than a cycle applies, so the cycles after the first fill to
+    // the budget with batches still waiting behind them: the rule makes
+    // all but every fourth of those skip their freeze.
     let edges = base_edges(5);
     let base = base_stream(&edges, 13);
     let engine = ServeEngine::new(
@@ -683,10 +682,10 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
             // ordering: SeqCst — test-side stop flag.
             done.store(true, Ordering::SeqCst);
         });
-        // The pinning reader. A pin that comes back behind the cycle
-        // epoch read before it has asked for a newer version: two
-        // cycles later (the one that was running may have decided
-        // already; the next cannot have) a pin is at least that new.
+        // The pinning reader. A pin behind the cycle epoch read before it
+        // trails by at most `FREEZE_EVERY` cycles: once `FREEZE_EVERY + 1`
+        // more have published (one of the first `FREEZE_EVERY` froze before
+        // the last began), a pin is at least that new.
         let reader = scope.spawn(|| {
             let mut pins = Vec::new();
             // ordering: SeqCst — test-side stop flag.
@@ -696,14 +695,16 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
                 let after = engine.epoch();
                 assert!(v.epoch() <= after, "a version is never from the future");
                 if v.epoch() < asked_at {
-                    while engine.epoch() < after + 2 && engine.pending_batches() > 0 {
+                    let due = after + FREEZE_EVERY + 1;
+                    while engine.epoch() < due && engine.pending_batches() > 0 {
                         std::thread::yield_now();
                     }
                     let next = engine.pin();
                     assert!(
                         next.epoch() >= asked_at,
-                        "pinned epoch {} at cycle {asked_at}; two cycles on, still epoch {}",
+                        "pinned epoch {} at cycle {asked_at}; {} cycles on, still epoch {}",
                         v.epoch(),
+                        FREEZE_EVERY + 1,
                         next.epoch()
                     );
                     pins.push(next);
@@ -736,7 +737,7 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
     assert!(engine.freezes() <= engine.epoch());
     assert_eq!(engine.full_rebuild_count(), Some(0));
     // Never a CSR from one prefix with labels or a batch count from
-    // another — including the versions frozen on this reader's demand.
+    // another — including the versions frozen mid-backlog.
     let history = engine.history();
     let mut checked = std::collections::HashSet::new();
     for v in pins.iter().filter(|v| checked.insert(v.epoch())) {
