@@ -515,7 +515,7 @@ struct BcRow {
 /// throughput.
 fn bc_bench(cfg: &Config) {
     use snap_kernels::{betweenness_approx, betweenness_exact};
-    use snap_par::{par_bc_with, BcConfig, ParConfig};
+    use snap_par::{par_bc_with, BcSources, ParConfig};
 
     let reps = 3usize;
     let pcfg = ParConfig::default();
@@ -533,14 +533,15 @@ fn bc_bench(cfg: &Config) {
         sources: n,
         median_ns: median_ns(reps, || betweenness_exact(&csr)),
     });
-    let exact = BcConfig::exact();
     for &th in &cfg.threads {
         rows.push(BcRow {
             mode: "par-exact",
             scale: exact_scale,
             threads: th,
             sources: n,
-            median_ns: median_ns(reps, || in_pool(th, || par_bc_with(&csr, &exact, &pcfg))),
+            median_ns: median_ns(reps, || {
+                in_pool(th, || par_bc_with(&csr, BcSources::Exact, &pcfg))
+            }),
         });
     }
 
@@ -558,14 +559,14 @@ fn bc_bench(cfg: &Config) {
         sources: k,
         median_ns: median_ns(reps, || betweenness_approx(&csr, &srcs)),
     });
-    let sampled = BcConfig::sampled(k, cfg.seed);
+    let sampled = BcSources::Sample { k, seed: cfg.seed };
     for &th in &cfg.threads {
         rows.push(BcRow {
             mode: "par-sampled",
             scale: samp_scale,
             threads: th,
             sources: k,
-            median_ns: median_ns(reps, || in_pool(th, || par_bc_with(&csr, &sampled, &pcfg))),
+            median_ns: median_ns(reps, || in_pool(th, || par_bc_with(&csr, sampled, &pcfg))),
         });
     }
 

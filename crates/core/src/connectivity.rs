@@ -44,11 +44,11 @@
 //!   ([`restricted_component_labels`]) still runs — and re-derives that
 //!   component's certificate — in exactly these cases: the exhausted
 //!   side of a split holds the component's minimum id (the other side
-//!   then needs a new minimum, hence an enumeration); a caller marked
-//!   the component with [`ConnectivityIndex::mark_component_dirty`]; the
-//!   view is directed (its out-adjacency cannot be searched from both
-//!   sides). Out-of-band resync rebuilds labels and certificate
-//!   together.
+//!   then needs a new minimum, hence an enumeration); the notes did not
+//!   describe the view (a side the search proves stale marks its
+//!   component); the view is directed (its out-adjacency cannot be
+//!   searched from both sides). Out-of-band resync rebuilds labels and
+//!   certificate together.
 //! - **Self-loops never matter**: deleting `(u, u)` cannot disconnect,
 //!   so it is ignored outright.
 //!
@@ -322,7 +322,8 @@ impl State {
         }
     }
 
-    /// See [`ConnectivityIndex::mark_component_dirty`].
+    /// Marks `x`'s component for a whole-component relabel (which also
+    /// re-derives its certificate).
     fn mark(&mut self, x: u32) {
         conn_metrics().dirty_marks.inc();
         let r = self.find(x);
@@ -416,16 +417,17 @@ impl ConnectivityIndex {
         }
     }
 
-    /// Marks `x`'s component for a whole-component relabel (which also
-    /// re-derives its certificate). For callers that changed the graph
-    /// in ways the notes did not describe.
-    pub fn mark_component_dirty(&self, x: u32) {
+    /// Marks `x`'s component for a whole-component relabel, as a
+    /// settle does when the notes did not describe the view.
+    #[cfg(test)]
+    pub(crate) fn mark_component_dirty(&self, x: u32) {
         self.state.write().mark(x);
     }
 
     /// True if `x`'s component is marked for a whole-component relabel.
     /// (Pending notes are not marks: see [`ConnectivityIndex::has_dirty`].)
-    pub fn is_component_dirty(&self, x: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_component_dirty(&self, x: u32) -> bool {
         let st = self.state.read();
         st.marked.contains(st.find(x))
     }

@@ -141,6 +141,7 @@ impl RowSet {
     }
 
     /// True if the set holds nothing.
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }

@@ -470,13 +470,15 @@ impl DistanceIndex {
     }
 
     /// True if `source`'s row has pending deletion debt to repair.
-    pub fn is_source_dirty(&self, source: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_source_dirty(&self, source: u32) -> bool {
         let si = self.slot(source);
         self.state.read().dirty.contains(si as u32)
     }
 
     /// True if any source is awaiting repair.
-    pub fn has_dirty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_dirty(&self) -> bool {
         !self.state.read().dirty.is_empty()
     }
 }

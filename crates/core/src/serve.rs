@@ -1227,6 +1227,19 @@ mod tests {
         e.indexes().routes().conn.expect("connectivity on")
     }
 
+    /// A check to call on every turn of a loop that waits on the writer:
+    /// it fails, naming `what`, once 120 s have passed since this call,
+    /// so a dead writer fails the test instead of hanging it.
+    fn writer_deadline(what: &'static str) -> impl Fn() {
+        let start = std::time::Instant::now();
+        move || {
+            assert!(
+                start.elapsed().as_secs() < 120,
+                "timed out waiting for {what}"
+            )
+        }
+    }
+
     #[test]
     fn publishes_versions_in_submission_order() {
         let e = engine(8, ServeConfig::default().with_shards(2));
@@ -1801,7 +1814,9 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_micros(pause));
                 }
             });
+            let overdue = writer_deadline("the producer's batches to publish");
             while !producer.is_finished() || e.pending_batches() > 0 {
+                overdue();
                 let v = e.pin();
                 if !versions.last().is_some_and(|last| Arc::ptr_eq(last, &v)) {
                     versions.push(v);
@@ -1840,7 +1855,9 @@ mod tests {
             .find_map(|b| {
                 e.submit(b.clone());
                 fed += 1;
+                let overdue = writer_deadline("a submitted batch to show");
                 let v = std::iter::repeat_with(|| e.pin())
+                    .inspect(|_| overdue())
                     .find(|v| v.batches() == fed as u64)
                     .expect("an endless iterator");
                 v.as_csr().is_none().then_some(v)
@@ -1871,7 +1888,9 @@ mod tests {
             .collect();
         let before = e.pin();
         e.submit(big.clone());
+        let overdue = writer_deadline("the batch to show");
         let v = std::iter::repeat_with(|| e.pin())
+            .inspect(|_| overdue())
             .find(|v| v.batches() == 1)
             .expect("an endless iterator");
         // Published compacted at once, not after an idle fold.

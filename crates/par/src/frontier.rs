@@ -374,8 +374,7 @@ pub fn sweep_grain(n: usize, threads: usize) -> usize {
 /// scoped workers with per-worker deals and stealing. `width <= 1` runs
 /// inline; callers derive a volume-gated width with [`fork_width`].
 /// Whole-graph sweeps (bottom-up scans, component linking and
-/// compression, BC's backward levels) are built on this. The sweep is
-/// recorded in `stats`.
+/// compression) are built on this. The sweep is recorded in `stats`.
 pub fn par_for_ranges_stats<F>(ranges: &[Range<u32>], width: usize, f: F, stats: &mut ParStats)
 where
     F: Fn(Range<u32>) + Sync,

@@ -29,9 +29,9 @@
 //!   component; canonical min-id labels, bit-identical to the serial
 //!   union-find kernel at any thread count.
 //! - [`par_bc`] — multi-source Brandes betweenness centrality, exact or
-//!   source-sampled, source-parallel or frontier-parallel (see
-//!   [`BcStrategy`]); scores are bit-identical to the serial kernel at
-//!   any thread count.
+//!   source-sampled ([`BcSources`]), with blocks of sources spread over
+//!   workers; scores are bit-identical to the serial kernel at any
+//!   thread count.
 //!
 //! # Thread-count configuration
 //!
@@ -69,7 +69,7 @@ pub mod cc;
 pub mod frontier;
 mod metrics;
 
-pub use bc::{par_bc, par_bc_with, BcConfig, BcSources, BcStrategy};
+pub use bc::{par_bc, par_bc_with, BcSources};
 pub use bfs::{par_bfs, par_bfs_stats, par_bfs_with, BfsStats};
 pub use bitset::AtomicBitset;
 pub use cc::{par_cc, par_cc_stats, par_cc_with};

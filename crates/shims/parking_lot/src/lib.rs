@@ -6,6 +6,10 @@
 //! possible if a panic unwound while holding it — is recovered into its
 //! inner guard, matching parking_lot's behavior of not propagating
 //! poison.
+//!
+//! With the `chaos` feature, `chaos::point` may yield before every
+//! `lock`, `try_lock`, `read` and `write`, by the same seeded rule as
+//! the rayon shim's (see its crate docs).
 
 pub mod chaos;
 

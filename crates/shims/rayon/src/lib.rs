@@ -12,6 +12,29 @@
 //!
 //! Swapping the real rayon back in is a one-line change in the workspace
 //! manifest; no source using `rayon::prelude::*` needs to change.
+//!
+//! # What the workspace's tests rely on
+//!
+//! There is no pool: every fork spawns fresh OS threads and joins them
+//! before it returns, so each fork pays thread creation (tens of µs).
+//!
+//! - [`join`] spawns one thread for `b` and runs `a` on the caller.
+//! - [`scope`] runs its body on the caller, and each [`Scope::spawn`]
+//!   is one new thread.
+//! - [`ParIter::for_each`] collects its items and splits them into
+//!   `t = min(current_num_threads(), items)` chunks. With `t <= 1` it
+//!   runs inline and spawns nothing; otherwise it spawns `t - 1` threads
+//!   and runs the last chunk on the caller.
+//! - [`ThreadPool::install`] spawns nothing: it runs the closure on the
+//!   caller and sets what [`current_num_threads`] returns inside it, which
+//!   is how the thread sweeps pick a width.
+//! - Every other terminal runs sequentially on the caller.
+//!
+//! With the `chaos` feature, `chaos::point` may yield at the start of
+//! each spawned thread, of each [`join`] arm, and before each item
+//! `for_each` hands to `f`. Yields are a pure function of the seed
+//! ([`chaos::set_seed`]) and a per-thread call count, so a failing
+//! schedule reproduces; [`chaos::yield_count`] proves injection ran.
 
 pub mod chaos;
 

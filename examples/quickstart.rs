@@ -104,9 +104,9 @@ fn main() {
     // 7. Betweenness centrality on the same runtime: 64 sampled sources
     //    (the paper samples 256 at scale), scores extrapolated by n/k and
     //    bit-identical to the serial kernel at any thread count.
-    let bc_cfg = BcConfig::sampled(64, 7);
+    let sampled = BcSources::Sample { k: 64, seed: 7 };
     let bc = snap::util::thread_pool(threads)
-        .install(|| par_bc_with(&*csr, &bc_cfg, &ParConfig::default()));
+        .install(|| par_bc_with(&*csr, sampled, &ParConfig::default()));
     let top = (0..n)
         .max_by(|&a, &b| bc[a].total_cmp(&bc[b]))
         .expect("non-empty");

@@ -163,7 +163,7 @@
 //!
 //! // Betweenness rides the same runtime: sampled multi-source Brandes,
 //! // bit-identical to the serial kernel at any thread count.
-//! let bc = par_bc_with(&*csr, &BcConfig::sampled(16, 7), &ParConfig::default());
+//! let bc = par_bc_with(&*csr, BcSources::Sample { k: 16, seed: 7 }, &ParConfig::default());
 //! let sources = snap::kernels::bc::sample_sources(n, 16, 7);
 //! assert_eq!(bc, betweenness_approx(&*csr, &sources));
 //!
@@ -209,8 +209,7 @@ pub mod prelude {
     };
     pub use snap_obs::MetricsRegistry;
     pub use snap_par::{
-        par_bc, par_bc_with, par_bfs, par_cc, BcConfig, BcSources, BcStrategy, Grain, ParConfig,
-        ParStats,
+        par_bc, par_bc_with, par_bfs, par_cc, BcSources, Grain, ParConfig, ParStats,
     };
     pub use snap_rmat::{Rmat, RmatParams, StreamBuilder};
 }

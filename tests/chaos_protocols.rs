@@ -47,7 +47,7 @@
 
 mod common;
 
-use common::{hints, rng_for};
+use common::{hints, rng_for, writer_deadline};
 use snap::core::IndexFamily;
 use snap::prelude::*;
 use snap_kernels::cc::union_find_components;
@@ -493,10 +493,14 @@ fn writer_local_freeze_matches_oracle_across_seeds() {
                 }
             });
             let mut pins = Vec::new();
+            let overdue = writer_deadline("the queue to drain");
             while !producer.is_finished() || engine.pending_batches() > 0 {
+                overdue();
                 let handle = engine.pin();
                 assert!(engine.epoch() >= handle.epoch(), "seed {seed}");
-                pins.push(handle);
+                if pins.last().is_none_or(|last| !Arc::ptr_eq(last, &handle)) {
+                    pins.push(handle);
+                }
                 std::thread::yield_now();
             }
             producer.join().expect("producer must not panic");
@@ -694,7 +698,9 @@ fn backlog_cycles_match_oracles_across_seeds() {
             let reader = scope.spawn(move || {
                 let mut rng = rng_for(SUITE, 60, seed);
                 let mut pins: Vec<SnapshotHandle> = Vec::new();
+                let overdue = writer_deadline("a version holding the whole burst");
                 loop {
+                    overdue();
                     let handle = engine.pin();
                     assert!(engine.epoch() >= handle.epoch());
                     let u = rng.next_bounded(n as u64) as u32;

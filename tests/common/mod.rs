@@ -25,6 +25,19 @@ pub const DEGREE_THRESH: u32 = 8;
 /// `FREEZE_EVERY` in `snap_core::serve`): a pin's bound under a backlog.
 pub const FREEZE_EVERY: u64 = 4;
 
+/// A check to call on every turn of a loop that waits on the serving
+/// writer: it fails, naming `what`, once 120 s have passed since this
+/// call, so a dead writer fails the suite instead of hanging it.
+pub fn writer_deadline(what: &'static str) -> impl Fn() {
+    let start = std::time::Instant::now();
+    move || {
+        assert!(
+            start.elapsed().as_secs() < 120,
+            "timed out waiting for {what}"
+        )
+    }
+}
+
 /// `CapacityHints::new(expected_edges)` with [`DEGREE_THRESH`] pinned.
 pub fn hints(expected_edges: usize) -> CapacityHints {
     CapacityHints::new(expected_edges).with_degree_thresh(DEGREE_THRESH)

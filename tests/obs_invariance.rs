@@ -60,7 +60,7 @@ fn instrumented_kernels_match_serial_oracles() {
     );
     assert!(stats.levels() > 0, "the runtime really ran");
 
-    let par_scores = snap::par::par_bc_with(&csr, &BcConfig::exact(), &cfg);
+    let par_scores = snap::par::par_bc_with(&csr, BcSources::Exact, &cfg);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     assert_eq!(
         bits(&par_scores),

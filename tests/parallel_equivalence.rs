@@ -28,7 +28,7 @@ use snap::kernels::{
     betweenness_approx, betweenness_exact, connected_components, serial_bfs, UNREACHED,
 };
 use snap::par::{
-    par_bc_with, par_bfs_stats, par_bfs_with, par_cc_with, BcConfig, BcStrategy, Grain, ParConfig,
+    par_bc_with, par_bfs_stats, par_bfs_with, par_cc_with, BcSources, Grain, ParConfig,
 };
 use snap::prelude::*;
 use snap::util::thread_pool;
@@ -219,21 +219,21 @@ fn check_cc<V: GraphView>(view: &V, label: &str, threads: usize) {
     assert_eq!(par, bfs_labels(view), "{label}: BFS labels @ {threads}t");
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Betweenness must be *bit*-identical to the serial kernel — literal
-/// `f64` equality, not tolerance — on every view, at every thread count,
-/// under both parallelization strategies (see `snap_par::bc` for the
-/// determinism contract that makes this assertable).
+/// `f64` equality, not tolerance — on every view, at every thread count
+/// (see `snap_par::bc` for the determinism contract that makes this
+/// assertable).
 fn check_bc<V: GraphView>(view: &V, serial: &[f64], label: &str, threads: usize) {
-    for strategy in [BcStrategy::SourceParallel, BcStrategy::FrontierParallel] {
-        let cfg = BcConfig::exact().with_strategy(strategy);
-        let par = thread_pool(threads).install(|| par_bc_with(view, &cfg, &force()));
-        let par_bits: Vec<u64> = par.iter().map(|x| x.to_bits()).collect();
-        let serial_bits: Vec<u64> = serial.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(
-            par_bits, serial_bits,
-            "{label}: BC ({strategy:?}) @ {threads}t diverged from serial"
-        );
-    }
+    let par = thread_pool(threads).install(|| par_bc_with(view, BcSources::Exact, &force()));
+    assert_eq!(
+        bits(&par),
+        bits(serial),
+        "{label}: BC @ {threads}t diverged from serial"
+    );
 }
 
 #[test]
@@ -253,20 +253,22 @@ fn par_bc_matches_serial_bitwise_everywhere() {
 #[test]
 fn par_bc_sampled_matches_serial_bitwise() {
     // Sampled approximation: same sampled source list (seeded), same
-    // n/k extrapolation, bit-identical scores on both read paths.
+    // n/k extrapolation, bit-identical scores on both read paths. k = 3
+    // is fewer sources than one block, so the block runs on the calling
+    // thread.
     let case = &cases()[5]; // rmat-und
     let csr = csr_of(case);
     let live = live_of(case);
-    let sources = sample_sources(case.n, 128, 11);
-    let serial_csr = betweenness_approx(&csr, &sources);
-    let serial_live = betweenness_approx(&live, &sources);
-    for strategy in [BcStrategy::SourceParallel, BcStrategy::FrontierParallel] {
-        let cfg = BcConfig::sampled(128, 11).with_strategy(strategy);
+    for k in [128usize, 3] {
+        let sources = sample_sources(case.n, k, 11);
+        let serial_csr = betweenness_approx(&csr, &sources);
+        let serial_live = betweenness_approx(&live, &sources);
+        let sampled = BcSources::Sample { k, seed: 11 };
         for &t in &thread_sweep() {
-            let par = thread_pool(t).install(|| par_bc_with(&csr, &cfg, &force()));
-            assert_eq!(par, serial_csr, "sampled csr {strategy:?} @ {t}t");
-            let par = thread_pool(t).install(|| par_bc_with(&live, &cfg, &force()));
-            assert_eq!(par, serial_live, "sampled live {strategy:?} @ {t}t");
+            let par = thread_pool(t).install(|| par_bc_with(&csr, sampled, &force()));
+            assert_eq!(bits(&par), bits(&serial_csr), "sampled k={k} csr @ {t}t");
+            let par = thread_pool(t).install(|| par_bc_with(&live, sampled, &force()));
+            assert_eq!(bits(&par), bits(&serial_live), "sampled k={k} live @ {t}t");
         }
     }
 }
@@ -402,22 +404,14 @@ fn forced_adaptive_configs_match_serial_everywhere() {
 #[test]
 fn forced_adaptive_bc_matches_serial_bitwise() {
     // BC under the always-fork gate (the other extremes reduce to paths
-    // already covered): still bit-identical on both strategies.
+    // already covered): still bit-identical.
     let case = &cases()[5]; // rmat-und
     let csr = csr_of(case);
-    let serial = betweenness_exact(&csr);
-    let serial_bits: Vec<u64> = serial.iter().map(|x| x.to_bits()).collect();
+    let serial_bits = bits(&betweenness_exact(&csr));
     let cfg = force().with_level_grain(Grain::Edges(0));
-    for strategy in [BcStrategy::SourceParallel, BcStrategy::FrontierParallel] {
-        let bc_cfg = BcConfig::exact().with_strategy(strategy);
-        for &t in &thread_sweep() {
-            let par = thread_pool(t).install(|| par_bc_with(&csr, &bc_cfg, &cfg));
-            let par_bits: Vec<u64> = par.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(
-                par_bits, serial_bits,
-                "BC [always-fork] {strategy:?} @ {t}t"
-            );
-        }
+    for &t in &thread_sweep() {
+        let par = thread_pool(t).install(|| par_bc_with(&csr, BcSources::Exact, &cfg));
+        assert_eq!(bits(&par), serial_bits, "BC [always-fork] @ {t}t");
     }
 }
 

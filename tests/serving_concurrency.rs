@@ -25,7 +25,7 @@
 
 mod common;
 
-use common::FREEZE_EVERY;
+use common::{writer_deadline, FREEZE_EVERY};
 use snap::par::{par_bfs_with, par_cc_with};
 use snap::prelude::*;
 
@@ -482,7 +482,7 @@ fn keep_new(pins: &mut Vec<SnapshotHandle>, v: SnapshotHandle) {
 }
 
 /// One index answer read while the writer ran.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 enum Answer {
     /// `hop_distance(source, v)`.
     Hop(u32, u32, Option<u32>),
@@ -571,8 +571,12 @@ fn multi_range_backlog(shards: usize) {
             engine.submit(batch);
         }
         let mut k = 0u32;
-        let mut racing = Vec::new();
+        // A set: a repeated answer is checked once, and a stalled writer
+        // cannot grow it past the distinct answers.
+        let mut racing = std::collections::HashSet::new();
+        let overdue = writer_deadline("the burst to drain");
         while engine.pending_batches() > 0 {
+            overdue();
             // Racing the writer: each answer is recorded with the batch
             // count of a version pinned before it was read.
             let pinned = engine.pin();
@@ -581,15 +585,15 @@ fn multi_range_backlog(shards: usize) {
             let index = engine.indexes();
             k = k.wrapping_mul(31).wrapping_add(7);
             let (src, v) = (SOURCES[k as usize % 3], k % n);
-            racing.push((before, Answer::Hop(src, v, index.hop_distance(src, v))));
-            racing.push((before, Answer::Triangles(v, index.triangles_of(v))));
+            racing.insert((before, Answer::Hop(src, v, index.hop_distance(src, v))));
+            racing.insert((before, Answer::Triangles(v, index.triangles_of(v))));
             std::thread::yield_now();
         }
         engine.flush();
         let at = format!("{shards} shards, burst {burst}");
         let history = engine.history();
         assert_eq!(history.len(), submitted, "{at}: flush is a barrier");
-        assert_prefix_answers(&base, &history, racing, &at);
+        assert_prefix_answers(&base, &history, racing.into_iter().collect(), &at);
         let want = oracle.at(&history, submitted);
         let index = engine.indexes();
         for src in SOURCES {
@@ -688,8 +692,10 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
         // the last began), a pin is at least that new.
         let reader = scope.spawn(|| {
             let mut pins = Vec::new();
+            let overdue = writer_deadline("the producer's flush");
             // ordering: SeqCst — test-side stop flag.
             while !done.load(Ordering::SeqCst) {
+                overdue();
                 let asked_at = engine.epoch();
                 let v = engine.pin();
                 let after = engine.epoch();
@@ -697,6 +703,7 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
                 if v.epoch() < asked_at {
                     let due = after + FREEZE_EVERY + 1;
                     while engine.epoch() < due && engine.pending_batches() > 0 {
+                        overdue();
                         std::thread::yield_now();
                     }
                     let next = engine.pin();
@@ -707,9 +714,9 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
                         FREEZE_EVERY + 1,
                         next.epoch()
                     );
-                    pins.push(next);
+                    keep_new(&mut pins, next);
                 }
-                pins.push(v);
+                keep_new(&mut pins, v);
                 std::thread::yield_now();
             }
             pins
@@ -717,8 +724,10 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
         // `pending_batches() == 0` seen by a third thread: every batch
         // whose submit() had returned by then is in the next pin.
         let watcher = scope.spawn(|| {
+            let overdue = writer_deadline("the producer's flush");
             // ordering: SeqCst — test-side stop flag.
             while !done.load(Ordering::SeqCst) {
+                overdue();
                 // ordering: SeqCst — read before `pending_batches`, so
                 // the count is a lower bound on what was submitted by
                 // the time 0 was seen.
