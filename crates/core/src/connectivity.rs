@@ -10,8 +10,8 @@
 //! - **Insertions are free to index.** [`ConnectivityIndex`] keeps one
 //!   `u32` label per vertex, flat at every settle (`parent[v]` is `v`'s
 //!   label), and each component's members on a ring (`labels`). An edge
-//!   insertion is one [`ConnectivityIndex::union`], which hooks one root
-//!   under another; the settle relabels the hooked component's members
+//!   insertion that merges two components hooks one root under the
+//!   other; the settle relabels the hooked component's members
 //!   off its ring, so `component(u)` / `same_component(u, v)` are one
 //!   array read with **zero traversals and zero CSR rebuilds**, and the
 //!   engine publishes the labels as one copy of the array.
@@ -29,22 +29,23 @@
 //!   ([`crate::forest::Forest::reconnect`]); the work is bounded by the
 //!   smaller side. Only a true split relabels, and only the members of
 //!   the side the search exhausted, in O(side) (`drain`).
-//! - **Notes are cheap; the certificate settles once.**
-//!   [`ConnectivityIndex::note_insert`] / [`ConnectivityIndex::note_delete`]
-//!   never touch the forest: a merging insert and every delete append to
-//!   a pending log, and the settle drains it — links first, then cuts,
-//!   then one replacement search per cut, all against the view as it is
-//!   *then*. An engine settles once per cycle
-//!   ([`IncrementalIndex::absorb`]), a direct caller on its next
-//!   view-taking query. Log entries are checked against the view: an
-//!   edge inserted and deleted again in one cycle leaves a link whose
-//!   edge is gone.
+//! - **Changes are cheap to take; the certificate settles once.** Taking
+//!   a change never touches the forest: a merging insert and every delete
+//!   append to a pending log, and the settle drains it — links first,
+//!   then cuts, then one replacement search per cut, all against the view
+//!   as it is *then*. [`IncrementalIndex::absorb`] takes an applier
+//!   call's changes and settles them in one write-lock hold. The
+//!   per-update [`ConnectivityIndex::note_insert`] /
+//!   [`ConnectivityIndex::note_delete`] leave the log for the next
+//!   view-taking query to settle. Log entries are checked against the
+//!   view: an edge inserted and deleted again in one cycle leaves a link
+//!   whose edge is gone.
 //! - **The whole-component relabel is the fallback.** A serial restricted
 //!   connected-components pass over a component's members
 //!   ([`restricted_component_labels`]) still runs — and re-derives that
 //!   component's certificate — in exactly these cases: the exhausted
 //!   side of a split holds the component's minimum id (the other side
-//!   then needs a new minimum, hence an enumeration); the notes did not
+//!   then needs a new minimum, hence an enumeration); the changes did not
 //!   describe the view (a side the search proves stale marks its
 //!   component); the view is directed (its out-adjacency cannot be
 //!   searched from both sides). Out-of-band resync rebuilds labels and
@@ -59,20 +60,21 @@
 //!
 //! # Concurrency contract
 //!
-//! All mutable state — labels and rings, spanning forest, note log and
+//! All mutable state — labels and rings, spanning forest, pending log and
 //! debt marks — is plain data behind one lock ([`crate::indexes`]).
-//! Notes, settles and rebuilds take it for writing; queries take it for
-//! reading, and settle first under the write lock only when the state
-//! owes something their answer depends on. A settle reads the view, so
-//! it must not race a mutation of the view; both engines settle on their
-//! one writer, after the cycle's mutation.
+//! Absorbs, notes, settles and rebuilds take it for writing; queries
+//! take it for reading, and settle first under the write lock only when
+//! the state owes something their answer depends on, which after an
+//! absorb it never does. A settle reads the view, so it must not race a
+//! mutation of the view; both engines absorb on their one writer, after
+//! the cycle's mutation.
 
 mod drain;
 mod labels;
 
 use crate::csr::RowSet;
 use crate::forest::{Forest, Search};
-use crate::indexes::{read_settled, IncrementalIndex, IndexCore};
+use crate::indexes::{IncrementalIndex, IndexCore};
 use crate::view::GraphView;
 use parking_lot::RwLock;
 use snap_rmat::{Update, UpdateKind};
@@ -149,8 +151,8 @@ fn conn_metrics() -> &'static ConnMetrics {
     })
 }
 
-/// One pending notification, recorded by the note path and applied to
-/// the certificate by the next settle.
+/// One pending change, logged when taken and applied to the certificate
+/// by the next settle.
 #[derive(Clone, Copy, Debug)]
 enum Note {
     /// Inserting `(u, v)` merged two components: a certificate edge.
@@ -168,8 +170,8 @@ enum Note {
 ///
 /// ```
 /// use snap_core::adjacency::CapacityHints;
-/// use snap_core::{ConnectivityIndex, DynGraph, HybridAdj};
-/// use snap_rmat::TimedEdge;
+/// use snap_core::{ConnectivityIndex, DynGraph, HybridAdj, IncrementalIndex};
+/// use snap_rmat::{TimedEdge, Update};
 ///
 /// let g: DynGraph<HybridAdj> = DynGraph::undirected(5, &CapacityHints::new(16));
 /// for (u, v) in [(0, 1), (1, 2), (0, 2), (3, 4)] {
@@ -183,15 +185,17 @@ enum Note {
 /// // Whichever edge of the triangle goes first, 0-1-2 stays connected:
 /// // either the edge was no certificate edge (nothing to do) or the
 /// // search finds the way round. Nothing is relabelled.
-/// g.delete_edge(0, 2);
-/// idx.note_delete(0, 2);
+/// let gone = Update::delete(TimedEdge::new(0, 2, 0));
+/// assert!(g.apply(&gone));
+/// idx.absorb(&g, [&gone]);
 /// assert!(idx.same_component(&g, 0, 2));
 /// assert_eq!(idx.repair_count(), 0);
 ///
 /// // A bridge splits its component; only the side the search
 /// // exhausted is relabelled.
-/// g.delete_edge(3, 4);
-/// idx.note_delete(3, 4);
+/// let bridge = Update::delete(TimedEdge::new(3, 4, 0));
+/// assert!(g.apply(&bridge));
+/// idx.absorb(&g, [&bridge]);
 /// assert!(!idx.same_component(&g, 3, 4));
 /// assert_eq!(idx.repair_count(), 1);
 /// ```
@@ -221,7 +225,7 @@ struct State {
     /// The roots marked since the last settle, in mark order: what the
     /// settle pays. (A merge or a relabel may have paid one already.)
     debts: Vec<u32>,
-    /// Notes not yet applied to the certificate, in arrival order.
+    /// Changes not yet applied to the certificate, in arrival order.
     log: Vec<Note>,
     /// Live component count (merges decrement, splits add back).
     components: usize,
@@ -289,7 +293,7 @@ impl State {
     }
 
     /// True if the state owes a settle that could change `x`'s label:
-    /// notes are pending, or `x`'s component is marked.
+    /// changes are pending, or `x`'s component is marked.
     fn owes_for(&self, x: u32) -> bool {
         !self.log.is_empty() || self.marked.contains(self.find(x))
     }
@@ -298,7 +302,11 @@ impl State {
         !self.log.is_empty() || !self.debts.is_empty()
     }
 
-    /// See [`ConnectivityIndex::union`].
+    /// Merges the components of `u` and `v`; returns `true` if they were
+    /// distinct, in which case `(u, v)` is logged as the merge's
+    /// certificate edge. Always hooks the higher root under the lower,
+    /// so labels only ever decrease and settle on the component minimum.
+    /// If either side was marked dirty, the merged component is.
     fn union(&mut self, u: u32, v: u32) -> bool {
         if !self.hook(u, v) {
             return false;
@@ -309,7 +317,9 @@ impl State {
         true
     }
 
-    fn note(&mut self, upd: &Update) {
+    /// Takes one confirmed change into the log (self-loops cannot change
+    /// connectivity).
+    fn take(&mut self, upd: &Update) {
         let (u, v) = (upd.edge.u, upd.edge.v);
         if u == v {
             return;
@@ -382,28 +392,20 @@ impl ConnectivityIndex {
         }
     }
 
-    /// Current root of `x`: its label, followed through the merges noted
-    /// since the last settle — its canonical label once everything noted
+    /// Current root of `x`: its label, followed through the merges taken
+    /// since the last settle — its canonical label once everything taken
     /// is settled (see [`ConnectivityIndex::component`]).
     pub fn find(&self, x: u32) -> u32 {
         self.state.read().find(x)
     }
 
-    /// Merges the components of `u` and `v`; returns `true` if they were
-    /// distinct, in which case `(u, v)` is recorded as the merge's
-    /// certificate edge. Always hooks the higher root under the lower,
-    /// so labels only ever decrease and settle on the component minimum.
-    /// If either side was marked dirty, the merged component is.
-    pub fn union(&self, u: u32, v: u32) -> bool {
-        self.state.write().union(u, v)
-    }
+    // ---- per-update notes (settled by the next query) ----------------
 
-    // ---- update notifications ------------------------------------------
-
-    /// Records an edge insertion. Returns `true` if it merged two
+    /// Records an edge insertion, as [`IncrementalIndex::absorb`] takes
+    /// one, without settling. Returns `true` if it merged two
     /// components. Self-loops are connectivity no-ops.
     pub fn note_insert(&self, u: u32, v: u32) -> bool {
-        u != v && self.union(u, v)
+        u != v && self.state.write().union(u, v)
     }
 
     /// Records an edge deletion: O(1), whatever the edge. Whether it was
@@ -418,22 +420,22 @@ impl ConnectivityIndex {
     }
 
     /// Marks `x`'s component for a whole-component relabel, as a
-    /// settle does when the notes did not describe the view.
+    /// settle does when the changes did not describe the view.
     #[cfg(test)]
     pub(crate) fn mark_component_dirty(&self, x: u32) {
         self.state.write().mark(x);
     }
 
     /// True if `x`'s component is marked for a whole-component relabel.
-    /// (Pending notes are not marks: see [`ConnectivityIndex::has_dirty`].)
+    /// (Pending changes are not marks: see [`ConnectivityIndex::has_dirty`].)
     #[cfg(test)]
     pub(crate) fn is_component_dirty(&self, x: u32) -> bool {
         let st = self.state.read();
         st.marked.contains(st.find(x))
     }
 
-    /// True if the next query has work to do: notes are pending or a
-    /// component is marked.
+    /// True if the next query has work to do: changes are pending or a
+    /// component is marked. Never after an absorb.
     pub fn has_dirty(&self) -> bool {
         self.state.read().owes()
     }
@@ -441,20 +443,29 @@ impl ConnectivityIndex {
     // ---- queries (settling first) --------------------------------------
 
     /// Runs `read` on the state with nothing owed that `owes` cares
-    /// about, settling against `view` first if needed.
-    fn settled<V: GraphView, R>(
+    /// about: under the read lock when there is no such debt, otherwise
+    /// under the write lock once a settle against `view` has paid it.
+    fn read_settled<V: GraphView, R>(
         &self,
         view: &V,
         owes: impl Fn(&State) -> bool,
         read: impl Fn(&State) -> R,
     ) -> R {
-        read_settled(&self.state, owes, |st| st.settle(view, &self.core), read)
+        {
+            let st = self.state.read();
+            if !owes(&st) {
+                return read(&st);
+            }
+        }
+        let mut st = self.state.write();
+        st.settle(view, &self.core);
+        read(&st)
     }
 
     /// True if `u` and `v` are connected in `view`, settling first if
-    /// pending notes or a marked component could change the answer.
+    /// pending changes or a marked component could change the answer.
     pub fn same_component<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
-        self.settled(
+        self.read_settled(
             view,
             |st| st.owes_for(u) || st.owes_for(v),
             |st| st.find(u) == st.find(v),
@@ -463,7 +474,7 @@ impl ConnectivityIndex {
 
     /// Number of components, after settling everything.
     pub fn component_count<V: GraphView>(&self, view: &V) -> usize {
-        self.settled(view, State::owes, |st| st.components)
+        self.read_settled(view, State::owes, |st| st.components)
     }
 
     /// Canonical labels for every vertex, after settling everything —
@@ -500,13 +511,13 @@ impl ConnectivityIndex {
     /// settled against `view` — i.e. whether deleting it next would
     /// trigger a replacement search (diagnostics and tests).
     pub fn is_certificate_edge<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
-        self.settled(view, State::owes, |st| st.forest.is_tree_edge(u, v))
+        self.read_settled(view, State::owes, |st| st.forest.is_tree_edge(u, v))
     }
 
     /// Canonical component label (minimum member id) of `u`, settling
-    /// first if pending notes or a marked component could change it.
+    /// first if pending changes or a marked component could change it.
     pub fn component<V: GraphView>(&self, view: &V, u: u32) -> u32 {
-        self.settled(view, |st| st.owes_for(u), |st| st.find(u))
+        self.read_settled(view, |st| st.owes_for(u), |st| st.find(u))
     }
 }
 
@@ -519,14 +530,10 @@ impl std::ops::Deref for ConnectivityIndex {
 }
 
 impl IncrementalIndex for ConnectivityIndex {
-    fn note<V: GraphView>(&self, _view: &V, upd: &Update) {
-        self.state.write().note(upd);
-    }
-
     fn absorb<'u, V: GraphView>(&self, view: &V, changes: impl IntoIterator<Item = &'u Update>) {
         let mut st = self.state.write();
         for upd in changes {
-            st.note(upd);
+            st.take(upd);
         }
         st.settle(view, &self.core);
     }
@@ -844,18 +851,6 @@ mod tests {
         assert_eq!(idx.labels(&g), vec![0, 1, 2, 2, 4, 0, 0, 0, 0]);
         assert_eq!(idx.labels(&g), oracle(&g));
         assert_eq!(idx.repair_count(), 1, "only {{2, 3}} is relabelled");
-    }
-
-    #[test]
-    fn edge_merged_through_bare_union_is_a_certificate_edge() {
-        let g: DynGraph<DynArr> = graph(4, &[(0, 1), (2, 3)]);
-        let idx = ConnectivityIndex::from_view(&g);
-        g.insert_edge(TimedEdge::new(1, 2, 1));
-        assert!(idx.union(1, 2), "`union` is public: it must certify too");
-        assert!(idx.is_certificate_edge(&g, 1, 2));
-        delete(&g, &idx, 1, 2);
-        assert!(!idx.same_component(&g, 0, 3), "its delete is not free");
-        assert_eq!(idx.labels(&g), vec![0, 0, 2, 2]);
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! The write protocol both engines run ([`Cycle`]): apply a stream,
-//! absorb it into the attached indexes and settle them, step their
-//! epochs, and freeze the result: a compacted CSR patched from the
+//! The write protocol both engines run ([`Cycle`]): apply a stream and
+//! absorb its changes into the attached indexes (one
+//! [`crate::engine::apply_vpart_indexed`] call), mark its rows, step the
+//! indexes' epochs, and freeze the result: a compacted CSR patched from the
 //! previous one ([`Cycle::freeze`]), or, for the serving writer, the last
 //! compacted CSR plus a delta of the rows touched since
 //! ([`Cycle::publish`]), compacted later ([`Cycle::fold`]).
 
 use crate::adjacency::{DynamicAdjacency, HalfUpdate};
 use crate::csr::{version_row, CsrGraph, ReadSplit, RowDelta, RowSet};
-use crate::engine::{apply_ranged, check_endpoints, halves, RANGE_BUDGET};
+use crate::engine::{apply_vpart_indexed, halves};
 use crate::graph::DynGraph;
 use crate::indexes::IndexRoutes;
 use snap_rmat::{Update, UpdateKind};
-use snap_util::timer::Timer;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A [`Cycle::publish`] builds a delta only while its rows hold at most
 /// `1 / OVERLAY_SHARE` of the base's entries; past that it patches a new
@@ -144,13 +144,9 @@ impl Cycle {
         self.read
     }
 
-    /// Applies `stream` (the applier of
-    /// [`crate::engine::apply_vpart_indexed`] on up to `workers`; one
-    /// update through [`DynGraph::apply`], O(degree) where the ranged cut
-    /// is O(n)), absorbs its changes into `routes` in stream order and
-    /// settles them, in one write-lock hold per index
-    /// ([`IndexRoutes::absorb`]), marks its rows, and steps
-    /// every index in `routes` to the next epoch, which the caller
+    /// Applies `stream` on up to `workers` and absorbs its changes into
+    /// `routes`, settled ([`apply_vpart_indexed`]), marks its rows, and
+    /// steps every index in `routes` to the next epoch, which the caller
     /// publishes after (invariant 6). Returns how many updates changed
     /// the graph's key sets; a run that changed none still makes the
     /// next freeze build when an insert in it may have overwritten a
@@ -167,24 +163,7 @@ impl Cycle {
         stream: &[Update],
         workers: usize,
     ) -> usize {
-        let absorb_ns = absorb_ns();
-        let changed = match stream {
-            [upd] => {
-                check_endpoints(0, upd, graph.num_vertices());
-                let changed = graph.apply(upd);
-                if changed {
-                    let _t = Timer::scope(absorb_ns);
-                    routes.absorb(graph, [upd]);
-                }
-                usize::from(changed)
-            }
-            _ => {
-                let changed = apply_ranged(graph, stream, workers, RANGE_BUDGET);
-                let _t = Timer::scope(absorb_ns);
-                routes.absorb(graph, changed.iter().map(|i| &stream[i as usize]));
-                changed.count()
-            }
-        };
+        let changed = apply_vpart_indexed(graph, stream, workers, routes);
         if self.base.is_some() {
             for u in stream {
                 for v in [u.edge.u, u.edge.v] {
@@ -339,19 +318,6 @@ impl Cycle {
             self.spare_delta = Some(delta);
         }
     }
-}
-
-/// Per-run time of [`IndexRoutes::absorb`], shared by every cycle in the
-/// process (a ZST no-op without the `obs` feature): the index half of a
-/// run, beside the applier's own timers in [`crate::engine`].
-fn absorb_ns() -> &'static snap_obs::Histogram {
-    static H: OnceLock<snap_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        snap_obs::MetricsRegistry::global().histogram(
-            "snap_cycle_absorb_ns",
-            "Per absorb of a cycle run: noting its changes into the attached indexes and settling them (ns)",
-        )
-    })
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //!
 //! - **Insertions relax a bounded wavefront.** An inserted edge
 //!   `(u, v)` can only *shorten* distances, and only for vertices whose
-//!   new best path runs through it. [`DistanceIndex::note_insert`]
-//!   compares the stored endpoint distances and, when one side improves,
+//!   new best path runs through it. An absorbed insertion compares the
+//!   stored endpoint distances and, when one side improves,
 //!   pushes the improvement outward over the live view — vertices whose
 //!   distance does not improve are never touched, so the wavefront is
 //!   bounded by the size of the improved region.
@@ -20,10 +20,11 @@
 //!   parent edge of a shortest-path tree. Deleting an edge can only
 //!   invalidate vertices whose certificate chain used it, and the
 //!   chain's first casualty is an endpoint whose parent **is** the other
-//!   endpoint. [`DistanceIndex::note_delete`] therefore marks just those
-//!   seed vertices and flags the source dirty; every clean source keeps
-//!   serving as it is.
-//! - **Repair is targeted.** The settle collects a dirty source's seeds,
+//!   endpoint. An absorbed deletion therefore marks just those seed
+//!   vertices and flags the source dirty; every clean source keeps its
+//!   row as it is.
+//! - **Repair is targeted.** The settle that ends every
+//!   [`IncrementalIndex::absorb`] collects a dirty source's seeds,
 //!   closes them over the stored parent tree (every possibly-stale
 //!   vertex is a descendant of a seed), folds the intact frontier into
 //!   per-vertex external seed distances, and runs a *restricted* BFS over
@@ -37,15 +38,14 @@
 //! # Concurrency contract
 //!
 //! The rows, their certificates and the seed / dirty marks are plain
-//! data behind one lock ([`crate::indexes`]). Notes, repairs and
-//! rebuilds take it for writing; a query takes it for reading, and
-//! repairs first under the write lock only if its source owes a repair.
-//! Notes and repairs read the view, so they must not race a mutation of
-//! it; both engines note and settle on their one writer, after the
-//! cycle's mutation.
+//! data behind one lock ([`crate::indexes`]). Absorbs and rebuilds take
+//! it for writing and leave nothing owed, so a query is a plain read
+//! under the read lock and takes no view. An absorb reads the view, so
+//! it must not race a mutation of it; both engines absorb on their one
+//! writer, after the cycle's mutation.
 
 use crate::csr::RowSet;
-use crate::indexes::{read_settled, IncrementalIndex, IndexCore};
+use crate::indexes::{IncrementalIndex, IndexCore};
 use crate::view::GraphView;
 use parking_lot::RwLock;
 use snap_rmat::{Update, UpdateKind};
@@ -94,28 +94,30 @@ fn dist_metrics() -> &'static DistMetrics {
 ///
 /// ```
 /// use snap_core::adjacency::CapacityHints;
-/// use snap_core::{DistanceIndex, DynGraph, HybridAdj};
-/// use snap_rmat::TimedEdge;
+/// use snap_core::{DistanceIndex, DynGraph, HybridAdj, IncrementalIndex};
+/// use snap_rmat::{TimedEdge, Update};
 ///
 /// let g: DynGraph<HybridAdj> = DynGraph::undirected(6, &CapacityHints::new(16));
 /// for (u, v) in [(0, 1), (1, 2), (2, 3)] {
 ///     g.insert_edge(TimedEdge::new(u, v, 1));
 /// }
 /// let idx = DistanceIndex::from_view(&g, &[0]);
-/// assert_eq!(idx.distance(&g, 0, 3), Some(3));
-/// assert_eq!(idx.distance(&g, 0, 5), None, "isolated vertex");
+/// assert_eq!(idx.distance(0, 3), Some(3));
+/// assert_eq!(idx.distance(0, 5), None, "isolated vertex");
 ///
 /// // An insertion relaxes a bounded wavefront — no recompute.
-/// g.insert_edge(TimedEdge::new(0, 3, 5));
-/// idx.note_insert(&g, 0, 3);
-/// assert_eq!(idx.distance(&g, 0, 3), Some(1));
-/// assert_eq!(idx.distance(&g, 0, 2), Some(2), "improvement propagates");
+/// let shortcut = Update::insert(TimedEdge::new(0, 3, 5));
+/// assert!(g.apply(&shortcut));
+/// idx.absorb(&g, [&shortcut]);
+/// assert_eq!(idx.distance(0, 3), Some(1));
+/// assert_eq!(idx.distance(0, 2), Some(2), "improvement propagates");
 ///
-/// // A deletion dirty-marks the severed subtree; the next query
-/// // triggers a targeted repair over the live view.
-/// g.delete_edge(0, 3);
-/// idx.note_delete(0, 3);
-/// assert_eq!(idx.distance(&g, 0, 3), Some(3));
+/// // A deletion dirty-marks the severed subtree, and the absorb
+/// // repairs just that over the live view.
+/// let cut = Update::delete(TimedEdge::new(0, 3, 0));
+/// assert!(g.apply(&cut));
+/// idx.absorb(&g, [&cut]);
+/// assert_eq!(idx.distance(0, 3), Some(3));
 /// assert_eq!(idx.repair_count(), 1);
 /// assert_eq!(idx.full_rebuild_count(), 0);
 /// ```
@@ -185,27 +187,27 @@ impl Rows {
         }
     }
 
-    fn note<V: GraphView>(&mut self, view: &V, upd: &Update) {
-        match upd.kind {
-            UpdateKind::Insert => self.note_insert(view, upd.edge.u, upd.edge.v),
-            UpdateKind::Delete => self.note_delete(upd.edge.u, upd.edge.v),
-        }
-    }
-
-    /// See [`DistanceIndex::note_insert`].
-    fn note_insert<V: GraphView>(&mut self, view: &V, u: u32, v: u32) {
-        if u != v {
-            for si in 0..self.seeds.len() {
-                self.relax_from_edge(view, si, u, v);
-            }
-        }
-    }
-
-    /// See [`DistanceIndex::note_delete`].
-    fn note_delete(&mut self, u: u32, v: u32) {
+    /// Takes one confirmed change (self-loops are distance no-ops).
+    fn take<V: GraphView>(&mut self, view: &V, upd: &Update) {
+        let (u, v) = (upd.edge.u, upd.edge.v);
         if u == v {
             return;
         }
+        match upd.kind {
+            UpdateKind::Insert => {
+                for si in 0..self.seeds.len() {
+                    self.relax_from_edge(view, si, u, v);
+                }
+            }
+            UpdateKind::Delete => self.mark_cut(u, v),
+        }
+    }
+
+    /// Seed-marks, per source, the endpoints whose certificate *is* the
+    /// deleted edge `(u, v)` — the only ones it can invalidate directly —
+    /// and flags that source dirty (the repair closes over their
+    /// descendants).
+    fn mark_cut(&mut self, u: u32, v: u32) {
         for si in 0..self.seeds.len() {
             let base = si * self.n;
             if self.parent[base + v as usize] == u {
@@ -223,10 +225,10 @@ impl Rows {
         self.dirty.insert(si as u32);
     }
 
-    /// Relaxation outward from an inserted edge: take the better
-    /// certificate for whichever endpoint improves, then push the
-    /// improvement through the live view until no vertex improves
-    /// further.
+    /// Relaxation outward from an inserted edge `(u, v)`, which `view`
+    /// already holds: take the better certificate for whichever endpoint
+    /// improves, then push the improvement through the live view until
+    /// no vertex improves further.
     fn relax_from_edge<V: GraphView>(&mut self, view: &V, si: usize, u: u32, v: u32) {
         let base = si * self.n;
         let mut queue = std::collections::VecDeque::new();
@@ -409,77 +411,35 @@ impl DistanceIndex {
             .expect("source not pinned; pass it to DistanceIndex::new/from_view")
     }
 
-    // ---- update notifications ------------------------------------------
-
-    /// Records an edge insertion by relaxing a bounded wavefront from
-    /// whichever endpoint improved, per source, over the live `view`
-    /// (which must already contain the edge). Self-loops are distance
-    /// no-ops.
-    pub fn note_insert<V: GraphView>(&self, view: &V, u: u32, v: u32) {
-        self.state.write().note_insert(view, u, v);
-    }
-
-    /// Records an edge deletion. Per source, the only vertices whose
-    /// stored certificate the deletion can invalidate directly are the
-    /// endpoints whose parent *is* the other endpoint; each such
-    /// endpoint is seed-marked and the source flagged dirty (its
-    /// descendants are closed over at repair time). Self-loops are
-    /// ignored. The caller must have already removed the edge from the
-    /// graph.
-    pub fn note_delete(&self, u: u32, v: u32) {
-        self.state.write().note_delete(u, v);
-    }
-
-    // ---- queries (repairing first) -------------------------------------
-
-    /// Reads row `source` with its debt paid, repairing against `view`
-    /// first if a deletion left the source dirty.
-    fn read_row<V: GraphView, R>(&self, view: &V, source: u32, read: impl Fn(&[u32]) -> R) -> R {
+    /// Row `source`, read under the read lock: nothing is ever owed
+    /// outside an absorb.
+    fn read_row<R>(&self, source: u32, read: impl Fn(&[u32]) -> R) -> R {
         let si = self.slot(source);
-        read_settled(
-            &self.state,
-            |rows| rows.dirty.contains(si as u32),
-            |rows| rows.settle(view, &self.sources, &self.core),
-            |rows| read(&rows.dist[si * self.n..(si + 1) * self.n]),
-        )
+        read(&self.state.read().dist[si * self.n..(si + 1) * self.n])
     }
 
     /// Exact hop distance from pinned `source` to `v` (`None` when
-    /// unreachable), repairing the source's row first if a deletion
-    /// left it dirty.
+    /// unreachable).
     ///
     /// # Panics
     ///
     /// If `source` was not pinned (see [`DistanceIndex::sources`]) or
     /// `v` is not a vertex of the index.
-    pub fn distance<V: GraphView>(&self, view: &V, source: u32, v: u32) -> Option<u32> {
+    pub fn distance(&self, source: u32, v: u32) -> Option<u32> {
         assert!(
             (v as usize) < self.n,
             "vertex {v} out of range for a distance index over {} vertices",
             self.n
         );
-        let d = self.read_row(view, source, |row| row[v as usize]);
+        let d = self.read_row(source, |row| row[v as usize]);
         (d != UNREACHED).then_some(d)
     }
 
     /// The full distance row for pinned `source` ([`UNREACHED`] for
-    /// unreachable vertices), after repairing it if dirty —
-    /// bit-comparable with `serial_bfs(view, source).dist`.
-    pub fn distances<V: GraphView>(&self, view: &V, source: u32) -> Vec<u32> {
-        self.read_row(view, source, <[u32]>::to_vec)
-    }
-
-    /// True if `source`'s row has pending deletion debt to repair.
-    #[cfg(test)]
-    pub(crate) fn is_source_dirty(&self, source: u32) -> bool {
-        let si = self.slot(source);
-        self.state.read().dirty.contains(si as u32)
-    }
-
-    /// True if any source is awaiting repair.
-    #[cfg(test)]
-    pub(crate) fn has_dirty(&self) -> bool {
-        !self.state.read().dirty.is_empty()
+    /// unreachable vertices) — bit-comparable with
+    /// `serial_bfs(view, source).dist` on the view it last absorbed.
+    pub fn distances(&self, source: u32) -> Vec<u32> {
+        self.read_row(source, <[u32]>::to_vec)
     }
 }
 
@@ -492,14 +452,10 @@ impl std::ops::Deref for DistanceIndex {
 }
 
 impl IncrementalIndex for DistanceIndex {
-    fn note<V: GraphView>(&self, view: &V, upd: &Update) {
-        self.state.write().note(view, upd);
-    }
-
     fn absorb<'u, V: GraphView>(&self, view: &V, changes: impl IntoIterator<Item = &'u Update>) {
         let mut rows = self.state.write();
         for upd in changes {
-            rows.note(view, upd);
+            rows.take(view, upd);
         }
         rows.settle(view, &self.sources, &self.core);
     }
@@ -565,16 +521,16 @@ pub fn restricted_hop_distances<V: GraphView>(view: &V, verts: &[u32], ext: &[u3
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::adjacency::CapacityHints;
+    use crate::adjacency::{CapacityHints, DynamicAdjacency};
     use crate::dynarr::DynArr;
     use crate::graph::DynGraph;
     use crate::hybrid::HybridAdj;
     use crate::view::probe::ProbeView;
     use snap_rmat::TimedEdge;
 
-    fn graph<A: crate::adjacency::DynamicAdjacency>(n: usize, edges: &[(u32, u32)]) -> DynGraph<A> {
+    fn graph<A: DynamicAdjacency>(n: usize, edges: &[(u32, u32)]) -> DynGraph<A> {
         let g = DynGraph::undirected(n, &CapacityHints::new(edges.len() * 2 + 8));
         for &(u, v) in edges {
             g.insert_edge(TimedEdge::new(u, v, 1));
@@ -582,8 +538,23 @@ mod tests {
         g
     }
 
+    fn ins(u: u32, v: u32) -> Update {
+        Update::insert(TimedEdge::new(u, v, 1))
+    }
+
+    fn del(u: u32, v: u32) -> Update {
+        Update::delete(TimedEdge::new(u, v, 0))
+    }
+
+    /// Applies `upd` to `g`, which it must change, and absorbs it into
+    /// `idx`, as an engine's cycle does.
+    fn absorb<A: DynamicAdjacency>(g: &DynGraph<A>, idx: &DistanceIndex, upd: Update) {
+        assert!(g.apply(&upd), "{upd:?} must change the graph");
+        idx.absorb(g, [&upd]);
+    }
+
     /// Serial BFS oracle row (no kernels dependency from core).
-    fn bfs_oracle<V: GraphView>(view: &V, src: u32) -> Vec<u32> {
+    pub(crate) fn bfs_oracle<V: GraphView>(view: &V, src: u32) -> Vec<u32> {
         let n = view.num_vertices();
         let mut dist = vec![UNREACHED; n];
         dist[src as usize] = 0;
@@ -605,11 +576,11 @@ mod tests {
     fn from_view_matches_bfs_per_source() {
         let g: DynGraph<HybridAdj> = graph(10, &[(0, 1), (1, 2), (2, 3), (5, 6), (6, 7)]);
         let idx = DistanceIndex::from_view(&g, &[0, 5]);
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
-        assert_eq!(idx.distances(&g, 5), bfs_oracle(&g, 5));
-        assert_eq!(idx.distance(&g, 0, 3), Some(3));
-        assert_eq!(idx.distance(&g, 0, 7), None, "other component");
-        assert_eq!(idx.distance(&g, 5, 7), Some(2));
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
+        assert_eq!(idx.distances(5), bfs_oracle(&g, 5));
+        assert_eq!(idx.distance(0, 3), Some(3));
+        assert_eq!(idx.distance(0, 7), None, "other component");
+        assert_eq!(idx.distance(5, 7), Some(2));
         assert_eq!(idx.full_rebuild_count(), 0, "initial build is free");
     }
 
@@ -617,14 +588,13 @@ mod tests {
     fn insert_wavefront_improves_exactly_the_shortened_region() {
         let g: DynGraph<DynArr> = graph(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let idx = DistanceIndex::from_view(&g, &[0]);
-        assert_eq!(idx.distance(&g, 0, 5), Some(5));
-        g.insert_edge(TimedEdge::new(0, 4, 9));
-        idx.note_insert(&g, 0, 4);
-        assert_eq!(idx.distance(&g, 0, 4), Some(1));
-        assert_eq!(idx.distance(&g, 0, 5), Some(2));
-        assert_eq!(idx.distance(&g, 0, 3), Some(2), "improves via 4 too");
-        assert_eq!(idx.distance(&g, 0, 1), Some(1), "untouched prefix");
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
+        assert_eq!(idx.distance(0, 5), Some(5));
+        absorb(&g, &idx, Update::insert(TimedEdge::new(0, 4, 9)));
+        assert_eq!(idx.distance(0, 4), Some(1));
+        assert_eq!(idx.distance(0, 5), Some(2));
+        assert_eq!(idx.distance(0, 3), Some(2), "improves via 4 too");
+        assert_eq!(idx.distance(0, 1), Some(1), "untouched prefix");
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
         assert_eq!(idx.repair_count(), 0, "insertions never need repair");
     }
 
@@ -632,23 +602,21 @@ mod tests {
     fn insert_reaching_new_vertices_extends_the_row() {
         let g: DynGraph<DynArr> = graph(6, &[(0, 1), (3, 4)]);
         let idx = DistanceIndex::from_view(&g, &[0]);
-        assert_eq!(idx.distance(&g, 0, 3), None);
-        g.insert_edge(TimedEdge::new(1, 3, 2));
-        idx.note_insert(&g, 1, 3);
-        assert_eq!(idx.distance(&g, 0, 3), Some(2));
-        assert_eq!(idx.distance(&g, 0, 4), Some(3), "reaches the tail");
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
+        assert_eq!(idx.distance(0, 3), None);
+        absorb(&g, &idx, Update::insert(TimedEdge::new(1, 3, 2)));
+        assert_eq!(idx.distance(0, 3), Some(2));
+        assert_eq!(idx.distance(0, 4), Some(3), "reaches the tail");
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
     }
 
     #[test]
     fn self_loops_are_distance_noops() {
         let g: DynGraph<DynArr> = graph(4, &[(0, 1), (2, 2)]);
         let idx = DistanceIndex::from_view(&g, &[0]);
-        idx.note_insert(&g, 1, 1);
-        idx.note_delete(2, 2);
-        assert!(!idx.has_dirty(), "self-loops never dirty a source");
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
-        assert_eq!(idx.repair_count(), 0);
+        absorb(&g, &idx, ins(1, 1));
+        absorb(&g, &idx, del(2, 2));
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
+        assert_eq!(idx.repair_count(), 0, "self-loops never dirty a source");
     }
 
     #[test]
@@ -657,12 +625,9 @@ mod tests {
         // touch source 0's tree.
         let g: DynGraph<HybridAdj> = graph(8, &[(0, 1), (1, 2), (2, 3), (5, 6)]);
         let idx = DistanceIndex::from_view(&g, &[0, 5]);
-        g.delete_edge(5, 6);
-        idx.note_delete(5, 6);
-        assert!(!idx.is_source_dirty(0), "source 0's tree is intact");
-        assert!(idx.is_source_dirty(5));
-        assert_eq!(idx.distance(&g, 5, 6), None);
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
+        absorb(&g, &idx, del(5, 6));
+        assert_eq!(idx.distance(5, 6), None);
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
         assert_eq!(idx.repair_count(), 1, "only source 5 repaired");
     }
 
@@ -672,12 +637,11 @@ mod tests {
         // through the detour at distance 2.
         let g: DynGraph<DynArr> = graph(5, &[(0, 1), (1, 2), (0, 3), (3, 2)]);
         let idx = DistanceIndex::from_view(&g, &[0]);
-        assert_eq!(idx.distance(&g, 0, 2), Some(2));
-        g.delete_edge(1, 2);
-        idx.note_delete(1, 2);
-        assert_eq!(idx.distance(&g, 0, 2), Some(2), "via the detour");
-        assert_eq!(idx.distance(&g, 0, 1), Some(1), "kept certificate");
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
+        assert_eq!(idx.distance(0, 2), Some(2));
+        absorb(&g, &idx, del(1, 2));
+        assert_eq!(idx.distance(0, 2), Some(2), "via the detour");
+        assert_eq!(idx.distance(0, 1), Some(1), "kept certificate");
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
         assert!(idx.repair_count() >= 1);
         assert_eq!(idx.full_rebuild_count(), 0);
     }
@@ -686,12 +650,11 @@ mod tests {
     fn deletion_disconnecting_a_subtree_marks_it_unreached() {
         let g: DynGraph<DynArr> = graph(6, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let idx = DistanceIndex::from_view(&g, &[0]);
-        g.delete_edge(1, 2);
-        idx.note_delete(1, 2);
-        assert_eq!(idx.distance(&g, 0, 2), None);
-        assert_eq!(idx.distance(&g, 0, 4), None, "whole subtree cut off");
-        assert_eq!(idx.distance(&g, 0, 1), Some(1));
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
+        absorb(&g, &idx, del(1, 2));
+        assert_eq!(idx.distance(0, 2), None);
+        assert_eq!(idx.distance(0, 4), None, "whole subtree cut off");
+        assert_eq!(idx.distance(0, 1), Some(1));
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
     }
 
     #[test]
@@ -700,10 +663,9 @@ mod tests {
         // whichever edge was the certificate.
         let g: DynGraph<DynArr> = graph(3, &[(0, 1), (1, 2), (0, 2)]);
         let idx = DistanceIndex::from_view(&g, &[0]);
-        g.delete_edge(0, 2);
-        idx.note_delete(0, 2);
-        assert_eq!(idx.distance(&g, 0, 2), Some(2), "via 1 now");
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
+        absorb(&g, &idx, del(0, 2));
+        assert_eq!(idx.distance(0, 2), Some(2), "via 1 now");
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
     }
 
     #[test]
@@ -711,9 +673,9 @@ mod tests {
         let g: DynGraph<DynArr> = graph(16, &[(0, 1), (1, 2), (4, 5)]);
         let idx = DistanceIndex::from_view(&g, &[0, 4]);
         for _ in 0..64 {
-            assert_eq!(idx.distance(&g, 0, 2), Some(2));
-            assert_eq!(idx.distance(&g, 4, 5), Some(1));
-            assert_eq!(idx.distance(&g, 0, 4), None);
+            assert_eq!(idx.distance(0, 2), Some(2));
+            assert_eq!(idx.distance(4, 5), Some(1));
+            assert_eq!(idx.distance(0, 4), None);
         }
         assert_eq!(idx.repair_count(), 0);
         assert_eq!(idx.full_rebuild_count(), 0);
@@ -735,20 +697,19 @@ mod tests {
             let key = (u.min(v), u.max(v));
             if live.contains(&key) {
                 live.remove(&key);
-                g.delete_edge(key.0, key.1);
-                idx.note_delete(key.0, key.1);
+                absorb(&g, &idx, del(key.0, key.1));
             } else {
                 live.insert(key);
-                g.insert_edge(TimedEdge::new(key.0, key.1, 1 + step % 90));
-                idx.note_insert(&g, key.0, key.1);
+                let e = TimedEdge::new(key.0, key.1, 1 + step % 90);
+                absorb(&g, &idx, Update::insert(e));
             }
             if step % 37 == 0 {
-                assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0), "step {step}");
-                assert_eq!(idx.distances(&g, 17), bfs_oracle(&g, 17), "step {step}");
+                assert_eq!(idx.distances(0), bfs_oracle(&g, 0), "step {step}");
+                assert_eq!(idx.distances(17), bfs_oracle(&g, 17), "step {step}");
             }
         }
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
-        assert_eq!(idx.distances(&g, 17), bfs_oracle(&g, 17));
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
+        assert_eq!(idx.distances(17), bfs_oracle(&g, 17));
         assert_eq!(idx.full_rebuild_count(), 0, "never recomputed from scratch");
     }
 
@@ -756,17 +717,15 @@ mod tests {
     fn repair_reads_only_the_affected_set() {
         let g: DynGraph<DynArr> = graph(5, &[(0, 1), (1, 2), (2, 3)]);
         let idx = DistanceIndex::from_view(&g, &[0]);
-        g.delete_edge(1, 2);
-        idx.note_delete(1, 2);
+        let cut = del(1, 2);
+        assert!(g.apply(&cut));
         // The affected set is the severed subtree {2, 3}; nothing else's
         // adjacency is read.
         let view = ProbeView::new(&g);
-        assert_eq!(idx.distance(&view, 0, 3), None);
+        idx.absorb(&view, [&cut]);
         assert_eq!(view.read_set(), [2, 3]);
-        assert!(!idx.is_source_dirty(0));
-        let view = ProbeView::new(&g);
-        assert_eq!(idx.distance(&view, 0, 2), None);
-        assert_eq!(view.read_count(), 0, "already clean");
+        assert_eq!(idx.distance(0, 3), None);
+        assert_eq!(idx.distance(0, 2), None);
         assert_eq!(idx.repair_count(), 1);
     }
 
@@ -777,9 +736,9 @@ mod tests {
         // Out-of-band mutation the index never saw:
         g.insert_edge(TimedEdge::new(1, 2, 1));
         idx.resync(&g, 1);
-        assert_eq!(idx.distance(&g, 0, 2), Some(2));
+        assert_eq!(idx.distance(0, 2), Some(2));
         assert_eq!(idx.full_rebuild_count(), 1);
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
     }
 
     #[test]
@@ -802,17 +761,16 @@ mod tests {
         use rayon::prelude::*;
         let n = 1024usize;
         let g: DynGraph<HybridAdj> = graph(n, &[]);
-        // Build the whole path first (graph mutations), then race all
-        // the index notifications: the write lock serializes the
-        // wavefronts, which must reach the BFS fixpoint in any order.
-        for i in 0..n as u32 - 1 {
-            g.insert_edge(TimedEdge::new(i, i + 1, 1));
+        // Build the whole path first (graph mutations), then race one
+        // absorb per edge: the write lock serializes the wavefronts,
+        // which must reach the BFS fixpoint in any order.
+        let path: Vec<Update> = (0..n as u32 - 1).map(|i| ins(i, i + 1)).collect();
+        for upd in &path {
+            assert!(g.apply(upd));
         }
         let idx = DistanceIndex::new(n, &[0]);
-        (0..n as u32 - 1).into_par_iter().for_each(|i| {
-            idx.note_insert(&g, i, i + 1);
-        });
-        assert_eq!(idx.distances(&g, 0), bfs_oracle(&g, 0));
+        path.par_iter().for_each(|upd| idx.absorb(&g, [upd]));
+        assert_eq!(idx.distances(0), bfs_oracle(&g, 0));
         assert_eq!(idx.repair_count(), 0);
     }
 
@@ -820,22 +778,21 @@ mod tests {
     fn concurrent_queries_with_repair_agree() {
         use rayon::prelude::*;
         // Two chains joined by a bridge; cut the bridge, then query
-        // from many threads: every post-quiescence answer must see the
-        // split, and the repairs coalesce.
+        // from many threads: every answer must see the split, and the
+        // one repair ran inside the absorb.
         let n = 256usize;
         let mut edges: Vec<(u32, u32)> = (0..127).map(|i| (i, i + 1)).collect();
         edges.extend((128..255).map(|i| (i, i + 1)));
         edges.push((0, 128)); // the bridge
         let g: DynGraph<DynArr> = graph(n, &edges);
         let idx = DistanceIndex::from_view(&g, &[0]);
-        assert_eq!(idx.distance(&g, 0, 255), Some(128));
-        g.delete_edge(0, 128);
-        idx.note_delete(0, 128);
+        assert_eq!(idx.distance(0, 255), Some(128));
+        absorb(&g, &idx, del(0, 128));
         (0..64u32).into_par_iter().for_each(|q| {
-            assert_eq!(idx.distance(&g, 0, 128 + (q % 128)), None, "cut off");
-            assert_eq!(idx.distance(&g, 0, q % 128), Some(q % 128));
+            assert_eq!(idx.distance(0, 128 + (q % 128)), None, "cut off");
+            assert_eq!(idx.distance(0, q % 128), Some(q % 128));
         });
-        assert_eq!(idx.repair_count(), 1, "queries coalesce into one repair");
+        assert_eq!(idx.repair_count(), 1, "one repair, in the absorb");
         assert_eq!(idx.full_rebuild_count(), 0);
     }
 
@@ -843,12 +800,13 @@ mod tests {
     fn empty_and_sourceless_indexes() {
         let g: DynGraph<DynArr> = graph(0, &[]);
         let idx = DistanceIndex::from_view(&g, &[]);
-        assert!(!idx.has_dirty());
+        idx.absorb(&g, &[]);
+        assert_eq!(idx.repair_count(), 0);
         let g: DynGraph<DynArr> = graph(4, &[(0, 1)]);
         let idx = DistanceIndex::from_view(&g, &[]);
-        idx.note_insert(&g, 1, 2);
-        idx.note_delete(0, 1);
-        assert!(!idx.has_dirty(), "no sources, no debt");
+        absorb(&g, &idx, ins(1, 2));
+        absorb(&g, &idx, del(0, 1));
+        assert_eq!(idx.repair_count(), 0, "no sources, no debt");
         assert_eq!(idx.sources(), &[] as &[u32]);
     }
 
@@ -860,7 +818,7 @@ mod tests {
         let path: Vec<(u32, u32)> = (0..5).map(|i| (i, i + 1)).collect();
         let g: DynGraph<DynArr> = graph(6, &path);
         let idx = DistanceIndex::from_view(&g, &[0, 5]);
-        idx.distance(&g, 0, 6);
+        idx.distance(0, 6);
     }
 
     #[test]
@@ -868,6 +826,6 @@ mod tests {
     fn unpinned_source_panics() {
         let g: DynGraph<DynArr> = graph(4, &[(0, 1)]);
         let idx = DistanceIndex::from_view(&g, &[0]);
-        idx.distance(&g, 3, 0);
+        idx.distance(3, 0);
     }
 }

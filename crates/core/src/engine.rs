@@ -181,26 +181,26 @@ pub(crate) const RANGE_BUDGET: usize = 1 << 17;
 const HISTOGRAM_BITS: u32 = 12;
 
 /// The one batch applier (see the [module docs](self)): vertex-ranged,
-/// sort-then-grouped, with per-update change tracking and routing into
-/// the index family. `workers` follows the [`resolve_workers`]
-/// convention; a batch that fits one range runs on the calling thread,
-/// no spawn.
+/// sort-then-grouped, with per-update change tracking, and the one way
+/// changes reach the index family. `workers` follows the
+/// [`resolve_workers`] convention; a batch that fits one range runs on
+/// the calling thread, no spawn, and a one-update batch goes through
+/// [`DynGraph::apply`], O(degree) where the range cut is O(n).
 ///
 /// An update's "did it change the graph" verdict is the OR of its
 /// halves' outcomes (matching [`DynGraph::insert_edge`] /
-/// [`DynGraph::delete_edge`]). After the parallel phase's barrier,
-/// confirmed changes are noted into every index in [`IndexRoutes`]
-/// **in stream order** against the settled graph ([`IndexRoutes::route`];
-/// the engines' cycle absorbs and settles them instead,
-/// [`IndexRoutes::absorb`]) — so no-op updates (deduplicated
-/// re-inserts, deletes of absent edges) never touch an index, and
-/// view-consuming notes (distance wavefronts, triangle delete checks)
-/// observe exactly the state their deltas describe. An update deleted
+/// [`DynGraph::delete_edge`]). After the parallel phase's barrier, the
+/// confirmed changes are absorbed into every index in [`IndexRoutes`]
+/// **in stream order** against the settled graph, and settled, in one
+/// write-lock hold per index ([`IndexRoutes::absorb`]) — so no-op
+/// updates (deduplicated re-inserts, deletes of absent edges) never
+/// touch an index, view-consuming deltas (distance wavefronts, triangle
+/// delete checks) observe exactly the state they describe, and every
+/// attached index is settled when the call returns. An update deleted
 /// later in the same stream may relax a distance certificate through an
-/// edge the final view no longer has; the later-routed delete note sees
-/// that certificate and dirty-marks it, so stream-order routing keeps
-/// the indexes exact once settled. Returns how many updates changed the
-/// graph.
+/// edge the final view no longer has; the later delete sees that
+/// certificate and dirty-marks it, so stream order keeps the indexes
+/// exact. Returns how many updates changed the graph.
 ///
 /// # Panics
 ///
@@ -213,19 +213,29 @@ pub fn apply_vpart_indexed<A: DynamicAdjacency>(
     workers: usize,
     routes: IndexRoutes<'_>,
 ) -> usize {
-    let changed = apply_ranged(g, updates, workers, RANGE_BUDGET);
-    if !routes.is_empty() {
-        for i in changed.iter() {
-            routes.route(g, &updates[i as usize]);
+    let changed = match updates {
+        [upd] => {
+            check_endpoints(0, upd, g.num_vertices());
+            let mut changed = RowSet::new(1);
+            if g.apply(upd) {
+                changed.insert(0);
+            }
+            changed
         }
+        _ => apply_ranged(g, updates, workers, RANGE_BUDGET),
+    };
+    if !routes.is_empty() {
+        let _t = Timer::scope(&apply_metrics().absorb_ns);
+        routes.absorb(g, changed.iter().map(|i| &updates[i as usize]));
     }
     changed.count()
 }
 
-/// The applier of [`apply_vpart_indexed`], routing nothing and with the
-/// range budget as a parameter (so tests can make small inputs span many
-/// ranges). Returns the positions of the updates that changed the graph.
-pub(crate) fn apply_ranged<A: DynamicAdjacency>(
+/// The ranged applier of [`apply_vpart_indexed`], absorbing nothing and
+/// with the range budget as a parameter (so tests can make small inputs
+/// span many ranges). Returns the positions of the updates that changed
+/// the graph.
+fn apply_ranged<A: DynamicAdjacency>(
     g: &DynGraph<A>,
     updates: &[Update],
     workers: usize,
@@ -552,13 +562,16 @@ impl RangeWorker {
 }
 
 /// Applier instrumentation, shared by every call in the process (ZST
-/// no-ops without the `obs` feature): where an [`apply_ranged`] call's
-/// time goes. Timed per call and per range, never per group: a clock
-/// read costs as much as a small group.
+/// no-ops without the `obs` feature): where an [`apply_vpart_indexed`]
+/// call's time goes. Timed per call and per range, never per group: a
+/// clock read costs as much as a small group.
 struct ApplyMetrics {
     partition_ns: snap_obs::Histogram,
     sort_ns: snap_obs::Histogram,
     groups_ns: snap_obs::Histogram,
+    /// The index half of a call, the absorb: recorded only when an
+    /// index is attached.
+    absorb_ns: snap_obs::Histogram,
 }
 
 fn apply_metrics() -> &'static ApplyMetrics {
@@ -577,6 +590,10 @@ fn apply_metrics() -> &'static ApplyMetrics {
             groups_ns: r.histogram(
                 "snap_apply_groups_ns",
                 "Per applier range: the per-vertex group applies (ns)",
+            ),
+            absorb_ns: r.histogram(
+                "snap_cycle_absorb_ns",
+                "Per absorb of a cycle run: noting its changes into the attached indexes and settling them (ns)",
             ),
         }
     })
@@ -858,10 +875,13 @@ pub(crate) mod tests {
     }
 
     /// The applier at 1 / 2 / 8 workers, at the real range budget and at
-    /// tiny ones (many ranges, claimed in any order), against a
-    /// sequential `DynGraph::apply` loop: same per-vertex entry
-    /// sequences (and whatever else `state` reads off a vertex), same
-    /// count of updates that changed the graph.
+    /// tiny ones (many ranges, claimed in any order), and through
+    /// [`apply_vpart_indexed`] (budget 0 below), against a sequential
+    /// `DynGraph::apply` loop: same per-vertex entry sequences (and
+    /// whatever else `state` reads off a vertex), same count of updates
+    /// that changed the graph per batch. Length-1 batches after the two
+    /// long ones take [`apply_vpart_indexed`]'s one-update path, so
+    /// that path is checked against the ranged one too.
     fn check_applier_equals_sequential_loop<A: DynamicAdjacency, S: PartialEq + std::fmt::Debug>(
         directed: bool,
         thresh: u32,
@@ -871,16 +891,24 @@ pub(crate) mod tests {
         let hints = CapacityHints::new(64).with_degree_thresh(thresh);
         let graph = || DynGraph::<A>::from_adjacency(A::new(n as usize, &hints), directed);
         for seed in 0..4 {
-            // Two batches, so the second meets treaps, tombstones and
-            // duplicates the first left behind.
-            let stream = non_commuting_stream(n, 3000, seed);
-            let batches = [&stream[..2000], &stream[2000..]];
+            // Two long batches, so the second meets treaps, tombstones
+            // and duplicates the first left behind, then 64 of length 1.
+            let stream = non_commuting_stream(n, 3064, seed);
+            let mut batches = vec![&stream[..2000], &stream[2000..3000]];
+            batches.extend(stream[3000..].chunks(1));
             let want = graph();
-            let want_changed = batches.map(|b| b.iter().filter(|u| want.apply(u)).count());
+            let want_changed: Vec<usize> = (batches.iter())
+                .map(|b| b.iter().filter(|u| want.apply(u)).count())
+                .collect();
             for workers in [1, 2, 8] {
-                for budget in [RANGE_BUDGET, 64, 1] {
+                for budget in [RANGE_BUDGET, 64, 1, 0] {
                     let got = graph();
-                    let changed = batches.map(|b| apply_ranged(&got, b, workers, budget).count());
+                    let changed: Vec<usize> = (batches.iter())
+                        .map(|b| match budget {
+                            0 => apply_vpart_indexed(&got, b, workers, IndexRoutes::default()),
+                            _ => apply_ranged(&got, b, workers, budget).count(),
+                        })
+                        .collect();
                     assert_eq!(changed, want_changed, "{workers} workers, budget {budget}");
                     for u in 0..n {
                         let (got, want) = (got.adjacency(), want.adjacency());
@@ -1108,7 +1136,7 @@ pub(crate) mod tests {
         assert_eq!(apply_vpart_indexed(&g, &path, 4, routes), path.len());
         assert!(conn.same_component(&g, 0, 31));
         assert_eq!(conn.repair_count(), 0, "insertions never need repair");
-        // A real bridge deletion: the next query relabels one side.
+        // A real bridge deletion: the call relabels one side.
         let del = vec![Update::delete(TimedEdge::new(15, 16, 0))];
         assert_eq!(apply_vpart_indexed(&g, &del, 4, routes), 1);
         assert!(!conn.same_component(&g, 0, 31));
@@ -1130,7 +1158,55 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn vpart_indexed_routes_the_whole_family() {
+    fn vpart_indexed_returns_with_every_index_settled() {
+        // A band of path edges and skip-one chords, half of them live at
+        // a time: batches with splits, replacements and no-ops, then
+        // one-update batches. After every call, at every worker count,
+        // no debt is left and the rows read without a view are exact.
+        const SOURCES: [u32; 2] = [0, 40];
+        let mut rng = snap_util::rng::XorShift64::new(11);
+        let stream: Vec<Update> = (0..1200)
+            .map(|i| {
+                let u = rng.next_bounded(62) as u32;
+                let e = TimedEdge::new(u, u + 1 + rng.next_bounded(2) as u32, i + 1);
+                match rng.next_bool(0.5) {
+                    true => Update::insert(e),
+                    false => Update::delete(e),
+                }
+            })
+            .collect();
+        let mut batches: Vec<&[Update]> = stream[..1000].chunks(100).collect();
+        batches.extend(stream[1000..].chunks(1));
+        for workers in [1, 2, 8] {
+            let g: DynGraph<HybridAdj> = DynGraph::undirected(64, &CapacityHints::new(256));
+            let conn = ConnectivityIndex::from_view(&g);
+            let dist = DistanceIndex::from_view(&g, &SOURCES);
+            let tri = TriangleIndex::from_view(&g);
+            let routes = IndexRoutes {
+                conn: Some(&conn),
+                dist: Some(&dist),
+                tri: Some(&tri),
+            };
+            for (b, batch) in batches.iter().enumerate() {
+                apply_vpart_indexed(&g, batch, workers, routes);
+                assert!(!conn.has_dirty(), "{workers} workers, batch {b}");
+                for src in SOURCES {
+                    assert_eq!(
+                        dist.distances(src),
+                        crate::distindex::tests::bfs_oracle(&g, src),
+                        "{workers} workers, batch {b}, source {src}"
+                    );
+                }
+            }
+            assert!(conn.repair_count() > 0 && dist.repair_count() > 0);
+            let fresh = ConnectivityIndex::from_view(&g);
+            assert_eq!(conn.labels(&g), fresh.labels(&g));
+            assert_eq!(tri.per_vertex(), TriangleIndex::from_view(&g).per_vertex());
+        }
+    }
+
+    #[test]
+    fn vpart_indexed_absorbs_into_the_whole_family() {
         let n = 64usize;
         let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(256));
         let conn = ConnectivityIndex::from_view(&g);
@@ -1148,15 +1224,15 @@ pub(crate) mod tests {
         batch.push(Update::insert(TimedEdge::new(0, 2, 1))); // triangle 0-1-2
         assert_eq!(apply_vpart_indexed(&g, &batch, 4, routes), batch.len());
         assert!(conn.same_component(&g, 0, 31));
-        assert_eq!(dist.distance(&g, 0, 31), Some(30), "0-2 shortcut");
+        assert_eq!(dist.distance(0, 31), Some(30), "0-2 shortcut");
         assert_eq!(tri.triangle_count(), 1);
         // Delete the shortcut: distance must repair back, triangle dies.
         let del = vec![Update::delete(TimedEdge::new(0, 2, 0))];
         assert_eq!(apply_vpart_indexed(&g, &del, 4, routes), del.len());
-        assert_eq!(dist.distance(&g, 0, 31), Some(31));
+        assert_eq!(dist.distance(0, 31), Some(31));
         assert_eq!(tri.triangle_count(), 0);
         assert!(conn.same_component(&g, 0, 2), "still connected via 1");
-        // A no-op batch routes nothing.
+        // A no-op batch absorbs nothing.
         let noop = vec![Update::delete(TimedEdge::new(40, 41, 0))];
         assert_eq!(apply_vpart_indexed(&g, &noop, 4, routes), 0);
         assert_eq!(dist.full_rebuild_count(), 0);

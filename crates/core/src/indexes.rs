@@ -1,32 +1,29 @@
 //! The incremental index family: one epoch protocol ([`IndexCore`]), one
 //! contract an index joins it by ([`IncrementalIndex`]), one owner both
-//! engines hold ([`IndexFamily`]), one borrowed bundle the appliers route
-//! into ([`IndexRoutes`]) and one query surface ([`IndexQuery`]). The index
-//! files ([`crate::connectivity`], [`crate::distindex`],
+//! engines hold ([`IndexFamily`]), one borrowed bundle the applier
+//! absorbs into ([`IndexRoutes`]) and one query surface ([`IndexQuery`]).
+//! The index files ([`crate::connectivity`], [`crate::distindex`],
 //! [`crate::triindex`]) keep only their state and delta rules.
 //!
 //! # Concurrency contract
 //!
 //! Each index keeps its mutable state as plain data behind one
 //! `RwLock`; [`IndexCore`] holds only the absorbed epoch and the
-//! statistics counters. Notes and repairs take the write lock. An
-//! engine's single writer takes it once per cycle and index
-//! ([`IncrementalIndex::absorb`]): after the cycle's graph mutation it
-//! notes every change the cycle made, in stream order, settles the debt
-//! they left against the settled graph, and only then steps the index
-//! and publishes the cycle's epoch. Readers take the read lock and find
-//! a settled index, so an [`IndexQuery`] answer is the index as of a
-//! cycle boundary, and no repair ever overlaps a graph mutation. A
-//! direct caller that notes one change at a time
-//! ([`IncrementalIndex::note`]) leaves the debt in place; the index's own
-//! view-taking queries settle it under the write lock first. Whoever
-//! notes or settles against a view must not mutate it meanwhile; the
-//! engines guarantee that by construction.
+//! statistics counters. A change enters an index one way,
+//! [`IncrementalIndex::absorb`]: after an applier call's graph mutation,
+//! `crate::engine::apply_vpart_indexed` hands it every change the call
+//! made, in stream order, and the index settles what they owe against
+//! the settled graph, all in one hold of its write lock. An engine then
+//! steps the index and publishes the cycle's epoch. Readers take the
+//! read lock and find a settled index, so an [`IndexQuery`] answer is
+//! the index as of a cycle boundary, and no repair ever overlaps a graph
+//! mutation. Whoever absorbs against a view must not mutate it
+//! meanwhile; the engines guarantee that by construction.
 //!
 //! The epoch contract is ARCHITECTURE.md's invariant 6: an index is
 //! attached with the engine epoch read **before** its build scan, a
-//! routed cycle steps it by exactly one before the engine publishes the
-//! new epoch, and a query first compares the two — an index left behind
+//! cycle steps it by exactly one before the engine publishes the new
+//! epoch, and a query first compares the two — an index left behind
 //! (an out-of-band mutation, an update that raced its attachment) pays
 //! one counted full rebuild. A gap is never stepped over.
 
@@ -60,13 +57,13 @@ impl IndexCore {
     /// Advances the absorbed epoch (monotone max, so racing threads
     /// cannot move it backwards). Only for an index that provably
     /// reflects everything up to `epoch`: at build time and after a
-    /// rebuild. Routed changes go through [`IndexCore::sync_change`].
+    /// rebuild. A cycle steps it through [`IndexCore::sync_change`].
     pub fn sync_to(&self, epoch: u64) {
         // ordering: AcqRel — monotone epoch publication (invariant 6).
         self.synced_epoch.fetch_max(epoch, Ordering::AcqRel);
     }
 
-    /// Absorbs exactly one routed epoch bump: steps the absorbed epoch
+    /// Absorbs exactly one cycle's epoch bump: steps the absorbed epoch
     /// from `new_epoch - 1` to `new_epoch`, and *only* that step. A
     /// failed step means an unabsorbed epoch sits below, and the gap
     /// stays open so the next query resyncs instead of being
@@ -124,41 +121,17 @@ impl IndexCore {
     }
 }
 
-/// Runs `read` on the state behind `lock` with nothing owed: under the
-/// read lock when `owes` finds no debt that could change this read,
-/// otherwise under the write lock once `settle` has paid it.
-pub(crate) fn read_settled<S, R>(
-    lock: &RwLock<S>,
-    owes: impl Fn(&S) -> bool,
-    settle: impl FnOnce(&mut S),
-    read: impl Fn(&S) -> R,
-) -> R {
-    {
-        let state = lock.read();
-        if !owes(&state) {
-            return read(&state);
-        }
-    }
-    let mut state = lock.write();
-    settle(&mut state);
-    read(&state)
-}
-
 /// What an index supplies to join the family, beside its own state and
 /// query methods: it embeds an [`IndexCore`] and derefs to it (so
 /// `synced_epoch`, `repair_count`, `full_rebuild_count` read the same on
-/// every index), and it implements the three operations below, each
-/// under its write lock.
+/// every index), and it implements the two operations below, each under
+/// its write lock.
 pub trait IncrementalIndex: Deref<Target = IndexCore> {
-    /// Absorbs one confirmed change. `view` already reflects it (mutate
-    /// first, then note), and an update that did not change the graph is
-    /// never noted. Whatever the note cannot settle on the spot stays
-    /// owed until a query or an [`IncrementalIndex::absorb`] settles it.
-    fn note<V: GraphView>(&self, view: &V, upd: &Update);
-
-    /// Notes `changes` in order and then settles every debt against
-    /// `view`, all in one hold of the write lock: the writer's per-cycle
-    /// entry point. `view` must reflect exactly the changes noted so far.
+    /// Takes `changes` in order and settles every debt they leave
+    /// against `view`, all in one hold of the write lock: the one way a
+    /// change enters an index. `view` must already reflect exactly these
+    /// changes (mutate first, then absorb), and an update that did not
+    /// change the graph must not be among them.
     fn absorb<'u, V: GraphView>(&self, view: &V, changes: impl IntoIterator<Item = &'u Update>);
 
     /// If this index is behind `epoch`, discards everything, recomputes
@@ -168,7 +141,7 @@ pub trait IncrementalIndex: Deref<Target = IndexCore> {
 }
 
 /// Borrowed bundle of the incremental indexes attached to a graph. All
-/// slots are optional; an empty bundle routes nothing.
+/// slots are optional; an empty bundle absorbs nothing.
 #[derive(Clone, Copy, Default)]
 pub struct IndexRoutes<'a> {
     /// Incremental connectivity (union on insert, certificate check on
@@ -187,24 +160,10 @@ impl IndexRoutes<'_> {
         self.conn.is_none() && self.dist.is_none() && self.tri.is_none()
     }
 
-    /// Notes one confirmed change into every attached index
-    /// ([`IncrementalIndex::note`]: `view` already reflects it), leaving
-    /// what it owes for a query or an absorb to settle.
-    pub fn route<V: GraphView>(&self, view: &V, upd: &Update) {
-        if let Some(c) = self.conn {
-            c.note(view, upd);
-        }
-        if let Some(d) = self.dist {
-            d.note(view, upd);
-        }
-        if let Some(t) = self.tri {
-            t.note(view, upd);
-        }
-    }
-
-    /// Absorbs one cycle's confirmed changes, in stream order, into every
-    /// attached index and settles them ([`IncrementalIndex::absorb`]: one
-    /// write-lock hold per index); `view` already reflects them all.
+    /// Absorbs one applier call's confirmed changes, in stream order,
+    /// into every attached index and settles them
+    /// ([`IncrementalIndex::absorb`]: one write-lock hold per index);
+    /// `view` already reflects them all.
     pub fn absorb<'u, V, I>(&self, view: &V, changes: I)
     where
         V: GraphView,
@@ -247,7 +206,7 @@ pub struct IndexFamily {
 }
 
 /// Stamps a fresh index with the epoch read before its build scan: an
-/// update racing the build is not routed into it but does bump the
+/// update racing the build is not absorbed into it but does bump the
 /// epoch, so its first query finds it behind and resyncs.
 fn stamped<I: IncrementalIndex>(idx: I, epoch_before: u64) -> I {
     idx.sync_to(epoch_before);
@@ -285,7 +244,7 @@ impl IndexFamily {
     }
 
     /// The indexes attached *right now*, captured by an engine once per
-    /// mutation: an index attached mid-mutation is neither routed into
+    /// mutation: an index attached mid-mutation is neither absorbed into
     /// nor stepped, so it stays behind and its first query resyncs.
     pub fn routes(&self) -> IndexRoutes<'_> {
         IndexRoutes {
@@ -338,7 +297,7 @@ impl<'a, V: GraphView> IndexQuery<'a, V> {
         // the engine never enabled; the message says which.
         let idx = slot.expect(not_enabled);
         // ordering: Acquire — pairs with the engine's epoch publication,
-        // which follows the routed step of every attached index.
+        // which follows the cycle's step of every attached index.
         let epoch = self.epoch.load(Ordering::Acquire);
         idx.resync(self.view, epoch);
         idx
@@ -375,13 +334,13 @@ impl<'a, V: GraphView> IndexQuery<'a, V> {
     /// Exact hop distance from pinned `source` to `v` (`None` when
     /// unreachable). Panics if `source` is not pinned.
     pub fn hop_distance(&self, source: u32, v: u32) -> Option<u32> {
-        self.dist().distance(self.view, source, v)
+        self.dist().distance(source, v)
     }
 
     /// The full distance row from pinned `source`
     /// ([`crate::distindex::UNREACHED`] for unreachable vertices).
     pub fn hop_distances(&self, source: u32) -> Vec<u32> {
-        self.dist().distances(self.view, source)
+        self.dist().distances(source)
     }
 
     /// Triangles incident to `u`, from the delta-maintained counters.

@@ -43,7 +43,7 @@
 //! family: [`distindex::DistanceIndex`] (exact hop distances from
 //! pinned sources) and [`triindex::TriangleIndex`] (per-vertex triangle
 //! counts and clustering, delta-maintained). [`indexes`] holds what the
-//! three share: state behind one lock that the engine's writer notes
+//! three share: state behind one lock that the engine's applier absorbs
 //! into and settles, the epoch protocol ([`IndexCore`]) and the one
 //! query surface ([`IndexQuery`]) that [`SnapshotManager::indexes`] and
 //! [`ServeEngine::indexes`] both hand out.

@@ -34,8 +34,8 @@ use std::sync::{Arc, OnceLock};
 /// [`crate::serve::ServeEngine`].
 ///
 /// The `enable_*` methods attach members of the incremental index family
-/// ([`crate::indexes`]): every later mutation call notes its changes into
-/// them and settles them before it returns, and
+/// ([`crate::indexes`]): every later mutation call absorbs its changes
+/// into them and settles them before it returns, and
 /// [`SnapshotManager::indexes`] answers their queries as of the last
 /// call — under each index's read lock, never the manager's, with no CSR
 /// build and no full recompute.
@@ -137,10 +137,10 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
     }
 
     /// Applies a batch in parallel ([`crate::engine::apply_vpart_indexed`]
-    /// on the installed pool), routes its changes to the attached indexes
-    /// in stream order and settles them, then steps the epoch **once**.
-    /// A batch that changes nothing keeps the cached snapshot. Returns
-    /// whether it changed anything.
+    /// on the installed pool), which absorbs its changes into the attached
+    /// indexes in stream order and settles them, then steps the epoch
+    /// **once**. A batch that changes nothing keeps the cached snapshot.
+    /// Returns whether it changed anything.
     ///
     /// # Panics
     ///
@@ -544,9 +544,9 @@ mod tests {
     #[test]
     fn batched_updates_route_into_all_indexes_in_stream_order() {
         // A batch that inserts an edge and deletes it again: the settled
-        // view no longer has it, and stream-order routing must leave
+        // view no longer has it, and a stream-order absorb must leave
         // every index exact (the insert's stale distance certificate is
-        // caught by the later-routed delete note).
+        // caught by the later delete in the same absorb).
         let g: DynGraph<DynArr> = DynGraph::undirected(8, &CapacityHints::new(64));
         let mgr = SnapshotManager::new(g);
         mgr.apply_batch(&[

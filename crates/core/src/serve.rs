@@ -479,11 +479,11 @@ impl ServeMetrics {
             ),
             apply_ns: r.histogram(
                 "snap_serve_apply_ns",
-                "Per-cycle sharded update application time, index notes and settles included (ns)",
+                "Per-cycle sharded update application time, index absorbs and settles included (ns)",
             ),
             labels_ns: r.histogram(
                 "snap_serve_labels_ns",
-                "Per-cycle component-label publication (ns): one copy of the settled index's flat labels into a recycled array, or none when no label changed; the indexes note and settle inside snap_serve_apply_ns",
+                "Per-cycle component-label publication (ns): one copy of the settled index's flat labels into a recycled array, or none when no label changed; the indexes absorb and settle inside snap_serve_apply_ns",
             ),
             freeze_ns: r.histogram(
                 "snap_serve_freeze_ns",
@@ -572,7 +572,7 @@ struct Shared<A: DynamicAdjacency> {
     /// construction — that exclusivity is what makes index repairs and
     /// CSR builds race-free without a graph-wide lock.
     graph: DynGraph<A>,
-    /// The incremental indexes [`ServeConfig`] asked for: noted into,
+    /// The incremental indexes [`ServeConfig`] asked for: absorbed into,
     /// settled and epoch-stepped by the writer only.
     indexes: IndexFamily,
     /// The newest *frozen* version — what pins get. The write lock is
@@ -850,14 +850,14 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     /// ([`IndexQuery`]: `hop_distance`, `triangles_of`, `triangle_count`,
     /// `average_clustering`, ..., and the indexes' own counters through
     /// [`IndexQuery::routes`]). Queries read the writer's indexes under
-    /// their read locks, as of the last cycle: the writer notes and
+    /// their read locks, as of the last cycle: the writer absorbs and
     /// settles a cycle's changes under each index's write lock, so an
     /// answer is the graph after some prefix of the submitted batches,
     /// never older than a version pinned before the call — for
     /// connectivity prefer the wait-free
     /// [`ServeEngine::same_component`]. The writer steps every index
     /// before it publishes a cycle's epoch, so no query here ever pays a
-    /// rebuild. Do not note into the indexes.
+    /// rebuild. Do not absorb into the indexes.
     pub fn indexes(&self) -> IndexQuery<'_, DynGraph<A>> {
         let s = &*self.shared;
         s.indexes.query(&s.graph, &s.cycle_epoch)

@@ -22,10 +22,10 @@
 //! # Concurrency contract
 //!
 //! The adjacency and the counters are plain data behind one lock
-//! ([`crate::indexes`]). A note applies its whole delta under the write
-//! lock and reads take the read lock, so a read sees every delta or
-//! none of it. Deltas are complete, so the index never owes a settle,
-//! and its reads take no view.
+//! ([`crate::indexes`]). An [`IncrementalIndex::absorb`] applies all its
+//! deltas under the write lock and reads take the read lock, so a read
+//! sees every delta of an absorb or none of them. Deltas are complete,
+//! so the index never owes a settle, and its reads take no view.
 
 use crate::indexes::{IncrementalIndex, IndexCore};
 use crate::view::GraphView;
@@ -85,8 +85,8 @@ fn common_neighbors(a: &[u32], b: &[u32]) -> Vec<u32> {
 ///
 /// ```
 /// use snap_core::adjacency::CapacityHints;
-/// use snap_core::{DynGraph, HybridAdj, TriangleIndex};
-/// use snap_rmat::TimedEdge;
+/// use snap_core::{DynGraph, HybridAdj, IncrementalIndex, TriangleIndex};
+/// use snap_rmat::{TimedEdge, Update};
 ///
 /// let g: DynGraph<HybridAdj> = DynGraph::undirected(4, &CapacityHints::new(16));
 /// for (u, v) in [(0, 1), (1, 2), (2, 0), (0, 3)] {
@@ -97,14 +97,16 @@ fn common_neighbors(a: &[u32], b: &[u32]) -> Vec<u32> {
 ///
 /// // Inserting (1, 3) closes a second triangle through 0 — one
 /// // intersection, no recount.
-/// g.insert_edge(TimedEdge::new(1, 3, 2));
-/// idx.note_insert(1, 3);
+/// let chord = Update::insert(TimedEdge::new(1, 3, 2));
+/// assert!(g.apply(&chord));
+/// idx.absorb(&g, [&chord]);
 /// assert_eq!(idx.triangle_count(), 2);
 /// assert_eq!(idx.triangles_of(0), 2);
 ///
 /// // Deleting (0, 1) breaks both triangles.
-/// g.delete_edge(0, 1);
-/// idx.note_delete(&g, 0, 1);
+/// let cut = Update::delete(TimedEdge::new(0, 1, 0));
+/// assert!(g.apply(&cut));
+/// idx.absorb(&g, [&cut]);
 /// assert_eq!(idx.triangle_count(), 0);
 /// assert_eq!(idx.full_rebuild_count(), 0, "pure delta maintenance");
 /// ```
@@ -143,14 +145,18 @@ impl Counts {
         }
     }
 
-    /// See [`TriangleIndex::note_insert`].
-    fn note_insert(&mut self, u: u32, v: u32) -> bool {
+    /// Takes an edge insertion: one sorted intersection, then `±1`
+    /// deltas on the endpoints and every common neighbor. Self-loops and
+    /// keys already in the simple graph are no-ops, which makes inserts
+    /// idempotent against duplicate representations. The graph is not
+    /// consulted.
+    fn insert(&mut self, u: u32, v: u32) {
         let n = self.adj.len();
         if u == v || (u as usize) >= n || (v as usize) >= n {
-            return false;
+            return;
         }
         let i = match self.adj[u as usize].binary_search(&v) {
-            Ok(_) => return false, // already present in the simple graph
+            Ok(_) => return, // already present in the simple graph
             Err(i) => i,
         };
         self.adj[u as usize].insert(i, v);
@@ -160,23 +166,24 @@ impl Counts {
         self.adj[v as usize].insert(j, u);
         let common = common_neighbors(&self.adj[u as usize], &self.adj[v as usize]);
         self.apply_delta(u, v, &common, true);
-        true
     }
 
-    /// See [`TriangleIndex::note_delete`].
-    fn note_delete<V: GraphView>(&mut self, view: &V, u: u32, v: u32) -> bool {
+    /// Takes an edge deletion: the mirror of [`Counts::insert`], applied
+    /// only once no representation of the key survives in `view` (the
+    /// key-granular delete contract).
+    fn delete<V: GraphView>(&mut self, view: &V, u: u32, v: u32) {
         let n = self.adj.len();
         if u == v || (u as usize) >= n || (v as usize) >= n {
-            return false;
+            return;
         }
         let i = match self.adj[u as usize].binary_search(&v) {
             Ok(i) => i,
-            Err(_) => return false, // never present in the simple graph
+            Err(_) => return, // never present in the simple graph
         };
         // Key-granular contract: only an edge actually gone from the
         // live view changes the simple graph.
         if view.find_edge(u, |w, _| w == v).is_some() {
-            return false;
+            return;
         }
         // Intersect *before* unlinking: the dying triangles are exactly
         // the common neighbors while the edge still stands.
@@ -187,14 +194,6 @@ impl Counts {
             .expect("adjacency symmetry"); // panics: internal invariant — lists are mirrored under the lock
         self.adj[v as usize].remove(j);
         self.apply_delta(u, v, &common, false);
-        true
-    }
-
-    fn note<V: GraphView>(&mut self, view: &V, upd: &Update) {
-        match upd.kind {
-            UpdateKind::Insert => self.note_insert(upd.edge.u, upd.edge.v),
-            UpdateKind::Delete => self.note_delete(view, upd.edge.u, upd.edge.v),
-        };
     }
 
     /// Applies one edge's triangle delta; the lists are already updated.
@@ -281,28 +280,6 @@ impl TriangleIndex {
         idx
     }
 
-    // ---- update notifications ------------------------------------------
-
-    /// Records an edge insertion: one sorted intersection, then `±1`
-    /// deltas on the endpoints and every common neighbor. Returns
-    /// `true` if the edge was new to the simple graph (self-loops and
-    /// already-present keys are no-ops, which makes notes idempotent
-    /// against duplicate representations and rebuild absorption). The
-    /// underlying graph does not need to be consulted.
-    pub fn note_insert(&self, u: u32, v: u32) -> bool {
-        self.state.write().note_insert(u, v)
-    }
-
-    /// Records an edge deletion: the mirror of
-    /// [`TriangleIndex::note_insert`]. The caller must have already
-    /// removed the edge from `view`; if a representation of the key
-    /// still survives there (the routed no-op case), the note does
-    /// nothing — the simple graph hasn't changed. Returns `true` if the
-    /// edge actually left the simple graph.
-    pub fn note_delete<V: GraphView>(&self, view: &V, u: u32, v: u32) -> bool {
-        self.state.write().note_delete(view, u, v)
-    }
-
     // ---- reads ---------------------------------------------------------
 
     /// Triangles incident to vertex `u` (each triangle counted once per
@@ -369,15 +346,15 @@ impl std::ops::Deref for TriangleIndex {
 }
 
 impl IncrementalIndex for TriangleIndex {
-    fn note<V: GraphView>(&self, view: &V, upd: &Update) {
-        self.state.write().note(view, upd);
-    }
-
-    // Deltas are complete: there is nothing to settle after the notes.
+    // Deltas are complete: there is nothing to settle after them.
     fn absorb<'u, V: GraphView>(&self, view: &V, changes: impl IntoIterator<Item = &'u Update>) {
         let mut st = self.state.write();
         for upd in changes {
-            st.note(view, upd);
+            let (u, v) = (upd.edge.u, upd.edge.v);
+            match upd.kind {
+                UpdateKind::Insert => st.insert(u, v),
+                UpdateKind::Delete => st.delete(view, u, v),
+            }
         }
     }
 
@@ -394,18 +371,36 @@ impl IncrementalIndex for TriangleIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjacency::CapacityHints;
+    use crate::adjacency::{CapacityHints, DynamicAdjacency};
     use crate::dynarr::DynArr;
     use crate::graph::DynGraph;
     use crate::hybrid::HybridAdj;
     use snap_rmat::TimedEdge;
 
-    fn graph<A: crate::adjacency::DynamicAdjacency>(n: usize, edges: &[(u32, u32)]) -> DynGraph<A> {
+    fn graph<A: DynamicAdjacency>(n: usize, edges: &[(u32, u32)]) -> DynGraph<A> {
         let g = DynGraph::undirected(n, &CapacityHints::new(edges.len() * 2 + 8));
         for &(u, v) in edges {
             g.insert_edge(TimedEdge::new(u, v, 1));
         }
         g
+    }
+
+    fn ins(u: u32, v: u32, ts: u32) -> Update {
+        Update::insert(TimedEdge::new(u, v, ts))
+    }
+
+    fn del(u: u32, v: u32) -> Update {
+        Update::delete(TimedEdge::new(u, v, 0))
+    }
+
+    /// Applies `upd` to `g`, which it must change, then absorbs it into
+    /// `idx`, as an engine's cycle does. Returns whether the index took
+    /// a delta.
+    fn absorb<A: DynamicAdjacency>(g: &DynGraph<A>, idx: &TriangleIndex, upd: Update) -> bool {
+        assert!(g.apply(&upd), "{upd:?} must change the graph");
+        let before = idx.delta_count();
+        idx.absorb(g, [&upd]);
+        idx.delta_count() > before
     }
 
     /// O(n^3) oracle over the simple undirected simplification.
@@ -457,12 +452,10 @@ mod tests {
         let g: DynGraph<DynArr> = graph(4, &[(0, 1), (1, 2), (2, 0), (0, 3)]);
         let idx = TriangleIndex::from_view(&g);
         assert_eq!(idx.triangle_count(), 1);
-        g.insert_edge(TimedEdge::new(1, 3, 2));
-        assert!(idx.note_insert(1, 3));
+        assert!(absorb(&g, &idx, ins(1, 3, 2)));
         assert_eq!(idx.triangle_count(), 2);
         assert_eq!(idx.per_vertex(), oracle(&g).0);
-        g.insert_edge(TimedEdge::new(2, 3, 3));
-        assert!(idx.note_insert(2, 3));
+        assert!(absorb(&g, &idx, ins(2, 3, 3)));
         // K4 now: 4 triangles, 3 per vertex.
         assert_eq!(idx.triangle_count(), 4);
         assert_eq!(idx.per_vertex(), vec![3, 3, 3, 3]);
@@ -474,12 +467,10 @@ mod tests {
         let g: DynGraph<DynArr> = graph(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let idx = TriangleIndex::from_view(&g);
         assert_eq!(idx.triangle_count(), 4);
-        g.delete_edge(0, 1);
-        assert!(idx.note_delete(&g, 0, 1));
+        assert!(absorb(&g, &idx, del(0, 1)));
         assert_eq!(idx.triangle_count(), 2);
         assert_eq!(idx.per_vertex(), oracle(&g).0);
-        g.delete_edge(2, 3);
-        assert!(idx.note_delete(&g, 2, 3));
+        assert!(absorb(&g, &idx, del(2, 3)));
         assert_eq!(idx.triangle_count(), 0);
         assert_eq!(idx.per_vertex(), vec![0, 0, 0, 0]);
     }
@@ -488,29 +479,27 @@ mod tests {
     fn self_loops_and_duplicates_are_noops() {
         let g: DynGraph<DynArr> = graph(3, &[(0, 1), (1, 2), (2, 0)]);
         let idx = TriangleIndex::from_view(&g);
-        assert!(!idx.note_insert(1, 1), "self-loop");
-        g.insert_edge(TimedEdge::new(0, 1, 9)); // duplicate representation
+        assert!(!absorb(&g, &idx, ins(1, 1, 1)), "self-loop");
         assert!(
-            !idx.note_insert(0, 1),
+            !absorb(&g, &idx, ins(0, 1, 9)), // a duplicate representation
             "already present in the simple graph"
         );
         assert_eq!(idx.triangle_count(), 1);
         assert_eq!(idx.delta_count(), 0);
-        // The duplicate representation still lives in the view, so the
-        // simple edge survives this delete note... but delete_edge is
-        // key-granular and removes all representations at once:
-        g.delete_edge(0, 1);
-        assert!(idx.note_delete(&g, 0, 1));
+        // Two representations of (0, 1) live in the view, but a delete
+        // is key-granular and removes both at once:
+        assert!(absorb(&g, &idx, del(0, 1)));
         assert_eq!(idx.triangle_count(), 0);
     }
 
     #[test]
     fn surviving_representation_blocks_the_delete_delta() {
-        // Drive note_delete without actually removing the edge from the
-        // view — the routed-no-op case: the note must refuse the delta.
+        // Absorb a delete without removing the edge from the view: the
+        // delta must be refused while a representation survives.
         let g: DynGraph<DynArr> = graph(3, &[(0, 1), (1, 2), (2, 0)]);
         let idx = TriangleIndex::from_view(&g);
-        assert!(!idx.note_delete(&g, 0, 1), "edge still lives in the view");
+        idx.absorb(&g, [&del(0, 1)]);
+        assert_eq!(idx.delta_count(), 0, "edge still lives in the view");
         assert_eq!(idx.triangle_count(), 1);
         assert_eq!(idx.degree_of(0), 2);
     }
@@ -544,12 +533,10 @@ mod tests {
             let key = (u.min(v), u.max(v));
             if live.contains(&key) {
                 live.remove(&key);
-                g.delete_edge(key.0, key.1);
-                assert!(idx.note_delete(&g, key.0, key.1));
+                assert!(absorb(&g, &idx, del(key.0, key.1)));
             } else {
                 live.insert(key);
-                g.insert_edge(TimedEdge::new(key.0, key.1, 1 + step % 90));
-                assert!(idx.note_insert(key.0, key.1));
+                assert!(absorb(&g, &idx, ins(key.0, key.1, 1 + step % 90)));
             }
             if step % 53 == 0 {
                 let (per, total) = oracle(&g);
@@ -572,11 +559,9 @@ mod tests {
         idx.resync(&g, 1);
         assert_eq!(idx.triangle_count(), 1);
         assert_eq!(idx.full_rebuild_count(), 1);
-        // And notes keep working against the rebuilt adjacency.
-        g.insert_edge(TimedEdge::new(0, 3, 6));
-        g.insert_edge(TimedEdge::new(1, 3, 6));
-        assert!(idx.note_insert(0, 3));
-        assert!(idx.note_insert(1, 3));
+        // And absorbs keep working against the rebuilt adjacency.
+        assert!(absorb(&g, &idx, ins(0, 3, 6)));
+        assert!(absorb(&g, &idx, ins(1, 3, 6)));
         assert_eq!(idx.triangle_count(), 2);
     }
 
@@ -593,10 +578,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_notes_serialize_to_the_oracle() {
+    fn concurrent_absorbs_serialize_to_the_oracle() {
         use rayon::prelude::*;
-        // Build a K16 in the graph first, then race all the insert
-        // notes: the lock serializes the deltas, and idempotence makes
+        // Build a K16 in the graph first, then race one absorb per
+        // insert: the lock serializes the deltas, and idempotence makes
         // the outcome schedule-independent.
         let n = 16usize;
         let mut edges = Vec::new();
@@ -607,9 +592,10 @@ mod tests {
         }
         let g: DynGraph<HybridAdj> = graph(n, &edges);
         let idx = TriangleIndex::new(n);
-        edges.par_iter().for_each(|&(u, v)| {
-            assert!(idx.note_insert(u, v));
-        });
+        edges
+            .par_iter()
+            .for_each(|&(u, v)| idx.absorb(&g, [&ins(u, v, 1)]));
+        assert_eq!(idx.delta_count(), edges.len());
         let (per, total) = oracle(&g);
         assert_eq!(idx.per_vertex(), per);
         assert_eq!(idx.triangle_count(), total);
@@ -618,9 +604,10 @@ mod tests {
         for &(u, v) in &victims {
             g.delete_edge(u, v);
         }
-        victims.par_iter().for_each(|&(u, v)| {
-            assert!(idx.note_delete(&g, u, v));
-        });
+        victims
+            .par_iter()
+            .for_each(|&(u, v)| idx.absorb(&g, [&del(u, v)]));
+        assert_eq!(idx.delta_count(), edges.len() + victims.len());
         let (per, total) = oracle(&g);
         assert_eq!(idx.per_vertex(), per);
         assert_eq!(idx.triangle_count(), total);

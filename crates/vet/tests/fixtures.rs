@@ -189,10 +189,53 @@ fn workspace_scans_clean() {
             .join("\n")
     );
     assert!(report.files > 80, "scan must actually cover the workspace");
-    // A coverage floor, not a target: the workspace holds about 140
-    // annotated ordering sites, and deleting atomics shrinks it.
+    // Only vendored code may leave the scan: a skipped crate of ours
+    // fails here.
     assert!(
-        report.stats.ordering_sites > 120,
-        "the ordering-annotation inventory must be scanned"
+        reg.skip.iter().all(|p| p.starts_with("crates/shims")),
+        "vet.toml skips more than the vendored shims: {:?}",
+        reg.skip
     );
+    // A floor that moves with the code: a scanned library file whose
+    // code names an `Ordering::` holds at least one ordering site.
+    let mut files = Vec::new();
+    for r in &reg.roots {
+        rs_files(&root.join(r), &mut files);
+    }
+    let naming = files
+        .iter()
+        .filter(|path| {
+            let rel = path.strip_prefix(&root).expect("under the root");
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            let library = !rel
+                .split('/')
+                .any(|s| ["tests", "benches", "examples"].contains(&s));
+            let source = std::fs::read_to_string(path).expect("source readable");
+            library
+                && !reg.path_skipped(&rel)
+                && snap_vet::lexer::lex(&source, false)
+                    .iter()
+                    .any(|l| !l.in_test && l.code.contains("Ordering::"))
+        })
+        .count();
+    assert!(naming > 0, "the walk must find the library's atomics");
+    assert!(
+        report.stats.ordering_sites >= naming,
+        "{} ordering sites scanned, but {naming} library files name an `Ordering::`",
+        report.stats.ordering_sites
+    );
+}
+
+/// Every `.rs` file under `dir`, outside build output.
+fn rs_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
+        if path.is_dir() && !path.ends_with("target") {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
 }

@@ -70,7 +70,7 @@
 //! `hop_distance`, `triangle_count`, ...). Each engine is its graph's
 //! only mutator and steps every index before it publishes an epoch, so
 //! a query never finds an index behind; the freshness check it makes
-//! first still turns an unrouted change into one full rebuild instead of
+//! first still turns an unabsorbed change into one full rebuild instead of
 //! a stale answer.
 //!
 //! ## Observability

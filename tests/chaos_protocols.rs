@@ -16,8 +16,8 @@
 //!    must never see a half-settled forest.
 //! 2. **ServeEngine publish** (invariant 1): every version a reader
 //!    pins corresponds to one prefix of the submission order.
-//! 3. **Epoch resync** (invariant 6): a mutation the indexes were not
-//!    routed, published as a bare epoch bump, leaves a sticky epoch gap
+//! 3. **Epoch resync** (invariant 6): a mutation the indexes never
+//!    absorbed, published as a bare epoch bump, leaves a sticky epoch gap
 //!    that the next query must absorb with a conservative full resync —
 //!    never serve stale.
 //! 4. **Distance repair** (invariants 1, 6): deletion batches
@@ -283,7 +283,7 @@ fn epoch_resync_matches_oracle_across_seeds() {
         let family = IndexFamily::default();
         let epoch = AtomicU64::new(0);
         let idx = family.attach_connectivity(&g, 0);
-        // The inserts are routed, stepped, then published.
+        // The inserts are applied and absorbed, stepped, then published.
         assert!(engine::apply_vpart_indexed(&g, &inserts, 0, family.routes()) > 0);
         family.routes().sync_change(1);
         // ordering: Release — the test's epoch publication, after the

@@ -6,9 +6,10 @@
 //! inserted twice while live nor deleted while absent, but deleted
 //! edges may be re-inserted later), drive it through an update
 //! strategy (`stream` / `vpart` / `epart`) at a given thread count,
-//! hand every update to the maintained index in stream order (a note per
-//! update, or one `absorb` per batch as the engines' write cycle does),
-//! and assert — mid-stream and at the end — that the index's state is
+//! hand every update to the maintained index in stream order (one
+//! `absorb` per batch as the engines' write cycle does, or per update;
+//! connectivity takes single updates through its `note_*` methods), and
+//! assert — mid-stream and at the end — that the index's state is
 //! **bit-identical** to a from-scratch oracle computed on the settled
 //! view, with the incremental path never once falling back to a full
 //! rebuild.
@@ -176,8 +177,8 @@ pub fn scripted_workload(n: u32, batches: &[&[(u32, u32, bool)]]) -> Workload {
 /// stream order, over the settled view).
 #[derive(Clone, Copy, Debug)]
 pub enum Strategy {
-    /// One update at a time; the index notes each after its apply and
-    /// settles what it owes at query time.
+    /// One update at a time; the index takes each after its apply
+    /// ([`DifferentialPair::absorb_one`]).
     Stream,
     /// Vertex-partitioned parallel apply, then one absorb of the batch.
     Vpart,
@@ -199,15 +200,10 @@ pub trait DifferentialPair {
     type Index: IncrementalIndex;
     /// The index under test.
     fn index(&self) -> &Self::Index;
-    /// Routes one settled update into the maintained index, through the
-    /// family's single note entry point.
-    fn route<V: GraphView>(&self, view: &V, upd: &Update) {
-        self.index().note(view, upd);
-    }
-    /// Hands a whole applied batch to the maintained index the way the
-    /// engines' write cycle does: one [`IncrementalIndex::absorb`].
-    fn absorb<V: GraphView>(&self, view: &V, batch: &[Update]) {
-        self.index().absorb(view, batch);
+    /// Hands one applied update to the maintained index: by default one
+    /// [`IncrementalIndex::absorb`] of it alone.
+    fn absorb_one<V: GraphView>(&self, view: &V, upd: &Update) {
+        self.index().absorb(view, std::slice::from_ref(upd));
     }
     /// Extracts the maintained state (lazy repairs allowed).
     fn state<V: GraphView>(&self, view: &V) -> Self::State;
@@ -239,16 +235,16 @@ where
             Strategy::Stream => {
                 for u in batch {
                     g.apply(u);
-                    pair.route(&g, u);
+                    pair.absorb_one(&g, u);
                 }
             }
             Strategy::Vpart => {
                 pool.install(|| engine::apply_vpart(&g, batch, threads));
-                pair.absorb(&g, batch);
+                pair.index().absorb(&g, batch);
             }
             Strategy::Epart => {
                 pool.install(|| engine::apply_epart(&g, batch, threads));
-                pair.absorb(&g, batch);
+                pair.index().absorb(&g, batch);
             }
         }
         if bi == last || (bi + 1) % w.check_every == 0 {
@@ -269,10 +265,6 @@ where
 /// [`ConnectivityIndex`] vs the union-find oracle on the live view.
 pub struct ConnPair {
     idx: ConnectivityIndex,
-    /// Route insertions through bare [`ConnectivityIndex::union`]
-    /// instead of `note_insert` (it is public, so it must leave the
-    /// same certificate edges).
-    bare_union: bool,
 }
 
 impl ConnPair {
@@ -280,15 +272,6 @@ impl ConnPair {
     pub fn new<V: GraphView>(view: &V) -> Self {
         Self {
             idx: ConnectivityIndex::from_view(view),
-            bare_union: false,
-        }
-    }
-
-    /// [`ConnPair::new`], with insertions routed through bare `union`.
-    pub fn with_bare_union<V: GraphView>(view: &V) -> Self {
-        Self {
-            bare_union: true,
-            ..Self::new(view)
         }
     }
 }
@@ -301,20 +284,15 @@ impl DifferentialPair for ConnPair {
         &self.idx
     }
 
-    fn route<V: GraphView>(&self, view: &V, upd: &Update) {
-        if self.bare_union && upd.kind == UpdateKind::Insert {
-            self.idx.union(upd.edge.u, upd.edge.v);
-        } else {
-            self.idx.note(view, upd);
-        }
-    }
-
-    /// With bare unions, one route per update (`absorb` never unions bare).
-    fn absorb<V: GraphView>(&self, view: &V, batch: &[Update]) {
-        if self.bare_union {
-            batch.iter().for_each(|u| self.route(view, u));
-        } else {
-            self.idx.absorb(view, batch);
+    /// Through the per-update `note_insert` / `note_delete`, settled by
+    /// the next query: the path the benchmark's replay runs.
+    fn absorb_one<V: GraphView>(&self, _view: &V, upd: &Update) {
+        let (u, v) = (upd.edge.u, upd.edge.v);
+        match upd.kind {
+            UpdateKind::Insert => {
+                self.idx.note_insert(u, v);
+            }
+            UpdateKind::Delete => self.idx.note_delete(u, v),
         }
     }
 
@@ -351,10 +329,10 @@ impl DifferentialPair for DistPair {
         &self.idx
     }
 
-    fn state<V: GraphView>(&self, view: &V) -> Vec<Vec<u32>> {
+    fn state<V: GraphView>(&self, _view: &V) -> Vec<Vec<u32>> {
         self.sources
             .iter()
-            .map(|&s| self.idx.distances(view, s))
+            .map(|&s| self.idx.distances(s))
             .collect()
     }
 

@@ -196,9 +196,10 @@ fn instrumented_serving_results_are_unchanged() {
     }
 }
 
-/// The applier's phase timers and the cycle's absorb timer record a
-/// batch exactly when the feature is on, and the batch lands as a
-/// sequential loop would land it in both feature states.
+/// The applier's phase timers and its absorb timer (recorded when an
+/// index is attached, so the manager attaches one) record a batch
+/// exactly when the feature is on, and the batch lands as a sequential
+/// loop would land it in both feature states.
 #[test]
 fn applier_phase_timers_leave_the_batch_unchanged() {
     let timers = [
@@ -226,6 +227,7 @@ fn applier_phase_timers_leave_the_batch_unchanged() {
         .collect();
     let before = counts();
     let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(97, &hints(4096)));
+    let conn = mgr.enable_connectivity();
     assert!(mgr.apply_batch(&batch));
     let after = counts();
     let oracle = DynGraph::<HybridAdj>::undirected(97, &hints(4096));
@@ -233,6 +235,7 @@ fn applier_phase_timers_leave_the_batch_unchanged() {
         oracle.apply(u);
     }
     assert_eq!(*mgr.snapshot(), oracle.to_csr());
+    assert_eq!(conn.labels(mgr.live()), connected_components(&oracle));
     for (name, (was, is)) in timers.iter().zip(before.into_iter().zip(after)) {
         if snap::obs::ENABLED {
             assert!(is > was, "{name} recorded nothing");

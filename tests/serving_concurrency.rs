@@ -662,9 +662,23 @@ fn multi_range_backlog_matches_oracle_eight_shards() {
 #[test]
 fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    // The burst holds 327,680 half-updates, past two applier ranges, so
+    // its drain takes at least three cycles. It queues behind one batch
+    // over the range budget, a cycle by itself, which keeps the writer
+    // busy while the producer submits the burst back to back.
     const BURST: usize = 160;
+    const BURST_BATCH: usize = 1024;
+    const FIRST_BATCH: usize = RANGE_BUDGET / 2 + 4096;
+    const { assert!(BURST * 2 * BURST_BATCH > 2 * RANGE_BUDGET) };
     let edges = base_edges(23);
     let base = base_stream(&edges, 31);
+    let mut stream = StreamBuilder::new(&edges, 77).inserting_from(base_len(&edges));
+    let first = stream.mixed(FIRST_BATCH, 0.7);
+    let halves: usize = (first.iter())
+        .map(|u| 1 + usize::from(u.edge.u != u.edge.v))
+        .sum();
+    assert!(halves >= RANGE_BUDGET, "the first batch is over budget");
+    let burst: Vec<Vec<Update>> = (0..BURST).map(|_| stream.mixed(BURST_BATCH, 0.7)).collect();
     let engine = ServeEngine::new(
         seeded_graph(&base),
         ServeConfig::default().with_shards(2).with_history(true),
@@ -675,9 +689,8 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
     let (done, submitted) = (&done, &submitted);
     let pins: Vec<SnapshotHandle> = std::thread::scope(|scope| {
         let producer = scope.spawn(|| {
-            let mut stream = StreamBuilder::new(&edges, 77).inserting_from(base_len(&edges));
-            for _ in 0..BURST {
-                engine.submit(stream.mixed(64, 0.7));
+            for batch in std::iter::once(first).chain(burst) {
+                engine.submit(batch);
                 // ordering: SeqCst — test-side bookkeeping: counts a
                 // batch only once its submit() has returned.
                 submitted.fetch_add(1, Ordering::SeqCst);
@@ -742,8 +755,17 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
         watcher.join().unwrap();
         reader.join().unwrap()
     });
-    assert_eq!(engine.pin().batches(), BURST as u64);
+    assert_eq!(engine.pin().batches(), BURST as u64 + 1);
     assert!(engine.freezes() <= engine.epoch());
+    // The first batch's cycle, then the drain's.
+    let drain = engine.epoch() - 1;
+    assert!(drain >= 3, "the burst drained in {drain} cycles");
+    assert!(
+        engine.freezes() < engine.epoch(),
+        "a backlog skips freezes: {} freezes in {} cycles",
+        engine.freezes(),
+        engine.epoch()
+    );
     assert_eq!(engine.full_rebuild_count(), Some(0));
     // Never a CSR from one prefix with labels or a batch count from
     // another — including the versions frozen mid-backlog.
