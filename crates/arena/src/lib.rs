@@ -226,19 +226,6 @@ impl<T: Copy> SlabPool<T> {
         p
     }
 
-    /// Allocates a copy of `src` inside the pool.
-    ///
-    /// # Panics
-    /// If `src` is empty (zero-length allocations are rejected).
-    pub fn alloc_copy(&self, src: &[T]) -> NonNull<T> {
-        let p = self.alloc(src.len());
-        // SAFETY: disjoint fresh slots; src is a valid slice.
-        unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), p.as_ptr(), src.len());
-        }
-        p
-    }
-
     /// Total slots handed out so far.
     pub fn allocated_slots(&self) -> usize {
         // ordering: Relaxed — footprint counter (invariant 9).
@@ -321,16 +308,6 @@ mod tests {
     fn zero_length_allocation_panics() {
         let pool: SlabPool<u8> = SlabPool::with_slab_slots(8);
         pool.alloc(0);
-    }
-
-    #[test]
-    fn alloc_copy_round_trips() {
-        let pool: SlabPool<u16> = SlabPool::with_slab_slots(64);
-        let src = [1u16, 2, 3, 4, 5];
-        let p = pool.alloc_copy(&src);
-        // SAFETY: reading back the block just allocated from `src`.
-        let got: Vec<u16> = (0..5).map(|i| unsafe { *p.as_ptr().add(i) }).collect();
-        assert_eq!(got, src);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! (`sigma`), then a backward pass accumulates per-vertex dependencies
 //! (`delta`) over the shortest-path DAG. This module is the **serial
 //! reference implementation**; the multi-threaded runtime
-//! (`snap_par::par_bc`) reproduces its scores bit-for-bit and falls back
-//! to it below the parallel size threshold. The approximate variant
+//! (`snap_par::par_bc`) reproduces its scores bit-for-bit at every graph
+//! size. The approximate variant
 //! traverses from a sampled subset of sources and extrapolates by
 //! `n / |sources|` — the paper samples 256 sources.
 //!

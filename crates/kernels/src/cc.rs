@@ -1,8 +1,7 @@
 //! Connected components: the serial union-find kernel.
 //!
-//! The standalone kernel, the serial fallback of `snap_par::par_cc`, and
-//! the oracle that kernel and the incremental `ConnectivityIndex` are
-//! checked against. The view's live edges stream once, in order,
+//! The standalone kernel, and the oracle that `snap_par::par_cc` and
+//! the incremental `ConnectivityIndex` are checked against. The view's live edges stream once, in order,
 //! through a union-find that hooks the larger root under the smaller.
 //! `par_cc` is union-find too (Afforest's sampled CAS linking), so
 //! `tests/parallel_equivalence.rs` also checks both against min-id

@@ -19,8 +19,8 @@
 //! - [`bfs`](mod@bfs) — lock-free level-synchronous parallel BFS with the
 //!   unbalanced-degree optimization, and its temporal (timestamp-filtered)
 //!   variant (Figure 10).
-//! - [`cc`] — serial union-find connected components (the oracle and
-//!   fallback of `par_cc`'s Afforest linking).
+//! - [`cc`] — serial union-find connected components (the oracle of
+//!   `par_cc`'s Afforest linking).
 //! - [`lcf`] — the parent-pointer link-cut forest: construction via
 //!   parallel BFS, `link`/`cut`/`findroot`, batch connectivity queries
 //!   (Figures 7–8), and replacement-edge search on deletions (extension).
@@ -35,9 +35,9 @@
 //! (`par_bfs` / `par_cc` / `par_bc`): it shares this crate's result
 //! vocabulary ([`BfsResult`], [`UNREACHED`], the canonical min-id
 //! component labels, the deterministic betweenness summation order of
-//! [`bc`]) and falls back to the serial kernels here ([`serial_bfs`],
-//! [`connected_components`], [`betweenness_exact`]) below its size
-//! threshold, so the two layers are interchangeable in call sites and
+//! [`bc`]) and never calls the serial kernels here ([`serial_bfs`],
+//! [`connected_components`], [`betweenness_exact`]), which are its
+//! oracles: the two layers are interchangeable in call sites and
 //! comparable bit-for-bit in tests.
 
 #![deny(missing_docs)]

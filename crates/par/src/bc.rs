@@ -31,17 +31,12 @@
 //! - cross-source accumulation folds fixed [`SOURCE_BLOCK`]-sized
 //!   partial vectors in ascending block order, a grouping independent of
 //!   the thread count.
-//!
-//! # Serial fallback
-//!
-//! Graphs with `n + m <=` [`ParConfig::serial_threshold`] dispatch to the
-//! serial kernel directly, like every kernel in this crate.
 
 use crate::frontier::ParStats;
 use crate::ParConfig;
 use snap_core::GraphView;
 use snap_kernels::bc::{sample_sources, SOURCE_BLOCK};
-use snap_kernels::{betweenness_approx, betweenness_exact, UNREACHED};
+use snap_kernels::UNREACHED;
 
 /// Which vertices to run Brandes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,9 +68,8 @@ pub enum BcSources {
 /// let bc = par_bc(&g);
 /// assert_eq!(bc, vec![0.0, 4.0, 4.0, 0.0]);
 ///
-/// // The parallel path (forced below the serial threshold) must agree
-/// // with the serial kernel bit-for-bit.
-/// let cfg = ParConfig::default().with_serial_threshold(0).with_threads(2);
+/// // Any thread count agrees with the serial kernel bit-for-bit.
+/// let cfg = ParConfig::default().with_threads(2);
 /// let par = par_bc_with(&g, BcSources::Exact, &cfg);
 /// assert_eq!(par, snap_kernels::betweenness_exact(&g));
 /// ```
@@ -88,13 +82,6 @@ pub fn par_bc<V: GraphView>(view: &V) -> Vec<f64> {
 /// docs for the exactness and determinism contract.
 pub fn par_bc_with<V: GraphView>(view: &V, sources: BcSources, cfg: &ParConfig) -> Vec<f64> {
     let n = view.num_vertices();
-    if n + view.num_entries() <= cfg.serial_threshold {
-        crate::metrics::publish(&ParStats::default());
-        return match sources {
-            BcSources::Exact => betweenness_exact(view),
-            BcSources::Sample { k, seed } => betweenness_approx(view, &sample_sources(n, k, seed)),
-        };
-    }
     let (sources, scale) = match sources {
         BcSources::Exact => ((0..n as u32).collect::<Vec<u32>>(), 1.0),
         BcSources::Sample { k, seed } => {
@@ -293,13 +280,13 @@ mod tests {
     use super::*;
     use snap_core::adjacency::CapacityHints;
     use snap_core::{CsrGraph, DynGraph, HybridAdj};
+    use snap_kernels::{betweenness_approx, betweenness_exact};
     use snap_rmat::{Rmat, RmatParams, TimedEdge};
 
     // Gate 0 keeps the forked paths exercised even on single-core
     // hosts, where the Auto grain would (correctly) run inline.
     fn force(threads: usize) -> ParConfig {
         ParConfig::default()
-            .with_serial_threshold(0)
             .with_threads(threads)
             .with_level_grain(crate::Grain::Edges(0))
     }
@@ -375,18 +362,6 @@ mod tests {
             let t = par_bc_with(&g, BcSources::Exact, &force(threads));
             assert_eq!(bits(&t), bits(&one), "{threads}t vs 1t");
         }
-    }
-
-    #[test]
-    fn small_graph_takes_the_serial_fallback() {
-        let g = CsrGraph::from_edges_undirected(4, &[TimedEdge::new(0, 1, 1)]);
-        assert_eq!(par_bc(&g), betweenness_exact(&g));
-        let sampled = par_bc_with(
-            &g,
-            BcSources::Sample { k: 2, seed: 9 },
-            &ParConfig::default(),
-        );
-        assert_eq!(sampled, betweenness_approx(&g, &sample_sources(4, 2, 9)));
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Direction-optimizing parallel BFS over any [`GraphView`].
 //!
-//! Top-down levels run through the [`FrontierEngine`]: edge-budgeted
+//! Top-down levels run through the crate's frontier engine: edge-budgeted
 //! chunks, per-worker next buffers, and a compare-exchange claim per
-//! discovered vertex in an [`AtomicBitset`]. When the frontier gets
+//! discovered vertex in an atomic bitset. When the frontier gets
 //! dense, the traversal flips to **bottom-up** (Beamer et al., SC'12):
 //! instead of expanding frontier edges, every *unvisited* vertex scans
 //! its own adjacency for any frontier neighbor, and on small-world
 //! graphs the scan stops after a handful of entries because almost
 //! everything neighbors the dense frontier.
 //!
-//! Bottom-up levels keep the frontier as a bitmap: two [`AtomicBitset`]s,
-//! this level's and the next, swapped after each level. The sweep walks
-//! the vertex ids in ranges aligned to 64-vertex words
-//! ([`sweep_grain`] is a multiple of 64), so the worker holding a range
+//! Bottom-up levels keep the frontier as a bitmap: two bitsets, this
+//! level's and the next, swapped after each level. The sweep walks the
+//! vertex ids in ranges aligned to 64-vertex words (the sweep grain is a
+//! multiple of 64), so the worker holding a range
 //! is the only writer of its words. It builds a word's discoveries in a
 //! local `u64` and publishes them to `visited` and to the next frontier
 //! with one plain store each — no claim, no read-modify-write — and it
@@ -30,15 +30,14 @@
 //! Bottom-up requires in-edge = out-edge symmetry, so it is gated to
 //! undirected views; directed graphs traverse pure top-down.
 //!
-//! Graphs below [`ParConfig::serial_threshold`] fall back to the serial
-//! kernel: a fork-join barrier per level cannot pay for itself on a
-//! graph that fits in one core's cache.
+//! A small graph takes the same path: its levels carry less edge volume
+//! than [`ParConfig::level_gate`], so they run inline on the caller.
 
 use crate::bitset::AtomicBitset;
 use crate::frontier::{par_for_ranges_stats, sweep_grain, FrontierEngine, ParStats};
 use crate::ParConfig;
 use snap_core::GraphView;
-use snap_kernels::bfs::{serial_bfs, BfsResult, UNREACHED};
+use snap_kernels::bfs::{BfsResult, UNREACHED};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -49,8 +48,6 @@ pub struct BfsStats {
     pub top_down_levels: u32,
     /// Levels expanded bottom-up.
     pub bottom_up_levels: u32,
-    /// True when the whole run used the serial fallback.
-    pub serial_fallback: bool,
     /// Adaptive-scheduling counters (top-down levels through the engine
     /// plus bottom-up sweeps).
     pub runtime: ParStats,
@@ -96,14 +93,6 @@ fn bfs_stats<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> (BfsResult, B
     let n = view.num_vertices();
     assert!((src as usize) < n, "source out of range");
     let m = view.num_entries();
-    if n + m <= cfg.serial_threshold {
-        let stats = BfsStats {
-            serial_fallback: true,
-            ..BfsStats::default()
-        };
-        crate::metrics::publish(&stats.runtime);
-        return (serial_bfs(view, src), stats);
-    }
     let threads = cfg.worker_count();
     let work = n + m;
     let mut stats = BfsStats::default();
@@ -117,8 +106,7 @@ fn bfs_stats<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> (BfsResult, B
     dist[src as usize].store(0, Ordering::Relaxed);
     visited.set(src as usize);
 
-    let mut engine =
-        FrontierEngine::new(threads, cfg.chunk_edges).with_level_gate(cfg.level_gate(work));
+    let mut engine = FrontierEngine::new(threads, cfg.chunk_edges, cfg.level_gate(work));
     engine.seed([src]);
 
     // Direction bookkeeping: size and out-degree mass of the current
@@ -175,7 +163,7 @@ fn bfs_stats<V: GraphView>(view: &V, src: u32, cfg: &ParConfig) -> (BfsResult, B
                 engine.seed(front.iter_ones());
             }
             let (dist, parent, visited) = (&dist, &parent, &visited);
-            engine.advance_hinted(view, Some(frontier_deg), |u, v, _| {
+            engine.advance_hinted(view, frontier_deg, |u, v, _| {
                 if visited.claim(v as usize) {
                     // ordering: Relaxed (both stores) — only the claim
                     // winner writes v's words (invariant 7); the level
@@ -305,6 +293,7 @@ mod tests {
     use super::*;
     use snap_core::adjacency::CapacityHints;
     use snap_core::{CsrGraph, DynGraph, HybridAdj};
+    use snap_kernels::bfs::serial_bfs;
     use snap_rmat::{Rmat, RmatParams, TimedEdge};
 
     // Force the parallel path at full width (gate 0 = always fork), so
@@ -312,16 +301,8 @@ mod tests {
     // Grain::Auto would keep everything inline.
     fn force() -> ParConfig {
         ParConfig::default()
-            .with_serial_threshold(0)
             .with_threads(4)
             .with_level_grain(crate::Grain::Edges(0))
-    }
-
-    #[test]
-    fn small_graph_takes_serial_fallback() {
-        let g = CsrGraph::from_edges_undirected(4, &[TimedEdge::new(0, 1, 1)]);
-        let (_, stats) = par_bfs_stats(&g, 0, &ParConfig::default());
-        assert!(stats.serial_fallback);
     }
 
     #[test]
@@ -330,7 +311,6 @@ mod tests {
         let g = CsrGraph::from_edges_undirected(1000, &edges);
         let (r, stats) = par_bfs_stats(&g, 0, &force());
         assert_eq!(stats.bottom_up_levels, 0, "sparse frontier must not flip");
-        assert!(!stats.serial_fallback);
         for v in 0..1000 {
             assert_eq!(r.dist[v], v as u32);
         }
@@ -444,9 +424,7 @@ mod tests {
         assert!(s.runtime.forked_levels >= 1, "{:?}", s.runtime);
         assert!(s.runtime.chunks_built > 0);
         // Auto grain with one pinned worker: nothing ever forks.
-        let auto = ParConfig::default()
-            .with_serial_threshold(0)
-            .with_threads(1);
+        let auto = ParConfig::default().with_threads(1);
         let (_, s) = par_bfs_stats(&star, 0, &auto);
         assert_eq!(s.runtime.forked_levels, 0, "{:?}", s.runtime);
     }

@@ -1,7 +1,7 @@
-//! The visited/label set of the parallel runtime.
+//! The visited set and bottom-up frontier of `par_bfs`.
 //!
-//! [`AtomicBitset`] is the claim structure every kernel in this crate
-//! races on: one bit per vertex, packed 64 to a cache-dense word.
+//! [`AtomicBitset`] is the claim structure BFS workers race on: one bit
+//! per vertex, packed 64 to a cache-dense word.
 //! Claiming is a compare-exchange loop on the containing word, so the
 //! caller learns *exactly* whether it was the thread that flipped the
 //! bit — the property top-down BFS needs to assign each vertex one
@@ -18,26 +18,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A concurrently claimable bitset over `0..len` bit indices.
-pub struct AtomicBitset {
+pub(crate) struct AtomicBitset {
     words: Vec<AtomicU64>,
     len: usize,
 }
 
 impl AtomicBitset {
     /// All-zero bitset covering `len` bits.
-    pub fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         let words = (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         Self { words, len }
-    }
-
-    /// Number of addressable bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the bitset addresses zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Atomically claims bit `i` with a compare-exchange loop. Returns
@@ -45,7 +35,7 @@ impl AtomicBitset {
     /// caller won the race and owns whatever per-vertex state the bit
     /// guards.
     #[inline]
-    pub fn claim(&self, i: usize) -> bool {
+    pub(crate) fn claim(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         let word = &self.words[i >> 6];
         let mask = 1u64 << (i & 63);
@@ -69,7 +59,7 @@ impl AtomicBitset {
 
     /// Sets bit `i` unconditionally (no claim information needed).
     #[inline]
-    pub fn set(&self, i: usize) {
+    pub(crate) fn set(&self, i: usize) {
         debug_assert!(i < self.len);
         // ordering: Relaxed — no claim information is taken from the
         // return; the level join publishes the mask (invariant 8).
@@ -78,21 +68,11 @@ impl AtomicBitset {
 
     /// Reads bit `i`.
     #[inline]
-    pub fn test(&self, i: usize) -> bool {
+    pub(crate) fn test(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         // ordering: Relaxed — a stale read only routes a kernel to its
         // idempotent claim path; `claim`'s CAS is authoritative.
         self.words[i >> 6].load(Ordering::Relaxed) & (1u64 << (i & 63)) != 0
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words
-            .iter()
-            // ordering: Relaxed — called between levels, after the join
-            // that ordered the sets (invariant 8).
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
     }
 
     /// Word `i`: bits `64 * i .. 64 * i + 64`.
@@ -162,7 +142,7 @@ mod tests {
             .map(|i| usize::from(bs.claim(i % 500)))
             .sum();
         assert_eq!(wins, 500);
-        assert_eq!(bs.count_ones(), 500);
+        assert_eq!(bs.iter_ones().count(), 500);
     }
 
     #[test]
@@ -174,7 +154,7 @@ mod tests {
         assert!(bs.test(0) && !bs.test(1) && bs.test(2) && !bs.test(3));
         bs.store_word(3, 1 << 7);
         assert!(bs.test(199));
-        assert_eq!(bs.count_ones(), 3);
+        assert_eq!(bs.iter_ones().count(), 3);
     }
 
     #[test]
@@ -190,8 +170,8 @@ mod tests {
     #[test]
     fn empty_bitset() {
         let mut bs = AtomicBitset::new(0);
-        assert!(bs.is_empty());
-        assert_eq!(bs.count_ones(), 0);
+        assert!(bs.words.is_empty());
+        assert_eq!(bs.iter_ones().count(), 0);
         bs.fill_from(&[]);
         assert_eq!(bs.iter_ones().count(), 0);
     }

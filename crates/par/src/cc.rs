@@ -25,10 +25,10 @@
 //! Both are union-find, so `tests/parallel_equivalence.rs` also checks
 //! them against min-id labels built from `serial_bfs`.
 //!
-//! Every sweep goes through [`crate::frontier::par_for_ranges_stats`]
-//! over [`GraphView::vertex_chunks`] ranges, with the width gated by
-//! [`ParConfig::fork_width`] over the whole view (`n + m`): on an
-//! effective width of 1 every sweep runs inline and nothing is spawned.
+//! Every sweep walks [`GraphView::vertex_chunks`] ranges, with the width
+//! gated by [`ParConfig::fork_width`] over the whole view (`n + m`): on
+//! an effective width of 1, or a view at or below the gate, every sweep
+//! runs inline and nothing is spawned.
 //! A directed view skips no vertex, so every entry is linked and the
 //! labels are its weakly connected components, as for the serial kernel.
 
@@ -84,13 +84,6 @@ pub fn par_cc_stats<V: GraphView>(view: &V, cfg: &ParConfig) -> (Vec<u32>, ParSt
 fn cc_stats<V: GraphView>(view: &V, cfg: &ParConfig) -> (Vec<u32>, ParStats) {
     let n = view.num_vertices();
     let m = view.num_entries();
-    if n + m <= cfg.serial_threshold {
-        crate::metrics::publish(&ParStats::default());
-        return (
-            snap_kernels::connected_components(view),
-            ParStats::default(),
-        );
-    }
     // Every sweep scans the whole view, so the level volume *is* the
     // view: the gate decides once whether this host forks at all.
     let work = n + m;
@@ -239,7 +232,6 @@ mod tests {
     // where the Auto grain would (correctly) run everything inline.
     fn force() -> ParConfig {
         ParConfig::default()
-            .with_serial_threshold(0)
             .with_threads(4)
             .with_level_grain(crate::Grain::Edges(0))
     }
@@ -279,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn small_graph_falls_back_to_serial() {
+    fn small_graph_matches_serial() {
         let g = CsrGraph::from_edges_undirected(4, &[TimedEdge::new(1, 2, 1)]);
         assert_eq!(par_cc(&g), connected_components(&g));
     }
@@ -304,9 +296,7 @@ mod tests {
         assert!(star_labels.iter().all(|&l| l == 0));
         assert_eq!(star_stats.edges_scanned, 4000 + 2);
         // Auto grain at one pinned worker: every sweep stays inline.
-        let auto = ParConfig::default()
-            .with_serial_threshold(0)
-            .with_threads(1);
+        let auto = ParConfig::default().with_threads(1);
         let (l2, s2) = par_cc_stats(&g, &auto);
         assert_eq!(l2, labels);
         assert_eq!(s2.forked_levels, 0);

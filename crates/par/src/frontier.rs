@@ -91,17 +91,11 @@ impl ParStats {
 /// or below the gate, else proportional to the volume — one worker per
 /// gate's worth of edges — clamped to `2..=cap`. A gate of 0 always
 /// forks; a gate of `usize::MAX` never does.
-pub fn fork_width(volume: usize, gate: usize, cap: usize) -> usize {
+pub(crate) fn fork_width(volume: usize, gate: usize, cap: usize) -> usize {
     if cap <= 1 || volume == 0 || volume <= gate {
         return 1;
     }
     (volume / gate.max(1)).clamp(2, cap)
-}
-
-/// Total out-degree mass of `frontier` — the level's edge volume, the
-/// quantity the serial gate compares against.
-pub fn edge_volume<V: GraphView>(view: &V, frontier: &[u32]) -> u64 {
-    frontier.iter().map(|&u| view.degree(u) as u64).sum()
 }
 
 /// A unit of frontier work (see module docs).
@@ -160,15 +154,21 @@ fn build_chunks_into<V: GraphView>(
     }
 }
 
-fn process_chunk<V, T, F>(view: &V, frontier: &[u32], chunk: &Chunk, visit: &F, sink: &mut Vec<T>)
+/// Expands one chunk, pushing every vertex `claim` wins onto `sink`.
+fn process_chunk<V, F>(view: &V, frontier: &[u32], chunk: &Chunk, claim: &F, sink: &mut Vec<u32>)
 where
     V: GraphView,
-    F: Fn(u32, u32, u32, &mut Vec<T>) + Sync,
+    F: Fn(u32, u32, u32) -> bool + Sync,
 {
+    let mut visit = |u, v, ts| {
+        if claim(u, v, ts) {
+            sink.push(v);
+        }
+    };
     match *chunk {
         Chunk::Run(ref r) => {
             for &u in &frontier[r.clone()] {
-                view.for_each_edge(u, |v, ts| visit(u, v, ts, sink));
+                view.for_each_edge(u, |v, ts| visit(u, v, ts));
             }
         }
         Chunk::Hub { pos, lo, hi } => {
@@ -180,7 +180,7 @@ where
                 .iter()
                 .zip(&csr.timestamps(u)[lo..hi])
             {
-                visit(u, v, ts, sink);
+                visit(u, v, ts);
             }
         }
     }
@@ -241,129 +241,12 @@ fn drain_deals(deals: &[Deal], home: usize, mut work: impl FnMut(usize), steals:
     }
 }
 
-/// Persistent per-traversal scheduling state: the chunk vector, the
-/// per-worker deal descriptors, and the decision counters live here and
-/// are reused across levels, so the steady state allocates nothing.
-/// [`FrontierEngine`] embeds one.
-pub(crate) struct LevelRunner {
-    workers: usize,
-    chunk_edges: usize,
-    gate: usize,
-    chunks: Vec<Chunk>,
-    deals: Vec<Deal>,
-    stats: ParStats,
-}
-
-impl LevelRunner {
-    /// A runner with `threads` workers (0 adopts the installed pool via
-    /// [`resolve_workers`]), the given per-chunk edge budget, and a
-    /// per-level serial `gate` in frontier edge volume (0 = always fork,
-    /// `usize::MAX` = never fork; see [`fork_width`]).
-    pub(crate) fn new(threads: usize, chunk_edges: usize, gate: usize) -> Self {
-        Self {
-            workers: resolve_workers(threads),
-            chunk_edges: chunk_edges.max(1),
-            gate,
-            chunks: Vec::new(),
-            deals: Vec::new(),
-            stats: ParStats::default(),
-        }
-    }
-
-    /// Resolved worker count (the fork-width cap).
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The per-level serial gate in frontier edge volume.
-    pub(crate) fn gate(&self) -> usize {
-        self.gate
-    }
-
-    /// Replaces the per-level serial gate.
-    pub(crate) fn set_gate(&mut self, gate: usize) {
-        self.gate = gate;
-    }
-
-    /// The counters accumulated so far.
-    pub(crate) fn stats(&self) -> ParStats {
-        self.stats
-    }
-
-    /// Returns and resets the accumulated counters.
-    pub(crate) fn take_stats(&mut self) -> ParStats {
-        std::mem::take(&mut self.stats)
-    }
-
-    fn note_serial(&mut self, volume: u64) {
-        self.stats.serial_levels += 1;
-        self.stats.edges_scanned += volume;
-    }
-
-    /// Expands every live edge out of `frontier`, whose edge volume the
-    /// caller supplies, inline or forked per the volume gate;
-    /// `visit(u, v, ts, sink)` appends whatever the kernel derives from
-    /// the edge to its worker's sink (`sinks[0]` on the inline path).
-    pub(crate) fn edge_map_hinted<V, T, F>(
-        &mut self,
-        view: &V,
-        frontier: &[u32],
-        volume: u64,
-        visit: F,
-        sinks: &mut [Vec<T>],
-    ) where
-        V: GraphView,
-        T: Send,
-        F: Fn(u32, u32, u32, &mut Vec<T>) + Sync,
-    {
-        debug_assert!(!sinks.is_empty());
-        let vol = volume.min(usize::MAX as u64) as usize;
-        let cap = self.workers.min(sinks.len());
-        let mut width = fork_width(vol, self.gate, cap);
-        if width > 1 {
-            build_chunks_into(view, frontier, self.chunk_edges, &mut self.chunks);
-            width = width.min(self.chunks.len());
-        }
-        if width <= 1 {
-            if let Some(sink) = sinks.first_mut() {
-                for &u in frontier {
-                    view.for_each_edge(u, |v, ts| visit(u, v, ts, sink));
-                }
-            }
-            self.note_serial(volume);
-            return;
-        }
-        fill_deals(&mut self.deals, self.chunks.len(), width);
-        self.stats.forked_levels += 1;
-        self.stats.chunks_built += self.chunks.len() as u64;
-        self.stats.edges_scanned += volume;
-        let steals = AtomicU64::new(0);
-        {
-            let (chunks, deals, visit, steals) = (&self.chunks, &self.deals, &visit, &steals);
-            rayon::scope(|s| {
-                for (w, sink) in sinks.iter_mut().take(width).enumerate() {
-                    s.spawn(move |_| {
-                        drain_deals(
-                            deals,
-                            w,
-                            |i| process_chunk(view, frontier, &chunks[i], visit, sink),
-                            steals,
-                        );
-                    });
-                }
-            });
-        }
-        // ordering: Relaxed — statistics read after the scope join.
-        self.stats.steals += steals.load(Ordering::Relaxed);
-    }
-}
-
 /// Vertex-range grain for whole-graph sweeps (bottom-up BFS, component
 /// linking): enough chunks for dynamic balance (8 per worker) without
 /// drowning in claim traffic. Always a multiple of 64, so the ranges of
-/// [`GraphView::vertex_chunks`] start on [`crate::AtomicBitset`] word
+/// [`GraphView::vertex_chunks`] start on [`AtomicBitset`](crate::bitset::AtomicBitset) word
 /// boundaries and each word belongs to one range.
-pub fn sweep_grain(n: usize, threads: usize) -> usize {
+pub(crate) fn sweep_grain(n: usize, threads: usize) -> usize {
     (n / (threads * 8).max(1))
         .clamp(64, 1 << 16)
         .next_multiple_of(64)
@@ -375,8 +258,12 @@ pub fn sweep_grain(n: usize, threads: usize) -> usize {
 /// inline; callers derive a volume-gated width with [`fork_width`].
 /// Whole-graph sweeps (bottom-up scans, component linking and
 /// compression) are built on this. The sweep is recorded in `stats`.
-pub fn par_for_ranges_stats<F>(ranges: &[Range<u32>], width: usize, f: F, stats: &mut ParStats)
-where
+pub(crate) fn par_for_ranges_stats<F>(
+    ranges: &[Range<u32>],
+    width: usize,
+    f: F,
+    stats: &mut ParStats,
+) where
     F: Fn(Range<u32>) + Sync,
 {
     if ranges.is_empty() {
@@ -409,103 +296,83 @@ where
 
 /// Double-buffered frontier state for level-synchronous traversal.
 ///
-/// The current frontier, the per-worker next-frontier buffers, and the
-/// embedded level runner (chunks, deals, counters) persist across
+/// The current frontier, the per-worker next-frontier buffers, the chunk
+/// vector, the deal descriptors and the decision counters persist across
 /// levels, so a full BFS allocates each buffer once and then only moves
-/// vertex ids. [`FrontierEngine::advance`] is one top-down level —
-/// inline and *fused in place* below the volume gate, forked above it;
-/// a kernel that discovered a frontier by other means (a bottom-up
+/// vertex ids. [`FrontierEngine::advance_hinted`] is one top-down level —
+/// inline and *fused in place* at or below the volume gate, forked above
+/// it; a kernel that discovered a frontier by other means (a bottom-up
 /// sweep) hands it over with [`FrontierEngine::seed`].
-pub struct FrontierEngine {
-    runner: LevelRunner,
+pub(crate) struct FrontierEngine {
+    chunk_edges: usize,
+    /// The per-level serial gate in frontier edge volume (see
+    /// [`fork_width`]).
+    gate: usize,
     current: Vec<u32>,
     /// Start of the live frontier inside `current`: fused serial levels
     /// append discoveries past the level's end and advance this index
     /// instead of swapping buffers.
     head: usize,
+    /// One next-frontier buffer per worker; their count caps a level's
+    /// fork width.
     next: Vec<Vec<u32>>,
+    chunks: Vec<Chunk>,
+    deals: Vec<Deal>,
+    stats: ParStats,
 }
 
 impl FrontierEngine {
     /// An empty engine with `threads` worker buffers (0 adopts the
     /// installed pool via [`resolve_workers`], matching
-    /// `ParConfig::threads`) and the given per-chunk edge budget. The
-    /// level gate defaults to 0 (always fork); kernels set it from
-    /// `ParConfig::level_gate` via [`FrontierEngine::with_level_gate`].
-    pub fn new(threads: usize, chunk_edges: usize) -> Self {
-        let workers = resolve_workers(threads);
+    /// `ParConfig::threads`), the given per-chunk edge budget, and a
+    /// per-level serial `gate` in frontier edge volume (0 = always fork,
+    /// `usize::MAX` = never fork; kernels pass `ParConfig::level_gate`).
+    pub(crate) fn new(threads: usize, chunk_edges: usize, gate: usize) -> Self {
         Self {
-            runner: LevelRunner::new(workers, chunk_edges, 0),
+            chunk_edges: chunk_edges.max(1),
+            gate,
             current: Vec::new(),
             head: 0,
-            next: (0..workers).map(|_| Vec::new()).collect(),
+            next: (0..resolve_workers(threads)).map(|_| Vec::new()).collect(),
+            chunks: Vec::new(),
+            deals: Vec::new(),
+            stats: ParStats::default(),
         }
     }
 
-    /// Sets the per-level serial gate in frontier edge volume (builder
-    /// form; see [`fork_width`]).
-    pub fn with_level_gate(mut self, gate: usize) -> Self {
-        self.runner.set_gate(gate);
-        self
-    }
-
-    /// Replaces the per-level serial gate.
-    pub fn set_level_gate(&mut self, gate: usize) {
-        self.runner.set_gate(gate);
-    }
-
-    /// Number of worker buffers (the maximum fork width of a level).
-    pub fn threads(&self) -> usize {
-        self.next.len()
-    }
-
-    /// The adaptive-scheduling counters accumulated so far.
-    pub fn stats(&self) -> ParStats {
-        self.runner.stats()
-    }
-
     /// Returns and resets the accumulated counters.
-    pub fn take_stats(&mut self) -> ParStats {
-        self.runner.take_stats()
+    pub(crate) fn take_stats(&mut self) -> ParStats {
+        std::mem::take(&mut self.stats)
     }
 
     /// Replaces the current frontier with `vs`.
-    pub fn seed(&mut self, vs: impl IntoIterator<Item = u32>) {
+    pub(crate) fn seed(&mut self, vs: impl IntoIterator<Item = u32>) {
         self.current.clear();
         self.head = 0;
         self.current.extend(vs);
     }
 
     /// The current frontier.
-    pub fn current(&self) -> &[u32] {
+    pub(crate) fn current(&self) -> &[u32] {
         &self.current[self.head..]
     }
 
     /// Number of vertices in the current frontier.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.current.len() - self.head
     }
 
     /// True when the current frontier is empty (traversal finished).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// One top-down level: expands every edge out of the current
-    /// frontier; `claim(u, v, ts)` returns `true` when it won vertex `v`,
-    /// which then joins the next frontier. Returns the new frontier size.
-    pub fn advance<V, F>(&mut self, view: &V, claim: F) -> usize
-    where
-        V: GraphView,
-        F: Fn(u32, u32, u32) -> bool + Sync,
-    {
-        self.advance_hinted(view, None, claim)
-    }
-
-    /// Like [`FrontierEngine::advance`] with the frontier's edge volume
-    /// supplied by the caller when already known (BFS tracks it for the
-    /// direction heuristic), saving the gate's degree re-scan.
-    pub fn advance_hinted<V, F>(&mut self, view: &V, volume_hint: Option<u64>, claim: F) -> usize
+    /// frontier, whose out-degree sum the caller supplies as `volume`
+    /// (BFS tracks it for the direction heuristic); `claim(u, v, ts)`
+    /// returns `true` when it won vertex `v`, which then joins the next
+    /// frontier. Returns the new frontier size.
+    pub(crate) fn advance_hinted<V, F>(&mut self, view: &V, volume: u64, claim: F) -> usize
     where
         V: GraphView,
         F: Fn(u32, u32, u32) -> bool + Sync,
@@ -513,14 +380,19 @@ impl FrontierEngine {
         if self.is_empty() {
             return 0;
         }
-        let volume = volume_hint.unwrap_or_else(|| edge_volume(view, self.current()));
         let vol = volume.min(usize::MAX as u64) as usize;
-        let cap = self.runner.workers().min(self.next.len());
-        if fork_width(vol, self.runner.gate(), cap) <= 1 {
+        let mut width = fork_width(vol, self.gate, self.next.len());
+        if width > 1 {
+            self.compact();
+            build_chunks_into(view, &self.current, self.chunk_edges, &mut self.chunks);
+            width = width.min(self.chunks.len());
+        }
+        self.stats.edges_scanned += volume;
+        if width <= 1 {
             // Fused serial level: expand in place on the caller — no
-            // spawns, no chunk build, no buffer swap. Discoveries append
-            // past `end`; the consumed prefix stays in the buffer until
-            // a forked level compacts it.
+            // spawns, no buffer swap. Discoveries append past `end`; the
+            // consumed prefix stays in the buffer until a forked level
+            // compacts it.
             let end = self.current.len();
             let mut i = self.head;
             while i < end {
@@ -534,27 +406,31 @@ impl FrontierEngine {
                 i += 1;
             }
             self.head = end;
-            self.runner.note_serial(volume);
+            self.stats.serial_levels += 1;
             return self.current.len() - end;
         }
-        self.compact();
-        let Self {
-            runner,
-            current,
-            next,
-            ..
-        } = self;
-        runner.edge_map_hinted(
-            view,
-            current,
-            volume,
-            |u, v, ts, sink: &mut Vec<u32>| {
-                if claim(u, v, ts) {
-                    sink.push(v);
+        fill_deals(&mut self.deals, self.chunks.len(), width);
+        self.stats.forked_levels += 1;
+        self.stats.chunks_built += self.chunks.len() as u64;
+        let steals = AtomicU64::new(0);
+        {
+            let (frontier, chunks, deals) = (&self.current, &self.chunks, &self.deals);
+            let (claim, steals) = (&claim, &steals);
+            rayon::scope(|s| {
+                for (w, sink) in self.next.iter_mut().take(width).enumerate() {
+                    s.spawn(move |_| {
+                        drain_deals(
+                            deals,
+                            w,
+                            |i| process_chunk(view, frontier, &chunks[i], claim, sink),
+                            steals,
+                        );
+                    });
                 }
-            },
-            next,
-        );
+            });
+        }
+        // ordering: Relaxed — statistics read after the scope join.
+        self.stats.steals += steals.load(Ordering::Relaxed);
         self.swap_in_next();
         self.len()
     }
@@ -583,7 +459,7 @@ impl FrontierEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AtomicBitset;
+    use crate::bitset::AtomicBitset;
     use snap_core::CsrGraph;
     use snap_rmat::TimedEdge;
     use std::collections::HashSet;
@@ -592,6 +468,13 @@ mod tests {
     fn star(leaves: u32) -> CsrGraph {
         let edges: Vec<TimedEdge> = (1..=leaves).map(|v| TimedEdge::new(0, v, 1)).collect();
         CsrGraph::from_edges_undirected(leaves as usize + 1, &edges)
+    }
+
+    /// One top-down level claiming into `claimed`, with the frontier's
+    /// edge volume summed here as BFS tracks it.
+    fn advance(eng: &mut FrontierEngine, g: &CsrGraph, claimed: &AtomicBitset) -> usize {
+        let volume = eng.current().iter().map(|&u| g.out_degree(u) as u64).sum();
+        eng.advance_hinted(g, volume, |_, v, _| claimed.claim(v as usize))
     }
 
     #[test]
@@ -626,17 +509,15 @@ mod tests {
     #[test]
     fn edge_map_covers_every_edge_once() {
         let g = star(300);
-        let frontier: Vec<u32> = (0..301).collect();
-        let mut sinks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 4];
-        let volume = edge_volume(&g, &frontier);
-        LevelRunner::new(4, 32, 0).edge_map_hinted(
-            &g,
-            &frontier,
-            volume,
-            |u, v, _, s| s.push((u, v)),
-            &mut sinks,
-        );
-        let mut all: Vec<(u32, u32)> = sinks.concat();
+        let seen = Mutex::new(Vec::new());
+        let mut eng = FrontierEngine::new(4, 32, 0);
+        eng.seed(0..301);
+        eng.advance_hinted(&g, g.num_entries() as u64, |u, v, _| {
+            seen.lock().unwrap().push((u, v));
+            false
+        });
+        assert_eq!(eng.take_stats().forked_levels, 1);
+        let mut all: Vec<(u32, u32)> = seen.into_inner().unwrap();
         all.sort_unstable();
         let mut want: Vec<(u32, u32)> = g.iter_entries().map(|(u, v, _)| (u, v)).collect();
         want.sort_unstable();
@@ -653,24 +534,17 @@ mod tests {
         // same technique as the rayon shim's own for_each stress test,
         // and robust on single-core hosts.
         let g = star(2000);
-        let frontier: Vec<u32> = vec![0]; // hub only: 20 hub chunks @ 100
         let ids = Mutex::new(HashSet::new());
-        let mut sinks: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        let volume = edge_volume(&g, &frontier);
-        LevelRunner::new(4, 100, 0).edge_map_hinted(
-            &g,
-            &frontier,
-            volume,
-            |_, v, _, s: &mut Vec<u32>| {
-                ids.lock().unwrap().insert(std::thread::current().id());
-                if (v - 1) % 100 == 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(500));
-                }
-                s.push(v);
-            },
-            &mut sinks,
-        );
-        assert_eq!(sinks.concat().len(), 2000, "every hub edge visited");
+        let mut eng = FrontierEngine::new(4, 100, 0);
+        eng.seed([0]); // hub only: 20 hub chunks @ 100
+        let next = eng.advance_hinted(&g, 2000, |_, v, _| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            if (v - 1) % 100 == 0 {
+                std::thread::sleep(std::time::Duration::from_micros(500));
+            }
+            true
+        });
+        assert_eq!(next, 2000, "every hub edge visited");
         assert!(
             ids.lock().unwrap().len() > 1,
             "frontier expansion stayed on one OS thread"
@@ -681,16 +555,16 @@ mod tests {
     fn advance_claims_each_vertex_once() {
         let g = star(500);
         let claimed = AtomicBitset::new(501);
-        let mut engine = FrontierEngine::new(4, 32);
+        let mut engine = FrontierEngine::new(4, 32, 0);
         engine.seed([0]);
         claimed.set(0);
-        let next = engine.advance(&g, |_, v, _| claimed.claim(v as usize));
+        let next = advance(&mut engine, &g, &claimed);
         assert_eq!(next, 500, "every leaf claimed exactly once");
         let mut got: Vec<u32> = engine.current().to_vec();
         got.sort_unstable();
         assert_eq!(got, (1..=500).collect::<Vec<u32>>());
         // Second level: leaves all point back at the visited hub.
-        let next = engine.advance(&g, |_, v, _| claimed.claim(v as usize));
+        let next = advance(&mut engine, &g, &claimed);
         assert_eq!(next, 0);
         assert!(engine.is_empty());
     }
@@ -716,9 +590,9 @@ mod tests {
 
     #[test]
     fn zero_threads_adopts_the_installed_pool() {
-        let width = snap_util::thread_pool(3).install(|| FrontierEngine::new(0, 64).threads());
+        let width = snap_util::thread_pool(3).install(|| FrontierEngine::new(0, 64, 0).next.len());
         assert_eq!(width, 3, "threads = 0 must adopt the installed pool");
-        assert_eq!(FrontierEngine::new(5, 64).threads(), 5);
+        assert_eq!(FrontierEngine::new(5, 64, 0).next.len(), 5);
     }
 
     #[test]
@@ -760,9 +634,9 @@ mod tests {
         // it inline (volume <= gate is the serial side of the boundary).
         let claimed = AtomicBitset::new(601);
         claimed.set(0);
-        let mut eng = FrontierEngine::new(4, 32).with_level_gate(600);
+        let mut eng = FrontierEngine::new(4, 32, 600);
         eng.seed([0]);
-        assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 600);
+        assert_eq!(advance(&mut eng, &g, &claimed), 600);
         let s = eng.take_stats();
         assert_eq!((s.serial_levels, s.forked_levels), (1, 0));
         assert_eq!(s.edges_scanned, 600);
@@ -770,9 +644,9 @@ mod tests {
         // One below the volume: the same level forks.
         let claimed = AtomicBitset::new(601);
         claimed.set(0);
-        let mut eng = FrontierEngine::new(4, 32).with_level_gate(599);
+        let mut eng = FrontierEngine::new(4, 32, 599);
         eng.seed([0]);
-        assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 600);
+        assert_eq!(advance(&mut eng, &g, &claimed), 600);
         let s = eng.take_stats();
         assert_eq!((s.serial_levels, s.forked_levels), (0, 1));
         assert!(s.chunks_built > 0);
@@ -788,11 +662,11 @@ mod tests {
         let g = CsrGraph::from_edges_undirected(100, &edges);
         let claimed = AtomicBitset::new(100);
         claimed.set(0);
-        let mut eng = FrontierEngine::new(4, 32).with_level_gate(usize::MAX);
+        let mut eng = FrontierEngine::new(4, 32, usize::MAX);
         eng.seed([0]);
         let mut levels = 0u32;
         while !eng.is_empty() {
-            eng.advance(&g, |_, v, _| claimed.claim(v as usize));
+            advance(&mut eng, &g, &claimed);
             levels += 1;
         }
         assert_eq!(levels, 100);
@@ -816,12 +690,12 @@ mod tests {
         let g = CsrGraph::from_edges_undirected(301, &edges);
         let claimed = AtomicBitset::new(301);
         claimed.set(0);
-        let mut eng = FrontierEngine::new(4, 32).with_level_gate(usize::MAX);
+        let mut eng = FrontierEngine::new(4, 32, usize::MAX);
         eng.seed([0]);
-        assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 1);
+        assert_eq!(advance(&mut eng, &g, &claimed), 1);
         assert_eq!(eng.current(), &[1]);
-        eng.set_level_gate(0);
-        assert_eq!(eng.advance(&g, |_, v, _| claimed.claim(v as usize)), 299);
+        eng.gate = 0;
+        assert_eq!(advance(&mut eng, &g, &claimed), 299);
         let mut got = eng.current().to_vec();
         got.sort_unstable();
         assert_eq!(got, (2..301).collect::<Vec<u32>>());

@@ -1,29 +1,19 @@
-//! `snap-par`: the parallel graph-traversal runtime.
+//! `snap-par`: the parallel graph kernels.
 //!
 //! The paper's thesis is that dynamic small-world graphs should be
-//! analyzed by *parallel* connectivity kernels; this crate supplies the
-//! reusable machinery those kernels share, generic over any
+//! analyzed by *parallel* connectivity kernels. This crate holds one
+//! parallel implementation of each, generic over any
 //! [`snap_core::GraphView`] (live dynamic graphs and CSR snapshots
-//! alike):
+//! alike), and runs it at every graph size:
 //!
-//! - [`FrontierEngine`] — double-buffered level-synchronous frontiers:
-//!   edge-budgeted chunk splitting (a power-law hub is split across
-//!   workers instead of serializing one), per-worker chunk deals with
-//!   stealing over scoped OS threads, and per-worker next-frontier
-//!   buffers merged by swap — no locks anywhere on the hot path.
-//!   Scheduling is **adaptive**: each level forks only when its frontier
-//!   edge volume exceeds a serial gate ([`Grain`], with fork width
-//!   proportional to the volume), consecutive serial levels fuse in
-//!   place without buffer swaps, and every decision is counted in
-//!   [`ParStats`].
-//! - [`AtomicBitset`] — the visited set and the bottom-up frontier: a
-//!   top-down claim is one compare-exchange per discovered vertex; a
-//!   bottom-up sweep has one writer per 64-vertex word, which publishes
-//!   the word with one plain store.
-//! - [`par_bfs`] — direction-optimizing BFS (top-down through the
-//!   engine, bottom-up over 64-aligned vertex ranges on a bitmap
-//!   frontier once the frontier is dense; see [`bfs`] for the switch
-//!   heuristic).
+//! - [`par_bfs`] — direction-optimizing BFS. Top-down levels run through
+//!   a crate-private frontier engine: edge-budgeted chunks (a power-law
+//!   hub is split across workers instead of serializing one), per-worker
+//!   chunk deals with stealing over scoped OS threads, per-worker
+//!   next-frontier buffers merged by swap, and a compare-exchange claim
+//!   per discovered vertex in an atomic bitset. Once the frontier is
+//!   dense, levels run bottom-up over 64-aligned vertex ranges on a
+//!   bitmap frontier (see [`bfs`] for the switch heuristic).
 //! - [`par_cc`] — Afforest: CAS linking where the lower id wins, over a
 //!   sampled subgraph first, then every edge outside the most frequent
 //!   component; canonical min-id labels, bit-identical to the serial
@@ -33,6 +23,11 @@
 //!   workers; scores are bit-identical to the serial kernel at any
 //!   thread count.
 //!
+//! The serial kernels (`snap_kernels::serial_bfs`,
+//! `connected_components`, `betweenness_exact` / `_approx`) are the
+//! paper's figures and these kernels' oracles; no `par_*` call runs
+//! them.
+//!
 //! # Thread-count configuration
 //!
 //! [`ParConfig::threads`] = 0 (the default) adopts
@@ -41,39 +36,34 @@
 //! like every other benchmark in the workspace; a non-zero value pins
 //! the worker count explicitly.
 //!
-//! # Serial fallback and adaptive granularity
+//! # Adaptive granularity
 //!
-//! Each kernel falls back to its serial counterpart
-//! (`snap_kernels::serial_bfs`, `connected_components`,
-//! `betweenness_exact`) when
-//! `n + m <= serial_threshold` (default 4096): a fork-join barrier per
-//! BFS level cannot pay for itself on a graph that fits in one core's
-//! cache. Set [`ParConfig::with_serial_threshold`] to 0 to force the
-//! parallel path (the equivalence suites do).
-//!
-//! Above the threshold, work still forks only where it pays:
-//! [`ParConfig::level_grain`] resolves to a per-level serial gate in
-//! frontier edge volume ([`ParConfig::level_gate`]), derived under
-//! [`Grain::Auto`] from the view size and the *effective* width
-//! (`min(threads, available_parallelism)`) — on a single-core host every
-//! level runs inline, because a second OS thread can only add overhead.
-//! Results are bit-identical on every path; [`Grain::Edges`] pins the
-//! gate for tests and tuning.
+//! Work forks only where it pays: [`ParConfig::level_grain`] resolves
+//! to a per-level serial gate in frontier edge volume
+//! ([`ParConfig::level_gate`]), derived under [`Grain::Auto`] from the
+//! view size and the *effective* width (`min(threads, hardware
+//! threads)`). A level at or below the gate runs inline on the caller,
+//! consecutive inline BFS levels fuse in place without buffer swaps, and
+//! a forked level's width is proportional to its volume. On a
+//! single-core host, or on a small graph, every level runs inline. Every
+//! decision is counted in [`ParStats`]. Results are bit-identical on
+//! every schedule; [`Grain::Edges`] pins the gate for tests and tuning.
 
 #![deny(missing_docs)]
 
 pub mod bc;
 pub mod bfs;
-pub mod bitset;
+mod bitset;
 pub mod cc;
-pub mod frontier;
+mod frontier;
 mod metrics;
 
 pub use bc::{par_bc, par_bc_with, BcSources};
 pub use bfs::{par_bfs, par_bfs_stats, par_bfs_with, BfsStats};
-pub use bitset::AtomicBitset;
 pub use cc::{par_cc, par_cc_stats, par_cc_with};
-pub use frontier::{FrontierEngine, ParStats};
+pub use frontier::ParStats;
+
+use std::sync::OnceLock;
 
 /// Edge volume per worker the [`Grain::Auto`] gate asks a level to carry
 /// before forking: a scoped OS-thread spawn plus its share of the join
@@ -103,8 +93,6 @@ pub struct ParConfig {
     /// Worker thread count; 0 = adopt `rayon::current_num_threads()`
     /// (which honors the innermost installed pool).
     pub threads: usize,
-    /// Run the serial kernel when `n + m` is at or below this.
-    pub serial_threshold: usize,
     /// Top-down -> bottom-up when `frontier_edges * alpha >
     /// unvisited_edges` (Beamer's alpha; larger switches earlier).
     pub alpha: usize,
@@ -112,7 +100,7 @@ pub struct ParConfig {
     /// bottom-up entirely.
     pub beta: usize,
     /// Edge budget per frontier chunk: the work-granularity / hub-split
-    /// threshold of the [`FrontierEngine`].
+    /// threshold of `par_bfs`'s top-down levels.
     pub chunk_edges: usize,
     /// Per-level fork gate (see [`Grain`] and [`ParConfig::level_gate`]).
     pub level_grain: Grain,
@@ -122,7 +110,6 @@ impl Default for ParConfig {
     fn default() -> Self {
         Self {
             threads: 0,
-            serial_threshold: 1 << 12,
             alpha: 14,
             beta: 24,
             chunk_edges: 2048,
@@ -144,13 +131,6 @@ impl ParConfig {
     /// Pins the worker count (0 = adopt the installed rayon pool).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the serial-fallback threshold (0 forces the parallel
-    /// path, as the equivalence suites do).
-    pub fn with_serial_threshold(mut self, t: usize) -> Self {
-        self.serial_threshold = t;
         self
     }
 
@@ -182,7 +162,7 @@ impl ParConfig {
     /// Resolves the per-level serial gate in frontier edge volume for a
     /// view of total size `work` (= n + m). [`Grain::Edges`] is returned
     /// verbatim; [`Grain::Auto`] derives the gate from the effective
-    /// worker count `w = min(worker_count, available_parallelism)`:
+    /// worker count `w = min(worker_count, hardware threads)`:
     ///
     /// - `w <= 1` → `usize::MAX` (never fork — without a second core an
     ///   extra OS thread is pure overhead);
@@ -193,10 +173,7 @@ impl ParConfig {
         match self.level_grain {
             Grain::Edges(gate) => gate,
             Grain::Auto => {
-                let hw = std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1);
-                let w = self.worker_count().min(hw);
+                let w = self.worker_count().min(hardware_threads());
                 if w <= 1 {
                     return usize::MAX;
                 }
@@ -210,11 +187,18 @@ impl ParConfig {
     /// Volume-gated fork width for a level of `volume` edges on a view
     /// of total size `work`: 1 (inline) at or below
     /// [`ParConfig::level_gate`], else proportional to the volume and
-    /// capped at [`ParConfig::worker_count`]. See
-    /// [`frontier::fork_width`].
+    /// capped at [`ParConfig::worker_count`].
     pub fn fork_width(&self, volume: usize, work: usize) -> usize {
         frontier::fork_width(volume, self.level_gate(work), self.worker_count())
     }
+}
+
+/// The host's hardware thread count, read once per process: each
+/// `available_parallelism` call costs tens of microseconds, and every
+/// [`Grain::Auto`] gate asks for it.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 #[cfg(test)]
@@ -227,6 +211,21 @@ mod tests {
         let inside = snap_util::thread_pool(3).install(|| cfg.worker_count());
         assert_eq!(inside, 3);
         assert_eq!(cfg.with_threads(5).worker_count(), 5);
+    }
+
+    #[test]
+    fn hardware_threads_is_cached_and_an_installed_pool_overrides_it() {
+        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(hardware_threads(), hw);
+        assert_eq!(hardware_threads(), hw, "the cached count is stable");
+        // A one-thread pool narrows the effective width to 1 on any
+        // host, so the Auto gate never forks inside it.
+        let cfg = ParConfig::default();
+        let gate = snap_util::thread_pool(1).install(|| cfg.level_gate(1 << 20));
+        assert_eq!(gate, usize::MAX);
+        // A two-thread pool forks wherever a second hardware thread exists.
+        let gate = snap_util::thread_pool(2).install(|| cfg.level_gate(1 << 20));
+        assert_eq!(gate == usize::MAX, hw <= 1);
     }
 
     #[test]

@@ -20,10 +20,7 @@ fn par_metrics() -> &'static ParMetrics {
     M.get_or_init(|| {
         let r = snap_obs::MetricsRegistry::global();
         ParMetrics {
-            runs: r.counter(
-                "snap_par_runs_total",
-                "Parallel kernel invocations (including serial fallbacks)",
-            ),
+            runs: r.counter("snap_par_runs_total", "Parallel kernel invocations"),
             serial_levels: r.counter(
                 "snap_par_serial_levels_total",
                 "Frontier levels/sweeps run inline on the caller",

@@ -68,12 +68,6 @@ impl RmatParams {
         self
     }
 
-    /// Overrides the edge count.
-    pub fn with_edges(mut self, m: usize) -> Self {
-        self.edges = m;
-        self
-    }
-
     fn validate(&self) {
         assert!(self.scale >= 1 && self.scale <= 31, "scale out of range");
         assert!(self.a > 0.0 && self.b > 0.0 && self.c > 0.0 && self.d() > 0.0);

@@ -14,7 +14,6 @@
 
 use crate::TimedEdge;
 use snap_util::rng::XorShift64;
-use snap_util::sort::semi_sort_by_key;
 
 /// The kind of structural update.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -128,12 +127,6 @@ impl<'a> StreamBuilder<'a> {
             })
             .collect()
     }
-
-    /// Semi-sorts a stream in place by source vertex id (batched
-    /// processing). `scale` bounds the key width: vertex ids < 2^scale.
-    pub fn semi_sort(stream: &mut Vec<Update>, scale: u32) {
-        semi_sort_by_key(stream, scale, |u| u.edge.u);
-    }
 }
 
 #[cfg(test)]
@@ -238,14 +231,6 @@ mod tests {
             .mixed(100, 0.0)
             .iter()
             .all(|u| u.kind == UpdateKind::Delete));
-    }
-
-    #[test]
-    fn semi_sort_groups_by_source() {
-        let edges = base();
-        let mut s = StreamBuilder::new(&edges, 5).construction_shuffled();
-        StreamBuilder::semi_sort(&mut s, 8);
-        assert!(s.windows(2).all(|w| w[0].edge.u <= w[1].edge.u));
     }
 
     #[test]

@@ -39,6 +39,7 @@
 pub mod chaos;
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 pub mod prelude {
     pub use crate::{
@@ -65,15 +66,20 @@ impl Drop for InstallGuard {
 }
 
 /// Number of worker threads rayon would use: the innermost installed
-/// pool's configured count, or the machine's available parallelism.
+/// pool's configured count, or the machine's available parallelism. The
+/// latter is read once per process, as real rayon sizes its global pool
+/// once: each `available_parallelism` call costs tens of microseconds.
 pub fn current_num_threads() -> usize {
     let installed = INSTALLED_THREADS.with(|t| t.get());
     if installed > 0 {
         return installed;
     }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs both closures, each on its own scoped thread, and returns both
@@ -624,6 +630,19 @@ mod tests {
         let inside = pool.install(super::current_num_threads);
         assert_eq!(inside, 3, "install must expose the pool's configured width");
         assert!(super::current_num_threads() >= 1, "restored after install");
+    }
+
+    #[test]
+    fn machine_width_is_read_once_and_a_pool_still_overrides_it() {
+        let machine = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(super::current_num_threads(), machine);
+        assert_eq!(super::current_num_threads(), machine, "cached value");
+        let pool = super::ThreadPoolBuilder::new()
+            .num_threads(machine + 1)
+            .build()
+            .unwrap();
+        assert_eq!(pool.install(super::current_num_threads), machine + 1);
+        assert_eq!(super::current_num_threads(), machine, "restored");
     }
 
     #[test]

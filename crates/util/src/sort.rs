@@ -128,26 +128,6 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: as above — shared use is disjoint writes only.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Returns the boundaries of equal-key groups in a (semi-)sorted slice:
-/// for each maximal run of equal keys, `(key, start..end)`.
-pub fn group_ranges<T, F>(sorted: &[T], key: F) -> Vec<(u32, std::ops::Range<usize>)>
-where
-    F: Fn(&T) -> u32,
-{
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        let k = key(&sorted[i]);
-        let mut j = i + 1;
-        while j < sorted.len() && key(&sorted[j]) == k {
-            j += 1;
-        }
-        out.push((k, i..j));
-        i = j;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,14 +192,15 @@ mod tests {
             .map(|i| (rng.next_bounded(100) as u32, i))
             .collect();
         semi_sort_by_key(&mut v, 7, |p| p.0);
-        let groups = group_ranges(&v, |p| p.0);
+        let groups: Vec<&[(u32, u32)]> = v.chunk_by(|a, b| a.0 == b.0).collect();
         // Each key appears in exactly one group.
-        let mut keys: Vec<u32> = groups.iter().map(|g| g.0).collect();
+        let mut keys: Vec<u32> = groups.iter().map(|g| g[0].0).collect();
         let before = keys.len();
+        keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), before, "a key appeared in two groups");
         // Groups tile the slice.
-        let total: usize = groups.iter().map(|g| g.1.len()).sum();
+        let total: usize = groups.iter().map(|g| g.len()).sum();
         assert_eq!(total, v.len());
     }
 
@@ -236,11 +217,5 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn group_ranges_on_empty() {
-        let v: Vec<(u32, u32)> = vec![];
-        assert!(group_ranges(&v, |p| p.0).is_empty());
     }
 }

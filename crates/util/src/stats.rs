@@ -1,43 +1,5 @@
-//! Summary statistics for experiment reporting.
-
-/// Mean, min, max, and standard deviation of a sample.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    pub n: usize,
-    pub mean: f64,
-    pub min: f64,
-    pub max: f64,
-    pub stddev: f64,
-}
-
-/// Computes a [`Summary`] of `xs`. Returns `None` for an empty sample.
-pub fn summarize(xs: &[f64]) -> Option<Summary> {
-    if xs.is_empty() {
-        return None;
-    }
-    let n = xs.len();
-    let mean = xs.iter().sum::<f64>() / n as f64;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut var = 0.0;
-    for &x in xs {
-        min = min.min(x);
-        max = max.max(x);
-        var += (x - mean) * (x - mean);
-    }
-    let stddev = if n > 1 {
-        (var / (n - 1) as f64).sqrt()
-    } else {
-        0.0
-    };
-    Some(Summary {
-        n,
-        mean,
-        min,
-        max,
-        stddev,
-    })
-}
+//! Order statistics, speedups and degree histograms for experiment
+//! reporting.
 
 /// The index of the `p`-quantile (0.0–1.0) in a sorted sample of `n`
 /// elements, by the truncating nearest-rank rule `floor((n - 1) * p)`
@@ -103,29 +65,6 @@ pub fn log2_histogram(degrees: impl IntoIterator<Item = usize>) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summarize_known_values() {
-        let s = summarize(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.n, 4);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        // Sample stddev of 1..4 = sqrt(5/3).
-        assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summarize_empty_is_none() {
-        assert!(summarize(&[]).is_none());
-    }
-
-    #[test]
-    fn summarize_singleton_has_zero_stddev() {
-        let s = summarize(&[7.0]).unwrap();
-        assert_eq!(s.stddev, 0.0);
-        assert_eq!(s.mean, 7.0);
-    }
 
     #[test]
     fn speedup_ratio() {

@@ -97,16 +97,14 @@
 //!   `snap::util::thread_pool(t).install(|| par_bfs(&g, src))` sweeps
 //!   worker counts; a non-zero value pins it. Benchmarks honor the
 //!   `SNAP_THREADS` environment variable the same way.
-//! - **Serial fallback**: graphs with `n + m <=`
-//!   [`serial_threshold`](snap_par::ParConfig::serial_threshold)
-//!   (default 4096) run the serial kernels — a fork-join barrier per
-//!   level cannot pay for itself on a cache-resident graph. Set it to 0
-//!   to force the parallel path.
-//! - **Adaptive granularity**: above the threshold, each frontier level
-//!   forks only when its edge volume clears a serial gate
+//! - **One path at every size**: each kernel has one parallel
+//!   implementation; the serial kernels are figures and oracles only.
+//! - **Adaptive granularity**: each frontier level or sweep forks only
+//!   when its edge volume clears a serial gate
 //!   ([`Grain`](snap_par::Grain), default `Auto` — derived from the view
 //!   size and the effective core count), with fork width proportional to
-//!   the volume; consecutive serial levels fuse in place, and
+//!   the volume, so a small graph runs inline on the caller; consecutive
+//!   serial levels fuse in place, and
 //!   [`ParStats`](snap_par::ParStats) counts every scheduling decision.
 //! - **Direction-optimizing BFS**: top-down levels expand the frontier
 //!   through edge-budgeted chunks (hubs split across workers); once the

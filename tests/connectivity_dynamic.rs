@@ -8,7 +8,7 @@
 //! [`ConnectivityIndex`] differentially checked against the union-find
 //! oracle mid-stream and at the end — zero full rebuilds allowed. A
 //! second test cross-checks every read path (the serial union-find
-//! kernel, the forced parallel kernel, a from-scratch index, and the
+//! kernel, the parallel kernel, a from-scratch index, and the
 //! [`SnapshotManager`]-maintained index with its targeted repairs) on
 //! the surviving edge set. The certificate's edge
 //! cases run through the same harness as scripted streams, and a
@@ -27,12 +27,6 @@ use snap::util::thread_pool;
 use snap_kernels::cc::union_find_components;
 
 const SUITE: u64 = 0xD15C0;
-
-fn forced(threads: usize) -> ParConfig {
-    ParConfig::default()
-        .with_serial_threshold(0)
-        .with_threads(threads)
-}
 
 #[test]
 fn index_tracks_the_oracle_across_strategies_and_threads() {
@@ -314,7 +308,7 @@ fn check_all_paths<V: GraphView>(g: &V, want: &[u32], what: &str) {
     assert_eq!(&connected_components(g), want, "{what}: serial union-find");
     for threads in [1usize, 2, 8] {
         assert_eq!(
-            &snap::par::par_cc_with(g, &forced(threads)),
+            &snap::par::par_cc_with(g, &ParConfig::default().with_threads(threads)),
             want,
             "{what}: par_cc @ {threads} threads"
         );

@@ -43,10 +43,7 @@ fn instrumented_kernels_match_serial_oracles() {
     }
     assert!(g.adjacency().treap_vertex_count() > 0, "both hybrid arms");
     let csr = g.to_csr();
-    // Force the parallel path so the instrumented runtime actually runs.
-    let cfg = ParConfig::default()
-        .with_serial_threshold(0)
-        .with_threads(2);
+    let cfg = ParConfig::default().with_threads(2);
 
     let par = snap::par::par_bfs_with(&csr, 0, &cfg);
     let ser = bfs(&csr, 0);

@@ -15,9 +15,10 @@
 //! component without vertex 0, a tie for largest, isolated vertices and
 //! `n % 64 != 0`.
 //!
-//! The parallel path is forced (`serial_threshold = 0`) so these graphs
+//! Each kernel has one implementation at every size, so these graphs
 //! exercise the frontier engine, the atomic claim protocol, and the
-//! direction-optimizing switch rather than the serial fallback — and the
+//! direction-optimizing switch; the tiniest inputs (one vertex, no
+//! edges, the empty view) run at the default configuration too. The
 //! adaptive scheduler is pinned to each of its extremes
 //! (`Grain::Edges(0)` always forks, `Edges(usize::MAX)` never does, and
 //! a 1-edge chunk budget floods the steal path) to prove the schedule
@@ -28,7 +29,8 @@ use snap::kernels::{
     betweenness_approx, betweenness_exact, connected_components, serial_bfs, UNREACHED,
 };
 use snap::par::{
-    par_bc_with, par_bfs_stats, par_bfs_with, par_cc_with, BcSources, Grain, ParConfig,
+    par_bc_with, par_bfs_stats, par_bfs_with, par_cc_stats, par_cc_with, BcSources, Grain,
+    ParConfig,
 };
 use snap::prelude::*;
 use snap::util::thread_pool;
@@ -44,23 +46,22 @@ fn thread_sweep() -> Vec<usize> {
     sweep
 }
 
-fn force() -> ParConfig {
-    ParConfig::default().with_serial_threshold(0)
-}
-
 /// The adaptive scheduler pinned to each extreme. `steal-stress` makes
 /// every edge its own chunk, so forked levels have far more chunks than
 /// workers and the deal/steal path runs hot.
 fn adaptive_configs() -> Vec<(&'static str, ParConfig)> {
     vec![
-        ("always-fork", force().with_level_grain(Grain::Edges(0))),
+        (
+            "always-fork",
+            ParConfig::default().with_level_grain(Grain::Edges(0)),
+        ),
         (
             "never-fork",
-            force().with_level_grain(Grain::Edges(usize::MAX)),
+            ParConfig::default().with_level_grain(Grain::Edges(usize::MAX)),
         ),
         (
             "steal-stress",
-            force()
+            ParConfig::default()
                 .with_level_grain(Grain::Edges(0))
                 .with_chunk_edges(1),
         ),
@@ -189,7 +190,7 @@ fn assert_valid_parents<V: GraphView>(view: &V, src: u32, dist: &[u32], parent: 
 
 fn check_bfs<V: GraphView>(view: &V, label: &str, threads: usize) {
     let serial = serial_bfs(view, 0);
-    let par = thread_pool(threads).install(|| par_bfs_with(view, 0, &force()));
+    let par = thread_pool(threads).install(|| par_bfs_with(view, 0, &ParConfig::default()));
     assert_eq!(par.dist, serial.dist, "{label}: BFS levels @ {threads}t");
     assert_valid_parents(view, 0, &par.dist, &par.parent);
 }
@@ -214,7 +215,7 @@ fn bfs_labels<V: GraphView>(view: &V) -> Vec<u32> {
 
 fn check_cc<V: GraphView>(view: &V, label: &str, threads: usize) {
     let serial = connected_components(view);
-    let par = thread_pool(threads).install(|| par_cc_with(view, &force()));
+    let par = thread_pool(threads).install(|| par_cc_with(view, &ParConfig::default()));
     assert_eq!(par, serial, "{label}: component labels @ {threads}t");
     assert_eq!(par, bfs_labels(view), "{label}: BFS labels @ {threads}t");
 }
@@ -228,7 +229,8 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// (see `snap_par::bc` for the determinism contract that makes this
 /// assertable).
 fn check_bc<V: GraphView>(view: &V, serial: &[f64], label: &str, threads: usize) {
-    let par = thread_pool(threads).install(|| par_bc_with(view, BcSources::Exact, &force()));
+    let par =
+        thread_pool(threads).install(|| par_bc_with(view, BcSources::Exact, &ParConfig::default()));
     assert_eq!(
         bits(&par),
         bits(serial),
@@ -265,9 +267,9 @@ fn par_bc_sampled_matches_serial_bitwise() {
         let serial_live = betweenness_approx(&live, &sources);
         let sampled = BcSources::Sample { k, seed: 11 };
         for &t in &thread_sweep() {
-            let par = thread_pool(t).install(|| par_bc_with(&csr, sampled, &force()));
+            let par = thread_pool(t).install(|| par_bc_with(&csr, sampled, &ParConfig::default()));
             assert_eq!(bits(&par), bits(&serial_csr), "sampled k={k} csr @ {t}t");
-            let par = thread_pool(t).install(|| par_bc_with(&live, sampled, &force()));
+            let par = thread_pool(t).install(|| par_bc_with(&live, sampled, &ParConfig::default()));
             assert_eq!(bits(&par), bits(&serial_live), "sampled k={k} live @ {t}t");
         }
     }
@@ -347,7 +349,7 @@ fn component_cases() -> Vec<Case> {
 fn forced_bottom_up_from_a_small_component() {
     // Source 460 sits on the 70-vertex cycle, not in the largest
     // component; every sweep walks all 600 ids, isolated ones included.
-    let cfg = force().with_alpha(usize::MAX).with_beta(1);
+    let cfg = ParConfig::default().with_alpha(usize::MAX).with_beta(1);
     let case = &component_cases()[0];
     let csr = csr_of(case);
     let live = live_of(case);
@@ -408,7 +410,7 @@ fn forced_adaptive_bc_matches_serial_bitwise() {
     let case = &cases()[5]; // rmat-und
     let csr = csr_of(case);
     let serial_bits = bits(&betweenness_exact(&csr));
-    let cfg = force().with_level_grain(Grain::Edges(0));
+    let cfg = ParConfig::default().with_level_grain(Grain::Edges(0));
     for &t in &thread_sweep() {
         let par = thread_pool(t).install(|| par_bc_with(&csr, BcSources::Exact, &cfg));
         assert_eq!(bits(&par), serial_bits, "BC [always-fork] @ {t}t");
@@ -419,7 +421,7 @@ fn forced_adaptive_bc_matches_serial_bitwise() {
 fn forced_bottom_up_matches_serial_on_both_views() {
     // alpha = MAX flips undirected traversals to bottom-up immediately
     // after the first growing level; results must not change.
-    let cfg = force().with_alpha(usize::MAX).with_beta(1);
+    let cfg = ParConfig::default().with_alpha(usize::MAX).with_beta(1);
     for case in cases().iter().filter(|c| !c.directed) {
         let csr = csr_of(case);
         let live = live_of(case);
@@ -448,25 +450,67 @@ fn forced_bottom_up_matches_serial_on_both_views() {
     }
 }
 
-#[test]
-fn default_threshold_falls_back_to_serial_on_small_graphs() {
-    let case = Case {
-        name: "tiny",
-        n: 10,
-        edges: line(10, false),
-        directed: false,
-    };
-    let csr = csr_of(&case);
-    let (_, stats) = par_bfs_stats(&csr, 0, &ParConfig::default());
-    assert!(
-        stats.serial_fallback,
-        "tiny graph must take the serial path"
-    );
-    // And the fallback results still agree, trivially.
+/// Every kernel at the default configuration against its serial
+/// kernel, bit for bit, with no BFS level or CC sweep forked.
+fn check_tiny<V: GraphView>(view: &V, label: &str, t: usize) {
+    let cfg = ParConfig::default();
+    for src in 0..view.num_vertices() as u32 {
+        let serial = serial_bfs(view, src);
+        let (par, stats) = par_bfs_stats(view, src, &cfg);
+        assert_eq!(par.dist, serial.dist, "{label}: dist from {src} @ {t}t");
+        assert_eq!(
+            par.parent, serial.parent,
+            "{label}: parents from {src} @ {t}t"
+        );
+        assert_eq!(stats.runtime.forked_levels, 0, "{label}: BFS forked @ {t}t");
+    }
+    let (labels, stats) = par_cc_stats(view, &cfg);
+    assert_eq!(labels, connected_components(view), "{label}: CC @ {t}t");
+    assert_eq!(stats.forked_levels, 0, "{label}: CC forked @ {t}t");
+    let exact = par_bc_with(view, BcSources::Exact, &cfg);
     assert_eq!(
-        par_bfs_with(&csr, 0, &ParConfig::default()).dist,
-        serial_bfs(&csr, 0).dist
+        bits(&exact),
+        bits(&betweenness_exact(view)),
+        "{label}: BC @ {t}t"
     );
+    let sources = sample_sources(view.num_vertices(), 2, 9);
+    let sampled = par_bc_with(view, BcSources::Sample { k: 2, seed: 9 }, &cfg);
+    assert_eq!(
+        bits(&sampled),
+        bits(&betweenness_approx(view, &sources)),
+        "{label}: sampled BC @ {t}t"
+    );
+}
+
+/// The graphs too small to fork a level, directed and undirected, on
+/// both read paths, at every thread count. The empty view has no BFS
+/// source, so only `par_cc` and `par_bc` run on it.
+#[test]
+fn tiny_graphs_match_serial_at_the_default_config() {
+    for directed in [false, true] {
+        for (name, n, edges) in [
+            ("empty", 0, vec![]),
+            ("single", 1, vec![]),
+            ("isolated", 6, vec![]),
+            ("line-10", 10, line(10, directed)),
+            ("star-4", 5, star(4)),
+            ("one-edge", 4, vec![TimedEdge::new(0, 1, 1)]),
+        ] {
+            let case = Case {
+                name,
+                n,
+                edges,
+                directed,
+            };
+            let (csr, live) = (csr_of(&case), live_of(&case));
+            for &t in &thread_sweep() {
+                thread_pool(t).install(|| {
+                    check_tiny(&csr, &format!("{name} directed={directed} (csr)"), t);
+                    check_tiny(&live, &format!("{name} directed={directed} (live)"), t);
+                });
+            }
+        }
+    }
 }
 
 #[test]
@@ -475,7 +519,7 @@ fn unreachable_and_weight_sentinels_agree() {
     // serial kernel's (UNREACHED for BFS).
     let edges = vec![TimedEdge::new(0, 1, 3), TimedEdge::new(2, 3, 5)];
     let csr = CsrGraph::from_edges_undirected(6, &edges);
-    let cfg = force();
+    let cfg = ParConfig::default();
     let b = par_bfs_with(&csr, 0, &cfg);
     assert_eq!(b.dist[4], UNREACHED);
 }

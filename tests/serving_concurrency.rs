@@ -111,9 +111,7 @@ fn stress(shards: usize) {
             .with_history(true),
     );
     let engine = &engine;
-    let kcfg = ParConfig::default()
-        .with_threads(shards)
-        .with_serial_threshold(0); // force the parallel path at this scale
+    let kcfg = ParConfig::default().with_threads(shards);
     let src = edges[0].u;
 
     let samples: Vec<Sample> = std::thread::scope(|scope| {
