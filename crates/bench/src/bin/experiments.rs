@@ -1,9 +1,8 @@
 //! Prints every figure of the paper as a table, plus the tables no
-//! `benchmark/` row covers (parallel BC, the distance and triangle
-//! indexes, the `GraphView` read paths).
+//! `benchmark/` row covers (parallel BC, the `GraphView` read paths).
 //!
 //! ```text
-//! experiments [fig1 .. fig11 | parallel | bc | indexes | views | ablations | extensions | all]...
+//! experiments [fig1 .. fig11 | parallel | bc | views | ablations | extensions | all]...
 //! ```
 //!
 //! No argument means `all`; an unknown name exits with status 2 before
@@ -43,7 +42,6 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("fig11", fig11),
     ("parallel", parallel),
     ("bc", bc_bench),
-    ("indexes", indexes_bench),
     ("views", views),
     ("ablations", ablations),
     ("extensions", extensions),
@@ -599,152 +597,6 @@ fn bc_bench(cfg: &Config) {
         ]);
     }
     t.print("Betweenness centrality: serial Brandes vs par_bc (bit-identical scores)");
-}
-
-/// One row of the `indexes` table.
-struct IndexRow {
-    index: &'static str,
-    method: &'static str,
-    queries: usize,
-    median_ns: u128,
-}
-
-/// Incremental index serving: the `DistanceIndex` and
-/// `TriangleIndex` against recompute-per-query baselines (a full BFS
-/// from the source, and a full triangle count, per query) after a mixed
-/// insert/delete stream that exercises the incremental maintenance
-/// path. The acceptance check asserts neither index ever fell back to a
-/// full rebuild.
-fn indexes_bench(cfg: &Config) {
-    use snap_kernels::{bfs, triangle_count};
-
-    let scale = cfg.scale.min(16);
-    let edges = build_edges(scale, cfg.edge_factor, cfg.seed ^ 31);
-    let n = 1usize << scale;
-    let hints = CapacityHints::new(edges.len() * 2);
-    let mgr = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n, &hints));
-    mgr.apply_batch(&construction_stream(&edges, cfg.seed));
-    let sources: Vec<u32> = (0..4).map(|i| (i * n / 4) as u32).collect();
-    let dist_idx = mgr.enable_distances(&sources);
-    let tri_idx = mgr.enable_triangles();
-    let index = mgr.indexes();
-
-    // Mixed serving stream: the indexes must absorb it incrementally
-    // (insert wavefronts / dirty-marks / deltas), never by recompute.
-    let mut rng = XorShift64::new(cfg.seed ^ 0x1D);
-    let mut live: Vec<(u32, u32)> = edges.iter().map(|e| (e.u, e.v)).collect();
-    for _ in 0..9 {
-        let batch: Vec<snap_rmat::Update> = (0..256)
-            .map(|_| {
-                if rng.next_bounded(10) < 3 && !live.is_empty() {
-                    let i = rng.next_bounded(live.len() as u64) as usize;
-                    let (u, v) = live.swap_remove(i);
-                    snap_rmat::Update::delete(snap_rmat::TimedEdge::new(u, v, 0))
-                } else {
-                    let u = rng.next_bounded(n as u64) as u32;
-                    let v = rng.next_bounded(n as u64) as u32;
-                    live.push((u, v));
-                    snap_rmat::Update::insert(snap_rmat::TimedEdge::new(u, v, 1))
-                }
-            })
-            .collect();
-        mgr.apply_batch(&batch);
-        // Interleaved probes repair dirtied rows lazily, as a server
-        // would between batches.
-        std::hint::black_box(index.hop_distance(sources[0], (n - 1) as u32));
-        std::hint::black_box(index.triangle_count());
-    }
-
-    let mut rows = Vec::new();
-    let burst: Vec<(u32, u32)> = (0..100_000)
-        .map(|_| {
-            (
-                sources[rng.next_bounded(sources.len() as u64) as usize],
-                rng.next_bounded(n as u64) as u32,
-            )
-        })
-        .collect();
-
-    // --- Distance: indexed point queries vs a BFS per query ----------
-    let total = median_ns(5, || {
-        burst
-            .iter()
-            .filter(|&&(s, v)| index.hop_distance(s, v).is_some())
-            .count()
-    });
-    rows.push(IndexRow {
-        index: "distance",
-        method: "index",
-        queries: burst.len(),
-        median_ns: total / burst.len() as u128,
-    });
-    let probes = &burst[..4];
-    let total = median_ns(3, || {
-        probes
-            .iter()
-            .filter(|&&(s, v)| bfs(mgr.live(), s).dist[v as usize] != u32::MAX)
-            .count()
-    });
-    rows.push(IndexRow {
-        index: "distance",
-        method: "recompute_per_query",
-        queries: probes.len(),
-        median_ns: total / probes.len() as u128,
-    });
-
-    // --- Triangles: indexed global count vs a full count per query ---
-    let total = median_ns(5, || {
-        (0..burst.len())
-            .map(|_| index.triangle_count())
-            .sum::<u64>()
-    });
-    rows.push(IndexRow {
-        index: "triangle",
-        method: "index",
-        queries: burst.len(),
-        median_ns: total / burst.len() as u128,
-    });
-    let total = median_ns(3, || {
-        (0..3).map(|_| triangle_count(mgr.live())).sum::<u64>()
-    });
-    rows.push(IndexRow {
-        index: "triangle",
-        method: "recompute_per_query",
-        queries: 3,
-        median_ns: total / 3,
-    });
-
-    assert_eq!(
-        dist_idx.full_rebuild_count(),
-        0,
-        "distance stayed incremental"
-    );
-    assert_eq!(
-        tri_idx.full_rebuild_count(),
-        0,
-        "triangles stayed incremental"
-    );
-
-    let mut t = Table::new(&["index", "method", "queries", "median (ns)", "speedup"]);
-    for r in &rows {
-        let recompute = rows
-            .iter()
-            .find(|s| s.index == r.index && s.method == "recompute_per_query")
-            .map(|s| s.median_ns)
-            .unwrap_or(r.median_ns);
-        t.row(vec![
-            r.index.into(),
-            r.method.into(),
-            r.queries.to_string(),
-            r.median_ns.to_string(),
-            f3(recompute as f64 / r.median_ns.max(1) as f64),
-        ]);
-    }
-    t.print(&format!(
-        "Incremental indexes: indexed queries vs recompute-per-query (scale {scale}, {} targeted distance repairs, {} triangle deltas, 0 full rebuilds)",
-        dist_idx.repair_count(),
-        tri_idx.delta_count()
-    ));
 }
 
 /// The `GraphView` read paths: one BFS over the frozen CSR snapshot vs

@@ -33,7 +33,7 @@
 //!   a change never touches the forest: a merging insert and every delete
 //!   append to a pending log, and the settle drains it — links first,
 //!   then cuts, then one replacement search per cut, all against the view
-//!   as it is *then*. [`IncrementalIndex::absorb`] takes an applier
+//!   as it is *then*. [`ConnectivityIndex::absorb`] takes an applier
 //!   call's changes and settles them in one write-lock hold. The
 //!   per-update [`ConnectivityIndex::note_insert`] /
 //!   [`ConnectivityIndex::note_delete`] leave the log for the next
@@ -74,7 +74,7 @@ mod labels;
 
 use crate::csr::RowSet;
 use crate::forest::{Forest, Search};
-use crate::indexes::{IncrementalIndex, IndexCore};
+use crate::indexes::IndexCore;
 use crate::view::GraphView;
 use parking_lot::RwLock;
 use snap_rmat::{Update, UpdateKind};
@@ -170,7 +170,7 @@ enum Note {
 ///
 /// ```
 /// use snap_core::adjacency::CapacityHints;
-/// use snap_core::{ConnectivityIndex, DynGraph, HybridAdj, IncrementalIndex};
+/// use snap_core::{ConnectivityIndex, DynGraph, HybridAdj};
 /// use snap_rmat::{TimedEdge, Update};
 ///
 /// let g: DynGraph<HybridAdj> = DynGraph::undirected(5, &CapacityHints::new(16));
@@ -399,9 +399,41 @@ impl ConnectivityIndex {
         self.state.read().find(x)
     }
 
+    /// Takes `changes` in order and settles every debt they leave
+    /// against `view`, all in one hold of the write lock: the way the
+    /// engines' applier hands the index a cycle's changes. `view` must
+    /// already reflect exactly these changes (mutate first, then
+    /// absorb), and an update that did not change the graph must not be
+    /// among them.
+    pub fn absorb<'u, V: GraphView>(
+        &self,
+        view: &V,
+        changes: impl IntoIterator<Item = &'u Update>,
+    ) {
+        let mut st = self.state.write();
+        for upd in changes {
+            st.take(upd);
+        }
+        st.settle(view, &self.core);
+    }
+
+    /// If the index is behind `epoch`, discards labels and certificate
+    /// and re-absorbs `view` — one counted full rebuild
+    /// ([`IndexCore::full_rebuild_count`]) — and records `epoch`.
+    pub fn resync<V: GraphView>(&self, view: &V, epoch: u64) {
+        self.core.resync(epoch, &self.state, |st| {
+            assert_eq!(view.num_vertices(), st.parent.len(), "vertex count moved");
+            conn_metrics().full_rebuilds.inc();
+            // Every label may have changed: move the generation on.
+            let relabeled = st.relabeled + st.parent.len() as u64;
+            *st = State::from_view(view);
+            st.relabeled = relabeled;
+        });
+    }
+
     // ---- per-update notes (settled by the next query) ----------------
 
-    /// Records an edge insertion, as [`IncrementalIndex::absorb`] takes
+    /// Records an edge insertion, as [`ConnectivityIndex::absorb`] takes
     /// one, without settling. Returns `true` if it merged two
     /// components. Self-loops are connectivity no-ops.
     pub fn note_insert(&self, u: u32, v: u32) -> bool {
@@ -526,28 +558,6 @@ impl std::ops::Deref for ConnectivityIndex {
 
     fn deref(&self) -> &IndexCore {
         &self.core
-    }
-}
-
-impl IncrementalIndex for ConnectivityIndex {
-    fn absorb<'u, V: GraphView>(&self, view: &V, changes: impl IntoIterator<Item = &'u Update>) {
-        let mut st = self.state.write();
-        for upd in changes {
-            st.take(upd);
-        }
-        st.settle(view, &self.core);
-    }
-
-    // Discards labels and certificate and re-absorbs the view.
-    fn resync<V: GraphView>(&self, view: &V, epoch: u64) {
-        self.core.resync(epoch, &self.state, |st| {
-            assert_eq!(view.num_vertices(), st.parent.len(), "vertex count moved");
-            conn_metrics().full_rebuilds.inc();
-            // Every label may have changed: move the generation on.
-            let relabeled = st.relabeled + st.parent.len() as u64;
-            *st = State::from_view(view);
-            st.relabeled = relabeled;
-        });
     }
 }
 

@@ -1,7 +1,7 @@
 //! The write protocol both engines run ([`Cycle`]): apply a stream and
-//! absorb its changes into the attached indexes (one
+//! absorb its changes into the attached index (one
 //! [`crate::engine::apply_vpart_indexed`] call), mark its rows, step the
-//! indexes' epochs, and freeze the result: a compacted CSR patched from the
+//! index's epoch, and freeze the result: a compacted CSR patched from the
 //! previous one ([`Cycle::freeze`]), or, for the serving writer, the last
 //! compacted CSR plus a delta of the rows touched since
 //! ([`Cycle::publish`]), compacted later ([`Cycle::fold`]).
@@ -145,8 +145,8 @@ impl Cycle {
     }
 
     /// Applies `stream` on up to `workers` and absorbs its changes into
-    /// `routes`, settled ([`apply_vpart_indexed`]), marks its rows, and
-    /// steps every index in `routes` to the next epoch, which the caller
+    /// `index`, settled ([`apply_vpart_indexed`]), marks its rows, and
+    /// steps `index` to the next epoch, which the caller
     /// publishes after (invariant 6). Returns how many updates changed
     /// the graph's key sets; a run that changed none still makes the
     /// next freeze build when an insert in it may have overwritten a
@@ -159,11 +159,11 @@ impl Cycle {
     pub(crate) fn run<A: DynamicAdjacency>(
         &mut self,
         graph: &DynGraph<A>,
-        routes: IndexRoutes<'_>,
+        index: IndexRoutes<'_>,
         stream: &[Update],
         workers: usize,
     ) -> usize {
-        let changed = apply_vpart_indexed(graph, stream, workers, routes);
+        let changed = apply_vpart_indexed(graph, stream, workers, index);
         if self.base.is_some() {
             for u in stream {
                 for v in [u.edge.u, u.edge.v] {
@@ -187,7 +187,9 @@ impl Cycle {
         }
         self.dirty = self.dirty || changed > 0 || self.rewrites_a_timestamp(graph, stream);
         self.epoch += 1;
-        routes.sync_change(self.epoch);
+        if let Some(c) = index {
+            c.sync_change(self.epoch);
+        }
         changed
     }
 

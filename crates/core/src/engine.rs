@@ -157,7 +157,7 @@ pub fn resolve_workers(workers: usize) -> usize {
     }
 }
 
-/// `Vpart`: [`apply_vpart_indexed`] with nothing to route into.
+/// `Vpart`: [`apply_vpart_indexed`] with no index to absorb into.
 pub fn apply_vpart<A: DynamicAdjacency>(g: &DynGraph<A>, updates: &[Update], workers: usize) {
     apply_vpart_indexed(g, updates, workers, IndexRoutes::default());
 }
@@ -182,7 +182,7 @@ const HISTOGRAM_BITS: u32 = 12;
 
 /// The one batch applier (see the [module docs](self)): vertex-ranged,
 /// sort-then-grouped, with per-update change tracking, and the one way
-/// changes reach the index family. `workers` follows the
+/// changes reach the connectivity index. `workers` follows the
 /// [`resolve_workers`] convention; a batch that fits one range runs on
 /// the calling thread, no spawn, and a one-update batch goes through
 /// [`DynGraph::apply`], O(degree) where the range cut is O(n).
@@ -190,17 +190,12 @@ const HISTOGRAM_BITS: u32 = 12;
 /// An update's "did it change the graph" verdict is the OR of its
 /// halves' outcomes (matching [`DynGraph::insert_edge`] /
 /// [`DynGraph::delete_edge`]). After the parallel phase's barrier, the
-/// confirmed changes are absorbed into every index in [`IndexRoutes`]
-/// **in stream order** against the settled graph, and settled, in one
-/// write-lock hold per index ([`IndexRoutes::absorb`]) — so no-op
-/// updates (deduplicated re-inserts, deletes of absent edges) never
-/// touch an index, view-consuming deltas (distance wavefronts, triangle
-/// delete checks) observe exactly the state they describe, and every
-/// attached index is settled when the call returns. An update deleted
-/// later in the same stream may relax a distance certificate through an
-/// edge the final view no longer has; the later delete sees that
-/// certificate and dirty-marks it, so stream order keeps the indexes
-/// exact. Returns how many updates changed the graph.
+/// confirmed changes are absorbed into the connectivity index, if one
+/// is given, **in stream order** against the settled graph, and settled,
+/// in one write-lock hold ([`crate::ConnectivityIndex::absorb`]) — so
+/// no-op updates (deduplicated re-inserts, deletes of absent edges)
+/// never touch the index, and it is settled when the call returns.
+/// Returns how many updates changed the graph.
 ///
 /// # Panics
 ///
@@ -211,7 +206,7 @@ pub fn apply_vpart_indexed<A: DynamicAdjacency>(
     g: &DynGraph<A>,
     updates: &[Update],
     workers: usize,
-    routes: IndexRoutes<'_>,
+    index: IndexRoutes<'_>,
 ) -> usize {
     let changed = match updates {
         [upd] => {
@@ -224,9 +219,9 @@ pub fn apply_vpart_indexed<A: DynamicAdjacency>(
         }
         _ => apply_ranged(g, updates, workers, RANGE_BUDGET),
     };
-    if !routes.is_empty() {
+    if let Some(c) = index {
         let _t = Timer::scope(&apply_metrics().absorb_ns);
-        routes.absorb(g, changed.iter().map(|i| &updates[i as usize]));
+        c.absorb(g, changed.iter().map(|i| &updates[i as usize]));
     }
     changed.count()
 }
@@ -593,7 +588,7 @@ fn apply_metrics() -> &'static ApplyMetrics {
             ),
             absorb_ns: r.histogram(
                 "snap_cycle_absorb_ns",
-                "Per absorb of a cycle run: noting its changes into the attached indexes and settling them (ns)",
+                "Per absorb of a cycle run: noting its changes into the connectivity index and settling it (ns)",
             ),
         }
     })
@@ -675,11 +670,9 @@ pub(crate) mod tests {
     use super::*;
     use crate::adjacency::CapacityHints;
     use crate::connectivity::ConnectivityIndex;
-    use crate::distindex::DistanceIndex;
     use crate::dynarr::DynArr;
     use crate::hybrid::HybridAdj;
     use crate::treapadj::TreapAdj;
-    use crate::triindex::TriangleIndex;
     use snap_rmat::{Rmat, RmatParams, StreamBuilder, TimedEdge};
     use std::collections::HashSet;
 
@@ -1126,24 +1119,21 @@ pub(crate) mod tests {
         let n = 64usize;
         let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(256));
         let conn = ConnectivityIndex::from_view(&g);
-        let routes = IndexRoutes {
-            conn: Some(&conn),
-            ..IndexRoutes::default()
-        };
+        let index = Some(&conn);
         let path: Vec<Update> = (0..31u32)
             .map(|i| Update::insert(TimedEdge::new(i, i + 1, 1)))
             .collect();
-        assert_eq!(apply_vpart_indexed(&g, &path, 4, routes), path.len());
+        assert_eq!(apply_vpart_indexed(&g, &path, 4, index), path.len());
         assert!(conn.same_component(&g, 0, 31));
         assert_eq!(conn.repair_count(), 0, "insertions never need repair");
         // A real bridge deletion: the call relabels one side.
         let del = vec![Update::delete(TimedEdge::new(15, 16, 0))];
-        assert_eq!(apply_vpart_indexed(&g, &del, 4, routes), 1);
+        assert_eq!(apply_vpart_indexed(&g, &del, 4, index), 1);
         assert!(!conn.same_component(&g, 0, 31));
         assert_eq!(conn.repair_count(), 1);
         // A no-op delete batch must not reach the index at all.
         let noop = vec![Update::delete(TimedEdge::new(40, 41, 0))];
-        assert_eq!(apply_vpart_indexed(&g, &noop, 4, routes), 0);
+        assert_eq!(apply_vpart_indexed(&g, &noop, 4, index), 0);
         assert_eq!(conn.full_rebuild_count(), 0);
         // Labels agree with the serial kernel on the same state.
         let mut expect: Vec<u32> = (0..n as u32).collect();
@@ -1158,12 +1148,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn vpart_indexed_returns_with_every_index_settled() {
+    fn vpart_indexed_returns_with_the_index_settled() {
         // A band of path edges and skip-one chords, half of them live at
         // a time: batches with splits, replacements and no-ops, then
         // one-update batches. After every call, at every worker count,
-        // no debt is left and the rows read without a view are exact.
-        const SOURCES: [u32; 2] = [0, 40];
+        // no debt is left.
         let mut rng = snap_util::rng::XorShift64::new(11);
         let stream: Vec<Update> = (0..1200)
             .map(|i| {
@@ -1180,63 +1169,13 @@ pub(crate) mod tests {
         for workers in [1, 2, 8] {
             let g: DynGraph<HybridAdj> = DynGraph::undirected(64, &CapacityHints::new(256));
             let conn = ConnectivityIndex::from_view(&g);
-            let dist = DistanceIndex::from_view(&g, &SOURCES);
-            let tri = TriangleIndex::from_view(&g);
-            let routes = IndexRoutes {
-                conn: Some(&conn),
-                dist: Some(&dist),
-                tri: Some(&tri),
-            };
             for (b, batch) in batches.iter().enumerate() {
-                apply_vpart_indexed(&g, batch, workers, routes);
+                apply_vpart_indexed(&g, batch, workers, Some(&conn));
                 assert!(!conn.has_dirty(), "{workers} workers, batch {b}");
-                for src in SOURCES {
-                    assert_eq!(
-                        dist.distances(src),
-                        crate::distindex::tests::bfs_oracle(&g, src),
-                        "{workers} workers, batch {b}, source {src}"
-                    );
-                }
             }
-            assert!(conn.repair_count() > 0 && dist.repair_count() > 0);
+            assert!(conn.repair_count() > 0);
             let fresh = ConnectivityIndex::from_view(&g);
             assert_eq!(conn.labels(&g), fresh.labels(&g));
-            assert_eq!(tri.per_vertex(), TriangleIndex::from_view(&g).per_vertex());
         }
-    }
-
-    #[test]
-    fn vpart_indexed_absorbs_into_the_whole_family() {
-        let n = 64usize;
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(n, &CapacityHints::new(256));
-        let conn = ConnectivityIndex::from_view(&g);
-        let dist = DistanceIndex::from_view(&g, &[0]);
-        let tri = TriangleIndex::from_view(&g);
-        let routes = IndexRoutes {
-            conn: Some(&conn),
-            dist: Some(&dist),
-            tri: Some(&tri),
-        };
-        assert!(!routes.is_empty());
-        let mut batch: Vec<Update> = (0..31u32)
-            .map(|i| Update::insert(TimedEdge::new(i, i + 1, 1)))
-            .collect();
-        batch.push(Update::insert(TimedEdge::new(0, 2, 1))); // triangle 0-1-2
-        assert_eq!(apply_vpart_indexed(&g, &batch, 4, routes), batch.len());
-        assert!(conn.same_component(&g, 0, 31));
-        assert_eq!(dist.distance(0, 31), Some(30), "0-2 shortcut");
-        assert_eq!(tri.triangle_count(), 1);
-        // Delete the shortcut: distance must repair back, triangle dies.
-        let del = vec![Update::delete(TimedEdge::new(0, 2, 0))];
-        assert_eq!(apply_vpart_indexed(&g, &del, 4, routes), del.len());
-        assert_eq!(dist.distance(0, 31), Some(31));
-        assert_eq!(tri.triangle_count(), 0);
-        assert!(conn.same_component(&g, 0, 2), "still connected via 1");
-        // A no-op batch absorbs nothing.
-        let noop = vec![Update::delete(TimedEdge::new(40, 41, 0))];
-        assert_eq!(apply_vpart_indexed(&g, &noop, 4, routes), 0);
-        assert_eq!(dist.full_rebuild_count(), 0);
-        assert_eq!(tri.full_rebuild_count(), 0);
-        assert_eq!(conn.full_rebuild_count(), 0);
     }
 }

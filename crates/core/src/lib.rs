@@ -38,15 +38,12 @@
 //! paper's link-cut forest ([`forest::Forest`]): a deletion that misses
 //! the forest is free, one that hits it searches the smaller side of
 //! the cut for a replacement edge — `same_component(u, v)` between
-//! batches costs neither a traversal nor a snapshot. The same
-//! certificate + lazy-targeted-repair pattern generalizes into an index
-//! family: [`distindex::DistanceIndex`] (exact hop distances from
-//! pinned sources) and [`triindex::TriangleIndex`] (per-vertex triangle
-//! counts and clustering, delta-maintained). [`indexes`] holds what the
-//! three share: state behind one lock that the engine's applier absorbs
-//! into and settles, the epoch protocol ([`IndexCore`]) and the one
-//! query surface ([`IndexQuery`]) that [`SnapshotManager::indexes`] and
-//! [`ServeEngine::indexes`] both hand out.
+//! batches costs neither a traversal nor a snapshot. It is the one
+//! index, as in the paper. [`indexes`] holds its protocol with the
+//! engines: the engine's applier absorbs into it and settles it, the
+//! epoch protocol ([`IndexCore`]) couples it to the engine, and one
+//! query surface ([`IndexQuery`]) is what [`SnapshotManager::indexes`]
+//! and [`ServeEngine::indexes`] both hand out.
 //!
 //! Under *concurrent* ingest — writers that never quiesce — the
 //! [`serve::ServeEngine`] generalizes all three: a sharded single-queue
@@ -82,7 +79,6 @@ pub mod compressed;
 pub mod connectivity;
 pub mod csr;
 mod cycle;
-pub mod distindex;
 pub mod dynarr;
 pub mod engine;
 pub mod forest;
@@ -92,22 +88,19 @@ pub mod indexes;
 pub mod manager;
 pub mod serve;
 pub mod treapadj;
-pub mod triindex;
 pub mod view;
 pub mod vlabels;
 
 pub use adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, HalfUpdate, TOMBSTONE};
 pub use connectivity::ConnectivityIndex;
 pub use csr::CsrGraph;
-pub use distindex::{restricted_hop_distances, DistanceIndex};
 pub use dynarr::{DynArr, FixedDynArr};
 pub use graph::DynGraph;
 pub use hybrid::HybridAdj;
-pub use indexes::{IncrementalIndex, IndexCore, IndexFamily, IndexQuery, IndexRoutes};
+pub use indexes::{IndexCore, IndexFamily, IndexQuery, IndexRoutes};
 pub use manager::SnapshotManager;
 pub use serve::{EpochSnapshot, ServeConfig, ServeEngine, SnapshotHandle};
 pub use treapadj::TreapAdj;
-pub use triindex::TriangleIndex;
 pub use view::{GraphView, VertexChunks};
 pub use vlabels::VertexLabels;
 

@@ -1,22 +1,20 @@
 //! The bulk-synchronous engine ([`SnapshotManager`]): a dynamic graph and
-//! its index family ([`crate::indexes`]), written through the serving
+//! its connectivity index ([`crate::indexes`]), written through the serving
 //! writer's cycle run inline behind one lock.
 
 use crate::adjacency::DynamicAdjacency;
 use crate::connectivity::ConnectivityIndex;
 use crate::csr::CsrGraph;
 use crate::cycle::Cycle;
-use crate::distindex::DistanceIndex;
 use crate::graph::DynGraph;
 use crate::indexes::{IndexFamily, IndexQuery};
-use crate::triindex::TriangleIndex;
 use crate::view::GraphView;
 use parking_lot::Mutex;
 use snap_rmat::{TimedEdge, Update};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// A dynamic graph, its attached indexes and a CSR snapshot cached
+/// A dynamic graph, its connectivity index and a CSR snapshot cached
 /// between changes: the paper's bulk-synchronous engine.
 ///
 /// The kernels run on CSR snapshots, and a build costs O(n + m). A
@@ -27,18 +25,18 @@ use std::sync::{Arc, OnceLock};
 /// CSR entirely through the read-only [`SnapshotManager::live`].
 ///
 /// Mutations take `&self` from any thread but run one call at a time:
-/// they, `snapshot` and the `enable_*` methods take one lock, and a batch
+/// they, `snapshot` and `enable_connectivity` take one lock, and a batch
 /// is applied in parallel inside its call. A snapshot is therefore the
 /// graph after a prefix of the calls, and the manager is the graph's only
 /// mutator. Readers that must not wait behind a batch belong on
 /// [`crate::serve::ServeEngine`].
 ///
-/// The `enable_*` methods attach members of the incremental index family
-/// ([`crate::indexes`]): every later mutation call absorbs its changes
-/// into them and settles them before it returns, and
-/// [`SnapshotManager::indexes`] answers their queries as of the last
-/// call — under each index's read lock, never the manager's, with no CSR
-/// build and no full recompute.
+/// [`SnapshotManager::enable_connectivity`] attaches the incremental
+/// connectivity index ([`crate::indexes`]): every later mutation call
+/// absorbs its changes into it and settles it before it returns, and
+/// [`SnapshotManager::indexes`] answers its queries as of the last call
+/// — under the index's read lock, never the manager's, with no CSR build
+/// and no full recompute.
 ///
 /// # Examples
 ///
@@ -163,21 +161,7 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
         self.indexes.attach_connectivity(&self.graph, self.epoch())
     }
 
-    /// Attaches (or returns) the incremental [`DistanceIndex`] over the
-    /// given pinned sources (honored only by the attaching call).
-    pub fn enable_distances(&self, sources: &[u32]) -> &DistanceIndex {
-        let _cycle = self.cycle.lock();
-        self.indexes
-            .attach_distances(&self.graph, sources, self.epoch())
-    }
-
-    /// Attaches (or returns) the incremental [`TriangleIndex`].
-    pub fn enable_triangles(&self) -> &TriangleIndex {
-        let _cycle = self.cycle.lock();
-        self.indexes.attach_triangles(&self.graph, self.epoch())
-    }
-
-    /// The query surface of the attached indexes over the live graph
+    /// The query surface of the connectivity index over the live graph
     /// ([`IndexQuery`]); every query checks the index against the
     /// manager's epoch first and answers as of the last cycle (the last
     /// completed mutation call).
@@ -366,11 +350,7 @@ mod tests {
         };
         let hints = CapacityHints::new(n * 3);
         let mgr = SnapshotManager::new(DynGraph::<DynArr>::undirected(n, &hints));
-        let cores: [&crate::indexes::IndexCore; 3] = [
-            mgr.enable_connectivity(),
-            mgr.enable_distances(&[0]),
-            mgr.enable_triangles(),
-        ];
+        let conn = mgr.enable_connectivity();
         let start = std::sync::Barrier::new(THREADS as usize);
         std::thread::scope(|s| {
             for t in 0..THREADS {
@@ -390,31 +370,12 @@ mod tests {
         }
         let all: Vec<u32> = (0..n as u32).collect();
         let labels = crate::connectivity::restricted_component_labels(&oracle, &all);
-        let from_0: Vec<u32> = all
-            .iter()
-            .map(|&v| {
-                if v == 0 {
-                    0
-                } else {
-                    crate::distindex::UNREACHED
-                }
-            })
-            .collect();
-        let triangles = TriangleIndex::from_view(&oracle);
         let q = mgr.indexes();
         for &u in &all {
             assert_eq!(q.component(u), labels[u as usize], "vertex {u}");
-            assert_eq!(q.triangles_of(u), triangles.triangles_of(u), "vertex {u}");
         }
-        assert_eq!(
-            q.hop_distances(0),
-            crate::distindex::restricted_hop_distances(&oracle, &all, &from_0)
-        );
-        assert_eq!(q.triangle_count(), u64::from(calls));
-        for core in cores {
-            assert_eq!(core.synced_epoch(), mgr.epoch(), "stepped in lockstep");
-            assert_eq!(core.full_rebuild_count(), 0, "so nothing to resync");
-        }
+        assert_eq!(conn.synced_epoch(), mgr.epoch(), "stepped in lockstep");
+        assert_eq!(conn.full_rebuild_count(), 0, "so nothing to resync");
     }
 
     #[test]
@@ -466,7 +427,6 @@ mod tests {
         let plain = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n as usize, &hints));
         let indexed = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n as usize, &hints));
         let conn = indexed.enable_connectivity();
-        indexed.enable_triangles();
         let noop = [Update::delete(TimedEdge::new(0, 1, 0))];
         for batch in [&noop[..], &stream[..2000], &stream[2000..], &[]] {
             let epochs = (plain.epoch(), indexed.epoch());
@@ -492,82 +452,29 @@ mod tests {
     }
 
     #[test]
-    fn manager_serves_distances_without_rebuilds() {
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(64, &CapacityHints::new(256));
-        let mgr = SnapshotManager::new(g);
-        let path: Vec<Update> = (0..31u32)
-            .map(|i| Update::insert(TimedEdge::new(i, i + 1, 1)))
-            .collect();
-        mgr.apply_batch(&path);
-        let idx = mgr.enable_distances(&[0]);
-        assert_eq!(idx.full_rebuild_count(), 0);
-        for _ in 0..64 {
-            assert_eq!(mgr.indexes().hop_distance(0, 31), Some(31));
-            assert_eq!(mgr.indexes().hop_distance(0, 40), None);
-        }
-        assert_eq!(mgr.rebuild_count(), 0, "no CSR was ever built");
-        assert_eq!(idx.repair_count(), 0);
-        // A routed insert shortens the path with no repair ...
-        mgr.insert_edge(TimedEdge::new(0, 30, 2));
-        assert_eq!(mgr.indexes().hop_distance(0, 31), Some(2));
-        assert_eq!(idx.repair_count(), 0, "insertions never need repair");
-        // ... and a routed delete dirties + repairs on the next query.
-        mgr.delete_edge(0, 30);
-        assert_eq!(mgr.indexes().hop_distance(0, 31), Some(31));
-        assert_eq!(idx.repair_count(), 1);
-        assert_eq!(idx.full_rebuild_count(), 0);
-        assert_eq!(mgr.rebuild_count(), 0, "still no CSR");
-    }
-
-    #[test]
-    fn manager_serves_triangles_without_recounts() {
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(8, &CapacityHints::new(64));
-        let mgr = SnapshotManager::new(g);
-        let tri: Vec<Update> = [(0, 1), (1, 2), (2, 0), (0, 3)]
-            .iter()
-            .map(|&(u, v)| Update::insert(TimedEdge::new(u, v, 1)))
-            .collect();
-        mgr.apply_batch(&tri);
-        let idx = mgr.enable_triangles();
-        assert_eq!(mgr.indexes().triangle_count(), 1);
-        assert_eq!(mgr.indexes().triangles_of(0), 1);
-        // Routed single updates apply deltas, never recounts.
-        mgr.insert_edge(TimedEdge::new(1, 3, 2));
-        assert_eq!(mgr.indexes().triangle_count(), 2);
-        mgr.delete_edge(0, 1);
-        assert_eq!(mgr.indexes().triangle_count(), 0);
-        assert_eq!(idx.full_rebuild_count(), 0);
-        assert!(idx.delta_count() >= 2);
-        assert_eq!(mgr.rebuild_count(), 0, "no CSR was ever built");
-    }
-
-    #[test]
-    fn batched_updates_route_into_all_indexes_in_stream_order() {
+    fn batched_updates_route_into_the_index_in_stream_order() {
         // A batch that inserts an edge and deletes it again: the settled
         // view no longer has it, and a stream-order absorb must leave
-        // every index exact (the insert's stale distance certificate is
-        // caught by the later delete in the same absorb).
+        // the index exact (the insert's link names an edge the later
+        // delete in the same absorb removes).
         let g: DynGraph<DynArr> = DynGraph::undirected(8, &CapacityHints::new(64));
         let mgr = SnapshotManager::new(g);
         mgr.apply_batch(&[
             Update::insert(TimedEdge::new(0, 1, 1)),
             Update::insert(TimedEdge::new(1, 2, 1)),
-            Update::insert(TimedEdge::new(2, 3, 1)),
+            Update::insert(TimedEdge::new(4, 5, 1)),
         ]);
-        let dist = mgr.enable_distances(&[0]);
-        let tri = mgr.enable_triangles();
-        mgr.enable_connectivity();
+        let conn = mgr.enable_connectivity();
         let churn = vec![
-            Update::insert(TimedEdge::new(0, 3, 2)), // shortcut ...
-            Update::insert(TimedEdge::new(1, 3, 2)), // ... and a triangle 1-2-3
-            Update::delete(TimedEdge::new(0, 3, 0)), // shortcut gone again
+            Update::insert(TimedEdge::new(2, 4, 2)), // a merge ...
+            Update::insert(TimedEdge::new(1, 3, 2)), // ... another ...
+            Update::delete(TimedEdge::new(2, 4, 0)), // ... and the first gone again
         ];
         assert!(mgr.apply_batch(&churn));
-        assert_eq!(mgr.indexes().hop_distance(0, 3), Some(2), "via 1-3 now");
-        assert_eq!(mgr.indexes().triangle_count(), 1, "triangle 1-2-3 stands");
-        assert!(mgr.indexes().same_component(0, 3));
-        assert_eq!(dist.full_rebuild_count(), 0);
-        assert_eq!(tri.full_rebuild_count(), 0);
+        assert!(mgr.indexes().same_component(0, 3), "via 1-3 now");
+        assert!(!mgr.indexes().same_component(0, 4), "2-4 came and went");
+        assert_eq!(mgr.indexes().component_count(), 4);
+        assert_eq!(conn.full_rebuild_count(), 0);
     }
 
     #[test]

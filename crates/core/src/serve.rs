@@ -155,15 +155,6 @@ pub struct ServeConfig {
     /// version's prefix against a bulk-synchronous oracle. Off by
     /// default (unbounded memory under sustained ingest).
     pub history: bool,
-    /// Pinned sources for an incremental distance index maintained by
-    /// the writer (empty = no distance index). Queries go through
-    /// [`ServeEngine::indexes`] and answer as of the last cycle: exact
-    /// for everything submitted before a [`ServeEngine::flush`].
-    pub distance_sources: Vec<u32>,
-    /// Maintain an incremental triangle index (per-vertex triangle
-    /// counts + clustering), queried through [`ServeEngine::indexes`]
-    /// with the same as-of-the-last-cycle contract as distances.
-    pub triangles: bool,
 }
 
 impl Default for ServeConfig {
@@ -173,8 +164,6 @@ impl Default for ServeConfig {
             shards: 0,
             connectivity: true,
             history: false,
-            distance_sources: Vec::new(),
-            triangles: false,
         }
     }
 }
@@ -212,19 +201,6 @@ impl ServeConfig {
     /// Enables applied-batch recording for oracle-replay testing.
     pub fn with_history(mut self, on: bool) -> Self {
         self.history = on;
-        self
-    }
-
-    /// Pins hop-distance sources (non-empty enables the distance
-    /// index).
-    pub fn with_distance_sources(mut self, sources: &[u32]) -> Self {
-        self.distance_sources = sources.to_vec();
-        self
-    }
-
-    /// Enables or disables the triangle index.
-    pub fn with_triangles(mut self, on: bool) -> Self {
-        self.triangles = on;
         self
     }
 }
@@ -483,7 +459,7 @@ impl ServeMetrics {
             ),
             labels_ns: r.histogram(
                 "snap_serve_labels_ns",
-                "Per-cycle component-label publication (ns): one copy of the settled index's flat labels into a recycled array, or none when no label changed; the indexes absorb and settle inside snap_serve_apply_ns",
+                "Per-cycle component-label publication (ns): one copy of the settled index's flat labels into a recycled array, or none when no label changed; the index absorbs and settles inside snap_serve_apply_ns",
             ),
             freeze_ns: r.histogram(
                 "snap_serve_freeze_ns",
@@ -572,8 +548,8 @@ struct Shared<A: DynamicAdjacency> {
     /// construction — that exclusivity is what makes index repairs and
     /// CSR builds race-free without a graph-wide lock.
     graph: DynGraph<A>,
-    /// The incremental indexes [`ServeConfig`] asked for: absorbed into,
-    /// settled and epoch-stepped by the writer only.
+    /// The connectivity index, if [`ServeConfig`] asked for it:
+    /// absorbed into, settled and epoch-stepped by the writer only.
     indexes: IndexFamily,
     /// The newest *frozen* version — what pins get. The write lock is
     /// held only for the pointer swap (never during a build), so
@@ -620,12 +596,6 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
         let conn = cfg
             .connectivity
             .then(|| indexes.attach_connectivity(&graph, 0));
-        if !cfg.distance_sources.is_empty() {
-            indexes.attach_distances(&graph, &cfg.distance_sources, 0);
-        }
-        if cfg.triangles {
-            indexes.attach_triangles(&graph, 0);
-        }
         // Version 0 is the writer's cycle's first freeze: a full build.
         let mut cycle = Cycle::publishing(graph.num_vertices());
         let mut labels_seen = None;
@@ -842,22 +812,20 @@ impl<A: DynamicAdjacency + 'static> ServeEngine<A> {
     /// index. The serving path keeps this at **zero**: insertions union
     /// incrementally and deletions go through the certificate.
     pub fn full_rebuild_count(&self) -> Option<usize> {
-        let conn = self.shared.indexes.routes().conn;
+        let conn = self.shared.indexes.routes();
         conn.map(|c| c.full_rebuild_count())
     }
 
-    /// The query surface of the indexes this engine maintains
-    /// ([`IndexQuery`]: `hop_distance`, `triangles_of`, `triangle_count`,
-    /// `average_clustering`, ..., and the indexes' own counters through
-    /// [`IndexQuery::routes`]). Queries read the writer's indexes under
-    /// their read locks, as of the last cycle: the writer absorbs and
-    /// settles a cycle's changes under each index's write lock, so an
+    /// The query surface of the connectivity index this engine
+    /// maintains ([`IndexQuery`], and the index's own counters through
+    /// [`IndexQuery::connectivity`]). Queries read the writer's index
+    /// under its read lock, as of the last cycle: the writer absorbs and
+    /// settles a cycle's changes under the index's write lock, so an
     /// answer is the graph after some prefix of the submitted batches,
-    /// never older than a version pinned before the call — for
-    /// connectivity prefer the wait-free
-    /// [`ServeEngine::same_component`]. The writer steps every index
-    /// before it publishes a cycle's epoch, so no query here ever pays a
-    /// rebuild. Do not absorb into the indexes.
+    /// never older than a version pinned before the call — prefer the
+    /// wait-free [`ServeEngine::same_component`]. The writer steps the
+    /// index before it publishes a cycle's epoch, so no query here ever
+    /// pays a rebuild. Do not absorb into the index.
     pub fn indexes(&self) -> IndexQuery<'_, DynGraph<A>> {
         let s = &*self.shared;
         s.indexes.query(&s.graph, &s.cycle_epoch)
@@ -979,7 +947,7 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
 
     /// One ingest cycle: coalesce the queued batches, up to one applier
     /// range of half-updates, into one stream, apply it with one sharded
-    /// applier call, settle the indexes, publish the cycle's labels with
+    /// applier call, settle the index, publish the cycle's labels with
     /// a single pointer swap — and freeze if it is the `FREEZE_EVERY`-th
     /// cycle since the last freeze. Returns the non-batch message that
     /// ended the coalescing, if any.
@@ -1018,13 +986,13 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         }
         let applied = self.stream.len() as u64;
         m.cycle_updates.record(applied);
-        let routes = shared.indexes.routes();
-        // Absorbs the cycle's changes into every index, settles them and
-        // steps them, all before `cycle_epoch` publishes (invariant 6).
+        let conn = shared.indexes.routes();
+        // Absorbs the cycle's changes into the index, settles it and
+        // steps it, all before `cycle_epoch` publishes (invariant 6).
         let changed = {
             let _t = Timer::scope(&m.apply_ns);
             self.cycle
-                .run(&shared.graph, routes, &self.stream, shared.shards) as u64
+                .run(&shared.graph, conn, &self.stream, shared.shards) as u64
         };
         if shared.record_history {
             shared.history.lock().extend(batches);
@@ -1042,11 +1010,11 @@ impl<'a, A: DynamicAdjacency> Writer<'a, A> {
         // re-insert rewrote a timestamp, it leaves the graph clean, so a
         // freeze after it shares the previous version.
         if changed > 0 {
-            // The indexes settled inside the run (the certificate
+            // The index settled inside the run (the certificate
             // searched the smaller side per cut tree edge — never a full
             // rebuild), which left the labels flat: publish a copy, or
             // keep the previous array when no label changed.
-            if let Some(c) = routes.conn {
+            if let Some(c) = conn {
                 let _t = Timer::scope(&m.labels_ns);
                 let mut labels = self.spare_labels.take().unwrap_or_default();
                 match c.labels_since(&shared.graph, self.labels_seen, &mut labels) {
@@ -1224,7 +1192,7 @@ mod tests {
     }
 
     fn conn(e: &ServeEngine<HybridAdj>) -> &crate::ConnectivityIndex {
-        e.indexes().routes().conn.expect("connectivity on")
+        e.indexes().connectivity().expect("connectivity on")
     }
 
     /// A check to call on every turn of a loop that waits on the writer:
@@ -1365,95 +1333,14 @@ mod tests {
         assert!(v.component_labels().is_none());
         assert_eq!(v.same_component(0, 1), None);
         assert_eq!(e.full_rebuild_count(), None);
-        assert!(e.indexes().routes().is_empty());
+        assert!(e.indexes().connectivity().is_none());
     }
 
     #[test]
-    fn flushed_distances_are_exact_and_never_rebuild() {
-        let e = engine(16, ServeConfig::default().with_distance_sources(&[0]));
-        e.submit((0..7u32).map(|i| ins(i, i + 1, 1)).collect());
-        e.flush();
-        assert_eq!(e.indexes().hop_distance(0, 7), Some(7));
-        // A shortcut relaxes incrementally...
-        e.submit(vec![ins(0, 6, 2)]);
-        e.flush();
-        assert_eq!(e.indexes().hop_distance(0, 7), Some(2));
-        // ...and deleting it dirty-marks; the writer's repair phase
-        // cleans the row before this query reads it.
-        e.submit(vec![del(0, 6)]);
-        e.flush();
-        assert_eq!(e.indexes().hop_distance(0, 7), Some(7));
-        assert_eq!(
-            e.indexes().hop_distance(0, 15),
-            None,
-            "isolate is unreachable"
-        );
-        let dist = e.indexes().routes().dist.expect("sources pinned");
-        assert_eq!(dist.full_rebuild_count(), 0);
-        assert!(dist.repair_count() >= 1);
-    }
-
-    #[test]
-    fn flushed_triangles_are_exact_and_never_recount() {
-        let e = engine(8, ServeConfig::default().with_triangles(true));
-        e.submit(vec![ins(0, 1, 1), ins(1, 2, 2), ins(0, 2, 3)]);
-        e.flush();
-        assert_eq!(e.indexes().triangle_count(), 1);
-        assert_eq!(e.indexes().triangles_of(0), 1);
-        e.submit(vec![ins(1, 3, 4), ins(2, 3, 5)]);
-        e.flush();
-        assert_eq!(e.indexes().triangle_count(), 2);
-        // A triangle vertex: C(1) = 2·2/(3·2), C(0) = 1, C(3) = 1,
-        // isolates contribute 0 — matches the kernels-side summation.
-        let expected = (1.0 + (2.0 * 2.0) / (3.0 * 2.0) * 2.0 + 1.0) / 8.0;
-        assert!((e.indexes().average_clustering() - expected).abs() < 1e-12);
-        e.submit(vec![del(1, 2)]);
-        e.flush();
-        assert_eq!(e.indexes().triangle_count(), 0);
-        let tri = e.indexes().routes().tri.expect("triangles on");
-        assert_eq!(tri.full_rebuild_count(), 0);
-        assert!(tri.delta_count() >= 6);
-    }
-
-    #[test]
-    fn index_family_stays_incremental_under_a_sustained_stream() {
-        let e = engine(
-            32,
-            ServeConfig::default()
-                .with_distance_sources(&[0, 5])
-                .with_triangles(true)
-                .with_shards(2),
-        );
-        // Ring + chords, then tear some chords back out.
-        for i in 0..32u32 {
-            e.submit(vec![ins(i, (i + 1) % 32, i)]);
-        }
-        for i in 0..16u32 {
-            e.submit(vec![ins(i, (i + 2) % 32, 100 + i)]);
-        }
-        for i in 0..8u32 {
-            e.submit(vec![del(i, (i + 2) % 32)]);
-        }
-        e.flush();
-        // Quiesced: bulk-synchronous oracle over the final pinned CSR.
-        let v = e.pin();
-        let oracle = crate::distindex::restricted_hop_distances(
-            &*v,
-            &(0..32u32).collect::<Vec<_>>(),
-            &(0..32)
-                .map(|i| if i == 0 { 0 } else { u32::MAX })
-                .collect::<Vec<_>>(),
-        );
-        for u in 0..32u32 {
-            let got = e.indexes().hop_distance(0, u);
-            let want = (oracle[u as usize] != u32::MAX).then_some(oracle[u as usize]);
-            assert_eq!(got, want, "hop_distance(0, {u})");
-        }
-        let tri_oracle = crate::TriangleIndex::from_view(&*v);
-        assert_eq!(e.indexes().triangle_count(), tri_oracle.triangle_count());
-        let routes = e.indexes().routes();
-        assert_eq!(routes.dist.expect("sources pinned").full_rebuild_count(), 0);
-        assert_eq!(routes.tri.expect("triangles on").full_rebuild_count(), 0);
+    #[should_panic(expected = "connectivity index not enabled")]
+    fn a_label_query_without_the_index_names_it() {
+        let e = engine(8, ServeConfig::default().with_connectivity(false));
+        e.same_component(0, 1);
     }
 
     #[test]

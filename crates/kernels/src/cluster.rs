@@ -73,7 +73,7 @@ fn intersection_count(a: &[u32], b: &[u32]) -> usize {
 
 /// Number of triangles incident to each vertex (each triangle counted
 /// once per member vertex).
-pub fn triangles_per_vertex<V: GraphView>(view: &V) -> Vec<u64> {
+pub(crate) fn triangles_per_vertex<V: GraphView>(view: &V) -> Vec<u64> {
     let nbrs = sorted_neighborhoods(view);
     (0..view.num_vertices())
         .into_par_iter()

@@ -28,8 +28,9 @@
 //!   from edge lists, views, or in place on a dynamic graph.
 //! - [`bc`] — Brandes-style betweenness centrality, static and temporal,
 //!   exact and source-sampled approximate (Figure 11).
-//! - [`cluster`] — triangle counts and clustering coefficients (the
-//!   oracle of `snap_core::TriangleIndex`).
+//! - [`cluster`] — triangle counts and clustering coefficients, the
+//!   community-structure half of a topology profile (the
+//!   `network_profile` example).
 //!
 //! The multi-threaded runtime lives one layer up in `snap-par`
 //! (`par_bfs` / `par_cc` / `par_bc`): it shares this crate's result
@@ -52,7 +53,7 @@ pub mod subgraph;
 pub use bc::{betweenness_approx, betweenness_exact, temporal_betweenness_approx};
 pub use bfs::{bfs, serial_bfs, temporal_bfs, BfsResult, UNREACHED};
 pub use cc::{component_count, connected_components};
-pub use cluster::{average_clustering, local_clustering, triangle_count, triangles_per_vertex};
+pub use cluster::{average_clustering, local_clustering, triangle_count};
 pub use lcf::LinkCutForest;
 pub use subgraph::{
     induced_subgraph_csr, induced_subgraph_edges, induced_subgraph_vertices, induced_subgraph_view,

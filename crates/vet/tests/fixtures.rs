@@ -188,7 +188,6 @@ fn workspace_scans_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(report.files > 80, "scan must actually cover the workspace");
     // Only vendored code may leave the scan: a skipped crate of ours
     // fails here.
     assert!(
@@ -196,17 +195,25 @@ fn workspace_scans_clean() {
         "vet.toml skips more than the vendored shims: {:?}",
         reg.skip
     );
-    // A floor that moves with the code: a scanned library file whose
-    // code names an `Ordering::` holds at least one ordering site.
+    // The scan covers the workspace: every `.rs` file under the roots,
+    // counted by an independent walk, less the skipped prefixes.
     let mut files = Vec::new();
     for r in &reg.roots {
         rs_files(&root.join(r), &mut files);
     }
+    let rel = |path: &std::path::PathBuf| {
+        let rel = path.strip_prefix(&root).expect("under the root");
+        rel.to_string_lossy().replace('\\', "/")
+    };
+    let scanned = files.iter().filter(|p| !reg.path_skipped(&rel(p))).count();
+    assert!(scanned > 0, "the walk must find the workspace's sources");
+    assert_eq!(report.files, scanned, "scan must cover the workspace");
+    // A floor that moves with the code: a scanned library file whose
+    // code names an `Ordering::` holds at least one ordering site.
     let naming = files
         .iter()
         .filter(|path| {
-            let rel = path.strip_prefix(&root).expect("under the root");
-            let rel = rel.to_string_lossy().replace('\\', "/");
+            let rel = rel(path);
             let library = !rel
                 .split('/')
                 .any(|s| ["tests", "benches", "examples"].contains(&s));

@@ -53,25 +53,18 @@
 //! is the fallback. Between batches, `mgr.indexes().same_component(u, v)`
 //! costs zero traversals and zero CSR rebuilds.
 //!
-//! The same certificate + lazy-targeted-repair discipline extends to an
-//! index family: [`DistanceIndex`]
-//! ([`SnapshotManager::enable_distances`]) serves exact hop distances
-//! from pinned sources — insertions relax a bounded wavefront,
-//! deletions dirty only the vertices whose shortest-path-tree edge
-//! died, and repairs re-level just the affected region — and
-//! [`TriangleIndex`] ([`SnapshotManager::enable_triangles`]) keeps
-//! per-vertex triangle counts and the clustering coefficient current by
-//! O(min-degree) deltas, never recounting. Both also attach to the concurrent
-//! [`ServeEngine`] via [`ServeConfig::with_distance_sources`] and
-//! [`ServeConfig::with_triangles`]. Either engine answers through the
-//! same query surface — [`SnapshotManager::indexes`] /
+//! It is the one index, as in the paper. It also attaches to the
+//! concurrent [`ServeEngine`] ([`ServeConfig::with_connectivity`], on by
+//! default), whose wait-free [`ServeEngine::same_component`] reads the
+//! labels the writer publishes each cycle. Either engine also answers
+//! through one query surface: [`SnapshotManager::indexes`] /
 //! [`ServeEngine::indexes`] hand out an
 //! [`IndexQuery`](snap_core::IndexQuery) (`same_component`,
-//! `hop_distance`, `triangle_count`, ...). Each engine is its graph's
-//! only mutator and steps every index before it publishes an epoch, so
-//! a query never finds an index behind; the freshness check it makes
-//! first still turns an unabsorbed change into one full rebuild instead of
-//! a stale answer.
+//! `component`, `component_count`). Each engine is its graph's only
+//! mutator and steps the index before it publishes an epoch, so a query
+//! never finds the index behind; the freshness check it makes first
+//! still turns an unabsorbed change into one full rebuild instead of a
+//! stale answer.
 //!
 //! ## Observability
 //!
@@ -187,8 +180,8 @@ pub use snap_util as util;
 // Lift the read abstraction to the facade root: it is the vocabulary
 // every kernel call site speaks.
 pub use snap_core::{
-    ConnectivityIndex, CsrGraph, DistanceIndex, DynGraph, EpochSnapshot, GraphView, ServeConfig,
-    ServeEngine, SnapshotHandle, SnapshotManager, TriangleIndex,
+    ConnectivityIndex, CsrGraph, DynGraph, EpochSnapshot, GraphView, ServeConfig, ServeEngine,
+    SnapshotHandle, SnapshotManager,
 };
 
 /// One-stop imports for applications.
@@ -196,9 +189,9 @@ pub mod prelude {
     pub use snap_core::adjacency::{AdjEntry, CapacityHints, DynamicAdjacency, HalfUpdate};
     pub use snap_core::engine;
     pub use snap_core::{
-        ConnectivityIndex, CsrGraph, DistanceIndex, DynArr, DynGraph, EpochSnapshot, FixedDynArr,
-        GraphView, HybridAdj, ServeConfig, ServeEngine, SnapshotHandle, SnapshotManager, TimedEdge,
-        TreapAdj, TriangleIndex, Update, UpdateKind,
+        ConnectivityIndex, CsrGraph, DynArr, DynGraph, EpochSnapshot, FixedDynArr, GraphView,
+        HybridAdj, ServeConfig, ServeEngine, SnapshotHandle, SnapshotManager, TimedEdge, TreapAdj,
+        Update, UpdateKind,
     };
     pub use snap_kernels::{
         average_clustering, betweenness_approx, betweenness_exact, bfs, connected_components,

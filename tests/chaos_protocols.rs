@@ -8,7 +8,9 @@
 //! schedule the quiesced state must be **bit-identical** to a
 //! bulk-synchronous oracle, with zero panics or deadlocks along the way.
 //!
-//! Eight protocols are swept, one per test:
+//! Eight protocols were swept, one per test; 4 and 5 are retired with
+//! the distance and triangle indexes they checked, and the others keep
+//! their numbers:
 //!
 //! 1. **Connectivity under racing queries** (invariants 1, 6):
 //!    deletion-heavy batches through `SnapshotManager`, which settles
@@ -16,30 +18,25 @@
 //!    must never see a half-settled forest.
 //! 2. **ServeEngine publish** (invariant 1): every version a reader
 //!    pins corresponds to one prefix of the submission order.
-//! 3. **Epoch resync** (invariant 6): a mutation the indexes never
+//! 3. **Epoch resync** (invariant 6): a mutation the index never
 //!    absorbed, published as a bare epoch bump, leaves a sticky epoch gap
 //!    that the next query must absorb with a conservative full resync —
 //!    never serve stale.
-//! 4. **Distance repair** (invariants 1, 6): deletion batches
-//!    dirty-mark shortest-path trees and repair them under the index's
-//!    write lock while `hop_distance` queries read mid-race.
-//! 5. **Triangle deltas** (invariant 3): racing writers apply
-//!    O(min-degree) deltas while readers sample counts;
-//!    the quiesced counts must match the kernels recount to the bit.
+//! 4. *Retired* (distance repair).
+//! 5. *Retired* (triangle deltas).
 //! 6. **Writer-local freeze** (invariant 1): a drain freezes before the
 //!    writer waits and at least every fourth cycle; every version pinned
 //!    on the way is one prefix — CSR *and* labels — and
 //!    `pending_batches() == 0` means the next pin has everything.
-//! 7. **The whole index family under serving** (invariants 1, 6): a
-//!    `ServeEngine` maintaining connectivity, distances and triangles
-//!    at once while readers pin versions and call every index query;
-//!    after `flush` all three equal from-scratch oracles on the
-//!    bulk-synchronous replay, with zero full rebuilds.
+//! 7. **The index under serving** (invariants 1, 6): a `ServeEngine`
+//!    maintaining connectivity while readers pin versions and call
+//!    every index query; after `flush` the labels equal a from-scratch
+//!    oracle on the bulk-synchronous replay, with zero full rebuilds.
 //! 8. **Backlog-sized cycles** (invariants 1, 6, 8): a burst queued
 //!    faster than the writer drains it, so cycles fill to the applier's
-//!    range budget and span two ranges its shards race for, with all
-//!    three indexes on; every pinned version is one prefix and the
-//!    flushed indexes equal the replay's.
+//!    range budget and span two ranges its shards race for, with the
+//!    index on; every pinned version is one prefix and the flushed
+//!    index equals the replay's.
 //!
 //! The suite also runs (and must pass) without the feature: the chaos
 //! entry points compile to no-ops, so this doubles as a plain stress
@@ -51,7 +48,6 @@ use common::{hints, rng_for, writer_deadline};
 use snap::core::IndexFamily;
 use snap::prelude::*;
 use snap_kernels::cc::union_find_components;
-use snap_kernels::serial_bfs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -100,16 +96,6 @@ fn workload(case: u64) -> (Vec<Update>, Vec<Update>, Vec<u32>) {
     let (inserts, deletes, surviving) = workload_edges(case);
     let want = union_find_components(N as usize, surviving.iter().copied());
     (inserts, deletes, want)
-}
-
-/// Bulk-synchronous replay of the surviving edge set, for oracles that
-/// need a settled view rather than component labels.
-fn surviving_view(surviving: &[(u32, u32)]) -> DynGraph<HybridAdj> {
-    let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints(surviving.len() * 2));
-    for &(u, v) in surviving {
-        g.apply(&Update::insert(TimedEdge::new(u, v, 1 + (u + v) % 90)));
-    }
-    g
 }
 
 /// Protocol 1 — connectivity under racing queries. Two writers stream
@@ -266,7 +252,7 @@ fn serve_publish_matches_oracle_across_seeds() {
 
 /// Protocol 3 — sticky out-of-band epochs (invariant 6). Neither engine
 /// can open an epoch gap (each is its graph's only mutator), so the test
-/// owns the graph, the index family and the epoch: a writer
+/// owns the graph, the index and the epoch: a writer
 /// mutates the graph directly, bypassing update routing, and publishes
 /// a bare epoch bump per chunk, while readers query through
 /// `IndexFamily::query`; whatever interleaving the chaos schedule
@@ -285,7 +271,7 @@ fn epoch_resync_matches_oracle_across_seeds() {
         let idx = family.attach_connectivity(&g, 0);
         // The inserts are applied and absorbed, stepped, then published.
         assert!(engine::apply_vpart_indexed(&g, &inserts, 0, family.routes()) > 0);
-        family.routes().sync_change(1);
+        idx.sync_change(1);
         // ordering: Release — the test's epoch publication, after the
         // step (invariant 6).
         epoch.store(1, Ordering::Release);
@@ -322,128 +308,6 @@ fn epoch_resync_matches_oracle_across_seeds() {
         assert!(
             idx.full_rebuild_count() >= 1,
             "seed {seed}: the out-of-band gap must have forced a resync"
-        );
-    }
-}
-
-/// Protocol 4 — DistanceIndex targeted repair under fire. Two writers
-/// stream disjoint delete batches (dirty-marking shortest-path trees and
-/// repairing them under the index's write lock) while readers hammer
-/// `hop_distance` under the chaos schedule. Racing answers merely
-/// must not panic; at quiescence every pinned source's row must be
-/// bit-identical to a fresh serial BFS on the bulk-synchronous replay,
-/// with zero full recomputes along the way.
-#[test]
-fn distance_repair_matches_oracle_across_seeds() {
-    const SOURCES: [u32; 4] = [0, 17, 255, 511];
-    for seed in 0..SEEDS {
-        set_chaos_seed(seed);
-        let (inserts, deletes, surviving) = workload_edges(200 + seed);
-        let hints = hints(inserts.len() * 2);
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
-        let mgr = SnapshotManager::new(g);
-        let idx = mgr.enable_distances(&SOURCES);
-        assert!(mgr.apply_batch(&inserts));
-        let mid = deletes.len() / 2;
-        let mgr = &mgr;
-        std::thread::scope(|s| {
-            for half in [&deletes[..mid], &deletes[mid..]] {
-                s.spawn(move || {
-                    for chunk in half.chunks(32) {
-                        mgr.apply_batch(chunk);
-                    }
-                });
-            }
-            for r in 0..2u64 {
-                s.spawn(move || {
-                    let mut rng = rng_for(SUITE, 30 + r, seed);
-                    for _ in 0..300 {
-                        let src = SOURCES[rng.next_bounded(SOURCES.len() as u64) as usize];
-                        let v = rng.next_bounded(N as u64) as u32;
-                        let _ = mgr.indexes().hop_distance(src, v);
-                    }
-                });
-            }
-        });
-        let oracle_view = surviving_view(&surviving);
-        for &src in &SOURCES {
-            assert_eq!(
-                mgr.indexes().hop_distances(src),
-                serial_bfs(&oracle_view, src).dist,
-                "seed {seed}: source {src} row after quiescence"
-            );
-        }
-        assert_eq!(
-            idx.full_rebuild_count(),
-            0,
-            "seed {seed}: repairs must stay targeted"
-        );
-    }
-}
-
-/// Protocol 5 — TriangleIndex delta application under fire. Two
-/// writers stream disjoint delete batches whose O(min-degree) deltas
-/// land on the per-vertex counters under the index's write lock, while
-/// readers sample `triangles_of` / `triangle_count` mid-race. At quiescence the
-/// per-vertex counts, the global count, and the clustering coefficient
-/// must all match the kernels recount on the bulk-synchronous replay —
-/// to the bit — with zero recounts on the incremental path.
-#[test]
-fn triangle_deltas_match_oracle_across_seeds() {
-    for seed in 0..SEEDS {
-        set_chaos_seed(seed);
-        let (inserts, deletes, surviving) = workload_edges(300 + seed);
-        let hints = hints(inserts.len() * 2);
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
-        let mgr = SnapshotManager::new(g);
-        let idx = mgr.enable_triangles();
-        assert!(mgr.apply_batch(&inserts));
-        let mid = deletes.len() / 2;
-        let mgr = &mgr;
-        std::thread::scope(|s| {
-            for half in [&deletes[..mid], &deletes[mid..]] {
-                s.spawn(move || {
-                    for chunk in half.chunks(32) {
-                        mgr.apply_batch(chunk);
-                    }
-                });
-            }
-            for r in 0..2u64 {
-                s.spawn(move || {
-                    let mut rng = rng_for(SUITE, 40 + r, seed);
-                    for _ in 0..300 {
-                        let v = rng.next_bounded(N as u64) as u32;
-                        let _ = mgr.indexes().triangles_of(v);
-                        if v.is_multiple_of(16) {
-                            let _ = mgr.indexes().triangle_count();
-                        }
-                    }
-                });
-            }
-        });
-        let oracle_view = surviving_view(&surviving);
-        let per = snap_kernels::triangles_per_vertex(&oracle_view);
-        for (u, &want) in per.iter().enumerate() {
-            assert_eq!(
-                mgr.indexes().triangles_of(u as u32),
-                want,
-                "seed {seed}: vertex {u} after quiescence"
-            );
-        }
-        assert_eq!(
-            mgr.indexes().triangle_count(),
-            per.iter().sum::<u64>() / 3,
-            "seed {seed}: global count"
-        );
-        assert_eq!(
-            mgr.indexes().average_clustering().to_bits(),
-            average_clustering(&oracle_view).to_bits(),
-            "seed {seed}: clustering to the bit"
-        );
-        assert_eq!(
-            idx.full_rebuild_count(),
-            0,
-            "seed {seed}: deltas must do all the work"
         );
     }
 }
@@ -534,22 +398,19 @@ fn writer_local_freeze_matches_oracle_across_seeds() {
     }
 }
 
-/// Protocol 7 — the whole index family under serving (invariants 1
-/// and 6). One engine maintains connectivity, pinned distance sources
-/// and triangles; a producer streams mixed batches while readers pin
-/// versions and call every index query against the live indexes, racing
-/// the writer's cycles. Racing answers merely
-/// must not panic. After `flush`, labels, distance rows, per-vertex
-/// triangle counts and the clustering coefficient must equal
-/// from-scratch oracles on the bulk-synchronous replay of the history —
-/// and no index may have paid a full rebuild (the writer steps every
-/// index before it publishes a cycle's epoch, so a reader never finds
-/// one behind).
+/// Protocol 7 — the index under serving (invariants 1 and 6). One
+/// engine maintains connectivity; a producer streams mixed batches
+/// while readers pin versions and call every index query against the
+/// live index, racing the writer's cycles. Racing answers merely must
+/// not panic. After `flush`, the published labels and every component
+/// query must equal a from-scratch oracle on the bulk-synchronous
+/// replay of the history — and the index may not have paid a full
+/// rebuild (the writer steps it before it publishes a cycle's epoch, so
+/// a reader never finds it behind).
 #[test]
 fn index_family_under_serving_matches_oracles_across_seeds() {
     const SCALE: u32 = 8;
     const BATCHES: usize = 12;
-    const SOURCES: [u32; 3] = [0, 17, 255];
     let n = 1usize << SCALE;
     let edges = Rmat::new(RmatParams::paper(SCALE, 8), 987).edges();
     let base_len = edges.len() * 3 / 4;
@@ -565,11 +426,7 @@ fn index_family_under_serving_matches_oracles_across_seeds() {
         set_chaos_seed(seed);
         let engine = ServeEngine::new(
             replay(&[]),
-            ServeConfig::default()
-                .with_shards(2)
-                .with_history(true)
-                .with_distance_sources(&SOURCES)
-                .with_triangles(true),
+            ServeConfig::default().with_shards(2).with_history(true),
         );
         let engine = &engine;
         let edges = &edges;
@@ -588,20 +445,17 @@ fn index_family_under_serving_matches_oracles_across_seeds() {
                         let handle = engine.pin();
                         let u = rng.next_bounded(n as u64) as u32;
                         let v = rng.next_bounded(n as u64) as u32;
-                        let src = SOURCES[rng.next_bounded(SOURCES.len() as u64) as usize];
+                        let w = rng.next_bounded(n as u64) as u32;
                         assert!(handle.same_component(u, v).is_some());
                         let _ = engine.same_component(u, v);
                         let _ = engine.component(u);
                         let index = engine.indexes();
                         let _ = index.same_component(u, v);
                         let _ = index.component(v);
-                        let _ = index.hop_distance(src, v);
-                        let _ = index.triangles_of(u);
-                        let _ = index.triangle_count();
+                        let _ = index.same_component(w, v);
+                        let _ = index.component(w);
                         if round % 8 == 0 {
                             let _ = index.component_count();
-                            let _ = index.hop_distances(src);
-                            let _ = index.average_clustering();
                         }
                     }
                 });
@@ -619,30 +473,13 @@ fn index_family_under_serving_matches_oracles_across_seeds() {
         for v in 0..n as u32 {
             assert_eq!(index.component(v), labels[v as usize], "{at}: vertex {v}");
         }
-        for src in SOURCES {
-            assert_eq!(
-                index.hop_distances(src),
-                serial_bfs(&oracle, src).dist,
-                "{at}: source {src} row"
-            );
-        }
-        let per = snap_kernels::triangles_per_vertex(&oracle);
-        for (u, &want) in per.iter().enumerate() {
-            assert_eq!(index.triangles_of(u as u32), want, "{at}: vertex {u}");
-        }
-        assert_eq!(index.triangle_count(), per.iter().sum::<u64>() / 3, "{at}");
         assert_eq!(
-            index.average_clustering().to_bits(),
-            average_clustering(&oracle).to_bits(),
-            "{at}: clustering to the bit"
+            index.component_count(),
+            snap::kernels::component_count(&labels),
+            "{at}: component count"
         );
-        let routes = index.routes();
-        let rebuilds = [
-            routes.conn.expect("conn on").full_rebuild_count(),
-            routes.dist.expect("sources pinned").full_rebuild_count(),
-            routes.tri.expect("triangles on").full_rebuild_count(),
-        ];
-        assert_eq!(rebuilds, [0; 3], "{at}: everything stayed incremental");
+        let conn = index.connectivity().expect("conn on");
+        assert_eq!(conn.full_rebuild_count(), 0, "{at}: stayed incremental");
     }
 }
 
@@ -650,11 +487,11 @@ fn index_family_under_serving_matches_oracles_across_seeds() {
 /// queues about one and a half applier ranges of half-updates at once,
 /// so the writer's cycles fill to the range budget and span two ranges,
 /// claimed by the writer's 1, 2 or 8 shards (by seed), while the engine
-/// maintains connectivity, distances and triangles and a reader pins
-/// versions and queries every index. Under every schedule each pinned
-/// version's CSR and labels equal the replay of its own `batches()`;
-/// after `flush` the distance rows and per-vertex triangle counts equal
-/// the full replay's; and no index ever rebuilds in full.
+/// maintains connectivity and a reader pins versions and queries the
+/// index. Under every schedule each pinned version's CSR and labels
+/// equal the replay of its own `batches()`; after `flush` every
+/// component query equals the full replay's; and the index never
+/// rebuilds in full.
 #[test]
 fn backlog_cycles_match_oracles_across_seeds() {
     const SCALE: u32 = 8;
@@ -665,7 +502,6 @@ fn backlog_cycles_match_oracles_across_seeds() {
     const RANGE_BUDGET: usize = 1 << 17;
     const BATCHES: u64 = 100;
     const BATCH: usize = 1000;
-    const SOURCES: [u32; 3] = [0, 17, 255];
     let n = 1usize << SCALE;
     let edges = Rmat::new(RmatParams::paper(SCALE, 8), 741).edges();
     let base_len = edges.len() * 3 / 4;
@@ -685,9 +521,7 @@ fn backlog_cycles_match_oracles_across_seeds() {
             seeded(),
             ServeConfig::default()
                 .with_shards(shards)
-                .with_history(true)
-                .with_distance_sources(&SOURCES)
-                .with_triangles(true),
+                .with_history(true),
         );
         let mut stream = StreamBuilder::new(&edges, 4000 + seed * 100).inserting_from(base_len);
         let burst: Vec<Vec<Update>> = (0..BATCHES).map(|_| stream.mixed(BATCH, 0.7)).collect();
@@ -704,11 +538,10 @@ fn backlog_cycles_match_oracles_across_seeds() {
                     let handle = engine.pin();
                     assert!(engine.epoch() >= handle.epoch());
                     let u = rng.next_bounded(n as u64) as u32;
-                    let src = SOURCES[rng.next_bounded(SOURCES.len() as u64) as usize];
+                    let w = rng.next_bounded(n as u64) as u32;
                     let index = engine.indexes();
-                    let _ = index.same_component(u, src);
-                    let _ = index.hop_distance(src, u);
-                    let _ = index.triangles_of(u);
+                    let _ = index.same_component(u, w);
+                    let _ = index.component(u);
                     let done = handle.batches() == BATCHES;
                     if pins
                         .last()
@@ -764,24 +597,12 @@ fn backlog_cycles_match_oracles_across_seeds() {
             "{at}: the last pin has everything"
         );
         let index = engine.indexes();
-        for src in SOURCES {
-            assert_eq!(
-                index.hop_distances(src),
-                serial_bfs(&oracle, src).dist,
-                "{at}: source {src} row"
-            );
+        let labels = connected_components(&oracle);
+        for v in 0..n as u32 {
+            assert_eq!(index.component(v), labels[v as usize], "{at}: vertex {v}");
         }
-        let per = snap_kernels::triangles_per_vertex(&oracle);
-        for (u, &want) in per.iter().enumerate() {
-            assert_eq!(index.triangles_of(u as u32), want, "{at}: vertex {u}");
-        }
-        let routes = index.routes();
-        let rebuilds = [
-            routes.conn.expect("conn on").full_rebuild_count(),
-            routes.dist.expect("sources pinned").full_rebuild_count(),
-            routes.tri.expect("triangles on").full_rebuild_count(),
-        ];
-        assert_eq!(rebuilds, [0; 3], "{at}: everything stayed incremental");
+        let conn = index.connectivity().expect("conn on");
+        assert_eq!(conn.full_rebuild_count(), 0, "{at}: stayed incremental");
     }
 }
 

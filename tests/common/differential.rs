@@ -1,27 +1,22 @@
-//! Reusable differential-testing harness for incremental indexes.
+//! Differential-testing harness for the connectivity index.
 //!
-//! The pattern every dynamic-index suite shares: generate a **seeded
-//! R-MAT update stream** (mixed inserts and deletes at a configurable
-//! delete ratio, duplicate-free at any instant — an edge is never
-//! inserted twice while live nor deleted while absent, but deleted
-//! edges may be re-inserted later), drive it through an update
-//! strategy (`stream` / `vpart` / `epart`) at a given thread count,
-//! hand every update to the maintained index in stream order (one
-//! `absorb` per batch as the engines' write cycle does, or per update;
-//! connectivity takes single updates through its `note_*` methods), and
-//! assert — mid-stream and at the end — that the index's state is
-//! **bit-identical** to a from-scratch oracle computed on the settled
+//! Generate a **seeded R-MAT update stream** (mixed inserts and deletes
+//! at a configurable delete ratio, duplicate-free at any instant — an
+//! edge is never inserted twice while live nor deleted while absent, but
+//! deleted edges may be re-inserted later), drive it through an update
+//! strategy (`stream` / `vpart` / `epart`) at a given thread count, hand
+//! every update to the index in stream order (one `absorb` per batch as
+//! the engines' write cycle does, or per update through the `note_*`
+//! methods), and assert — mid-stream and at the end — that the index's
+//! labels are **bit-identical** to `connected_components` on the settled
 //! view, with the incremental path never once falling back to a full
 //! rebuild.
 //!
-//! A suite instantiates the harness by picking a [`DifferentialPair`]
-//! ([`ConnPair`], [`DistPair`], [`TriPair`]) and calling
-//! [`run_differential`] over [`STRATEGIES`] × thread counts.
+//! A suite calls [`run_differential`] over [`STRATEGIES`] × thread
+//! counts.
 
-use snap::core::IncrementalIndex;
 use snap::prelude::*;
 use snap::util::thread_pool;
-use snap_kernels::serial_bfs;
 
 use super::{hints, rng_for};
 
@@ -173,12 +168,13 @@ pub fn scripted_workload(n: u32, batches: &[&[(u32, u32, bool)]]) -> Workload {
     }
 }
 
-/// How a batch reaches the graph and the maintained index (always in
-/// stream order, over the settled view).
+/// How a batch reaches the graph and the index (always in stream
+/// order, over the settled view).
 #[derive(Clone, Copy, Debug)]
 pub enum Strategy {
     /// One update at a time; the index takes each after its apply
-    /// ([`DifferentialPair::absorb_one`]).
+    /// through the per-update `note_insert` / `note_delete`, settled by
+    /// the next query: the path the benchmark's replay runs.
     Stream,
     /// Vertex-partitioned parallel apply, then one absorb of the batch.
     Vpart,
@@ -189,45 +185,15 @@ pub enum Strategy {
 /// Every strategy the harness drives.
 pub const STRATEGIES: [Strategy; 3] = [Strategy::Stream, Strategy::Vpart, Strategy::Epart];
 
-/// An {incremental index, from-scratch oracle} pair under differential
-/// test. `state` may trigger the index's own lazy targeted repairs —
-/// that is the path under test; `oracle` must recompute from the view
-/// alone.
-pub trait DifferentialPair {
-    /// Bit-comparable extracted state.
-    type State: PartialEq + std::fmt::Debug;
-    /// The maintained index.
-    type Index: IncrementalIndex;
-    /// The index under test.
-    fn index(&self) -> &Self::Index;
-    /// Hands one applied update to the maintained index: by default one
-    /// [`IncrementalIndex::absorb`] of it alone.
-    fn absorb_one<V: GraphView>(&self, view: &V, upd: &Update) {
-        self.index().absorb(view, std::slice::from_ref(upd));
-    }
-    /// Extracts the maintained state (lazy repairs allowed).
-    fn state<V: GraphView>(&self, view: &V) -> Self::State;
-    /// Recomputes the same state from scratch off the view.
-    fn oracle<V: GraphView>(&self, view: &V) -> Self::State;
-    /// Full-rebuild counter; the harness asserts it stays zero.
-    fn full_rebuilds(&self) -> usize {
-        self.index().full_rebuild_count()
-    }
-}
-
-/// Drives `w` through `strategy` at `threads` workers, differentially
-/// checking the pair built by `make` against its oracle mid-stream and
-/// at the end, and asserting the incremental path never fully rebuilt.
-pub fn run_differential<A, P, F>(w: &Workload, strategy: Strategy, threads: usize, make: F)
-where
-    A: DynamicAdjacency,
-    P: DifferentialPair,
-    F: FnOnce(&DynGraph<A>) -> P,
-{
+/// Drives `w` through `strategy` at `threads` workers into a
+/// [`ConnectivityIndex`] built over the empty graph, checking its labels
+/// against `connected_components` mid-stream and at the end, and
+/// asserting the incremental path never fully rebuilt.
+pub fn run_differential<A: DynamicAdjacency>(w: &Workload, strategy: Strategy, threads: usize) {
     let what = format!("{strategy:?} @ {threads} threads");
     let hints = hints(w.len() * 2);
     let g: DynGraph<A> = DynGraph::undirected(w.n as usize, &hints);
-    let pair = make(&g);
+    let idx = ConnectivityIndex::from_view(&g);
     let pool = thread_pool(threads);
     let last = w.batches.len() - 1;
     for (bi, batch) in w.batches.iter().enumerate() {
@@ -235,149 +201,35 @@ where
             Strategy::Stream => {
                 for u in batch {
                     g.apply(u);
-                    pair.absorb_one(&g, u);
+                    let (a, b) = (u.edge.u, u.edge.v);
+                    match u.kind {
+                        UpdateKind::Insert => {
+                            idx.note_insert(a, b);
+                        }
+                        UpdateKind::Delete => idx.note_delete(a, b),
+                    }
                 }
             }
             Strategy::Vpart => {
                 pool.install(|| engine::apply_vpart(&g, batch, threads));
-                pair.index().absorb(&g, batch);
+                idx.absorb(&g, batch);
             }
             Strategy::Epart => {
                 pool.install(|| engine::apply_epart(&g, batch, threads));
-                pair.index().absorb(&g, batch);
+                idx.absorb(&g, batch);
             }
         }
         if bi == last || (bi + 1) % w.check_every == 0 {
             assert_eq!(
-                pair.state(&g),
-                pair.oracle(&g),
+                idx.labels(&g),
+                connected_components(&g),
                 "{what}: diverged after batch {bi}"
             );
         }
     }
     assert_eq!(
-        pair.full_rebuilds(),
+        idx.full_rebuild_count(),
         0,
         "{what}: the incremental path must never fully rebuild"
     );
-}
-
-/// [`ConnectivityIndex`] vs the union-find oracle on the live view.
-pub struct ConnPair {
-    idx: ConnectivityIndex,
-}
-
-impl ConnPair {
-    /// Builds the index from the (typically empty) starting view.
-    pub fn new<V: GraphView>(view: &V) -> Self {
-        Self {
-            idx: ConnectivityIndex::from_view(view),
-        }
-    }
-}
-
-impl DifferentialPair for ConnPair {
-    type State = Vec<u32>;
-    type Index = ConnectivityIndex;
-
-    fn index(&self) -> &ConnectivityIndex {
-        &self.idx
-    }
-
-    /// Through the per-update `note_insert` / `note_delete`, settled by
-    /// the next query: the path the benchmark's replay runs.
-    fn absorb_one<V: GraphView>(&self, _view: &V, upd: &Update) {
-        let (u, v) = (upd.edge.u, upd.edge.v);
-        match upd.kind {
-            UpdateKind::Insert => {
-                self.idx.note_insert(u, v);
-            }
-            UpdateKind::Delete => self.idx.note_delete(u, v),
-        }
-    }
-
-    fn state<V: GraphView>(&self, view: &V) -> Vec<u32> {
-        self.idx.labels(view)
-    }
-
-    fn oracle<V: GraphView>(&self, view: &V) -> Vec<u32> {
-        connected_components(view)
-    }
-}
-
-/// [`DistanceIndex`] vs a fresh serial BFS per pinned source.
-pub struct DistPair {
-    idx: DistanceIndex,
-    sources: Vec<u32>,
-}
-
-impl DistPair {
-    /// Pins `sources` over the starting view.
-    pub fn new<V: GraphView>(view: &V, sources: &[u32]) -> Self {
-        Self {
-            idx: DistanceIndex::from_view(view, sources),
-            sources: sources.to_vec(),
-        }
-    }
-}
-
-impl DifferentialPair for DistPair {
-    type State = Vec<Vec<u32>>;
-    type Index = DistanceIndex;
-
-    fn index(&self) -> &DistanceIndex {
-        &self.idx
-    }
-
-    fn state<V: GraphView>(&self, _view: &V) -> Vec<Vec<u32>> {
-        self.sources
-            .iter()
-            .map(|&s| self.idx.distances(s))
-            .collect()
-    }
-
-    fn oracle<V: GraphView>(&self, view: &V) -> Vec<Vec<u32>> {
-        self.sources
-            .iter()
-            .map(|&s| serial_bfs(view, s).dist)
-            .collect()
-    }
-}
-
-/// [`TriangleIndex`] vs the kernels-side recount (per-vertex counts,
-/// global count, and the clustering coefficient to the bit).
-pub struct TriPair {
-    idx: TriangleIndex,
-}
-
-impl TriPair {
-    /// Builds the index from the starting view.
-    pub fn new<V: GraphView>(view: &V) -> Self {
-        Self {
-            idx: TriangleIndex::from_view(view),
-        }
-    }
-}
-
-impl DifferentialPair for TriPair {
-    type State = (Vec<u64>, u64, u64);
-    type Index = TriangleIndex;
-
-    fn index(&self) -> &TriangleIndex {
-        &self.idx
-    }
-
-    fn state<V: GraphView>(&self, _view: &V) -> (Vec<u64>, u64, u64) {
-        (
-            self.idx.per_vertex(),
-            self.idx.triangle_count(),
-            self.idx.average_clustering().to_bits(),
-        )
-    }
-
-    fn oracle<V: GraphView>(&self, view: &V) -> (Vec<u64>, u64, u64) {
-        let per = snap_kernels::triangles_per_vertex(view);
-        let total = per.iter().sum::<u64>() / 3;
-        (per, total, average_clustering(view).to_bits())
-    }
 }

@@ -19,7 +19,7 @@
 mod common;
 
 use common::differential::{
-    rmat_workload, run_differential, scripted_workload, ConnPair, Strategy, Workload, STRATEGIES,
+    rmat_workload, run_differential, scripted_workload, Strategy, Workload, STRATEGIES,
 };
 use common::{hints, rng_for, CountingView};
 use snap::prelude::*;
@@ -35,9 +35,9 @@ fn index_tracks_the_oracle_across_strategies_and_threads() {
         for threads in [1usize, 2, 8] {
             // One adjacency representation per strategy keeps the
             // original suite's representation coverage.
-            run_differential::<DynArr, _, _>(&w, Strategy::Stream, threads, ConnPair::new);
-            run_differential::<HybridAdj, _, _>(&w, Strategy::Vpart, threads, ConnPair::new);
-            run_differential::<TreapAdj, _, _>(&w, Strategy::Epart, threads, ConnPair::new);
+            run_differential::<DynArr>(&w, Strategy::Stream, threads);
+            run_differential::<HybridAdj>(&w, Strategy::Vpart, threads);
+            run_differential::<TreapAdj>(&w, Strategy::Epart, threads);
         }
     }
 }
@@ -169,7 +169,7 @@ fn certificate_edge_cases_track_the_oracle_across_strategies_and_threads() {
         for strategy in STRATEGIES {
             for threads in [1usize, 2, 8] {
                 eprintln!("{what}: {strategy:?} @ {threads}");
-                run_differential::<HybridAdj, _, _>(&w, strategy, threads, ConnPair::new);
+                run_differential::<HybridAdj>(&w, strategy, threads);
             }
         }
     }
@@ -370,19 +370,16 @@ fn incremental_index_tracks_mixed_batches_without_rebuilds() {
 /// The serving writer hands `apply_vpart_indexed` a whole cycle — its
 /// coalesced batches concatenated — in one call. That must be the same
 /// thing as one call per batch: the same final adjacency, the same
-/// number of changed updates, and every index exact when the call
+/// number of changed updates, and the index exact when the call
 /// returns. Each call absorbs its changes in stream order and settles
 /// them against the view as it is then — the end of the cycle rather
-/// than of the batch — so the labels, distance rows and triangle counts
-/// of both sides are checked against from-scratch oracles, and each
-/// side's connectivity certificate against its components.
+/// than of the batch — so the labels of both sides are checked against
+/// a from-scratch oracle, and each side's certificate against its
+/// components.
 #[test]
 fn one_applier_call_per_cycle_equals_one_per_batch() {
-    use snap::core::distindex::DistanceIndex;
-    use snap::core::engine::{apply_vpart_indexed, IndexRoutes};
-    use snap::core::triindex::TriangleIndex;
+    use snap::core::engine::apply_vpart_indexed;
     const N: u32 = 256;
-    const SOURCES: [u32; 2] = [0, 7];
     let ins = |u, v| Update::insert(TimedEdge::new(u, v, 1 + (u + v) % 50));
     let del = |u, v| Update::delete(TimedEdge::new(u, v, 0));
     // Six seeded batches over a small pair pool, so re-inserts of live
@@ -415,24 +412,15 @@ fn one_applier_call_per_cycle_equals_one_per_batch() {
     struct Side {
         g: DynGraph<HybridAdj>,
         conn: ConnectivityIndex,
-        dist: DistanceIndex,
-        tri: TriangleIndex,
     }
     impl Side {
         fn new(hints: &CapacityHints) -> Self {
             let g = DynGraph::undirected(N as usize, hints);
             let conn = ConnectivityIndex::from_view(&g);
-            let dist = DistanceIndex::from_view(&g, &SOURCES);
-            let tri = TriangleIndex::from_view(&g);
-            Side { g, conn, dist, tri }
+            Side { g, conn }
         }
         fn apply(&self, updates: &[Update], shards: usize) -> usize {
-            let routes = IndexRoutes {
-                conn: Some(&self.conn),
-                dist: Some(&self.dist),
-                tri: Some(&self.tri),
-            };
-            apply_vpart_indexed(&self.g, updates, shards, routes)
+            apply_vpart_indexed(&self.g, updates, shards, Some(&self.conn))
         }
     }
     let hints = hints(cycle.len() * 2);
@@ -450,13 +438,7 @@ fn one_applier_call_per_cycle_equals_one_per_batch() {
         let csr = per_cycle.g.to_csr();
         for s in [&per_batch, &per_cycle] {
             assert_eq!(s.conn.labels(&s.g), connected_components(&csr));
-            for src in SOURCES {
-                assert_eq!(s.dist.distances(src), bfs(&csr, src).dist);
-            }
-            assert_eq!(s.tri.per_vertex(), snap_kernels::triangles_per_vertex(&csr));
             assert_eq!(s.conn.full_rebuild_count(), 0);
-            assert_eq!(s.dist.full_rebuild_count(), 0);
-            assert_eq!(s.tri.full_rebuild_count(), 0);
         }
         // Each side settles on its own schedule (per batch, or once), so
         // their certificates may hold different replacement edges; each

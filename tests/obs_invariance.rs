@@ -134,7 +134,7 @@ fn instrumented_serving_results_are_unchanged() {
         assert_eq!(engine.same_component(0, 1), labels[0] == labels[1]);
     }
     assert_eq!(engine.full_rebuild_count(), Some(0));
-    let conn = engine.indexes().routes().conn.expect("connectivity on");
+    let conn = engine.indexes().connectivity().expect("connectivity on");
     assert_eq!(conn.repair_count(), 1, "only the split relabels");
     assert_eq!(
         (engine.updates_applied(), engine.updates_changed()),

@@ -482,14 +482,12 @@ fn keep_new(pins: &mut Vec<SnapshotHandle>, v: SnapshotHandle) {
 /// One index answer read while the writer ran.
 #[derive(Debug, PartialEq, Eq, Hash)]
 enum Answer {
-    /// `hop_distance(source, v)`.
-    Hop(u32, u32, Option<u32>),
-    /// `triangles_of(v)`.
-    Triangles(u32, u64),
+    /// `component(v)`.
+    Component(u32, u32),
 }
 
 /// Asserts that each racing answer equals the oracle's at some batch
-/// prefix at least as long as its pinned count: the indexes answer as of
+/// prefix at least as long as its pinned count: the index answers as of
 /// a cycle boundary, and no older than a version pinned before the read.
 fn assert_prefix_answers(
     base: &[Update],
@@ -503,24 +501,15 @@ fn assert_prefix_answers(
     let mut oracle = Oracle::new(base);
     for prefix in from..=history.len() {
         let g = oracle.at(history, prefix);
-        let mut rows = std::collections::HashMap::new();
-        let mut triangles = None;
+        let mut labels = None;
         open.retain(|(before, answer)| {
             if *before > prefix {
                 return true;
             }
             let matches = match *answer {
-                Answer::Hop(src, v, got) => {
-                    let row = rows
-                        .entry(src)
-                        .or_insert_with(|| snap_kernels::serial_bfs(g, src).dist);
-                    let d = row[v as usize];
-                    got == (d != snap_kernels::UNREACHED).then_some(d)
-                }
-                Answer::Triangles(v, got) => {
-                    let per =
-                        triangles.get_or_insert_with(|| snap_kernels::triangles_per_vertex(g));
-                    got == per[v as usize]
+                Answer::Component(v, got) => {
+                    let labels = labels.get_or_insert_with(|| connected_components(g));
+                    got == labels[v as usize]
                 }
             };
             !matches
@@ -535,16 +524,15 @@ fn assert_prefix_answers(
 }
 
 /// A backlog deep enough that the writer's cycles fill one applier range
-/// and span two, drained at `shards` writer shards with connectivity,
-/// distance sources and triangles all maintained, while the submitting
-/// thread pins versions and queries the live indexes until the queue is
-/// dry. Every version pinned on the way equals the oracle replay of its
-/// own `batches()` prefix — CSR and labels — every racing index answer
-/// is some prefix's no older than the pin before it, and after each
-/// burst's `flush` the live distance rows and triangle counts equal the
-/// oracle's too, with no index ever rebuilt in full.
+/// and span two, drained at `shards` writer shards with connectivity
+/// maintained, while the submitting thread pins versions and queries
+/// the live index until the queue is dry. Every version pinned on the
+/// way equals the oracle replay of its own `batches()` prefix — CSR and
+/// labels — every racing index answer is some prefix's no older than
+/// the pin before it, and after each burst's `flush` every live
+/// component query equals the oracle's too, with the index never
+/// rebuilt in full.
 fn multi_range_backlog(shards: usize) {
-    const SOURCES: [u32; 3] = [0, 17, 300];
     let n = 1u32 << SCALE;
     let edges = base_edges(40 + shards as u64);
     let base = base_stream(&edges, 19);
@@ -552,9 +540,7 @@ fn multi_range_backlog(shards: usize) {
         seeded_graph(&base),
         ServeConfig::default()
             .with_shards(shards)
-            .with_history(true)
-            .with_distance_sources(&SOURCES)
-            .with_triangles(true),
+            .with_history(true),
     );
     let mut stream =
         StreamBuilder::new(&edges, 4000 + shards as u64).inserting_from(base_len(&edges));
@@ -582,9 +568,8 @@ fn multi_range_backlog(shards: usize) {
             keep_new(&mut pins, pinned);
             let index = engine.indexes();
             k = k.wrapping_mul(31).wrapping_add(7);
-            let (src, v) = (SOURCES[k as usize % 3], k % n);
-            racing.insert((before, Answer::Hop(src, v, index.hop_distance(src, v))));
-            racing.insert((before, Answer::Triangles(v, index.triangles_of(v))));
+            let v = k % n;
+            racing.insert((before, Answer::Component(v, index.component(v))));
             std::thread::yield_now();
         }
         engine.flush();
@@ -594,16 +579,9 @@ fn multi_range_backlog(shards: usize) {
         assert_prefix_answers(&base, &history, racing.into_iter().collect(), &at);
         let want = oracle.at(&history, submitted);
         let index = engine.indexes();
-        for src in SOURCES {
-            assert_eq!(
-                index.hop_distances(src),
-                snap_kernels::serial_bfs(want, src).dist,
-                "{at}: source {src} row"
-            );
-        }
-        let per = snap_kernels::triangles_per_vertex(want);
-        for (u, &count) in per.iter().enumerate() {
-            assert_eq!(index.triangles_of(u as u32), count, "{at}: vertex {u}");
+        let labels = connected_components(want);
+        for (u, &label) in labels.iter().enumerate() {
+            assert_eq!(index.component(u as u32), label, "{at}: vertex {u}");
         }
         keep_new(&mut pins, engine.pin());
     }
@@ -612,15 +590,10 @@ fn multi_range_backlog(shards: usize) {
         "{shards} shards: {} cycles for {submitted} batches",
         engine.epoch()
     );
-    let routes = engine.indexes().routes();
-    let rebuilds = [
-        routes.conn.expect("conn on").full_rebuild_count(),
-        routes.dist.expect("sources pinned").full_rebuild_count(),
-        routes.tri.expect("triangles on").full_rebuild_count(),
-    ];
     assert_eq!(
-        rebuilds, [0; 3],
-        "{shards} shards: everything stayed incremental"
+        engine.full_rebuild_count(),
+        Some(0),
+        "{shards} shards: the index stayed incremental"
     );
     // Each distinct version once, in prefix order (a later pin never
     // gets an older version), against one oracle walked forward.
