@@ -48,8 +48,7 @@
 //!   then needs a new minimum, hence an enumeration); the changes did not
 //!   describe the view (a side the search proves stale marks its
 //!   component); the view is directed (its out-adjacency cannot be
-//!   searched from both sides). Out-of-band resync rebuilds labels and
-//!   certificate together.
+//!   searched from both sides).
 //! - **Self-loops never matter**: deleting `(u, u)` cannot disconnect,
 //!   so it is ignored outright.
 //!
@@ -60,21 +59,21 @@
 //!
 //! # Concurrency contract
 //!
-//! All mutable state — labels and rings, spanning forest, pending log and
-//! debt marks — is plain data behind one lock ([`crate::indexes`]).
-//! Absorbs, notes, settles and rebuilds take it for writing; queries
-//! take it for reading, and settle first under the write lock only when
-//! the state owes something their answer depends on, which after an
-//! absorb it never does. A settle reads the view, so it must not race a
-//! mutation of the view; both engines absorb on their one writer, after
-//! the cycle's mutation.
+//! All mutable state — labels and rings, spanning forest, pending log,
+//! debt marks and the repair count — is plain data behind one `RwLock`.
+//! Absorbs, notes and settles take it for writing; queries take it for
+//! reading, and settle first under the write lock only when the state
+//! owes something their answer depends on, which after an absorb it
+//! never does. A settle reads the view, so it must not race a mutation
+//! of the view; both engines absorb on their one writer, after the
+//! cycle's mutation, and each attaches its index before that writer
+//! first runs or under its lock, so the index never misses a change.
 
 mod drain;
 mod labels;
 
 use crate::csr::RowSet;
 use crate::forest::{Forest, Search};
-use crate::indexes::IndexCore;
 use crate::view::GraphView;
 use parking_lot::RwLock;
 use snap_rmat::{Update, UpdateKind};
@@ -82,12 +81,11 @@ use std::sync::OnceLock;
 
 /// Connectivity-index instrumentation, shared by every index in the
 /// process (ZST no-ops without the `obs` feature). The per-index
-/// counters in [`IndexCore`] stay authoritative for the public API;
-/// these aggregate across indexes for scraping.
+/// [`ConnectivityIndex::repair_count`] stays authoritative for the public
+/// API; these aggregate across indexes for scraping.
 struct ConnMetrics {
     dirty_marks: snap_obs::Counter,
     repairs: snap_obs::Counter,
-    full_rebuilds: snap_obs::Counter,
     cert_deletes: snap_obs::Counter,
     noncert_deletes: snap_obs::Counter,
     replacements: snap_obs::Counter,
@@ -110,10 +108,6 @@ fn conn_metrics() -> &'static ConnMetrics {
             repairs: r.counter(
                 "snap_conn_repairs_total",
                 "Relabels published (one split side or one whole component each)",
-            ),
-            full_rebuilds: r.counter(
-                "snap_conn_full_rebuilds_total",
-                "Full index rebuilds (incremental maintenance keeps this at zero)",
             ),
             cert_deletes: r.counter(
                 "snap_conn_certificate_deletes_total",
@@ -201,9 +195,6 @@ enum Note {
 /// ```
 pub struct ConnectivityIndex {
     state: RwLock<State>,
-    /// Epoch coupling and the `repair_count` / `full_rebuild_count`
-    /// counters (invariant 6; the index derefs to it).
-    core: IndexCore,
 }
 
 /// Everything a [`ConnectivityIndex`] maintains, behind its lock.
@@ -232,6 +223,8 @@ struct State {
     /// Vertices relabelled over the index's life, counted as each settle
     /// changes them: unchanged, every label is.
     relabeled: u64,
+    /// Targeted repairs so far ([`ConnectivityIndex::repair_count`]).
+    repairs: usize,
     /// Spanning forest of the indexed graph: once settled its trees are
     /// exactly the components the labels name.
     forest: Forest,
@@ -256,6 +249,7 @@ impl State {
             log: Vec::new(),
             components: n,
             relabeled: 0,
+            repairs: 0,
             forest: Forest::new(n),
             search: Search::new(),
             split_of: Vec::new(),
@@ -351,7 +345,7 @@ impl State {
     /// Pays everything owed against `view`, in O(what changed): flattens
     /// the merges, drains the log through the certificate, then relabels
     /// every marked component whole, its members read off its ring.
-    fn settle<V: GraphView>(&mut self, view: &V, core: &IndexCore) {
+    fn settle<V: GraphView>(&mut self, view: &V) {
         if !self.owes() {
             return;
         }
@@ -359,14 +353,14 @@ impl State {
         self.flatten();
         if !self.log.is_empty() {
             let notes = std::mem::take(&mut self.log);
-            self.apply_notes(view, &notes, core);
+            self.apply_notes(view, &notes);
         }
         for r in std::mem::take(&mut self.debts) {
             if !self.marked.contains(r) {
                 continue;
             }
             let verts = self.members(r);
-            self.relabel_members(view, &verts, core);
+            self.relabel_members(view, &verts);
         }
         conn_metrics().relabeled.record(self.relabeled - before);
     }
@@ -379,8 +373,7 @@ impl ConnectivityIndex {
     }
 
     /// Builds labels and certificate from the live edges of a view in
-    /// one breadth-first pass (the initial build is not counted as a
-    /// rebuild).
+    /// one breadth-first pass.
     pub fn from_view<V: GraphView>(view: &V) -> Self {
         Self::from_state(State::from_view(view))
     }
@@ -388,7 +381,6 @@ impl ConnectivityIndex {
     fn from_state(state: State) -> Self {
         Self {
             state: RwLock::new(state),
-            core: IndexCore::default(),
         }
     }
 
@@ -414,21 +406,21 @@ impl ConnectivityIndex {
         for upd in changes {
             st.take(upd);
         }
-        st.settle(view, &self.core);
+        st.settle(view);
     }
 
-    /// If the index is behind `epoch`, discards labels and certificate
-    /// and re-absorbs `view` — one counted full rebuild
-    /// ([`IndexCore::full_rebuild_count`]) — and records `epoch`.
-    pub fn resync<V: GraphView>(&self, view: &V, epoch: u64) {
-        self.core.resync(epoch, &self.state, |st| {
-            assert_eq!(view.num_vertices(), st.parent.len(), "vertex count moved");
-            conn_metrics().full_rebuilds.inc();
-            // Every label may have changed: move the generation on.
-            let relabeled = st.relabeled + st.parent.len() as u64;
-            *st = State::from_view(view);
-            st.relabeled = relabeled;
-        });
+    /// Targeted repairs so far: one per split side relabelled through
+    /// the certificate and one per whole-component relabel. A clean
+    /// query burst leaves this flat.
+    pub fn repair_count(&self) -> usize {
+        self.state.read().repairs
+    }
+
+    /// Always 0: no path rebuilds the index in full. Kept only for the
+    /// benchmark's last reader, which ROADMAP item 1 removes.
+    #[doc(hidden)]
+    pub fn full_rebuild_count(&self) -> usize {
+        0
     }
 
     // ---- per-update notes (settled by the next query) ----------------
@@ -490,7 +482,7 @@ impl ConnectivityIndex {
             }
         }
         let mut st = self.state.write();
-        st.settle(view, &self.core);
+        st.settle(view);
         read(&st)
     }
 
@@ -530,7 +522,7 @@ impl ConnectivityIndex {
         out: &mut Vec<u32>,
     ) -> Option<u64> {
         let mut st = self.state.write();
-        st.settle(view, &self.core);
+        st.settle(view);
         if seen == Some(st.relabeled) {
             return None;
         }
@@ -550,14 +542,6 @@ impl ConnectivityIndex {
     /// first if pending changes or a marked component could change it.
     pub fn component<V: GraphView>(&self, view: &V, u: u32) -> u32 {
         self.read_settled(view, |st| st.owes_for(u), |st| st.find(u))
-    }
-}
-
-impl std::ops::Deref for ConnectivityIndex {
-    type Target = IndexCore;
-
-    fn deref(&self) -> &IndexCore {
-        &self.core
     }
 }
 
@@ -723,11 +707,6 @@ mod tests {
         }
         assert_eq!(built.labels(&g), inc.labels(&g));
         assert_eq!(built.component_count(&g), 5);
-        assert_eq!(
-            built.full_rebuild_count(),
-            0,
-            "initial build is not a rebuild"
-        );
         // Both ways of building leave every merge's edge in the forest.
         for idx in [&built, &inc] {
             for &(u, v) in &edges {
@@ -810,7 +789,6 @@ mod tests {
             assert!(!idx.same_component(&g, 0, 2));
         }
         assert_eq!(idx.repair_count(), 0);
-        assert_eq!(idx.full_rebuild_count(), 0);
     }
 
     #[test]
@@ -880,7 +858,6 @@ mod tests {
         insert(&g, &idx, 1, 2);
         assert_eq!(idx.labels(&g), vec![0, 0, 0, 0, 4, 4]);
         assert_eq!(idx.repair_count(), 3, "one relabel per real split");
-        assert_eq!(idx.full_rebuild_count(), 0);
     }
 
     #[test]
@@ -906,7 +883,7 @@ mod tests {
         }
         assert_eq!(idx.labels(&g), (0..64).collect::<Vec<u32>>());
         assert_eq!(idx.component_count(&g), 64);
-        assert_eq!(idx.full_rebuild_count(), 0);
+        assert_eq!(idx.repair_count(), 63, "one relabel per spoke");
     }
 
     #[test]
@@ -1002,19 +979,6 @@ mod tests {
         assert!(view.read_set().iter().all(|&v| v == 1 || v == 2));
         assert_eq!(view.read_count(), view.read_set().len(), "no relabel");
         assert_eq!(idx.labels(&g), [0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn resync_rebuilds_and_counts() {
-        let g: DynGraph<DynArr> = graph(4, &[(0, 1)]);
-        let idx = ConnectivityIndex::from_view(&g);
-        // Out-of-band mutation the index never saw:
-        g.insert_edge(TimedEdge::new(2, 3, 1));
-        idx.resync(&g, 1);
-        assert!(idx.same_component(&g, 2, 3));
-        assert_eq!(idx.full_rebuild_count(), 1);
-        assert_eq!(idx.component_count(&g), 2);
-        assert!(idx.is_certificate_edge(&g, 2, 3), "certificate rebuilt too");
     }
 
     #[test]
@@ -1154,7 +1118,6 @@ mod tests {
         assert!(labels[..64].iter().all(|&l| l == 0));
         assert!(labels[64..128].iter().all(|&l| l == 64));
         assert_eq!(idx.component_count(&g), 4);
-        assert_eq!(idx.full_rebuild_count(), 0);
     }
 
     #[test]

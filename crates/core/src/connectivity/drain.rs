@@ -4,7 +4,6 @@
 
 use super::{conn_metrics, Note, State};
 use crate::forest::{Reconnect, ROOT};
-use crate::indexes::IndexCore;
 use crate::view::GraphView;
 
 impl State {
@@ -17,7 +16,7 @@ impl State {
     /// edge left to scan" mean less than "this side is a whole tree".
     /// With every stale edge cut first, each tree is connected in the
     /// view and an exhausted side is exactly one tree and one component.
-    pub(super) fn apply_notes<V: GraphView>(&mut self, view: &V, notes: &[Note], core: &IndexCore) {
+    pub(super) fn apply_notes<V: GraphView>(&mut self, view: &V, notes: &[Note]) {
         let m = conn_metrics();
         if view.is_directed() {
             // Out-adjacency cannot be searched from both sides of a cut:
@@ -61,7 +60,7 @@ impl State {
         }
         self.split_of.resize(self.parent.len(), 0);
         let splits = self.resolve(view, open);
-        self.publish_splits(&splits, core);
+        self.publish_splits(&splits);
     }
 
     /// Runs replacement searches until, in every component, at most one
@@ -131,7 +130,7 @@ impl State {
     /// holds its component's label — then the *other* side needs a new
     /// minimum, which takes an enumeration, and the component goes to
     /// the whole-component path instead. Clears `split_of`.
-    fn publish_splits(&mut self, splits: &[Vec<u32>], core: &IndexCore) {
+    fn publish_splits(&mut self, splits: &[Vec<u32>]) {
         let m = conn_metrics();
         // Per split: (label before, label after), or None for the
         // whole-component path.
@@ -167,7 +166,7 @@ impl State {
                 m.relabel_members.record(side.len() as u64);
             }
             self.components += relabelled;
-            core.count_repairs(relabelled);
+            self.repairs += relabelled;
             m.repairs.add(relabelled as u64);
             for v in stale {
                 self.mark(v);

@@ -22,7 +22,6 @@
 //!   rebuild the rings of what the view says it became.
 
 use super::{conn_metrics, respan, restricted_component_labels, State};
-use crate::indexes::IndexCore;
 use crate::view::GraphView;
 
 impl State {
@@ -150,12 +149,7 @@ impl State {
 
     /// Relabels one marked component's members (ascending) from the view,
     /// re-derives their certificate and rebuilds their rings.
-    pub(super) fn relabel_members<V: GraphView>(
-        &mut self,
-        view: &V,
-        verts: &[u32],
-        core: &IndexCore,
-    ) {
+    pub(super) fn relabel_members<V: GraphView>(&mut self, view: &V, verts: &[u32]) {
         let labels = restricted_component_labels(view, verts);
         if !view.is_directed() {
             self.fresh.resize(self.parent.len(), false);
@@ -174,7 +168,7 @@ impl State {
             }
         }
         self.components += new_roots.saturating_sub(1);
-        core.count_repairs(1);
+        self.repairs += 1;
         let m = conn_metrics();
         m.repairs.inc();
         m.fallbacks.inc();

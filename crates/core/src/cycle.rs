@@ -1,16 +1,15 @@
 //! The write protocol both engines run ([`Cycle`]): apply a stream and
 //! absorb its changes into the attached index (one
 //! [`crate::engine::apply_vpart_indexed`] call), mark its rows, step the
-//! index's epoch, and freeze the result: a compacted CSR patched from the
+//! epoch, and freeze the result: a compacted CSR patched from the
 //! previous one ([`Cycle::freeze`]), or, for the serving writer, the last
 //! compacted CSR plus a delta of the rows touched since
 //! ([`Cycle::publish`]), compacted later ([`Cycle::fold`]).
 
 use crate::adjacency::{DynamicAdjacency, HalfUpdate};
 use crate::csr::{version_row, CsrGraph, ReadSplit, RowDelta, RowSet};
-use crate::engine::{apply_vpart_indexed, halves};
+use crate::engine::{apply_vpart_indexed, halves, IndexRoutes};
 use crate::graph::DynGraph;
-use crate::indexes::IndexRoutes;
 use snap_rmat::{Update, UpdateKind};
 use std::sync::Arc;
 
@@ -34,7 +33,7 @@ pub(crate) type Frozen = (Arc<CsrGraph>, Option<Arc<RowDelta>>);
 /// One engine's write side: the serving writer thread owns one, and
 /// [`crate::manager::SnapshotManager`] holds one behind its lock. Either
 /// way the cycle is the graph's only mutator, which is what makes a
-/// patched freeze and a delta exact and the epoch steps ordered.
+/// patched freeze and a delta exact, and the attached index complete.
 pub(crate) struct Cycle {
     /// Runs so far, changed or not.
     epoch: u64,
@@ -146,11 +145,10 @@ impl Cycle {
 
     /// Applies `stream` on up to `workers` and absorbs its changes into
     /// `index`, settled ([`apply_vpart_indexed`]), marks its rows, and
-    /// steps `index` to the next epoch, which the caller
-    /// publishes after (invariant 6). Returns how many updates changed
-    /// the graph's key sets; a run that changed none still makes the
-    /// next freeze build when an insert in it may have overwritten a
-    /// timestamp.
+    /// steps the epoch, which the caller publishes after (invariant 1).
+    /// Returns how many updates changed the graph's key sets; a run that
+    /// changed none still makes the next freeze build when an insert in
+    /// it may have overwritten a timestamp.
     ///
     /// # Panics
     ///
@@ -187,9 +185,6 @@ impl Cycle {
         }
         self.dirty = self.dirty || changed > 0 || self.rewrites_a_timestamp(graph, stream);
         self.epoch += 1;
-        if let Some(c) = index {
-            c.sync_change(self.epoch);
-        }
         changed
     }
 
@@ -326,9 +321,9 @@ impl Cycle {
 mod tests {
     use super::*;
     use crate::adjacency::CapacityHints;
+    use crate::connectivity::ConnectivityIndex;
     use crate::dynarr::DynArr;
     use crate::hybrid::HybridAdj;
-    use crate::indexes::IndexFamily;
     use crate::treapadj::TreapAdj;
     use snap_rmat::TimedEdge;
     use snap_util::rng::XorShift64;
@@ -348,22 +343,17 @@ mod tests {
     #[test]
     fn epoch_steps_once_per_run_and_a_noop_run_keeps_the_freeze() {
         let g = DynGraph::<DynArr>::undirected(8, &CapacityHints::new(32));
-        let family = IndexFamily::default();
-        let conn = family.attach_connectivity(&g, 0);
+        let conn = ConnectivityIndex::from_view(&g);
         let mut cycle = Cycle::new(8);
-        assert_eq!(
-            cycle.run(&g, family.routes(), &[ins(0, 1), ins(1, 2)], 2),
-            2
-        );
+        assert_eq!(cycle.run(&g, Some(&conn), &[ins(0, 1), ins(1, 2)], 2), 2);
         let v1 = cycle.freeze(&g);
         assert!(cycle.is_clean());
         for noop in [&[del(5, 6)][..], &[], &[del(0, 2), del(3, 4)]] {
-            assert_eq!(cycle.run(&g, family.routes(), noop, 2), 0);
+            assert_eq!(cycle.run(&g, Some(&conn), noop, 2), 0);
             assert!(Arc::ptr_eq(&v1, &cycle.freeze(&g)));
         }
         assert_eq!((cycle.epoch(), cycle.builds()), (4, 1));
-        assert_eq!(conn.synced_epoch(), 4, "stepped every run");
-        assert_eq!(conn.full_rebuild_count(), 0);
+        assert_eq!(conn.component_count(&g), 6, "0-1-2 and 5 isolates");
     }
 
     #[test]

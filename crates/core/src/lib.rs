@@ -39,11 +39,12 @@
 //! the forest is free, one that hits it searches the smaller side of
 //! the cut for a replacement edge — `same_component(u, v)` between
 //! batches costs neither a traversal nor a snapshot. It is the one
-//! index, as in the paper. [`indexes`] holds its protocol with the
-//! engines: the engine's applier absorbs into it and settles it, the
-//! epoch protocol ([`IndexCore`]) couples it to the engine, and one
-//! query surface ([`IndexQuery`]) is what [`SnapshotManager::indexes`]
-//! and [`ServeEngine::indexes`] both hand out.
+//! index, as in the paper. Each engine owns its index and is its
+//! graph's only mutator: the engine's applier absorbs every change into
+//! it and settles it before the call returns, so it never falls behind.
+//! [`SnapshotManager::same_component`] reads it under its read lock, and
+//! [`ServeEngine::same_component`] reads the labels the serving writer
+//! publishes from it each cycle.
 //!
 //! Under *concurrent* ingest — writers that never quiesce — the
 //! [`serve::ServeEngine`] generalizes all three: a sharded single-queue
@@ -84,7 +85,6 @@ pub mod engine;
 pub mod forest;
 pub mod graph;
 pub mod hybrid;
-pub mod indexes;
 pub mod manager;
 pub mod serve;
 pub mod treapadj;
@@ -97,7 +97,6 @@ pub use csr::CsrGraph;
 pub use dynarr::{DynArr, FixedDynArr};
 pub use graph::DynGraph;
 pub use hybrid::HybridAdj;
-pub use indexes::{IndexCore, IndexFamily, IndexQuery, IndexRoutes};
 pub use manager::SnapshotManager;
 pub use serve::{EpochSnapshot, ServeConfig, ServeEngine, SnapshotHandle};
 pub use treapadj::TreapAdj;

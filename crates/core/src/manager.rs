@@ -1,13 +1,13 @@
 //! The bulk-synchronous engine ([`SnapshotManager`]): a dynamic graph and
-//! its connectivity index ([`crate::indexes`]), written through the serving
-//! writer's cycle run inline behind one lock.
+//! its connectivity index, written through the serving writer's cycle run
+//! inline behind one lock.
 
 use crate::adjacency::DynamicAdjacency;
 use crate::connectivity::ConnectivityIndex;
 use crate::csr::CsrGraph;
 use crate::cycle::Cycle;
 use crate::graph::DynGraph;
-use crate::indexes::{IndexFamily, IndexQuery};
+use crate::serve::NO_CONNECTIVITY;
 use crate::view::GraphView;
 use parking_lot::Mutex;
 use snap_rmat::{TimedEdge, Update};
@@ -32,10 +32,12 @@ use std::sync::{Arc, OnceLock};
 /// [`crate::serve::ServeEngine`].
 ///
 /// [`SnapshotManager::enable_connectivity`] attaches the incremental
-/// connectivity index ([`crate::indexes`]): every later mutation call
-/// absorbs its changes into it and settles it before it returns, and
-/// [`SnapshotManager::indexes`] answers its queries as of the last call
-/// — under the index's read lock, never the manager's, with no CSR build
+/// connectivity index under the lock every mutation takes, so every
+/// later mutation call absorbs its changes into it and settles it before
+/// it returns. [`SnapshotManager::same_component`],
+/// [`SnapshotManager::component`] and
+/// [`SnapshotManager::component_count`] answer as of the last call —
+/// under the index's read lock, never the manager's, with no CSR build
 /// and no full recompute.
 ///
 /// # Examples
@@ -62,15 +64,15 @@ use std::sync::{Arc, OnceLock};
 ///
 /// // Index queries need neither.
 /// mgr.enable_connectivity();
-/// assert!(mgr.indexes().same_component(0, 2));
+/// assert!(mgr.same_component(0, 2));
 /// assert_eq!(mgr.rebuild_count(), 1);
 /// ```
 pub struct SnapshotManager<A: DynamicAdjacency> {
     graph: DynGraph<A>,
-    indexes: IndexFamily,
-    /// The cycle's epoch, published after every run for the readers
-    /// that do not take the lock: `epoch()` and the index queries'
-    /// freshness check.
+    /// The connectivity index, attached at most once, under `cycle`.
+    conn: OnceLock<ConnectivityIndex>,
+    /// The cycle's epoch, published after every run for `epoch()`,
+    /// which does not take the lock.
     epoch: AtomicU64,
     /// The one lock: every mutation, snapshot and attach takes it.
     cycle: Mutex<Cycle>,
@@ -82,7 +84,7 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
         let cycle = Mutex::new(Cycle::new(graph.num_vertices()));
         Self {
             graph,
-            indexes: IndexFamily::default(),
+            conn: OnceLock::new(),
             epoch: AtomicU64::new(0),
             cycle,
         }
@@ -136,7 +138,7 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
 
     /// Applies a batch in parallel ([`crate::engine::apply_vpart_indexed`]
     /// on the installed pool), which absorbs its changes into the attached
-    /// indexes in stream order and settles them, then steps the epoch
+    /// index in stream order and settles it, then steps the epoch
     /// **once**. A batch that changes nothing keeps the cached snapshot.
     /// Returns whether it changed anything.
     ///
@@ -146,27 +148,51 @@ impl<A: DynamicAdjacency> SnapshotManager<A> {
     /// the graph.
     pub fn apply_batch(&self, updates: &[Update]) -> bool {
         let mut cycle = self.cycle.lock();
-        let changed = cycle.run(&self.graph, self.indexes.routes(), updates, 0) > 0;
-        // ordering: Release — publishes the mutation and the index
-        // settles and steps `run` made before it to Acquire `epoch()`
-        // readers (invariants 1, 6).
+        let changed = cycle.run(&self.graph, self.conn.get(), updates, 0) > 0;
+        // ordering: Release — publishes the mutation `run` made before
+        // it to Acquire `epoch()` readers (invariant 1).
         self.epoch.store(cycle.epoch(), Ordering::Release);
         changed
     }
 
     /// Attaches (or returns) the incremental [`ConnectivityIndex`], built
-    /// from the live graph on the first call.
+    /// from the live graph on the first call. The build holds the lock
+    /// every mutation takes, so no change can slip in between the scan
+    /// and the index's first absorb.
     pub fn enable_connectivity(&self) -> &ConnectivityIndex {
         let _cycle = self.cycle.lock();
-        self.indexes.attach_connectivity(&self.graph, self.epoch())
+        self.conn
+            .get_or_init(|| ConnectivityIndex::from_view(&self.graph))
     }
 
-    /// The query surface of the connectivity index over the live graph
-    /// ([`IndexQuery`]); every query checks the index against the
-    /// manager's epoch first and answers as of the last cycle (the last
-    /// completed mutation call).
-    pub fn indexes(&self) -> IndexQuery<'_, DynGraph<A>> {
-        self.indexes.query(&self.graph, &self.epoch)
+    /// True if `u` and `v` are connected as of the last mutation call,
+    /// read under the index's read lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`SnapshotManager::enable_connectivity`] was never
+    /// called.
+    pub fn same_component(&self, u: u32, v: u32) -> bool {
+        self.index().same_component(&self.graph, u, v)
+    }
+
+    /// Component label (minimum member id) of `u` as of the last
+    /// mutation call (see [`SnapshotManager::same_component`] for the
+    /// panic contract).
+    pub fn component(&self, u: u32) -> u32 {
+        self.index().component(&self.graph, u)
+    }
+
+    /// Number of connected components as of the last mutation call (see
+    /// [`SnapshotManager::same_component`] for the panic contract).
+    pub fn component_count(&self) -> usize {
+        self.index().component_count(&self.graph)
+    }
+
+    fn index(&self) -> &ConnectivityIndex {
+        // panics: documented contract (see `same_component`) — the
+        // index was never enabled.
+        self.conn.get().expect(NO_CONNECTIVITY)
     }
 
     /// The CSR of the current state: the cached one while no update
@@ -304,42 +330,38 @@ mod tests {
             .collect();
         mgr.apply_batch(&batch);
         let idx = mgr.enable_connectivity();
-        assert_eq!(idx.full_rebuild_count(), 0);
-        // Clean query burst: zero CSR rebuilds, zero repairs, zero full
-        // recomputes — the acceptance check of the serving path.
+        // Clean query burst: zero CSR rebuilds, zero repairs — the
+        // acceptance check of the serving path.
         for _ in 0..128 {
-            assert!(mgr.indexes().same_component(0, 31));
-            assert!(!mgr.indexes().same_component(0, 40));
-            assert_eq!(mgr.indexes().component(17), 0);
+            assert!(mgr.same_component(0, 31));
+            assert!(!mgr.same_component(0, 40));
+            assert_eq!(mgr.component(17), 0);
         }
         assert_eq!(mgr.rebuild_count(), 0, "no CSR was ever built");
         assert_eq!(idx.repair_count(), 0);
-        assert_eq!(idx.full_rebuild_count(), 0);
         // Incremental inserts through the manager keep serving cheaply.
         mgr.insert_edge(snap_rmat::TimedEdge::new(31, 40, 2));
-        assert!(mgr.indexes().same_component(0, 40));
+        assert!(mgr.same_component(0, 40));
         assert_eq!(idx.repair_count(), 0, "insertions never need repair");
-        // A bridge deletion splits its component; the next query finds
-        // out and relabels one side.
+        // A bridge deletion splits its component; the call relabels one
+        // side before it returns.
         mgr.delete_edge(15, 16);
-        assert!(!mgr.indexes().same_component(0, 31));
-        assert!(mgr.indexes().same_component(16, 40));
+        assert!(!mgr.same_component(0, 31));
+        assert!(mgr.same_component(16, 40));
         assert_eq!(idx.repair_count(), 1);
         assert_eq!(mgr.rebuild_count(), 0, "still no CSR");
         // 33 vertices were in the path+40 component, now split in two;
         // the other 31 vertices are isolates.
-        assert_eq!(mgr.indexes().component_count(), 31 + 2);
+        assert_eq!(mgr.component_count(), 31 + 2);
     }
 
     #[test]
-    fn racing_routed_changes_leave_no_epoch_gap() {
-        // Regression (the 1-in-25 chaos flake): two racing mutations took
-        // epochs e and e + 1; when the exact step to e + 1 ran before the
-        // step to e it failed, and the index sat one epoch behind for
-        // good. Each round releases every thread into `apply_batch` at
-        // once (far more threads than cores, so wake-ups preempt at the
-        // lock); each call inserts a triangle on vertex 0 of its own, so
-        // the calls commute and the oracle is their union.
+    fn racing_apply_batches_leave_the_index_equal_to_the_oracle() {
+        // Racing mutation calls must each be absorbed exactly once. Each
+        // round releases every thread into `apply_batch` at once (far
+        // more threads than cores, so wake-ups preempt at the lock);
+        // each call inserts a triangle on vertex 0 of its own, so the
+        // calls commute and the oracle is their union.
         const THREADS: u32 = 32;
         const ROUNDS: u32 = 250;
         let calls = THREADS * ROUNDS;
@@ -350,7 +372,7 @@ mod tests {
         };
         let hints = CapacityHints::new(n * 3);
         let mgr = SnapshotManager::new(DynGraph::<DynArr>::undirected(n, &hints));
-        let conn = mgr.enable_connectivity();
+        mgr.enable_connectivity();
         let start = std::sync::Barrier::new(THREADS as usize);
         std::thread::scope(|s| {
             for t in 0..THREADS {
@@ -370,12 +392,9 @@ mod tests {
         }
         let all: Vec<u32> = (0..n as u32).collect();
         let labels = crate::connectivity::restricted_component_labels(&oracle, &all);
-        let q = mgr.indexes();
         for &u in &all {
-            assert_eq!(q.component(u), labels[u as usize], "vertex {u}");
+            assert_eq!(mgr.component(u), labels[u as usize], "vertex {u}");
         }
-        assert_eq!(conn.synced_epoch(), mgr.epoch(), "stepped in lockstep");
-        assert_eq!(conn.full_rebuild_count(), 0, "so nothing to resync");
     }
 
     #[test]
@@ -388,19 +407,16 @@ mod tests {
             .map(|&(u, v)| Update::insert(snap_rmat::TimedEdge::new(u, v, 1)))
             .collect();
         assert!(mgr.apply_batch(&ins));
-        assert!(mgr.indexes().same_component(0, 3));
+        assert!(mgr.same_component(0, 3));
         // Delete the only bridge to 0 in one batch with a redundant edge.
         let dels = vec![
             Update::delete(snap_rmat::TimedEdge::new(0, 1, 0)),
             Update::delete(snap_rmat::TimedEdge::new(1, 3, 0)),
         ];
         assert!(mgr.apply_batch(&dels));
-        assert!(!mgr.indexes().same_component(0, 3), "0 split off");
-        assert!(
-            mgr.indexes().same_component(1, 3),
-            "1-2-3 still connected via 2"
-        );
-        assert_eq!(idx.full_rebuild_count(), 0);
+        assert!(!mgr.same_component(0, 3), "0 split off");
+        assert!(mgr.same_component(1, 3), "1-2-3 still connected via 2");
+        assert_eq!(idx.repair_count(), 1, "only 0 was relabelled");
     }
 
     #[test]
@@ -426,7 +442,7 @@ mod tests {
         let stream = non_commuting_stream(n, 3000, 21);
         let plain = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n as usize, &hints));
         let indexed = SnapshotManager::new(DynGraph::<HybridAdj>::undirected(n as usize, &hints));
-        let conn = indexed.enable_connectivity();
+        indexed.enable_connectivity();
         let noop = [Update::delete(TimedEdge::new(0, 1, 0))];
         for batch in [&noop[..], &stream[..2000], &stream[2000..], &[]] {
             let epochs = (plain.epoch(), indexed.epoch());
@@ -443,12 +459,8 @@ mod tests {
         }
         let labels = crate::connectivity::ConnectivityIndex::from_view(plain.live());
         for u in 0..n {
-            assert_eq!(
-                indexed.indexes().component(u),
-                labels.component(plain.live(), u)
-            );
+            assert_eq!(indexed.component(u), labels.component(plain.live(), u));
         }
-        assert_eq!(conn.full_rebuild_count(), 0, "routed, never rebuilt");
     }
 
     #[test]
@@ -464,17 +476,16 @@ mod tests {
             Update::insert(TimedEdge::new(1, 2, 1)),
             Update::insert(TimedEdge::new(4, 5, 1)),
         ]);
-        let conn = mgr.enable_connectivity();
+        mgr.enable_connectivity();
         let churn = vec![
             Update::insert(TimedEdge::new(2, 4, 2)), // a merge ...
             Update::insert(TimedEdge::new(1, 3, 2)), // ... another ...
             Update::delete(TimedEdge::new(2, 4, 0)), // ... and the first gone again
         ];
         assert!(mgr.apply_batch(&churn));
-        assert!(mgr.indexes().same_component(0, 3), "via 1-3 now");
-        assert!(!mgr.indexes().same_component(0, 4), "2-4 came and went");
-        assert_eq!(mgr.indexes().component_count(), 4);
-        assert_eq!(conn.full_rebuild_count(), 0);
+        assert!(mgr.same_component(0, 3), "via 1-3 now");
+        assert!(!mgr.same_component(0, 4), "2-4 came and went");
+        assert_eq!(mgr.component_count(), 4);
     }
 
     #[test]
@@ -577,7 +588,7 @@ mod tests {
             8,
             &CapacityHints::new(16),
         ));
-        let conn = mgr.enable_connectivity();
+        mgr.enable_connectivity();
         assert!(mgr.insert_edge(TimedEdge::new(1, 2, 1)));
         let before = mgr.snapshot();
         for bad in [
@@ -599,7 +610,14 @@ mod tests {
         let after = mgr.snapshot();
         assert_eq!(*after, oracle.to_csr());
         assert!(Arc::ptr_eq(&before, &after), "nothing to rebuild");
-        assert!(mgr.indexes().same_component(1, 2));
-        assert_eq!(conn.full_rebuild_count(), 0);
+        assert!(mgr.same_component(1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "connectivity index not enabled")]
+    fn query_on_a_missing_index_names_it() {
+        let mgr = SnapshotManager::new(DynGraph::<DynArr>::undirected(2, &CapacityHints::new(4)));
+        assert!(mgr.insert_edge(TimedEdge::new(0, 1, 1)));
+        mgr.same_component(0, 1);
     }
 }

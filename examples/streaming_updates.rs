@@ -110,11 +110,11 @@ fn serve_concurrently(n: usize, edges: &[TimedEdge], base: &[Update], batches: &
     println!(
         "  ran {sampled} BFS traversals on pinned mid-stream versions ({hits} \
          probe hits) in {:.3} s while ingesting; final epoch {} \
-         ({} updates applied, {} full connectivity rebuilds)",
+         ({} updates applied, {} connectivity repairs)",
         t.elapsed().as_secs_f64(),
         final_version.epoch(),
         engine.updates_applied(),
-        engine.full_rebuild_count().expect("connectivity enabled"),
+        engine.repair_count().expect("connectivity enabled"),
     );
     println!(
         "  final version: {} entries, src {} reaches {} vertices",

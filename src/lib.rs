@@ -50,21 +50,18 @@
 //! hits it searches the live view for a replacement edge from both
 //! sides of the cut in lock-step — work bounded by the smaller side,
 //! with only a true split relabelled. A serial whole-component relabel
-//! is the fallback. Between batches, `mgr.indexes().same_component(u, v)`
-//! costs zero traversals and zero CSR rebuilds.
+//! is the fallback. Between batches, `mgr.same_component(u, v)` costs
+//! zero traversals and zero CSR rebuilds.
 //!
 //! It is the one index, as in the paper. It also attaches to the
 //! concurrent [`ServeEngine`] ([`ServeConfig::with_connectivity`], on by
 //! default), whose wait-free [`ServeEngine::same_component`] reads the
-//! labels the writer publishes each cycle. Either engine also answers
-//! through one query surface: [`SnapshotManager::indexes`] /
-//! [`ServeEngine::indexes`] hand out an
-//! [`IndexQuery`](snap_core::IndexQuery) (`same_component`,
-//! `component`, `component_count`). Each engine is its graph's only
-//! mutator and steps the index before it publishes an epoch, so a query
-//! never finds the index behind; the freshness check it makes first
-//! still turns an unabsorbed change into one full rebuild instead of a
-//! stale answer.
+//! labels the writer publishes each cycle. Both engines answer with the
+//! same names (`same_component`, `component`; the manager also
+//! `component_count`). Each engine is its graph's only mutator and
+//! attaches its index before its writer first runs, or under the lock
+//! every mutation takes, so the index absorbs every change and never
+//! falls behind.
 //!
 //! ## Observability
 //!
@@ -163,8 +160,8 @@
 //! // the kernel labels bit-for-bit.
 //! mgr.enable_connectivity();
 //! let nb = csr.neighbors(hub)[0];
-//! assert!(mgr.indexes().same_component(hub, nb));
-//! assert_eq!(mgr.indexes().component(hub), labels[hub as usize]);
+//! assert!(mgr.same_component(hub, nb));
+//! assert_eq!(mgr.component(hub), labels[hub as usize]);
 //! assert_eq!(mgr.rebuild_count(), 1, "the index never built a snapshot");
 //! ```
 

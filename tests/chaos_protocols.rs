@@ -8,31 +8,30 @@
 //! schedule the quiesced state must be **bit-identical** to a
 //! bulk-synchronous oracle, with zero panics or deadlocks along the way.
 //!
-//! Eight protocols were swept, one per test; 4 and 5 are retired with
-//! the distance and triangle indexes they checked, and the others keep
-//! their numbers:
+//! Eight protocols were swept, one per test; 3 is retired with the
+//! index epoch protocol it checked, 4 and 5 with the distance and
+//! triangle indexes they checked, and the others keep their numbers:
 //!
-//! 1. **Connectivity under racing queries** (invariants 1, 6):
+//! 1. **Connectivity under racing queries** (invariant 1):
 //!    deletion-heavy batches through `SnapshotManager`, which settles
 //!    the index under its write lock, race `same_component` queries that
 //!    must never see a half-settled forest.
 //! 2. **ServeEngine publish** (invariant 1): every version a reader
 //!    pins corresponds to one prefix of the submission order.
-//! 3. **Epoch resync** (invariant 6): a mutation the index never
-//!    absorbed, published as a bare epoch bump, leaves a sticky epoch gap
-//!    that the next query must absorb with a conservative full resync —
-//!    never serve stale.
+//! 3. *Retired* (the index's epoch check: each engine is its graph's
+//!    only mutator and attaches its index before or under its one
+//!    writer, so no change can bypass the index).
 //! 4. *Retired* (distance repair).
 //! 5. *Retired* (triangle deltas).
 //! 6. **Writer-local freeze** (invariant 1): a drain freezes before the
 //!    writer waits and at least every fourth cycle; every version pinned
 //!    on the way is one prefix — CSR *and* labels — and
 //!    `pending_batches() == 0` means the next pin has everything.
-//! 7. **The index under serving** (invariants 1, 6): a `ServeEngine`
+//! 7. **The index under serving** (invariant 1): a `ServeEngine`
 //!    maintaining connectivity while readers pin versions and call
-//!    every index query; after `flush` the labels equal a from-scratch
-//!    oracle on the bulk-synchronous replay, with zero full rebuilds.
-//! 8. **Backlog-sized cycles** (invariants 1, 6, 8): a burst queued
+//!    every component query; after `flush` the labels equal a
+//!    from-scratch oracle on the bulk-synchronous replay.
+//! 8. **Backlog-sized cycles** (invariants 1, 8): a burst queued
 //!    faster than the writer drains it, so cycles fill to the applier's
 //!    range budget and span two ranges its shards race for, with the
 //!    index on; every pinned version is one prefix and the flushed
@@ -45,10 +44,8 @@
 mod common;
 
 use common::{hints, rng_for, writer_deadline};
-use snap::core::IndexFamily;
 use snap::prelude::*;
 use snap_kernels::cc::union_find_components;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SUITE: u64 = 0xC4A05;
@@ -131,14 +128,14 @@ fn shield_repair_matches_oracle_across_seeds() {
                     for _ in 0..300 {
                         let u = rng.next_bounded(N as u64) as u32;
                         let v = rng.next_bounded(N as u64) as u32;
-                        let _ = mgr.indexes().same_component(u, v);
+                        let _ = mgr.same_component(u, v);
                     }
                 });
             }
         });
         // Query through the manager first, then the index directly.
         assert_eq!(
-            mgr.indexes().component_count(),
+            mgr.component_count(),
             snap::kernels::component_count(&want),
             "seed {seed}: component count"
         );
@@ -250,68 +247,6 @@ fn serve_publish_matches_oracle_across_seeds() {
     }
 }
 
-/// Protocol 3 — sticky out-of-band epochs (invariant 6). Neither engine
-/// can open an epoch gap (each is its graph's only mutator), so the test
-/// owns the graph, the index and the epoch: a writer
-/// mutates the graph directly, bypassing update routing, and publishes
-/// a bare epoch bump per chunk, while readers query through
-/// `IndexFamily::query`; whatever interleaving the chaos schedule
-/// produces, the quiesced index must have resynced — stale answers
-/// post-quiescence are a protocol hole, and the forced full rebuild must
-/// be observable.
-#[test]
-fn epoch_resync_matches_oracle_across_seeds() {
-    for seed in 0..SEEDS {
-        set_chaos_seed(seed);
-        let (inserts, deletes, want) = workload(100 + seed);
-        let hints = hints(inserts.len() * 2);
-        let g: DynGraph<HybridAdj> = DynGraph::undirected(N as usize, &hints);
-        let family = IndexFamily::default();
-        let epoch = AtomicU64::new(0);
-        let idx = family.attach_connectivity(&g, 0);
-        // The inserts are applied and absorbed, stepped, then published.
-        assert!(engine::apply_vpart_indexed(&g, &inserts, 0, family.routes()) > 0);
-        idx.sync_change(1);
-        // ordering: Release — the test's epoch publication, after the
-        // step (invariant 6).
-        epoch.store(1, Ordering::Release);
-        let (g, family, epoch, deletes) = (&g, &family, &epoch, &deletes);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for chunk in deletes.chunks(64) {
-                    for u in chunk {
-                        g.apply(u);
-                    }
-                    // ordering: Release — publishes the chunk's
-                    // unrouted mutations with a bare bump (invariant 6).
-                    epoch.fetch_add(1, Ordering::Release);
-                }
-            });
-            for r in 0..2u64 {
-                s.spawn(move || {
-                    let mut rng = rng_for(SUITE, 20 + r, seed);
-                    for _ in 0..150 {
-                        let u = rng.next_bounded(N as u64) as u32;
-                        let v = rng.next_bounded(N as u64) as u32;
-                        let _ = family.query(g, epoch).same_component(u, v);
-                    }
-                });
-            }
-        });
-        // The first post-quiescence query absorbs the final epoch gap.
-        assert_eq!(
-            family.query(g, epoch).component_count(),
-            snap::kernels::component_count(&want),
-            "seed {seed}: component count after resync"
-        );
-        assert_eq!(idx.labels(g), want, "seed {seed}: final labels");
-        assert!(
-            idx.full_rebuild_count() >= 1,
-            "seed {seed}: the out-of-band gap must have forced a resync"
-        );
-    }
-}
-
 /// Protocol 6 — writer-local freeze (invariant 1). A producer submits
 /// small batches back to back, yielding between them so the writer runs
 /// many short cycles (a cycle takes whatever is queued), and the writer
@@ -398,15 +333,12 @@ fn writer_local_freeze_matches_oracle_across_seeds() {
     }
 }
 
-/// Protocol 7 — the index under serving (invariants 1 and 6). One
-/// engine maintains connectivity; a producer streams mixed batches
-/// while readers pin versions and call every index query against the
-/// live index, racing the writer's cycles. Racing answers merely must
-/// not panic. After `flush`, the published labels and every component
-/// query must equal a from-scratch oracle on the bulk-synchronous
-/// replay of the history — and the index may not have paid a full
-/// rebuild (the writer steps it before it publishes a cycle's epoch, so
-/// a reader never finds it behind).
+/// Protocol 7 — the index under serving (invariant 1). One engine
+/// maintains connectivity; a producer streams mixed batches while
+/// readers pin versions and call every component query, racing the
+/// writer's cycles. Racing answers merely must not panic. After
+/// `flush`, the published labels and every component query must equal
+/// a from-scratch oracle on the bulk-synchronous replay of the history.
 #[test]
 fn index_family_under_serving_matches_oracles_across_seeds() {
     const SCALE: u32 = 8;
@@ -449,13 +381,12 @@ fn index_family_under_serving_matches_oracles_across_seeds() {
                         assert!(handle.same_component(u, v).is_some());
                         let _ = engine.same_component(u, v);
                         let _ = engine.component(u);
-                        let index = engine.indexes();
-                        let _ = index.same_component(u, v);
-                        let _ = index.component(v);
-                        let _ = index.same_component(w, v);
-                        let _ = index.component(w);
+                        let _ = engine.component(v);
+                        let _ = engine.same_component(w, v);
+                        let _ = engine.component(w);
                         if round % 8 == 0 {
-                            let _ = index.component_count();
+                            let labels = handle.component_labels().expect("conn on");
+                            let _ = snap::kernels::component_count(labels);
                         }
                     }
                 });
@@ -469,29 +400,25 @@ fn index_family_under_serving_matches_oracles_across_seeds() {
         let labels = connected_components(&oracle);
         let published = handle.component_labels().expect("conn on");
         assert_eq!(***published, labels, "{at}: published labels");
-        let index = engine.indexes();
         for v in 0..n as u32 {
-            assert_eq!(index.component(v), labels[v as usize], "{at}: vertex {v}");
+            assert_eq!(engine.component(v), labels[v as usize], "{at}: vertex {v}");
         }
         assert_eq!(
-            index.component_count(),
+            snap::kernels::component_count(published),
             snap::kernels::component_count(&labels),
             "{at}: component count"
         );
-        let conn = index.connectivity().expect("conn on");
-        assert_eq!(conn.full_rebuild_count(), 0, "{at}: stayed incremental");
     }
 }
 
-/// Protocol 8 — backlog-sized cycles (invariants 1, 6, 8). A producer
+/// Protocol 8 — backlog-sized cycles (invariants 1, 8). A producer
 /// queues about one and a half applier ranges of half-updates at once,
 /// so the writer's cycles fill to the range budget and span two ranges,
 /// claimed by the writer's 1, 2 or 8 shards (by seed), while the engine
-/// maintains connectivity and a reader pins versions and queries the
-/// index. Under every schedule each pinned version's CSR and labels
-/// equal the replay of its own `batches()`; after `flush` every
-/// component query equals the full replay's; and the index never
-/// rebuilds in full.
+/// maintains connectivity and a reader pins versions and queries
+/// components. Under every schedule each pinned version's CSR and labels
+/// equal the replay of its own `batches()`, and after `flush` every
+/// component query equals the full replay's.
 #[test]
 fn backlog_cycles_match_oracles_across_seeds() {
     const SCALE: u32 = 8;
@@ -539,9 +466,8 @@ fn backlog_cycles_match_oracles_across_seeds() {
                     assert!(engine.epoch() >= handle.epoch());
                     let u = rng.next_bounded(n as u64) as u32;
                     let w = rng.next_bounded(n as u64) as u32;
-                    let index = engine.indexes();
-                    let _ = index.same_component(u, w);
-                    let _ = index.component(u);
+                    let _ = engine.same_component(u, w);
+                    let _ = engine.component(u);
                     let done = handle.batches() == BATCHES;
                     if pins
                         .last()
@@ -596,13 +522,10 @@ fn backlog_cycles_match_oracles_across_seeds() {
             replayed, BATCHES as usize,
             "{at}: the last pin has everything"
         );
-        let index = engine.indexes();
         let labels = connected_components(&oracle);
         for v in 0..n as u32 {
-            assert_eq!(index.component(v), labels[v as usize], "{at}: vertex {v}");
+            assert_eq!(engine.component(v), labels[v as usize], "{at}: vertex {v}");
         }
-        let conn = index.connectivity().expect("conn on");
-        assert_eq!(conn.full_rebuild_count(), 0, "{at}: stayed incremental");
     }
 }
 

@@ -6,7 +6,7 @@
 //! deletion) is applied through `stream` / `vpart` / `epart` at 1/2/8
 //! worker threads, with the incrementally maintained
 //! [`ConnectivityIndex`] differentially checked against the union-find
-//! oracle mid-stream and at the end — zero full rebuilds allowed. A
+//! oracle mid-stream and at the end. A
 //! second test cross-checks every read path (the serial union-find
 //! kernel, the parallel kernel, a from-scratch index, and the
 //! [`SnapshotManager`]-maintained index with its targeted repairs) on
@@ -300,7 +300,7 @@ fn deletes_scan_nothing_or_at_most_twice_the_smaller_side() {
         "{splits} splits, {replaced} replacements"
     );
     assert_eq!(idx.labels(&g), connected_components(&g));
-    assert_eq!(idx.full_rebuild_count(), 0);
+    assert_eq!(idx.repair_count(), splits, "one repair per split");
 }
 
 /// Asserts every read path over the final live graph against the oracle.
@@ -338,28 +338,24 @@ fn incremental_index_tracks_mixed_batches_without_rebuilds() {
                 }
             });
             check_all_paths(mgr.live(), &want, "final view");
-            // The deletion-heavy phase left dirty components; queries
-            // repair them on demand — spot-check pairs first.
+            // Every call settled its deletions before it returned:
+            // spot-check pairs first.
             let mut rng = rng_for(SUITE, 2, case * 10 + threads as u64);
             for _ in 0..200 {
                 let u = rng.next_bounded(n as u64) as u32;
                 let v = rng.next_bounded(n as u64) as u32;
                 assert_eq!(
-                    mgr.indexes().same_component(u, v),
+                    mgr.same_component(u, v),
                     want[u as usize] == want[v as usize],
                     "pair ({u}, {v}) @ {threads} threads"
                 );
             }
             // Then the full label array, bit-for-bit.
             assert_eq!(idx.labels(mgr.live()), want);
-            assert_eq!(
-                mgr.indexes().component_count(),
-                snap::kernels::component_count(&want)
-            );
+            assert_eq!(mgr.component_count(), snap::kernels::component_count(&want));
             // The whole run was served incrementally: no CSR snapshot,
-            // no full index rebuild — only targeted repairs.
+            // only targeted repairs.
             assert_eq!(mgr.rebuild_count(), 0, "no CSR rebuild");
-            assert_eq!(idx.full_rebuild_count(), 0, "no full recompute");
             assert!(idx.repair_count() >= 1, "deletions must repair lazily");
             let g = mgr.into_inner();
             assert!(g.adjacency().treap_vertex_count() > 0, "both hybrid arms");
@@ -438,7 +434,6 @@ fn one_applier_call_per_cycle_equals_one_per_batch() {
         let csr = per_cycle.g.to_csr();
         for s in [&per_batch, &per_cycle] {
             assert_eq!(s.conn.labels(&s.g), connected_components(&csr));
-            assert_eq!(s.conn.full_rebuild_count(), 0);
         }
         // Each side settles on its own schedule (per batch, or once), so
         // their certificates may hold different replacement edges; each

